@@ -27,7 +27,6 @@
 #![deny(missing_docs)]
 
 mod accelerator;
-pub mod banking;
 pub mod decode;
 pub mod elsa;
 pub mod energy;
@@ -36,7 +35,6 @@ pub mod gpu;
 pub mod lane;
 mod memory;
 pub mod render;
-pub mod scaleout;
 pub mod sched;
 pub mod synth;
 

@@ -41,40 +41,27 @@ use dota_workloads::{Benchmark, TaskSpec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    if let Err(e) = validate_env() {
+    run().unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    validate_env()?;
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let (trace_path, counters_path, hists_path, fault_spec, fault_seed) = match (
-        take_flag(&mut args, "--trace"),
-        take_flag(&mut args, "--counters"),
-        take_flag(&mut args, "--hists"),
-        take_flag(&mut args, "--faults"),
-        take_flag(&mut args, "--fault-seed"),
-    ) {
-        (Ok(t), Ok(c), Ok(h), Ok(f), Ok(s)) => (
-            t.or_else(|| env_path("DOTA_TRACE")),
-            c.or_else(|| env_path("DOTA_COUNTERS")),
-            h.or_else(|| env_path("DOTA_HISTS")),
-            f,
-            s,
-        ),
-        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), ..) | (.., Err(e), _) | (.., Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let mut global = |flag: &str| -> Result<Option<String>, String> {
+        Ok(take_flag(&mut args, &format!("--{flag}"))?.or_else(|| env_for(flag)))
     };
-    let profile_dir = match take_flag(&mut args, "--profile") {
-        Ok(p) => p.or_else(|| env_path("DOTA_PROF")),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let trace_path = global("trace")?;
+    let counters_path = global("counters")?;
+    let hists_path = global("hists")?;
+    let fault_spec = global("faults")?;
+    let fault_seed = global("fault-seed")?;
+    let profile_dir = global("profile")?;
     let Some(command) = args.first().cloned() else {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     // One trace session spans the whole command; outputs are written only
     // on success so a failed run never leaves a half-meaningful trace.
@@ -89,13 +76,7 @@ fn main() -> ExitCode {
     let prof_session = profile_dir.is_some().then(|| dota_prof::session(&command));
     // A fault session makes any command run under deterministic injection
     // (`dota faults` manages its own sessions instead).
-    let fault_session = match fault_session(&command, fault_spec, fault_seed) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let fault_session = fault_session(&command, fault_spec, fault_seed)?;
     let rest = &args[1..];
     let result = match command.as_str() {
         "table2" => cmd_table2(),
@@ -128,159 +109,157 @@ fn main() -> ExitCode {
         }
     }
     drop(fault_session);
-    let result = result.and_then(|()| {
-        if let (Some(prof), Some(dir)) = (&prof_session, &profile_dir) {
-            let dir = std::path::Path::new(dir);
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("creating profile dir {}: {e}", dir.display()))?;
-            prof.write_folded(&dir.join("profile.folded"))
-                .map_err(|e| format!("writing profile.folded: {e}"))?;
-            prof.write_profile(&dir.join("profile.json"))
-                .map_err(|e| format!("writing profile.json: {e}"))?;
-            eprintln!("[profile written to {}]", dir.display());
-        }
-        if let (Some(hists), Some(p)) = (&hist_session, &hists_path) {
-            hists
-                .write_summary(std::path::Path::new(p))
-                .map_err(|e| format!("writing histograms {p}: {e}"))?;
-            eprintln!("[histograms written to {p}]");
-        }
-        let Some(session) = &session else {
-            return Ok(());
-        };
-        if let Some(p) = &trace_path {
-            session
-                .write_trace(std::path::Path::new(p))
-                .map_err(|e| format!("writing trace {p}: {e}"))?;
-            eprintln!("[trace written to {p}]");
-        }
-        if let Some(p) = &counters_path {
-            session
-                .write_counters(std::path::Path::new(p))
-                .map_err(|e| format!("writing counters {p}: {e}"))?;
-            eprintln!("[counters written to {p}]");
-        }
-        Ok(())
-    });
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    result?;
+    if let (Some(prof), Some(dir)) = (&prof_session, &profile_dir) {
+        let dir = std::path::Path::new(dir);
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("creating profile dir {}: {e}", dir.display()))?;
+        prof.write_folded(&dir.join("profile.folded"))
+            .map_err(|e| format!("writing profile.folded: {e}"))?;
+        prof.write_profile(&dir.join("profile.json"))
+            .map_err(|e| format!("writing profile.json: {e}"))?;
+        eprintln!("[profile written to {}]", dir.display());
+    }
+    if let (Some(hists), Some(p)) = (&hist_session, &hists_path) {
+        hists
+            .write_summary(std::path::Path::new(p))
+            .map_err(|e| format!("writing histograms {p}: {e}"))?;
+        eprintln!("[histograms written to {p}]");
+    }
+    if let (Some(session), Some(p)) = (&session, &trace_path) {
+        session
+            .write_trace(std::path::Path::new(p))
+            .map_err(|e| format!("writing trace {p}: {e}"))?;
+        eprintln!("[trace written to {p}]");
+    }
+    if let (Some(session), Some(p)) = (&session, &counters_path) {
+        session
+            .write_counters(std::path::Path::new(p))
+            .map_err(|e| format!("writing counters {p}: {e}"))?;
+        eprintln!("[counters written to {p}]");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// How an environment variable's value must read.
+#[derive(Clone, Copy)]
+enum EnvKind {
+    /// An integer `>= 1`.
+    PositiveInt,
+    /// An integer `>= 0`.
+    NonNegativeInt,
+    /// A finite number `> 0`.
+    PositiveF64,
+    /// Anything but blank.
+    Path,
+    /// `HOST:PORT`.
+    SocketAddr,
+    /// One of the listed spellings, case-insensitively.
+    OneOf(&'static [&'static str]),
+    /// Comma-separated numbers in `[0, 1]`, at least one.
+    RateList,
+}
+
+/// Every `DOTA_*` variable the CLI reads itself: `(variable, the flag it
+/// stands in for, what its value must be, how the complaint words that)`.
+/// [`validate_env`] checks each row up front and [`flag_or_env`] falls back
+/// from a flag to its row, so a variable cannot be read unvalidated.
+const ENV: &[(&str, Option<&str>, EnvKind, &str)] = &[
+    (
+        "DOTA_THREADS",
+        None,
+        EnvKind::PositiveInt,
+        "a positive integer",
+    ),
+    ("DOTA_TRACE", Some("trace"), EnvKind::Path, ""),
+    ("DOTA_COUNTERS", Some("counters"), EnvKind::Path, ""),
+    ("DOTA_HISTS", Some("hists"), EnvKind::Path, ""),
+    ("DOTA_PROF", Some("profile"), EnvKind::Path, ""),
+    // Serving knobs: a typo'd batch size or shed policy silently falling
+    // back to defaults would make one load test incomparable with the
+    // next, so they are rejected up front like the knobs above.
+    (
+        "DOTA_SERVE_BATCH",
+        Some("capacity"),
+        EnvKind::PositiveInt,
+        "a positive integer",
+    ),
+    (
+        "DOTA_SERVE_DEADLINE",
+        Some("deadline-interactive"),
+        EnvKind::PositiveF64,
+        "a positive number of microseconds",
+    ),
+    (
+        "DOTA_SERVE_SHED",
+        Some("shed"),
+        EnvKind::OneOf(&["queue", "queue-only", "retention", "shed", "slo", "both"]),
+        "queue|retention|slo|both",
+    ),
+    (
+        "DOTA_SERVE_CHAOS",
+        Some("chaos-rates"),
+        EnvKind::RateList,
+        "a comma-separated list of fault rates in [0, 1]",
+    ),
+    (
+        "DOTA_SERVE_RETRY_CAP",
+        Some("retry-cap"),
+        EnvKind::NonNegativeInt,
+        "a non-negative integer",
+    ),
+    (
+        "DOTA_SERVE_RETRY_BACKOFF",
+        Some("retry-backoff"),
+        EnvKind::PositiveInt,
+        "a positive cycle count",
+    ),
+    ("DOTA_SERVE_TIMELINE", Some("timeline"), EnvKind::Path, ""),
+    (
+        "DOTA_SERVE_METRICS_ADDR",
+        Some("metrics-addr"),
+        EnvKind::SocketAddr,
+        "a socket address like 127.0.0.1:9184",
+    ),
+    ("DOTA_SERVE_FLIGHT", Some("flight-out"), EnvKind::Path, ""),
+];
+
+impl EnvKind {
+    fn accepts(self, value: &str) -> bool {
+        let v = value.trim();
+        match self {
+            EnvKind::PositiveInt => v.parse::<u64>().is_ok_and(|n| n >= 1),
+            EnvKind::NonNegativeInt => v.parse::<u64>().is_ok(),
+            // NaN must fail too, so test for the one acceptable state.
+            EnvKind::PositiveF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
+            EnvKind::Path => !v.is_empty(),
+            EnvKind::SocketAddr => v.parse::<std::net::SocketAddr>().is_ok(),
+            EnvKind::OneOf(names) => names.contains(&v.to_ascii_lowercase().as_str()),
+            EnvKind::RateList => {
+                let mut rates = v.split(',').map(str::trim).filter(|s| !s.is_empty());
+                let in_range = |s: &str| s.parse::<f64>().is_ok_and(|r| (0.0..=1.0).contains(&r));
+                // `all` on the rest; `next` first so an empty list fails.
+                rates.next().is_some_and(in_range) && rates.all(in_range)
+            }
         }
     }
 }
 
-/// Rejects malformed observability/threading environment variables up
-/// front: a typo'd `DOTA_THREADS=all` silently falling back to the
-/// default would invalidate a benchmark without any sign of it.
+/// Rejects malformed `DOTA_*` environment variables up front: a typo'd
+/// `DOTA_THREADS=all` silently falling back to the default would
+/// invalidate a benchmark without any sign of it.
 fn validate_env() -> Result<(), String> {
-    if let Ok(v) = std::env::var("DOTA_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_THREADS must be a positive integer, got `{v}`"
-                ))
+    for &(name, _, kind, expected) in ENV {
+        let Ok(v) = std::env::var(name) else { continue };
+        if kind.accepts(&v) {
+            continue;
+        }
+        return Err(match kind {
+            EnvKind::Path => {
+                format!("{name} is set but empty; set it to an output path or unset it")
             }
-        }
-    }
-    for name in ["DOTA_TRACE", "DOTA_COUNTERS", "DOTA_HISTS", "DOTA_PROF"] {
-        if let Ok(v) = std::env::var(name) {
-            if v.trim().is_empty() {
-                return Err(format!(
-                    "{name} is set but empty; set it to an output path or unset it"
-                ));
-            }
-        }
-    }
-    // Serving knobs: a typo'd batch size or shed policy silently falling
-    // back to defaults would make one load test incomparable with the
-    // next, so reject malformed values up front like the knobs above.
-    if let Ok(v) = std::env::var("DOTA_SERVE_BATCH") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_BATCH must be a positive integer, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_DEADLINE") {
-        match v.trim().parse::<f64>() {
-            Ok(x) if x > 0.0 && x.is_finite() => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_DEADLINE must be a positive number of microseconds, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_SHED") {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "queue" | "queue-only" | "retention" | "shed" | "slo" | "both" => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_SHED must be queue|retention|slo|both, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_CHAOS") {
-        let rates: Result<Vec<f64>, _> = v
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().parse::<f64>())
-            .collect();
-        match rates {
-            Ok(rs) if !rs.is_empty() && rs.iter().all(|r| r.is_finite() && (0.0..=1.0).contains(r)) => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_CHAOS must be a comma-separated list of fault rates in [0, 1], got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_RETRY_CAP") {
-        if v.trim().parse::<usize>().is_err() {
-            return Err(format!(
-                "DOTA_SERVE_RETRY_CAP must be a non-negative integer, got `{v}`"
-            ));
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_RETRY_BACKOFF") {
-        match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_RETRY_BACKOFF must be a positive cycle count, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_TIMELINE") {
-        if v.trim().is_empty() {
-            return Err(
-                "DOTA_SERVE_TIMELINE is set but empty; set it to an output path or unset it"
-                    .to_owned(),
-            );
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_METRICS_ADDR") {
-        if v.trim().parse::<std::net::SocketAddr>().is_err() {
-            return Err(format!(
-                "DOTA_SERVE_METRICS_ADDR must be a socket address like 127.0.0.1:9184, got `{v}`"
-            ));
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_FLIGHT") {
-        if v.trim().is_empty() {
-            return Err(
-                "DOTA_SERVE_FLIGHT is set but empty; set it to an output path or unset it"
-                    .to_owned(),
-            );
-        }
+            _ => format!("{name} must be {expected}, got `{v}`"),
+        });
     }
     // A typo'd kernel family (or one this CPU cannot run) would silently
     // fall back and invalidate a benchmark, exactly like a bad
@@ -288,10 +267,18 @@ fn validate_env() -> Result<(), String> {
     dota_tensor::simd::family_from_env_checked().map(|_| ())
 }
 
-/// A non-empty environment variable as a path fallback for the matching
-/// CLI flag ([`validate_env`] has already rejected set-but-empty values).
-fn env_path(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.trim().is_empty())
+type Flags = std::collections::BTreeMap<String, String>;
+
+/// The [`ENV`] variable standing in for `--flag`, if it has one and it is
+/// set ([`validate_env`] has already rejected malformed values).
+fn env_for(flag: &str) -> Option<String> {
+    let &(name, ..) = ENV.iter().find(|row| row.1 == Some(flag))?;
+    std::env::var(name).ok()
+}
+
+/// Flag wins over environment wins over the caller's default.
+fn flag_or_env(flags: &Flags, flag: &str) -> Option<String> {
+    flags.get(flag).cloned().or_else(|| env_for(flag))
 }
 
 /// Opens the global fault-injection session requested by `--faults`
@@ -336,22 +323,10 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
         ..Default::default()
     };
     if let Some(sites) = flags.get("sites") {
-        opts.sites = sites
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| dota_faults::FaultSite::parse(s.trim()))
-            .collect::<Result<Vec<_>, _>>()?;
+        opts.sites = fault_sites(sites)?;
     }
     if let Some(rates) = flags.get("rates") {
-        opts.rates = rates
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("--rates entries must be numbers, got `{s}`"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        opts.rates = number_list(rates, "rates")?;
     }
     if let Some(seq) = flag_usize(&flags, "seq")? {
         opts.seq_len = seq;
@@ -415,11 +390,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag_usize(&flags, "seed")? {
         opts.seed = s as u64;
     }
-    // Flag wins over environment wins over default ([`validate_env`] has
-    // already rejected malformed DOTA_SERVE_* values).
-    if let Some(c) = flag_usize(&flags, "capacity")?
-        .or_else(|| std::env::var("DOTA_SERVE_BATCH").ok()?.trim().parse().ok())
-    {
+    if let Some(c) = flag_usize(&flags, "capacity")? {
         opts.capacity = c;
     }
     if let Some(q) = flag_usize(&flags, "queue")? {
@@ -428,22 +399,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag_usize(&flags, "seq")? {
         opts.seq = s;
     }
-    if let Some(d) = flag_f64(&flags, "deadline-interactive")?.or_else(|| {
-        std::env::var("DOTA_SERVE_DEADLINE")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
+    if let Some(d) = flag_f64(&flags, "deadline-interactive")? {
         opts.interactive_deadline_us = d;
     }
     if let Some(d) = flag_f64(&flags, "deadline-batch")? {
         opts.batch_deadline_us = d;
     }
-    let shed_spec = flags
-        .get("shed")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_SHED"));
+    let shed_spec = flag_or_env(&flags, "shed");
     if let Some(spec) = &shed_spec {
         if !chaos {
             opts.sheds = match spec.trim().to_ascii_lowercase().as_str() {
@@ -456,15 +418,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(list) = flags.get("loads") {
-        opts.loads = list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("--loads entries must be numbers, got `{s}`"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        opts.loads = number_list(list, "loads")?;
     } else if !bench && !chaos {
         // Without --bench: one load point (default 2x capacity) instead of
         // the full sweep grid.
@@ -475,16 +429,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(w) = flag_usize(&flags, "slo-window")? {
         opts.slo_window = w;
     }
-    // Flag wins over environment wins over off (same ladder as --timeline;
-    // [`validate_env`] has already rejected malformed values).
-    let metrics_addr = flags
-        .get("metrics-addr")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_METRICS_ADDR"));
-    let flight_path = flags
-        .get("flight-out")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_FLIGHT"));
+    let metrics_addr = flag_or_env(&flags, "metrics-addr");
+    let flight_path = flag_or_env(&flags, "flight-out");
     if chaos {
         if flags.contains_key("timeline") {
             return Err(
@@ -502,10 +448,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         return cmd_serve_chaos(opts, shed_spec.as_deref(), &flags);
     }
-    let timeline_path = flags
-        .get("timeline")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_TIMELINE"));
+    let timeline_path = flag_or_env(&flags, "timeline");
     opts.timeline = timeline_path.is_some();
 
     // The telemetry plane observes the engine and never feeds back into
@@ -667,7 +610,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     let addr = flags
         .get("addr")
         .cloned()
-        .or_else(|| env_path("DOTA_SERVE_METRICS_ADDR"))
+        .or_else(|| env_for("metrics-addr"))
         .ok_or("top needs --addr HOST:PORT (or DOTA_SERVE_METRICS_ADDR)")?;
     let interval_ms = flag_usize(&flags, "interval-ms")?.unwrap_or(1000) as u64;
     let ticks = if once {
@@ -704,7 +647,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 fn cmd_serve_chaos(
     bench: dota_serve::BenchOptions,
     shed_spec: Option<&str>,
-    flags: &std::collections::BTreeMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), String> {
     let mut opts = dota_serve::ChaosOptions {
         bench,
@@ -718,49 +661,19 @@ fn cmd_serve_chaos(
         }
         opts.shed = dota_serve::ShedPolicy::parse(spec.trim())?;
     }
-    // Flag wins over environment wins over default ([`validate_env`] has
-    // already rejected malformed DOTA_SERVE_* values).
-    if let Some(list) = flags
-        .get("chaos-rates")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_CHAOS"))
-    {
-        opts.rates = list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("--chaos-rates entries must be numbers, got `{s}`"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    if let Some(list) = flag_or_env(flags, "chaos-rates") {
+        opts.rates = number_list(&list, "chaos-rates")?;
     }
     if let Some(sites) = flags.get("chaos-sites") {
-        opts.sites = sites
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| dota_faults::FaultSite::parse(s.trim()))
-            .collect::<Result<Vec<_>, _>>()?;
+        opts.sites = fault_sites(sites)?;
     }
     if let Some(s) = flag_usize(flags, "chaos-seed")? {
         opts.fault_seed = s as u64;
     }
-    if let Some(c) = flag_usize(flags, "retry-cap")?.or_else(|| {
-        std::env::var("DOTA_SERVE_RETRY_CAP")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
+    if let Some(c) = flag_usize(flags, "retry-cap")? {
         opts.retry_cap = c;
     }
-    if let Some(b) = flag_usize(flags, "retry-backoff")?.or_else(|| {
-        std::env::var("DOTA_SERVE_RETRY_BACKOFF")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
+    if let Some(b) = flag_usize(flags, "retry-backoff")? {
         opts.retry_backoff_cycles = b as u64;
     }
     if let Some(q) = flag_usize(flags, "quarantine")? {
@@ -1037,11 +950,9 @@ fn parse_variant(s: &str) -> Result<OperatingPoint, String> {
 
 /// Extracts `--flag value` from an argument list; returns remaining
 /// positional arguments.
-fn parse_flags(
-    args: &[String],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
+fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
+    let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
@@ -1054,30 +965,48 @@ fn parse_flags(
     Ok((positional, flags))
 }
 
-fn flag_f64(
-    flags: &std::collections::BTreeMap<String, String>,
+/// `--name` (or the [`ENV`] variable standing in for it) as a number.
+fn flag_number<T: std::str::FromStr>(
+    flags: &Flags,
     name: &str,
-) -> Result<Option<f64>, String> {
-    flags
-        .get(name)
+    what: &str,
+) -> Result<Option<T>, String> {
+    flag_or_env(flags, name)
         .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("--{name} must be a number"))
+            v.trim()
+                .parse()
+                .map_err(|_| format!("--{name} must be {what}"))
         })
         .transpose()
 }
 
-fn flag_usize(
-    flags: &std::collections::BTreeMap<String, String>,
-    name: &str,
-) -> Result<Option<usize>, String> {
-    flags
-        .get(name)
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--{name} must be an integer"))
+/// The non-blank entries of a comma-separated `--flag` value.
+fn list_entries(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').filter(|s| !s.trim().is_empty())
+}
+
+fn number_list(list: &str, flag: &str) -> Result<Vec<f64>, String> {
+    list_entries(list)
+        .map(|s| {
+            s.trim()
+                .parse()
+                .map_err(|_| format!("--{flag} entries must be numbers, got `{s}`"))
         })
-        .transpose()
+        .collect()
+}
+
+fn fault_sites(list: &str) -> Result<Vec<dota_faults::FaultSite>, String> {
+    list_entries(list)
+        .map(|s| dota_faults::FaultSite::parse(s.trim()))
+        .collect()
+}
+
+fn flag_f64(flags: &Flags, name: &str) -> Result<Option<f64>, String> {
+    flag_number(flags, name, "a number")
+}
+
+fn flag_usize(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
+    flag_number(flags, name, "an integer")
 }
 
 fn cmd_table2() -> Result<(), String> {
@@ -1574,10 +1503,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// joins a serve timeline (from `dota serve --timeline`) with the cost
 /// and retention-window models and reports per-tier degradation, latency
 /// decomposition and the worst deadline-budget burns.
-fn cmd_analyze_serve(
-    timeline: &str,
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<(), String> {
+fn cmd_analyze_serve(timeline: &str, flags: &Flags) -> Result<(), String> {
     let top = flag_usize(flags, "top")?.unwrap_or(5);
     let raw = std::fs::read_to_string(timeline)
         .map_err(|e| format!("reading serve timeline {timeline}: {e}"))?;
@@ -1626,201 +1552,77 @@ mod tests {
         out
     }
 
-    #[test]
-    fn invalid_dota_threads_is_rejected() {
-        for bad in ["zero", "0", "-4"] {
-            with_env("DOTA_THREADS", Some(bad), || {
+    /// `validate_env` names `name` when rejecting each of `bad`, accepts
+    /// each of `good` (and the variable being unset), and a well-formed
+    /// value reaches the flag the [`ENV`] table pairs it with unless the
+    /// flag is given too.
+    fn check_env(name: &str, bad: &[&str], good: &[&str]) {
+        for value in bad {
+            with_env(name, Some(value), || {
                 let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_THREADS"), "{err}");
+                assert!(err.contains(name), "{name}={value:?}: {err}");
             });
         }
-        with_env("DOTA_THREADS", Some("8"), || validate_env().unwrap());
-        with_env("DOTA_THREADS", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn empty_dota_trace_is_rejected() {
-        with_env("DOTA_TRACE", Some("  "), || {
-            let err = validate_env().unwrap_err();
-            assert!(err.contains("DOTA_TRACE"), "{err}");
-        });
-        with_env("DOTA_TRACE", Some("/tmp/t.json"), || {
-            validate_env().unwrap();
-            assert_eq!(env_path("DOTA_TRACE").as_deref(), Some("/tmp/t.json"));
-        });
-    }
-
-    #[test]
-    fn empty_dota_hists_is_rejected() {
-        with_env("DOTA_HISTS", Some(""), || {
-            let err = validate_env().unwrap_err();
-            assert!(err.contains("DOTA_HISTS"), "{err}");
-        });
-        with_env("DOTA_HISTS", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn empty_dota_prof_is_rejected() {
-        with_env("DOTA_PROF", Some(" "), || {
-            let err = validate_env().unwrap_err();
-            assert!(err.contains("DOTA_PROF"), "{err}");
-        });
-        with_env("DOTA_PROF", Some("/tmp/prof"), || {
-            validate_env().unwrap();
-            assert_eq!(env_path("DOTA_PROF").as_deref(), Some("/tmp/prof"));
-        });
-        with_env("DOTA_PROF", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn empty_dota_counters_is_rejected() {
-        with_env("DOTA_COUNTERS", Some(""), || {
-            let err = validate_env().unwrap_err();
-            assert!(err.contains("DOTA_COUNTERS"), "{err}");
-        });
-    }
-
-    #[test]
-    fn invalid_dota_gemm_is_rejected() {
-        with_env("DOTA_GEMM", Some("fast"), || {
-            let err = validate_env().unwrap_err();
-            assert!(err.contains("DOTA_GEMM"), "{err}");
-        });
-        for ok in ["auto", "scalar"] {
-            with_env("DOTA_GEMM", Some(ok), || validate_env().unwrap());
-        }
-        with_env("DOTA_GEMM", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn invalid_dota_serve_batch_is_rejected() {
-        for bad in ["0", "-2", "many", "1.5"] {
-            with_env("DOTA_SERVE_BATCH", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_BATCH"), "{err}");
+        for value in good {
+            with_env(name, Some(value), || {
+                validate_env().unwrap_or_else(|e| panic!("{name}={value:?}: {e}"));
+                if let Some(&(_, Some(flag), ..)) = ENV.iter().find(|row| row.0 == name) {
+                    assert_eq!(env_for(flag).as_deref(), Some(*value));
+                    let flags = Flags::from([(flag.to_owned(), "explicit".to_owned())]);
+                    assert_eq!(flag_or_env(&flags, flag).as_deref(), Some("explicit"));
+                }
             });
         }
-        with_env("DOTA_SERVE_BATCH", Some("16"), || validate_env().unwrap());
-        with_env("DOTA_SERVE_BATCH", None, || validate_env().unwrap());
+        with_env(name, None, || validate_env().unwrap());
+    }
+
+    /// The one table behind every environment test: `test name(variable,
+    /// values that must be rejected, values that must be accepted)`.
+    macro_rules! env_cases {
+        ($($test:ident($name:literal, $bad:expr, $good:expr);)*) => {
+            const CASES: &[&str] = &[$($name),*];
+            $(
+                #[test]
+                fn $test() {
+                    check_env($name, &$bad, &$good);
+                }
+            )*
+        };
+    }
+
+    env_cases! {
+        invalid_dota_threads_is_rejected("DOTA_THREADS", ["zero", "0", "-4"], ["8"]);
+        empty_dota_trace_is_rejected("DOTA_TRACE", ["  "], ["/tmp/t.json"]);
+        empty_dota_hists_is_rejected("DOTA_HISTS", [""], []);
+        empty_dota_prof_is_rejected("DOTA_PROF", [" "], ["/tmp/prof"]);
+        empty_dota_counters_is_rejected("DOTA_COUNTERS", [""], []);
+        invalid_dota_gemm_is_rejected("DOTA_GEMM", ["fast"], ["auto", "scalar"]);
+        invalid_dota_serve_batch_is_rejected("DOTA_SERVE_BATCH", ["0", "-2", "many", "1.5"], ["16"]);
+        invalid_dota_serve_deadline_is_rejected(
+            "DOTA_SERVE_DEADLINE", ["0", "-50", "soon", "inf"], ["75.5"]);
+        invalid_dota_serve_shed_is_rejected(
+            "DOTA_SERVE_SHED", ["drop", "none", ""], ["queue", "retention", "slo", "both", "Queue-Only"]);
+        invalid_dota_serve_chaos_is_rejected(
+            "DOTA_SERVE_CHAOS",
+            ["", "lots", "0.5,nan", "-0.1", "1.5", "0.2;0.4"],
+            ["0", "0.0,0.05,0.2", " 0.1 , 1 "]);
+        invalid_dota_serve_retry_cap_is_rejected(
+            "DOTA_SERVE_RETRY_CAP", ["-1", "many", "2.5", ""], ["0", "3", "10"]);
+        invalid_dota_serve_retry_backoff_is_rejected(
+            "DOTA_SERVE_RETRY_BACKOFF", ["0", "-100", "fast", ""], ["2000"]);
+        empty_dota_serve_timeline_is_rejected("DOTA_SERVE_TIMELINE", ["", "  "], ["/tmp/tl.json"]);
+        invalid_dota_serve_metrics_addr_is_rejected(
+            "DOTA_SERVE_METRICS_ADDR",
+            ["", "localhost", "127.0.0.1", ":9184", "127.0.0.1:port"],
+            ["127.0.0.1:9184", "0.0.0.0:0", " [::1]:8080 "]);
+        empty_dota_serve_flight_is_rejected("DOTA_SERVE_FLIGHT", ["", "  "], ["/tmp/flight.json"]);
     }
 
     #[test]
-    fn invalid_dota_serve_deadline_is_rejected() {
-        for bad in ["0", "-50", "soon", "inf"] {
-            with_env("DOTA_SERVE_DEADLINE", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_DEADLINE"), "{err}");
-            });
+    fn every_env_row_has_a_case() {
+        for row in ENV {
+            assert!(CASES.contains(&row.0), "{} has no test row", row.0);
         }
-        with_env("DOTA_SERVE_DEADLINE", Some("75.5"), || {
-            validate_env().unwrap()
-        });
-    }
-
-    #[test]
-    fn invalid_dota_serve_shed_is_rejected() {
-        for bad in ["drop", "none", ""] {
-            with_env("DOTA_SERVE_SHED", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_SHED"), "{err}");
-            });
-        }
-        for ok in ["queue", "retention", "slo", "both", "Queue-Only"] {
-            with_env("DOTA_SERVE_SHED", Some(ok), || validate_env().unwrap());
-        }
-    }
-
-    #[test]
-    fn invalid_dota_serve_chaos_is_rejected() {
-        for bad in ["", "lots", "0.5,nan", "-0.1", "1.5", "0.2;0.4"] {
-            with_env("DOTA_SERVE_CHAOS", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_CHAOS"), "{err}");
-            });
-        }
-        for ok in ["0", "0.0,0.05,0.2", " 0.1 , 1 "] {
-            with_env("DOTA_SERVE_CHAOS", Some(ok), || validate_env().unwrap());
-        }
-        with_env("DOTA_SERVE_CHAOS", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn invalid_dota_serve_retry_cap_is_rejected() {
-        for bad in ["-1", "many", "2.5", ""] {
-            with_env("DOTA_SERVE_RETRY_CAP", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_RETRY_CAP"), "{err}");
-            });
-        }
-        for ok in ["0", "3", "10"] {
-            with_env("DOTA_SERVE_RETRY_CAP", Some(ok), || validate_env().unwrap());
-        }
-    }
-
-    #[test]
-    fn invalid_dota_serve_retry_backoff_is_rejected() {
-        for bad in ["0", "-100", "fast", ""] {
-            with_env("DOTA_SERVE_RETRY_BACKOFF", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_RETRY_BACKOFF"), "{err}");
-            });
-        }
-        with_env("DOTA_SERVE_RETRY_BACKOFF", Some("2000"), || {
-            validate_env().unwrap()
-        });
-        with_env("DOTA_SERVE_RETRY_BACKOFF", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn empty_dota_serve_timeline_is_rejected() {
-        for bad in ["", "  "] {
-            with_env("DOTA_SERVE_TIMELINE", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_TIMELINE"), "{err}");
-            });
-        }
-        with_env("DOTA_SERVE_TIMELINE", Some("/tmp/tl.json"), || {
-            validate_env().unwrap();
-            assert_eq!(
-                env_path("DOTA_SERVE_TIMELINE").as_deref(),
-                Some("/tmp/tl.json")
-            );
-        });
-        with_env("DOTA_SERVE_TIMELINE", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn invalid_dota_serve_metrics_addr_is_rejected() {
-        for bad in ["", "localhost", "127.0.0.1", ":9184", "127.0.0.1:port"] {
-            with_env("DOTA_SERVE_METRICS_ADDR", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_METRICS_ADDR"), "{err}");
-            });
-        }
-        for ok in ["127.0.0.1:9184", "0.0.0.0:0", " [::1]:8080 "] {
-            with_env("DOTA_SERVE_METRICS_ADDR", Some(ok), || {
-                validate_env().unwrap()
-            });
-        }
-        with_env("DOTA_SERVE_METRICS_ADDR", None, || validate_env().unwrap());
-    }
-
-    #[test]
-    fn empty_dota_serve_flight_is_rejected() {
-        for bad in ["", "  "] {
-            with_env("DOTA_SERVE_FLIGHT", Some(bad), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains("DOTA_SERVE_FLIGHT"), "{err}");
-            });
-        }
-        with_env("DOTA_SERVE_FLIGHT", Some("/tmp/flight.json"), || {
-            validate_env().unwrap();
-            assert_eq!(
-                env_path("DOTA_SERVE_FLIGHT").as_deref(),
-                Some("/tmp/flight.json")
-            );
-        });
-        with_env("DOTA_SERVE_FLIGHT", None, || validate_env().unwrap());
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //! regardless of thread count or build features. Cells run strictly
 //! serially because fault sessions are globally exclusive.
 
-use crate::checkpoint;
 use crate::experiments::{build_model, TrainOptions};
 use crate::watchdog::{train_dense_guarded, WatchdogOptions};
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_faults::{FaultPlan, FaultSite};
-use dota_metrics::{fmt_f64, write_json_string};
+use dota_metrics::JsonWriter;
 use dota_transformer::Model;
 use dota_workloads::{Benchmark, TaskSpec};
 use std::collections::BTreeMap;
@@ -216,48 +215,27 @@ impl CampaignReport {
     /// counts and build features — and is diffable with
     /// [`crate::report::diff_paths`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"campaign_version\": {CAMPAIGN_VERSION},\n  \"seed\": {},\n  \"seq_len\": {},\n",
-            self.options.seed, self.options.seq_len
-        ));
-        out.push_str("  \"runs\": [\n");
-        for (i, run) in self.runs.iter().enumerate() {
-            out.push_str("    {\n      \"site\": ");
-            write_json_string(&mut out, run.site.name());
-            out.push_str(&format!(
-                ",\n      \"rate\": {},\n      \"status\": ",
-                fmt_f64(run.rate)
-            ));
-            write_json_string(&mut out, run.status.name());
-            out.push_str(&format!(
-                ",\n      \"injected\": {},\n      \"outcome\": {},\n",
-                run.injected,
-                fmt_f64(run.outcome)
-            ));
+        let mut w = JsonWriter::pretty();
+        w.obj()
+            .field("campaign_version", CAMPAIGN_VERSION)
+            .field("seed", self.options.seed)
+            .field("seq_len", self.options.seq_len)
+            .key("runs")
+            .arr();
+        for run in &self.runs {
+            w.obj()
+                .field("site", run.site.name())
+                .field("rate", run.rate)
+                .field("status", run.status.name())
+                .field("injected", run.injected)
+                .field("outcome", run.outcome);
             if let Some(err) = &run.error {
-                out.push_str("      \"error\": ");
-                write_json_string(&mut out, err);
-                out.push_str(",\n");
+                w.field("error", err);
             }
-            out.push_str("      \"counters\": {");
-            for (j, (name, value)) in run.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        ");
-                write_json_string(&mut out, name);
-                out.push_str(&format!(": {value}"));
-            }
-            if !run.counters.is_empty() {
-                out.push_str("\n      ");
-            }
-            out.push_str("}\n    }");
-            out.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
+            w.map("counters", &run.counters).end();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 
     /// Writes [`Self::to_json`] crash-safely (temp file + atomic rename).
@@ -266,7 +244,7 @@ impl CampaignReport {
     ///
     /// Any I/O error from creating, writing or renaming the file.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        checkpoint::write_atomic(path, &self.to_json())
+        dota_metrics::write_atomic(path, &self.to_json())
     }
 
     /// `(clean, absorbed, failed)` cell counts.

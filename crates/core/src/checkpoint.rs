@@ -102,38 +102,7 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Writes `contents` to `path` crash-safely: the bytes go to a uniquely
-/// named temp file in `path`'s directory, which is then atomically renamed
-/// over `path`. A reader (or a resume after a crash) sees either the
-/// previous complete file or the new complete file, never a partial write.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error (the temp file is cleaned up).
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let tmp_name = format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    if let Err(e) = std::fs::write(&tmp, contents) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(())
-}
+pub use dota_metrics::write_atomic;
 
 /// Serializes every parameter of `params` to JSON at `path`, crash-safely
 /// (temp file + atomic rename; see [`write_atomic`]). Values are stored as

@@ -34,7 +34,7 @@
 //! timeline document, serialized in canonical key order with [`fmt_f64`],
 //! so audits diff clean via `dota report diff`.
 
-use dota_metrics::fmt_f64;
+use dota_metrics::{fmt_f64, JsonWriter, ToJson};
 use serde_json::Value;
 
 /// Audit format version (bump on any schema change).
@@ -443,90 +443,85 @@ pub fn audit(doc: &Value, top: usize) -> Result<ServeAudit, String> {
     Ok(ServeAudit { cells })
 }
 
+impl ToJson for CellAudit {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("shed", &self.shed)
+            .field("load", self.load)
+            .field("requests", self.requests)
+            .field("never_admitted", self.never_admitted)
+            .field("decomposition_consistent", self.decomposition_consistent)
+            .field("ladder_consistent", self.ladder_consistent)
+            .field("terminals_consistent", self.terminals_consistent)
+            .field("retried", self.retried)
+            .field("failed", self.failed)
+            .field("discarded_tokens", self.discarded_tokens);
+        // Conditional, so audits of controller-free timelines (all
+        // committed baselines) keep their exact bytes.
+        if let Some(ctl) = &self.control {
+            w.key("control")
+                .obj()
+                .field("changes", ctl.changes)
+                .field("gated_steps", ctl.gated_steps)
+                .field("final_level", ctl.final_level)
+                .field("max_level", ctl.max_level)
+                .field("mean_level", ctl.mean_level)
+                .end();
+        }
+        w.list("tiers", &self.tiers)
+            .list("worst_burn", &self.worst)
+            .end();
+    }
+}
+
+impl ToJson for TierStat {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("level", self.level)
+            .field("retention", self.retention)
+            .field("requests", self.requests)
+            .field("served", self.served)
+            .field("attended", self.attended)
+            .field("possible", self.possible)
+            .field("reduction", self.reduction)
+            .field("mean_queue_us", self.mean_queue_us)
+            .field("mean_prefill_us", self.mean_prefill_us)
+            .field("mean_decode_us", self.mean_decode_us)
+            .field("mean_weight_us", self.mean_weight_us)
+            .field("mean_kv_us", self.mean_kv_us)
+            .field("mean_hol_us", self.mean_hol_us)
+            .end();
+    }
+}
+
+impl ToJson for WorstBurn {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("id", self.id)
+            .field("reason", &self.reason)
+            .field("retention", self.retention)
+            .field("burn", self.burn)
+            .field("e2e_us", self.e2e_us)
+            .field("queue_us", self.queue_us)
+            .field("prefill_us", self.prefill_us)
+            .field("decode_us", self.decode_us)
+            .end();
+    }
+}
+
 impl ServeAudit {
     /// Canonical JSON serialization (stable key order, [`fmt_f64`]
     /// numbers; byte-deterministic, diffable via `dota report diff`).
     pub fn to_json(&self) -> String {
-        let mut s =
-            format!("{{\"version\":\"dota-serve-audit-v{SERVE_AUDIT_VERSION}\",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"shed\":\"{}\",\"load\":{},\"requests\":{},\"never_admitted\":{}",
-                c.shed,
-                fmt_f64(c.load),
-                c.requests,
-                c.never_admitted
-            ));
-            s.push_str(&format!(
-                ",\"decomposition_consistent\":{},\"ladder_consistent\":{},\"terminals_consistent\":{}",
-                c.decomposition_consistent, c.ladder_consistent, c.terminals_consistent
-            ));
-            s.push_str(&format!(
-                ",\"retried\":{},\"failed\":{},\"discarded_tokens\":{}",
-                c.retried, c.failed, c.discarded_tokens
-            ));
-            // Conditional, so audits of controller-free timelines (all
-            // committed baselines) keep their exact bytes.
-            if let Some(ctl) = &c.control {
-                s.push_str(&format!(
-                    ",\"control\":{{\"changes\":{},\"gated_steps\":{},\"final_level\":{},\"max_level\":{},\"mean_level\":{}}}",
-                    ctl.changes,
-                    ctl.gated_steps,
-                    ctl.final_level,
-                    ctl.max_level,
-                    fmt_f64(ctl.mean_level)
-                ));
-            }
-            s.push_str(",\"tiers\":[");
-            for (j, t) in c.tiers.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"level\":{},\"retention\":{},\"requests\":{},\"served\":{},\"attended\":{},\"possible\":{},\"reduction\":{}",
-                    t.level,
-                    fmt_f64(t.retention),
-                    t.requests,
-                    t.served,
-                    t.attended,
-                    t.possible,
-                    fmt_f64(t.reduction)
-                ));
-                s.push_str(&format!(
-                    ",\"mean_queue_us\":{},\"mean_prefill_us\":{},\"mean_decode_us\":{},\"mean_weight_us\":{},\"mean_kv_us\":{},\"mean_hol_us\":{}}}",
-                    fmt_f64(t.mean_queue_us),
-                    fmt_f64(t.mean_prefill_us),
-                    fmt_f64(t.mean_decode_us),
-                    fmt_f64(t.mean_weight_us),
-                    fmt_f64(t.mean_kv_us),
-                    fmt_f64(t.mean_hol_us)
-                ));
-            }
-            s.push_str("],\"worst_burn\":[");
-            for (j, w) in c.worst.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"id\":{},\"reason\":\"{}\",\"retention\":{},\"burn\":{},\"e2e_us\":{},\"queue_us\":{},\"prefill_us\":{},\"decode_us\":{}}}",
-                    w.id,
-                    w.reason,
-                    fmt_f64(w.retention),
-                    fmt_f64(w.burn),
-                    fmt_f64(w.e2e_us),
-                    fmt_f64(w.queue_us),
-                    fmt_f64(w.prefill_us),
-                    fmt_f64(w.decode_us)
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s.push('\n');
-        s
+        let mut w = JsonWriter::compact();
+        w.obj()
+            .field(
+                "version",
+                format!("dota-serve-audit-v{SERVE_AUDIT_VERSION}"),
+            )
+            .list("cells", &self.cells)
+            .end();
+        w.finish()
     }
 
     /// Renders the human-readable audit tables.

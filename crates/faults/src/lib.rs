@@ -8,11 +8,14 @@
 //! by injecting faults at named sites, deterministically, so that a fault
 //! campaign is a reproducible experiment rather than a flaky one.
 //!
-//! The design mirrors `dota-trace`/`dota-metrics`: a process-global,
-//! session-gated plan that costs one relaxed atomic load per call site when
-//! no session is active. A [`session`] installs a [`FaultPlan`] (seed +
-//! per-site rates); instrumented code asks [`should_inject`] whether a
-//! fault fires at a given site for given coordinates.
+//! The design mirrors `dota-trace`/`dota-metrics`: a session-gated plan
+//! that costs one relaxed atomic load per call site when no session is
+//! active. A [`session`] installs a [`FaultPlan`] (seed + per-site rates)
+//! **for the thread that opened it** and for threads that
+//! [`Scope::enter`] its [`scope`] token (the thread pool does this for its
+//! workers); work on any other thread is never faulted. Instrumented code
+//! asks [`should_inject`] whether a fault fires at a given site for given
+//! coordinates.
 //!
 //! **Determinism.** Whether a fault fires is a pure hash of
 //! `(seed, site, coordinates)` — a splitmix64-style mix mapped to a uniform
@@ -44,9 +47,10 @@
 
 #![deny(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A named place in the system where a fault can be injected.
@@ -254,19 +258,56 @@ struct State {
     counters: BTreeMap<String, u64>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Id of the live session (0 when none); ids are never reused.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
 static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<Option<State>> = Mutex::new(None);
+
+thread_local! {
+    /// Id of the session whose plan applies to this thread (0 when none).
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
 
 fn lock_state() -> MutexGuard<'static, Option<State>> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether a fault session is currently active. One relaxed atomic load —
-/// instrumented hot paths check this before preparing coordinates.
+/// Whether a live fault session's plan applies to the calling thread: it
+/// opened the session, or entered its [`scope`]. One relaxed atomic load
+/// when no session is live — instrumented hot paths check this before
+/// preparing coordinates.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let live = LIVE.load(Ordering::Relaxed);
+    live != 0 && SCOPE.with(Cell::get) == live
+}
+
+/// A thread's membership in a fault session, for handing to threads that
+/// work on its behalf (see [`scope`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Scope(u64);
+
+/// The calling thread's session membership (possibly none).
+pub fn scope() -> Scope {
+    Scope(SCOPE.with(Cell::get))
+}
+
+impl Scope {
+    /// Joins the calling thread to this scope until the guard drops.
+    pub fn enter(self) -> ScopeGuard {
+        ScopeGuard(SCOPE.with(|s| s.replace(self.0)))
+    }
+}
+
+/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
+#[derive(Debug)]
+pub struct ScopeGuard(u64);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
 }
 
 /// splitmix64 finalizer: a full-avalanche 64-bit mix.
@@ -343,7 +384,9 @@ pub fn session(plan: FaultPlan) -> FaultGuard {
         plan,
         counters: BTreeMap::new(),
     });
-    ENABLED.store(true, Ordering::SeqCst);
+    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
+    SCOPE.with(|s| s.set(id));
+    LIVE.store(id, Ordering::SeqCst);
     FaultGuard { _gate: gate }
 }
 
@@ -383,7 +426,8 @@ impl FaultGuard {
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+        LIVE.store(0, Ordering::SeqCst);
+        SCOPE.with(|s| s.set(0));
         *lock_state() = None;
     }
 }
@@ -490,10 +534,12 @@ mod tests {
                 .collect()
         };
         let g = session(plan);
+        let scope = scope();
         let threaded: Vec<bool> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
                     s.spawn(move || {
+                        let _in = scope.enter();
                         (0..100)
                             .map(|i| {
                                 let c = t * 100 + i;
@@ -513,6 +559,23 @@ mod tests {
         assert_eq!(serial, threaded);
         let expected = serial.iter().filter(|&&b| b).count() as u64;
         assert_eq!(g.counter("faults.sram.bitflip.injected"), expected);
+    }
+
+    #[test]
+    fn injection_is_scoped_to_the_owning_thread() {
+        let g = session(FaultPlan::new(7).with_rate(FaultSite::DramRead, 1.0));
+        // The spawned thread runs while a rate-1 session is live but never
+        // entered its scope: it is not faulted and leaves no counter.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled());
+                assert!(!should_inject(FaultSite::DramRead, &[0]));
+                record("faults.stray", 1);
+                assert_eq!(active_seed(), None);
+            });
+        });
+        assert!(enabled());
+        assert!(g.counters().is_empty());
     }
 
     #[test]

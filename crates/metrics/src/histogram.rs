@@ -248,20 +248,25 @@ impl Histogram {
     /// `{count, min, max, mean, p50, p95, p99}` as a JSON object (values
     /// `null` when empty). Deterministic key order.
     pub fn summary_json(&self) -> String {
-        let num = |v: Option<f64>| match v {
-            Some(x) if x.is_finite() => crate::fmt_f64(x),
-            _ => "null".to_owned(),
-        };
-        format!(
-            "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            self.count,
-            num(self.min()),
-            num(self.max()),
-            num(self.mean()),
-            num(self.quantile(0.5)),
-            num(self.quantile(0.95)),
-            num(self.quantile(0.99)),
-        )
+        let mut w = crate::JsonWriter::compact();
+        w.value(self);
+        w.fragment()
+    }
+}
+
+/// The one-line [`summary_json`](Histogram::summary_json) object, in
+/// either document layout.
+impl crate::ToJson for Histogram {
+    fn write_json(&self, w: &mut crate::JsonWriter) {
+        w.compact_obj()
+            .field("count", self.count)
+            .field("min", self.min())
+            .field("max", self.max())
+            .field("mean", self.mean())
+            .field("p50", self.quantile(0.5))
+            .field("p95", self.quantile(0.95))
+            .field("p99", self.quantile(0.99))
+            .end();
     }
 }
 

@@ -21,10 +21,12 @@
 //!   result file, consumed by `dota report diff` for cross-run regression
 //!   checking.
 //!
-//! Like `dota-trace`, the registry is **off by default** and sessions are
-//! exclusive ([`hist_session`] blocks until any other live guard drops; do
-//! not nest sessions on one thread — that deadlocks by design rather than
-//! silently mixing two recordings):
+//! Like `dota-trace`, the registry is **off by default**, a session
+//! collects only from the thread that opened it and from threads that
+//! entered its [`hist_scope`], and sessions are exclusive ([`hist_session`]
+//! blocks until any other live guard drops; do not nest sessions on one
+//! thread — that deadlocks by design rather than silently mixing two
+//! recordings):
 //!
 //! ```
 //! let hists = dota_metrics::hist_session("example");
@@ -35,28 +37,40 @@
 //! assert!(hists.summary_json().contains("attn.scores.L0"));
 //! ```
 //!
-//! The crate is dependency-free; all JSON is emitted by hand so
-//! instrumented crates do not pull serialization into their graphs.
+//! The crate is dependency-free; all JSON goes through the small canonical
+//! [`JsonWriter`] here (shared with every hand-ordered report in the
+//! workspace) so instrumented crates do not pull serialization into their
+//! graphs.
 
 #![deny(missing_docs)]
 
 mod histogram;
+mod json;
 mod manifest;
 mod rolling;
 mod sink;
 
 pub use histogram::{Histogram, SUB_BUCKETS};
+pub use json::{write_atomic, JsonWriter, ToJson};
 pub use manifest::Manifest;
 pub use rolling::RollingWindow;
 pub use sink::MetricsSink;
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Id of the live session (0 when none); ids are never reused.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
 static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<HistState> = Mutex::new(HistState::new());
+
+thread_local! {
+    /// Id of the session this thread records into (0 when none).
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
 
 #[derive(Debug)]
 struct HistState {
@@ -83,12 +97,42 @@ fn lock_state() -> MutexGuard<'static, HistState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether a histogram session is currently collecting. Instrumented code
+/// Whether the calling thread records into a live histogram session: it
+/// opened the session, or entered its [`hist_scope`]. Instrumented code
 /// uses this to skip materializing values (e.g. recomputing attention
 /// scores) that exist only to be observed.
 #[inline]
 pub fn hist_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let live = LIVE.load(Ordering::Relaxed);
+    live != 0 && SCOPE.with(Cell::get) == live
+}
+
+/// A thread's membership in a histogram session, for handing to threads
+/// that work on its behalf (see [`hist_scope`]).
+#[derive(Debug, Clone, Copy)]
+pub struct HistScope(u64);
+
+/// The calling thread's session membership (possibly none).
+pub fn hist_scope() -> HistScope {
+    HistScope(SCOPE.with(Cell::get))
+}
+
+impl HistScope {
+    /// Joins the calling thread to this scope until the guard drops.
+    pub fn enter(self) -> HistScopeGuard {
+        HistScopeGuard(SCOPE.with(|s| s.replace(self.0)))
+    }
+}
+
+/// Restores the thread's previous membership on drop (see
+/// [`HistScope::enter`]).
+#[derive(Debug)]
+pub struct HistScopeGuard(u64);
+
+impl Drop for HistScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
 }
 
 /// Records one sample into the named histogram. A no-op (one relaxed
@@ -123,7 +167,7 @@ pub fn observe_many(name: &str, values: impl IntoIterator<Item = f64>) {
 /// the `/metrics` endpoint snapshots the registry from its accept thread
 /// at scrape time.
 pub fn hists_snapshot() -> BTreeMap<String, Histogram> {
-    if !hist_enabled() {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return BTreeMap::new();
     }
     lock_state().hists.clone()
@@ -139,7 +183,9 @@ pub fn hists_snapshot() -> BTreeMap<String, Histogram> {
 pub fn hist_session(label: &str) -> HistGuard {
     let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
     lock_state().clear(label);
-    ENABLED.store(true, Ordering::SeqCst);
+    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
+    SCOPE.with(|s| s.set(id));
+    LIVE.store(id, Ordering::SeqCst);
     HistGuard { _gate: gate }
 }
 
@@ -166,24 +212,12 @@ impl HistGuard {
     /// p95, p99}, ...}}` with names in lexicographic order.
     pub fn summary_json(&self) -> String {
         let st = lock_state();
-        let mut out = String::with_capacity(64 + st.hists.len() * 128);
-        out.push_str("{\n  \"label\": ");
-        write_json_string(&mut out, &st.label);
-        out.push_str(",\n  \"histograms\": {");
-        for (i, (name, h)) in st.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            write_json_string(&mut out, name);
-            out.push_str(": ");
-            out.push_str(&h.summary_json());
-        }
-        if !st.hists.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let mut w = JsonWriter::pretty();
+        w.obj()
+            .field("label", &st.label)
+            .map("histograms", &st.hists)
+            .end();
+        w.finish()
     }
 
     /// Writes the summary JSON to `path`.
@@ -198,7 +232,8 @@ impl HistGuard {
 
 impl Drop for HistGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+        LIVE.store(0, Ordering::SeqCst);
+        SCOPE.with(|s| s.set(0));
     }
 }
 
@@ -282,9 +317,11 @@ mod tests {
     #[test]
     fn concurrent_observes_sum_exactly() {
         let g = hist_session("threads");
+        let scope = hist_scope();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| {
+                s.spawn(move || {
+                    let _in = scope.enter();
                     for i in 0..500 {
                         observe("hits", 1.0 + (i % 7) as f64);
                     }
@@ -292,6 +329,24 @@ mod tests {
             }
         });
         assert_eq!(g.histogram("hits").unwrap().count(), 4000);
+    }
+
+    #[test]
+    fn recording_is_scoped_to_the_owning_thread() {
+        let g = hist_session("owner");
+        // The spawned thread runs while the session is live but never
+        // entered its scope: nothing it observes may land in the registry,
+        // though it can still pull a snapshot.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!hist_enabled());
+                observe("stray", 1.0);
+                observe_many("stray", [2.0, 3.0]);
+                assert!(hists_snapshot().is_empty());
+            });
+        });
+        assert!(hist_enabled());
+        assert!(g.snapshot().is_empty());
     }
 
     #[test]

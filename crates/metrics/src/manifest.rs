@@ -90,69 +90,22 @@ impl Manifest {
 
     /// The manifest as pretty JSON (deterministic field order).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n  \"label\": ");
-        crate::write_json_string(&mut out, &self.label);
-        out.push_str(",\n  \"git_sha\": ");
-        crate::write_json_string(&mut out, &self.git_sha);
-        out.push_str(",\n  \"host\": ");
-        crate::write_json_string(&mut out, &self.host);
-        out.push_str(",\n  \"hostname\": ");
-        crate::write_json_string(&mut out, &self.hostname);
-        out.push_str(&format!(",\n  \"threads\": {}", self.threads));
-        out.push_str(&format!(",\n  \"physical_cores\": {}", self.physical_cores));
-        out.push_str(",\n  \"cpu_features\": [");
-        for (i, f) in self.cpu_features.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            crate::write_json_string(&mut out, f);
-        }
-        out.push(']');
-        out.push_str(",\n  \"features\": [");
-        for (i, f) in self.features.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            crate::write_json_string(&mut out, f);
-        }
-        out.push(']');
-        match self.seed {
-            Some(s) => out.push_str(&format!(",\n  \"seed\": {s}")),
-            None => out.push_str(",\n  \"seed\": null"),
-        }
-        out.push_str(",\n  \"config\": {");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            crate::write_json_string(&mut out, k);
-            out.push_str(": ");
-            crate::write_json_string(&mut out, v);
-        }
-        if !self.config.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
-        out.push_str(",\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            crate::write_json_string(&mut out, k);
-            out.push_str(&format!(": {v}"));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
-        out.push_str(&format!(
-            ",\n  \"wall_clock_secs\": {}\n}}\n",
-            crate::fmt_f64(self.wall_clock_secs)
-        ));
-        out
+        let mut w = crate::JsonWriter::pretty();
+        w.obj()
+            .field("label", &self.label)
+            .field("git_sha", &self.git_sha)
+            .field("host", &self.host)
+            .field("hostname", &self.hostname)
+            .field("threads", self.threads)
+            .field("physical_cores", self.physical_cores)
+            .list("cpu_features", &self.cpu_features)
+            .list("features", &self.features)
+            .field("seed", self.seed)
+            .map("config", &self.config)
+            .map("counters", &self.counters)
+            .field("wall_clock_secs", self.wall_clock_secs)
+            .end();
+        w.finish()
     }
 
     /// Writes the manifest JSON to `path`.

@@ -49,8 +49,37 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
-/// Marks the current thread as a pool worker for the duration of `body`.
-fn as_worker<R>(body: impl FnOnce() -> R) -> R {
+/// The dispatching thread's trace, histogram, profiling and fault session
+/// memberships. Sessions record only from threads inside their scope, so
+/// each worker enters these for the duration of its share of the work.
+#[derive(Clone, Copy)]
+struct Scopes(
+    dota_trace::Scope,
+    dota_metrics::HistScope,
+    dota_prof::Scope,
+    dota_faults::Scope,
+);
+
+impl Scopes {
+    fn of_dispatcher() -> Self {
+        Scopes(
+            dota_trace::scope(),
+            dota_metrics::hist_scope(),
+            dota_prof::scope(),
+            dota_faults::scope(),
+        )
+    }
+}
+
+/// Marks the current thread as a pool worker inside the dispatcher's
+/// `scopes` for the duration of `body`.
+fn as_worker<R>(scopes: Scopes, body: impl FnOnce() -> R) -> R {
+    let _in = (
+        scopes.0.enter(),
+        scopes.1.enter(),
+        scopes.2.enter(),
+        scopes.3.enter(),
+    );
     IN_WORKER.with(|w| w.set(true));
     let out = body();
     IN_WORKER.with(|w| w.set(false));
@@ -113,11 +142,12 @@ where
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let next = AtomicUsize::new(0);
+    let scopes = Scopes::of_dispatcher();
     let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    as_worker(|| {
+                    as_worker(scopes, || {
                         let mut got = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -179,6 +209,7 @@ where
     }
     // Ceil-divide so every worker gets a near-equal contiguous block.
     let units_per_worker = n_units.div_ceil(workers);
+    let scopes = Scopes::of_dispatcher();
     std::thread::scope(|scope| {
         let mut rest = data;
         let mut first_unit = 0;
@@ -187,7 +218,7 @@ where
             let (span, tail) = rest.split_at_mut(take);
             let start = first_unit;
             let f = &f;
-            scope.spawn(move || as_worker(|| f(start, span)));
+            scope.spawn(move || as_worker(scopes, || f(start, span)));
             first_unit += take / unit;
             rest = tail;
         }
@@ -254,13 +285,14 @@ where
     }
     let base = PanelPtr(data.as_mut_ptr());
     let next = AtomicUsize::new(0);
+    let scopes = Scopes::of_dispatcher();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let base = &base;
             let next = &next;
             let f = &f;
             scope.spawn(move || {
-                as_worker(|| loop {
+                as_worker(scopes, || loop {
                     let p = next.fetch_add(1, Ordering::Relaxed);
                     if p >= n_panels {
                         break;
@@ -477,6 +509,24 @@ mod tests {
                 assert!(inner.iter().all(|&w| w), "nested map ran in-worker");
             }
             assert!(!in_worker(), "flag cleared after dispatch");
+        });
+    }
+
+    #[test]
+    fn workers_join_the_dispatchers_sessions() {
+        with_threads(Some("4"), || {
+            let trace = dota_trace::session("pool");
+            let faults = dota_faults::session(
+                dota_faults::FaultPlan::new(1).with_rate(dota_faults::FaultSite::DramRead, 1.0),
+            );
+            let items: Vec<u64> = (0..32).collect();
+            let fired = par_map(&items, |_, &i| {
+                dota_trace::count("pool.items", 1);
+                dota_faults::should_inject(dota_faults::FaultSite::DramRead, &[i])
+            });
+            assert!(fired.iter().all(|&f| f), "workers see the fault plan");
+            assert_eq!(trace.counter("pool.items"), 32);
+            assert_eq!(faults.injected_total(), 32);
         });
     }
 

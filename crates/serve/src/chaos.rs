@@ -7,8 +7,9 @@
 //! latency, retry/quarantine activity and the raw fault counters. Each
 //! cell runs inside its own exclusive [`dota_faults::session`] whose plan
 //! sets every swept site to the cell's rate, so a chaos run composes with
-//! nothing else — it refuses to start when a global fault session (the
-//! `--faults` flag) is already active rather than deadlock.
+//! nothing else — it refuses to start when this thread already holds a
+//! fault session (the global `--faults` flag) rather than deadlock on its
+//! own guard; sessions of other threads neither fault it nor stop it.
 //!
 //! Fault decisions are pure hashes of `(fault_seed, site, request,
 //! attempt, position)` and the scheduler lives entirely on the simulated
@@ -24,7 +25,7 @@ use crate::request::FinishReason;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_faults::{FaultPlan, FaultSite};
-use dota_metrics::{fmt_f64, Histogram};
+use dota_metrics::{fmt_f64, Histogram, JsonWriter, ToJson};
 use dota_transformer::{Model, TransformerConfig};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -156,47 +157,31 @@ pub struct ChaosCell {
     pub control: Option<ControlSummary>,
 }
 
-impl ChaosCell {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"load\":{},\"rate\":{},\"offered\":{},\"served\":{},\"served_fraction\":{}",
-            fmt_f64(self.load),
-            fmt_f64(self.rate),
-            self.offered,
-            self.served,
-            fmt_f64(self.served_fraction)
-        );
-        s.push_str(&format!(
-            ",\"failed\":{},\"rejected\":{},\"queue_expired\":{},\"deadline_evicted\":{}",
-            self.failed, self.rejected, self.queue_expired, self.deadline_evicted
-        ));
-        s.push_str(&format!(
-            ",\"retries\":{},\"timeout_steps\":{},\"quarantine_events\":{},\"quarantine_peak\":{}",
-            self.retries, self.timeout_steps, self.quarantine_events, self.quarantine_peak
-        ));
-        s.push_str(&format!(
-            ",\"tokens_served\":{},\"cycles\":{},\"goodput_per_mcycle\":{}",
-            self.tokens_served,
-            self.cycles,
-            fmt_f64(self.goodput_per_mcycle)
-        ));
-        match self.p99_e2e_us {
-            Some(v) => s.push_str(&format!(",\"p99_e2e_us\":{}", fmt_f64(v))),
-            None => s.push_str(",\"p99_e2e_us\":null"),
-        }
-        s.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
-        }
-        s.push('}');
+impl ToJson for ChaosCell {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("load", self.load)
+            .field("rate", self.rate)
+            .field("offered", self.offered)
+            .field("served", self.served)
+            .field("served_fraction", self.served_fraction)
+            .field("failed", self.failed)
+            .field("rejected", self.rejected)
+            .field("queue_expired", self.queue_expired)
+            .field("deadline_evicted", self.deadline_evicted)
+            .field("retries", self.retries)
+            .field("timeout_steps", self.timeout_steps)
+            .field("quarantine_events", self.quarantine_events)
+            .field("quarantine_peak", self.quarantine_peak)
+            .field("tokens_served", self.tokens_served)
+            .field("cycles", self.cycles)
+            .field("goodput_per_mcycle", self.goodput_per_mcycle)
+            .field("p99_e2e_us", self.p99_e2e_us)
+            .map("counters", &self.counters);
         if let Some(ctl) = &self.control {
-            s.push_str(&format!(",\"control\":{}", ctl.to_json()));
+            w.field("control", ctl);
         }
-        s.push('}');
-        s
+        w.end();
     }
 }
 
@@ -220,77 +205,40 @@ impl ChaosReport {
     pub fn to_json(&self) -> String {
         let o = &self.options;
         let b = &o.bench;
-        let mut s = format!("{{\"version\":{SERVE_CHAOS_VERSION}");
-        s.push_str(&format!(
-            ",\"config\":{{\"seed\":{},\"fault_seed\":{},\"shed\":\"{}\",\"requests\":{},\"capacity\":{},\"queue_capacity\":{},\"seq\":{},\"vocab\":{}",
-            b.seed,
-            o.fault_seed,
-            o.shed.name(),
-            b.requests,
-            b.capacity,
-            b.queue_capacity,
-            b.seq,
-            b.vocab
-        ));
-        s.push_str(&format!(
-            ",\"retry_cap\":{},\"retry_backoff_cycles\":{},\"quarantine_cycles\":{}",
-            o.retry_cap, o.retry_backoff_cycles, o.quarantine_cycles
-        ));
-        s.push_str(",\"sites\":[");
-        for (i, site) in o.sites.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\"", site.name()));
-        }
-        s.push_str("],\"rates\":[");
-        for (i, r) in o.rates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*r));
-        }
-        s.push_str("],\"loads\":[");
-        for (i, l) in b.loads.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*l));
-        }
-        s.push_str("],\"ladder\":[");
-        for (i, r) in b.ladder.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*r));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"interactive_deadline_us\":{},\"batch_deadline_us\":{}}}",
-            fmt_f64(b.interactive_deadline_us),
-            fmt_f64(b.batch_deadline_us)
-        ));
-        s.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_json());
-        }
-        s.push_str("]}");
-        s.push('\n');
-        s
+        let mut w = JsonWriter::compact();
+        w.obj()
+            .field("version", SERVE_CHAOS_VERSION)
+            .key("config")
+            .obj();
+        w.field("seed", b.seed)
+            .field("fault_seed", o.fault_seed)
+            .field("shed", o.shed.name())
+            .field("requests", b.requests)
+            .field("capacity", b.capacity)
+            .field("queue_capacity", b.queue_capacity)
+            .field("seq", b.seq)
+            .field("vocab", b.vocab)
+            .field("retry_cap", o.retry_cap)
+            .field("retry_backoff_cycles", o.retry_backoff_cycles)
+            .field("quarantine_cycles", o.quarantine_cycles)
+            .list("sites", o.sites.iter().map(|s| s.name()))
+            .list("rates", &o.rates)
+            .list("loads", &b.loads)
+            .list("ladder", &b.ladder)
+            .field("interactive_deadline_us", b.interactive_deadline_us)
+            .field("batch_deadline_us", b.batch_deadline_us)
+            .end();
+        w.list("cells", &self.cells).end();
+        w.finish()
     }
 
-    /// Writes the canonical JSON atomically (temp file + rename).
+    /// Writes the canonical JSON atomically.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        dota_metrics::write_atomic(path, &self.to_json())
     }
 }
 
@@ -303,8 +251,8 @@ impl ChaosReport {
 /// # Errors
 ///
 /// Rejects invalid options ([`ChaosOptions::validate`]) and refuses to run
-/// while another fault session is active (sessions are exclusive; nesting
-/// on one thread would deadlock).
+/// while the calling thread holds a fault session (sessions are exclusive;
+/// nesting on one thread would deadlock).
 pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
     opts.validate()?;
     if dota_faults::enabled() {
@@ -337,12 +285,13 @@ pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
                 });
             let guard = dota_faults::session(plan);
             let mut engine = ServeEngine::new(&model, &params, opts.serve_config(), &accel)?;
-            engine.set_label(&format!(
+            let label = format!(
                 "serve.chaos[{}@{}x r={}]",
                 opts.shed.name(),
                 fmt_f64(load),
                 fmt_f64(rate)
-            ));
+            );
+            engine.observe(&label, []);
             let out = engine.run(requests.clone());
             let counters = guard.counters();
             drop(guard);

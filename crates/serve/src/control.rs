@@ -138,18 +138,16 @@ pub struct ControlSummary {
     pub mean_level: f64,
 }
 
-impl ControlSummary {
-    /// Canonical JSON object (stable key order, [`dota_metrics::fmt_f64`]
-    /// number formatting) embedded in serve/chaos cell reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"changes\":{},\"gated_steps\":{},\"final_level\":{},\"max_level\":{},\"mean_level\":{}}}",
-            self.changes,
-            self.gated_steps,
-            self.final_level,
-            self.max_level,
-            dota_metrics::fmt_f64(self.mean_level)
-        )
+/// The object embedded in serve/chaos cell reports (stable key order).
+impl dota_metrics::ToJson for ControlSummary {
+    fn write_json(&self, w: &mut dota_metrics::JsonWriter) {
+        w.obj()
+            .field("changes", self.changes)
+            .field("gated_steps", self.gated_steps)
+            .field("final_level", self.final_level)
+            .field("max_level", self.max_level)
+            .field("mean_level", self.mean_level)
+            .end();
     }
 }
 

@@ -25,21 +25,27 @@
 //!    weight stream plus each member's measured K/V traffic;
 //! 5. **evict** — requests that finished (`max_new` tokens or EOS) or
 //!    overran their deadline leave the batch at step boundaries.
+//!
+//! The scheduler knows nothing about who is watching: every transition
+//! goes out through one `emit` as a typed [`ServeEvent`], every terminal
+//! through one `finish`, and the timeline, flight ring, gauges, trace
+//! counters and SLO histograms are folds over that stream behind the
+//! engine's spine (see `dota_telemetry::event`).
 
 use crate::control::{ControlConfig, ControlInputs, ControlSummary, Controller};
 use crate::cost::CostModel;
 use crate::request::{Completion, DeadlineClass, FinishReason, Request};
 use crate::selector::WindowSelector;
 use crate::slo::{SloMonitor, SloWindow};
-use crate::timeline::{RequestTimeline, StepRecord, TimelineRecorder};
+use crate::spine::Spine;
+use crate::timeline::{RequestTimeline, StepRecord};
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_faults::FaultSite;
-use dota_telemetry::{FlightEventKind, FlightHandle, GaugesSample, ServeGauges};
+use dota_telemetry::{EventSink, GaugesSample, ServeEvent, SloReading, Transition};
 use dota_tensor::ops;
 use dota_transformer::{KvCache, Model};
 use std::collections::VecDeque;
-use std::sync::{Arc, PoisonError};
 
 /// Coordinate namespace for quarantine probe decisions, disjoint from
 /// request ids (which are the first coordinate of in-slot fault checks).
@@ -300,8 +306,18 @@ struct Slot {
     fault: Option<SlotFault>,
 }
 
-/// Aggregate result of one [`ServeEngine::run`].
+/// The admitted part of a terminal record (requests that end in a queue
+/// have none).
 #[derive(Debug)]
+struct Attempt {
+    admit: u64,
+    admit_seq: u64,
+    first_token: Option<u64>,
+    tokens: Vec<usize>,
+}
+
+/// Aggregate result of one [`ServeEngine::run`].
+#[derive(Debug, PartialEq)]
 pub struct ServeOutcome {
     /// Terminal record per offered request, in completion order.
     pub completions: Vec<Completion>,
@@ -385,11 +401,12 @@ pub struct ServeEngine<'m> {
     degraded: u64,
     tokens: u64,
     queue_depth_max: usize,
+    /// Engine state, not an observer: [`ShedPolicy::Slo`] steers by it.
     slo: Option<SloMonitor>,
-    timeline: Option<TimelineRecorder>,
-    /// Prefix for Chrome-trace counter/track names, so engines sharing a
-    /// trace session (e.g. bench cells) stay distinguishable.
-    label: String,
+    /// Where emitted events go; never read back.
+    spine: Spine,
+    /// Whether anything is watching this run (fixed when it starts).
+    watched: bool,
     /// Closed-loop controller (present under [`ShedPolicy::Slo`] only).
     control: Option<Controller>,
     /// Faulted requests waiting out their retry backoff.
@@ -401,12 +418,6 @@ pub struct ServeEngine<'m> {
     failed: u64,
     timeout_steps: u64,
     quarantine_events: u64,
-    /// Flight recorder handle (shared with the CLI so the ring survives
-    /// a typed failure). Pure observation: never read back.
-    flight: Option<FlightHandle>,
-    /// Live gauge cell the metrics endpoint scrapes. Pure observation:
-    /// the engine only publishes into it.
-    gauges: Option<Arc<ServeGauges>>,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -448,8 +459,8 @@ impl<'m> ServeEngine<'m> {
             tokens: 0,
             queue_depth_max: 0,
             slo,
-            timeline: None,
-            label: "serve".to_owned(),
+            spine: Spine::new(),
+            watched: false,
             control,
             retryq: VecDeque::new(),
             quarantine: Vec::new(),
@@ -458,8 +469,6 @@ impl<'m> ServeEngine<'m> {
             failed: 0,
             timeout_steps: 0,
             quarantine_events: 0,
-            flight: None,
-            gauges: None,
         })
     }
 
@@ -468,42 +477,31 @@ impl<'m> ServeEngine<'m> {
         &self.cost
     }
 
-    /// Sets the prefix of the engine's Chrome-trace counter tracks
-    /// without enabling the timeline, so several engines sharing one
-    /// trace session (e.g. bench cells) stay distinguishable.
-    pub fn set_label(&mut self, label: &str) {
-        self.label = label.to_owned();
-    }
-
     /// Turns on per-request lifecycle recording. `label` prefixes the
     /// engine's Chrome-trace tracks (pass a distinct label per engine when
     /// several share one trace session).
     pub fn enable_timeline(&mut self, label: &str) {
-        self.label = label.to_owned();
-        self.timeline = Some(TimelineRecorder::new(label));
+        self.spine.enable_timeline(label);
     }
 
-    /// Attaches a shared flight recorder. The engine appends
-    /// cycle-stamped events (admissions, terminals, controller moves,
-    /// retries, quarantine transitions) and never reads the ring back,
+    /// Attaches folds over the engine's event stream (a flight ring, live
+    /// gauges, a `Vec` capturing the raw stream) and sets the `label`
+    /// prefixing its Chrome-trace tracks. Sinks only ever receive events,
     /// so attaching one changes no scheduling decision or report byte.
-    pub fn set_flight(&mut self, flight: FlightHandle) {
-        self.flight = Some(flight);
+    pub fn observe(&mut self, label: &str, sinks: impl IntoIterator<Item = Box<dyn EventSink>>) {
+        self.spine.attach(label, sinks);
     }
 
-    /// Attaches a live gauge cell for the metrics endpoint to scrape.
-    /// The engine publishes a fresh [`GaugesSample`] at every step
-    /// boundary and never reads the cell back.
-    pub fn set_gauges(&mut self, gauges: Arc<ServeGauges>) {
-        self.gauges = Some(gauges);
-    }
-
-    /// Appends one flight event, when a recorder is attached.
-    fn flight_record(&self, cycle: u64, kind: FlightEventKind) {
-        if let Some(f) = &self.flight {
-            f.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .record(cycle, kind);
+    /// The single way out for everything observable. With nobody watching
+    /// this is one predictable branch and the event is never built.
+    #[inline]
+    fn emit(&mut self, cycle: u64, what: impl FnOnce(&Self) -> Transition) {
+        if self.watched {
+            let event = ServeEvent {
+                cycle,
+                what: what(self),
+            };
+            self.spine.on(&event);
         }
     }
 
@@ -522,6 +520,7 @@ impl<'m> ServeEngine<'m> {
                 "requests must be sorted by arrival"
             );
         }
+        self.watched = self.spine.watched();
         let mut arrivals = requests.into_iter().peekable();
         loop {
             while arrivals.peek().is_some_and(|r| r.arrival <= self.now) {
@@ -582,40 +581,12 @@ impl<'m> ServeEngine<'m> {
         if let Some(slo) = self.slo.as_mut() {
             slo.finish();
         }
-        if dota_trace::enabled() {
-            dota_trace::count("serve.steps", self.steps);
-            dota_trace::count("serve.cycles", self.total_cycles);
-            dota_trace::count("serve.tokens", self.tokens);
-            dota_trace::count("serve.admitted", self.admit_seq);
-            dota_trace::count("serve.degraded", self.degraded);
-            let served = self
-                .completions
-                .iter()
-                .filter(|c| c.reason.is_served())
-                .count() as u64;
-            dota_trace::count("serve.served", served);
-            dota_trace::count("serve.dropped", self.completions.len() as u64 - served);
-            dota_trace::count("serve.queue_depth_max", self.queue_depth_max as u64);
-            if let Some(mean_milli) = (self.occupancy_sum * 1000).checked_div(self.steps) {
-                dota_trace::count("serve.occupancy_mean_milli", mean_milli);
-            }
-            // Fault-path counters only exist when something fired, so
-            // fault-free traces keep their exact counter set.
-            for (name, v) in [
-                ("serve.retries", self.retries),
-                ("serve.failed", self.failed),
-                ("serve.timeout_steps", self.timeout_steps),
-                ("serve.quarantine_events", self.quarantine_events),
-            ] {
-                if v > 0 {
-                    dota_trace::count(name, v);
-                }
-            }
-        }
         let (slo_hits, slo_misses, slo_windows) = match self.slo {
             Some(slo) => (slo.hits(), slo.misses(), slo.into_windows()),
             None => (0, 0, Vec::new()),
         };
+        let monitored = self.cfg.slo_window > 0;
+        let timeline = self.spine.close(monitored.then_some(slo_windows.len()));
         ServeOutcome {
             completions: self.completions,
             steps: self.steps,
@@ -628,7 +599,7 @@ impl<'m> ServeEngine<'m> {
             slo_hits,
             slo_misses,
             slo_windows,
-            timeline: self.timeline.map(TimelineRecorder::into_requests),
+            timeline,
             retries: self.retries,
             failed: self.failed,
             timeout_steps: self.timeout_steps,
@@ -649,35 +620,79 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Feeds a terminal event to the SLO monitor and the timeline; every
-    /// exit path (reject, queue expiry, eviction, completion) runs through
-    /// here so neither observer can miss a request.
-    fn observe_terminal(
+    /// The one terminal path: every exit (reject, queue expiry, failure,
+    /// eviction, completion) builds its record, feeds the SLO monitor and
+    /// emits its terminal here, so no request can leave unrecorded.
+    #[allow(clippy::too_many_arguments)]
+    fn finish(
         &mut self,
-        id: u64,
-        reason: FinishReason,
-        arrival: u64,
+        req: &Request,
         deadline: u64,
-        finish: u64,
-        tokens: u64,
+        at: u64,
+        reason: FinishReason,
+        retention: f64,
+        retries: u64,
+        attempt: Option<Attempt>,
     ) {
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.finished(id, reason, finish, tokens);
-        }
-        self.flight_record(
-            finish,
-            FlightEventKind::Terminal {
-                id,
-                reason: reason.name().to_owned(),
-                tokens,
-            },
+        let slo = self.slo.as_mut().map(|slo| {
+            let hit = reason.is_served() && at <= deadline;
+            let budget = deadline.saturating_sub(req.arrival).max(1);
+            let burn = at.saturating_sub(req.arrival) as f64 / budget as f64;
+            slo.complete(hit, burn, at);
+            SloReading {
+                hit,
+                burn,
+                rolling_hit_rate: slo.rolling_hit_rate(),
+                rolling_burn: slo.rolling_burn(),
+            }
+        });
+        let tokens = attempt.as_ref().map_or(0, |a| a.tokens.len() as u64);
+        let id = req.id;
+        self.emit(at, |_| Transition::Terminal {
+            id,
+            reason,
+            tokens,
+            slo,
+        });
+        let (admit, admit_seq, first_token, tokens) = match attempt {
+            Some(a) => (Some(a.admit), Some(a.admit_seq), a.first_token, a.tokens),
+            None => (None, None, None, Vec::new()),
+        };
+        self.completions.push(Completion {
+            id,
+            class: req.class,
+            reason,
+            retention,
+            tokens,
+            arrival: req.arrival,
+            admit,
+            first_token,
+            finish: at,
+            admit_seq,
+            retries,
+        });
+    }
+
+    /// [`finish`](Self::finish) for a request leaving a batch slot. A
+    /// failed attempt delivers nothing: its tokens and first-token stamp
+    /// are dropped from the record.
+    fn finish_slot(&mut self, slot: Slot, reason: FinishReason, at: u64) {
+        let delivered = reason != FinishReason::Failed;
+        let attempt = Attempt {
+            admit: slot.admit,
+            admit_seq: slot.admit_seq,
+            first_token: slot.first_token.filter(|_| delivered),
+            tokens: if delivered { slot.tokens } else { Vec::new() },
+        };
+        self.finish(
+            &slot.req,
+            slot.deadline,
+            at,
+            reason,
+            slot.retention,
+            slot.attempt,
+            Some(attempt),
         );
-        if let Some(slo) = self.slo.as_mut() {
-            let hit = reason.is_served() && finish <= deadline;
-            let budget = deadline.saturating_sub(arrival).max(1);
-            let burn = finish.saturating_sub(arrival) as f64 / budget as f64;
-            slo.complete(hit, burn, finish);
-        }
     }
 
     fn enqueue(&mut self, req: Request) {
@@ -696,34 +711,19 @@ impl<'m> ServeEngine<'m> {
         );
         let deadline = req.arrival + self.cfg.deadline_cycles(req.class);
         let base = self.cfg.ladder[0];
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.offered(&req, deadline, base);
-        }
+        let (id, class, arrival) = (req.id, req.class, req.arrival);
+        self.emit(self.now, |_| Transition::Offered {
+            id,
+            class,
+            arrival,
+            deadline,
+            retention: base,
+        });
         if self.pending_len() >= self.cfg.queue_capacity {
-            self.completions.push(Completion {
-                id: req.id,
-                class: req.class,
-                reason: FinishReason::Rejected,
-                retention: base,
-                tokens: Vec::new(),
-                arrival: req.arrival,
-                admit: None,
-                first_token: None,
-                finish: self.now,
-                admit_seq: None,
-                retries: 0,
-            });
-            self.observe_terminal(
-                req.id,
-                FinishReason::Rejected,
-                req.arrival,
-                deadline,
-                self.now,
-                0,
-            );
+            let now = self.now;
+            self.finish(&req, deadline, now, FinishReason::Rejected, base, 0, None);
             return;
         }
-        let class = req.class;
         self.class_queue(class).push_back(Queued { req, deadline });
     }
 
@@ -735,27 +735,8 @@ impl<'m> ServeEngine<'m> {
             // FIFO by arrival, so expired entries form a prefix.
             while self.queues[qi].front().is_some_and(|q| q.deadline <= now) {
                 let q = self.queues[qi].pop_front().expect("checked front");
-                self.completions.push(Completion {
-                    id: q.req.id,
-                    class: q.req.class,
-                    reason: FinishReason::QueueExpired,
-                    retention: base,
-                    tokens: Vec::new(),
-                    arrival: q.req.arrival,
-                    admit: None,
-                    first_token: None,
-                    finish: q.deadline,
-                    admit_seq: None,
-                    retries: 0,
-                });
-                self.observe_terminal(
-                    q.req.id,
-                    FinishReason::QueueExpired,
-                    q.req.arrival,
-                    q.deadline,
-                    q.deadline,
-                    0,
-                );
+                let reason = FinishReason::QueueExpired;
+                self.finish(&q.req, q.deadline, q.deadline, reason, base, 0, None);
             }
         }
     }
@@ -767,7 +748,7 @@ impl<'m> ServeEngine<'m> {
         let Some(ctl) = self.control.as_mut() else {
             return;
         };
-        let (level_before, gated_before) = (ctl.level(), ctl.gated());
+        let (level_before, gated_before) = (ctl.level() as u64, ctl.gated());
         let slo = self.slo.as_ref().expect("slo policy validated the monitor");
         ctl.observe(&ControlInputs {
             rolling_burn: slo.rolling_burn(),
@@ -778,30 +759,17 @@ impl<'m> ServeEngine<'m> {
             capacity: self.cfg.capacity,
             step: self.steps,
         });
-        let (level_after, gated_after) = (ctl.level(), ctl.gated());
-        if dota_trace::enabled() {
-            dota_trace::sim_counter(
-                &format!("{}.ctl.level", self.label),
-                self.now,
-                level_after as u64,
-            );
-        }
+        let (level_after, gated_after) = (ctl.level() as u64, ctl.gated());
         if level_after != level_before {
-            self.flight_record(
-                self.now,
-                FlightEventKind::Rung {
-                    from: level_before as u64,
-                    to: level_after as u64,
-                },
-            );
+            self.emit(self.now, |_| Transition::Rung {
+                from: level_before,
+                to: level_after,
+            });
         }
         if gated_after != gated_before {
-            self.flight_record(
-                self.now,
-                FlightEventKind::Gate {
-                    closed: gated_after,
-                },
-            );
+            self.emit(self.now, |_| Transition::Gate {
+                closed: gated_after,
+            });
         }
     }
 
@@ -817,26 +785,15 @@ impl<'m> ServeEngine<'m> {
             let r = self.retryq.remove(i).expect("index checked");
             self.failed += 1;
             dota_faults::record("faults.serve.failed", 1);
-            self.completions.push(Completion {
-                id: r.req.id,
-                class: r.req.class,
-                reason: FinishReason::Failed,
-                retention: r.retention,
-                tokens: Vec::new(),
-                arrival: r.req.arrival,
-                admit: None,
-                first_token: None,
-                finish: r.deadline,
-                admit_seq: None,
-                retries: r.attempt,
-            });
-            self.observe_terminal(
-                r.req.id,
-                FinishReason::Failed,
-                r.req.arrival,
+            let reason = FinishReason::Failed;
+            self.finish(
+                &r.req,
                 r.deadline,
                 r.deadline,
-                0,
+                reason,
+                r.retention,
+                r.attempt,
+                None,
             );
         }
     }
@@ -860,7 +817,7 @@ impl<'m> ServeEngine<'m> {
                 FaultSite::SlotFail,
                 &[PROBE_COORD, q.lane as u64, q.probes],
             );
-            let lane = q.lane;
+            let lane = q.lane as u64;
             if failed {
                 q.release_at = now + window;
                 i += 1;
@@ -873,13 +830,10 @@ impl<'m> ServeEngine<'m> {
                 });
                 dota_faults::record("faults.serve.lanes_restored", 1);
             }
-            self.flight_record(
-                now,
-                FlightEventKind::Probe {
-                    lane: lane as u64,
-                    passed: !failed,
-                },
-            );
+            self.emit(now, |_| Transition::Probe {
+                lane,
+                passed: !failed,
+            });
         }
     }
 
@@ -898,17 +852,14 @@ impl<'m> ServeEngine<'m> {
         // Smallest free lane; lanes recycle as slots drain, so a timeline
         // gets one stable track per batch slot.
         let lane = self.free_lane().expect("caller checked a lane is free");
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.admitted(req.id, self.now, retention, level, lane);
-        }
-        self.flight_record(
-            self.now,
-            FlightEventKind::Admit {
-                id: req.id,
-                lane: lane as u64,
-                rung: level as u64,
-            },
-        );
+        let id = req.id;
+        self.emit(self.now, |_| Transition::Admitted {
+            id,
+            lane: lane as u64,
+            rung: level as u64,
+            retention,
+            attempt,
+        });
         let mcfg = self.model.config();
         self.slots.push(Slot {
             deadline,
@@ -1068,43 +1019,16 @@ impl<'m> ServeEngine<'m> {
         self.now += cycles;
         self.total_cycles += cycles;
         self.steps += 1;
-        self.max_occupancy = self.max_occupancy.max(self.slots.len());
-        self.occupancy_sum += self.slots.len() as u64;
+        let batch = self.slots.len();
+        self.max_occupancy = self.max_occupancy.max(batch);
+        self.occupancy_sum += batch as u64;
         let depth = self.pending_len();
         self.queue_depth_max = self.queue_depth_max.max(depth);
-        if dota_trace::enabled() {
-            dota_trace::sim_counter(&format!("{}.queue_depth", self.label), start, depth as u64);
-            dota_trace::sim_counter(
-                &format!("{}.occupancy", self.label),
-                start,
-                self.slots.len() as u64,
-            );
-        }
-        if let Some(tl) = self.timeline.as_mut() {
-            let lh = (self.model.config().n_layers * self.model.config().n_heads) as u64;
-            for (slot, &kv_cycles) in self.slots.iter().zip(&kv) {
-                // A slot whose decode was discarded (injected fault or
-                // timeout) consumed no position this step; its record
-                // carries zero context and traffic so the audit's window
-                // identities keep holding under injection.
-                let context = if slot.fault.is_some() || slot.timed_out {
-                    0
-                } else {
-                    slot.consumed as u64
-                };
-                tl.step(
-                    slot.req.id,
-                    StepRecord {
-                        start,
-                        cycles,
-                        weight_cycles,
-                        kv_cycles,
-                        attended: slot.attended_last,
-                        omitted: lh * context - slot.attended_last,
-                        context,
-                    },
-                );
-            }
+        let now = self.now;
+        for (i, &kv_cycles) in kv.iter().enumerate() {
+            self.emit(now, |e| {
+                e.slot_step(i, start, cycles, weight_cycles, kv_cycles)
+            });
         }
 
         let timeouts: u64 = self
@@ -1117,7 +1041,7 @@ impl<'m> ServeEngine<'m> {
             dota_faults::record("faults.serve.timeout_steps", timeouts);
         }
 
-        let now = self.now;
+        let tokens_before = self.tokens;
         let mut i = 0;
         while i < self.slots.len() {
             if self.slots[i].fault.is_some() {
@@ -1126,88 +1050,103 @@ impl<'m> ServeEngine<'m> {
                 continue;
             }
             let slot = &mut self.slots[i];
-            if slot.emitted_this_step {
+            if std::mem::take(&mut slot.emitted_this_step) {
                 self.tokens += 1;
                 if slot.first_token.is_none() {
                     slot.first_token = Some(now);
-                    if let Some(tl) = self.timeline.as_mut() {
-                        tl.first_token(slot.req.id, now);
-                    }
+                    let id = slot.req.id;
+                    self.emit(now, |_| Transition::FirstToken { id });
                 }
-                slot.emitted_this_step = false;
             }
             let slot = &self.slots[i];
             let done = slot.eos_hit || slot.tokens.len() >= slot.req.max_new;
-            let expired = !done && now > slot.deadline;
-            if done || expired {
-                let slot = self.slots.remove(i);
-                let reason = if slot.eos_hit {
-                    FinishReason::Eos
-                } else if done {
-                    FinishReason::Completed
-                } else {
-                    FinishReason::DeadlineEvicted
-                };
-                let n_tokens = slot.tokens.len() as u64;
-                self.completions.push(Completion {
-                    id: slot.req.id,
-                    class: slot.req.class,
-                    reason,
-                    retention: slot.retention,
-                    tokens: slot.tokens,
-                    arrival: slot.req.arrival,
-                    admit: Some(slot.admit),
-                    first_token: slot.first_token,
-                    finish: now,
-                    admit_seq: Some(slot.admit_seq),
-                    retries: slot.attempt,
-                });
-                self.observe_terminal(
-                    slot.req.id,
-                    reason,
-                    slot.req.arrival,
-                    slot.deadline,
-                    now,
-                    n_tokens,
-                );
-            } else {
+            if !done && now <= slot.deadline {
                 i += 1;
+                continue;
+            }
+            let reason = if slot.eos_hit {
+                FinishReason::Eos
+            } else if done {
+                FinishReason::Completed
+            } else {
+                FinishReason::DeadlineEvicted
+            };
+            let slot = self.slots.remove(i);
+            self.finish_slot(slot, reason, now);
+        }
+        // Last, so a reader between steps sees one coherent post-eviction
+        // view of this boundary.
+        let tokens = self.tokens - tokens_before;
+        self.emit(now, |e| e.boundary(start, batch, tokens, timeouts, depth));
+    }
+
+    /// One slot's share of the step that just ran.
+    fn slot_step(
+        &self,
+        i: usize,
+        start: u64,
+        cycles: u64,
+        weight_cycles: u64,
+        kv_cycles: u64,
+    ) -> Transition {
+        let slot = &self.slots[i];
+        let lh = (self.model.config().n_layers * self.model.config().n_heads) as u64;
+        // A slot whose decode was discarded (injected fault or timeout)
+        // consumed no position this step; its record carries zero context
+        // and traffic so the audit's window identities keep holding under
+        // injection.
+        let context = if slot.fault.is_some() || slot.timed_out {
+            0
+        } else {
+            slot.consumed as u64
+        };
+        Transition::SlotStep {
+            id: slot.req.id,
+            step: StepRecord {
+                start,
+                cycles,
+                weight_cycles,
+                kv_cycles,
+                attended: slot.attended_last,
+                omitted: lh * context - slot.attended_last,
+                context,
+            },
+        }
+    }
+
+    /// The engine's state at the end of the step that began at `start`.
+    fn boundary(
+        &self,
+        start: u64,
+        batch: usize,
+        tokens: u64,
+        timeouts: u64,
+        depth: usize,
+    ) -> Transition {
+        let now = self.now;
+        // Burn of the worst still-in-flight request.
+        let burn = (self.slo.is_some() && !self.slots.is_empty()).then(|| {
+            let burn_of = |s: &Slot| {
+                let budget = s.deadline.saturating_sub(s.req.arrival).max(1);
+                (now - s.req.arrival) as f64 / budget as f64
+            };
+            self.slots.iter().map(burn_of).fold(0.0f64, f64::max)
+        });
+        let mut lane_retained = vec![0u64; self.cfg.capacity];
+        for s in &self.slots {
+            if let Some(r) = lane_retained.get_mut(s.lane) {
+                *r = s.attended_last;
             }
         }
-        // Burn of the worst still-in-flight request at this step boundary
-        // (pure observation: histograms and Chrome counter tracks only).
-        let mut max_burn = None;
-        if self.slo.is_some() && !self.slots.is_empty() {
-            let burn = self
-                .slots
-                .iter()
-                .map(|s| {
-                    let budget = s.deadline.saturating_sub(s.req.arrival).max(1);
-                    (now - s.req.arrival) as f64 / budget as f64
-                })
-                .fold(0.0f64, f64::max);
-            dota_metrics::observe("serve.slo.step_burn_max", burn);
-            if dota_trace::enabled() {
-                dota_trace::sim_counter(
-                    &format!("{}.slo.burn_max_milli", self.label),
-                    now,
-                    (burn * 1e3).round() as u64,
-                );
-            }
-            max_burn = Some(burn);
-        }
-        // Publish the live gauges last, so a scrape between steps sees
-        // one coherent post-eviction view of this boundary.
-        if let Some(g) = &self.gauges {
-            let mut lane_retained = vec![0u64; self.cfg.capacity];
-            for s in &self.slots {
-                if let Some(r) = lane_retained.get_mut(s.lane) {
-                    *r = s.attended_last;
-                }
-            }
-            let lane_skew_milli = dota_telemetry::gauges::lane_skew_milli(&lane_retained);
-            g.publish(&GaugesSample {
-                cell: self.label.clone(),
+        let milli = |x: f64| (x * 1000.0).round() as u64;
+        Transition::StepBoundary {
+            start,
+            batch: batch as u64,
+            tokens,
+            timeouts,
+            burn,
+            state: GaugesSample {
+                cell: String::new(),
                 cycle: now,
                 steps: self.steps,
                 queue_depth: depth as u64,
@@ -1218,14 +1157,14 @@ impl<'m> ServeEngine<'m> {
                 slo_hit_rate_milli: self
                     .slo
                     .as_ref()
-                    .map(|s| (s.rolling_hit_rate().clamp(0.0, 1.0) * 1000.0).round() as u64),
-                slo_burn_milli: max_burn.map(|b| (b.max(0.0) * 1000.0).round() as u64),
+                    .map(|s| milli(s.rolling_hit_rate().clamp(0.0, 1.0))),
+                slo_burn_milli: burn.map(|b| milli(b.max(0.0))),
                 rung: self.control.as_ref().map(|c| c.level() as u64),
                 gate_closed: self.control.as_ref().map(Controller::gated),
                 quarantined_lanes: self.quarantine.len() as u64,
+                lane_skew_milli: dota_telemetry::gauges::lane_skew_milli(&lane_retained),
                 lane_retained,
-                lane_skew_milli,
-            });
+            },
         }
     }
 
@@ -1245,27 +1184,19 @@ impl<'m> ServeEngine<'m> {
                 probes: 0,
                 from: now,
             });
-            self.flight_record(
-                now,
-                FlightEventKind::Quarantine {
-                    lane: slot.lane as u64,
-                },
-            );
+            let lane = slot.lane as u64;
+            self.emit(now, |_| Transition::Quarantine { lane });
         }
-        let discarded = slot.tokens.len() as u64;
+        let (id, discarded) = (slot.req.id, slot.tokens.len() as u64);
         if slot.attempt < self.cfg.retry_cap as u64 {
             self.retries += 1;
             dota_faults::record("faults.serve.retries", 1);
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.retried(slot.req.id, discarded);
-            }
-            self.flight_record(
-                now,
-                FlightEventKind::Retry {
-                    id: slot.req.id,
-                    attempt: slot.attempt + 1,
-                },
-            );
+            let attempt = slot.attempt + 1;
+            self.emit(now, |_| Transition::Retry {
+                id,
+                attempt,
+                discarded,
+            });
             // Exponential cycle backoff, doubling per attempt (shift
             // capped so pathological retry caps cannot overflow).
             let backoff = self.cfg.retry_backoff_cycles << slot.attempt.min(20);
@@ -1274,36 +1205,14 @@ impl<'m> ServeEngine<'m> {
                 deadline: slot.deadline,
                 retention: slot.retention,
                 level: slot.level,
-                attempt: slot.attempt + 1,
+                attempt,
                 ready_at: now + backoff,
             });
         } else {
             self.failed += 1;
             dota_faults::record("faults.serve.failed", 1);
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.discarded(slot.req.id, discarded);
-            }
-            self.completions.push(Completion {
-                id: slot.req.id,
-                class: slot.req.class,
-                reason: FinishReason::Failed,
-                retention: slot.retention,
-                tokens: Vec::new(),
-                arrival: slot.req.arrival,
-                admit: Some(slot.admit),
-                first_token: None,
-                finish: now,
-                admit_seq: Some(slot.admit_seq),
-                retries: slot.attempt,
-            });
-            self.observe_terminal(
-                slot.req.id,
-                FinishReason::Failed,
-                slot.req.arrival,
-                slot.deadline,
-                now,
-                0,
-            );
+            self.emit(now, |_| Transition::Discard { id, discarded });
+            self.finish_slot(slot, FinishReason::Failed, now);
         }
     }
 }
@@ -1336,7 +1245,6 @@ mod tests {
 
     #[test]
     fn single_request_is_served_with_full_timestamps() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let cfg = ServeConfig::default();
         let out = engine(&model, &params, cfg).run(vec![req(1, 0, &[1, 2, 3], 4)]);
@@ -1354,7 +1262,6 @@ mod tests {
 
     #[test]
     fn engine_output_matches_offline_generate() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let prompt = [1usize, 4, 2, 7];
         let offline = model.generate(&params, &prompt, 5, &dota_transformer::DenseDecode);
@@ -1368,7 +1275,6 @@ mod tests {
 
     #[test]
     fn eos_stops_generation_early() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(32);
         let prompt = [1usize, 2, 3];
         // First run to learn what the model emits, then use that token as EOS.
@@ -1385,7 +1291,6 @@ mod tests {
 
     #[test]
     fn occupancy_is_bounded_and_queue_rejects_overflow() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let cfg = ServeConfig {
             capacity: 2,
@@ -1412,7 +1317,6 @@ mod tests {
 
     #[test]
     fn queued_requests_expire_at_their_deadline() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let cfg = ServeConfig {
             capacity: 1,
@@ -1440,7 +1344,6 @@ mod tests {
 
     #[test]
     fn retention_shed_degrades_under_backlog() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let cfg = ServeConfig {
             capacity: 2,
@@ -1464,7 +1367,6 @@ mod tests {
 
     #[test]
     fn interactive_admits_before_batch() {
-        let _quiet = crate::quiet_faults();
         let (model, params) = tiny_model(24);
         let cfg = ServeConfig {
             capacity: 1,

@@ -22,6 +22,11 @@
 //! - [`run_bench`] — the `dota serve --bench` sweep: load × policy grid,
 //!   SLO histograms per cell, canonical byte-stable JSON
 //!   ([`BenchReport`]) diffable with `dota report diff`.
+//! - One event spine: the engine emits one typed, cycle-stamped
+//!   [`ServeEvent`] per scheduler transition and names no observer; every
+//!   view is an [`EventSink`] folding that stream
+//!   ([`ServeEngine::observe`]), and [`StreamTotals`] reproduces a run's
+//!   aggregates from the stream alone.
 //! - [`TimelineRecorder`] / [`TimelineReport`] — request-scoped
 //!   observability: a cycle-timestamped lifecycle record per request
 //!   (queue → admit → prefill → per-step weight/K-V splits → terminal)
@@ -48,33 +53,25 @@ mod report;
 mod request;
 mod selector;
 mod slo;
+mod spine;
 mod timeline;
 mod traffic;
 
 pub use chaos::{run_chaos, ChaosCell, ChaosOptions, ChaosReport, SERVE_CHAOS_VERSION};
 pub use control::{ControlConfig, ControlInputs, ControlSummary, Controller};
 pub use cost::CostModel;
+pub use dota_telemetry::{EventSink, ServeEvent, Transition};
 pub use engine::{QuarantineSpan, ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
 pub use report::{run_bench, BenchOptions, BenchReport, CellReport, SERVE_REPORT_VERSION};
 pub use request::{Completion, DeadlineClass, FinishReason, Request};
 pub use selector::WindowSelector;
 pub use slo::{SloMonitor, SloWindow};
+pub use spine::StreamTotals;
 pub use timeline::{
     CellTimeline, RequestTimeline, StepRecord, TimelineConfig, TimelineRecorder, TimelineReport,
     TIMELINE_VERSION,
 };
 pub use traffic::TrafficConfig;
-
-/// Holds a zero-rate fault session for the duration of a test that runs
-/// engines and asserts fault-free outcomes. Fault sessions are process
-/// global and exclusive, so tests that *do* inject (the chaos suite, the
-/// fault property tests) would otherwise contaminate concurrently running
-/// fault-free tests in this binary; an empty session injects nothing but
-/// takes the same exclusivity gate, serializing the two groups.
-#[cfg(test)]
-pub(crate) fn quiet_faults() -> dota_faults::FaultGuard {
-    dota_faults::session(dota_faults::FaultPlan::new(0))
-}
 
 #[cfg(test)]
 mod prop_tests {
@@ -148,7 +145,6 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..3000, 1..25),
             capacity in 1usize..5,
         ) {
-            let _quiet = crate::quiet_faults();
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let n = requests.len();
@@ -171,7 +167,6 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..3000, 1..21),
             capacity in 1usize..4,
         ) {
-            let _quiet = crate::quiet_faults();
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let out = ServeEngine::new(
@@ -192,7 +187,6 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..3000, 1..21),
             capacity in 1usize..4,
         ) {
-            let _quiet = crate::quiet_faults();
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let out = ServeEngine::new(
@@ -228,7 +222,6 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..800, 1..17),
             capacity in 1usize..4,
         ) {
-            let _quiet = crate::quiet_faults();
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let cfg = generous_cfg(capacity, ShedPolicy::Retention);
@@ -280,7 +273,6 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..3000, 1..13),
             capacity in 2usize..5,
         ) {
-            let _quiet = crate::quiet_faults();
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let accel = AccelConfig::default();
@@ -342,6 +334,105 @@ mod prop_tests {
             }
         }
 
+        /// One stream, many views: under a random config, trace and fault
+        /// plan, folding the captured event stream *alone* reproduces the
+        /// run's outcome — its aggregates as sums, exactly one terminal
+        /// per offered id matching its completion, the timeline as the
+        /// stream grouped by id, the flight ring as its filtered tail —
+        /// and watching changes nothing: the unobserved run's outcome is
+        /// identical. No observer can see something the others cannot.
+        #[test]
+        fn event_stream_alone_reproduces_the_outcome(
+            gaps in proptest::collection::vec(0u64..3000, 1..17),
+            capacity in 1usize..4,
+            shed in 0usize..3,
+            deadline_us in 2u32..80,
+            fault_seed in 0u64..1000,
+            rate_pct in 0u32..30,
+        ) {
+            use dota_telemetry::{flight_kind, EventSink, FlightRecorder, ServeEvent, Transition};
+            use std::sync::{Arc, Mutex};
+
+            let requests = trace_from(&gaps);
+            let (model, params) = model();
+            let cfg = ServeConfig {
+                capacity,
+                queue_capacity: 2 + capacity,
+                shed: [ShedPolicy::QueueOnly, ShedPolicy::Retention, ShedPolicy::Slo][shed],
+                interactive_deadline_us: f64::from(deadline_us),
+                batch_deadline_us: f64::from(deadline_us) * 4.0,
+                slo_window: 4,
+                ..Default::default()
+            };
+            let rate = f64::from(rate_pct) / 100.0;
+            let plan = dota_faults::FaultSite::SERVE
+                .iter()
+                .fold(dota_faults::FaultPlan::new(fault_seed), |p, &site| p.with_rate(site, rate));
+            let _session = dota_faults::session(plan);
+            let engine = || ServeEngine::new(&model, &params, cfg.clone(), &AccelConfig::default()).unwrap();
+
+            let stream = Arc::new(Mutex::new(Vec::<ServeEvent>::new()));
+            let ring = FlightRecorder::shared(8);
+            let mut observed = engine();
+            observed.observe("prop", [
+                Box::new(Arc::clone(&stream)) as Box<dyn EventSink>,
+                Box::new(Arc::clone(&ring)),
+            ]);
+            observed.enable_timeline("prop");
+            let mut out = observed.run(requests.clone());
+            let stream = std::mem::take(&mut *stream.lock().unwrap());
+
+            let mut totals = StreamTotals::default();
+            let mut regrouped = TimelineRecorder::new("fold");
+            for ev in &stream {
+                totals.on(ev);
+                regrouped.on(ev);
+            }
+            prop_assert_eq!(totals.offered as usize, requests.len());
+            prop_assert_eq!(totals.steps, out.steps);
+            prop_assert_eq!(totals.cycles, out.total_cycles);
+            prop_assert_eq!(totals.tokens, out.tokens);
+            prop_assert_eq!(totals.occupancy_sum, out.occupancy_sum);
+            prop_assert_eq!(totals.max_occupancy as usize, out.max_occupancy);
+            prop_assert_eq!(totals.queue_depth_max as usize, out.queue_depth_max);
+            prop_assert_eq!(totals.degraded, out.degraded);
+            prop_assert_eq!(totals.served as usize, out.served());
+            prop_assert_eq!(totals.retries, out.retries);
+            prop_assert_eq!(totals.failed, out.failed);
+            prop_assert_eq!(totals.timeout_steps, out.timeout_steps);
+            prop_assert_eq!(totals.quarantine_events, out.quarantine_events);
+            prop_assert_eq!((totals.slo_hits, totals.slo_misses), (out.slo_hits, out.slo_misses));
+
+            let terminals: Vec<_> = stream
+                .iter()
+                .filter_map(|ev| match ev.what {
+                    Transition::Terminal { id, reason, tokens, .. } => Some((id, reason, ev.cycle, tokens)),
+                    _ => None,
+                })
+                .collect();
+            let completed: Vec<_> = out
+                .completions
+                .iter()
+                .map(|c| (c.id, c.reason, c.finish, c.tokens.len() as u64))
+                .collect();
+            prop_assert_eq!(terminals, completed);
+
+            let timeline = out.timeline.take();
+            prop_assert_eq!(Some(regrouped.into_requests()), timeline);
+
+            let kept: Vec<&ServeEvent> =
+                stream.iter().filter(|ev| flight_kind(&ev.what).is_some()).collect();
+            let ring = ring.lock().unwrap();
+            prop_assert_eq!(ring.recorded() as usize, kept.len());
+            let tail = &kept[kept.len() - ring.len()..];
+            for (held, ev) in ring.events().zip(tail) {
+                prop_assert_eq!(&held.event, *ev);
+            }
+            prop_assert_eq!(ring.len(), kept.len().min(8));
+
+            prop_assert_eq!(engine().run(requests), out);
+        }
+
         /// Retries never corrupt output: a request served under fault
         /// injection — however many attempts it took — emits a token
         /// stream bit-identical to a fault-free solo run. Aborted
@@ -369,7 +460,6 @@ mod prop_tests {
                     &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
                 ).unwrap().run(requests.clone())
             };
-            let _quiet = crate::quiet_faults();
             for req in &requests {
                 let c = faulted.completions.iter().find(|c| c.id == req.id).unwrap();
                 if !c.reason.is_served() {

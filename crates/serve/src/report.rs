@@ -16,8 +16,8 @@ use crate::timeline::{CellTimeline, TimelineConfig, TimelineReport};
 use crate::traffic::TrafficConfig;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
-use dota_metrics::{fmt_f64, Histogram};
-use dota_telemetry::{FlightHandle, ServeGauges};
+use dota_metrics::{fmt_f64, Histogram, JsonWriter, ToJson};
+use dota_telemetry::{EventSink, FlightHandle, ServeGauges};
 use dota_transformer::{Model, TransformerConfig};
 use std::path::Path;
 use std::sync::{Arc, PoisonError};
@@ -286,60 +286,43 @@ impl CellReport {
         let total = self.slo_hits + self.slo_misses;
         (total > 0).then(|| self.slo_hits as f64 / total as f64)
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"shed\":\"{}\",\"load\":{},\"mean_gap_cycles\":{},\"offered\":{}",
-            self.shed.name(),
-            fmt_f64(self.load),
-            fmt_f64(self.mean_gap_cycles),
-            self.offered
-        ));
-        s.push_str(&format!(
-            ",\"completed\":{},\"eos\":{},\"deadline_evicted\":{},\"queue_expired\":{},\"rejected\":{}",
-            self.completed, self.eos, self.deadline_evicted, self.queue_expired, self.rejected
-        ));
+impl ToJson for CellReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("shed", self.shed.name())
+            .field("load", self.load)
+            .field("mean_gap_cycles", self.mean_gap_cycles)
+            .field("offered", self.offered)
+            .field("completed", self.completed)
+            .field("eos", self.eos)
+            .field("deadline_evicted", self.deadline_evicted)
+            .field("queue_expired", self.queue_expired)
+            .field("rejected", self.rejected);
         // Fault-path keys appear only when the path fired, so fault-free
         // reports (every committed baseline) keep their exact bytes.
         if self.failed > 0 {
-            s.push_str(&format!(",\"failed\":{}", self.failed));
+            w.field("failed", self.failed);
         }
         if self.retries > 0 {
-            s.push_str(&format!(",\"retries\":{}", self.retries));
+            w.field("retries", self.retries);
         }
-        s.push_str(&format!(",\"degraded\":{}", self.degraded));
-        s.push_str(",\"admitted_per_level\":[");
-        for (i, n) in self.admitted_per_level.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&n.to_string());
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"steps\":{},\"cycles\":{},\"tokens\":{},\"mean_occupancy\":{},\"max_occupancy\":{}",
-            self.steps,
-            self.cycles,
-            self.tokens,
-            fmt_f64(self.mean_occupancy),
-            self.max_occupancy
-        ));
-        s.push_str(&format!(
-            ",\"queue_wait_us\":{}",
-            self.queue_wait_us.summary_json()
-        ));
-        s.push_str(&format!(",\"ttft_us\":{}", self.ttft_us.summary_json()));
-        s.push_str(&format!(
-            ",\"per_token_us\":{}",
-            self.per_token_us.summary_json()
-        ));
-        s.push_str(&format!(",\"e2e_us\":{}", self.e2e_us.summary_json()));
+        w.field("degraded", self.degraded)
+            .list("admitted_per_level", &self.admitted_per_level)
+            .field("steps", self.steps)
+            .field("cycles", self.cycles)
+            .field("tokens", self.tokens)
+            .field("mean_occupancy", self.mean_occupancy)
+            .field("max_occupancy", self.max_occupancy)
+            .field("queue_wait_us", &self.queue_wait_us)
+            .field("ttft_us", &self.ttft_us)
+            .field("per_token_us", &self.per_token_us)
+            .field("e2e_us", &self.e2e_us);
         if let Some(ctl) = &self.control {
-            s.push_str(&format!(",\"control\":{}", ctl.to_json()));
+            w.field("control", ctl);
         }
-        s.push('}');
-        s
+        w.end();
     }
 }
 
@@ -367,55 +350,36 @@ impl BenchReport {
     /// number formatting; byte-identical for identical runs).
     pub fn to_json(&self) -> String {
         let o = &self.options;
-        let mut s = String::new();
-        s.push_str(&format!("{{\"version\":{SERVE_REPORT_VERSION}"));
-        s.push_str(&format!(
-            ",\"config\":{{\"seed\":{},\"requests\":{},\"capacity\":{},\"queue_capacity\":{},\"seq\":{},\"vocab\":{}",
-            o.seed, o.requests, o.capacity, o.queue_capacity, o.seq, o.vocab
-        ));
-        s.push_str(",\"ladder\":[");
-        for (i, r) in o.ladder.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*r));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"interactive_deadline_us\":{},\"batch_deadline_us\":{}",
-            fmt_f64(o.interactive_deadline_us),
-            fmt_f64(o.batch_deadline_us)
-        ));
-        s.push_str(&format!(
-            ",\"prompt_len\":[{},{}],\"new_tokens\":[{},{}],\"interactive_fraction\":{}}}",
-            o.prompt_len.0,
-            o.prompt_len.1,
-            o.new_tokens.0,
-            o.new_tokens.1,
-            fmt_f64(o.interactive_fraction)
-        ));
-        s.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_json());
-        }
-        s.push_str("]}");
-        s.push('\n');
-        s
+        let mut w = JsonWriter::compact();
+        w.obj()
+            .field("version", SERVE_REPORT_VERSION)
+            .key("config")
+            .obj();
+        w.field("seed", o.seed)
+            .field("requests", o.requests)
+            .field("capacity", o.capacity)
+            .field("queue_capacity", o.queue_capacity)
+            .field("seq", o.seq)
+            .field("vocab", o.vocab)
+            .list("ladder", &o.ladder)
+            .field("interactive_deadline_us", o.interactive_deadline_us)
+            .field("batch_deadline_us", o.batch_deadline_us)
+            .list("prompt_len", [o.prompt_len.0, o.prompt_len.1])
+            .list("new_tokens", [o.new_tokens.0, o.new_tokens.1])
+            .field("interactive_fraction", o.interactive_fraction)
+            .end();
+        w.list("cells", &self.cells).end();
+        w.finish()
     }
 
-    /// Writes the canonical JSON atomically (temp file + rename, so a
-    /// crash cannot leave a torn report).
+    /// Writes the canonical JSON atomically, so a crash cannot leave a
+    /// torn report.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        dota_metrics::write_atomic(path, &self.to_json())
     }
 }
 
@@ -482,19 +446,21 @@ pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
             let _cell_sp = dota_prof::span("serve.bench.cell");
             let mut engine = ServeEngine::new(&model, &params, opts.serve_config(shed), &accel)?;
             let label = format!("serve[{}@{}x]", shed.name(), fmt_f64(load));
-            engine.set_label(&label);
-            if opts.timeline {
-                engine.enable_timeline(&label);
-            }
+            let mut sinks: Vec<Box<dyn EventSink>> = Vec::new();
             if let Some(flight) = &opts.flight {
                 flight
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .begin_cell(&label);
-                engine.set_flight(Arc::clone(flight));
+                sinks.push(Box::new(Arc::clone(flight)));
             }
             if let Some(gauges) = &opts.gauges {
-                engine.set_gauges(Arc::clone(gauges));
+                gauges.begin_cell(&label);
+                sinks.push(Box::new(Arc::clone(gauges)));
+            }
+            engine.observe(&label, sinks);
+            if opts.timeline {
+                engine.enable_timeline(&label);
             }
             let mut outcome = engine.run(requests.clone());
             if let Some(requests) = outcome.timeline.take() {
@@ -553,7 +519,6 @@ mod tests {
 
     #[test]
     fn bench_report_is_deterministic() {
-        let _quiet = crate::quiet_faults();
         let a = run_bench(quick_opts()).unwrap().to_json();
         let b = run_bench(quick_opts()).unwrap().to_json();
         assert_eq!(a, b);
@@ -561,7 +526,6 @@ mod tests {
 
     #[test]
     fn every_offered_request_terminates() {
-        let _quiet = crate::quiet_faults();
         let report = run_bench(quick_opts()).unwrap();
         for cell in &report.cells {
             assert_eq!(cell.offered, report.options.requests);
@@ -580,7 +544,6 @@ mod tests {
 
     #[test]
     fn underload_serves_nearly_everything() {
-        let _quiet = crate::quiet_faults();
         let report = run_bench(quick_opts()).unwrap();
         for &shed in &report.options.sheds {
             let cell = report.cell(shed, 0.8).unwrap();
@@ -596,7 +559,6 @@ mod tests {
 
     #[test]
     fn retention_shedding_beats_queueing_at_overload() {
-        let _quiet = crate::quiet_faults();
         let report = run_bench(quick_opts()).unwrap();
         let queue = report.cell(ShedPolicy::QueueOnly, 4.0).unwrap();
         let shed = report.cell(ShedPolicy::Retention, 4.0).unwrap();
@@ -612,7 +574,6 @@ mod tests {
 
     #[test]
     fn json_has_all_cells_and_round_trips_write() {
-        let _quiet = crate::quiet_faults();
         let report = run_bench(quick_opts()).unwrap();
         let json = report.to_json();
         assert_eq!(json.matches("\"shed\"").count(), 4);

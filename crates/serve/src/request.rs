@@ -1,25 +1,6 @@
 //! Requests, deadline classes and terminal outcomes.
 
-/// SLO class of a request. Admission is FIFO *within* a class;
-/// [`Interactive`](DeadlineClass::Interactive) requests are admitted ahead
-/// of [`Batch`](DeadlineClass::Batch) ones and carry a tighter deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DeadlineClass {
-    /// Latency-sensitive traffic (tight deadline, admitted first).
-    Interactive,
-    /// Throughput traffic (loose deadline).
-    Batch,
-}
-
-impl DeadlineClass {
-    /// Stable lower-case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeadlineClass::Interactive => "interactive",
-            DeadlineClass::Batch => "batch",
-        }
-    }
-}
+pub use dota_telemetry::{DeadlineClass, FinishReason};
 
 /// One inference request offered to the service.
 #[derive(Debug, Clone)]
@@ -45,48 +26,9 @@ impl Request {
     }
 }
 
-/// Why a request left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FinishReason {
-    /// Generated all `max_new` tokens.
-    Completed,
-    /// Generated its EOS token before `max_new`.
-    Eos,
-    /// Deadline passed while decoding; evicted with partial output.
-    DeadlineEvicted,
-    /// Deadline passed while still queued; never admitted.
-    QueueExpired,
-    /// The pending queue was full at arrival.
-    Rejected,
-    /// Lost to injected faults: the retry cap was exhausted, or the
-    /// deadline passed while the request waited out a retry backoff.
-    /// Only reachable with serve-layer fault injection active.
-    Failed,
-}
-
-impl FinishReason {
-    /// Stable lower-case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FinishReason::Completed => "completed",
-            FinishReason::Eos => "eos",
-            FinishReason::DeadlineEvicted => "deadline_evicted",
-            FinishReason::QueueExpired => "queue_expired",
-            FinishReason::Rejected => "rejected",
-            FinishReason::Failed => "failed",
-        }
-    }
-
-    /// `true` when the request produced its full requested output
-    /// (all tokens, or a natural EOS stop).
-    pub fn is_served(self) -> bool {
-        matches!(self, FinishReason::Completed | FinishReason::Eos)
-    }
-}
-
 /// Terminal record of one request, with the timestamps the SLO histograms
 /// are built from. All times are cycles on the simulated clock.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// Request id.
     pub id: u64,

@@ -15,17 +15,20 @@
 //!
 //! Samples land at step boundaries (every terminal event is recorded at
 //! its simulated finish time), so the monitor is as deterministic as the
-//! engine itself. Each signal is surfaced three ways: `serve.slo.*` trace
-//! counters (end-of-run totals), `dota-metrics` histograms (per-sample
-//! distributions), and `ph:"C"` counter tracks in any live Chrome-trace
-//! session. Disjoint window summaries are also kept for the timeline
-//! report, where `dota analyze --serve` picks them up.
+//! engine itself. The monitor is engine state — [`ShedPolicy::Slo`]
+//! steers by it — and reports nothing itself: each terminal event carries
+//! its reading, from which the event spine derives the `serve.slo.*`
+//! counters, histograms and Chrome counter tracks. Disjoint window
+//! summaries are also kept for the timeline report, where
+//! `dota analyze --serve` picks them up.
+//!
+//! [`ShedPolicy::Slo`]: crate::ShedPolicy::Slo
 
 use dota_metrics::RollingWindow;
 
 /// Aggregate over one disjoint window of `window` consecutive terminals
 /// (the final window of a run may be shorter).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloWindow {
     /// Terminal requests summarized by this window.
     pub completions: u64,
@@ -85,20 +88,6 @@ impl SloMonitor {
         } else {
             self.misses += 1;
         }
-        dota_metrics::observe("serve.slo.burn", burn);
-        dota_metrics::observe("serve.slo.hit_rate", self.rolling.hit_rate());
-        if dota_trace::enabled() {
-            dota_trace::sim_counter(
-                "serve.slo.hit_rate_milli",
-                now,
-                (self.rolling.hit_rate() * 1e3).round() as u64,
-            );
-            dota_trace::sim_counter(
-                "serve.slo.burn_milli",
-                now,
-                (self.rolling.mean() * 1e3).round() as u64,
-            );
-        }
         self.cur_count += 1;
         if hit {
             self.cur_hits += 1;
@@ -126,15 +115,9 @@ impl SloMonitor {
         self.cur_burn_sum = 0.0;
     }
 
-    /// Finishes the run: flushes any partial window and emits the
-    /// `serve.slo.*` end-of-run trace counters.
+    /// Finishes the run: flushes any partial window.
     pub fn finish(&mut self) {
         self.flush_window();
-        if dota_trace::enabled() {
-            dota_trace::count("serve.slo.hits", self.hits);
-            dota_trace::count("serve.slo.misses", self.misses);
-            dota_trace::count("serve.slo.windows", self.windows.len() as u64);
-        }
     }
 
     /// Terminals that met their SLO so far.
@@ -206,19 +189,5 @@ mod tests {
         assert_eq!(m.rolling_burn(), 0.5);
         // Run totals still remember them.
         assert_eq!(m.misses(), 2);
-    }
-
-    #[test]
-    fn finish_emits_slo_counters_inside_a_session() {
-        let t = dota_trace::session("slo-counters");
-        let mut m = SloMonitor::new(4);
-        m.complete(true, 0.1, 5);
-        m.complete(false, 3.0, 9);
-        m.finish();
-        assert_eq!(t.counter("serve.slo.hits"), 1);
-        assert_eq!(t.counter("serve.slo.misses"), 1);
-        assert_eq!(t.counter("serve.slo.windows"), 1);
-        // Counter tracks were sampled on the simulated clock.
-        assert!(t.chrome_trace_json().contains("serve.slo.burn_milli"));
     }
 }

@@ -29,37 +29,20 @@
 //! (the audit re-checks both for every request).
 
 use crate::engine::ShedPolicy;
-use crate::request::{DeadlineClass, FinishReason, Request};
+use crate::request::{DeadlineClass, FinishReason};
 use crate::slo::SloWindow;
-use dota_metrics::fmt_f64;
+use dota_metrics::{JsonWriter, ToJson};
+use dota_telemetry::{EventSink, ServeEvent, Transition};
 use std::collections::BTreeMap;
 use std::path::Path;
+
+pub use dota_telemetry::StepRecord;
 
 /// Timeline format version (bump on any schema change).
 pub const TIMELINE_VERSION: u32 = 1;
 
-/// One decode step as one request experienced it. All cycle counts come
-/// from the engine's cost model at the moment the step ran.
-#[derive(Debug, Clone)]
-pub struct StepRecord {
-    /// Simulated time the step began.
-    pub start: u64,
-    /// Full batch-step duration (shared by every slot in the step).
-    pub cycles: u64,
-    /// Weight-stream share of the step (paid once, batch-amortized).
-    pub weight_cycles: u64,
-    /// This request's own K/V-stream cycles (scales with attended count).
-    pub kv_cycles: u64,
-    /// Connections attended, summed over layers × heads.
-    pub attended: u64,
-    /// Connections omitted by the retention window (dense minus attended).
-    pub omitted: u64,
-    /// Cache positions after the step (the `t` the selector windowed).
-    pub context: u64,
-}
-
 /// Full lifecycle of one request (see module docs for the invariants).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTimeline {
     /// Request id.
     pub id: u64,
@@ -160,71 +143,51 @@ impl RequestTimeline {
     pub fn burn(&self) -> f64 {
         self.e2e_cycles() as f64 / (self.deadline - self.arrival) as f64
     }
+}
 
-    fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or_else(|| "null".into(), |x: u64| x.to_string());
-        let lane = self
-            .lane
-            .map_or_else(|| "null".into(), |x: usize| x.to_string());
-        let mut s = format!(
-            "{{\"id\":{},\"class\":\"{}\",\"reason\":\"{}\",\"retention\":{},\"level\":{},\"lane\":{}",
-            self.id,
-            self.class.name(),
-            self.reason.name(),
-            fmt_f64(self.retention),
-            self.level,
-            lane
-        );
-        s.push_str(&format!(
-            ",\"arrival\":{},\"deadline\":{},\"admit\":{},\"first_token\":{},\"finish\":{},\"tokens\":{}",
-            self.arrival,
-            self.deadline,
-            opt(self.admit),
-            opt(self.first_token),
-            self.finish,
-            self.tokens
-        ));
-        s.push_str(&format!(
-            ",\"attended\":{},\"omitted\":{},\"queue_cycles\":{},\"prefill_cycles\":{},\"decode_cycles\":{}",
-            self.attended_total(),
-            self.omitted_total(),
-            self.queue_cycles(),
-            self.prefill_cycles(),
-            self.decode_cycles()
-        ));
-        s.push_str(&format!(
-            ",\"weight_cycles\":{},\"kv_cycles\":{},\"hol_cycles\":{},\"burn\":{}",
-            self.weight_cycles(),
-            self.kv_cycles(),
-            self.hol_cycles(),
-            fmt_f64(self.burn())
-        ));
+impl ToJson for RequestTimeline {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("id", self.id)
+            .field("class", self.class.name())
+            .field("reason", self.reason.name())
+            .field("retention", self.retention)
+            .field("level", self.level)
+            .field("lane", self.lane)
+            .field("arrival", self.arrival)
+            .field("deadline", self.deadline)
+            .field("admit", self.admit)
+            .field("first_token", self.first_token)
+            .field("finish", self.finish)
+            .field("tokens", self.tokens)
+            .field("attended", self.attended_total())
+            .field("omitted", self.omitted_total())
+            .field("queue_cycles", self.queue_cycles())
+            .field("prefill_cycles", self.prefill_cycles())
+            .field("decode_cycles", self.decode_cycles())
+            .field("weight_cycles", self.weight_cycles())
+            .field("kv_cycles", self.kv_cycles())
+            .field("hol_cycles", self.hol_cycles())
+            .field("burn", self.burn());
         // Fault-path fields only appear when a fault actually touched the
         // request, so fault-free timelines keep their exact byte layout.
         if self.retries > 0 || self.discarded_tokens > 0 {
-            s.push_str(&format!(
-                ",\"retries\":{},\"discarded_tokens\":{}",
-                self.retries, self.discarded_tokens
-            ));
+            w.field("retries", self.retries)
+                .field("discarded_tokens", self.discarded_tokens);
         }
-        s.push_str(",\"steps\":[");
-        for (i, st) in self.steps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "[{},{},{},{},{},{},{}]",
-                st.start,
-                st.cycles,
-                st.weight_cycles,
-                st.kv_cycles,
-                st.attended,
-                st.omitted,
-                st.context
-            ));
+        w.key("steps").arr();
+        for st in &self.steps {
+            w.arr()
+                .value(st.start)
+                .value(st.cycles)
+                .value(st.weight_cycles)
+                .value(st.kv_cycles)
+                .value(st.attended)
+                .value(st.omitted)
+                .value(st.context)
+                .end();
         }
-        s.push_str("]}");
-        s
+        w.end().end();
     }
 }
 
@@ -247,92 +210,9 @@ impl TimelineRecorder {
         }
     }
 
-    /// A request entered the system (before any admission decision).
-    pub fn offered(&mut self, req: &Request, deadline: u64, base_retention: f64) {
-        self.requests.insert(
-            req.id,
-            RequestTimeline {
-                id: req.id,
-                class: req.class,
-                arrival: req.arrival,
-                deadline,
-                retention: base_retention,
-                level: 0,
-                lane: None,
-                admit: None,
-                first_token: None,
-                finish: req.arrival,
-                reason: FinishReason::Rejected,
-                tokens: 0,
-                retries: 0,
-                discarded_tokens: 0,
-                steps: Vec::new(),
-            },
-        );
-    }
-
-    /// A request was admitted to batch-slot `lane` at retention
-    /// `ladder[level]`.
-    pub fn admitted(&mut self, id: u64, now: u64, retention: f64, level: usize, lane: usize) {
-        if let Some(r) = self.requests.get_mut(&id) {
-            r.admit = Some(now);
-            r.retention = retention;
-            r.level = level;
-            r.lane = Some(lane);
-        }
-    }
-
-    /// One decode step ran for the request.
-    pub fn step(&mut self, id: u64, record: StepRecord) {
-        if let Some(r) = self.requests.get_mut(&id) {
-            r.steps.push(record);
-        }
-    }
-
-    /// The request's first generated token landed.
-    pub fn first_token(&mut self, id: u64, now: u64) {
-        if let Some(r) = self.requests.get_mut(&id) {
-            if r.first_token.is_none() {
-                r.first_token = Some(now);
-            }
-        }
-    }
-
-    /// An injected fault aborted the request's current attempt and a retry
-    /// was scheduled: the in-flight fields reset (the time spent so far
-    /// reads as queueing, keeping the phase decomposition exact for the
-    /// final attempt) and the aborted attempt's tokens count as discarded.
-    pub fn retried(&mut self, id: u64, discarded_tokens: u64) {
-        if let Some(r) = self.requests.get_mut(&id) {
-            r.retries += 1;
-            r.discarded_tokens += discarded_tokens;
-            r.admit = None;
-            r.first_token = None;
-            r.lane = None;
-            r.steps.clear();
-        }
-    }
-
-    /// Tokens of a final, non-retried attempt were discarded (the request
-    /// failed with its retry cap exhausted).
-    pub fn discarded(&mut self, id: u64, discarded_tokens: u64) {
-        if let Some(r) = self.requests.get_mut(&id) {
-            r.discarded_tokens += discarded_tokens;
-            // The failed attempt delivered nothing, so its first-token
-            // timestamp is not a serving event; fold decode into prefill.
-            r.first_token = None;
-        }
-    }
-
-    /// The request left the system; replays its spans into any live trace
+    /// The request left the system: replays its spans into any live trace
     /// session.
-    pub fn finished(&mut self, id: u64, reason: FinishReason, now: u64, tokens: u64) {
-        let Some(r) = self.requests.get_mut(&id) else {
-            return;
-        };
-        r.reason = reason;
-        r.finish = now;
-        r.tokens = tokens;
+    fn replay(&self, r: &RequestTimeline) {
         if !dota_trace::enabled() {
             return;
         }
@@ -354,7 +234,7 @@ impl TimelineRecorder {
         let track = format!("{}.slot{}", self.label, lane);
         dota_trace::sim_event_args(
             &track,
-            &format!("req{} {}", r.id, reason.name()),
+            &format!("req{} {}", r.id, r.reason.name()),
             admit,
             r.finish - admit,
             &[
@@ -388,6 +268,86 @@ impl TimelineRecorder {
     }
 }
 
+/// The timeline is the event stream grouped by request id.
+impl EventSink for TimelineRecorder {
+    fn on(&mut self, event: &ServeEvent) {
+        let (now, Some(id)) = (event.cycle, event.what.request()) else {
+            return;
+        };
+        if let Transition::Offered {
+            class,
+            arrival,
+            deadline,
+            retention,
+            ..
+        } = event.what
+        {
+            self.requests.insert(
+                id,
+                RequestTimeline {
+                    id,
+                    class,
+                    arrival,
+                    deadline,
+                    retention,
+                    level: 0,
+                    lane: None,
+                    admit: None,
+                    first_token: None,
+                    finish: arrival,
+                    reason: FinishReason::Rejected,
+                    tokens: 0,
+                    retries: 0,
+                    discarded_tokens: 0,
+                    steps: Vec::new(),
+                },
+            );
+        }
+        let Some(r) = self.requests.get_mut(&id) else {
+            return;
+        };
+        match &event.what {
+            Transition::Admitted {
+                lane,
+                rung,
+                retention,
+                ..
+            } => {
+                r.admit = Some(now);
+                r.retention = *retention;
+                r.level = *rung as usize;
+                r.lane = Some(*lane as usize);
+            }
+            Transition::SlotStep { step, .. } => r.steps.push(*step),
+            Transition::FirstToken { .. } => r.first_token = r.first_token.or(Some(now)),
+            // The in-flight fields reset: the time spent so far reads as
+            // queueing, keeping the phase decomposition exact for the
+            // final attempt.
+            Transition::Retry { discarded, .. } => {
+                r.retries += 1;
+                r.discarded_tokens += discarded;
+                r.admit = None;
+                r.first_token = None;
+                r.lane = None;
+                r.steps.clear();
+            }
+            // The failed attempt delivered nothing, so its first-token
+            // timestamp is not a serving event; fold decode into prefill.
+            Transition::Discard { discarded, .. } => {
+                r.discarded_tokens += discarded;
+                r.first_token = None;
+            }
+            Transition::Terminal { reason, tokens, .. } => {
+                r.reason = *reason;
+                r.finish = now;
+                r.tokens = *tokens;
+                self.replay(&self.requests[&id]);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Timelines of one (shed policy, load) bench cell.
 #[derive(Debug)]
 pub struct CellTimeline {
@@ -406,39 +366,28 @@ pub struct CellTimeline {
     pub requests: Vec<RequestTimeline>,
 }
 
-impl CellTimeline {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"shed\":\"{}\",\"load\":{},\"slo_windows\":[",
-            self.shed.name(),
-            fmt_f64(self.load)
-        );
-        for (i, w) in self.slo_windows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"completions\":{},\"end_cycle\":{},\"hits\":{},\"hit_rate\":{},\"mean_burn\":{}}}",
-                w.completions,
-                w.end_cycle,
-                w.hits,
-                fmt_f64(w.hit_rate),
-                fmt_f64(w.mean_burn)
-            ));
-        }
-        s.push(']');
+impl ToJson for SloWindow {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("completions", self.completions)
+            .field("end_cycle", self.end_cycle)
+            .field("hits", self.hits)
+            .field("hit_rate", self.hit_rate)
+            .field("mean_burn", self.mean_burn)
+            .end();
+    }
+}
+
+impl ToJson for CellTimeline {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("shed", self.shed.name())
+            .field("load", self.load)
+            .list("slo_windows", &self.slo_windows);
         if let Some(ctl) = &self.control {
-            s.push_str(&format!(",\"control\":{}", ctl.to_json()));
+            w.field("control", ctl);
         }
-        s.push_str(",\"requests\":[");
-        for (i, r) in self.requests.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push_str("]}");
-        s
+        w.list("requests", &self.requests).end();
     }
 }
 
@@ -486,49 +435,35 @@ impl TimelineReport {
     /// formatting; byte-identical for identical runs).
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let mut s = format!("{{\"version\":{TIMELINE_VERSION}");
-        s.push_str(&format!(
-            ",\"config\":{{\"seed\":{},\"requests\":{},\"capacity\":{},\"queue_capacity\":{},\"seq\":{},\"vocab\":{}",
-            c.seed, c.requests, c.capacity, c.queue_capacity, c.seq, c.vocab
-        ));
-        s.push_str(&format!(
-            ",\"n_layers\":{},\"n_heads\":{},\"slo_window\":{}",
-            c.n_layers, c.n_heads, c.slo_window
-        ));
-        s.push_str(",\"ladder\":[");
-        for (i, r) in c.ladder.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*r));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"interactive_deadline_us\":{},\"batch_deadline_us\":{}}}",
-            fmt_f64(c.interactive_deadline_us),
-            fmt_f64(c.batch_deadline_us)
-        ));
-        s.push_str(",\"cells\":[");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&cell.to_json());
-        }
-        s.push_str("]}");
-        s.push('\n');
-        s
+        let mut w = JsonWriter::compact();
+        w.obj()
+            .field("version", TIMELINE_VERSION)
+            .key("config")
+            .obj();
+        w.field("seed", c.seed)
+            .field("requests", c.requests)
+            .field("capacity", c.capacity)
+            .field("queue_capacity", c.queue_capacity)
+            .field("seq", c.seq)
+            .field("vocab", c.vocab)
+            .field("n_layers", c.n_layers)
+            .field("n_heads", c.n_heads)
+            .field("slo_window", c.slo_window)
+            .list("ladder", &c.ladder)
+            .field("interactive_deadline_us", c.interactive_deadline_us)
+            .field("batch_deadline_us", c.batch_deadline_us)
+            .end();
+        w.list("cells", &self.cells).end();
+        w.finish()
     }
 
-    /// Writes the canonical JSON atomically (temp file + rename).
+    /// Writes the canonical JSON atomically.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        dota_metrics::write_atomic(path, &self.to_json())
     }
 }
 
@@ -536,15 +471,48 @@ impl TimelineReport {
 mod tests {
     use super::*;
 
-    fn req(id: u64, arrival: u64) -> Request {
-        Request {
-            id,
-            arrival,
-            prompt: vec![1, 2],
-            max_new: 2,
-            eos: None,
-            class: DeadlineClass::Interactive,
+    /// A recorder fed `(cycle, transition)` pairs.
+    fn recorded(
+        label: &str,
+        events: impl IntoIterator<Item = (u64, Transition)>,
+    ) -> TimelineRecorder {
+        let mut tl = TimelineRecorder::new(label);
+        for (cycle, what) in events {
+            tl.on(&ServeEvent { cycle, what });
         }
+        tl
+    }
+
+    fn offered(id: u64, arrival: u64, deadline: u64) -> (u64, Transition) {
+        let what = Transition::Offered {
+            id,
+            class: DeadlineClass::Interactive,
+            arrival,
+            deadline,
+            retention: 1.0,
+        };
+        (arrival, what)
+    }
+
+    fn admitted(id: u64, now: u64, retention: f64, rung: u64, lane: u64) -> (u64, Transition) {
+        let what = Transition::Admitted {
+            id,
+            lane,
+            rung,
+            retention,
+            attempt: 0,
+        };
+        (now, what)
+    }
+
+    fn finished(id: u64, reason: FinishReason, now: u64, tokens: u64) -> (u64, Transition) {
+        let what = Transition::Terminal {
+            id,
+            reason,
+            tokens,
+            slo: None,
+        };
+        (now, what)
     }
 
     fn step(start: u64, cycles: u64, weight: u64, kv: u64) -> StepRecord {
@@ -561,13 +529,18 @@ mod tests {
 
     #[test]
     fn decomposition_sums_to_e2e() {
-        let mut tl = TimelineRecorder::new("t");
-        tl.offered(&req(1, 100), 100 + 50_000, 1.0);
-        tl.admitted(1, 150, 0.5, 1, 0);
-        tl.step(1, step(150, 100, 40, 20));
-        tl.first_token(1, 250);
-        tl.step(1, step(250, 110, 40, 25));
-        tl.finished(1, FinishReason::Completed, 360, 2);
+        let slot_step = |step| Transition::SlotStep { id: 1, step };
+        let tl = recorded(
+            "t",
+            [
+                offered(1, 100, 100 + 50_000),
+                admitted(1, 150, 0.5, 1, 0),
+                (250, slot_step(step(150, 100, 40, 20))),
+                (250, Transition::FirstToken { id: 1 }),
+                (360, slot_step(step(250, 110, 40, 25))),
+                finished(1, FinishReason::Completed, 360, 2),
+            ],
+        );
         let r = &tl.into_requests()[0];
         assert_eq!(r.queue_cycles(), 50);
         assert_eq!(r.prefill_cycles(), 100);
@@ -590,9 +563,13 @@ mod tests {
 
     #[test]
     fn never_admitted_requests_decompose_as_pure_queueing() {
-        let mut tl = TimelineRecorder::new("t");
-        tl.offered(&req(3, 10), 510, 1.0);
-        tl.finished(3, FinishReason::QueueExpired, 510, 0);
+        let tl = recorded(
+            "t",
+            [
+                offered(3, 10, 510),
+                finished(3, FinishReason::QueueExpired, 510, 0),
+            ],
+        );
         let r = &tl.into_requests()[0];
         assert_eq!(r.queue_cycles(), 500);
         assert_eq!(r.prefill_cycles(), 0);
@@ -604,9 +581,13 @@ mod tests {
 
     #[test]
     fn json_is_canonical_and_null_safe() {
-        let mut tl = TimelineRecorder::new("t");
-        tl.offered(&req(2, 0), 50_000, 1.0);
-        tl.finished(2, FinishReason::Rejected, 0, 0);
+        let tl = recorded(
+            "t",
+            [
+                offered(2, 0, 50_000),
+                finished(2, FinishReason::Rejected, 0, 0),
+            ],
+        );
         let report = TimelineReport {
             config: TimelineConfig {
                 seed: 7,
@@ -642,13 +623,21 @@ mod tests {
     }
 
     #[test]
-    fn finished_replays_slot_tracks_into_a_live_session() {
+    fn terminals_replay_slot_tracks_into_a_live_session() {
         let t = dota_trace::session("timeline-chrome");
-        let mut tl = TimelineRecorder::new("cellA");
-        tl.offered(&req(5, 0), 50_000, 1.0);
-        tl.admitted(5, 40, 1.0, 0, 2);
-        tl.step(5, step(40, 100, 40, 20));
-        tl.finished(5, FinishReason::Completed, 140, 1);
+        let step = Transition::SlotStep {
+            id: 5,
+            step: step(40, 100, 40, 20),
+        };
+        recorded(
+            "cellA",
+            [
+                offered(5, 0, 50_000),
+                admitted(5, 40, 1.0, 0, 2),
+                (140, step),
+                finished(5, FinishReason::Completed, 140, 1),
+            ],
+        );
         let json = t.chrome_trace_json();
         assert!(json.contains("cellA.slot2"), "{json}");
         assert!(json.contains("req5 completed"));

@@ -13,6 +13,8 @@
 //! `DOTA_THREADS` values and build modes. The JSON is canonical (fixed
 //! key order) and structured for `dota report diff`.
 
+use crate::event::{EventSink, ServeEvent, Transition};
+use dota_metrics::JsonWriter;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -23,130 +25,77 @@ pub const FLIGHT_VERSION: u32 = 1;
 
 /// Shared handle to a [`FlightRecorder`]: the engine records through it
 /// while the CLI keeps a clone to dump from, even when the run returns a
-/// typed error. The scheduler loop is serial, so the mutex is
-/// uncontended in practice.
+/// typed error.
 pub type FlightHandle = Arc<Mutex<FlightRecorder>>;
 
-/// What happened (see module docs for the sources).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightEventKind {
-    /// A request was admitted into a decode slot.
-    Admit {
-        /// Request id.
-        id: u64,
-        /// Lane (slot index) it landed in.
-        lane: u64,
-        /// Retention-ladder rung it was admitted at.
-        rung: u64,
-    },
-    /// A request reached a terminal state (completed, expired, dropped,
-    /// failed, …).
-    Terminal {
-        /// Request id.
-        id: u64,
-        /// Terminal reason, e.g. `completed`, `expired_queued`, `failed`.
-        reason: String,
-        /// Tokens decoded for the request by then.
-        tokens: u64,
-    },
-    /// The closed-loop controller moved between retention rungs.
-    Rung {
-        /// Rung before the change.
-        from: u64,
-        /// Rung after the change.
-        to: u64,
-    },
-    /// The controller's admission gate flipped.
-    Gate {
-        /// `true` when the gate closed, `false` when it reopened.
-        closed: bool,
-    },
-    /// A faulted request was scheduled for re-admission.
-    Retry {
-        /// Request id.
-        id: u64,
-        /// Decode attempt number after this retry.
-        attempt: u64,
-    },
-    /// A lane entered quarantine after a fault.
-    Quarantine {
-        /// Lane index.
-        lane: u64,
-    },
-    /// A quarantined lane was probed.
-    Probe {
-        /// Lane index.
-        lane: u64,
-        /// `true` when the probe passed and the lane was restored.
-        passed: bool,
-    },
-}
-
-impl FlightEventKind {
-    fn name(&self) -> &'static str {
-        match self {
-            Self::Admit { .. } => "admit",
-            Self::Terminal { .. } => "terminal",
-            Self::Rung { .. } => "rung",
-            Self::Gate { .. } => "gate",
-            Self::Retry { .. } => "retry",
-            Self::Quarantine { .. } => "quarantine",
-            Self::Probe { .. } => "probe",
-        }
-    }
-}
-
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightEvent {
     /// Monotone sequence number across the whole run (never resets, so
     /// ring wraparound is visible as a nonzero first sequence).
     pub seq: u64,
     /// Index into [`FlightRecorder::cells`] of the cell that was running.
     pub cell: u32,
-    /// Simulated cycle the event happened at.
-    pub cycle: u64,
-    /// What happened.
-    pub kind: FlightEventKind,
+    /// What happened, and at which simulated cycle.
+    pub event: ServeEvent,
+}
+
+/// The ring's name for a transition, or `None` for the kinds it does not
+/// keep (per-step traffic would evict the control history it exists for).
+pub fn flight_kind(what: &Transition) -> Option<&'static str> {
+    match what {
+        Transition::Admitted { .. } => Some("admit"),
+        Transition::Terminal { .. } => Some("terminal"),
+        Transition::Rung { .. } => Some("rung"),
+        Transition::Gate { .. } => Some("gate"),
+        Transition::Retry { .. } => Some("retry"),
+        Transition::Quarantine { .. } => Some("quarantine"),
+        Transition::Probe { .. } => Some("probe"),
+        Transition::Offered { .. }
+        | Transition::SlotStep { .. }
+        | Transition::FirstToken { .. }
+        | Transition::Discard { .. }
+        | Transition::StepBoundary { .. } => None,
+    }
 }
 
 impl FlightEvent {
-    fn to_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"cell\":{},\"cycle\":{},\"kind\":\"{}\"",
-            self.seq,
-            self.cell,
-            self.cycle,
-            self.kind.name()
-        );
-        match &self.kind {
-            FlightEventKind::Admit { id, lane, rung } => {
-                let _ = write!(out, ",\"id\":{id},\"lane\":{lane},\"rung\":{rung}");
+    fn write_json(&self, w: &mut JsonWriter) {
+        let kind = flight_kind(&self.event.what).expect("the ring only stores kinds it names");
+        w.compact_obj()
+            .field("seq", self.seq)
+            .field("cell", self.cell)
+            .field("cycle", self.event.cycle)
+            .field("kind", kind);
+        match &self.event.what {
+            Transition::Admitted { id, lane, rung, .. } => {
+                w.field("id", *id).field("lane", *lane).field("rung", *rung);
             }
-            FlightEventKind::Terminal { id, reason, tokens } => {
-                let _ = write!(out, ",\"id\":{id},\"reason\":");
-                dota_metrics::write_json_string(out, reason);
-                let _ = write!(out, ",\"tokens\":{tokens}");
+            Transition::Terminal {
+                id, reason, tokens, ..
+            } => {
+                w.field("id", *id)
+                    .field("reason", reason.name())
+                    .field("tokens", *tokens);
             }
-            FlightEventKind::Rung { from, to } => {
-                let _ = write!(out, ",\"from\":{from},\"to\":{to}");
+            Transition::Rung { from, to } => {
+                w.field("from", *from).field("to", *to);
             }
-            FlightEventKind::Gate { closed } => {
-                let _ = write!(out, ",\"closed\":{}", u8::from(*closed));
+            Transition::Gate { closed } => {
+                w.field("closed", u8::from(*closed));
             }
-            FlightEventKind::Retry { id, attempt } => {
-                let _ = write!(out, ",\"id\":{id},\"attempt\":{attempt}");
+            Transition::Retry { id, attempt, .. } => {
+                w.field("id", *id).field("attempt", *attempt);
             }
-            FlightEventKind::Quarantine { lane } => {
-                let _ = write!(out, ",\"lane\":{lane}");
+            Transition::Quarantine { lane } => {
+                w.field("lane", *lane);
             }
-            FlightEventKind::Probe { lane, passed } => {
-                let _ = write!(out, ",\"lane\":{lane},\"passed\":{}", u8::from(*passed));
+            Transition::Probe { lane, passed } => {
+                w.field("lane", *lane).field("passed", u8::from(*passed));
             }
+            _ => {}
         }
-        out.push('}');
+        w.end();
     }
 }
 
@@ -179,24 +128,6 @@ impl FlightRecorder {
     /// `label`.
     pub fn begin_cell(&mut self, label: &str) {
         self.cells.push(label.to_owned());
-    }
-
-    /// Records one event at the given simulated cycle, evicting the
-    /// oldest event when the ring is full.
-    pub fn record(&mut self, cycle: u64, kind: FlightEventKind) {
-        if self.cells.is_empty() {
-            self.cells.push("default".to_owned());
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(FlightEvent {
-            seq: self.seq,
-            cell: (self.cells.len() - 1) as u32,
-            cycle,
-            kind,
-        });
-        self.seq += 1;
     }
 
     /// Events currently held (≤ capacity).
@@ -234,54 +165,70 @@ impl FlightRecorder {
     /// trailing newline. A pure function of the recorded events, hence
     /// byte-deterministic.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 64);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", FLIGHT_VERSION));
-        out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        out.push_str(&format!("  \"recorded\": {},\n", self.seq));
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped()));
-        out.push_str("  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            dota_metrics::write_json_string(&mut out, cell);
+        let mut w = JsonWriter::pretty();
+        w.obj()
+            .field("version", FLIGHT_VERSION)
+            .field("capacity", self.capacity)
+            .field("recorded", self.seq)
+            .field("dropped", self.dropped())
+            .list("cells", &self.cells)
+            .key("events")
+            .arr();
+        for ev in &self.events {
+            ev.write_json(&mut w);
         }
-        out.push_str("],\n");
-        out.push_str("  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            ev.to_json(&mut out);
-        }
-        if !self.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 
-    /// Writes the flight document to `path` (write-then-rename so a
-    /// crash mid-dump never leaves a torn file).
+    /// Writes the flight document to `path` atomically, so a crash
+    /// mid-dump never leaves a torn file.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        dota_metrics::write_atomic(path, &self.to_json())
+    }
+}
+
+/// Keeps the events [`flight_kind`] names, evicting the oldest when the
+/// ring is full.
+impl EventSink for FlightRecorder {
+    fn on(&mut self, event: &ServeEvent) {
+        if flight_kind(&event.what).is_none() {
+            return;
+        }
+        if self.cells.is_empty() {
+            self.cells.push("default".to_owned());
+        }
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+        }
+        self.events.push_back(FlightEvent {
+            seq: self.seq,
+            cell: (self.cells.len() - 1) as u32,
+            event: event.clone(),
+        });
+        self.seq += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::FinishReason;
 
-    fn ev(id: u64) -> FlightEventKind {
-        FlightEventKind::Terminal {
+    fn at(cycle: u64, what: Transition) -> ServeEvent {
+        ServeEvent { cycle, what }
+    }
+
+    fn terminal(id: u64, reason: FinishReason) -> Transition {
+        Transition::Terminal {
             id,
-            reason: "completed".to_owned(),
+            reason,
             tokens: id * 2,
+            slo: None,
         }
     }
 
@@ -290,7 +237,7 @@ mod tests {
         let mut fr = FlightRecorder::new(4);
         fr.begin_cell("cell-a");
         for i in 0..10 {
-            fr.record(i * 100, ev(i));
+            fr.on(&at(i * 100, terminal(i, FinishReason::Completed)));
         }
         assert_eq!(fr.len(), 4);
         assert_eq!(fr.recorded(), 10);
@@ -305,9 +252,9 @@ mod tests {
     fn events_attribute_to_the_current_cell() {
         let mut fr = FlightRecorder::new(16);
         fr.begin_cell("first");
-        fr.record(1, ev(0));
+        fr.on(&at(1, terminal(0, FinishReason::Eos)));
         fr.begin_cell("second");
-        fr.record(2, ev(1));
+        fr.on(&at(2, terminal(1, FinishReason::Eos)));
         let cells: Vec<u32> = fr.events().map(|e| e.cell).collect();
         assert_eq!(cells, vec![0, 1]);
         assert_eq!(fr.cells(), ["first", "second"]);
@@ -316,46 +263,70 @@ mod tests {
     #[test]
     fn recording_without_a_cell_synthesizes_one() {
         let mut fr = FlightRecorder::new(4);
-        fr.record(0, FlightEventKind::Gate { closed: true });
+        fr.on(&at(0, Transition::Gate { closed: true }));
         assert_eq!(fr.cells(), ["default"]);
     }
 
     #[test]
-    fn json_is_canonical_and_covers_every_kind() {
+    fn json_is_canonical_and_covers_every_stored_kind() {
         let mut fr = FlightRecorder::new(16);
         fr.begin_cell("cell");
-        fr.record(
-            10,
-            FlightEventKind::Admit {
-                id: 1,
-                lane: 2,
-                rung: 0,
-            },
-        );
-        fr.record(20, FlightEventKind::Rung { from: 0, to: 1 });
-        fr.record(21, FlightEventKind::Gate { closed: true });
-        fr.record(30, FlightEventKind::Retry { id: 1, attempt: 2 });
-        fr.record(31, FlightEventKind::Quarantine { lane: 2 });
-        fr.record(
-            40,
-            FlightEventKind::Probe {
-                lane: 2,
-                passed: false,
-            },
-        );
-        fr.record(
-            50,
-            FlightEventKind::Terminal {
-                id: 1,
-                reason: "failed".to_owned(),
-                tokens: 3,
-            },
-        );
+        for ev in [
+            at(
+                10,
+                Transition::Admitted {
+                    id: 1,
+                    lane: 2,
+                    rung: 0,
+                    retention: 1.0,
+                    attempt: 0,
+                },
+            ),
+            // Per-request and per-step traffic is not the ring's to keep.
+            at(15, Transition::FirstToken { id: 1 }),
+            at(20, Transition::Rung { from: 0, to: 1 }),
+            at(21, Transition::Gate { closed: true }),
+            at(
+                30,
+                Transition::Retry {
+                    id: 1,
+                    attempt: 2,
+                    discarded: 1,
+                },
+            ),
+            at(31, Transition::Quarantine { lane: 2 }),
+            at(
+                40,
+                Transition::Probe {
+                    lane: 2,
+                    passed: false,
+                },
+            ),
+            at(
+                45,
+                Transition::Discard {
+                    id: 1,
+                    discarded: 3,
+                },
+            ),
+            at(
+                50,
+                Transition::Terminal {
+                    id: 1,
+                    reason: FinishReason::Failed,
+                    tokens: 3,
+                    slo: None,
+                },
+            ),
+        ] {
+            fr.on(&ev);
+        }
+        assert_eq!(fr.recorded(), 7);
         let json = fr.to_json();
         // Deterministic: same recorder, same bytes.
         assert_eq!(json, fr.to_json());
         for needle in [
-            "\"kind\":\"admit\",\"id\":1,\"lane\":2,\"rung\":0",
+            "{\"seq\":0,\"cell\":0,\"cycle\":10,\"kind\":\"admit\",\"id\":1,\"lane\":2,\"rung\":0}",
             "\"kind\":\"rung\",\"from\":0,\"to\":1",
             "\"kind\":\"gate\",\"closed\":1",
             "\"kind\":\"retry\",\"id\":1,\"attempt\":2",
@@ -375,7 +346,7 @@ mod tests {
         let path = dir.join("flight.json");
         let mut fr = FlightRecorder::new(4);
         fr.begin_cell("c");
-        fr.record(1, ev(0));
+        fr.on(&at(1, terminal(0, FinishReason::Completed)));
         fr.write(&path).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(back, fr.to_json());

@@ -1,13 +1,14 @@
 //! Shared live gauges the serve engine publishes into.
 //!
 //! The engine owns the scheduling loop; the metrics endpoint runs on an
-//! accept thread. [`ServeGauges`] is the cell between them: the engine
-//! [`publish`](ServeGauges::publish)es a full [`GaugesSample`] once per
-//! step (and at terminal transitions), the endpoint
-//! [`snapshot`](ServeGauges::snapshot)s it at scrape time. Publishing is
-//! observation-only — nothing in the engine ever reads the cell back.
+//! accept thread. [`ServeGauges`] is the cell between them: as an
+//! [`EventSink`] it keeps the state of the latest
+//! [`Transition::StepBoundary`] under the current cell's name, and the
+//! endpoint [`snapshot`](ServeGauges::snapshot)s it at scrape time.
+//! Observation-only — nothing in the engine ever reads the cell back.
 
-use std::sync::{Mutex, PoisonError};
+use crate::event::{EventSink, ServeEvent, Transition};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One coherent reading of the engine's live state, in simulated cycles
 /// and counts — never wall time, so published values are deterministic
@@ -61,9 +62,12 @@ impl ServeGauges {
         Self::default()
     }
 
-    /// Replaces the published sample.
-    pub fn publish(&self, sample: &GaugesSample) {
-        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) = sample.clone();
+    /// Starts a new cell: the gauges restart from zero under `label`.
+    pub fn begin_cell(&self, label: &str) {
+        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) = GaugesSample {
+            cell: label.to_owned(),
+            ..GaugesSample::default()
+        };
     }
 
     /// A copy of the most recently published sample.
@@ -72,6 +76,18 @@ impl ServeGauges {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
+    }
+}
+
+/// The gauges are the latest step boundary, under the current cell's name.
+impl EventSink for Arc<ServeGauges> {
+    fn on(&mut self, event: &ServeEvent) {
+        if let Transition::StepBoundary { state, .. } = &event.what {
+            let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let cell = std::mem::take(&mut g.cell);
+            g.clone_from(state);
+            g.cell = cell;
+        }
     }
 }
 
@@ -93,11 +109,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn publish_then_snapshot_round_trips() {
-        let g = ServeGauges::new();
+    fn step_boundaries_publish_under_the_cell_name() {
+        let mut g = Arc::new(ServeGauges::new());
         assert_eq!(g.snapshot(), GaugesSample::default());
-        let s = GaugesSample {
-            cell: "serve[slo@4x]".into(),
+        g.begin_cell("serve[slo@4x]");
+        let state = GaugesSample {
+            cell: String::new(),
             cycle: 123,
             steps: 7,
             queue_depth: 3,
@@ -113,8 +130,28 @@ mod tests {
             lane_retained: vec![4, 0, 2, 2],
             lane_skew_milli: 1500,
         };
-        g.publish(&s);
-        assert_eq!(g.snapshot(), s);
+        g.on(&ServeEvent {
+            cycle: 123,
+            what: Transition::StepBoundary {
+                start: 100,
+                batch: 8,
+                tokens: 3,
+                timeouts: 0,
+                burn: Some(1.31),
+                state: state.clone(),
+            },
+        });
+        let expected = GaugesSample {
+            cell: "serve[slo@4x]".into(),
+            ..state
+        };
+        assert_eq!(g.snapshot(), expected);
+        // Other transitions leave the gauges alone.
+        g.on(&ServeEvent {
+            cycle: 124,
+            what: Transition::Gate { closed: true },
+        });
+        assert_eq!(g.snapshot(), expected);
     }
 
     #[test]

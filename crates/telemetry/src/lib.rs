@@ -10,16 +10,20 @@
 //!   gauges, and `dota-metrics` histograms (cumulative buckets, exact
 //!   `_sum`/`_count`) into valid exposition format; the validator is the
 //!   same grammar check CI lints scraped output with.
-//! * [`gauges`] — a shared [`ServeGauges`] cell the engine publishes its
-//!   per-step state into (queue depth, occupancy, SLO burn, retention
-//!   rung, admission-gate state, quarantined lanes, per-lane retained
-//!   work) and the endpoint reads at scrape time.
+//! * [`event`] — the vocabulary of the serve event spine: the engine
+//!   emits one cycle-stamped [`ServeEvent`] per scheduler transition, and
+//!   every observer (here and in `dota-serve`) is an [`EventSink`] folding
+//!   that one stream.
+//! * [`gauges`] — a shared [`ServeGauges`] cell holding the latest step
+//!   boundary's state (queue depth, occupancy, SLO burn, retention rung,
+//!   admission-gate state, quarantined lanes, per-lane retained work),
+//!   which the endpoint reads at scrape time.
 //! * [`http`] — a minimal blocking HTTP/1.1 listener
 //!   ([`MetricsServer`]) serving `GET /metrics` from a background
 //!   thread, plus the tiny client [`http::get`] that `dota top` and the
 //!   tests poll it with. Zero dependencies: `std::net` only.
-//! * [`flight`] — a bounded ring buffer of cycle-stamped engine events
-//!   ([`FlightRecorder`]): admissions, expiries, terminals, controller
+//! * [`flight`] — a bounded ring buffer ([`FlightRecorder`]) keeping the
+//!   tail of the stream's control history: admissions, terminals, controller
 //!   rung changes and gate flips, fault retries, quarantine
 //!   enter/probe/exit. Dumped as canonical, byte-deterministic
 //!   `flight.json` on typed failure, on SIGTERM, or via `--flight-out`,
@@ -35,13 +39,17 @@
 
 #![deny(missing_docs)]
 
+pub mod event;
 pub mod exposition;
 pub mod flight;
 pub mod gauges;
 pub mod http;
 pub mod top;
 
-pub use flight::{FlightEvent, FlightEventKind, FlightHandle, FlightRecorder, FLIGHT_VERSION};
+pub use event::{
+    DeadlineClass, EventSink, FinishReason, ServeEvent, SloReading, StepRecord, Transition,
+};
+pub use flight::{flight_kind, FlightEvent, FlightHandle, FlightRecorder, FLIGHT_VERSION};
 pub use gauges::{GaugesSample, ServeGauges};
 pub use http::MetricsServer;
 

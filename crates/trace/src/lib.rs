@@ -18,7 +18,9 @@
 //!
 //! Collection is **off by default** and costs one relaxed atomic load per
 //! call site when disabled, so instrumented hot paths stay cheap. A
-//! [`session`] turns collection on:
+//! [`session`] turns collection on **for the thread that opened it** and
+//! for threads that [`Scope::enter`] its [`scope`] token (the thread pool
+//! does this for its workers); work on any other thread records nothing:
 //!
 //! ```
 //! let trace = dota_trace::session("example");
@@ -31,9 +33,9 @@
 //!
 //! Sessions are exclusive: [`session`] blocks until any other live
 //! [`TraceGuard`] is dropped (do not nest sessions on one thread — that
-//! deadlocks by design rather than silently mixing two recordings). This
-//! serializes the tests that assert on counters without any global test
-//! ordering.
+//! deadlocks by design rather than silently mixing two recordings).
+//! Reading ([`counters_snapshot`], the guard's accessors) is process-wide,
+//! so an exporter thread can pull from a session it never joined.
 //!
 //! The crate is dependency-free; the Chrome-trace and counters JSON are
 //! emitted by hand so the simulator crates do not pull serialization into
@@ -41,8 +43,9 @@
 
 #![deny(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -51,15 +54,19 @@ pub const HOST_PID: u32 = 0;
 /// Process ID used for simulated-hardware (cycle-time) events.
 pub const SIM_PID: u32 = 1;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Id of the live session (0 when none); ids are never reused.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
 static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<State> = Mutex::new(State::new());
 static NEXT_HOST_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
+    /// Id of the session this thread records into (0 when none).
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
     /// Host-span bookkeeping: this thread's Chrome tid and its current
     /// span-nesting depth (depth guarantees well-nested X events per tid).
-    static HOST_THREAD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static HOST_THREAD: Cell<u64> = const { Cell::new(0) };
 }
 
 #[derive(Debug)]
@@ -116,11 +123,40 @@ fn lock_state() -> MutexGuard<'static, State> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether a trace session is currently collecting. Instrumented code may
-/// use this to skip preparing expensive event arguments.
+/// Whether the calling thread records into a live trace session: it
+/// opened the session, or entered its [`scope`]. Instrumented code may use
+/// this to skip preparing expensive event arguments.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let live = LIVE.load(Ordering::Relaxed);
+    live != 0 && SCOPE.with(Cell::get) == live
+}
+
+/// A thread's membership in a trace session, for handing to threads that
+/// work on its behalf (see [`scope`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Scope(u64);
+
+/// The calling thread's session membership (possibly none).
+pub fn scope() -> Scope {
+    Scope(SCOPE.with(Cell::get))
+}
+
+impl Scope {
+    /// Joins the calling thread to this scope until the guard drops.
+    pub fn enter(self) -> ScopeGuard {
+        ScopeGuard(SCOPE.with(|s| s.replace(self.0)))
+    }
+}
+
+/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
+#[derive(Debug)]
+pub struct ScopeGuard(u64);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
 }
 
 /// Adds `delta` to the named counter. A no-op (one atomic load) outside a
@@ -280,7 +316,9 @@ impl Drop for HostSpan {
 pub fn session(label: &str) -> TraceGuard {
     let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
     lock_state().clear(label);
-    ENABLED.store(true, Ordering::SeqCst);
+    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
+    SCOPE.with(|s| s.set(id));
+    LIVE.store(id, Ordering::SeqCst);
     TraceGuard { _gate: gate }
 }
 
@@ -409,7 +447,8 @@ impl TraceGuard {
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+        LIVE.store(0, Ordering::SeqCst);
+        SCOPE.with(|s| s.set(0));
     }
 }
 
@@ -477,9 +516,11 @@ mod tests {
     #[test]
     fn concurrent_counts_sum_exactly() {
         let t = session("threads");
+        let scope = scope();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| {
+                s.spawn(move || {
+                    let _in = scope.enter();
                     for _ in 0..1000 {
                         count("hits", 1);
                     }
@@ -487,6 +528,24 @@ mod tests {
             }
         });
         assert_eq!(t.counter("hits"), 8000);
+    }
+
+    #[test]
+    fn recording_is_scoped_to_the_owning_thread() {
+        let t = session("owner");
+        // The spawned thread runs while the session is live but never
+        // entered its scope: nothing it does may land in the recording.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled());
+                count("stray", 1);
+                sim_counter("stray.track", 0, 1);
+                drop(host_span("stray.span"));
+            });
+        });
+        assert!(enabled());
+        assert!(t.counters().is_empty());
+        assert!(!t.chrome_trace_json().contains("stray"));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! and stay bitwise identical regardless of how many threads the host
 //! fans work across.
 //!
-//! Sessions are exclusive (`dota_trace::session` serializes through a
-//! global gate), so these tests can run under the default multi-threaded
-//! test harness without interleaving counters.
+//! A session records only from the thread that opened it (and pool workers
+//! it dispatches to), so these tests can run under the default
+//! multi-threaded test harness without seeing each other's counters.
 
 use dota_accel::sched;
 use std::collections::BTreeMap;

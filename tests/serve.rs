@@ -21,14 +21,6 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Holds a zero-rate fault session while an in-process, fault-free engine
-/// run executes: fault sessions are process-global and exclusive, so this
-/// serializes against the chaos tests below instead of being contaminated
-/// by their injection. CLI tests spawn subprocesses and need no guard.
-fn quiet_faults() -> dota_faults::FaultGuard {
-    dota_faults::session(dota_faults::FaultPlan::new(0))
-}
-
 fn quick_opts() -> BenchOptions {
     BenchOptions {
         requests: 60,
@@ -42,7 +34,6 @@ fn quick_opts() -> BenchOptions {
 /// call by the thread pool) yields the same bytes.
 #[test]
 fn bench_report_bytes_ignore_thread_count() {
-    let _quiet = quiet_faults();
     let prev = std::env::var("DOTA_THREADS").ok();
     std::env::set_var("DOTA_THREADS", "1");
     let serial = run_bench(quick_opts()).unwrap().to_json();
@@ -88,7 +79,6 @@ fn cli_serve_report_byte_identical_across_thread_counts() {
 /// reason to exist; if the gap closes, something real regressed.
 #[test]
 fn retention_shedding_beats_queue_only_p99_at_overload() {
-    let _quiet = quiet_faults();
     let opts = BenchOptions {
         requests: 120,
         loads: vec![4.0],
@@ -182,7 +172,6 @@ fn cli_serve_report_roundtrips_through_report_diff() {
 /// loop, so parallel per-slot decode cannot leak into its bytes.
 #[test]
 fn timeline_bytes_ignore_thread_count() {
-    let _quiet = quiet_faults();
     let opts = || BenchOptions {
         timeline: true,
         ..quick_opts()
@@ -205,7 +194,6 @@ fn timeline_bytes_ignore_thread_count() {
 /// `results/serve_baseline.json` untouched.
 #[test]
 fn timeline_recording_leaves_bench_report_bytes_unchanged() {
-    let _quiet = quiet_faults();
     let without = run_bench(quick_opts()).unwrap().to_json();
     let with = run_bench(BenchOptions {
         timeline: true,
@@ -216,35 +204,59 @@ fn timeline_recording_leaves_bench_report_bytes_unchanged() {
     assert_eq!(without, with, "recording the timeline perturbed the report");
 }
 
-/// The telemetry plane is observation-only: attaching a flight recorder
-/// and live gauges to a bench run cannot move a single scheduling
-/// decision, so the report keeps its exact bytes. This is the invariant
-/// that lets `--metrics-addr` run against production baselines.
+/// Every observer is a fold behind the engine's event spine: attaching all
+/// of them — timeline, flight ring, live gauges, trace and histogram
+/// sessions — cannot move a single scheduling decision, so the report
+/// keeps its exact bytes. Checked fault-free and with every serve-layer
+/// fault site armed, so the retry, quarantine and failure paths are
+/// watched too. This is the invariant that lets `--metrics-addr` run
+/// against production baselines.
 #[test]
 fn telemetry_attachment_leaves_bench_report_bytes_unchanged() {
-    let _quiet = quiet_faults();
-    let without = run_bench(quick_opts()).unwrap().to_json();
-    let flight = dota_telemetry::FlightRecorder::shared(4096);
-    let gauges = std::sync::Arc::new(dota_telemetry::ServeGauges::new());
-    let with = run_bench(BenchOptions {
-        flight: Some(std::sync::Arc::clone(&flight)),
-        gauges: Some(std::sync::Arc::clone(&gauges)),
-        ..quick_opts()
-    })
-    .unwrap()
-    .to_json();
-    assert_eq!(without, with, "attaching telemetry perturbed the report");
-    // And the observers did observe: events were recorded and the last
-    // published sample names the final cell.
-    let rec = flight
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert!(rec.recorded() > 0, "flight recorder saw no events");
-    assert_eq!(
-        rec.cells().last().map(String::as_str),
-        Some("serve[retention@4x]")
-    );
-    assert_eq!(gauges.snapshot().cell, "serve[retention@4x]");
+    for faults in [
+        None,
+        Some("slot.fail=0.1,kv.corrupt=0.05,decode.timeout=0.1"),
+    ] {
+        let _faults = faults
+            .map(|spec| dota_faults::session(dota_faults::FaultPlan::parse_spec(7, spec).unwrap()));
+        let opts = || BenchOptions {
+            sheds: vec![ShedPolicy::Slo, ShedPolicy::Retention],
+            ..quick_opts()
+        };
+        let without = run_bench(opts()).unwrap().to_json();
+        let flight = dota_telemetry::FlightRecorder::shared(4096);
+        let gauges = std::sync::Arc::new(dota_telemetry::ServeGauges::new());
+        let trace = dota_trace::session("observed");
+        let hists = dota_metrics::hist_session("observed");
+        let with = run_bench(BenchOptions {
+            timeline: true,
+            flight: Some(std::sync::Arc::clone(&flight)),
+            gauges: Some(std::sync::Arc::clone(&gauges)),
+            ..opts()
+        })
+        .unwrap();
+        assert_eq!(
+            without,
+            with.to_json(),
+            "attaching observers perturbed the report (faults: {faults:?})"
+        );
+        // And the observers did observe: every view saw its share of the
+        // stream, and the last published sample names the final cell.
+        let rec = flight
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert!(rec.recorded() > 0, "flight recorder saw no events");
+        assert_eq!(
+            rec.cells().last().map(String::as_str),
+            Some("serve[retention@4x]")
+        );
+        assert_eq!(gauges.snapshot().cell, "serve[retention@4x]");
+        assert_eq!(with.timeline.unwrap().cells.len(), with.cells.len());
+        assert!(trace.counter("serve.steps") > 0);
+        assert!(hists.histogram("serve.slo.burn").is_some());
+        assert!(trace.counter("serve.slo.windows") > 0);
+        assert_eq!(trace.counter("serve.retries") > 0, faults.is_some());
+    }
 }
 
 /// The CLI timeline round-trips: `serve --timeline` writes the same bytes
@@ -369,7 +381,6 @@ fn cli_audit_flags_a_tampered_timeline() {
 /// only bite when demand outruns capacity.
 #[test]
 fn underload_cell_serves_every_request() {
-    let _quiet = quiet_faults();
     let report = run_bench(quick_opts()).unwrap();
     for &shed in &[ShedPolicy::QueueOnly, ShedPolicy::Retention] {
         let cell = report.cell(shed, 0.8).unwrap();
@@ -389,7 +400,6 @@ fn underload_cell_serves_every_request() {
 /// engages (degraded admissions, controller activity in the report).
 #[test]
 fn slo_control_no_worse_than_static_retention_at_overload() {
-    let _quiet = quiet_faults();
     let opts = BenchOptions {
         requests: 120,
         loads: vec![4.0],
