@@ -13,18 +13,21 @@
 //! `--features prof-alloc`, asserts that the packed GEMM path stays
 //! within a fixed steady-state allocation budget (the pooled pack
 //! buffers and `matmul_into` outputs make repeated products allocation-
-//! free). CI runs this leg.
+//! free) and that a `decode_step` allocates no more at a long context
+//! than at a short one. CI runs this leg.
 //!
 //! Thread-pool speedups depend on the machine: the report records the
 //! actual pool width, physical core count and detected CPU features so
 //! `pool_speedup` is interpretable across hosts — expect ~1.0 on a
 //! single-core container and >3x at 2048² on a real multi-core host.
 
+use dota_autograd::ParamSet;
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
 use dota_tensor::{ops, reference, Matrix};
+use dota_transformer::{DenseDecode, KvCache, Model, TransformerConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -423,6 +426,42 @@ fn run_quick() -> bool {
         return false;
     }
     println!("steady-state allocation budget: OK");
+    decode_allocs_independent_of_context()
+}
+
+/// The decode leg of the `--quick` allocation smoke: one dense
+/// `decode_step` makes the same number of heap allocations at context 64
+/// as at context 768 — every buffer it takes is per step, per layer or per
+/// head, none per cached position. (The cache's own storage doubles,
+/// amortized, on power-of-two lengths; both probes sit between doublings.)
+fn decode_allocs_independent_of_context() -> bool {
+    const PROBES: [usize; 2] = [64, 768];
+    let mut params = ParamSet::new();
+    let model = Model::init(
+        TransformerConfig::tiny_causal(PROBES[1], 16),
+        &mut params,
+        5,
+    );
+    let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+    let mut calls = [0u64; 2];
+    while cache.len() < PROBES[1] {
+        let before = dota_prof::alloc_stats().allocation_calls;
+        let token = cache.len() % 16;
+        std::hint::black_box(model.decode_step(&params, &mut cache, token, &DenseDecode));
+        let spent = dota_prof::alloc_stats().allocation_calls - before;
+        if let Some(i) = PROBES.iter().position(|&p| p == cache.len()) {
+            calls[i] = spent;
+        }
+    }
+    println!(
+        "decode_step heap allocations at context {}: {}, at context {}: {}",
+        PROBES[0], calls[0], PROBES[1], calls[1]
+    );
+    if calls[0] != calls[1] {
+        eprintln!("FAIL: decode_step allocates more as the cache grows");
+        return false;
+    }
+    println!("decode allocation count independent of context: OK");
     true
 }
 

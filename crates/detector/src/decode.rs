@@ -49,7 +49,11 @@ impl<'a> DotaDecodeSelector<'a> {
             n_heads,
             cache: RefCell::new(SketchCache {
                 keys: (0..n_layers)
-                    .map(|_| (0..n_heads).map(|_| Matrix::zeros(0, 1)).collect())
+                    .map(|l| {
+                        (0..n_heads)
+                            .map(|h| Matrix::zeros(0, hook.detector(l, h).rank()))
+                            .collect()
+                    })
                     .collect(),
                 len: 0,
             }),
@@ -71,30 +75,25 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         let k_row = xp.matmul(self.params.value(det.wk_tilde())).expect("shape");
         let q_row = xp.matmul(self.params.value(det.wq_tilde())).expect("shape");
 
-        // Append this step's key sketch (the model appends its K/V before
-        // calling attention, so cache_len already includes the new row).
-        {
-            let mut cache = self.cache.borrow_mut();
-            let slot = &mut cache.keys[layer][head];
-            *slot = if slot.rows() == 0 {
-                k_row
-            } else {
-                Matrix::vcat(&[slot, &k_row]).expect("sketch width fixed")
-            };
-            if layer == 0 && head == 0 {
-                cache.len = cache_len;
-            }
-            debug_assert_eq!(cache.keys[layer][head].rows(), cache_len);
+        // Append this step's key sketch in place (the model appends its
+        // K/V before calling attention, so cache_len already includes the
+        // new row).
+        let mut cache = self.cache.borrow_mut();
+        if layer == 0 && head == 0 {
+            cache.len = cache_len;
         }
+        let sketches = &mut cache.keys[layer][head];
+        sketches.push_row(k_row.row(0));
+        debug_assert_eq!(sketches.rows(), cache_len);
 
-        // Estimated scores of the new query against every cached key.
-        let cache = self.cache.borrow();
-        let sketches = &cache.keys[layer][head];
-        let scores = q_row.matmul_nt(sketches).expect("shape");
+        // Estimated scores of the new query against every cached key: one
+        // exact ascending-k dot per sketch row, no operand packed or copied.
+        let q = q_row.row(0);
+        let scores: Vec<f32> = sketches.rows_iter().map(|k| Matrix::dot(q, k)).collect();
         let keep = ((self.cfg.retention_for_layer(layer) * cache_len as f64).round() as usize)
             .clamp(1, cache_len);
         Some(
-            topk::top_k_indices(scores.row(0), keep)
+            topk::top_k_indices(&scores, keep)
                 .into_iter()
                 .map(|i| i as u32)
                 .collect(),

@@ -124,7 +124,7 @@ pub struct ChaosCell {
     pub served: usize,
     /// Requests lost to faults (retry cap / deadline during backoff).
     pub failed: usize,
-    /// Rejected at arrival (queue full).
+    /// Rejected at arrival (queue full, or a request the model cannot run).
     pub rejected: usize,
     /// Expired while queued.
     pub queue_expired: usize,

@@ -12,7 +12,8 @@
 //! Each scheduler step:
 //!
 //! 1. **ingest** — arrivals up to `now` join their class queue (FIFO
-//!    within class; the queue rejects above `queue_capacity`);
+//!    within class; the queue rejects above `queue_capacity`, and rejects
+//!    requests the model cannot run at all);
 //! 2. **expire** — queued requests whose deadline already passed leave as
 //!    [`FinishReason::QueueExpired`];
 //! 3. **admit** — free batch slots fill from the queues (interactive
@@ -508,10 +509,14 @@ impl<'m> ServeEngine<'m> {
     /// Runs the trace to completion: every offered request terminates
     /// (served, evicted, expired or rejected) before this returns.
     ///
+    /// A request the model cannot run — empty prompt, `max_new` of zero,
+    /// longer than `seq_len`, or a prompt token outside the vocabulary —
+    /// is turned away at arrival as [`FinishReason::Rejected`], like one
+    /// that finds the queue full.
+    ///
     /// # Panics
     ///
-    /// Panics if `requests` is not sorted by arrival, a prompt is empty,
-    /// `max_new` is zero, or a request does not fit the model's `seq_len`.
+    /// Panics if `requests` is not sorted by arrival.
     pub fn run(mut self, requests: Vec<Request>) -> ServeOutcome {
         let _sp = dota_prof::span("serve.run");
         for w in requests.windows(2) {
@@ -695,20 +700,19 @@ impl<'m> ServeEngine<'m> {
         );
     }
 
+    /// `true` when the model can run `req` at all: a non-empty prompt of
+    /// in-vocabulary tokens, at least one token to generate, and a total
+    /// length within `seq_len`. Anything else would panic inside
+    /// `decode_step` in the middle of a batch.
+    fn runnable(&self, req: &Request) -> bool {
+        let mcfg = self.model.config();
+        !req.prompt.is_empty()
+            && req.max_new >= 1
+            && req.total_positions() <= mcfg.seq_len
+            && req.prompt.iter().all(|&t| t < mcfg.vocab_size)
+    }
+
     fn enqueue(&mut self, req: Request) {
-        assert!(
-            !req.prompt.is_empty(),
-            "request {} has an empty prompt",
-            req.id
-        );
-        assert!(req.max_new >= 1, "request {} asks for zero tokens", req.id);
-        assert!(
-            req.total_positions() <= self.model.config().seq_len,
-            "request {} needs {} positions but seq_len is {}",
-            req.id,
-            req.total_positions(),
-            self.model.config().seq_len
-        );
         let deadline = req.arrival + self.cfg.deadline_cycles(req.class);
         let base = self.cfg.ladder[0];
         let (id, class, arrival) = (req.id, req.class, req.arrival);
@@ -719,7 +723,7 @@ impl<'m> ServeEngine<'m> {
             deadline,
             retention: base,
         });
-        if self.pending_len() >= self.cfg.queue_capacity {
+        if !self.runnable(&req) || self.pending_len() >= self.cfg.queue_capacity {
             let now = self.now;
             self.finish(&req, deadline, now, FinishReason::Rejected, base, 0, None);
             return;
@@ -1287,6 +1291,36 @@ mod tests {
         let c = &out.completions[0];
         assert_eq!(c.reason, FinishReason::Eos);
         assert_eq!(c.tokens, vec![first]);
+    }
+
+    /// Requests the model cannot run leave as typed rejections carrying
+    /// their id — no panic at arrival, none mid-batch inside `decode_step`
+    /// — and their batch-mates are served as if they had never arrived.
+    #[test]
+    fn unrunnable_requests_are_rejected_not_panicked_on() {
+        let (model, params) = tiny_model(24);
+        let good = [req(1, 0, &[1, 2, 3], 4), req(6, 5, &[7, 0], 2)];
+        let mut trace = vec![
+            good[0].clone(),
+            req(2, 0, &[], 4),        // empty prompt
+            req(3, 0, &[1, 2], 0),    // nothing to generate
+            req(4, 0, &[1; 20], 5),   // 25 positions > seq_len 24
+            req(5, 0, &[1, 8, 2], 4), // token 8 in a vocabulary of 8
+            good[1].clone(),
+        ];
+        trace.sort_by_key(|r| r.arrival);
+        let out = engine(&model, &params, ServeConfig::default()).run(trace);
+        assert_eq!(out.completions.len(), 6);
+        for id in 2..=5 {
+            let c = out.completions.iter().find(|c| c.id == id).unwrap();
+            assert_eq!(c.reason, FinishReason::Rejected, "request {id}");
+            assert!(c.tokens.is_empty() && c.admit.is_none(), "request {id}");
+        }
+        let alone = engine(&model, &params, ServeConfig::default()).run(good.to_vec());
+        for c in &alone.completions {
+            let served = out.completions.iter().find(|o| o.id == c.id).unwrap();
+            assert_eq!(served, c);
+        }
     }
 
     #[test]

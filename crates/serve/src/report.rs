@@ -161,7 +161,7 @@ pub struct CellReport {
     pub deadline_evicted: usize,
     /// Expired while queued.
     pub queue_expired: usize,
-    /// Rejected at arrival (queue full).
+    /// Rejected at arrival (queue full, or a request the model cannot run).
     pub rejected: usize,
     /// Lost to injected faults (retry cap exhausted or deadline passed
     /// during backoff). Always 0 without fault injection, and then omitted

@@ -44,7 +44,9 @@ pub enum FinishReason {
     DeadlineEvicted,
     /// Deadline passed while still queued; never admitted.
     QueueExpired,
-    /// The pending queue was full at arrival.
+    /// Turned away at arrival: the pending queue was full, or the model
+    /// cannot run the request (empty prompt, nothing to generate, longer
+    /// than the context, or a token outside the vocabulary).
     Rejected,
     /// Lost to injected faults: the retry cap was exhausted, or the
     /// deadline passed while the request waited out a retry backoff.

@@ -7,13 +7,13 @@
 //! Each layout dispatches over the kernel families in [`crate::simd`]:
 //! products big enough to amortize panel packing run the packed SIMD
 //! microkernel driver ([`crate::simd::packed_gemm`]) when the selected
-//! family has lanes on this host; everything else — small products, the
-//! `scalar` family, hosts without SIMD — runs the legacy blocked kernels
-//! below. The legacy path builds each product from one row-range kernel,
-//! cache-blocked over `i`/`k` with a 4-wide unrolled inner microkernel;
-//! with the `parallel` feature, products past [`PAR_CUTOFF_FLOPS`] run
-//! that kernel over per-worker row blocks via
-//! `dota_parallel::par_partition_mut`.
+//! family has lanes on this host; everything else — small products,
+//! row-vector products `x·W` (one output row gives packing nothing to
+//! amortize over), the `scalar` family, hosts without SIMD — runs the
+//! legacy blocked kernels below. The legacy path builds each product from
+//! one row-range kernel, cache-blocked over `i`/`k`; with the `parallel`
+//! feature, products past [`PAR_CUTOFF_FLOPS`] run that kernel over
+//! per-worker row blocks via `dota_parallel::par_partition_mut`.
 //!
 //! Both paths keep the same numerics contract: every output element is one
 //! ascending-`k` accumulation chain, so for the `scalar` and `simd`
@@ -78,27 +78,23 @@ fn gemm_dispatch(
         Layout::Tn => a.rows(),
     };
     let flops = m * k * n;
-    if let Some(micro) = simd::packed_kernel(KernelFamily::active(), flops) {
-        simd::packed_gemm(layout, a, b, out, micro);
-        return;
+    // `x·W` with a single row is `k` axpys over rows of `b` that are
+    // already contiguous: packing would copy all of `b` to use it once.
+    let row_vector = m == 1 && layout == Layout::Nn;
+    if !row_vector {
+        if let Some(micro) = simd::packed_kernel(KernelFamily::active(), flops) {
+            simd::packed_gemm(layout, a, b, out, micro);
+            return;
+        }
     }
     row_dispatch(out, flops, legacy);
 }
 
-/// `out += a * b` over a row, 4-wide unrolled so the optimizer sees
-/// independent straight-line multiply-adds to vectorize.
+/// `out += a * b` over a row. The plain `zip` is the form LLVM vectorizes;
+/// every element is its own chain, so lane width never shows in the bits.
 #[inline]
 fn axpy(out: &mut [f32], b: &[f32], a: f32) {
-    let split = out.len() - out.len() % 4;
-    let (o_main, o_tail) = out.split_at_mut(split);
-    let (b_main, b_tail) = b.split_at(split);
-    for (o, x) in o_main.chunks_exact_mut(4).zip(b_main.chunks_exact(4)) {
-        o[0] += a * x[0];
-        o[1] += a * x[1];
-        o[2] += a * x[2];
-        o[3] += a * x[3];
-    }
-    for (o, &x) in o_tail.iter_mut().zip(b_tail) {
+    for (o, &x) in out.iter_mut().zip(b) {
         *o += a * x;
     }
 }
@@ -488,9 +484,11 @@ mod tests {
         // SIMD driver (when this host has lanes) must reproduce the
         // reference chain exactly, like the legacy kernels do. Runs under
         // both `simd` and `scalar` so the dispatch seam itself is pinned.
+        // The single-row case takes the row kernel for `nn` (never packed)
+        // and the packed driver for `nt`.
         let mut rng = SeededRng::new(7);
         for family in ["simd", "scalar"] {
-            for &(m, k, n) in &[(37, 41, 43), (64, 64, 64), (70, 33, 130)] {
+            for &(m, k, n) in &[(37, 41, 43), (64, 64, 64), (70, 33, 130), (1, 128, 515)] {
                 let a = rng.normal_matrix(m, k, 1.0);
                 let b = rng.normal_matrix(k, n, 1.0);
                 let bt = rng.normal_matrix(n, k, 1.0);

@@ -397,6 +397,18 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
+    /// Appends `row` as the new last row, in place: amortized `O(cols)`,
+    /// the storage doubles like a `Vec`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.cols()`.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.cols, "pushed row width mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -583,6 +595,24 @@ mod tests {
         assert!(Matrix::hcat(&[&a, &c]).is_err());
         let d = Matrix::filled(1, 3, 0.0);
         assert!(Matrix::vcat(&[&a, &d]).is_err());
+    }
+
+    #[test]
+    fn push_row_matches_vcat() {
+        let mut m = Matrix::zeros(0, 3);
+        let mut want = Matrix::zeros(0, 3);
+        for r in 0..5 {
+            let row = Matrix::from_fn(1, 3, |_, c| (r * 3 + c) as f32);
+            m.push_row(row.row(0));
+            want = Matrix::vcat(&[&want, &row]).unwrap();
+            assert_eq!(m, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn push_row_checks_width() {
+        Matrix::zeros(0, 3).push_row(&[1.0, 2.0]);
     }
 
     #[test]

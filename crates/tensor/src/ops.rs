@@ -264,6 +264,72 @@ mod tests {
     }
 }
 
+/// Scaled scores `q·K[j]·scale` of the keys `k.row(j)[c0..c0 + q.len()]`,
+/// `j` over `sel`: each one ascending-`k` chain from zero, the arithmetic
+/// of [`Matrix::dot`].
+fn selected_scores(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32) -> Vec<f32> {
+    let key = |j: u32| &k.row(j as usize)[c0..c0 + q.len()];
+    let mut scores = Vec::with_capacity(sel.len());
+    // Four keys per pass: a lone chain waits out the add latency at every
+    // step, four independent ones keep the adder busy. Order *within* a
+    // chain is what the bits depend on, and that is untouched.
+    let mut groups = sel.chunks_exact(4);
+    for g in &mut groups {
+        let keys = q
+            .iter()
+            .zip(key(g[0]))
+            .zip(key(g[1]))
+            .zip(key(g[2]))
+            .zip(key(g[3]));
+        let mut acc = [0.0f32; 4];
+        for ((((&qk, &k0), &k1), &k2), &k3) in keys {
+            acc[0] += qk * k0;
+            acc[1] += qk * k1;
+            acc[2] += qk * k2;
+            acc[3] += qk * k3;
+        }
+        scores.extend(acc.iter().map(|a| a * scale));
+    }
+    let rest = groups.remainder().iter();
+    scores.extend(rest.map(|&j| Matrix::dot(q, key(j)) * scale));
+    scores
+}
+
+/// One query row of attention over the selected keys: scores
+/// `q·K[j]·scale` for every `j` of `sel`, softmaxes them, and accumulates
+/// `w_j·V[j]` into `out` in `sel` order — `O(sel)` work, nothing per
+/// unselected key. Keys and values are read in place as the column windows
+/// `k.row(j)[c0..c0 + q.len()]` and `v.row(j)[c0..c0 + out.len()]`, so one
+/// head of a `t x d_model` cache needs no per-head copy.
+///
+/// Every score is one ascending-`k` chain from zero and every output
+/// element one chain in `sel` order: for an ascending `sel` that is bitwise
+/// what [`masked_softmax_rows`] followed by a GEMM computes, whose masked
+/// terms only ever add `+0.0`.
+///
+/// # Panics
+///
+/// Panics if an index of `sel` is out of bounds or a window exceeds the
+/// matrix width.
+pub fn attend_row(
+    q: &[f32],
+    k: &Matrix,
+    v: &Matrix,
+    c0: usize,
+    sel: &[u32],
+    scale: f32,
+    out: &mut [f32],
+) {
+    let mut weights = selected_scores(q, k, c0, sel, scale);
+    softmax_slice(&mut weights);
+    for (&j, &w) in sel.iter().zip(&weights) {
+        let v_row = &v.row(j as usize)[c0..c0 + out.len()];
+        for (o, &vv) in out.iter_mut().zip(v_row) {
+            *o += w * vv;
+        }
+    }
+}
+
 /// Sparse attention output: for each query row `i`, computes softmax over
 /// only the selected key indices and aggregates the corresponding value
 /// rows — without materializing the full `n x n` score matrix. This is the
@@ -289,24 +355,8 @@ pub fn sparse_attention(
     assert_eq!(k.rows(), v.rows(), "k/v length mismatch");
     assert_eq!(selected.len(), q.rows(), "one selection per query");
     let mut out = Matrix::zeros(q.rows(), v.cols());
-    let mut weights: Vec<f32> = Vec::new();
     for (i, sel) in selected.iter().enumerate() {
-        if sel.is_empty() {
-            continue;
-        }
-        let qrow = q.row(i);
-        weights.clear();
-        weights.extend(sel.iter().map(|&j| {
-            assert!((j as usize) < k.rows(), "key index {j} out of bounds");
-            Matrix::dot(qrow, k.row(j as usize)) * scale
-        }));
-        softmax_slice(&mut weights);
-        let orow = out.row_mut(i);
-        for (&j, &w) in sel.iter().zip(weights.iter()) {
-            for (o, &vv) in orow.iter_mut().zip(v.row(j as usize)) {
-                *o += w * vv;
-            }
-        }
+        attend_row(q.row(i), k, v, 0, sel, scale, out.row_mut(i));
     }
     out
 }

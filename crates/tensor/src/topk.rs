@@ -22,15 +22,29 @@ use crate::Matrix;
 /// assert_eq!(idx, vec![1, 2]);
 /// ```
 pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..row.len()).collect();
     let k = k.min(row.len());
-    idx.sort_by(|&a, &b| {
-        row[b]
-            .partial_cmp(&row[a])
+    let mut idx: Vec<usize> = (0..row.len()).collect();
+    // Value descending, then index ascending.
+    let order = |a: &usize, b: &usize| {
+        row[*b]
+            .partial_cmp(&row[*a])
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
+            .then(a.cmp(b))
+    };
+    if row.iter().any(|x| x.is_nan()) {
+        // NaN makes `order` a non-total order, under which only the stable
+        // full sort has a defined result.
+        idx.sort_by(order);
+        idx.truncate(k);
+    } else {
+        // A strict total order, so the k best are one well-defined list:
+        // partition them to the front in O(n), then sort only those.
+        if 0 < k && k < idx.len() {
+            idx.select_nth_unstable_by(k - 1, order);
+        }
+        idx.truncate(k);
+        idx.sort_unstable_by(order);
+    }
     idx
 }
 
@@ -135,6 +149,45 @@ pub fn row_counts(mask: &[Vec<bool>]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::rng::SeededRng;
+    use proptest::prelude::*;
+
+    /// The implementation `top_k_indices` replaced, kept as its oracle:
+    /// stable full sort, then truncate.
+    fn top_k_indices_by_full_sort(row: &[f32], k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..row.len()).collect();
+        idx.sort_by(|&a, &b| {
+            row[b]
+                .partial_cmp(&row[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        idx.truncate(k.min(row.len()));
+        idx
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Selection agrees with the full sort on rows dense with ties,
+        /// signed zeros and infinities, for every `k` from 0 past the row
+        /// length; rows with NaN still take the full sort itself.
+        #[test]
+        fn top_k_matches_full_sort_oracle(
+            picks in proptest::collection::vec(0usize..9, 0..120),
+            k in 0usize..130,
+        ) {
+            const VALUES: [f32; 9] = [
+                f32::NEG_INFINITY, -1.5, -0.0, 0.0, 0.25, 0.25, 3.0, f32::INFINITY, f32::NAN,
+            ];
+            let row: Vec<f32> = picks.iter().map(|&p| VALUES[p]).collect();
+            let total: Vec<f32> = row.iter().copied().filter(|x| !x.is_nan()).collect();
+            prop_assert_eq!(top_k_indices(&total, k), top_k_indices_by_full_sort(&total, k));
+            // Short enough that std sorts by insertion: on longer rows it
+            // may panic on the inconsistent order NaN causes, in the oracle
+            // and the implementation alike.
+            let with_nan = &row[..row.len().min(16)];
+            prop_assert_eq!(top_k_indices(with_nan, k), top_k_indices_by_full_sort(with_nan, k));
+        }
+    }
 
     #[test]
     fn top_k_basic() {

@@ -58,19 +58,11 @@ impl KvCache {
         &self.values[layer]
     }
 
-    fn append(&mut self, layer: usize, k_row: &Matrix, v_row: &Matrix) {
-        let k = &mut self.keys[layer];
-        *k = if k.rows() == 0 {
-            k_row.clone()
-        } else {
-            Matrix::vcat(&[k, k_row]).expect("cache width fixed")
-        };
-        let v = &mut self.values[layer];
-        *v = if v.rows() == 0 {
-            v_row.clone()
-        } else {
-            Matrix::vcat(&[v, v_row]).expect("cache width fixed")
-        };
+    /// Appends one position to `layer`, in place (amortized O(d): the
+    /// storage doubles, it is never re-concatenated).
+    fn append(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
+        self.keys[layer].push_row(k_row);
+        self.values[layer].push_row(v_row);
     }
 }
 
@@ -135,48 +127,45 @@ impl Model {
         let pos_table = params.value(tp.pos_embedding);
         let mut x = Matrix::from_fn(1, d, |_, c| tok_table[(token, c)] + pos_table[(pos, c)]);
 
+        let t = pos + 1;
         let mut attended = 0u64;
+        // The one buffer of the step whose size follows the cache length.
+        let mut sel: Vec<u32> = Vec::with_capacity(t);
         for (l, layer) in tp.layers.iter().enumerate() {
             let q = x.matmul(params.value(layer.wq)).expect("shape");
             let k_new = x.matmul(params.value(layer.wk)).expect("shape");
             let v_new = x.matmul(params.value(layer.wv)).expect("shape");
-            cache.append(l, &k_new, &v_new);
-            let k_all = &cache.keys[l];
-            let v_all = &cache.values[l];
-            let t = k_all.rows();
+            cache.append(l, k_new.row(0), v_new.row(0));
+            let (k_all, v_all) = (&cache.keys[l], &cache.values[l]);
 
-            let mut head_outs = Vec::with_capacity(cfg.n_heads);
+            let mut heads = Matrix::zeros(1, d);
             for h in 0..cfg.n_heads {
-                let (c0, c1) = (h * hd, (h + 1) * hd);
-                let qh = q.slice_cols(c0, c1);
-                let kh = k_all.slice_cols(c0, c1);
-                let vh = v_all.slice_cols(c0, c1);
-                let scores = qh.matmul_nt(&kh).expect("shape").scale(scale);
-                // The current position (t-1) is always attendable; the
-                // selector filters the older cache.
-                let selected = selector.select(l, h, &x, t);
-                let mask = match selected {
-                    None => vec![vec![true; t]],
+                let c0 = h * hd;
+                sel.clear();
+                match selector.select(l, h, &x, t) {
+                    None => sel.extend(0..t as u32),
+                    // The current position (t-1) is always attendable; the
+                    // selector filters the older cache. Ascending order is
+                    // what keeps the output bits those of dense-then-mask.
                     Some(keep) => {
-                        let mut m = vec![false; t];
-                        for &j in &keep {
-                            if (j as usize) < t {
-                                m[j as usize] = true;
-                            }
-                        }
-                        m[t - 1] = true;
-                        vec![m]
+                        sel.extend(keep.into_iter().filter(|&j| (j as usize) < t));
+                        sel.push(pos as u32);
+                        sel.sort_unstable();
+                        sel.dedup();
                     }
-                };
-                attended += mask[0].iter().filter(|&&b| b).count() as u64;
-                let attn = ops::masked_softmax_rows(&scores, &mask);
-                head_outs.push(attn.matmul(&vh).expect("shape"));
+                }
+                attended += sel.len() as u64;
+                ops::attend_row(
+                    &q.row(0)[c0..c0 + hd],
+                    k_all,
+                    v_all,
+                    c0,
+                    &sel,
+                    scale,
+                    &mut heads.row_mut(0)[c0..c0 + hd],
+                );
             }
-            let refs: Vec<&Matrix> = head_outs.iter().collect();
-            let z = Matrix::hcat(&refs)
-                .expect("heads")
-                .matmul(params.value(layer.wo))
-                .expect("shape");
+            let z = heads.matmul(params.value(layer.wo)).expect("shape");
             let res1 = x.add(&z).expect("shape");
             let normed1 = ops::layer_norm(
                 &res1,
@@ -419,12 +408,188 @@ mod tests {
 mod properties {
     use super::*;
     use crate::{Model, NoHook, TransformerConfig};
+    use dota_tensor::rng::SeededRng;
     use proptest::prelude::*;
+
+    /// The dense-then-mask decode step [`Model::decode_step`] replaced,
+    /// kept verbatim as its oracle: re-concatenate the cache, copy out each
+    /// head, score every cached position, mask, softmax, multiply.
+    fn decode_step_reference(
+        model: &Model,
+        params: &ParamSet,
+        cache: &mut KvCache,
+        token: usize,
+        selector: &dyn DecodeSelector,
+    ) -> (Matrix, u64) {
+        let cfg = model.config();
+        let pos = cache.len();
+        let tp: &TransformerParams = model.params();
+        let d = cfg.d_model;
+        let hd = cfg.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let tok_table = params.value(tp.token_embedding);
+        let pos_table = params.value(tp.pos_embedding);
+        let mut x = Matrix::from_fn(1, d, |_, c| tok_table[(token, c)] + pos_table[(pos, c)]);
+
+        let mut attended = 0u64;
+        for (l, layer) in tp.layers.iter().enumerate() {
+            let q = x.matmul(params.value(layer.wq)).expect("shape");
+            let k_new = x.matmul(params.value(layer.wk)).expect("shape");
+            let v_new = x.matmul(params.value(layer.wv)).expect("shape");
+            cache.keys[l] = Matrix::vcat(&[&cache.keys[l], &k_new]).expect("cache width fixed");
+            cache.values[l] = Matrix::vcat(&[&cache.values[l], &v_new]).expect("cache width fixed");
+            let k_all = &cache.keys[l];
+            let v_all = &cache.values[l];
+            let t = k_all.rows();
+
+            let mut head_outs = Vec::with_capacity(cfg.n_heads);
+            for h in 0..cfg.n_heads {
+                let (c0, c1) = (h * hd, (h + 1) * hd);
+                let qh = q.slice_cols(c0, c1);
+                let kh = k_all.slice_cols(c0, c1);
+                let vh = v_all.slice_cols(c0, c1);
+                let scores = qh.matmul_nt(&kh).expect("shape").scale(scale);
+                let selected = selector.select(l, h, &x, t);
+                let mask = match selected {
+                    None => vec![vec![true; t]],
+                    Some(keep) => {
+                        let mut m = vec![false; t];
+                        for &j in &keep {
+                            if (j as usize) < t {
+                                m[j as usize] = true;
+                            }
+                        }
+                        m[t - 1] = true;
+                        vec![m]
+                    }
+                };
+                attended += mask[0].iter().filter(|&&b| b).count() as u64;
+                let attn = ops::masked_softmax_rows(&scores, &mask);
+                head_outs.push(attn.matmul(&vh).expect("shape"));
+            }
+            let refs: Vec<&Matrix> = head_outs.iter().collect();
+            let z = Matrix::hcat(&refs)
+                .expect("heads")
+                .matmul(params.value(layer.wo))
+                .expect("shape");
+            let res1 = x.add(&z).expect("shape");
+            let normed1 = ops::layer_norm(
+                &res1,
+                params.value(layer.ln1_gamma).row(0),
+                params.value(layer.ln1_beta).row(0),
+                1e-5,
+            );
+            let h1 = ops::add_bias(
+                &normed1.matmul(params.value(layer.w_ff1)).expect("shape"),
+                params.value(layer.b_ff1).row(0),
+            );
+            let h2 = ops::add_bias(
+                &ops::gelu(&h1)
+                    .matmul(params.value(layer.w_ff2))
+                    .expect("shape"),
+                params.value(layer.b_ff2).row(0),
+            );
+            let res2 = normed1.add(&h2).expect("shape");
+            x = ops::layer_norm(
+                &res2,
+                params.value(layer.ln2_gamma).row(0),
+                params.value(layer.ln2_beta).row(0),
+                1e-5,
+            );
+        }
+        let logits = ops::add_bias(
+            &x.matmul(params.value(tp.w_head)).expect("shape"),
+            params.value(tp.b_head).row(0),
+        );
+        (logits, attended)
+    }
+
+    /// A selector that answers as badly as the trait allows: a pure
+    /// function of `(layer, head, cache_len)` (both decode paths must get
+    /// the same answer) returning, by turns, `None`, an empty keep-list,
+    /// and lists that are unsorted, repeat entries, and reach past the
+    /// cache — at a retention that differs per layer, head and step.
+    struct AdversarialSelector(u64);
+
+    impl DecodeSelector for AdversarialSelector {
+        fn select(&self, l: usize, h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            let mut rng =
+                SeededRng::new(self.0 ^ ((l as u64) << 40) ^ ((h as u64) << 20) ^ len as u64);
+            match rng.below(5) {
+                0 => None,
+                1 => Some(Vec::new()),
+                _ => {
+                    let n = rng.below(2 * len + 1);
+                    Some((0..n).map(|_| rng.below(len + 3) as u32).collect())
+                }
+            }
+        }
+    }
+
+    /// Keeps the most recent `ceil(r * len)` positions (what
+    /// `dota_serve::WindowSelector` does); `r = 1.0` keeps all of them.
+    struct Window(f64);
+
+    impl DecodeSelector for Window {
+        fn select(&self, _l: usize, _h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            let keep = ((self.0 * len as f64).ceil() as usize).clamp(1, len);
+            Some(((len - keep) as u32..len as u32).collect())
+        }
+    }
+
+    /// Decodes `ids` through [`Model::decode_step`] and the reference side
+    /// by side under each selector, asserting logits bitwise equal, attended
+    /// counts equal and caches equal at every step.
+    fn assert_decode_matches_reference(cfg: TransformerConfig, ids: &[usize], seed: u64) {
+        let mut params = ParamSet::new();
+        let model = Model::init(cfg, &mut params, seed);
+        let cfg = model.config();
+        let selectors: [&dyn DecodeSelector; 4] = [
+            &DenseDecode,
+            &Window(1.0),
+            &Window(0.3),
+            &AdversarialSelector(seed),
+        ];
+        for (s, &selector) in selectors.iter().enumerate() {
+            let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
+            let mut oracle = cache.clone();
+            for (step, &t) in ids.iter().enumerate() {
+                let (logits, attended) = model.decode_step(&params, &mut cache, t, selector);
+                let (want, want_attended) =
+                    decode_step_reference(&model, &params, &mut oracle, t, selector);
+                assert!(logits == want, "selector {s}, step {step}: logits differ");
+                assert_eq!(attended, want_attended, "selector {s}, step {step}");
+                for l in 0..cfg.n_layers {
+                    assert!(cache.keys(l) == oracle.keys(l), "selector {s}, step {step}");
+                    assert!(
+                        cache.values(l) == oracle.values(l),
+                        "selector {s}, step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Past 128 positions at head width 32 the reference's `q·Kᵀ` and
+    /// `attn·V` are big enough for the packed SIMD driver, whose bits the
+    /// gathered path has to reproduce just the same.
+    #[test]
+    fn decode_step_matches_reference_at_packed_kernel_sizes() {
+        let cfg = TransformerConfig {
+            d_model: 64,
+            n_layers: 1,
+            ..TransformerConfig::tiny_causal(160, 8)
+        };
+        let ids: Vec<usize> = (0..160).map(|i| (i * 5 + i / 7) % 8).collect();
+        assert_decode_matches_reference(cfg, &ids, 3);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
-        /// Incremental decoding agrees with batch inference on the final
-        /// position for arbitrary prompts.
+        /// Incremental decoding equals batch inference on the final
+        /// position **bitwise** for arbitrary prompts, and a window over
+        /// everything is dense decode.
         #[test]
         fn decode_matches_batch_on_random_prompts(
             ids in proptest::collection::vec(0usize..8, 1..12),
@@ -432,15 +597,28 @@ mod properties {
         ) {
             let mut params = dota_autograd::ParamSet::new();
             let model = Model::init(TransformerConfig::tiny_causal(12, 8), &mut params, seed);
-            let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
-            let mut last = Matrix::zeros(1, 8);
-            for &t in &ids {
-                let (logits, _) = model.decode_step(&params, &mut cache, t, &DenseDecode);
-                last = logits;
-            }
+            let run = |selector: &dyn DecodeSelector| {
+                let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+                let mut last = Matrix::zeros(1, 8);
+                for &t in &ids {
+                    last = model.decode_step(&params, &mut cache, t, selector).0;
+                }
+                last
+            };
+            let dense = run(&DenseDecode);
+            prop_assert!(run(&Window(1.0)) == dense);
             let batch = model.infer(&params, &ids, &NoHook);
-            let batch_final = batch.logits.slice_rows(ids.len() - 1, ids.len());
-            prop_assert!(last.approx_eq(&batch_final, 1e-3));
+            prop_assert!(dense == batch.logits.slice_rows(ids.len() - 1, ids.len()));
+        }
+
+        /// Gather-then-score is dense-then-mask to the last bit under
+        /// every selector, on arbitrary prompts and weights.
+        #[test]
+        fn decode_step_is_bitwise_the_dense_then_mask_reference(
+            ids in proptest::collection::vec(0usize..8, 1..20),
+            seed in 0u64..1000,
+        ) {
+            assert_decode_matches_reference(TransformerConfig::tiny_causal(20, 8), &ids, seed);
         }
     }
 }
