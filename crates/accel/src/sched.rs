@@ -16,6 +16,8 @@
 //!   round greedily issues the most-shared ID first, topping up unassigned
 //!   queries from their best remaining buffers (Fig. 9/10, 7 loads).
 
+use std::collections::VecDeque;
+
 /// One scheduling round: the key IDs loaded and which queries consume them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round {
@@ -95,7 +97,7 @@ pub fn in_order_schedule(selections: &[Vec<u32>]) -> Schedule {
 }
 
 /// Uninstrumented in-order schedule (shared by the public wrapper and the
-/// out-of-order fallback path, which must not bump `sched.in_order.*`).
+/// out-of-order fallback, which must not bump `sched.in_order.*`).
 fn in_order_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
     let mut rounds = Vec::new();
     let max_len = selections.iter().map(Vec::len).max().unwrap_or(0);
@@ -115,6 +117,164 @@ fn in_order_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
     Schedule { rounds }
 }
 
+/// Key loads of the in-order token-parallel schedule without its rounds:
+/// the distinct keys the group's queries touch at each step, summed.
+fn in_order_loads(selections: &[Vec<u32>]) -> u64 {
+    let max_len = selections.iter().map(Vec::len).max().unwrap_or(0);
+    let mut loads = 0;
+    for step in 0..max_len {
+        for (q, sel) in selections.iter().enumerate() {
+            if let Some(key) = sel.get(step) {
+                let seen = selections[..q]
+                    .iter()
+                    .any(|earlier| earlier.get(step) == Some(key));
+                loads += u64::from(!seen);
+            }
+        }
+    }
+    loads
+}
+
+/// The Scheduler's ID buffers (§4.3) as flat storage: one FIFO per owner
+/// bitmask, indexed by the mask itself and kept across the groups of a
+/// matrix, so that after the first group binning and issue allocate only
+/// the rounds they emit.
+#[derive(Debug, Default)]
+struct IdBuffers {
+    /// `fifo[mask]`: key IDs whose not-yet-served owners are exactly `mask`.
+    fifo: Vec<VecDeque<u32>>,
+    /// Masks whose FIFO has held an ID during the current group, ascending:
+    /// the buffers a pick compares, in the order that breaks its ties.
+    live: Vec<u32>,
+    /// IDs buffered across all FIFOs; a group is done at zero.
+    buffered: usize,
+    /// One `key << 32 | query bit` per connection of the group: sorted, the
+    /// run of a key ORs into its owner mask.
+    pairs: Vec<u64>,
+}
+
+impl IdBuffers {
+    fn push(&mut self, mask: u32, key: u32) {
+        let fifo = &mut self.fifo[mask as usize];
+        if fifo.is_empty() {
+            if let Err(at) = self.live.binary_search(&mask) {
+                self.live.insert(at, mask);
+            }
+        }
+        fifo.push_back(key);
+        self.buffered += 1;
+    }
+
+    /// Bins the group's key IDs by owner bitmask, each FIFO in ascending
+    /// key order.
+    fn fill(&mut self, selections: &[Vec<u32>]) {
+        debug_assert_eq!(self.buffered, 0, "previous group left IDs behind");
+        let n_masks = 1usize << selections.len();
+        if self.fifo.len() < n_masks {
+            self.fifo.resize_with(n_masks, VecDeque::new);
+        }
+        self.live.clear();
+        self.pairs.clear();
+        for (q, sel) in selections.iter().enumerate() {
+            let bit = 1u64 << q;
+            self.pairs
+                .extend(sel.iter().map(|&key| u64::from(key) << 32 | bit));
+        }
+        self.pairs.sort_unstable();
+        let mut i = 0;
+        while i < self.pairs.len() {
+            let key = (self.pairs[i] >> 32) as u32;
+            let mut mask = 0u32;
+            while i < self.pairs.len() && (self.pairs[i] >> 32) as u32 == key {
+                mask |= self.pairs[i] as u32;
+                i += 1;
+            }
+            self.push(mask, key);
+        }
+    }
+
+    /// The non-empty buffer serving the most `unassigned` queries;
+    /// tie-break toward fewer already-assigned owners (don't split shared
+    /// keys needlessly), then lower mask for determinism. `None` when the
+    /// remaining IDs belong only to already-assigned queries.
+    fn best(&self, unassigned: u32, assigned: u32) -> Option<u32> {
+        let mut best: Option<(u32, u32, u32)> = None; // (mask, served, overlap)
+        for &mask in &self.live {
+            let served = (mask & unassigned).count_ones();
+            if served == 0 || self.fifo[mask as usize].is_empty() {
+                continue;
+            }
+            let overlap = (mask & assigned).count_ones();
+            let better = match best {
+                None => true,
+                Some((_, bs, bo)) => served > bs || (served == bs && overlap < bo),
+            };
+            if better {
+                best = Some((mask, served, overlap));
+            }
+        }
+        best.map(|(mask, _, _)| mask)
+    }
+
+    /// Uninstrumented Algorithm 1 greedy (see [`locality_aware_schedule`]).
+    fn greedy(&mut self, selections: &[Vec<u32>]) -> Schedule {
+        let t = selections.len();
+        assert!(
+            t <= 16,
+            "token parallelism {t} exceeds the modeled scheduler"
+        );
+        self.fill(selections);
+        let mut rounds = Vec::new();
+        while self.buffered > 0 {
+            let mut assigned: u32 = 0;
+            let mut loads = Vec::with_capacity(t);
+            let mut assignments = Vec::with_capacity(t);
+            loop {
+                let unassigned = !assigned & ((1u32 << t) - 1);
+                if unassigned == 0 {
+                    break;
+                }
+                let Some(mask) = self.best(unassigned, assigned) else {
+                    break;
+                };
+                let key = self.fifo[mask as usize]
+                    .pop_front()
+                    .expect("candidate exists");
+                self.buffered -= 1;
+                let serve_mask = mask & unassigned;
+                for q in 0..t {
+                    if serve_mask & (1 << q) != 0 {
+                        assignments.push((q, key));
+                    }
+                }
+                loads.push(key);
+                assigned |= serve_mask;
+                // Residual owners get the ID back for a later round.
+                let residual = mask & !serve_mask;
+                if residual != 0 {
+                    self.push(residual, key);
+                }
+            }
+            debug_assert!(!loads.is_empty(), "round made no progress");
+            rounds.push(Round { loads, assignments });
+        }
+        Schedule { rounds }
+    }
+
+    /// [`locality_aware_schedule`] on these buffers.
+    fn schedule(&mut self, selections: &[Vec<u32>]) -> Schedule {
+        let greedy = self.greedy(selections);
+        let s = if greedy.total_loads() > in_order_loads(selections) {
+            dota_trace::count("sched.ooo.fallbacks", 1);
+            in_order_schedule_impl(selections)
+        } else {
+            greedy
+        };
+        record_schedule("ooo", &s);
+        s
+    }
+}
+
 /// Algorithm 1: locality-aware out-of-order schedule for one group of up to
 /// `T = selections.len()` queries (the paper uses `T = 4`).
 ///
@@ -126,10 +286,11 @@ fn in_order_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
 ///
 /// The greedy most-shared-first heuristic (like the paper's FSM) is not
 /// inherently point-wise dominant over in-order issue, so this wrapper
-/// compares against the in-order schedule and falls back to it on the rare
-/// instance where greedy loses — making "out-of-order never issues more
-/// loads than in-order" an invariant of the public API, not just an
-/// aggregate tendency. Fallbacks are counted under `sched.ooo.fallbacks`.
+/// compares against the in-order load count and falls back to the in-order
+/// schedule on the rare instance where greedy loses — making "out-of-order
+/// never issues more loads than in-order" an invariant of the public API,
+/// not just an aggregate tendency. Fallbacks are counted under
+/// `sched.ooo.fallbacks`.
 ///
 /// Records `sched.ooo.*` counters when a trace session is active.
 ///
@@ -138,98 +299,7 @@ fn in_order_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
 /// Panics if more than 16 queries are grouped (buffer count `2^T - 1`
 /// explodes past any practical Scheduler, Fig. 15).
 pub fn locality_aware_schedule(selections: &[Vec<u32>]) -> Schedule {
-    let greedy = locality_aware_schedule_impl(selections);
-    let in_order = in_order_schedule_impl(selections);
-    let s = if greedy.total_loads() > in_order.total_loads() {
-        dota_trace::count("sched.ooo.fallbacks", 1);
-        in_order
-    } else {
-        greedy
-    };
-    record_schedule("ooo", &s);
-    s
-}
-
-/// Uninstrumented Algorithm 1 greedy (see [`locality_aware_schedule`]).
-fn locality_aware_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
-    let t = selections.len();
-    assert!(
-        t <= 16,
-        "token parallelism {t} exceeds the modeled scheduler"
-    );
-    if t == 0 {
-        return Schedule::default();
-    }
-    // Bin IDs by owner bitmask. BTreeMap keeps iteration deterministic.
-    use std::collections::BTreeMap;
-    let mut owners: BTreeMap<u32, u32> = BTreeMap::new(); // key -> query mask
-    for (q, sel) in selections.iter().enumerate() {
-        for &key in sel {
-            *owners.entry(key).or_insert(0) |= 1 << q;
-        }
-    }
-    // buffers[mask] = FIFO of key IDs owned exactly by `mask`.
-    let mut buffers: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for (key, mask) in owners {
-        buffers.entry(mask).or_default().push(key);
-    }
-
-    let mut rounds = Vec::new();
-    loop {
-        if buffers.values().all(Vec::is_empty) {
-            break;
-        }
-        let mut assigned: u32 = 0;
-        let mut loads = Vec::new();
-        let mut assignments = Vec::new();
-        loop {
-            let unassigned = !assigned & ((1u32 << t) - 1);
-            if unassigned == 0 {
-                break;
-            }
-            // Pick the buffer serving the most unassigned queries;
-            // tie-break toward fewer already-assigned owners (don't split
-            // shared keys needlessly), then lower mask for determinism.
-            let mut best: Option<(u32, usize, u32)> = None; // (mask, served, overlap)
-            for (&mask, ids) in &buffers {
-                if ids.is_empty() {
-                    continue;
-                }
-                let served = (mask & unassigned).count_ones() as usize;
-                if served == 0 {
-                    continue;
-                }
-                let overlap = (mask & assigned).count_ones();
-                let better = match best {
-                    None => true,
-                    Some((_, bs, bo)) => served > bs || (served == bs && overlap < bo),
-                };
-                if better {
-                    best = Some((mask, served, overlap));
-                }
-            }
-            let Some((mask, _, _)) = best else {
-                break; // remaining IDs belong only to already-assigned queries
-            };
-            let key = buffers.get_mut(&mask).expect("candidate exists").remove(0);
-            let serve_mask = mask & unassigned;
-            for q in 0..t {
-                if serve_mask & (1 << q) != 0 {
-                    assignments.push((q, key));
-                }
-            }
-            loads.push(key);
-            assigned |= serve_mask;
-            // Residual owners get the ID back for a later round.
-            let residual = mask & !serve_mask;
-            if residual != 0 {
-                buffers.entry(residual).or_default().push(key);
-            }
-        }
-        debug_assert!(!loads.is_empty(), "round made no progress");
-        rounds.push(Round { loads, assignments });
-    }
-    Schedule { rounds }
+    IdBuffers::default().schedule(selections)
 }
 
 /// Schedules a whole attention matrix by splitting its query rows into
@@ -242,9 +312,10 @@ pub fn schedule_matrix(
 ) -> Schedule {
     assert!(token_parallelism > 0, "token parallelism must be positive");
     let mut all = Schedule::default();
+    let mut buffers = IdBuffers::default();
     for group in selections.chunks(token_parallelism) {
         let s = if out_of_order {
-            locality_aware_schedule(group)
+            buffers.schedule(group)
         } else {
             in_order_schedule(group)
         };
@@ -427,9 +498,142 @@ mod tests {
         assert_eq!(t8, 3);
     }
 
+    /// The Algorithm 1 greedy the flat-buffer scheduler replaced, kept as
+    /// its oracle: owner masks and ID buffers in `BTreeMap`s, `remove(0)`
+    /// for the FIFO pop.
+    fn locality_aware_schedule_oracle(selections: &[Vec<u32>]) -> Schedule {
+        use std::collections::BTreeMap;
+        let t = selections.len();
+        if t == 0 {
+            return Schedule::default();
+        }
+        let mut owners: BTreeMap<u32, u32> = BTreeMap::new(); // key -> query mask
+        for (q, sel) in selections.iter().enumerate() {
+            for &key in sel {
+                *owners.entry(key).or_insert(0) |= 1 << q;
+            }
+        }
+        let mut buffers: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for (key, mask) in owners {
+            buffers.entry(mask).or_default().push(key);
+        }
+
+        let mut rounds = Vec::new();
+        loop {
+            if buffers.values().all(Vec::is_empty) {
+                break;
+            }
+            let mut assigned: u32 = 0;
+            let mut loads = Vec::new();
+            let mut assignments = Vec::new();
+            loop {
+                let unassigned = !assigned & ((1u32 << t) - 1);
+                if unassigned == 0 {
+                    break;
+                }
+                let mut best: Option<(u32, usize, u32)> = None; // (mask, served, overlap)
+                for (&mask, ids) in &buffers {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let served = (mask & unassigned).count_ones() as usize;
+                    if served == 0 {
+                        continue;
+                    }
+                    let overlap = (mask & assigned).count_ones();
+                    let better = match best {
+                        None => true,
+                        Some((_, bs, bo)) => served > bs || (served == bs && overlap < bo),
+                    };
+                    if better {
+                        best = Some((mask, served, overlap));
+                    }
+                }
+                let Some((mask, _, _)) = best else {
+                    break;
+                };
+                let key = buffers.get_mut(&mask).expect("candidate exists").remove(0);
+                let serve_mask = mask & unassigned;
+                for q in 0..t {
+                    if serve_mask & (1 << q) != 0 {
+                        assignments.push((q, key));
+                    }
+                }
+                loads.push(key);
+                assigned |= serve_mask;
+                let residual = mask & !serve_mask;
+                if residual != 0 {
+                    buffers.entry(residual).or_default().push(key);
+                }
+            }
+            rounds.push(Round { loads, assignments });
+        }
+        Schedule { rounds }
+    }
+
+    /// `schedule_matrix` as it was: per group, the oracle greedy unless the
+    /// materialised in-order schedule loads fewer keys.
+    fn schedule_matrix_oracle(selections: &[Vec<u32>], t: usize, out_of_order: bool) -> Schedule {
+        let mut all = Schedule::default();
+        for group in selections.chunks(t) {
+            let in_order = in_order_schedule_impl(group);
+            let greedy = locality_aware_schedule_oracle(group);
+            let s = if out_of_order && greedy.total_loads() <= in_order.total_loads() {
+                greedy
+            } else {
+                in_order
+            };
+            all.rounds.extend(s.rounds);
+        }
+        all
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            /// Rows of any length, either as drawn (any order, repeated
+            /// keys inside a row) or ascending and distinct over few keys
+            /// (where the greedy sometimes loses and the fallback fires),
+            /// with empty rows and a ragged last group: the flat-buffer
+            /// scheduler emits the oracle's rounds, load for load, and the
+            /// in-order load count is the in-order schedule's.
+            #[test]
+            fn schedule_matrix_matches_btreemap_oracle(
+                drawn in proptest::collection::vec(
+                    proptest::collection::vec(0u32..1000, 0..14),
+                    0..20,
+                ),
+                n_keys in 4u32..24,
+                ascending in 0usize..2,
+                t in 1usize..=8,
+            ) {
+                let sel: Vec<Vec<u32>> = drawn
+                    .iter()
+                    .map(|row| {
+                        let mut row: Vec<u32> = row.iter().map(|&key| key % n_keys).collect();
+                        if ascending == 1 {
+                            row.sort_unstable();
+                            row.dedup();
+                        }
+                        row
+                    })
+                    .collect();
+                for out_of_order in [true, false] {
+                    prop_assert_eq!(
+                        schedule_matrix(&sel, t, out_of_order),
+                        schedule_matrix_oracle(&sel, t, out_of_order)
+                    );
+                }
+                for group in sel.chunks(t) {
+                    prop_assert_eq!(
+                        in_order_loads(group),
+                        in_order_schedule_impl(group).total_loads()
+                    );
+                }
+            }
+        }
 
         fn arb_selections() -> impl Strategy<Value = Vec<Vec<u32>>> {
             proptest::collection::vec(

@@ -54,7 +54,7 @@ impl SelectionProfile {
 ///
 /// # Panics
 ///
-/// Panics if `k > n` or `n == 0`.
+/// Panics if `k > n`, `n == 0` or `n` exceeds `u32` key IDs.
 pub fn sample_selection(
     n: usize,
     k: usize,
@@ -63,6 +63,10 @@ pub fn sample_selection(
 ) -> Vec<Vec<u32>> {
     assert!(n > 0, "empty sequence");
     assert!(k <= n, "cannot keep {k} of {n} keys");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "sequence of {n} exceeds u32 key IDs"
+    );
     let n_imp = profile.n_important.min(n);
     let important: Vec<usize> = if n_imp > 0 {
         rng.sample_indices(n, n_imp)
@@ -70,34 +74,47 @@ pub fn sample_selection(
         Vec::new()
     };
 
+    let n_global = ((k as f64) * profile.global_fraction).round() as usize;
+    let n_local = ((k as f64) * profile.local_fraction).round() as usize;
+    // `stamp[t] == q + 1` marks key `t` as already chosen by row `q`: one
+    // array serves every row without clearing.
+    let mut stamp = vec![0u32; n];
+    let mut cands: Vec<usize> = Vec::with_capacity(2 * profile.window + 1);
+
     (0..n)
         .map(|q| {
-            let mut chosen = std::collections::BTreeSet::new();
-            let n_global = ((k as f64) * profile.global_fraction).round() as usize;
-            let n_local = ((k as f64) * profile.local_fraction).round() as usize;
+            let mut chosen: Vec<u32> = Vec::with_capacity(k);
+            let mut insert = |chosen: &mut Vec<u32>, t: usize| {
+                if stamp[t] != q as u32 + 1 {
+                    stamp[t] = q as u32 + 1;
+                    chosen.push(t as u32);
+                }
+            };
 
             // Global important tokens (same set for every query).
-            for &t in important.iter().take(n_global.min(important.len())) {
-                chosen.insert(t as u32);
+            for &t in important.iter().take(n_global) {
+                insert(&mut chosen, t);
             }
             // Local window around the query.
             if profile.window > 0 {
                 let lo = q.saturating_sub(profile.window);
                 let hi = (q + profile.window).min(n - 1);
-                let mut cands: Vec<usize> = (lo..=hi).collect();
+                cands.clear();
+                cands.extend(lo..=hi);
                 rng.shuffle(&mut cands);
-                for t in cands {
+                for &t in &cands {
                     if chosen.len() >= n_global + n_local || chosen.len() >= k {
                         break;
                     }
-                    chosen.insert(t as u32);
+                    insert(&mut chosen, t);
                 }
             }
             // Uniform background until the budget is filled.
             while chosen.len() < k {
-                chosen.insert(rng.below(n) as u32);
+                insert(&mut chosen, rng.below(n));
             }
-            chosen.into_iter().collect()
+            chosen.sort_unstable();
+            chosen
         })
         .collect()
 }
@@ -106,6 +123,72 @@ pub fn sample_selection(
 mod tests {
     use super::*;
     use crate::sched;
+
+    /// The sampler the stamp-array one replaced, kept as its oracle: one
+    /// `BTreeSet` per row.
+    fn sample_selection_oracle(
+        n: usize,
+        k: usize,
+        profile: &SelectionProfile,
+        rng: &mut SeededRng,
+    ) -> Vec<Vec<u32>> {
+        let n_imp = profile.n_important.min(n);
+        let important: Vec<usize> = if n_imp > 0 {
+            rng.sample_indices(n, n_imp)
+        } else {
+            Vec::new()
+        };
+        (0..n)
+            .map(|q| {
+                let mut chosen = std::collections::BTreeSet::new();
+                let n_global = ((k as f64) * profile.global_fraction).round() as usize;
+                let n_local = ((k as f64) * profile.local_fraction).round() as usize;
+                for &t in important.iter().take(n_global.min(important.len())) {
+                    chosen.insert(t as u32);
+                }
+                if profile.window > 0 {
+                    let lo = q.saturating_sub(profile.window);
+                    let hi = (q + profile.window).min(n - 1);
+                    let mut cands: Vec<usize> = (lo..=hi).collect();
+                    rng.shuffle(&mut cands);
+                    for t in cands {
+                        if chosen.len() >= n_global + n_local || chosen.len() >= k {
+                            break;
+                        }
+                        chosen.insert(t as u32);
+                    }
+                }
+                while chosen.len() < k {
+                    chosen.insert(rng.below(n) as u32);
+                }
+                chosen.into_iter().collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Same rows and the same RNG state afterwards (the next draw
+        /// agrees) as the oracle, with locality, without, and with the
+        /// global tokens alone.
+        #[test]
+        fn sample_selection_matches_btreeset_oracle(
+            n in 1usize..200,
+            k_share in 0.0f64..1.0,
+            seed in 0u64..1 << 32,
+        ) {
+            let k = (k_share * (n + 1) as f64) as usize;
+            let no_window = SelectionProfile { window: 0, ..SelectionProfile::default() };
+            for profile in [SelectionProfile::default(), SelectionProfile::uniform(), no_window] {
+                let mut rng = SeededRng::new(seed);
+                let mut oracle_rng = SeededRng::new(seed);
+                proptest::prop_assert_eq!(
+                    sample_selection(n, k, &profile, &mut rng),
+                    sample_selection_oracle(n, k, &profile, &mut oracle_rng)
+                );
+                proptest::prop_assert_eq!(rng.below(1 << 30), oracle_rng.below(1 << 30));
+            }
+        }
+    }
 
     #[test]
     fn balanced_rows_and_valid_indices() {

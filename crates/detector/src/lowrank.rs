@@ -156,16 +156,18 @@ impl LowRankDetector {
                 // Keep the strongest `retention` fraction of all entries.
                 let total = n_rows * n_cols;
                 let keep = ((retention * total as f64).round() as usize).clamp(1, total);
-                let mut all: Vec<f32> = scores.iter().copied().collect();
-                all.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-                let thresh = all[keep - 1];
+                // On `descending_rank`s "at least the keep-th strongest" is
+                // an integer comparison that NaN scores cannot derail.
+                let mut ranks: Vec<u32> =
+                    scores.iter().map(|&v| topk::descending_rank(v)).collect();
+                let thresh = *ranks.select_nth_unstable(keep - 1).1;
                 (0..n_rows)
                     .map(|r| {
                         let row = scores.row(r);
                         let mut sel: Vec<u32> = row
                             .iter()
                             .enumerate()
-                            .filter(|(_, &v)| v >= thresh)
+                            .filter(|(_, &v)| topk::descending_rank(v) <= thresh)
                             .map(|(j, _)| j as u32)
                             .collect();
                         // A row may legitimately end up empty under a global
@@ -285,6 +287,38 @@ mod tests {
         // Rows vary in count — that is the point of the ablation.
         let counts: Vec<usize> = sel.iter().map(Vec::len).collect();
         assert!(counts.iter().any(|&c| c != counts[0]));
+    }
+
+    #[test]
+    fn nan_scores_select_instead_of_panicking() {
+        // A few NaNs in 1024-long rows used to reach `sort_by` with a
+        // non-total comparator, which std answers with a panic.
+        let mut rng = SeededRng::new(8);
+        let mut scores = rng.normal_matrix(8, 1024, 1.0);
+        for r in 0..8 {
+            for c in (r..1024).step_by(97) {
+                scores[(r, c)] = f32::NAN;
+            }
+        }
+        let balanced = DetectorConfig::new(0.1);
+        let sel = LowRankDetector::select(&balanced, &scores);
+        assert!(sel
+            .iter()
+            .all(|row| row.len() == balanced.keys_per_row(1024)));
+        let is_nan = |r: usize, c: u32| scores[(r, c as usize)].is_nan();
+        assert!(sel
+            .iter()
+            .enumerate()
+            .all(|(r, row)| !row.iter().any(|&c| is_nan(r, c))));
+
+        let global = DetectorConfig::new(0.1).with_strategy(SelectionStrategy::GlobalThreshold);
+        let sel = LowRankDetector::select(&global, &scores);
+        let kept: usize = sel.iter().map(Vec::len).sum();
+        assert_eq!(kept, (0.1f64 * 8.0 * 1024.0).round() as usize);
+        assert!(sel
+            .iter()
+            .enumerate()
+            .all(|(r, row)| !row.iter().any(|&c| is_nan(r, c))));
     }
 
     #[test]

@@ -56,8 +56,14 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or `PROPTEST_CASES` when set to a number — as in the real
+    /// crate, the variable moves only properties that keep the default.
     fn default() -> Self {
-        Self { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        Self { cases }
     }
 }
 

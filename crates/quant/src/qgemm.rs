@@ -143,31 +143,71 @@ impl Int8Matrix {
             }
             return Ok(out);
         }
+        let kernel = Kernel::for_depth(self.cols);
         for i in 0..self.rows {
-            let a = self.code_row(i);
-            let row = out.row_mut(i);
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = dot_i8(a, other.code_row(j)) as f32 * out_scale;
-            }
+            kernel.score_row(self.code_row(i), &other.data, out_scale, out.row_mut(i));
         }
         Ok(out)
     }
 }
 
-/// `i8` dot product with `i32` accumulation — AVX2 `madd` lanes when the
-/// host has them, the scalar loop otherwise; both paths produce identical
-/// bits (integer addition is associative).
-///
-/// Caller guarantees `a.len() == b.len() < `[`I32_SAFE_K`].
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() < I32_SAFE_K);
+/// The `i8` dot-product kernel of one `A·Bᵀ` product, decided once per
+/// product instead of once per output element. Both kernels produce
+/// identical bits (integer addition is associative).
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    /// Inlined scalar loop: every host, and every depth below one 16-lane
+    /// step — the detector's rank-6 sketches — where the AVX2 kernel would
+    /// run nothing but its set-up and scalar tail.
+    Scalar,
+    /// AVX2 `madd` lanes. Only [`Kernel::for_depth`] builds this variant,
+    /// after verifying the feature.
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified; equal lengths asserted.
-        return unsafe { dot_i8_avx2(a, b) };
+    Avx2,
+}
+
+impl Kernel {
+    fn for_depth(k: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if k >= 16 && std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Scalar
     }
-    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+
+    /// One output row: `out[j] = (a · b_j) · out_scale` over the row-major
+    /// rows `b_j` of `b`, each `a.len() < `[`I32_SAFE_K`] codes long.
+    fn score_row(self, a: &[i8], b: &[i8], out_scale: f32, out: &mut [f32]) {
+        let k = a.len();
+        debug_assert!(k < I32_SAFE_K);
+        debug_assert_eq!(b.len(), k * out.len());
+        match self {
+            Kernel::Scalar => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    let b_j = &b[j * k..(j + 1) * k];
+                    let acc: i32 = a.iter().zip(b_j).map(|(&x, &y)| x as i32 * y as i32).sum();
+                    *o = acc as f32 * out_scale;
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `for_depth` verified AVX2 before building this
+            // variant; row lengths are asserted above.
+            Kernel::Avx2 => unsafe { score_row_avx2(a, b, out_scale, out) },
+        }
+    }
+}
+
+/// # Safety
+///
+/// Requires AVX2; `b` must hold `out.len()` rows of `a.len()` codes, of
+/// `i32`-safe depth.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn score_row_avx2(a: &[i8], b: &[i8], out_scale: f32, out: &mut [f32]) {
+    let k = a.len();
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = dot_i8_avx2(a, &b[j * k..(j + 1) * k]) as f32 * out_scale;
+    }
 }
 
 /// # Safety
@@ -319,13 +359,10 @@ impl Int4Packed {
             other.unpack_row(j, &mut b_codes[j * other.cols..(j + 1) * other.cols]);
         }
         let mut a_row = vec![0i8; self.cols];
+        let kernel = Kernel::for_depth(self.cols);
         for i in 0..self.rows {
             self.unpack_row(i, &mut a_row);
-            let row = out.row_mut(i);
-            for (j, o) in row.iter_mut().enumerate() {
-                let b = &b_codes[j * other.cols..(j + 1) * other.cols];
-                *o = dot_i8(&a_row, b) as f32 * out_scale;
-            }
+            kernel.score_row(&a_row, &b_codes, out_scale, out.row_mut(i));
         }
         Ok(out)
     }
@@ -336,24 +373,43 @@ mod tests {
     use super::*;
     use dota_tensor::rng::SeededRng;
 
+    /// `A·Bᵀ` bits from the wide codes, one `i64` sum per element: shares
+    /// no kernel with the paths under test (`QuantizedMatrix`'s own product
+    /// routes through `Int8Matrix` whenever the codes fit).
+    fn reference_bits(qa: &QuantizedMatrix, qb: &QuantizedMatrix) -> Vec<u32> {
+        let out_scale = qa.scale() * qb.scale();
+        let mut bits = Vec::new();
+        for i in 0..qa.rows() {
+            for j in 0..qb.rows() {
+                let (a, b) = (qa.code_row(i), qb.code_row(j));
+                let acc: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
+                bits.push((acc as f32 * out_scale).to_bits());
+            }
+        }
+        bits
+    }
+
     #[test]
     fn i8_matmul_matches_i32_reference_bitwise() {
         let mut rng = SeededRng::new(11);
-        for p in [Precision::Int2, Precision::Int4, Precision::Int8] {
-            let a = rng.normal_matrix(9, 37, 1.0);
-            let b = rng.normal_matrix(13, 37, 1.0);
+        // Depth 6 (the detector's rank) stays under one 16-lane step and
+        // takes the scalar kernel on every host; 37 runs lanes plus a tail.
+        for (p, k) in [Precision::Int2, Precision::Int4, Precision::Int8]
+            .into_iter()
+            .flat_map(|p| [(p, 6), (p, 37)])
+        {
+            let a = rng.normal_matrix(9, k, 1.0);
+            let b = rng.normal_matrix(13, k, 1.0);
             let qa = Quantizer::symmetric(p).quantize(&a);
             let qb = Quantizer::symmetric(p).quantize(&b);
-            let want = qa.matmul_nt_dequant(&qb).unwrap();
             let got = Int8Matrix::from_quantized(&qa)
                 .matmul_nt_dequant(&Int8Matrix::from_quantized(&qb))
                 .unwrap();
             // Integer accumulation has one possible answer; the f32
             // conversion and scaling are identical expressions — so the
             // fast path must agree bit-for-bit, not just approximately.
-            let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(want_bits, got_bits, "{p}");
+            assert_eq!(reference_bits(&qa, &qb), got_bits, "{p} depth {k}");
         }
     }
 
@@ -378,17 +434,17 @@ mod tests {
     #[test]
     fn int4_matmul_matches_i32_reference_bitwise() {
         let mut rng = SeededRng::new(13);
-        let a = rng.normal_matrix(6, 21, 1.0);
-        let b = rng.normal_matrix(8, 21, 1.0);
-        let qa = Quantizer::symmetric(Precision::Int4).quantize(&a);
-        let qb = Quantizer::symmetric(Precision::Int4).quantize(&b);
-        let want = qa.matmul_nt_dequant(&qb).unwrap();
-        let got = Int4Packed::from_quantized(&qa)
-            .matmul_nt_dequant(&Int4Packed::from_quantized(&qb))
-            .unwrap();
-        let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-        let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(want_bits, got_bits);
+        for k in [21, 5] {
+            let a = rng.normal_matrix(6, k, 1.0);
+            let b = rng.normal_matrix(8, k, 1.0);
+            let qa = Quantizer::symmetric(Precision::Int4).quantize(&a);
+            let qb = Quantizer::symmetric(Precision::Int4).quantize(&b);
+            let got = Int4Packed::from_quantized(&qa)
+                .matmul_nt_dequant(&Int4Packed::from_quantized(&qb))
+                .unwrap();
+            let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(reference_bits(&qa, &qb), got_bits, "depth {k}");
+        }
     }
 
     #[test]

@@ -8,10 +8,33 @@
 
 use crate::Matrix;
 
+/// Position of `v` in descending order as a plain integer: a larger value
+/// has a smaller rank, `-0.0` and `0.0` share one (they compare equal), and
+/// NaN ranks after every number, so ranks are totally ordered where `f32`
+/// is not.
+pub fn descending_rank(v: f32) -> u32 {
+    if v.is_nan() {
+        return u32::MAX;
+    }
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    // Negative floats already grow in bit pattern as they fall; positive
+    // ones grow as they rise, so their magnitude bits are flipped.
+    if bits >> 31 == 1 {
+        bits
+    } else {
+        bits ^ 0x7fff_ffff
+    }
+}
+
 /// Indices of the `k` largest values in `row`, in descending value order.
 ///
-/// Ties are broken toward the lower index so that results are deterministic.
-/// If `k >= row.len()` every index is returned.
+/// Ties are broken toward the lower index so that results are deterministic;
+/// NaN counts as smaller than every number. If `k >= row.len()` every index
+/// is returned.
+///
+/// # Panics
+///
+/// Panics if `row` has more than `u32::MAX` elements.
 ///
 /// # Example
 ///
@@ -22,30 +45,33 @@ use crate::Matrix;
 /// assert_eq!(idx, vec![1, 2]);
 /// ```
 pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
+    top_k_with_scratch(row, k, &mut Vec::new())
+}
+
+/// [`top_k_indices`] on a caller-owned key buffer. Each element becomes one
+/// `u64` — [`descending_rank`] above the index — so "value descending, then
+/// index ascending" is plain ascending integer order: partition the `k`
+/// smallest keys to the front in O(n), sort only those, read the indices
+/// back out of the low halves.
+fn top_k_with_scratch(row: &[f32], k: usize, keys: &mut Vec<u64>) -> Vec<usize> {
+    assert!(
+        u32::try_from(row.len()).is_ok(),
+        "row of {} elements exceeds the 32-bit index of a packed key",
+        row.len()
+    );
     let k = k.min(row.len());
-    let mut idx: Vec<usize> = (0..row.len()).collect();
-    // Value descending, then index ascending.
-    let order = |a: &usize, b: &usize| {
-        row[*b]
-            .partial_cmp(&row[*a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    };
-    if row.iter().any(|x| x.is_nan()) {
-        // NaN makes `order` a non-total order, under which only the stable
-        // full sort has a defined result.
-        idx.sort_by(order);
-        idx.truncate(k);
-    } else {
-        // A strict total order, so the k best are one well-defined list:
-        // partition them to the front in O(n), then sort only those.
-        if 0 < k && k < idx.len() {
-            idx.select_nth_unstable_by(k - 1, order);
-        }
-        idx.truncate(k);
-        idx.sort_unstable_by(order);
+    keys.clear();
+    keys.extend(
+        row.iter()
+            .enumerate()
+            .map(|(i, &v)| u64::from(descending_rank(v)) << 32 | i as u64),
+    );
+    if 0 < k && k < keys.len() {
+        keys.select_nth_unstable(k - 1);
     }
-    idx
+    let top = &mut keys[..k];
+    top.sort_unstable();
+    top.iter().map(|&key| key as u32 as usize).collect()
 }
 
 /// Row-wise top-k selection over a score matrix, producing one index set per
@@ -53,9 +79,10 @@ pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
 /// constraint of §4.3), so downstream token-parallel execution stays
 /// synchronized across rows.
 pub fn top_k_rows(scores: &Matrix, k: usize) -> Vec<Vec<usize>> {
+    let mut keys = Vec::with_capacity(scores.cols());
     scores
         .rows_iter()
-        .map(|row| top_k_indices(row, k))
+        .map(|row| top_k_with_scratch(row, k, &mut keys))
         .collect()
 }
 
@@ -151,41 +178,107 @@ mod tests {
     use crate::rng::SeededRng;
     use proptest::prelude::*;
 
-    /// The implementation `top_k_indices` replaced, kept as its oracle:
-    /// stable full sort, then truncate.
+    /// The implementation `top_k_indices` replaced, kept as its oracle: a
+    /// stable full sort of the indices by a comparator on the floats
+    /// themselves (NaN after every number, `-0.0 == 0.0`), then truncate.
     fn top_k_indices_by_full_sort(row: &[f32], k: usize) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..row.len()).collect();
         idx.sort_by(|&a, &b| {
-            row[b]
-                .partial_cmp(&row[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+            let by_value = match (row[a].is_nan(), row[b].is_nan()) {
+                (true, true) => std::cmp::Ordering::Equal,
+                (true, false) => std::cmp::Ordering::Greater,
+                (false, true) => std::cmp::Ordering::Less,
+                (false, false) => row[b].partial_cmp(&row[a]).expect("neither is NaN"),
+            };
+            by_value.then(a.cmp(&b))
         });
         idx.truncate(k.min(row.len()));
         idx
     }
 
+    const TIED_VALUES: [f32; 16] = [
+        f32::NEG_INFINITY,
+        f32::MIN,
+        -1.5,
+        -f32::MIN_POSITIVE,
+        -1e-45,
+        -0.0,
+        0.0,
+        1e-45,
+        f32::MIN_POSITIVE,
+        0.25,
+        0.25,
+        3.0,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
         /// Selection agrees with the full sort on rows dense with ties,
-        /// signed zeros and infinities, for every `k` from 0 past the row
-        /// length; rows with NaN still take the full sort itself.
+        /// signed zeros, subnormals, infinities and NaNs of both signs, for
+        /// every `k` from 0 past the row length.
         #[test]
         fn top_k_matches_full_sort_oracle(
-            picks in proptest::collection::vec(0usize..9, 0..120),
+            picks in proptest::collection::vec(0usize..16, 0..120),
             k in 0usize..130,
         ) {
-            const VALUES: [f32; 9] = [
-                f32::NEG_INFINITY, -1.5, -0.0, 0.0, 0.25, 0.25, 3.0, f32::INFINITY, f32::NAN,
-            ];
-            let row: Vec<f32> = picks.iter().map(|&p| VALUES[p]).collect();
-            let total: Vec<f32> = row.iter().copied().filter(|x| !x.is_nan()).collect();
-            prop_assert_eq!(top_k_indices(&total, k), top_k_indices_by_full_sort(&total, k));
-            // Short enough that std sorts by insertion: on longer rows it
-            // may panic on the inconsistent order NaN causes, in the oracle
-            // and the implementation alike.
-            let with_nan = &row[..row.len().min(16)];
-            prop_assert_eq!(top_k_indices(with_nan, k), top_k_indices_by_full_sort(with_nan, k));
+            let row: Vec<f32> = picks.iter().map(|&p| TIED_VALUES[p]).collect();
+            prop_assert_eq!(top_k_indices(&row, k), top_k_indices_by_full_sort(&row, k));
+        }
+
+        /// The same on rows long enough that `std` leaves insertion sort
+        /// for its partitioning paths, where a non-total order used to
+        /// panic; one scratch buffer serves every row, as in `top_k_rows`.
+        #[test]
+        fn top_k_rows_long_tied_rows_match_full_sort_oracle(
+            picks in proptest::collection::vec(0usize..16, 1024..1400),
+            k in 0usize..1500,
+            seed in 0u64..1 << 32,
+        ) {
+            let cols = picks.len();
+            let mut rng = SeededRng::new(seed);
+            let mut data: Vec<f32> = picks.iter().map(|&p| TIED_VALUES[p]).collect();
+            data.extend(rng.normal_matrix(1, cols, 1.0).as_slice());
+            data.extend(picks.iter().rev().map(|&p| TIED_VALUES[p]));
+            let scores = Matrix::from_vec(3, cols, data).unwrap();
+            let expected: Vec<Vec<usize>> = scores
+                .rows_iter()
+                .map(|row| top_k_indices_by_full_sort(row, k))
+                .collect();
+            prop_assert_eq!(top_k_rows(&scores, k), expected);
+        }
+
+        /// `descending_rank` orders any two floats the way the oracle's
+        /// comparator does.
+        #[test]
+        fn descending_rank_matches_float_order(a in 0usize..16, b in 0usize..16, x in -4.0f32..4.0) {
+            for (p, q) in [(TIED_VALUES[a], TIED_VALUES[b]), (TIED_VALUES[a], x), (x, x * 0.5)] {
+                let expected = top_k_indices_by_full_sort(&[p, q], 2);
+                let by_rank = if descending_rank(q) < descending_rank(p) { vec![1, 0] } else { vec![0, 1] };
+                prop_assert_eq!(by_rank, expected, "{} vs {}", p, q);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_rows_of_any_length_return_k_indices() {
+        // A few NaNs in a long random row sent the old comparator-based
+        // sort into std's inconsistent-order panic.
+        let mut rng = SeededRng::new(9);
+        for len in [1usize, 17, 64, 1024, 4096] {
+            let mut row = rng.normal_matrix(1, len, 1.0).as_slice().to_vec();
+            for i in (0..len).step_by(7) {
+                row[i] = f32::NAN;
+            }
+            for k in [1, len / 2, len] {
+                let idx = top_k_indices(&row, k);
+                assert_eq!(idx.len(), k);
+                let numbers = row.iter().filter(|v| !v.is_nan()).count();
+                assert!(idx.iter().take(numbers).all(|&i| !row[i].is_nan()));
+                assert_eq!(idx, top_k_indices_by_full_sort(&row, k));
+            }
         }
     }
 

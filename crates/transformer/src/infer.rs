@@ -269,19 +269,8 @@ impl crate::Model {
                     }
                     other => other,
                 };
-                let mask = build_mask(n, cfg.causal, selected.as_deref());
                 // Record the effective selection (after causal intersection).
-                let effective: Option<Vec<Vec<u32>>> = mask.map(|m| {
-                    m.iter()
-                        .map(|row| {
-                            row.iter()
-                                .enumerate()
-                                .filter(|(_, &keep)| keep)
-                                .map(|(j, _)| j as u32)
-                                .collect()
-                        })
-                        .collect()
-                });
+                let effective = effective_selection(n, cfg.causal, selected);
                 if dota_trace::enabled() {
                     let total = (n * n) as u64;
                     let kept = match &effective {
@@ -420,9 +409,36 @@ fn selection_degenerate(sel: &[Vec<u32>], n: usize, causal: bool) -> bool {
     }
 }
 
-/// Builds the boolean mask from an optional selection, intersecting with the
-/// causal constraint. Matches `model::combine_masks` semantics (a causal row
-/// never empties: the diagonal survives).
+/// The selection attention runs on, or `None` for dense: each row's kept
+/// keys ascending and distinct, intersected with the causal constraint.
+/// Matches `model::combine_masks` semantics (a causal row never empties:
+/// the diagonal survives). Rows are rewritten in place; `selected` has
+/// passed [`selection_degenerate`], so every index is below `n`.
+fn effective_selection(
+    n: usize,
+    causal: bool,
+    selected: Option<Vec<Vec<u32>>>,
+) -> Option<Vec<Vec<u32>>> {
+    let Some(mut sel) = selected else {
+        return causal.then(|| (0..n as u32).map(|i| (0..=i).collect()).collect());
+    };
+    for (i, row) in sel.iter_mut().enumerate() {
+        debug_assert!(row.iter().all(|&j| (j as usize) < n));
+        if causal {
+            row.retain(|&j| j as usize <= i);
+        }
+        row.sort_unstable();
+        row.dedup();
+        if causal && row.is_empty() {
+            row.push(i as u32);
+        }
+    }
+    Some(sel)
+}
+
+/// The dense boolean mask [`effective_selection`] used to be read back
+/// from, kept as its oracle.
+#[cfg(test)]
 fn build_mask(n: usize, causal: bool, selected: Option<&[Vec<u32>]>) -> Option<Vec<Vec<bool>>> {
     match (causal, selected) {
         (false, None) => None,
@@ -630,6 +646,36 @@ mod tests {
         let trace = model.infer(&params, &ids, &NoHook);
         assert!(trace.logits.as_slice().iter().all(|v| v.is_finite()));
         drop(guard);
+    }
+
+    proptest::proptest! {
+        /// Unsorted rows with repeated keys, empty rows and keys beyond the
+        /// causal triangle: the direct construction lists exactly the
+        /// `true` positions of the mask, in order.
+        #[test]
+        fn effective_selection_matches_mask_oracle(
+            n in 1usize..24,
+            causal in 0usize..2,
+            hooked in 0usize..4,
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0usize..1000, 0..40),
+                24..25,
+            ),
+        ) {
+            let causal = causal == 1;
+            let selected: Option<Vec<Vec<u32>>> = (hooked != 0).then(|| {
+                picks[..n]
+                    .iter()
+                    .map(|row| row.iter().map(|&p| (p % n) as u32).collect())
+                    .collect()
+            });
+            let from_mask = build_mask(n, causal, selected.as_deref()).map(|m| {
+                m.iter()
+                    .map(|row| (0..n as u32).filter(|&j| row[j as usize]).collect::<Vec<u32>>())
+                    .collect::<Vec<_>>()
+            });
+            proptest::prop_assert_eq!(effective_selection(n, causal, selected), from_mask);
+        }
     }
 
     #[test]
