@@ -13,8 +13,9 @@
 //! `--features prof-alloc`, asserts that the packed GEMM path stays
 //! within a fixed steady-state allocation budget (the pooled pack
 //! buffers and `matmul_into` outputs make repeated products allocation-
-//! free) and that a `decode_step` allocates no more at a long context
-//! than at a short one. CI runs this leg.
+//! free), that a `decode_step` allocates no more at a long context than at
+//! a short one (and no more than 64 times), and that a 32-row `decode_rows`
+//! call allocates less than 32 single steps. CI runs this leg.
 //!
 //! Thread-pool speedups depend on the machine: the report records the
 //! actual pool width, physical core count and detected CPU features so
@@ -27,7 +28,7 @@ use dota_quant::{Int4Packed, Int8Matrix, Precision};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
 use dota_tensor::{ops, reference, Matrix};
-use dota_transformer::{DenseDecode, KvCache, Model, TransformerConfig};
+use dota_transformer::{DecodeItem, DenseDecode, KvCache, Model, TransformerConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -426,15 +427,26 @@ fn run_quick() -> bool {
         return false;
     }
     println!("steady-state allocation budget: OK");
-    decode_allocs_independent_of_context()
+    decode_allocation_pins()
 }
+
+/// Heap allocations a single-row `decode_step` may make on the tiny model
+/// (what the per-token body made before the ragged forward replaced it).
+const DECODE_STEP_ALLOC_BUDGET: u64 = 64;
+
+/// Rows of the block `decode_rows` is held to amortize its buffers over.
+const BLOCK_ROWS: usize = 32;
 
 /// The decode leg of the `--quick` allocation smoke: one dense
 /// `decode_step` makes the same number of heap allocations at context 64
 /// as at context 768 — every buffer it takes is per step, per layer or per
-/// head, none per cached position. (The cache's own storage doubles,
-/// amortized, on power-of-two lengths; both probes sit between doublings.)
-fn decode_allocs_independent_of_context() -> bool {
+/// head, none per cached position — and no more than
+/// [`DECODE_STEP_ALLOC_BUDGET`]; and one [`BLOCK_ROWS`]-row `decode_rows`
+/// call makes fewer than [`BLOCK_ROWS`] single steps would: the block path
+/// shares its buffers across rows instead of taking them per row. (The
+/// cache's own storage doubles, amortized, on power-of-two lengths; every
+/// probe sits between doublings.)
+fn decode_allocation_pins() -> bool {
     const PROBES: [usize; 2] = [64, 768];
     let mut params = ParamSet::new();
     let model = Model::init(
@@ -462,6 +474,35 @@ fn decode_allocs_independent_of_context() -> bool {
         return false;
     }
     println!("decode allocation count independent of context: OK");
+    if calls[0] > DECODE_STEP_ALLOC_BUDGET {
+        eprintln!("FAIL: decode_step exceeded {DECODE_STEP_ALLOC_BUDGET} allocations");
+        return false;
+    }
+
+    // Positions 80..112 of a fresh cache: between the doublings at 64 and 128.
+    let tokens: Vec<usize> = (0..80 + BLOCK_ROWS).map(|i| i % 16).collect();
+    let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+    let mut rows_calls = |tokens: &[usize]| {
+        let before = dota_prof::alloc_stats().allocation_calls;
+        let mut item = [DecodeItem {
+            cache: &mut cache,
+            tokens,
+            selector: &DenseDecode,
+        }];
+        std::hint::black_box(model.decode_rows(&params, &mut item));
+        dota_prof::alloc_stats().allocation_calls - before
+    };
+    rows_calls(&tokens[..80]);
+    let block_calls = rows_calls(&tokens[80..]);
+    println!(
+        "decode_rows heap allocations for {BLOCK_ROWS} rows: {block_calls} ({BLOCK_ROWS} single steps: {})",
+        BLOCK_ROWS as u64 * calls[0]
+    );
+    if block_calls >= BLOCK_ROWS as u64 * calls[0] {
+        eprintln!("FAIL: the block path multiplies buffers instead of amortizing them");
+        return false;
+    }
+    println!("decode_rows amortizes its buffers over the block: OK");
     true
 }
 

@@ -14,28 +14,23 @@ use dota_tensor::{topk, Matrix};
 use dota_transformer::DecodeSelector;
 use std::cell::RefCell;
 
-/// Per-(layer, head) cache of projected key sketches.
-#[derive(Debug, Default)]
-struct SketchCache {
-    /// `k̃` rows accumulated so far, per layer, per head.
-    keys: Vec<Vec<Matrix>>,
-    /// Positions cached (equal across layers/heads once a step completes).
-    len: usize,
-}
-
 /// A [`DecodeSelector`] driven by the trained DOTA detector.
 ///
 /// Holds its own sketch cache; create one per generation and feed every
-/// decode step through it (steps must be issued in order, all layers/heads
-/// per step, exactly as [`Model::decode_step`](dota_transformer::Model::decode_step)
-/// does).
+/// decoded position through it: per `(layer, head)`, positions in ascending
+/// order, each exactly once — the order both
+/// [`Model::decode_step`](dota_transformer::Model::decode_step) (all
+/// layers and heads of one position) and
+/// [`Model::decode_rows`](dota_transformer::Model::decode_rows) (layer by
+/// layer over a block of positions) keep. A call out of order panics.
 #[derive(Debug)]
 pub struct DotaDecodeSelector<'a> {
     hook: &'a DotaHook,
     params: &'a ParamSet,
     cfg: DetectorConfig,
     n_heads: usize,
-    cache: RefCell<SketchCache>,
+    /// `k̃` rows accumulated so far, per layer, per head.
+    sketches: RefCell<Vec<Vec<Matrix>>>,
 }
 
 impl<'a> DotaDecodeSelector<'a> {
@@ -47,22 +42,26 @@ impl<'a> DotaDecodeSelector<'a> {
             params,
             cfg: hook.config().clone(),
             n_heads,
-            cache: RefCell::new(SketchCache {
-                keys: (0..n_layers)
+            sketches: RefCell::new(
+                (0..n_layers)
                     .map(|l| {
                         (0..n_heads)
                             .map(|h| Matrix::zeros(0, hook.detector(l, h).rank()))
                             .collect()
                     })
                     .collect(),
-                len: 0,
-            }),
+            ),
         }
     }
 
-    /// Number of cached positions.
+    /// Number of positions every layer and head has cached (the last
+    /// `(layer, head)` of a forward is the last to see a position).
     pub fn cached(&self) -> usize {
-        self.cache.borrow().len
+        let sketches = self.sketches.borrow();
+        sketches
+            .last()
+            .and_then(|heads| heads.last())
+            .map_or(0, Matrix::rows)
     }
 }
 
@@ -78,13 +77,15 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         // Append this step's key sketch in place (the model appends its
         // K/V before calling attention, so cache_len already includes the
         // new row).
-        let mut cache = self.cache.borrow_mut();
-        if layer == 0 && head == 0 {
-            cache.len = cache_len;
-        }
-        let sketches = &mut cache.keys[layer][head];
+        let sketches = &mut self.sketches.borrow_mut()[layer][head];
         sketches.push_row(k_row.row(0));
-        debug_assert_eq!(sketches.rows(), cache_len);
+        // Scores below pair sketch row `j` with cache position `j`: a
+        // skipped or repeated position would select the wrong keys silently.
+        assert!(
+            sketches.rows() == cache_len,
+            "layer {layer} head {head}: selected out of order (cache_len {cache_len}, {} sketched)",
+            sketches.rows()
+        );
 
         // Estimated scores of the new query against every cached key: one
         // exact ascending-k dot per sketch row, no operand packed or copied.
@@ -158,5 +159,138 @@ mod tests {
             let _ = model.decode_step(&params, &mut cache, t, &selector);
             assert_eq!(selector.cached(), i + 1);
         }
+    }
+
+    /// One answer of a selector: `(layer, head, cache_len, kept)`.
+    type Pick = (usize, usize, usize, Vec<u32>);
+
+    /// Forwards to a [`DotaDecodeSelector`] and keeps what it answered.
+    struct Recording<'a> {
+        inner: DotaDecodeSelector<'a>,
+        picks: RefCell<Vec<Pick>>,
+    }
+
+    impl<'a> Recording<'a> {
+        fn new(model: &Model, params: &'a ParamSet, hook: &'a DotaHook) -> Self {
+            let cfg = model.config();
+            Self {
+                inner: DotaDecodeSelector::new(hook, params, cfg.n_layers, cfg.n_heads),
+                picks: RefCell::default(),
+            }
+        }
+    }
+
+    impl DecodeSelector for Recording<'_> {
+        fn select(&self, l: usize, h: usize, x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            let kept = self.inner.select(l, h, x, len);
+            let record = (
+                l,
+                h,
+                len,
+                kept.clone().expect("the detector always answers"),
+            );
+            self.picks.borrow_mut().push(record);
+            kept
+        }
+    }
+
+    proptest::proptest! {
+        /// A selector fed blocks of positions layer by layer
+        /// (`decode_rows`) picks the same indices for every
+        /// `(layer, head, position)` and ends with the same `cached()` as
+        /// one fed a token at a time (`decode_step`, all layers per
+        /// position) — and the forward agrees bitwise on logits, attended
+        /// counts and K/V rows, with two sequences sharing it.
+        #[test]
+        fn block_fed_selector_matches_token_fed_oracle(seed in 0u64..1_000_000) {
+            use dota_tensor::rng::SeededRng;
+            use dota_transformer::{DecodeItem, KvCache};
+
+            let mut params = ParamSet::new();
+            let model = Model::init(TransformerConfig::tiny_causal(80, 8), &mut params, seed % 4);
+            let hook = DotaHook::init(
+                DetectorConfig::new(0.5).with_sigma(0.5),
+                model.config(),
+                &mut params,
+            );
+            let cfg = model.config();
+            let mut rng = SeededRng::new(seed);
+            let prompts: Vec<Vec<usize>> = (0..2)
+                .map(|_| (0..1 + rng.below(72)).map(|_| rng.below(8)).collect())
+                .collect();
+
+            // Token-fed: per sequence, logits and attended per position.
+            let token_fed: Vec<_> = prompts
+                .iter()
+                .map(|prompt| {
+                    let selector = Recording::new(&model, &params, &hook);
+                    let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
+                    let steps: Vec<(Matrix, u64)> = prompt
+                        .iter()
+                        .map(|&t| model.decode_step(&params, &mut cache, t, &selector))
+                        .collect();
+                    (selector, cache, steps)
+                })
+                .collect();
+
+            let block_fed: Vec<_> = prompts
+                .iter()
+                .map(|_| Recording::new(&model, &params, &hook))
+                .collect();
+            let mut caches = vec![KvCache::new(cfg.n_layers, cfg.d_model); 2];
+            while caches.iter().zip(&prompts).any(|(c, p)| c.len() < p.len()) {
+                let mut items = Vec::new();
+                let mut ends = Vec::new();
+                for (i, cache) in caches.iter_mut().enumerate() {
+                    let (done, left) = (cache.len(), prompts[i].len() - cache.len());
+                    if left == 0 {
+                        continue;
+                    }
+                    let n = [1, 2, 3, 31, 32, 33, left][rng.below(7)].min(left);
+                    ends.push((i, done + n));
+                    items.push(DecodeItem {
+                        cache,
+                        tokens: &prompts[i][done..done + n],
+                        selector: &block_fed[i],
+                    });
+                }
+                let got = model.decode_rows(&params, &mut items);
+                let mut attended = got.attended.iter();
+                for (row, &(i, end)) in ends.iter().enumerate() {
+                    let steps = &token_fed[i].2;
+                    let n = items[row].tokens.len();
+                    for (_, want) in &steps[end - n..end] {
+                        proptest::prop_assert_eq!(attended.next(), Some(want));
+                    }
+                    proptest::prop_assert!(got.logits.row(row) == steps[end - 1].0.row(0));
+                }
+            }
+            for (i, (selector, cache, _)) in token_fed.iter().enumerate() {
+                proptest::prop_assert_eq!(block_fed[i].inner.cached(), prompts[i].len());
+                proptest::prop_assert_eq!(selector.inner.cached(), prompts[i].len());
+                // Same answers, asked in a different order.
+                let sorted = |r: &Recording| {
+                    let mut picks = r.picks.borrow().clone();
+                    picks.sort();
+                    picks
+                };
+                proptest::prop_assert_eq!(sorted(&block_fed[i]), sorted(selector));
+                for l in 0..cfg.n_layers {
+                    proptest::prop_assert!(caches[i].keys(l) == cache.keys(l));
+                    proptest::prop_assert!(caches[i].values(l) == cache.values(l));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "selected out of order")]
+    fn skipped_position_is_refused() {
+        let (model, params, hook) = setup();
+        let cfg = model.config();
+        let selector = DotaDecodeSelector::new(&hook, &params, cfg.n_layers, cfg.n_heads);
+        let x = Matrix::zeros(1, cfg.d_model);
+        let _ = selector.select(0, 0, &x, 1);
+        let _ = selector.select(0, 0, &x, 3);
     }
 }

@@ -1,13 +1,13 @@
 //! The continuous-batching scheduler.
 //!
 //! [`ServeEngine`] drives the real incremental decode path
-//! ([`Model::decode_step`]) for a whole population of requests at once.
+//! ([`Model::decode_rows`]) for a whole population of requests at once.
 //! Time is the accelerator's 1 GHz cycle clock, advanced by the
 //! [`CostModel`] after every step, so the run — admission decisions,
 //! latencies, the serialized report — is a pure function of the request
 //! trace and the configuration: byte-identical across `DOTA_THREADS` and
 //! serial vs `parallel` builds (the scheduler loop is serial; only the
-//! independent per-slot decodes fan out).
+//! independent rows inside the forward fan out).
 //!
 //! Each scheduler step:
 //!
@@ -21,9 +21,19 @@
 //!    the backlog picks a rung of the retention ladder: the deeper the
 //!    queue, the sparser the attention the new request runs at —
 //!    *shedding load by degrading accuracy instead of waiting*;
-//! 4. **decode** — every in-flight request advances one token (prompt
-//!    tokens first, then greedy generation); the step costs one shared
-//!    weight stream plus each member's measured K/V traffic;
+//! 4. **decode** — on the simulated machine every in-flight request
+//!    advances one token (prompt tokens first, then greedy generation) and
+//!    the step costs one shared weight stream plus each member's measured
+//!    K/V traffic. The *host* pays that weight stream once per step too:
+//!    one ragged [`Model::decode_rows`] call covers every slot that needs
+//!    host work, and a slot in its prompt computes its next
+//!    `PREFILL_BLOCK` positions in that call — their inputs were known at
+//!    admission — then just pops one buffered attended count per step. The
+//!    host runs ahead of the simulated clock on prompt positions; the
+//!    simulated machine does not: it still bills one position per step,
+//!    and fault, timeout and eviction decisions, pure functions of
+//!    `(id, attempt, consumed)`, never see the look-ahead (a discarded
+//!    attempt drops it with its slot);
 //! 5. **evict** — requests that finished (`max_new` tokens or EOS) or
 //!    overran their deadline leave the batch at step boundaries.
 //!
@@ -45,7 +55,7 @@ use dota_autograd::ParamSet;
 use dota_faults::FaultSite;
 use dota_telemetry::{EventSink, GaugesSample, ServeEvent, SloReading, Transition};
 use dota_tensor::ops;
-use dota_transformer::{KvCache, Model};
+use dota_transformer::{DecodeItem, KvCache, Model};
 use std::collections::VecDeque;
 
 /// Coordinate namespace for quarantine probe decisions, disjoint from
@@ -55,6 +65,14 @@ const PROBE_COORD: u64 = u64::MAX;
 /// Consecutive decode-step timeouts at one position before the attempt is
 /// abandoned and the request goes through the retry path.
 const TIMEOUT_ESCALATE: u64 = 3;
+
+/// Prompt positions a slot computes per host forward. Measured on
+/// `serve_longctx` (mid model, prompts 128–192; three interleaved runs
+/// each): 32, 48 and 64 all read 7.0–7.3k slot-steps/s against 4.0k one
+/// position at a time, within run-to-run noise of each other — a 32-row
+/// GEMM already amortizes the weight stream — so the smallest of them,
+/// which wastes least when an attempt is discarded mid-block.
+pub(crate) const PREFILL_BLOCK: usize = 32;
 
 /// What the scheduler does when demand outruns capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,8 +300,12 @@ struct Slot {
     lane: usize,
     cache: KvCache,
     selector: WindowSelector,
-    /// Prompt+generated tokens consumed by `decode_step` so far.
+    /// Prompt+generated positions the simulated machine has consumed.
     consumed: usize,
+    /// Attended counts of the positions the host has already computed
+    /// beyond `consumed` (`cache.len() == consumed + ahead.len()`); only
+    /// prompt positions are ever computed ahead.
+    ahead: VecDeque<u64>,
     /// Generated tokens.
     tokens: Vec<usize>,
     /// Next generation input (argmax of the last step's logits).
@@ -703,7 +725,7 @@ impl<'m> ServeEngine<'m> {
     /// `true` when the model can run `req` at all: a non-empty prompt of
     /// in-vocabulary tokens, at least one token to generate, and a total
     /// length within `seq_len`. Anything else would panic inside
-    /// `decode_step` in the middle of a batch.
+    /// `decode_rows` in the middle of a batch.
     fn runnable(&self, req: &Request) -> bool {
         let mcfg = self.model.config();
         !req.prompt.is_empty()
@@ -873,6 +895,7 @@ impl<'m> ServeEngine<'m> {
             cache: KvCache::new(mcfg.n_layers, mcfg.d_model),
             selector: WindowSelector::new(retention),
             consumed: 0,
+            ahead: VecDeque::new(),
             tokens: Vec::new(),
             next_token: None,
             eos_hit: false,
@@ -937,73 +960,98 @@ impl<'m> ServeEngine<'m> {
         debug_assert!(self.slots.len() <= self.cfg.capacity);
     }
 
-    /// One decode step for one slot; independent of every other slot, so
-    /// the parallel fan-out below is bitwise equivalent to the serial loop.
-    /// Fault decisions are pure hashes of `(request, attempt, position)`,
-    /// so they too are independent of thread interleaving.
-    fn decode_slot(model: &Model, params: &ParamSet, slot: &mut Slot) {
-        if dota_faults::enabled() {
-            let coords = [slot.req.id, slot.attempt, slot.consumed as u64];
-            if dota_faults::should_inject(FaultSite::SlotFail, &coords) {
-                slot.fault = Some(SlotFault::Lane);
-                slot.attended_last = 0;
-                return;
-            }
-            if slot.consumed > 0 && dota_faults::should_inject(FaultSite::KvCorrupt, &coords) {
-                slot.fault = Some(SlotFault::Kv);
-                slot.attended_last = 0;
-                return;
-            }
-            // Decided before the decode runs, so a timed-out step mutates
-            // nothing: the position simply repeats next step. The retry
-            // counter is a coordinate, so the re-decision is fresh.
-            let t_coords = [
-                slot.req.id,
-                slot.attempt,
-                slot.consumed as u64,
-                slot.timeouts_here,
-            ];
-            if dota_faults::should_inject(FaultSite::DecodeTimeout, &t_coords) {
-                slot.timeouts_here += 1;
-                slot.timed_out = true;
-                slot.attended_last = 0;
-                if slot.timeouts_here >= TIMEOUT_ESCALATE {
-                    slot.fault = Some(SlotFault::Timeout);
-                }
-                return;
-            }
-            slot.timeouts_here = 0;
+    /// Decides the injected faults of `slot`'s current position; `false`
+    /// means the position does not advance this step (the attempt aborted,
+    /// or the step timed out). Decisions are pure hashes of
+    /// `(request, attempt, position)` — never of what the host has computed
+    /// ahead — and are taken before any host work, so a timed-out step
+    /// mutates nothing: the position simply repeats next step.
+    fn position_survives(slot: &mut Slot) -> bool {
+        let coords = [slot.req.id, slot.attempt, slot.consumed as u64];
+        if dota_faults::should_inject(FaultSite::SlotFail, &coords) {
+            slot.fault = Some(SlotFault::Lane);
+            slot.attended_last = 0;
+            return false;
         }
-        let input = if slot.consumed < slot.req.prompt.len() {
-            slot.req.prompt[slot.consumed]
-        } else {
-            slot.next_token.expect("generation input available")
-        };
-        let (logits, attended) = model.decode_step(params, &mut slot.cache, input, &slot.selector);
-        slot.consumed += 1;
-        slot.attended_last = attended;
-        if slot.consumed >= slot.req.prompt.len() {
-            let next = ops::argmax_rows(&logits)[0];
-            slot.tokens.push(next);
-            slot.next_token = Some(next);
-            slot.emitted_this_step = true;
-            if slot.req.eos == Some(next) {
-                slot.eos_hit = true;
-            }
+        if slot.consumed > 0 && dota_faults::should_inject(FaultSite::KvCorrupt, &coords) {
+            slot.fault = Some(SlotFault::Kv);
+            slot.attended_last = 0;
+            return false;
         }
+        // The retry counter is a coordinate, so the re-decision is fresh.
+        let t_coords = [
+            slot.req.id,
+            slot.attempt,
+            slot.consumed as u64,
+            slot.timeouts_here,
+        ];
+        if dota_faults::should_inject(FaultSite::DecodeTimeout, &t_coords) {
+            slot.timeouts_here += 1;
+            slot.timed_out = true;
+            slot.attended_last = 0;
+            if slot.timeouts_here >= TIMEOUT_ESCALATE {
+                slot.fault = Some(SlotFault::Timeout);
+            }
+            return false;
+        }
+        slot.timeouts_here = 0;
+        true
     }
 
+    /// Advances every surviving slot one position on the simulated machine,
+    /// after one host forward over the slots whose next position is not
+    /// computed yet. Each item attends over its own cache only, so a slot's
+    /// bits do not depend on who shares the forward.
     fn decode_all(&mut self) {
-        let (model, params) = (self.model, self.params);
-        #[cfg(feature = "parallel")]
-        dota_parallel::par_partition_mut(&mut self.slots, 1, |_, span| {
-            for slot in span {
-                Self::decode_slot(model, params, slot);
+        let faults = dota_faults::enabled();
+        // Slots with host work this step, and their rows of the forward.
+        let mut working = Vec::new();
+        let mut items = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if (faults && !Self::position_survives(slot)) || !slot.ahead.is_empty() {
+                continue;
             }
-        });
-        #[cfg(not(feature = "parallel"))]
+            let prompt = &slot.req.prompt;
+            let tokens = if slot.consumed < prompt.len() {
+                // Never past the prompt: generated inputs depend on logits.
+                &prompt[slot.consumed..prompt.len().min(slot.consumed + PREFILL_BLOCK)]
+            } else {
+                slot.next_token.as_slice()
+            };
+            working.push(i);
+            items.push(DecodeItem {
+                cache: &mut slot.cache,
+                tokens,
+                selector: &slot.selector,
+            });
+        }
+        if !items.is_empty() {
+            let out = self.model.decode_rows(self.params, &mut items);
+            let mut attended = out.attended.iter().copied();
+            for (&i, next) in working.iter().zip(ops::argmax_rows(&out.logits)) {
+                let slot = &mut self.slots[i];
+                let rows = slot.cache.len() - slot.consumed;
+                slot.ahead.extend(attended.by_ref().take(rows));
+                // Logits of a block that ends inside the prompt feed nothing.
+                if slot.cache.len() >= slot.req.prompt.len() {
+                    slot.next_token = Some(next);
+                }
+            }
+        }
         for slot in &mut self.slots {
-            Self::decode_slot(model, params, slot);
+            if slot.fault.is_some() || slot.timed_out {
+                continue;
+            }
+            slot.attended_last = slot.ahead.pop_front().expect("computed above or earlier");
+            slot.consumed += 1;
+            if slot.consumed >= slot.req.prompt.len() {
+                let next = slot.next_token.expect("set with the last prompt row");
+                slot.tokens.push(next);
+                slot.emitted_this_step = true;
+                if slot.req.eos == Some(next) {
+                    slot.eos_hit = true;
+                }
+            }
         }
     }
 
@@ -1294,7 +1342,7 @@ mod tests {
     }
 
     /// Requests the model cannot run leave as typed rejections carrying
-    /// their id — no panic at arrival, none mid-batch inside `decode_step`
+    /// their id — no panic at arrival, none mid-batch inside `decode_rows`
     /// — and their batch-mates are served as if they had never arrived.
     #[test]
     fn unrunnable_requests_are_rejected_not_panicked_on() {

@@ -7,11 +7,11 @@
 //! load-shedding policy for a batched inference service:
 //!
 //! - [`ServeEngine`] — a continuous-batching scheduler over the real
-//!   incremental decode path ([`dota_transformer::Model::decode_step`]):
-//!   requests join at step boundaries, leave on completion/EOS/deadline,
-//!   and every step's latency comes from a DRAM-traffic [`CostModel`]
-//!   (weights streamed once per step, K/V per request) on the simulated
-//!   1 GHz cycle clock.
+//!   incremental decode path ([`dota_transformer::Model::decode_rows`],
+//!   one call per step): requests join at step boundaries, leave on
+//!   completion/EOS/deadline, and every step's latency comes from a
+//!   DRAM-traffic [`CostModel`] (weights streamed once per step, K/V per
+//!   request) on the simulated 1 GHz cycle clock.
 //! - [`ShedPolicy`] — under overload, either queue at full quality
 //!   ([`ShedPolicy::QueueOnly`]) or admit at progressively sparser
 //!   attention down a retention [ladder](ServeConfig::ladder)
@@ -36,11 +36,11 @@
 //!   boundaries on the simulated clock ([`ServeConfig::slo_window`]),
 //!   surfaced as `serve.slo.*` counters, histograms and counter tracks.
 //!
-//! Determinism is load-bearing: the scheduler loop is serial, per-slot
-//! decodes are independent (batch-mates never mix state), and histograms
-//! aggregate in completion order — so reports are byte-identical across
-//! `DOTA_THREADS` and serial vs `parallel` builds, and the load-test
-//! suite can assert on exact bytes.
+//! Determinism is load-bearing: the scheduler loop is serial, the rows of
+//! a step's forward are independent (batch-mates never mix state), and
+//! histograms aggregate in completion order — so reports are
+//! byte-identical across `DOTA_THREADS` and serial vs `parallel` builds,
+//! and the load-test suite can assert on exact bytes.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -80,12 +80,13 @@ mod prop_tests {
     //! starvation, and batch-mate independence of decoded tokens.
 
     use super::*;
+    use crate::engine::PREFILL_BLOCK;
     use dota_accel::AccelConfig;
     use dota_autograd::ParamSet;
-    use dota_transformer::{Model, TransformerConfig};
+    use dota_transformer::{KvCache, Model, TransformerConfig};
     use proptest::prelude::*;
 
-    const SEQ: usize = 32;
+    const SEQ: usize = 160;
     const VOCAB: usize = 12;
 
     fn model() -> (Model, ParamSet) {
@@ -111,13 +112,20 @@ mod prop_tests {
     /// model) from one generated gap vector: each gap also seeds that
     /// request's prompt length, output budget and class, so one strategy
     /// exercises arrival bursts, shape mixes and class interleavings.
+    /// Prompts come in three lengths by the host's prefill blocks: inside
+    /// one block, across one block boundary, across three or four — so
+    /// aborts, timeouts and evictions land with a look-ahead outstanding.
     fn trace_from(gaps: &[u64]) -> Vec<Request> {
         let mut now = 0u64;
         gaps.iter()
             .enumerate()
             .map(|(i, &gap)| {
                 now += gap;
-                let plen = 1 + (gap % 5) as usize;
+                let plen = match gap % 3 {
+                    0 => 1 + (gap / 3 % 5) as usize,
+                    1 => PREFILL_BLOCK + 1 + (gap / 3 % 24) as usize,
+                    _ => 3 * PREFILL_BLOCK + 1 + (gap / 3 % 40) as usize,
+                };
                 let max_new = 1 + ((gap / 7) % 5) as usize;
                 Request {
                     id: i as u64,
@@ -133,6 +141,210 @@ mod prop_tests {
                 }
             })
             .collect()
+    }
+
+    /// A plan arming every serve-layer fault site at `rate` per decision.
+    fn all_sites(seed: u64, rate: f64) -> dota_faults::FaultPlan {
+        dota_faults::FaultSite::SERVE
+            .iter()
+            .fold(dota_faults::FaultPlan::new(seed), |p, &site| {
+                p.with_rate(site, rate)
+            })
+    }
+
+    /// What one `decode_step` per token at `retention` generates for `req`
+    /// outside any engine: the tokens a full service must deliver.
+    fn offline_tokens(
+        model: &Model,
+        params: &ParamSet,
+        req: &Request,
+        retention: f64,
+    ) -> Vec<usize> {
+        let selector = WindowSelector::new(retention);
+        let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+        let mut tokens = Vec::new();
+        for consumed in 0..req.prompt.len() + req.max_new - 1 {
+            let input = match req.prompt.get(consumed) {
+                Some(&t) => t,
+                None => *tokens.last().expect("the last prompt position emits"),
+            };
+            let (logits, _) = model.decode_step(params, &mut cache, input, &selector);
+            if consumed + 1 >= req.prompt.len() {
+                tokens.push(dota_tensor::ops::argmax_rows(&logits)[0]);
+            }
+        }
+        tokens
+    }
+
+    /// Holds a run recorded with a timeline to the offline oracle: a served
+    /// request delivers exactly the offline tokens of its admitted
+    /// retention, an evicted one a prefix of them; and over a request's
+    /// surviving steps `StepRecord::context` counts 1, 2, 3, … — positions
+    /// the simulated machine consumed, not the host's `cache.len()`, which
+    /// runs ahead by up to a block.
+    fn assert_matches_offline(
+        model: &Model,
+        params: &ParamSet,
+        requests: &[Request],
+        out: &ServeOutcome,
+    ) {
+        let timelines = out.timeline.as_deref().expect("recorded with a timeline");
+        for c in out.completions.iter().filter(|c| c.admit.is_some()) {
+            let req = requests.iter().find(|r| r.id == c.id).unwrap();
+            let offline = offline_tokens(model, params, req, c.retention);
+            if c.reason.is_served() {
+                assert_eq!(
+                    c.tokens, offline,
+                    "request {} ({} retries)",
+                    c.id, c.retries
+                );
+            } else {
+                assert!(
+                    offline.starts_with(&c.tokens),
+                    "request {} ended {:?}",
+                    c.id,
+                    c.reason
+                );
+            }
+            let tl = timelines.iter().find(|tl| tl.id == c.id).unwrap();
+            let consumed: Vec<u64> = tl
+                .steps
+                .iter()
+                .map(|s| s.context)
+                .filter(|&t| t > 0)
+                .collect();
+            let counted: Vec<u64> = (1..=consumed.len() as u64).collect();
+            assert_eq!(
+                consumed, counted,
+                "request {}: context is not a position count",
+                c.id
+            );
+            if c.reason.is_served() {
+                assert_eq!(consumed.len(), req.prompt.len() + c.tokens.len() - 1);
+            }
+        }
+    }
+
+    /// Runs `requests` with a timeline and a capture of the raw event
+    /// stream, inside a fault session when a plan is given.
+    fn run_captured(
+        model: &Model,
+        params: &ParamSet,
+        cfg: ServeConfig,
+        requests: &[Request],
+        plan: Option<dota_faults::FaultPlan>,
+    ) -> (ServeOutcome, Vec<ServeEvent>) {
+        use std::sync::{Arc, Mutex};
+        let _session = plan.map(dota_faults::session);
+        let stream = Arc::new(Mutex::new(Vec::<ServeEvent>::new()));
+        let mut engine = ServeEngine::new(model, params, cfg, &AccelConfig::default()).unwrap();
+        engine.observe(
+            "captured",
+            [Box::new(Arc::clone(&stream)) as Box<dyn EventSink>],
+        );
+        engine.enable_timeline("captured");
+        let out = engine.run(requests.to_vec());
+        let stream = std::mem::take(&mut *stream.lock().unwrap());
+        (out, stream)
+    }
+
+    /// `true` when some step of the stream was discarded (an abort or a
+    /// timeout: context 0) after its request had consumed a number of
+    /// positions strictly inside a prefill block of its prompt — that is,
+    /// with host look-ahead outstanding.
+    fn discarded_mid_block(requests: &[Request], stream: &[ServeEvent]) -> bool {
+        let mut consumed = std::collections::BTreeMap::new();
+        stream.iter().any(|ev| match ev.what {
+            Transition::Admitted { id, .. } => {
+                consumed.insert(id, 0);
+                false
+            }
+            Transition::SlotStep { id, step } if step.context > 0 => {
+                consumed.insert(id, step.context as usize);
+                false
+            }
+            Transition::SlotStep { id, .. } => {
+                let prompt = &requests.iter().find(|r| r.id == id).unwrap().prompt;
+                consumed[&id] % PREFILL_BLOCK != 0 && consumed[&id] < prompt.len()
+            }
+            _ => false,
+        })
+    }
+
+    /// Each way an attempt can be cut short — a `kv.corrupt` or `slot.fail`
+    /// abort, a `decode.timeout` repeat, a deadline eviction — does land
+    /// while the host holds look-ahead (mid-block, inside a long prompt),
+    /// and none of them leaks into what is delivered or recorded.
+    #[test]
+    fn aborts_repeats_and_evictions_land_mid_block() {
+        use dota_faults::{FaultPlan, FaultSite};
+        let (model, params) = model();
+        let requests = trace_from(&[2, 5, 1, 8, 4, 2]);
+        assert!(requests.iter().all(|r| r.prompt.len() > PREFILL_BLOCK));
+        let cfg = generous_cfg(2, ShedPolicy::Retention);
+        for (site, rate) in [
+            (FaultSite::KvCorrupt, 0.01),
+            (FaultSite::SlotFail, 0.01),
+            (FaultSite::DecodeTimeout, 0.05),
+        ] {
+            let mut seen = false;
+            for seed in 0..4 {
+                let plan = FaultPlan::new(seed).with_rate(site, rate);
+                let (out, stream) =
+                    run_captured(&model, &params, cfg.clone(), &requests, Some(plan));
+                assert_matches_offline(&model, &params, &requests, &out);
+                assert!(out.served() > 0, "{site:?}: nothing served at seed {seed}");
+                seen |= discarded_mid_block(&requests, &stream);
+            }
+            assert!(seen, "{site:?} never fired mid-block");
+        }
+
+        // 20 µs is a few dozen steps: nobody finishes a 97-token prompt.
+        let tight = ServeConfig {
+            interactive_deadline_us: 20.0,
+            batch_deadline_us: 20.0,
+            ..cfg
+        };
+        let (out, _) = run_captured(&model, &params, tight, &requests, None);
+        assert_matches_offline(&model, &params, &requests, &out);
+        let timelines = out.timeline.as_deref().unwrap();
+        assert!(
+            timelines.iter().any(|tl| {
+                let prompt = &requests.iter().find(|r| r.id == tl.id).unwrap().prompt;
+                tl.reason == FinishReason::DeadlineEvicted
+                    && tl.steps.len() % PREFILL_BLOCK != 0
+                    && tl.steps.len() < prompt.len()
+            }),
+            "no eviction landed mid-block"
+        );
+    }
+
+    proptest! {
+        /// Whatever the capacity, policy, deadlines and injected faults,
+        /// what the engine delivers and records is what offline per-token
+        /// generation says (see [`assert_matches_offline`]).
+        #[test]
+        fn served_tokens_match_offline_generation_oracle(
+            gaps in proptest::collection::vec(0u64..3000, 1..7),
+            capacity in 1usize..4,
+            shed in 0usize..2,
+            deadline_us in 10u32..400,
+            fault_seed in 0u64..1000,
+            rate in 0usize..4,
+        ) {
+            let requests = trace_from(&gaps);
+            let (model, params) = model();
+            let cfg = ServeConfig {
+                capacity,
+                shed: [ShedPolicy::QueueOnly, ShedPolicy::Retention][shed],
+                interactive_deadline_us: f64::from(deadline_us),
+                batch_deadline_us: f64::from(deadline_us) * 4.0,
+                ..Default::default()
+            };
+            let plan = all_sites(fault_seed, [0.0, 0.002, 0.01, 0.05][rate]);
+            let (out, _) = run_captured(&model, &params, cfg, &requests, Some(plan));
+            assert_matches_offline(&model, &params, &requests, &out);
+        }
     }
 
     proptest! {
@@ -301,19 +513,16 @@ mod prop_tests {
             gaps in proptest::collection::vec(0u64..3000, 1..17),
             capacity in 1usize..4,
             fault_seed in 0u64..1000,
-            rate_pct in 0u32..30,
+            rate in 0usize..5,
         ) {
             let requests = trace_from(&gaps);
             let (model, params) = model();
             let n = requests.len();
             let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            let rate = f64::from(rate_pct) / 100.0;
-            let plan = dota_faults::FaultSite::SERVE
-                .iter()
-                .fold(dota_faults::FaultPlan::new(fault_seed), |p, &site| {
-                    p.with_rate(site, rate)
-                });
-            let _session = dota_faults::session(plan);
+            // Per position and site: from "long prompts mostly get through,
+            // hit somewhere mid-block" to "nothing survives a few steps".
+            let rate = [0.0, 0.002, 0.01, 0.05, 0.3][rate];
+            let _session = dota_faults::session(all_sites(fault_seed, rate));
             let out = ServeEngine::new(
                 &model, &params, generous_cfg(capacity, ShedPolicy::Retention),
                 &AccelConfig::default(),
@@ -365,10 +574,7 @@ mod prop_tests {
                 ..Default::default()
             };
             let rate = f64::from(rate_pct) / 100.0;
-            let plan = dota_faults::FaultSite::SERVE
-                .iter()
-                .fold(dota_faults::FaultPlan::new(fault_seed), |p, &site| p.with_rate(site, rate));
-            let _session = dota_faults::session(plan);
+            let _session = dota_faults::session(all_sites(fault_seed, rate));
             let engine = || ServeEngine::new(&model, &params, cfg.clone(), &AccelConfig::default()).unwrap();
 
             let stream = Arc::new(Mutex::new(Vec::<ServeEvent>::new()));
@@ -448,14 +654,11 @@ mod prop_tests {
             let accel = AccelConfig::default();
             // QueueOnly pins retention at ladder[0], so the fault-free
             // solo run is admitted at the same retention as the faulted
-            // shared run (retries re-pin the original level anyway).
-            let plan = dota_faults::FaultSite::SERVE
-                .iter()
-                .fold(dota_faults::FaultPlan::new(fault_seed), |p, &site| {
-                    p.with_rate(site, 0.15)
-                });
+            // shared run (retries re-pin the original level anyway). At 1 %
+            // per position and site a 100-token prompt is usually hit
+            // somewhere inside a block and still often served on a retry.
             let faulted = {
-                let _session = dota_faults::session(plan);
+                let _session = dota_faults::session(all_sites(fault_seed, 0.01));
                 ServeEngine::new(
                     &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
                 ).unwrap().run(requests.clone())

@@ -8,12 +8,13 @@
 //! products big enough to amortize panel packing run the packed SIMD
 //! microkernel driver ([`crate::simd::packed_gemm`]) when the selected
 //! family has lanes on this host; everything else — small products,
-//! row-vector products `x·W` (one output row gives packing nothing to
-//! amortize over), the `scalar` family, hosts without SIMD — runs the
-//! legacy blocked kernels below. The legacy path builds each product from
-//! one row-range kernel, cache-blocked over `i`/`k`; with the `parallel`
-//! feature, products past [`PAR_CUTOFF_FLOPS`] run that kernel over
-//! per-worker row blocks via `dota_parallel::par_partition_mut`.
+//! `A·B` with fewer than `PACK_MIN_ROWS` rows (packing all of `B` has too
+//! few output rows to amortize over), the `scalar` family, hosts without
+//! SIMD — runs the legacy blocked kernels below. The legacy path builds
+//! each product from one row-range kernel, cache-blocked over `i`/`k`;
+//! with the `parallel` feature, products past [`PAR_CUTOFF_FLOPS`] run that
+//! kernel over per-worker row blocks via
+//! `dota_parallel::par_partition_mut`.
 //!
 //! Both paths keep the same numerics contract: every output element is one
 //! ascending-`k` accumulation chain, so for the `scalar` and `simd`
@@ -31,6 +32,15 @@ use crate::{Matrix, ShapeError};
 
 const BLOCK: usize = 32;
 
+/// `A·B` products with fewer output rows than this stay on the blocked row
+/// kernel: the packed driver copies all of `B` per call, which the row
+/// kernel — streaming `B`'s rows in place, one 32-row panel reused across
+/// the block — undercuts until about eight rows share the copy. Measured
+/// per output row on `k×n` = 128×512 (µs; 128×128, 128×256 and 512×128
+/// cross at the same `m`): row kernel 6.8 flat in `m`; packed 19.3 at
+/// `m = 2`, 12.8 at 3, 9.2 at 4, 7.1 at 7, 6.1 at 8, 4.2 at 16.
+const PACK_MIN_ROWS: usize = 8;
+
 /// Products smaller than this many multiply-adds (`m·k·n`) stay serial even
 /// when the `parallel` feature is enabled: below it, thread dispatch costs
 /// more than the arithmetic it distributes.
@@ -39,13 +49,14 @@ pub const PAR_CUTOFF_FLOPS: usize = 64 * 64 * 64;
 
 /// Runs `kernel` over the rows of `out` — as one call on the serial path,
 /// or on contiguous per-worker row blocks when the `parallel` feature is
-/// enabled and the product performs at least [`PAR_CUTOFF_FLOPS`]
-/// multiply-adds.
+/// enabled and the work is at least `PAR_CUTOFF_FLOPS` (64³) multiply-adds.
 ///
 /// `kernel(first_row, span)` must fill the `span.len() / out.cols()` output
 /// rows starting at `first_row`, each row independently of the others; that
 /// independence is what makes the row partition bitwise-transparent.
-fn row_dispatch(out: &mut Matrix, flops: usize, kernel: impl Fn(usize, &mut [f32]) + Sync) {
+/// Public for row-wise work that is not a GEMM but splits the same way (the
+/// per-row attention of `dota-transformer`'s ragged decode forward).
+pub fn row_dispatch(out: &mut Matrix, flops: usize, kernel: impl Fn(usize, &mut [f32]) + Sync) {
     if out.is_empty() {
         return;
     }
@@ -78,10 +89,10 @@ fn gemm_dispatch(
         Layout::Tn => a.rows(),
     };
     let flops = m * k * n;
-    // `x·W` with a single row is `k` axpys over rows of `b` that are
-    // already contiguous: packing would copy all of `b` to use it once.
-    let row_vector = m == 1 && layout == Layout::Nn;
-    if !row_vector {
+    // A few rows of `x·W` are `k` axpys each over rows of `b` that are
+    // already contiguous: packing would copy all of `b` to use it `m` times.
+    let few_rows = m < PACK_MIN_ROWS && layout == Layout::Nn;
+    if !few_rows {
         if let Some(micro) = simd::packed_kernel(KernelFamily::active(), flops) {
             simd::packed_gemm(layout, a, b, out, micro);
             return;
@@ -484,11 +495,23 @@ mod tests {
         // SIMD driver (when this host has lanes) must reproduce the
         // reference chain exactly, like the legacy kernels do. Runs under
         // both `simd` and `scalar` so the dispatch seam itself is pinned.
-        // The single-row case takes the row kernel for `nn` (never packed)
-        // and the packed driver for `nt`.
+        // Below `PACK_MIN_ROWS` rows `nn` takes the row kernel (never
+        // packed) while `nt` still takes the packed driver; the last three
+        // row counts straddle that seam.
         let mut rng = SeededRng::new(7);
+        let seam = super::PACK_MIN_ROWS;
         for family in ["simd", "scalar"] {
-            for &(m, k, n) in &[(37, 41, 43), (64, 64, 64), (70, 33, 130), (1, 128, 515)] {
+            for &(m, k, n) in &[
+                (37, 41, 43),
+                (64, 64, 64),
+                (70, 33, 130),
+                (1, 128, 515),
+                (2, 128, 515),
+                (3, 128, 128),
+                (seam - 1, 128, 130),
+                (seam, 128, 130),
+                (seam + 1, 128, 130),
+            ] {
                 let a = rng.normal_matrix(m, k, 1.0);
                 let b = rng.normal_matrix(k, n, 1.0);
                 let bt = rng.normal_matrix(n, k, 1.0);

@@ -42,4 +42,5 @@ pub mod simd;
 pub mod topk;
 
 pub use error::ShapeError;
+pub use gemm::row_dispatch;
 pub use matrix::Matrix;

@@ -120,14 +120,23 @@ pub fn relu(x: &Matrix) -> Matrix {
 ///
 /// Panics if `bias.len() != x.cols()`.
 pub fn add_bias(x: &Matrix, bias: &[f32]) -> Matrix {
-    assert_eq!(bias.len(), x.cols(), "bias length mismatch");
     let mut out = x.clone();
-    for r in 0..out.rows() {
-        for (v, b) in out.row_mut(r).iter_mut().zip(bias) {
+    add_bias_in_place(&mut out, bias);
+    out
+}
+
+/// [`add_bias`] into `x` itself.
+///
+/// # Panics
+///
+/// Panics if `bias.len() != x.cols()`.
+pub fn add_bias_in_place(x: &mut Matrix, bias: &[f32]) {
+    assert_eq!(bias.len(), x.cols(), "bias length mismatch");
+    for r in 0..x.rows() {
+        for (v, b) in x.row_mut(r).iter_mut().zip(bias) {
             *v += b;
         }
     }
-    out
 }
 
 /// Mean squared error between two equally-shaped matrices

@@ -5,7 +5,12 @@
 //! K/V to the cache. This module implements that loop functionally — it is
 //! the software twin of the accelerator's decoder mode, and the unit tests
 //! pin it against the batch [`infer`](crate::Model::infer) path (the same
-//! prompt must produce identical logits).
+//! prompt must produce identical logits). There is one forward,
+//! [`Model::decode_rows`]: positions whose inputs are already known (a
+//! prompt block, the next token of several sequences) share one activation
+//! matrix, and with it one stream of every weight, as the accelerator's
+//! decoder mode shares it across a batch; a single step is its one-row
+//! case.
 
 use crate::{Model, TransformerParams};
 use dota_autograd::ParamSet;
@@ -71,9 +76,15 @@ impl KvCache {
 /// The DOTA detector restricts each step's attention to the strongest
 /// `retention · t` cached entries; dense decoding attends to everything.
 pub trait DecodeSelector {
-    /// Keys (cache positions `0..t`) the current step of `(layer, head)`
-    /// may attend to, given the step's input row `x` (`1 x d`). `None`
-    /// means attend to all.
+    /// Keys (cache positions `0..cache_len`) the position `cache_len - 1`
+    /// may attend to in `(layer, head)`, given that position's input row
+    /// `x` (`1 x d`). `None` means attend to all.
+    ///
+    /// Asked exactly once per `(layer, head, position)`; per
+    /// `(layer, head)`, positions arrive in ascending order — one position
+    /// through all layers ([`Model::decode_step`]) or a block of positions
+    /// layer by layer ([`Model::decode_rows`]) — which is all a selector
+    /// that keeps per-position state may rely on.
     fn select(&self, layer: usize, head: usize, x: &Matrix, cache_len: usize) -> Option<Vec<u32>>;
 }
 
@@ -97,9 +108,204 @@ pub struct Generation {
     pub attended_per_token: Vec<u64>,
 }
 
+/// One sequence's share of a [`Model::decode_rows`] call: its next
+/// `tokens.len()` consecutive positions, continuing the sequence `cache`
+/// holds.
+pub struct DecodeItem<'a> {
+    /// The sequence so far; gains one K/V row per token and layer.
+    pub cache: &'a mut KvCache,
+    /// Inputs of the positions `cache.len()..cache.len() + tokens.len()`.
+    pub tokens: &'a [usize],
+    /// Asked once per `(layer, position, head)`: per `(layer, head)`,
+    /// positions in ascending order.
+    pub selector: &'a dyn DecodeSelector,
+}
+
+/// Output of [`Model::decode_rows`].
+#[derive(Debug, Clone)]
+pub struct DecodedRows {
+    /// Row `i`: the logits of item `i`'s **last** position.
+    pub logits: Matrix,
+    /// Cached K/V connections each decoded position attended, items in
+    /// call order, positions ascending within an item.
+    pub attended: Vec<u64>,
+}
+
+/// `acc += x`, element-wise: a residual connection without a third buffer
+/// (IEEE addition commutes, so the bits are those of `x + acc`).
+fn add_residual(x: &Matrix, acc: &mut Matrix) {
+    for (a, &x) in acc.iter_mut().zip(x.iter()) {
+        *a += x;
+    }
+}
+
 impl Model {
+    /// Runs a ragged batch of positions through the decoder in one forward:
+    /// every item contributes its next `tokens.len()` consecutive positions,
+    /// all of them stacked into one activation matrix, so each projection
+    /// and FFN product streams its weight once per call whatever the number
+    /// of rows. K/V rows are appended per item, and each row attends over
+    /// its own sequence's cache prefix (`cache_len = position + 1`).
+    ///
+    /// Every output element is the arithmetic of a one-token step — GEMM
+    /// rows are independent ascending-`k` chains, softmax, layer norm and
+    /// GELU are row-wise — so logits, attended counts and caches are
+    /// bitwise what feeding the same tokens one call at a time produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is not causal, an item has no tokens, a token is
+    /// out of vocabulary, or an item would grow its cache past `seq_len`.
+    pub fn decode_rows(&self, params: &ParamSet, items: &mut [DecodeItem<'_>]) -> DecodedRows {
+        let _prof = dota_prof::span("model.decode_rows");
+        let cfg = self.config();
+        assert!(cfg.causal, "decode_rows requires a causal model");
+        let tp: &TransformerParams = self.params();
+        let d = cfg.d_model;
+        let hd = cfg.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let tok_table = params.value(tp.token_embedding);
+        let pos_table = params.value(tp.pos_embedding);
+        let m: usize = items.iter().map(|item| item.tokens.len()).sum();
+        let mut x = Matrix::zeros(m, d);
+        // Row -> (item, position in its sequence).
+        let mut rows = Vec::with_capacity(m);
+        for (i, item) in items.iter().enumerate() {
+            assert!(!item.tokens.is_empty(), "item {i} decodes no position");
+            let first = item.cache.len();
+            assert!(
+                first + item.tokens.len() <= cfg.seq_len,
+                "cache full ({} positions)",
+                cfg.seq_len
+            );
+            for (pos, &token) in (first..).zip(item.tokens) {
+                assert!(token < cfg.vocab_size, "token {token} out of vocabulary");
+                let embedded = tok_table.row(token).iter().zip(pos_table.row(pos));
+                for (o, (&t, &p)) in x.row_mut(rows.len()).iter_mut().zip(embedded) {
+                    *o = t + p;
+                }
+                rows.push((i, pos));
+            }
+        }
+
+        let mut attended = vec![0u64; m];
+        // Selections, flat: `0..longest sequence` up front for the whole call
+        // (every dense answer is a prefix of it), then, per layer, one
+        // ascending list per sparse `(row, head)`;
+        // `spans[row * n_heads + head]` indexes it.
+        let longest = rows.iter().map(|&(_, pos)| pos + 1).max().unwrap_or(0);
+        let mut sel: Vec<u32> = (0..longest as u32).collect();
+        let mut spans = Vec::with_capacity(m * cfg.n_heads);
+        // Selectors take their row as a matrix of its own.
+        let mut x_row = Matrix::zeros(1, d);
+        for (l, layer) in tp.layers.iter().enumerate() {
+            let q = x.matmul(params.value(layer.wq)).expect("shape");
+            let k_new = x.matmul(params.value(layer.wk)).expect("shape");
+            let v_new = x.matmul(params.value(layer.wv)).expect("shape");
+            for (r, &(i, _)) in rows.iter().enumerate() {
+                items[i].cache.append(l, k_new.row(r), v_new.row(r));
+            }
+
+            // Selectors may carry state and need not be `Sync`: they are
+            // asked here, in row order, before any row's attention runs.
+            sel.truncate(longest);
+            spans.clear();
+            let mut connections = 0;
+            for (r, &(i, pos)) in rows.iter().enumerate() {
+                let t = pos + 1;
+                x_row.row_mut(0).copy_from_slice(x.row(r));
+                for h in 0..cfg.n_heads {
+                    let span = match items[i].selector.select(l, h, &x_row, t) {
+                        None => 0..t,
+                        // The current position (t-1) is always attendable; the
+                        // selector filters the older cache. Ascending order is
+                        // what keeps the output bits those of dense-then-mask.
+                        Some(keep) => {
+                            let start = sel.len();
+                            sel.extend(keep.into_iter().filter(|&j| (j as usize) < t));
+                            sel.push(pos as u32);
+                            sel[start..].sort_unstable();
+                            // `dedup`, on the tail only.
+                            let mut end = start + 1;
+                            for j in start + 1..sel.len() {
+                                if sel[j] != sel[end - 1] {
+                                    sel[end] = sel[j];
+                                    end += 1;
+                                }
+                            }
+                            sel.truncate(end);
+                            start..end
+                        }
+                    };
+                    attended[r] += span.len() as u64;
+                    connections += span.len();
+                    spans.push(span);
+                }
+            }
+
+            let caches: Vec<&KvCache> = items.iter().map(|item| &*item.cache).collect();
+            let mut heads = Matrix::zeros(m, d);
+            // Rows are independent given the appended K/V, so they fan out
+            // like a GEMM's (a score and a value pass per connection).
+            let attend = |first: usize, out: &mut [f32]| {
+                for (out_row, r) in out.chunks_exact_mut(d).zip(first..) {
+                    let cache = caches[rows[r].0];
+                    for h in 0..cfg.n_heads {
+                        let c0 = h * hd;
+                        ops::attend_row(
+                            &q.row(r)[c0..c0 + hd],
+                            &cache.keys[l],
+                            &cache.values[l],
+                            c0,
+                            &sel[spans[r * cfg.n_heads + h].clone()],
+                            scale,
+                            &mut out_row[c0..c0 + hd],
+                        );
+                    }
+                }
+            };
+            dota_tensor::row_dispatch(&mut heads, 2 * hd * connections, attend);
+
+            let mut res1 = heads.matmul(params.value(layer.wo)).expect("shape");
+            add_residual(&x, &mut res1);
+            let normed1 = ops::layer_norm(
+                &res1,
+                params.value(layer.ln1_gamma).row(0),
+                params.value(layer.ln1_beta).row(0),
+                1e-5,
+            );
+            let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
+            ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
+            h1.map_inplace(ops::gelu_scalar);
+            let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
+            ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
+            add_residual(&normed1, &mut h2);
+            x = ops::layer_norm(
+                &h2,
+                params.value(layer.ln2_gamma).row(0),
+                params.value(layer.ln2_beta).row(0),
+                1e-5,
+            );
+        }
+        // Only an item's last position feeds anything downstream.
+        if m > items.len() {
+            let mut last = Matrix::zeros(items.len(), d);
+            let mut end = 0;
+            for (i, item) in items.iter().enumerate() {
+                end += item.tokens.len();
+                last.row_mut(i).copy_from_slice(x.row(end - 1));
+            }
+            x = last;
+        }
+        let mut logits = x.matmul(params.value(tp.w_head)).expect("shape");
+        ops::add_bias_in_place(&mut logits, params.value(tp.b_head).row(0));
+        DecodedRows { logits, attended }
+    }
+
     /// Runs one token through the decoder incrementally, returning its
-    /// output logits row and appending its K/V to the cache.
+    /// output logits row and appending its K/V to the cache: the one-item,
+    /// one-row case of [`decode_rows`](Self::decode_rows).
     ///
     /// # Panics
     ///
@@ -112,94 +318,18 @@ impl Model {
         token: usize,
         selector: &dyn DecodeSelector,
     ) -> (Matrix, u64) {
-        let _prof = dota_prof::span("model.decode_step");
-        let cfg = self.config();
-        assert!(cfg.causal, "decode_step requires a causal model");
-        assert!(token < cfg.vocab_size, "token {token} out of vocabulary");
-        let pos = cache.len();
-        assert!(pos < cfg.seq_len, "cache full ({} positions)", cfg.seq_len);
-        let tp: &TransformerParams = self.params();
-        let d = cfg.d_model;
-        let hd = cfg.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let tok_table = params.value(tp.token_embedding);
-        let pos_table = params.value(tp.pos_embedding);
-        let mut x = Matrix::from_fn(1, d, |_, c| tok_table[(token, c)] + pos_table[(pos, c)]);
-
-        let t = pos + 1;
-        let mut attended = 0u64;
-        // The one buffer of the step whose size follows the cache length.
-        let mut sel: Vec<u32> = Vec::with_capacity(t);
-        for (l, layer) in tp.layers.iter().enumerate() {
-            let q = x.matmul(params.value(layer.wq)).expect("shape");
-            let k_new = x.matmul(params.value(layer.wk)).expect("shape");
-            let v_new = x.matmul(params.value(layer.wv)).expect("shape");
-            cache.append(l, k_new.row(0), v_new.row(0));
-            let (k_all, v_all) = (&cache.keys[l], &cache.values[l]);
-
-            let mut heads = Matrix::zeros(1, d);
-            for h in 0..cfg.n_heads {
-                let c0 = h * hd;
-                sel.clear();
-                match selector.select(l, h, &x, t) {
-                    None => sel.extend(0..t as u32),
-                    // The current position (t-1) is always attendable; the
-                    // selector filters the older cache. Ascending order is
-                    // what keeps the output bits those of dense-then-mask.
-                    Some(keep) => {
-                        sel.extend(keep.into_iter().filter(|&j| (j as usize) < t));
-                        sel.push(pos as u32);
-                        sel.sort_unstable();
-                        sel.dedup();
-                    }
-                }
-                attended += sel.len() as u64;
-                ops::attend_row(
-                    &q.row(0)[c0..c0 + hd],
-                    k_all,
-                    v_all,
-                    c0,
-                    &sel,
-                    scale,
-                    &mut heads.row_mut(0)[c0..c0 + hd],
-                );
-            }
-            let z = heads.matmul(params.value(layer.wo)).expect("shape");
-            let res1 = x.add(&z).expect("shape");
-            let normed1 = ops::layer_norm(
-                &res1,
-                params.value(layer.ln1_gamma).row(0),
-                params.value(layer.ln1_beta).row(0),
-                1e-5,
-            );
-            let h1 = ops::add_bias(
-                &normed1.matmul(params.value(layer.w_ff1)).expect("shape"),
-                params.value(layer.b_ff1).row(0),
-            );
-            let h2 = ops::add_bias(
-                &ops::gelu(&h1)
-                    .matmul(params.value(layer.w_ff2))
-                    .expect("shape"),
-                params.value(layer.b_ff2).row(0),
-            );
-            let res2 = normed1.add(&h2).expect("shape");
-            x = ops::layer_norm(
-                &res2,
-                params.value(layer.ln2_gamma).row(0),
-                params.value(layer.ln2_beta).row(0),
-                1e-5,
-            );
-        }
-        let logits = ops::add_bias(
-            &x.matmul(params.value(tp.w_head)).expect("shape"),
-            params.value(tp.b_head).row(0),
-        );
-        (logits, attended)
+        let item = DecodeItem {
+            cache,
+            tokens: &[token],
+            selector,
+        };
+        let out = self.decode_rows(params, &mut [item]);
+        (out.logits, out.attended[0])
     }
 
-    /// Greedy generation: feeds `prompt`, then samples `n_new` tokens by
-    /// argmax, attending through `selector`.
+    /// Greedy generation: feeds `prompt` (one ragged forward over all of
+    /// it), then samples `n_new` tokens by argmax, attending through
+    /// `selector`.
     ///
     /// # Panics
     ///
@@ -218,11 +348,12 @@ impl Model {
             "generation exceeds seq_len"
         );
         let mut cache = KvCache::new(self.config().n_layers, self.config().d_model);
-        let mut last_logits = Matrix::zeros(1, self.config().n_classes);
-        for &t in prompt {
-            let (logits, _) = self.decode_step(params, &mut cache, t, selector);
-            last_logits = logits;
-        }
+        let prefill = DecodeItem {
+            cache: &mut cache,
+            tokens: prompt,
+            selector,
+        };
+        let mut last_logits = self.decode_rows(params, &mut [prefill]).logits;
         let mut tokens = Vec::with_capacity(n_new);
         let mut attended_per_token = Vec::with_capacity(n_new);
         for _ in 0..n_new {
@@ -315,8 +446,9 @@ mod tests {
     }
 
     /// A cache built by decoding a prompt prefix then continuing with the
-    /// remaining tokens holds exactly the same bits as one built in a
-    /// single pass — append order is all that matters, not call grouping.
+    /// remaining tokens holds exactly the same bits as one built a token
+    /// per call — append order is all that matters, not how the prompt is
+    /// cut into the blocks of [`Model::decode_rows`].
     #[test]
     fn kv_cache_append_is_chunking_invariant() {
         let (model, params) = causal_model();
@@ -326,13 +458,19 @@ mod tests {
         for &t in &ids {
             let _ = model.decode_step(&params, &mut one_pass, t, &DenseDecode);
         }
-        for split in 1..ids.len() {
+        // `split == ids.len()` is the whole prompt as one block.
+        for split in 1..=ids.len() {
             let mut chunked = KvCache::new(cfg.n_layers, cfg.d_model);
-            for &t in &ids[..split] {
-                let _ = model.decode_step(&params, &mut chunked, t, &DenseDecode);
-            }
-            for &t in &ids[split..] {
-                let _ = model.decode_step(&params, &mut chunked, t, &DenseDecode);
+            for tokens in [&ids[..split], &ids[split..]] {
+                if tokens.is_empty() {
+                    continue;
+                }
+                let block = DecodeItem {
+                    cache: &mut chunked,
+                    tokens,
+                    selector: &DenseDecode,
+                };
+                let _ = model.decode_rows(&params, &mut [block]);
             }
             for l in 0..cfg.n_layers {
                 assert!(
@@ -480,19 +618,14 @@ mod properties {
                 params.value(layer.ln1_beta).row(0),
                 1e-5,
             );
-            let h1 = ops::add_bias(
-                &normed1.matmul(params.value(layer.w_ff1)).expect("shape"),
-                params.value(layer.b_ff1).row(0),
-            );
-            let h2 = ops::add_bias(
-                &ops::gelu(&h1)
-                    .matmul(params.value(layer.w_ff2))
-                    .expect("shape"),
-                params.value(layer.b_ff2).row(0),
-            );
-            let res2 = normed1.add(&h2).expect("shape");
+            let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
+            ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
+            h1.map_inplace(ops::gelu_scalar);
+            let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
+            ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
+            add_residual(&normed1, &mut h2);
             x = ops::layer_norm(
-                &res2,
+                &h2,
                 params.value(layer.ln2_gamma).row(0),
                 params.value(layer.ln2_beta).row(0),
                 1e-5,
@@ -540,7 +673,10 @@ mod properties {
 
     /// Decodes `ids` through [`Model::decode_step`] and the reference side
     /// by side under each selector, asserting logits bitwise equal, attended
-    /// counts equal and caches equal at every step.
+    /// counts equal and caches equal at every step — then once more as a
+    /// single [`Model::decode_rows`] block, which must end in the same
+    /// logits, counts and cache (with the `parallel` feature a long block
+    /// is what fans its attention rows out over threads).
     fn assert_decode_matches_reference(cfg: TransformerConfig, ids: &[usize], seed: u64) {
         let mut params = ParamSet::new();
         let model = Model::init(cfg, &mut params, seed);
@@ -554,6 +690,9 @@ mod properties {
         for (s, &selector) in selectors.iter().enumerate() {
             let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
             let mut oracle = cache.clone();
+            let mut blocked = cache.clone();
+            let mut last = Matrix::zeros(0, 0);
+            let mut attended_per_step = Vec::new();
             for (step, &t) in ids.iter().enumerate() {
                 let (logits, attended) = model.decode_step(&params, &mut cache, t, selector);
                 let (want, want_attended) =
@@ -566,6 +705,169 @@ mod properties {
                         cache.values(l) == oracle.values(l),
                         "selector {s}, step {step}"
                     );
+                }
+                last = want;
+                attended_per_step.push(want_attended);
+            }
+            let block = DecodeItem {
+                cache: &mut blocked,
+                tokens: ids,
+                selector,
+            };
+            let got = model.decode_rows(&params, &mut [block]);
+            assert!(got.logits == last, "selector {s}: block logits differ");
+            assert_eq!(got.attended, attended_per_step, "selector {s}: block");
+            for l in 0..cfg.n_layers {
+                assert!(blocked.keys(l) == oracle.keys(l), "selector {s}: block");
+                assert!(blocked.values(l) == oracle.values(l), "selector {s}: block");
+            }
+        }
+    }
+
+    /// A selector with the detector's shape: it keeps per-`(layer, head)`
+    /// state that is only right when positions arrive in ascending order,
+    /// each once (it panics otherwise), and its answer depends on the row
+    /// it is shown — a window whose width follows the sign of `x[0]`.
+    struct OrderChecked {
+        n_heads: usize,
+        seen: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl OrderChecked {
+        fn new(cfg: &TransformerConfig) -> Self {
+            Self {
+                n_heads: cfg.n_heads,
+                seen: vec![0; cfg.n_layers * cfg.n_heads].into(),
+            }
+        }
+    }
+
+    impl DecodeSelector for OrderChecked {
+        fn select(&self, l: usize, h: usize, x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            let seen = &mut self.seen.borrow_mut()[l * self.n_heads + h];
+            assert_eq!(*seen + 1, len, "layer {l} head {h}: positions out of order");
+            *seen = len;
+            Window(if x[(0, 0)] > 0.0 { 0.3 } else { 0.7 }).select(l, h, x, len)
+        }
+    }
+
+    /// One sequence of a ragged oracle case, decoded token by token through
+    /// the reference up front.
+    struct OracleSeq {
+        /// Prompt, then the generated rows (the reference's own argmaxes).
+        tokens: Vec<usize>,
+        prompt_len: usize,
+        selector: Box<dyn DecodeSelector>,
+        cache: KvCache,
+        /// Per position: the reference's logits and attended count.
+        want: Vec<(Matrix, u64)>,
+        want_cache: KvCache,
+    }
+
+    fn oracle_selector(kind: usize, seed: u64, cfg: &TransformerConfig) -> Box<dyn DecodeSelector> {
+        match kind {
+            0 => Box::new(DenseDecode),
+            1 => Box::new(Window(1.0)),
+            2 => Box::new(Window(0.3)),
+            3 => Box::new(AdversarialSelector(seed)),
+            _ => Box::new(OrderChecked::new(cfg)),
+        }
+    }
+
+    /// Block sizes a prompt is cut into: around one, around a serve-engine
+    /// block, and everything that is left.
+    const SPLITS: [usize; 7] = [1, 2, 3, 31, 32, 33, usize::MAX];
+
+    proptest! {
+        /// [`Model::decode_rows`] over random ragged batches — 1 to 4
+        /// sequences, each under its own selector, prompts cut into random
+        /// blocks, single generated rows interleaved with other sequences'
+        /// blocks — is bitwise the reference run token by token: the
+        /// logits of every item's last row, the attended count of every
+        /// position, every cache row.
+        #[test]
+        fn decode_rows_is_bitwise_the_token_by_token_oracle(seed in 0u64..1_000_000) {
+            let mut rng = SeededRng::new(seed);
+            let mut params = ParamSet::new();
+            let small = TransformerConfig {
+                d_model: 16,
+                d_ff: 32,
+                ..TransformerConfig::tiny_causal(80, 8)
+            };
+            let model = Model::init(small, &mut params, seed % 8);
+            let cfg = model.config();
+            let mut seqs: Vec<OracleSeq> = (0..1 + rng.below(4))
+                .map(|_| {
+                    let longest = [8, 72][rng.below(2)];
+                    let prompt_len = 1 + rng.below(longest);
+                    let kind = rng.below(5);
+                    let mut tokens: Vec<usize> = (0..prompt_len).map(|_| rng.below(8)).collect();
+                    let oracle_sel = oracle_selector(kind, seed, cfg);
+                    let mut want_cache = KvCache::new(cfg.n_layers, cfg.d_model);
+                    let mut want = Vec::new();
+                    let total = prompt_len + rng.below(4);
+                    while want.len() < total {
+                        if want.len() == tokens.len() {
+                            let (last, _): &(Matrix, u64) = want.last().expect("prompt is non-empty");
+                            tokens.push(ops::argmax_rows(last)[0]);
+                        }
+                        want.push(decode_step_reference(
+                            &model, &params, &mut want_cache, tokens[want.len()], &*oracle_sel,
+                        ));
+                    }
+                    OracleSeq {
+                        tokens,
+                        prompt_len,
+                        selector: oracle_selector(kind, seed, cfg),
+                        cache: KvCache::new(cfg.n_layers, cfg.d_model),
+                        want,
+                        want_cache,
+                    }
+                })
+                .collect();
+
+            while seqs.iter().any(|s| s.cache.len() < s.tokens.len()) {
+                // A random non-empty subset of the unfinished sequences
+                // shares this forward, each with its next block.
+                let mut items = Vec::new();
+                let mut expect = Vec::new();
+                let unfinished = seqs.iter().filter(|s| s.cache.len() < s.tokens.len()).count();
+                let must = rng.below(unfinished);
+                let mut nth = 0;
+                for s in seqs.iter_mut().filter(|s| s.cache.len() < s.tokens.len()) {
+                    nth += 1;
+                    if nth - 1 != must && rng.below(2) == 0 {
+                        continue;
+                    }
+                    let done = s.cache.len();
+                    // Generated rows depend on logits: one per forward.
+                    let n = if done < s.prompt_len {
+                        SPLITS[rng.below(SPLITS.len())].min(s.prompt_len - done)
+                    } else {
+                        1
+                    };
+                    expect.push(&s.want[done..done + n]);
+                    items.push(DecodeItem {
+                        cache: &mut s.cache,
+                        tokens: &s.tokens[done..done + n],
+                        selector: &*s.selector,
+                    });
+                }
+                let got = model.decode_rows(&params, &mut items);
+                let mut attended = got.attended.iter();
+                for (i, want) in expect.iter().enumerate() {
+                    for (_, want_attended) in want.iter() {
+                        prop_assert_eq!(attended.next(), Some(want_attended), "seed {seed}, item {i}");
+                    }
+                    let (want_logits, _) = want.last().expect("blocks are non-empty");
+                    prop_assert!(got.logits.row(i) == want_logits.row(0), "seed {seed}, item {i}: logits differ");
+                }
+                prop_assert_eq!(attended.next(), None);
+            }
+            for (i, s) in seqs.iter().enumerate() {
+                for l in 0..cfg.n_layers {
+                    prop_assert!(s.cache.keys(l) == s.want_cache.keys(l), "seed {seed}, sequence {i}, layer {l}");
+                    prop_assert!(s.cache.values(l) == s.want_cache.values(l), "seed {seed}, sequence {i}, layer {l}");
                 }
             }
         }

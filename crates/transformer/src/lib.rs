@@ -31,7 +31,7 @@ mod model;
 mod params;
 
 pub use config::{Pooling, TransformerConfig};
-pub use generate::{DecodeSelector, DenseDecode, Generation, KvCache};
+pub use generate::{DecodeItem, DecodeSelector, DecodedRows, DenseDecode, Generation, KvCache};
 pub use hooks::{AttentionHook, HookOutcome, NoHook};
 pub use infer::{ForwardTrace, HeadTrace, InferError, InferenceHook, LayerTrace};
 pub use model::{MaskStat, Model, TrainOutput};
