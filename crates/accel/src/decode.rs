@@ -39,6 +39,27 @@ impl DecodeReport {
     }
 }
 
+/// Bytes per FX16 value streamed from DRAM.
+pub const BYTES: u64 = 2;
+
+/// DRAM bytes of one full weight read: every layer's QKV + output
+/// projections and both FFN matrices, paid once per decode step.
+pub fn weight_bytes(model: &TransformerConfig) -> u64 {
+    let d = model.d_model as u64;
+    model.n_layers as u64 * (4 * d * d + 2 * d * model.d_ff as u64) * BYTES
+}
+
+/// DRAM bytes fetched per attended connection: one cached K and one cached
+/// V vector of `head_dim` FX16 values.
+pub fn bytes_per_connection(model: &TransformerConfig) -> u64 {
+    2 * model.head_dim() as u64 * BYTES
+}
+
+/// Whole cycles to stream `bytes` at `dram_gbps` bytes per cycle (1 GHz).
+pub fn stream_cycles(bytes: u64, dram_gbps: f64) -> u64 {
+    (bytes as f64 / dram_gbps).ceil() as u64
+}
+
 /// Simulates generating `gen_tokens` tokens after a `prompt_len`-token
 /// prompt, keeping `retention` of K/V-cache attention connections per step.
 ///
@@ -69,14 +90,13 @@ pub fn simulate_decode(
     );
     assert!(gen_tokens > 0, "must generate at least one token");
     let d = model.d_model as u64;
-    let d_ff = model.d_ff as u64;
     let hd = model.head_dim() as u64;
     let heads = model.n_heads as u64;
     let layers = model.n_layers as u64;
-    let bytes = 2u64;
 
     // Per-token weight traffic (all layers).
-    let weight_bytes = layers * (4 * d * d + 2 * d * d_ff) * bytes;
+    let weight_bytes = weight_bytes(model);
+    let weight_macs = weight_bytes / BYTES;
     let bw = cfg.dram_gbps; // bytes per cycle at 1 GHz
 
     let mut weight_stream_cycles = 0u64;
@@ -87,16 +107,16 @@ pub fn simulate_decode(
 
     for t in 0..gen_tokens {
         let context = (prompt_len + t) as u64;
-        weight_stream_cycles += (weight_bytes as f64 / bw).ceil() as u64;
+        weight_stream_cycles += stream_cycles(weight_bytes, bw);
         // K/V fetch per layer: each head touches `retention * context`
         // cached K and V vectors of hd FX16 values.
         let kept = ((retention * context as f64).ceil() as u64).max(1);
-        let kv_bytes = layers * heads * kept * 2 * hd * bytes;
+        let kv_bytes = layers * heads * kept * bytes_per_connection(model);
         kv_bytes_total += kv_bytes;
-        kv_stream_cycles += (kv_bytes as f64 / bw).ceil() as u64;
+        kv_stream_cycles += stream_cycles(kv_bytes, bw);
         // Compute (always shadowed by memory in this regime, but counted
         // for energy).
-        macs += layers * (4 * d * d + 2 * d * d_ff) + layers * heads * 2 * kept * hd;
+        macs += weight_macs + layers * heads * 2 * kept * hd;
         if sigma > 0.0 {
             let k_rank = ((hd as f64 * sigma).floor() as u64).max(1);
             detect_macs += layers * heads * (d * k_rank + 2 * k_rank * k_rank + context * k_rank);

@@ -372,7 +372,6 @@ fn run_quick() -> bool {
     let mut manifest = dota_bench::run_manifest("bench_report_quick");
     manifest.config("mode", "quick");
     manifest.config("gemm_family", KernelFamily::active().name());
-    let _prof = dota_prof::session("bench_report_quick");
     println!(
         "Quick kernel smoke (family {}, features {})\n",
         KernelFamily::active().name(),
@@ -507,21 +506,27 @@ fn decode_allocation_pins() -> bool {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--quick") {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let label = if quick {
+        "bench_report_quick"
+    } else {
+        "bench_report"
+    };
+    // Profile-only: `counter_scenarios` opens its own exclusive trace
+    // sessions, which would deadlock against an outer one (the profiler
+    // gate is independent of the trace gate). The allocation columns need
+    // a profiling session whether or not `--profile`/`DOTA_PROF` asked for
+    // its files, so one is opened here when the binding opened none.
+    let _files = dota_bench::profile_session(label);
+    let _prof = (!dota_prof::enabled()).then(|| dota_prof::session(label));
+    if quick {
         if !run_quick() {
             std::process::exit(1);
         }
         return;
     }
-    // No `Observability` here: `counter_scenarios` opens its own exclusive
-    // trace sessions, which would deadlock against an outer one. The
-    // provenance manifest is still written. The profiler gate is
-    // independent of the trace gate, so a prof session is safe — it feeds
-    // the allocation columns and, when `--profile`/`DOTA_PROF` is set, the
-    // profile files written at the end.
     let mut manifest = dota_bench::run_manifest("bench_report");
     manifest.config("gemm_family", KernelFamily::active().name());
-    let prof = dota_prof::session("bench_report");
     println!(
         "Kernel report (parallel feature: {}, pool threads: {}, physical cores: {}, cpu: {}, family: {})\n",
         cfg!(feature = "parallel"),
@@ -583,12 +588,4 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&path, json).expect("write BENCH_kernels.json");
     println!("\n[report written to {}]", path.display());
-
-    if let Some(dir) = dota_bench::profile_request() {
-        std::fs::create_dir_all(&dir).expect("create profile dir");
-        prof.write_folded(&dir.join("profile.folded"))
-            .and_then(|()| prof.write_profile(&dir.join("profile.json")))
-            .expect("write profile");
-        eprintln!("[profile written to {}]", dir.display());
-    }
 }

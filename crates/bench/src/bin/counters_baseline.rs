@@ -163,7 +163,7 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     // Profiler gate is independent of the trace gate, so the scenarios'
     // internal trace sessions coexist with `--profile`/`DOTA_PROF` here.
-    let _prof = dota_bench::Observability::profile_only("counters_baseline");
+    let _prof = dota_bench::profile_session("counters_baseline");
     let now = current();
     let path = baseline_path();
 
@@ -191,8 +191,8 @@ fn main() {
     } else {
         // Rewrite mode records provenance for the regenerated baseline;
         // `--check` is read-only and leaves no manifest behind. No
-        // `Observability` in either mode — the scenarios open their own
-        // exclusive trace sessions.
+        // trace-session binding in either mode — the scenarios open their
+        // own exclusive trace sessions.
         let _manifest = dota_bench::run_manifest("counters_baseline");
         for s in &now.scenarios {
             println!("{:<22} {} counters", s.scenario, s.counters.len());

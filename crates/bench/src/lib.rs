@@ -7,6 +7,7 @@
 
 #![deny(missing_docs)]
 
+use dota_core::cli::Sessions;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -55,179 +56,88 @@ where
     dota_parallel::par_map(points, |_, p| f(p))
 }
 
-/// Observability binding for a figure binary: honours `--trace <path>` /
-/// `--counters <path>` / `--hists <path>` / `--profile <dir>` CLI flags
-/// (or the `DOTA_TRACE` / `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`
-/// environment variables), opening an exclusive [`dota_trace`] session
-/// (and, for `--hists`, a [`dota_metrics`] histogram session; for
-/// `--profile`, a [`dota_prof`] session) when requested and writing the
-/// files when dropped.
-///
-/// Hold the returned value for the whole `main`; when neither flag nor
-/// variable is set this is a no-op and tracing stays disabled. Binaries
-/// that open their own internal `dota_trace` sessions (e.g. the counter
-/// scenarios) must **not** also hold a trace-session `Observability` —
-/// sessions are exclusive and the inner `session()` call would deadlock.
-/// Profiling sessions live on an independent gate, so those binaries can
-/// still use [`Observability::profile_only`].
-pub struct Observability {
-    guard: Option<dota_trace::TraceGuard>,
-    hist_guard: Option<dota_metrics::HistGuard>,
-    prof_guard: Option<dota_prof::ProfGuard>,
-    trace: Option<PathBuf>,
-    counters: Option<PathBuf>,
-    hists: Option<PathBuf>,
-    profile: Option<PathBuf>,
-}
+/// The sessions a bench binary's flags/environment asked for
+/// ([`dota_core::cli::Sessions`], the binding the `dota` CLI uses), their
+/// files written when dropped. A bench `main` has no error path to skip
+/// the write on: it panics, and a panicking run writes nothing.
+pub struct SessionFiles(Option<Sessions>);
 
-/// The `--profile` flag or `DOTA_PROF` variable, if set. Public for
-/// binaries that manage their own [`dota_prof`] session (e.g.
-/// `bench_report`, which profiles unconditionally for its allocation
-/// columns) and only need to know where to write the files.
-pub fn profile_request() -> Option<PathBuf> {
-    env_or_flag("--profile", "DOTA_PROF")
-}
-
-/// A CLI `--flag value` pair, falling back to an environment variable.
-fn env_or_flag(flag_name: &str, var: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag_name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var(var).ok())
-        .map(PathBuf::from)
-}
-
-impl Observability {
-    /// Reads the flags/environment and, if observability was requested,
-    /// starts a trace session labelled `label`.
-    pub fn from_env(label: &str) -> Self {
-        let trace = env_or_flag("--trace", "DOTA_TRACE");
-        let counters = env_or_flag("--counters", "DOTA_COUNTERS");
-        let hists = env_or_flag("--hists", "DOTA_HISTS");
-        let profile = profile_request();
-        let guard = (trace.is_some() || counters.is_some()).then(|| dota_trace::session(label));
-        let hist_guard = hists.is_some().then(|| dota_metrics::hist_session(label));
-        let prof_guard = profile.is_some().then(|| dota_prof::session(label));
-        Self {
-            guard,
-            hist_guard,
-            prof_guard,
-            trace,
-            counters,
-            hists,
-            profile,
-        }
+/// Reads `--trace`/`--counters`/`--hists`/`--profile` (or `DOTA_TRACE` /
+/// `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`) and starts the sessions
+/// asked for — just the profile one when `profile_only`, for binaries that
+/// open their own exclusive trace sessions internally
+/// ([`counter_scenarios`]; the profiling gate is independent of the trace
+/// gate). A malformed `DOTA_*` variable ends the process here, before any
+/// work, with the message and exit code the CLI gives it.
+fn start_sessions(label: &str, profile_only: bool) -> SessionFiles {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut sessions = Sessions::from_args(&mut args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    if profile_only {
+        sessions = sessions.profile_only();
     }
-
-    /// Profiling-only binding for binaries that run their own exclusive
-    /// trace sessions internally ([`counter_scenarios`]) and therefore
-    /// must not hold a trace-session `Observability`. Honours only
-    /// `--profile` / `DOTA_PROF` — the profiling gate is independent of
-    /// the trace gate, so the internal sessions still open fine.
-    pub fn profile_only(label: &str) -> Self {
-        let profile = profile_request();
-        let prof_guard = profile.is_some().then(|| dota_prof::session(label));
-        Self {
-            guard: None,
-            hist_guard: None,
-            prof_guard,
-            trace: None,
-            counters: None,
-            hists: None,
-            profile,
-        }
-    }
+    sessions.start(label);
+    SessionFiles(Some(sessions))
 }
 
-impl Drop for Observability {
+/// The profile-only binding for binaries that run [`counter_scenarios`]:
+/// validates the environment and honours `--profile` / `DOTA_PROF`. Hold
+/// it for the whole `main`.
+pub fn profile_session(label: &str) -> SessionFiles {
+    start_sessions(label, true)
+}
+
+impl Drop for SessionFiles {
     fn drop(&mut self) {
-        if let (Some(guard), Some(dir)) = (self.prof_guard.take(), &self.profile) {
-            let write = std::fs::create_dir_all(dir)
-                .and_then(|()| guard.write_folded(&dir.join("profile.folded")))
-                .and_then(|()| guard.write_profile(&dir.join("profile.json")));
-            match write {
-                Ok(()) => eprintln!("[profile written to {}]", dir.display()),
-                Err(e) => eprintln!("[profile write to {} failed: {e}]", dir.display()),
-            }
-        }
-        if let (Some(guard), Some(p)) = (self.hist_guard.take(), &self.hists) {
-            match guard.write_summary(p) {
-                Ok(()) => eprintln!("[histograms written to {}]", p.display()),
-                Err(e) => eprintln!("[histogram write to {} failed: {e}]", p.display()),
-            }
-        }
-        let Some(guard) = self.guard.take() else {
+        if std::thread::panicking() {
             return;
-        };
-        if let Some(p) = &self.trace {
-            match guard.write_trace(p) {
-                Ok(()) => eprintln!("[trace written to {}]", p.display()),
-                Err(e) => eprintln!("[trace write to {} failed: {e}]", p.display()),
-            }
         }
-        if let Some(p) = &self.counters {
-            match guard.write_counters(p) {
-                Ok(()) => eprintln!("[counters written to {}]", p.display()),
-                Err(e) => eprintln!("[counters write to {} failed: {e}]", p.display()),
-            }
+        if let Some(Err(e)) = self.0.take().map(Sessions::finish) {
+            eprintln!("[{e}]");
         }
     }
 }
 
-/// Combined observability + provenance initialization for a figure binary:
-/// one call replaces the copy-pasted
-/// `Observability::from_env` + `run_manifest` pair. Hold the returned
-/// value for the whole `main`:
+/// Observability + provenance for a figure binary. Hold the returned value
+/// for the whole `main`:
 ///
 /// ```no_run
-/// let mut obs = dota_bench::obs_init("fig03_flops");
-/// obs.seed(7);
+/// let _obs = dota_bench::obs_init("fig03_flops");
 /// // ... the run ...
 /// ```
 ///
-/// Binaries that open internal trace sessions must keep using
-/// [`run_manifest`] (plus [`Observability::profile_only`]) instead.
+/// Binaries that open internal trace sessions use [`run_manifest`] plus
+/// [`profile_session`] instead.
 pub struct ObsInit {
     // Field order is load-bearing: fields drop in declaration order, so
     // the manifest finalizes first — capturing the counter snapshot while
-    // the trace session is still live — and the Observability writes its
-    // files after.
-    manifest: ManifestGuard,
-    _obs: Observability,
+    // the trace session is still live — and the session files are written
+    // after.
+    _manifest: ManifestGuard,
+    _sessions: SessionFiles,
 }
 
 /// Starts sessions (from flags/environment) and the provenance manifest
 /// for one bench binary — see [`ObsInit`].
 pub fn obs_init(label: &str) -> ObsInit {
-    let obs = Observability::from_env(label);
+    let sessions = start_sessions(label, false);
     ObsInit {
-        manifest: run_manifest(label),
-        _obs: obs,
-    }
-}
-
-impl ObsInit {
-    /// Records the run's top-level RNG seed in the manifest.
-    pub fn seed(&mut self, seed: u64) {
-        self.manifest.seed(seed);
-    }
-
-    /// Records one manifest configuration knob.
-    pub fn config(&mut self, key: &str, value: impl ToString) {
-        self.manifest.config(key, value);
+        _manifest: run_manifest(label),
+        _sessions: sessions,
     }
 }
 
 /// Provenance manifest for a bench/figure run, finalized and written to
 /// `results/<label>.manifest.json` when dropped.
 ///
-/// Declare it in `main` **after** any [`Observability`] binding: guards
+/// Declare it in `main` **after** any [`SessionFiles`] binding: guards
 /// drop in reverse declaration order, so the manifest finalizes (and
 /// captures the live counter snapshot) while the trace session is still
 /// recording. The `parallel` feature flag, `DOTA_THREADS` budget, git sha,
-/// host and wall clock are collected automatically; seed and config knobs
-/// are recorded via [`ManifestGuard::seed`] / [`ManifestGuard::config`].
+/// host and wall clock are collected automatically; config knobs are
+/// recorded via [`ManifestGuard::config`].
 pub struct ManifestGuard {
     manifest: dota_metrics::Manifest,
     started: std::time::Instant,
@@ -247,11 +157,6 @@ pub fn run_manifest(label: &str) -> ManifestGuard {
 }
 
 impl ManifestGuard {
-    /// Records the run's top-level RNG seed.
-    pub fn seed(&mut self, seed: u64) {
-        self.manifest.seed = Some(seed);
-    }
-
     /// Records one configuration knob (retention grid, sequence lengths,
     /// sample counts, …).
     pub fn config(&mut self, key: &str, value: impl ToString) {

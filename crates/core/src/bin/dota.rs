@@ -1,11 +1,6 @@
 //! `dota` — command-line front end for the DOTA reproduction.
 //!
 //! ```text
-//! dota table2                         # hardware inventory
-//! dota speedup [BENCH] [--variant c]  # Fig. 12-style comparison rows
-//! dota energy [BENCH]                 # Fig. 13-style comparison rows
-//! dota simulate BENCH --retention R   # raw simulator report
-//! dota decode --context N --tokens T  # decoder-mode analysis
 //! dota train BENCH [--retention R] [--seq N]   # tiny-model accuracy run
 //! dota infer BENCH [--retention R] [--seq N]   # one traced inference
 //! dota analyze BENCH [--out FILE]              # cycle-vs-time bottleneck report
@@ -24,17 +19,18 @@
 //! to run under deterministic fault injection (see the README's
 //! Robustness section).
 //!
+//! The CLI is what *runs* the system; the paper's tables and figures are
+//! printed (and their `results/*.json` written) by the `dota-bench` figure
+//! binaries, one per table or figure.
+//!
 //! Build/run: `cargo run --release -p dota-core --bin dota -- <command>`.
 
-use dota_accel::decode::simulate_decode;
-use dota_accel::synth::SelectionProfile;
-use dota_accel::{energy, AccelConfig, Accelerator};
+use dota_accel::{AccelConfig, Accelerator};
 use dota_core::analyze;
 use dota_core::campaign;
+use dota_core::cli::{env_for, take_flag, Sessions};
 use dota_core::experiments::{self, BenchmarkRun, Method, TrainOptions};
-use dota_core::presets::{self, OperatingPoint};
 use dota_core::report;
-use dota_core::DotaSystem;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::{Manifest, MetricsSink};
 use dota_workloads::{Benchmark, TaskSpec};
@@ -48,42 +44,23 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
-    validate_env()?;
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut global = |flag: &str| -> Result<Option<String>, String> {
-        Ok(take_flag(&mut args, &format!("--{flag}"))?.or_else(|| env_for(flag)))
-    };
-    let trace_path = global("trace")?;
-    let counters_path = global("counters")?;
-    let hists_path = global("hists")?;
-    let fault_spec = global("faults")?;
-    let fault_seed = global("fault-seed")?;
-    let profile_dir = global("profile")?;
+    let mut sessions = Sessions::from_args(&mut args)?;
+    let fault_spec = take_flag(&mut args, "--faults")?;
+    let fault_seed = take_flag(&mut args, "--fault-seed")?;
     let Some(command) = args.first().cloned() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return Ok(ExitCode::FAILURE);
     };
-    // One trace session spans the whole command; outputs are written only
-    // on success so a failed run never leaves a half-meaningful trace.
-    let session =
-        (trace_path.is_some() || counters_path.is_some()).then(|| dota_trace::session(&command));
-    // Likewise one histogram session for score/kernel distributions.
-    let hist_session = hists_path
-        .is_some()
-        .then(|| dota_metrics::hist_session(&command));
-    // And one profiling session for host wall-clock/allocation spans
-    // (`dota analyze` opens its own when this one is absent).
-    let prof_session = profile_dir.is_some().then(|| dota_prof::session(&command));
+    // One trace / histogram / profiling session each spans the whole
+    // command (`dota analyze` opens its own when none was asked for);
+    // outputs are written only on success.
+    sessions.start(&command);
     // A fault session makes any command run under deterministic injection
     // (`dota faults` manages its own sessions instead).
     let fault_session = fault_session(&command, fault_spec, fault_seed)?;
     let rest = &args[1..];
     let result = match command.as_str() {
-        "table2" => cmd_table2(),
-        "speedup" => cmd_speedup(rest),
-        "energy" => cmd_energy(rest),
-        "simulate" => cmd_simulate(rest),
-        "decode" => cmd_decode(rest),
         "train" => cmd_train(rest),
         "infer" => cmd_infer(rest),
         "analyze" => cmd_analyze(rest),
@@ -92,10 +69,10 @@ fn run() -> Result<ExitCode, String> {
         "serve" => cmd_serve(rest),
         "top" => cmd_top(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     if let Some(guard) = &fault_session {
         let injected = guard.injected_total();
@@ -110,171 +87,11 @@ fn run() -> Result<ExitCode, String> {
     }
     drop(fault_session);
     result?;
-    if let (Some(prof), Some(dir)) = (&prof_session, &profile_dir) {
-        let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating profile dir {}: {e}", dir.display()))?;
-        prof.write_folded(&dir.join("profile.folded"))
-            .map_err(|e| format!("writing profile.folded: {e}"))?;
-        prof.write_profile(&dir.join("profile.json"))
-            .map_err(|e| format!("writing profile.json: {e}"))?;
-        eprintln!("[profile written to {}]", dir.display());
-    }
-    if let (Some(hists), Some(p)) = (&hist_session, &hists_path) {
-        hists
-            .write_summary(std::path::Path::new(p))
-            .map_err(|e| format!("writing histograms {p}: {e}"))?;
-        eprintln!("[histograms written to {p}]");
-    }
-    if let (Some(session), Some(p)) = (&session, &trace_path) {
-        session
-            .write_trace(std::path::Path::new(p))
-            .map_err(|e| format!("writing trace {p}: {e}"))?;
-        eprintln!("[trace written to {p}]");
-    }
-    if let (Some(session), Some(p)) = (&session, &counters_path) {
-        session
-            .write_counters(std::path::Path::new(p))
-            .map_err(|e| format!("writing counters {p}: {e}"))?;
-        eprintln!("[counters written to {p}]");
-    }
+    sessions.finish()?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// How an environment variable's value must read.
-#[derive(Clone, Copy)]
-enum EnvKind {
-    /// An integer `>= 1`.
-    PositiveInt,
-    /// An integer `>= 0`.
-    NonNegativeInt,
-    /// A finite number `> 0`.
-    PositiveF64,
-    /// Anything but blank.
-    Path,
-    /// `HOST:PORT`.
-    SocketAddr,
-    /// One of the listed spellings, case-insensitively.
-    OneOf(&'static [&'static str]),
-    /// Comma-separated numbers in `[0, 1]`, at least one.
-    RateList,
-}
-
-/// Every `DOTA_*` variable the CLI reads itself: `(variable, the flag it
-/// stands in for, what its value must be, how the complaint words that)`.
-/// [`validate_env`] checks each row up front and [`flag_or_env`] falls back
-/// from a flag to its row, so a variable cannot be read unvalidated.
-const ENV: &[(&str, Option<&str>, EnvKind, &str)] = &[
-    (
-        "DOTA_THREADS",
-        None,
-        EnvKind::PositiveInt,
-        "a positive integer",
-    ),
-    ("DOTA_TRACE", Some("trace"), EnvKind::Path, ""),
-    ("DOTA_COUNTERS", Some("counters"), EnvKind::Path, ""),
-    ("DOTA_HISTS", Some("hists"), EnvKind::Path, ""),
-    ("DOTA_PROF", Some("profile"), EnvKind::Path, ""),
-    // Serving knobs: a typo'd batch size or shed policy silently falling
-    // back to defaults would make one load test incomparable with the
-    // next, so they are rejected up front like the knobs above.
-    (
-        "DOTA_SERVE_BATCH",
-        Some("capacity"),
-        EnvKind::PositiveInt,
-        "a positive integer",
-    ),
-    (
-        "DOTA_SERVE_DEADLINE",
-        Some("deadline-interactive"),
-        EnvKind::PositiveF64,
-        "a positive number of microseconds",
-    ),
-    (
-        "DOTA_SERVE_SHED",
-        Some("shed"),
-        EnvKind::OneOf(&["queue", "queue-only", "retention", "shed", "slo", "both"]),
-        "queue|retention|slo|both",
-    ),
-    (
-        "DOTA_SERVE_CHAOS",
-        Some("chaos-rates"),
-        EnvKind::RateList,
-        "a comma-separated list of fault rates in [0, 1]",
-    ),
-    (
-        "DOTA_SERVE_RETRY_CAP",
-        Some("retry-cap"),
-        EnvKind::NonNegativeInt,
-        "a non-negative integer",
-    ),
-    (
-        "DOTA_SERVE_RETRY_BACKOFF",
-        Some("retry-backoff"),
-        EnvKind::PositiveInt,
-        "a positive cycle count",
-    ),
-    ("DOTA_SERVE_TIMELINE", Some("timeline"), EnvKind::Path, ""),
-    (
-        "DOTA_SERVE_METRICS_ADDR",
-        Some("metrics-addr"),
-        EnvKind::SocketAddr,
-        "a socket address like 127.0.0.1:9184",
-    ),
-    ("DOTA_SERVE_FLIGHT", Some("flight-out"), EnvKind::Path, ""),
-];
-
-impl EnvKind {
-    fn accepts(self, value: &str) -> bool {
-        let v = value.trim();
-        match self {
-            EnvKind::PositiveInt => v.parse::<u64>().is_ok_and(|n| n >= 1),
-            EnvKind::NonNegativeInt => v.parse::<u64>().is_ok(),
-            // NaN must fail too, so test for the one acceptable state.
-            EnvKind::PositiveF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
-            EnvKind::Path => !v.is_empty(),
-            EnvKind::SocketAddr => v.parse::<std::net::SocketAddr>().is_ok(),
-            EnvKind::OneOf(names) => names.contains(&v.to_ascii_lowercase().as_str()),
-            EnvKind::RateList => {
-                let mut rates = v.split(',').map(str::trim).filter(|s| !s.is_empty());
-                let in_range = |s: &str| s.parse::<f64>().is_ok_and(|r| (0.0..=1.0).contains(&r));
-                // `all` on the rest; `next` first so an empty list fails.
-                rates.next().is_some_and(in_range) && rates.all(in_range)
-            }
-        }
-    }
-}
-
-/// Rejects malformed `DOTA_*` environment variables up front: a typo'd
-/// `DOTA_THREADS=all` silently falling back to the default would
-/// invalidate a benchmark without any sign of it.
-fn validate_env() -> Result<(), String> {
-    for &(name, _, kind, expected) in ENV {
-        let Ok(v) = std::env::var(name) else { continue };
-        if kind.accepts(&v) {
-            continue;
-        }
-        return Err(match kind {
-            EnvKind::Path => {
-                format!("{name} is set but empty; set it to an output path or unset it")
-            }
-            _ => format!("{name} must be {expected}, got `{v}`"),
-        });
-    }
-    // A typo'd kernel family (or one this CPU cannot run) would silently
-    // fall back and invalidate a benchmark, exactly like a bad
-    // DOTA_THREADS; surface it here instead.
-    dota_tensor::simd::family_from_env_checked().map(|_| ())
-}
-
 type Flags = std::collections::BTreeMap<String, String>;
-
-/// The [`ENV`] variable standing in for `--flag`, if it has one and it is
-/// set ([`validate_env`] has already rejected malformed values).
-fn env_for(flag: &str) -> Option<String> {
-    let &(name, ..) = ENV.iter().find(|row| row.1 == Some(flag))?;
-    std::env::var(name).ok()
-}
 
 /// Flag wins over environment wins over the caller's default.
 fn flag_or_env(flags: &Flags, flag: &str) -> Option<String> {
@@ -756,33 +573,16 @@ fn take_bool_flag(args: &mut Vec<String>, name: &str) -> bool {
     }
 }
 
-/// Removes `--name <value>` from `args` wherever it appears, returning the
-/// value.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(value))
+/// The usage text; its environment section is generated from the one
+/// [`dota_core::cli::ENV`] table the validation reads.
+fn usage() -> String {
+    format!("{COMMANDS}\n\n{}", dota_core::cli::env_usage().trim_end())
 }
 
-const USAGE: &str = "\
+const COMMANDS: &str = "\
 usage: dota <command> [options]
 
 commands:
-  table2                          print the hardware inventory (Table 2)
-  speedup [BENCH] [--variant f|c|a]
-                                  speedups vs GPU and ELSA (Fig. 12)
-  energy  [BENCH] [--variant f|c|a]
-                                  energy-efficiency comparison (Fig. 13)
-  simulate BENCH --retention R [--sigma S]
-                                  raw cycle/energy report at a retention
-  decode --context N --tokens T [--retention R]
-                                  decoder-mode (KV-cache) analysis
   train BENCH [--retention R] [--seq N] [--samples K] [--epochs E]
         [--save FILE] [--metrics-out DIR]
                                   train a tiny model jointly with the
@@ -853,9 +653,7 @@ commands:
                                   and queue depth drive the admission
                                   retention rung (with hysteresis and a
                                   cooldown) plus an admission gate under
-                                  sustained burn; env fallbacks:
-                                  DOTA_SERVE_BATCH, DOTA_SERVE_DEADLINE,
-                                  DOTA_SERVE_SHED, DOTA_SERVE_TIMELINE
+                                  sustained burn
   serve ... [--metrics-addr HOST:PORT] [--flight-out FILE]
                                   live telemetry plane: --metrics-addr
                                   serves Prometheus text exposition at
@@ -872,9 +670,7 @@ commands:
                                   events (admissions, terminals, rung/gate
                                   flips, retries, quarantine) — as
                                   byte-deterministic JSON, also written to
-                                  flight.json on typed failure or SIGTERM;
-                                  env fallbacks: DOTA_SERVE_METRICS_ADDR,
-                                  DOTA_SERVE_FLIGHT
+                                  flight.json on typed failure or SIGTERM
   top --addr HOST:PORT [--interval-ms N] [--ticks N | --once]
                                   terminal dashboard polling a /metrics
                                   endpoint: occupancy, queue depth, SLO
@@ -882,8 +678,7 @@ commands:
                                   rung, admission gate, per-lane retained
                                   work and skew; --ticks/--once bound the
                                   number of polls (and keep the output
-                                  pipeable); env fallback:
-                                  DOTA_SERVE_METRICS_ADDR
+                                  pipeable)
   serve --chaos [--shed queue|retention|slo] [--chaos-rates R1,R2]
         [--chaos-sites a,b] [--chaos-seed S] [--retry-cap N]
         [--retry-backoff CYCLES] [--quarantine CYCLES]
@@ -900,16 +695,17 @@ commands:
                                   deterministic probes; prints and (with
                                   --out) writes a byte-stable availability
                                   report: served fraction, goodput,
-                                  retries, quarantine occupancy, p99 e2e;
-                                  env fallbacks: DOTA_SERVE_CHAOS (rate
-                                  list), DOTA_SERVE_RETRY_CAP,
-                                  DOTA_SERVE_RETRY_BACKOFF
+                                  retries, quarantine occupancy, p99 e2e
   faults [--seed S] [--sites a,b] [--rates r1,r2] [--seq N] [--out FILE]
                                   deterministic fault-injection campaign:
                                   sweep (site, rate) cells, report whether
                                   each fault was absorbed or failed with a
                                   typed error; --out writes a seed-stable
                                   JSON report (diffable with report diff)
+
+the paper's tables and figures are the dota-bench binaries (table2_area,
+fig12_speedup, fig13_energy, decode_scaling, ...): one per table or figure,
+each printing its rows and rewriting its results/*.json
 
 global options (any command):
   --trace FILE                    write a Chrome-trace JSON of the run
@@ -939,15 +735,6 @@ fn parse_benchmark(s: &str) -> Result<Benchmark, String> {
     }
 }
 
-fn parse_variant(s: &str) -> Result<OperatingPoint, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "f" | "full" | "dota-f" => Ok(OperatingPoint::Full),
-        "c" | "conservative" | "dota-c" => Ok(OperatingPoint::Conservative),
-        "a" | "aggressive" | "dota-a" => Ok(OperatingPoint::Aggressive),
-        other => Err(format!("unknown variant `{other}` (use f|c|a)")),
-    }
-}
-
 /// Extracts `--flag value` from an argument list; returns remaining
 /// positional arguments.
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
@@ -965,7 +752,7 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     Ok((positional, flags))
 }
 
-/// `--name` (or the [`ENV`] variable standing in for it) as a number.
+/// `--name` (or the environment variable standing in for it) as a number.
 fn flag_number<T: std::str::FromStr>(
     flags: &Flags,
     name: &str,
@@ -1007,156 +794,6 @@ fn flag_f64(flags: &Flags, name: &str) -> Result<Option<f64>, String> {
 
 fn flag_usize(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
     flag_number(flags, name, "an integer")
-}
-
-fn cmd_table2() -> Result<(), String> {
-    println!(
-        "{:<18} {:<34} {:>10} {:>10}",
-        "module", "configuration", "power mW", "area mm2"
-    );
-    for m in energy::table2() {
-        println!(
-            "{:<18} {:<34} {:>10.2} {:>10.3}",
-            m.name, m.configuration, m.power_mw, m.area_mm2
-        );
-    }
-    println!(
-        "total: {:.2} W, {:.3} mm2",
-        energy::total_power_w(),
-        energy::total_area_mm2()
-    );
-    Ok(())
-}
-
-fn selected_benchmarks(positional: &[String]) -> Result<Vec<Benchmark>, String> {
-    if positional.is_empty() {
-        Ok(Benchmark::ALL.to_vec())
-    } else {
-        positional.iter().map(|s| parse_benchmark(s)).collect()
-    }
-}
-
-fn cmd_speedup(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
-    let variants = match flags.get("variant") {
-        Some(v) => vec![parse_variant(v)?],
-        None => vec![OperatingPoint::Conservative, OperatingPoint::Aggressive],
-    };
-    let system = DotaSystem::paper_default();
-    println!(
-        "{:>10} {:>8} {:>9} {:>12} {:>13} {:>9} {:>11}",
-        "benchmark",
-        "variant",
-        "retention",
-        "attn vs GPU",
-        "attn vs ELSA",
-        "e2e GPU",
-        "upper bound"
-    );
-    for b in selected_benchmarks(&positional)? {
-        for &v in &variants {
-            let row = system.speedup_row(b, v);
-            println!(
-                "{:>10} {:>8} {:>8.1}% {:>11.1}x {:>12.1}x {:>8.1}x {:>10.1}x",
-                row.benchmark,
-                row.variant,
-                row.retention * 100.0,
-                row.attention_vs_gpu,
-                row.attention_vs_elsa,
-                row.end_to_end_vs_gpu,
-                row.upper_bound_vs_gpu
-            );
-        }
-    }
-    Ok(())
-}
-
-fn cmd_energy(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
-    let variants = match flags.get("variant") {
-        Some(v) => vec![parse_variant(v)?],
-        None => vec![OperatingPoint::Conservative, OperatingPoint::Aggressive],
-    };
-    let system = DotaSystem::paper_default();
-    println!(
-        "{:>10} {:>8} {:>12} {:>14} {:>12}",
-        "benchmark", "variant", "vs GPU", "vs ELSA(attn)", "DOTA mJ/inf"
-    );
-    for b in selected_benchmarks(&positional)? {
-        for &v in &variants {
-            let row = system.energy_row(b, v);
-            println!(
-                "{:>10} {:>8} {:>11.0}x {:>13.2}x {:>12.3}",
-                row.benchmark, row.variant, row.vs_gpu, row.vs_elsa_attention, row.dota_mj
-            );
-        }
-    }
-    Ok(())
-}
-
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
-    let bench = positional
-        .first()
-        .ok_or("simulate needs a benchmark")
-        .and_then(|s| parse_benchmark(s).map_err(|_| "simulate needs a valid benchmark"))
-        .map_err(str::to_owned)?;
-    let retention = flag_f64(&flags, "retention")?.unwrap_or(0.1);
-    let sigma = flag_f64(&flags, "sigma")?.unwrap_or(presets::SIGMA);
-    let model = presets::paper_model(bench);
-    let n = bench.paper_seq_len();
-    let acc = Accelerator::new(AccelConfig::gpu_comparable());
-    let rep = acc.simulate_shape(&model, n, retention, sigma, &SelectionProfile::default());
-    println!(
-        "benchmark {} (seq {n}), retention {:.1}%, sigma {sigma}",
-        bench.name(),
-        retention * 100.0
-    );
-    println!(
-        "cycles: linear {} | detection {} | attention {} | ffn {} | total {}",
-        rep.cycles.linear,
-        rep.cycles.detection,
-        rep.cycles.attention,
-        rep.cycles.ffn,
-        rep.cycles.total()
-    );
-    println!(
-        "latency: {:.3} ms; attention block {:.3} ms",
-        rep.seconds() * 1e3,
-        rep.attention_seconds() * 1e3
-    );
-    println!(
-        "K/V loads: {} (row-by-row would be {})",
-        rep.key_loads, rep.key_loads_row_by_row
-    );
-    let e = &rep.energy;
-    println!(
-        "energy (mJ): rmmu {:.2} | mfu {:.2} | sched {:.3} | accum {:.2} | sram {:.2} | dram {:.2} | total {:.2}",
-        e.rmmu_pj * 1e-9, e.mfu_pj * 1e-9, e.scheduler_pj * 1e-9, e.accumulator_pj * 1e-9,
-        e.sram_pj * 1e-9, e.dram_pj * 1e-9, e.total_pj() * 1e-9
-    );
-    Ok(())
-}
-
-fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
-    let context = flag_usize(&flags, "context")?.unwrap_or(4096);
-    let tokens = flag_usize(&flags, "tokens")?.unwrap_or(32);
-    let retention = flag_f64(&flags, "retention")?.unwrap_or(0.1);
-    let model = dota_transformer::TransformerConfig::gpt2(context + tokens);
-    let cfg = AccelConfig::default();
-    let dense = simulate_decode(&cfg, &model, context, tokens, 1.0, 0.0);
-    let sparse = simulate_decode(&cfg, &model, context, tokens, retention, presets::SIGMA);
-    println!("decode: GPT-2 shape, context {context}, {tokens} generated tokens");
-    println!(
-        "dense: {:.0} us/token ({:.1}% K/V traffic); DOTA @ {:.0}%: {:.0} us/token; speedup {:.2}x",
-        dense.us_per_token(tokens),
-        100.0 * dense.kv_stream_cycles as f64 / dense.cycles as f64,
-        retention * 100.0,
-        sparse.us_per_token(tokens),
-        dense.seconds() / sparse.seconds()
-    );
-    Ok(())
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
@@ -1531,6 +1168,7 @@ fn cmd_analyze_serve(timeline: &str, flags: &Flags) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dota_core::cli::{validate_env, ENV};
 
     /// Runs `body` with one environment variable set (or unset), restoring
     /// it afterwards; serialized because the environment is process-global.
@@ -1566,7 +1204,8 @@ mod tests {
         for value in good {
             with_env(name, Some(value), || {
                 validate_env().unwrap_or_else(|e| panic!("{name}={value:?}: {e}"));
-                if let Some(&(_, Some(flag), ..)) = ENV.iter().find(|row| row.0 == name) {
+                let role = ENV.iter().find(|row| row.0 == name).unwrap().1;
+                if let Some(flag) = role.strip_prefix("--") {
                     assert_eq!(env_for(flag).as_deref(), Some(*value));
                     let flags = Flags::from([(flag.to_owned(), "explicit".to_owned())]);
                     assert_eq!(flag_or_env(&flags, flag).as_deref(), Some("explicit"));
@@ -1620,8 +1259,14 @@ mod tests {
 
     #[test]
     fn every_env_row_has_a_case() {
+        let usage = usage();
         for row in ENV {
             assert!(CASES.contains(&row.0), "{} has no test row", row.0);
+            assert!(
+                usage.contains(row.0),
+                "{} is missing from the usage text",
+                row.0
+            );
         }
     }
 

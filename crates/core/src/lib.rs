@@ -32,6 +32,7 @@
 pub mod analyze;
 pub mod campaign;
 pub mod checkpoint;
+pub mod cli;
 pub mod compress;
 pub mod experiments;
 pub mod presets;

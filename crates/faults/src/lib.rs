@@ -47,10 +47,13 @@
 
 #![deny(missing_docs)]
 
-use std::cell::Cell;
+#[path = "../../trace/src/gate.rs"]
+mod gate;
+
+pub use gate::{enabled, scope, Scope, ScopeGuard};
+
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A named place in the system where a fault can be injected.
@@ -258,56 +261,10 @@ struct State {
     counters: BTreeMap<String, u64>,
 }
 
-/// Id of the live session (0 when none); ids are never reused.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<Option<State>> = Mutex::new(None);
-
-thread_local! {
-    /// Id of the session whose plan applies to this thread (0 when none).
-    static SCOPE: Cell<u64> = const { Cell::new(0) };
-}
 
 fn lock_state() -> MutexGuard<'static, Option<State>> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether a live fault session's plan applies to the calling thread: it
-/// opened the session, or entered its [`scope`]. One relaxed atomic load
-/// when no session is live — instrumented hot paths check this before
-/// preparing coordinates.
-#[inline]
-pub fn enabled() -> bool {
-    let live = LIVE.load(Ordering::Relaxed);
-    live != 0 && SCOPE.with(Cell::get) == live
-}
-
-/// A thread's membership in a fault session, for handing to threads that
-/// work on its behalf (see [`scope`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Scope(u64);
-
-/// The calling thread's session membership (possibly none).
-pub fn scope() -> Scope {
-    Scope(SCOPE.with(Cell::get))
-}
-
-impl Scope {
-    /// Joins the calling thread to this scope until the guard drops.
-    pub fn enter(self) -> ScopeGuard {
-        ScopeGuard(SCOPE.with(|s| s.replace(self.0)))
-    }
-}
-
-/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
-#[derive(Debug)]
-pub struct ScopeGuard(u64);
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| s.set(self.0));
-    }
 }
 
 /// splitmix64 finalizer: a full-avalanche 64-bit mix.
@@ -379,21 +336,19 @@ pub fn active_seed() -> Option<u64> {
 /// live session ends; do not nest sessions on one thread (deadlocks by
 /// design). Injection stops when the returned guard drops.
 pub fn session(plan: FaultPlan) -> FaultGuard {
-    let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    *lock_state() = Some(State {
+    let state = State {
         plan,
         counters: BTreeMap::new(),
-    });
-    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
-    SCOPE.with(|s| s.set(id));
-    LIVE.store(id, Ordering::SeqCst);
-    FaultGuard { _gate: gate }
+    };
+    FaultGuard {
+        _session: gate::open(|| *lock_state() = Some(state)),
+    }
 }
 
 /// Exclusive handle on the active fault session (see [`session`]).
 #[derive(Debug)]
 pub struct FaultGuard {
-    _gate: MutexGuard<'static, ()>,
+    _session: gate::Session,
 }
 
 impl FaultGuard {
@@ -426,8 +381,7 @@ impl FaultGuard {
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        LIVE.store(0, Ordering::SeqCst);
-        SCOPE.with(|s| s.set(0));
+        // The plan goes first; `_session` then takes the gate down.
         *lock_state() = None;
     }
 }
@@ -565,16 +519,15 @@ mod tests {
     fn injection_is_scoped_to_the_owning_thread() {
         let g = session(FaultPlan::new(7).with_rate(FaultSite::DramRead, 1.0));
         // The spawned thread runs while a rate-1 session is live but never
-        // entered its scope: it is not faulted and leaves no counter.
+        // entered its scope (the gate's own test covers membership): it is
+        // not faulted and leaves no counter.
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(!enabled());
                 assert!(!should_inject(FaultSite::DramRead, &[0]));
                 record("faults.stray", 1);
                 assert_eq!(active_seed(), None);
             });
         });
-        assert!(enabled());
         assert!(g.counters().is_empty());
     }
 

@@ -44,33 +44,27 @@
 
 #![deny(missing_docs)]
 
+#[path = "../../trace/src/gate.rs"]
+mod gate;
 mod histogram;
 mod json;
 mod manifest;
 mod rolling;
 mod sink;
 
+pub use gate::{
+    enabled as hist_enabled, scope as hist_scope, Scope as HistScope, ScopeGuard as HistScopeGuard,
+};
 pub use histogram::{Histogram, SUB_BUCKETS};
 pub use json::{write_atomic, JsonWriter, ToJson};
 pub use manifest::Manifest;
 pub use rolling::RollingWindow;
 pub use sink::MetricsSink;
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Id of the live session (0 when none); ids are never reused.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<HistState> = Mutex::new(HistState::new());
-
-thread_local! {
-    /// Id of the session this thread records into (0 when none).
-    static SCOPE: Cell<u64> = const { Cell::new(0) };
-}
 
 #[derive(Debug)]
 struct HistState {
@@ -95,44 +89,6 @@ impl HistState {
 
 fn lock_state() -> MutexGuard<'static, HistState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether the calling thread records into a live histogram session: it
-/// opened the session, or entered its [`hist_scope`]. Instrumented code
-/// uses this to skip materializing values (e.g. recomputing attention
-/// scores) that exist only to be observed.
-#[inline]
-pub fn hist_enabled() -> bool {
-    let live = LIVE.load(Ordering::Relaxed);
-    live != 0 && SCOPE.with(Cell::get) == live
-}
-
-/// A thread's membership in a histogram session, for handing to threads
-/// that work on its behalf (see [`hist_scope`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HistScope(u64);
-
-/// The calling thread's session membership (possibly none).
-pub fn hist_scope() -> HistScope {
-    HistScope(SCOPE.with(Cell::get))
-}
-
-impl HistScope {
-    /// Joins the calling thread to this scope until the guard drops.
-    pub fn enter(self) -> HistScopeGuard {
-        HistScopeGuard(SCOPE.with(|s| s.replace(self.0)))
-    }
-}
-
-/// Restores the thread's previous membership on drop (see
-/// [`HistScope::enter`]).
-#[derive(Debug)]
-pub struct HistScopeGuard(u64);
-
-impl Drop for HistScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| s.set(self.0));
-    }
 }
 
 /// Records one sample into the named histogram. A no-op (one relaxed
@@ -167,7 +123,7 @@ pub fn observe_many(name: &str, values: impl IntoIterator<Item = f64>) {
 /// the `/metrics` endpoint snapshots the registry from its accept thread
 /// at scrape time.
 pub fn hists_snapshot() -> BTreeMap<String, Histogram> {
-    if LIVE.load(Ordering::Relaxed) == 0 {
+    if !gate::live() {
         return BTreeMap::new();
     }
     lock_state().hists.clone()
@@ -181,18 +137,15 @@ pub fn hists_snapshot() -> BTreeMap<String, Histogram> {
 /// session from a thread that already holds one — that deadlocks (by
 /// design: two interleaved recordings would corrupt each other).
 pub fn hist_session(label: &str) -> HistGuard {
-    let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    lock_state().clear(label);
-    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
-    SCOPE.with(|s| s.set(id));
-    LIVE.store(id, Ordering::SeqCst);
-    HistGuard { _gate: gate }
+    HistGuard {
+        _session: gate::open(|| lock_state().clear(label)),
+    }
 }
 
 /// Exclusive handle on the active histogram session (see [`hist_session`]).
 #[derive(Debug)]
 pub struct HistGuard {
-    _gate: MutexGuard<'static, ()>,
+    _session: gate::Session,
 }
 
 impl HistGuard {
@@ -227,13 +180,6 @@ impl HistGuard {
     /// Propagates the underlying I/O error.
     pub fn write_summary(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.summary_json())
-    }
-}
-
-impl Drop for HistGuard {
-    fn drop(&mut self) {
-        LIVE.store(0, Ordering::SeqCst);
-        SCOPE.with(|s| s.set(0));
     }
 }
 
@@ -335,17 +281,16 @@ mod tests {
     fn recording_is_scoped_to_the_owning_thread() {
         let g = hist_session("owner");
         // The spawned thread runs while the session is live but never
-        // entered its scope: nothing it observes may land in the registry,
-        // though it can still pull a snapshot.
+        // entered its scope (the gate's own test covers membership):
+        // nothing it observes may land in the registry, though it can
+        // still pull a snapshot.
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(!hist_enabled());
                 observe("stray", 1.0);
                 observe_many("stray", [2.0, 3.0]);
                 assert!(hists_snapshot().is_empty());
             });
         });
-        assert!(hist_enabled());
         assert!(g.snapshot().is_empty());
     }
 

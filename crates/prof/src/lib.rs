@@ -27,6 +27,11 @@
 //! *and* no trace session, [`span`] costs two relaxed loads and no
 //! allocation.
 
+#[path = "../../trace/src/gate.rs"]
+mod gate;
+
+pub use gate::{enabled, scope, Scope, ScopeGuard};
+
 use dota_metrics::{fmt_f64, write_json_string, Histogram};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -41,10 +46,6 @@ pub const MAX_ALLOC_NODES: usize = 512;
 
 const ROOT: u32 = 0;
 
-/// Id of the live session (0 when none); ids are never reused.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<ProfState> = Mutex::new(ProfState::new());
 
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -61,9 +62,6 @@ static NODE_ALLOC_BYTES: [AtomicU64; MAX_ALLOC_NODES] = [ZERO_U64; MAX_ALLOC_NOD
 static NODE_ALLOC_CALLS: [AtomicU64; MAX_ALLOC_NODES] = [ZERO_U64; MAX_ALLOC_NODES];
 
 thread_local! {
-    /// Id of the session this thread records into (0 when none). Const
-    /// initialized for the same reason as `CURRENT_NODE` below.
-    static SCOPE: Cell<u64> = const { Cell::new(0) };
     /// Innermost live span of this thread (`ROOT` when none). `Cell` with a
     /// const initializer so the allocator hook can read it without ever
     /// triggering a lazy TLS initializer (which could allocate).
@@ -159,43 +157,6 @@ impl ProfState {
 
 fn lock_state() -> MutexGuard<'static, ProfState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether the calling thread records into a live profiling session: it
-/// opened the session, or entered its [`scope`]. One relaxed load when no
-/// session is live; never allocates (the allocator hook calls it).
-#[inline]
-pub fn enabled() -> bool {
-    let live = LIVE.load(Ordering::Relaxed);
-    // `try_with` guards against TLS teardown inside the allocator hook.
-    live != 0 && SCOPE.try_with(Cell::get) == Ok(live)
-}
-
-/// A thread's membership in a profiling session, for handing to threads
-/// that work on its behalf (see [`scope`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Scope(u64);
-
-/// The calling thread's session membership (possibly none).
-pub fn scope() -> Scope {
-    Scope(SCOPE.with(Cell::get))
-}
-
-impl Scope {
-    /// Joins the calling thread to this scope until the guard drops.
-    pub fn enter(self) -> ScopeGuard {
-        ScopeGuard(SCOPE.with(|s| s.replace(self.0)))
-    }
-}
-
-/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
-#[derive(Debug)]
-pub struct ScopeGuard(u64);
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| s.set(self.0));
-    }
 }
 
 /// Opens a scoped wall-clock span on the calling thread; timing is recorded
@@ -372,26 +333,18 @@ fn reset_alloc_counters() {
 /// [`dota_trace::session`], but on an independent gate — a profiling
 /// session can coexist with a trace session).
 pub fn session(label: &str) -> ProfGuard {
-    let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    lock_state().clear(label);
-    reset_alloc_counters();
-    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
-    SCOPE.with(|s| s.set(id));
-    LIVE.store(id, Ordering::SeqCst);
-    ProfGuard { _gate: gate }
+    ProfGuard {
+        _session: gate::open(|| {
+            lock_state().clear(label);
+            reset_alloc_counters();
+        }),
+    }
 }
 
 /// Exclusive handle on the active profiling session (see [`session`]).
 #[derive(Debug)]
 pub struct ProfGuard {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for ProfGuard {
-    fn drop(&mut self) {
-        LIVE.store(0, Ordering::SeqCst);
-        SCOPE.with(|s| s.set(0));
-    }
+    _session: gate::Session,
 }
 
 impl ProfGuard {
@@ -613,22 +566,21 @@ mod tests {
 
     /// Spans and allocations on a thread outside the session — here one
     /// that runs *while* a session is live on another thread, the worst
-    /// case — are inert. The session owner holds the exclusive gate, so
-    /// what it reads back is not disturbed by other tests either.
+    /// case — are inert (the gate's own test covers membership). The
+    /// session owner holds the exclusive gate, so what it reads back is
+    /// not disturbed by other tests either.
     #[test]
     fn disabled_spans_are_inert() {
         let g = session("owner");
         let before = g.alloc();
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(!enabled());
                 let _s = span("idle.outer");
                 let _t = span("idle.inner");
                 record_alloc(1024);
                 record_dealloc(8);
             });
         });
-        assert!(enabled());
         // With the counting allocator installed the owner's own
         // allocations legitimately move the counters.
         if cfg!(not(feature = "prof-alloc")) {

@@ -1,19 +1,16 @@
 //! Decode step latency model.
 //!
-//! Mirrors [`dota_accel::decode::simulate_decode`]'s memory-bound decode
-//! accounting, restructured for *batched* steps: one scheduler step decodes
-//! one token for every in-flight request, so the layer weights stream from
-//! DRAM **once per step** (amortized over the whole batch — the reason
-//! continuous batching raises throughput at all), while K/V-cache traffic
-//! is paid per request and scales with how many cached connections its
-//! attention actually touched. Retention shedding attacks exactly that
-//! second, per-request term.
+//! [`dota_accel::decode`]'s memory-bound decode accounting (its closed
+//! forms, not a copy of them), restructured for *batched* steps: one
+//! scheduler step decodes one token for every in-flight request, so the
+//! layer weights stream from DRAM **once per step** (amortized over the
+//! whole batch — the reason continuous batching raises throughput at all),
+//! while K/V-cache traffic is paid per request and scales with how many
+//! cached connections its attention actually touched. Retention shedding
+//! attacks exactly that second, per-request term.
 
-use dota_accel::{energy, AccelConfig};
+use dota_accel::{decode, energy, AccelConfig};
 use dota_transformer::TransformerConfig;
-
-/// Bytes per FX16 value streamed from DRAM (matches `accel::decode`).
-const BYTES: u64 = 2;
 
 /// Cycle accounting for one continuous-batching decode step.
 #[derive(Debug, Clone)]
@@ -29,12 +26,9 @@ pub struct CostModel {
 impl CostModel {
     /// Builds the model for an accelerator configuration and model shape.
     pub fn new(accel: &AccelConfig, model: &TransformerConfig) -> Self {
-        let d = model.d_model as u64;
-        let d_ff = model.d_ff as u64;
-        let layers = model.n_layers as u64;
         Self {
-            weight_bytes: layers * (4 * d * d + 2 * d * d_ff) * BYTES,
-            bytes_per_connection: 2 * model.head_dim() as u64 * BYTES,
+            weight_bytes: decode::weight_bytes(model),
+            bytes_per_connection: decode::bytes_per_connection(model),
             bw: accel.dram_gbps,
         }
     }
@@ -42,7 +36,7 @@ impl CostModel {
     /// Cycles to stream the layer weights once (paid once per step,
     /// independent of batch occupancy).
     pub fn weight_cycles(&self) -> u64 {
-        (self.weight_bytes as f64 / self.bw).ceil() as u64
+        decode::stream_cycles(self.weight_bytes, self.bw)
     }
 
     /// Cycles to stream one request's K/V traffic for a step in which its
@@ -50,7 +44,7 @@ impl CostModel {
     /// layers and heads, as reported by
     /// [`Model::decode_step`](dota_transformer::Model::decode_step)).
     pub fn kv_cycles(&self, attended: u64) -> u64 {
-        ((attended * self.bytes_per_connection) as f64 / self.bw).ceil() as u64
+        decode::stream_cycles(attended * self.bytes_per_connection, self.bw)
     }
 
     /// Total cycles of one step: one weight stream plus every member's K/V
@@ -87,6 +81,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (CostModel, TransformerConfig) {
         let model = TransformerConfig::tiny_causal(48, 16);
@@ -130,5 +125,33 @@ mod tests {
     #[test]
     fn cycles_to_us_uses_model_clock() {
         assert_eq!(CostModel::cycles_to_us(1000), 1.0);
+    }
+
+    proptest! {
+        /// A batch of one is the single-stream simulator: summing solo
+        /// steps over a generation reproduces `simulate_decode`'s cycles
+        /// exactly, whatever the shape, retention and lengths.
+        #[test]
+        fn solo_steps_sum_to_simulate_decode_oracle(
+            shape in 0usize..2,
+            below_one in 0.0f64..1.0,
+            prompt in 0usize..600,
+            gen in 1usize..40,
+        ) {
+            let model = [TransformerConfig::tiny_causal(64, 16), TransformerConfig::gpt2(1024)][shape]
+                .clone();
+            let retention = 1.0 - below_one;
+            let accel = AccelConfig::default();
+            let cost = CostModel::new(&accel, &model);
+            let per_position = (model.n_layers * model.n_heads) as u64;
+            let summed: u64 = (prompt..prompt + gen)
+                .map(|context| {
+                    let kept = ((retention * context as f64).ceil() as u64).max(1);
+                    cost.step_cycles([per_position * kept])
+                })
+                .sum();
+            let sim = decode::simulate_decode(&accel, &model, prompt, gen, retention, 0.0);
+            prop_assert_eq!(sim.cycles, summed);
+        }
     }
 }

@@ -43,6 +43,10 @@
 
 #![deny(missing_docs)]
 
+mod gate;
+
+pub use gate::{enabled, scope, Scope, ScopeGuard};
+
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,16 +58,10 @@ pub const HOST_PID: u32 = 0;
 /// Process ID used for simulated-hardware (cycle-time) events.
 pub const SIM_PID: u32 = 1;
 
-/// Id of the live session (0 when none); ids are never reused.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static LAST_SESSION: AtomicU64 = AtomicU64::new(0);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
 static STATE: Mutex<State> = Mutex::new(State::new());
 static NEXT_HOST_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Id of the session this thread records into (0 when none).
-    static SCOPE: Cell<u64> = const { Cell::new(0) };
     /// Host-span bookkeeping: this thread's Chrome tid and its current
     /// span-nesting depth (depth guarantees well-nested X events per tid).
     static HOST_THREAD: Cell<u64> = const { Cell::new(0) };
@@ -121,42 +119,6 @@ impl State {
 
 fn lock_state() -> MutexGuard<'static, State> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether the calling thread records into a live trace session: it
-/// opened the session, or entered its [`scope`]. Instrumented code may use
-/// this to skip preparing expensive event arguments.
-#[inline]
-pub fn enabled() -> bool {
-    let live = LIVE.load(Ordering::Relaxed);
-    live != 0 && SCOPE.with(Cell::get) == live
-}
-
-/// A thread's membership in a trace session, for handing to threads that
-/// work on its behalf (see [`scope`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Scope(u64);
-
-/// The calling thread's session membership (possibly none).
-pub fn scope() -> Scope {
-    Scope(SCOPE.with(Cell::get))
-}
-
-impl Scope {
-    /// Joins the calling thread to this scope until the guard drops.
-    pub fn enter(self) -> ScopeGuard {
-        ScopeGuard(SCOPE.with(|s| s.replace(self.0)))
-    }
-}
-
-/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
-#[derive(Debug)]
-pub struct ScopeGuard(u64);
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| s.set(self.0));
-    }
 }
 
 /// Adds `delta` to the named counter. A no-op (one atomic load) outside a
@@ -314,18 +276,15 @@ impl Drop for HostSpan {
 /// session from a thread that already holds one — that deadlocks (by
 /// design: two interleaved recordings would corrupt each other).
 pub fn session(label: &str) -> TraceGuard {
-    let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    lock_state().clear(label);
-    let id = LAST_SESSION.fetch_add(1, Ordering::Relaxed) + 1;
-    SCOPE.with(|s| s.set(id));
-    LIVE.store(id, Ordering::SeqCst);
-    TraceGuard { _gate: gate }
+    TraceGuard {
+        _session: gate::open(|| lock_state().clear(label)),
+    }
 }
 
 /// Exclusive handle on the active trace session (see [`session`]).
 #[derive(Debug)]
 pub struct TraceGuard {
-    _gate: MutexGuard<'static, ()>,
+    _session: gate::Session,
 }
 
 impl TraceGuard {
@@ -445,13 +404,6 @@ impl TraceGuard {
     }
 }
 
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        LIVE.store(0, Ordering::SeqCst);
-        SCOPE.with(|s| s.set(0));
-    }
-}
-
 /// Formats an `f64` for JSON output: integral values print without a
 /// fractional part, non-finite values (never produced by the recorders)
 /// clamp to 0.
@@ -534,16 +486,15 @@ mod tests {
     fn recording_is_scoped_to_the_owning_thread() {
         let t = session("owner");
         // The spawned thread runs while the session is live but never
-        // entered its scope: nothing it does may land in the recording.
+        // entered its scope (the gate's own test covers membership):
+        // nothing it does may land in the recording.
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(!enabled());
                 count("stray", 1);
                 sim_counter("stray.track", 0, 1);
                 drop(host_span("stray.span"));
             });
         });
-        assert!(enabled());
         assert!(t.counters().is_empty());
         assert!(!t.chrome_trace_json().contains("stray"));
     }

@@ -198,17 +198,39 @@ fn cli_campaign_report_roundtrips_through_report_diff() {
     );
 }
 
-/// Malformed environment is rejected up front with a clear message.
+/// Malformed environment is rejected up front with a clear message —
+/// before any work runs: even `help` prints nothing.
 #[test]
 fn cli_rejects_malformed_dota_threads() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["table2"])
+        .args(["help"])
         .env("DOTA_THREADS", "many")
         .output()
         .unwrap();
     assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "work ran before the rejection");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("DOTA_THREADS"), "stderr was: {stderr}");
+}
+
+/// The figure subcommands are gone outright (the `dota-bench` binaries are
+/// the one door to each table and figure): asking for one is an unknown
+/// command, answered with the usage text.
+#[test]
+fn cli_has_no_figure_subcommands() {
+    for removed in ["table2", "speedup", "energy", "simulate", "decode"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dota"))
+            .args([removed])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`dota {removed}` still runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command `{removed}`"))
+                && stderr.contains("usage: dota"),
+            "stderr was: {stderr}"
+        );
+    }
 }
 
 /// An empty `DOTA_PROF` (profile output directory) is caught by the
@@ -216,7 +238,7 @@ fn cli_rejects_malformed_dota_threads() {
 #[test]
 fn cli_rejects_empty_dota_prof() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["table2"])
+        .args(["help"])
         .env("DOTA_PROF", "")
         .output()
         .unwrap();
@@ -254,7 +276,7 @@ fn cli_rejects_malformed_dota_serve_env() {
         ("DOTA_SERVE_FLIGHT", "   "),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-            .args(["table2"])
+            .args(["help"])
             .env(name, bad)
             .output()
             .unwrap();
