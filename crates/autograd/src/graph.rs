@@ -301,7 +301,8 @@ impl Graph {
 
     /// Hyperbolic tangent, element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
+        let mut v = self.value(a).clone();
+        ops::tanh_slice(v.as_mut_slice());
         self.push(v, Op::Tanh(a))
     }
 
@@ -532,14 +533,16 @@ impl Graph {
                 Op::Gelu(a) => {
                     const C: f32 = 0.797_884_6; // sqrt(2/pi)
                     let x = self.value(*a);
-                    let dx = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-                        let v = x[(r, c)];
-                        let u = C * (v + 0.044_715 * v * v * v);
-                        let t = u.tanh();
+                    // t = tanh(u) for the whole matrix through the slice
+                    // kernel, then the derivative element by element.
+                    let mut dx = x.map(|v| C * (v + 0.044_715 * v * v * v));
+                    ops::tanh_slice(dx.as_mut_slice());
+                    for ((out, &v), &g) in dx.iter_mut().zip(x.iter()).zip(grad.iter()) {
+                        let t = *out;
                         let du = C * (1.0 + 3.0 * 0.044_715 * v * v);
                         let d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du;
-                        grad[(r, c)] * d
-                    });
+                        *out = g * d;
+                    }
                     vec![(*a, dx)]
                 }
                 Op::Relu(a) => {
@@ -746,6 +749,43 @@ mod tests {
             let pooled = g.mean_rows(y);
             scalar_sum(g, pooled)
         });
+    }
+
+    /// `Op::Gelu`'s backward as one closure per element — the body it had
+    /// before `tanh` went through the slice kernel.
+    fn gelu_backward_oracle(x: &Matrix, grad: &Matrix) -> Matrix {
+        const C: f32 = 0.797_884_6; // sqrt(2/pi)
+        Matrix::from_fn(x.rows(), x.cols(), |r, c| {
+            let v = x[(r, c)];
+            let u = C * (v + 0.044_715 * v * v * v);
+            let t = dota_tensor::tanh::tanh_f32(u);
+            let du = C * (1.0 + 3.0 * 0.044_715 * v * v);
+            let d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du;
+            grad[(r, c)] * d
+        })
+    }
+
+    #[test]
+    fn gelu_forward_and_backward_match_elementwise_oracle_bitwise() {
+        let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut rng = SeededRng::new(31);
+        for (rows, cols, std) in [(1, 1, 1.0), (3, 7, 1.0), (5, 16, 3.0), (9, 33, 0.01)] {
+            let x = rng.normal_matrix(rows, cols, std);
+            let upstream = rng.normal_matrix(rows, cols, 1.0);
+            let mut g = Graph::new();
+            let xv = g.constant(x.clone());
+            let y = g.gelu(xv);
+            let w = g.constant(upstream.clone());
+            let weighted = g.hadamard(y, w);
+            let loss = g.sum_all(weighted);
+            g.backward(loss);
+            assert_eq!(bits(g.value(y)), bits(&x.map(ops::gelu_scalar)));
+            assert_eq!(
+                bits(g.grad(xv).expect("input gradient")),
+                bits(&gelu_backward_oracle(&x, &upstream)),
+                "{rows}x{cols}"
+            );
+        }
     }
 
     #[test]

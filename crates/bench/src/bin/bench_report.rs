@@ -123,6 +123,21 @@ struct AttnRow {
     dota_alloc: AllocSummary,
 }
 
+/// GELU over one FFN activation block, in nanoseconds per element (p50):
+/// the expression through the host libm's `tanhf` (what `gelu_scalar` was
+/// before the repo owned its `tanh`), through the scalar port
+/// (`ops::gelu_slice` under `DOTA_GEMM=scalar`), and through the 8-lane
+/// kernel (`ops::gelu_slice` under `simd`; equal to `port` on a host
+/// without the lanes). All three produce the same bits on an fdlibm host.
+#[derive(Serialize)]
+struct GeluRow {
+    /// `gelu_<rows>x<d_ff>`.
+    kernel: String,
+    libm_ns_per_elem: f64,
+    port_ns_per_elem: f64,
+    lanes_ns_per_elem: f64,
+}
+
 #[derive(Serialize)]
 struct CounterScenario {
     scenario: String,
@@ -146,6 +161,9 @@ struct Report {
     kernel_family_size: usize,
     kernel_families: Vec<FamilyRow>,
     attention: Vec<AttnRow>,
+    /// GELU at a 32-row prefill block and at a 1024-row batch of the mid
+    /// model's `d_ff` (see [`GeluRow`]).
+    gelu: Vec<GeluRow>,
     /// Deterministic hardware-counter snapshots (see `dota-trace`): the
     /// same scenarios `counters_baseline` regression-checks. Unlike the
     /// timing rows, these are bit-identical across hosts and thread counts.
@@ -360,6 +378,50 @@ fn attention_rows() -> Vec<AttnRow> {
     rows
 }
 
+/// Times GELU over `N(0, 1)` activations (real ones: the branches of a
+/// scalar `tanhf` mispredict on them, unlike on a smooth ramp).
+fn gelu_rows() -> Vec<GeluRow> {
+    println!("\nGELU (ns per element: host libm expression, scalar port, 8-lane kernel)");
+    let mut rng = SeededRng::new(13);
+    // Exact median of the samples: the streaming histogram's log buckets
+    // are coarser than the differences these rows exist to show.
+    let ns_per_elem = |src: &[f32], f: &dyn Fn(&mut [f32])| {
+        let mut buf = src.to_vec();
+        let mut samples = Vec::new();
+        for _ in 0..(1 << 19) / src.len() + 5 {
+            buf.copy_from_slice(src);
+            let t = Instant::now();
+            f(&mut buf);
+            samples.push(t.elapsed().as_secs_f64() * 1e9 / src.len() as f64);
+            std::hint::black_box(&buf);
+        }
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let libm = |xs: &mut [f32]| {
+        for x in xs {
+            let v = *x;
+            *x = 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh());
+        }
+    };
+    let mut rows = Vec::new();
+    for (m, d_ff) in [(32, 512), (1024, 512)] {
+        let x = rng.normal_matrix(m, d_ff, 1.0);
+        let row = GeluRow {
+            kernel: format!("gelu_{m}x{d_ff}"),
+            libm_ns_per_elem: ns_per_elem(x.as_slice(), &libm),
+            port_ns_per_elem: with_family("scalar", || ns_per_elem(x.as_slice(), &ops::gelu_slice)),
+            lanes_ns_per_elem: with_family("simd", || ns_per_elem(x.as_slice(), &ops::gelu_slice)),
+        };
+        println!(
+            "  {:<14} libm {:>6.2} ns/elem  port {:>6.2} ns/elem  lanes {:>6.2} ns/elem",
+            row.kernel, row.libm_ns_per_elem, row.port_ns_per_elem, row.lanes_ns_per_elem
+        );
+        rows.push(row);
+    }
+    rows
+}
+
 /// Steady-state allocation budget for the `--quick` smoke, in bytes
 /// across all timed reps combined: after warmup, the packed path
 /// (`matmul_into` + pooled pack buffers) should allocate nothing; the
@@ -387,6 +449,7 @@ fn run_quick() -> bool {
         "non-finite family timing"
     );
     assert!(!gemm.is_empty());
+    gelu_rows();
 
     // Detect whether the counting allocator is live: a deliberate 1 MiB
     // allocation must move the counter. Without prof-alloc the budget
@@ -542,6 +605,7 @@ fn main() {
     let kernel_families = family_rows(FAMILY_SIZE, 5);
     println!("\nAttention (head_dim 64, retention 10%): dense vs DOTA-sparse");
     let attention = attention_rows();
+    let gelu = gelu_rows();
 
     println!("\nHardware counters (deterministic; selected totals per scenario)");
     let counters: Vec<CounterScenario> = dota_bench::counter_scenarios()
@@ -579,6 +643,7 @@ fn main() {
         kernel_family_size: FAMILY_SIZE,
         kernel_families,
         attention,
+        gelu,
         counters,
     };
     let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));

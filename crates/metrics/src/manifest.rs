@@ -171,6 +171,7 @@ fn physical_cores() -> usize {
 /// Detected SIMD capabilities (`avx2`/`fma`/`avx512f` on x86-64, `neon`
 /// on aarch64, `none` otherwise). Runtime detection, matching what
 /// `dota_tensor::simd::cpu_features` reports for kernel selection.
+/// `avx512f` is provenance only: no kernel in the workspace uses it.
 fn cpu_features() -> Vec<String> {
     let mut f: Vec<String> = Vec::new();
     #[cfg(target_arch = "x86_64")]

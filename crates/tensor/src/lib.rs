@@ -39,6 +39,7 @@ pub mod ops;
 pub mod reference;
 pub mod rng;
 pub mod simd;
+pub mod tanh;
 pub mod topk;
 
 pub use error::ShapeError;

@@ -5,7 +5,10 @@
 //! multi-head attention and the FFN, and the GELU used between the FFN's two
 //! fully-connected layers.
 
+use crate::tanh::tanh_f32;
 use crate::Matrix;
+
+pub use crate::tanh::{gelu_slice, tanh_slice};
 
 /// Row-wise numerically-stable softmax (Eq. 2 of the paper).
 ///
@@ -98,15 +101,24 @@ pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> Matrix {
     out
 }
 
-/// GELU activation (tanh approximation), element-wise.
+/// GELU activation (tanh approximation), element-wise: [`gelu_slice`] on
+/// a copy.
 pub fn gelu(x: &Matrix) -> Matrix {
-    x.map(gelu_scalar)
+    let mut out = x.clone();
+    gelu_slice(out.as_mut_slice());
+    out
 }
 
-/// GELU on a single value (tanh approximation).
+/// `sqrt(2/π)` and the cubic coefficient of the tanh-form GELU; the lane
+/// kernel multiplies by the same two values.
+pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+pub(crate) const GELU_CUBIC: f32 = 0.044_715;
+
+/// GELU on a single value (tanh approximation) — the one-element
+/// definition: [`gelu_slice`] computes exactly these operations in this
+/// order per element, through the repo's own [`tanh_f32`].
 pub fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh_f32(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)))
 }
 
 /// ReLU activation, element-wise.

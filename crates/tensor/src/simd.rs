@@ -26,6 +26,11 @@
 //! front ends reject malformed values up front via
 //! [`family_from_env_checked`]).
 //!
+//! The element-wise `tanh`/GELU kernels ([`crate::tanh`]) follow the same
+//! selection — `scalar` runs the port loop, `simd` and `fma` the 8-lane
+//! kernel — but have no inexact flavour: their bits are the same under all
+//! three.
+//!
 //! Every family is deterministic: for a fixed kernel family the output is
 //! a pure function of the operands — bitwise identical across
 //! `DOTA_THREADS`, panel boundaries, and serial-vs-parallel builds.
@@ -200,6 +205,10 @@ pub fn fma_available() -> bool {
 /// The SIMD capabilities detected on this host, for bench provenance
 /// (`BENCH_kernels.json`, run manifests): pool-speedup and kernel-family
 /// numbers are only interpretable next to what the machine could run.
+/// `avx512f` is reported as provenance only — no kernel uses it: the
+/// widest lanes in the workspace are AVX2's eight (GEMM microkernels, the
+/// `tanh`/GELU kernel), which already leave GELU under 10 % of a prompt
+/// position.
 pub fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]

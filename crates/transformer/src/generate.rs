@@ -277,7 +277,7 @@ impl Model {
             );
             let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
             ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
-            h1.map_inplace(ops::gelu_scalar);
+            ops::gelu_slice(h1.as_mut_slice());
             let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
             ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
             add_residual(&normed1, &mut h2);

@@ -301,8 +301,15 @@ impl crate::Model {
                 let out = match &effective {
                     Some(sel) => ops::sparse_attention(&qh, &kh, &vh, sel, scale),
                     None => {
-                        let scores = qh.matmul_nt(&kh).expect("shape").scale(scale);
-                        ops::softmax_rows(&scores).matmul(&vh).expect("shape")
+                        // Scale and softmax every row in the buffer the
+                        // GEMM wrote: no further n x n copy.
+                        let mut scores = qh.matmul_nt(&kh).expect("shape");
+                        for r in 0..n {
+                            let row = scores.row_mut(r);
+                            row.iter_mut().for_each(|s| *s *= scale);
+                            ops::softmax_slice(row);
+                        }
+                        scores.matmul(&vh).expect("shape")
                     }
                 };
                 (
@@ -343,13 +350,13 @@ impl crate::Model {
                 1e-5,
             );
 
-            let h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
-            let h1b = ops::add_bias(&h1, params.value(layer.b_ff1).row(0));
-            let act = ops::gelu(&h1b);
-            let h2 = act.matmul(params.value(layer.w_ff2)).expect("shape");
-            let h2b = ops::add_bias(&h2, params.value(layer.b_ff2).row(0));
+            let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
+            ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
+            ops::gelu_slice(h1.as_mut_slice());
+            let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
+            ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
 
-            let res2 = normed1.add(&h2b).expect("shape");
+            let res2 = normed1.add(&h2).expect("shape");
             x = ops::layer_norm(
                 &res2,
                 params.value(layer.ln2_gamma).row(0),
