@@ -1,4 +1,5 @@
 use crate::optim::{ParamId, ParamSet};
+use dota_tensor::exp::exp_f32;
 use dota_tensor::{ops, Matrix};
 
 /// A handle to a node in a [`Graph`].
@@ -295,7 +296,7 @@ impl Graph {
 
     /// Logistic sigmoid, element-wise.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(|x| 1.0 / (1.0 + exp_f32(-x)));
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -784,6 +785,92 @@ mod tests {
                 bits(g.grad(xv).expect("input gradient")),
                 bits(&gelu_backward_oracle(&x, &upstream)),
                 "{rows}x{cols}"
+            );
+        }
+    }
+
+    /// Softmax over the kept positions of one row as its element-wise
+    /// expression through `exp_f32`, and its backward from that output.
+    fn softmax_row_oracle(x: &[f32], keep: &[bool], upstream: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let kept = |i: usize| if keep[i] { x[i] } else { f32::NEG_INFINITY };
+        let max = (0..x.len()).map(kept).fold(f32::NEG_INFINITY, f32::max);
+        if !max.is_finite() {
+            return (vec![0.0; x.len()], vec![0.0; x.len()]);
+        }
+        let mut y: Vec<f32> = (0..x.len()).map(|i| exp_f32(kept(i) - max)).collect();
+        let mut sum = 0.0;
+        for &e in &y {
+            sum += e;
+        }
+        y.iter_mut().for_each(|e| *e /= sum);
+        let dot: f32 = y.iter().zip(upstream).map(|(a, g)| a * g).sum();
+        let dx = (0..x.len())
+            .map(|i| {
+                if keep[i] {
+                    y[i] * (upstream[i] - dot)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        (y, dx)
+    }
+
+    #[test]
+    fn softmax_and_sigmoid_match_elementwise_oracle_bitwise() {
+        let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut rng = SeededRng::new(33);
+        for (rows, cols, std) in [(1, 1, 1.0), (3, 7, 1.0), (5, 16, 30.0), (9, 33, 4.0)] {
+            let x = rng.normal_matrix(rows, cols, std);
+            let upstream = rng.normal_matrix(rows, cols, 1.0);
+            // Row 0 keeps everything (the unmasked op must agree with it),
+            // the last row of the taller shapes nothing.
+            let mask: Vec<Vec<bool>> = (0..rows)
+                .map(|r| {
+                    (0..cols)
+                        .map(|_| r == 0 || (r + 1 < rows && rng.below(3) > 0))
+                        .collect()
+                })
+                .collect();
+            let run = |op: &dyn Fn(&mut Graph, Var) -> Var| {
+                let mut g = Graph::new();
+                let xv = g.constant(x.clone());
+                let y = op(&mut g, xv);
+                let w = g.constant(upstream.clone());
+                let weighted = g.hadamard(y, w);
+                let loss = g.sum_all(weighted);
+                g.backward(loss);
+                (bits(g.value(y)), bits(g.grad(xv).expect("input gradient")))
+            };
+            let oracle = |mask: &[Vec<bool>]| {
+                let (mut ys, mut dxs) = (Vec::new(), Vec::new());
+                for (r, keep) in mask.iter().enumerate() {
+                    let (y, dx) = softmax_row_oracle(x.row(r), keep, upstream.row(r));
+                    ys.extend(y.iter().map(|v| v.to_bits()));
+                    dxs.extend(dx.iter().map(|v| v.to_bits()));
+                }
+                (ys, dxs)
+            };
+            let shape = format!("{rows}x{cols}");
+            let all = vec![vec![true; cols]; rows];
+            assert_eq!(
+                run(&|g, v| g.softmax_rows(v)),
+                oracle(&all),
+                "softmax {shape}"
+            );
+            assert_eq!(
+                run(&|g, v| g.masked_softmax_rows(v, mask.clone())),
+                oracle(&mask),
+                "masked softmax {shape}"
+            );
+            let y = x.map(|v| 1.0 / (1.0 + exp_f32(-v)));
+            let dx = Matrix::from_fn(rows, cols, |r, c| {
+                upstream[(r, c)] * y[(r, c)] * (1.0 - y[(r, c)])
+            });
+            assert_eq!(
+                run(&|g, v| g.sigmoid(v)),
+                (bits(&y), bits(&dx)),
+                "sigmoid {shape}"
             );
         }
     }

@@ -143,46 +143,64 @@ impl Int8Matrix {
             }
             return Ok(out);
         }
-        let kernel = Kernel::for_depth(self.cols);
+        let kernel = Kernel::for_product(&other.data, self.cols);
         for i in 0..self.rows {
-            kernel.score_row(self.code_row(i), &other.data, out_scale, out.row_mut(i));
+            kernel.score_row(self.code_row(i), out_scale, out.row_mut(i));
         }
         Ok(out)
     }
 }
 
-/// The `i8` dot-product kernel of one `A·Bᵀ` product, decided once per
-/// product instead of once per output element. Both kernels produce
-/// identical bits (integer addition is associative).
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// Inlined scalar loop: every host, and every depth below one 16-lane
-    /// step — the detector's rank-6 sketches — where the AVX2 kernel would
-    /// run nothing but its set-up and scalar tail.
-    Scalar,
-    /// AVX2 `madd` lanes. Only [`Kernel::for_depth`] builds this variant,
-    /// after verifying the feature.
+/// Depths below this run [`Kernel::Avx2Columns`]: under one 16-lane step
+/// the per-output [`dot_i8_avx2`] would run nothing but its set-up and
+/// scalar tail.
+#[cfg(target_arch = "x86_64")]
+const COLUMN_KERNEL_BELOW: usize = 16;
+
+/// The `i8` kernel of one `A·Bᵀ` product with its right operand, decided
+/// (and, for small depths, re-laid-out) once per product instead of once
+/// per output element. All kernels produce identical bits: integer
+/// addition is associative, and the `i32 → f32` conversion and the scaling
+/// are the same two operations per element everywhere.
+enum Kernel<'b> {
+    /// Inlined scalar loop over the row-major codes: every host.
+    Scalar(&'b [i8]),
+    /// AVX2 `madd` lanes along the depth, one output at a time: depths of
+    /// at least one 16-lane step. Only [`Kernel::for_product`] builds the
+    /// AVX2 variants, after verifying the feature.
     #[cfg(target_arch = "x86_64")]
-    Avx2,
+    Avx2Depth(&'b [i8]),
+    /// AVX2 `madd` lanes across eight output columns: small depths — the
+    /// detector's rank-6 sketches — where the depth has no lanes to fill
+    /// but the output row does. Holds the right operand pair-interleaved
+    /// (see [`interleave_pairs`]).
+    #[cfg(target_arch = "x86_64")]
+    Avx2Columns(Vec<i16>),
 }
 
-impl Kernel {
-    fn for_depth(k: usize) -> Self {
+impl<'b> Kernel<'b> {
+    /// The kernel for the row-major right operand `b` (`n` rows of `k`
+    /// codes).
+    fn for_product(b: &'b [i8], k: usize) -> Self {
         #[cfg(target_arch = "x86_64")]
-        if k >= 16 && std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return if k >= COLUMN_KERNEL_BELOW {
+                Kernel::Avx2Depth(b)
+            } else {
+                Kernel::Avx2Columns(interleave_pairs(b, k))
+            };
         }
-        Kernel::Scalar
+        Kernel::Scalar(b)
     }
 
-    /// One output row: `out[j] = (a · b_j) · out_scale` over the row-major
-    /// rows `b_j` of `b`, each `a.len() < `[`I32_SAFE_K`] codes long.
-    fn score_row(self, a: &[i8], b: &[i8], out_scale: f32, out: &mut [f32]) {
+    /// One output row: `out[j] = (a · b_j) · out_scale` over the rows `b_j`
+    /// of the right operand, each `a.len() < `[`I32_SAFE_K`] codes long.
+    fn score_row(&self, a: &[i8], out_scale: f32, out: &mut [f32]) {
         let k = a.len();
         debug_assert!(k < I32_SAFE_K);
-        debug_assert_eq!(b.len(), k * out.len());
         match self {
-            Kernel::Scalar => {
+            Kernel::Scalar(b) => {
+                debug_assert_eq!(b.len(), k * out.len());
                 for (j, o) in out.iter_mut().enumerate() {
                     let b_j = &b[j * k..(j + 1) * k];
                     let acc: i32 = a.iter().zip(b_j).map(|(&x, &y)| x as i32 * y as i32).sum();
@@ -190,9 +208,84 @@ impl Kernel {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `for_depth` verified AVX2 before building this
-            // variant; row lengths are asserted above.
-            Kernel::Avx2 => unsafe { score_row_avx2(a, b, out_scale, out) },
+            Kernel::Avx2Depth(b) => {
+                assert_eq!(b.len(), k * out.len(), "operand shape");
+                // SAFETY: `for_product` verified AVX2 before building this
+                // variant; the row count is asserted above.
+                unsafe { score_row_avx2(a, b, out_scale, out) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2Columns(pairs) => {
+                assert!(k < COLUMN_KERNEL_BELOW, "depth {k} has no column kernel");
+                assert_eq!(
+                    pairs.len(),
+                    out.len().div_ceil(8) * k.div_ceil(2) * 16,
+                    "operand shape"
+                );
+                // SAFETY: `for_product` verified AVX2 before building this
+                // variant; depth and the interleaved length are asserted
+                // above.
+                unsafe { score_row_columns_avx2(a, pairs, out_scale, out) }
+            }
+        }
+    }
+}
+
+/// `b` (rows of `k` codes) widened to `i16` and pair-interleaved in blocks
+/// of eight rows: block `r`, depth pair `p` is sixteen values
+/// `b[8r + c][2p], b[8r + c][2p + 1]` for `c = 0..8` — one `madd` operand
+/// yielding eight outputs' worth of two depth steps. Odd depths and a last
+/// block short of eight rows are zero-padded, which adds nothing to a sum.
+#[cfg(target_arch = "x86_64")]
+fn interleave_pairs(b: &[i8], k: usize) -> Vec<i16> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let pairs = k.div_ceil(2);
+    let mut out = vec![0i16; (b.len() / k).div_ceil(8) * pairs * 16];
+    for (j, row) in b.chunks_exact(k).enumerate() {
+        let block = &mut out[j / 8 * pairs * 16..];
+        for (d, &code) in row.iter().enumerate() {
+            block[d / 2 * 16 + j % 8 * 2 + d % 2] = i16::from(code);
+        }
+    }
+    out
+}
+
+/// # Safety
+///
+/// Requires AVX2; `a.len() < 16` and `pairs` must be [`interleave_pairs`]
+/// of `out.len()` rows of that depth.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn score_row_columns_avx2(a: &[i8], pairs: &[i16], out_scale: f32, out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n_pairs = a.len().div_ceil(2);
+    // Each depth pair of `a`, both halves in one i32, in every lane.
+    let mut a_pairs = [_mm256_setzero_si256(); 8];
+    for (p, pair) in a.chunks(2).enumerate() {
+        let lo = i32::from(pair[0]) & 0xffff;
+        let hi = pair.get(1).map_or(0, |&c| i32::from(c));
+        a_pairs[p] = _mm256_set1_epi32(hi << 16 | lo);
+    }
+    let scale = _mm256_set1_ps(out_scale);
+    let mut block = pairs.as_ptr() as *const __m256i;
+    for chunk in out.chunks_mut(8) {
+        let mut acc = _mm256_setzero_si256();
+        for a_pair in &a_pairs[..n_pairs] {
+            // SAFETY: `pairs` holds `n_pairs` 16-value groups per chunk of
+            // `out`; loadu takes any alignment.
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(*a_pair, _mm256_loadu_si256(block)));
+            block = block.add(1);
+        }
+        // `acc as f32 * out_scale`, eight at once.
+        let scored = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale);
+        if chunk.len() == 8 {
+            _mm256_storeu_ps(chunk.as_mut_ptr(), scored);
+        } else {
+            let mut tail = [0.0f32; 8];
+            _mm256_storeu_ps(tail.as_mut_ptr(), scored);
+            chunk.copy_from_slice(&tail[..chunk.len()]);
         }
     }
 }
@@ -359,10 +452,10 @@ impl Int4Packed {
             other.unpack_row(j, &mut b_codes[j * other.cols..(j + 1) * other.cols]);
         }
         let mut a_row = vec![0i8; self.cols];
-        let kernel = Kernel::for_depth(self.cols);
+        let kernel = Kernel::for_product(&b_codes, self.cols);
         for i in 0..self.rows {
             self.unpack_row(i, &mut a_row);
-            kernel.score_row(&a_row, &b_codes, out_scale, out.row_mut(i));
+            kernel.score_row(&a_row, out_scale, out.row_mut(i));
         }
         Ok(out)
     }
@@ -392,24 +485,43 @@ mod tests {
     #[test]
     fn i8_matmul_matches_i32_reference_bitwise() {
         let mut rng = SeededRng::new(11);
-        // Depth 6 (the detector's rank) stays under one 16-lane step and
-        // takes the scalar kernel on every host; 37 runs lanes plus a tail.
-        for (p, k) in [Precision::Int2, Precision::Int4, Precision::Int8]
-            .into_iter()
-            .flat_map(|p| [(p, 6), (p, 37)])
-        {
-            let a = rng.normal_matrix(9, k, 1.0);
-            let b = rng.normal_matrix(13, k, 1.0);
-            let qa = Quantizer::symmetric(p).quantize(&a);
-            let qb = Quantizer::symmetric(p).quantize(&b);
-            let got = Int8Matrix::from_quantized(&qa)
-                .matmul_nt_dequant(&Int8Matrix::from_quantized(&qb))
-                .unwrap();
-            // Integer accumulation has one possible answer; the f32
-            // conversion and scaling are identical expressions — so the
-            // fast path must agree bit-for-bit, not just approximately.
-            let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(reference_bits(&qa, &qb), got_bits, "{p} depth {k}");
+        // Depths under one 16-lane step — 6 is the detector's rank; 1, 2,
+        // 7, 15 cover a lone code, one pair, odd depths and the last depth
+        // of the column kernel — then 16 and 37: lanes along the depth,
+        // without and with a scalar tail. Output counts on both sides of a
+        // multiple of eight.
+        for p in [Precision::Int2, Precision::Int4, Precision::Int8] {
+            for (k, n) in [(6, 13), (37, 13), (1, 9), (2, 8), (7, 1), (15, 17), (16, 7)] {
+                let a = rng.normal_matrix(9, k, 1.0);
+                let b = rng.normal_matrix(n, k, 1.0);
+                let qa = Quantizer::symmetric(p).quantize(&a);
+                let qb = Quantizer::symmetric(p).quantize(&b);
+                let got = Int8Matrix::from_quantized(&qa)
+                    .matmul_nt_dequant(&Int8Matrix::from_quantized(&qb))
+                    .unwrap();
+                // Integer accumulation has one possible answer; the f32
+                // conversion and scaling are identical expressions — so the
+                // fast paths must agree bit-for-bit, not just approximately.
+                let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(reference_bits(&qa, &qb), got_bits, "{p} depth {k} x {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_codes_survive_the_column_kernel() {
+        // -128 x -128 in both halves of a pair: the largest `madd` term.
+        for k in [1, 2, 15] {
+            let full = |rows: usize| Int8Matrix {
+                rows,
+                cols: k,
+                data: vec![-128; rows * k],
+                scale: 0.5,
+                precision: Precision::Int8,
+            };
+            let got = full(3).matmul_nt_dequant(&full(11)).unwrap();
+            let want = (128 * 128 * k as i32) as f32 * (0.5 * 0.5);
+            assert!(got.iter().all(|&x| x == want), "depth {k}");
         }
     }
 
@@ -434,16 +546,16 @@ mod tests {
     #[test]
     fn int4_matmul_matches_i32_reference_bitwise() {
         let mut rng = SeededRng::new(13);
-        for k in [21, 5] {
+        for (k, n) in [(21, 8), (5, 8), (1, 11), (2, 3), (7, 16), (15, 9)] {
             let a = rng.normal_matrix(6, k, 1.0);
-            let b = rng.normal_matrix(8, k, 1.0);
+            let b = rng.normal_matrix(n, k, 1.0);
             let qa = Quantizer::symmetric(Precision::Int4).quantize(&a);
             let qb = Quantizer::symmetric(Precision::Int4).quantize(&b);
             let got = Int4Packed::from_quantized(&qa)
                 .matmul_nt_dequant(&Int4Packed::from_quantized(&qb))
                 .unwrap();
             let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(reference_bits(&qa, &qb), got_bits, "depth {k}");
+            assert_eq!(reference_bits(&qa, &qb), got_bits, "depth {k} x {n}");
         }
     }
 

@@ -34,6 +34,7 @@ mod gemm;
 mod matrix;
 mod pack;
 
+pub mod exp;
 pub mod flops;
 pub mod ops;
 pub mod reference;

@@ -4,11 +4,85 @@
 //! the row-wise softmax of Eq. 2, the residual + layer-norm that follows
 //! multi-head attention and the FFN, and the GELU used between the FFN's two
 //! fully-connected layers.
+//!
+//! Softmax and the attention row kernel ([`attend_row`]) come as one
+//! scalar definition and one AVX2 kernel that evaluates the same chain of
+//! operations per lane, chosen by a [`RowKernel`]; like GELU they have no
+//! inexact flavour — their bits are equal under every `DOTA_GEMM` family.
 
+use crate::exp;
+use crate::pack::PoolBuf;
 use crate::tanh::tanh_f32;
 use crate::Matrix;
 
 pub use crate::tanh::{gelu_slice, tanh_slice};
+
+/// Which body the row kernels of this module run — the scalar definitions
+/// or the 8-lane AVX2+FMA kernels — looked up once per batch of rows and
+/// handed down, because the lookup reads `DOTA_GEMM` from the environment
+/// (tens of nanoseconds) and a row can be shorter than that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowKernel {
+    /// Only [`RowKernel::active`] sets this, after detecting AVX2 and FMA:
+    /// the `unsafe` calls below rest on it.
+    lanes: bool,
+}
+
+impl RowKernel {
+    /// The lanes under the `simd` and `fma` families on a host with AVX2
+    /// and FMA; the scalar bodies under `scalar` and everywhere else. The
+    /// same bits either way.
+    pub fn active() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let lanes = {
+            use crate::simd::{fma_available, KernelFamily};
+            KernelFamily::active() != KernelFamily::Scalar && fma_available()
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let lanes = false;
+        Self { lanes }
+    }
+
+    /// `exp(x − max)` of every element, in place.
+    fn exp_sub(self, xs: &mut [f32], max: f32) {
+        #[cfg(target_arch = "x86_64")]
+        if self.lanes {
+            // SAFETY: `lanes` is set only on a host with AVX2 and FMA.
+            return unsafe { exp::exp_sub_lanes(xs, max) };
+        }
+        xs.iter_mut().for_each(|x| *x -= max);
+        exp::exp_slice_port(xs);
+    }
+
+    /// Numerically-stable softmax over a single slice, in place: every
+    /// element `exp_f32(x − max)` over their sum, the sum one chain from
+    /// zero in index order. A row without a finite maximum (fully masked,
+    /// or holding `+inf`) becomes all zeros rather than NaN, so downstream
+    /// aggregation is a no-op.
+    pub fn softmax(self, row: &mut [f32]) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if !max.is_finite() {
+            row.fill(0.0);
+            return;
+        }
+        self.exp_sub(row, max);
+        let mut sum = 0.0;
+        for &x in row.iter() {
+            sum += x;
+        }
+        if sum > 0.0 {
+            for x in row.iter_mut() {
+                *x /= sum;
+            }
+        }
+    }
+}
+
+/// [`exp::exp_f32`] of every element, in place; dispatch and bits as
+/// [`softmax_slice`].
+pub fn exp_slice(xs: &mut [f32]) {
+    RowKernel::active().exp_sub(xs, 0.0);
+}
 
 /// Row-wise numerically-stable softmax (Eq. 2 of the paper).
 ///
@@ -24,32 +98,18 @@ pub use crate::tanh::{gelu_slice, tanh_slice};
 /// assert!((a[(0, 0)] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax_rows(scores: &Matrix) -> Matrix {
+    let kernel = RowKernel::active();
     let mut out = scores.clone();
     for r in 0..out.rows() {
-        softmax_slice(out.row_mut(r));
+        kernel.softmax(out.row_mut(r));
     }
     out
 }
 
-/// Numerically-stable softmax over a single slice, in place.
+/// [`RowKernel::softmax`] under the active kernel. Callers with many rows
+/// look the kernel up once instead.
 pub fn softmax_slice(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        // All entries are -inf (fully masked row): define the output as
-        // uniform zero rather than NaN so downstream aggregation is a no-op.
-        row.fill(0.0);
-        return;
-    }
-    let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    if sum > 0.0 {
-        for x in row.iter_mut() {
-            *x /= sum;
-        }
-    }
+    RowKernel::active().softmax(row);
 }
 
 /// Row-wise softmax with a binary mask: positions where `mask` is `false`
@@ -64,6 +124,7 @@ pub fn softmax_slice(row: &mut [f32]) {
 /// Panics if `mask` dimensions disagree with `scores`.
 pub fn masked_softmax_rows(scores: &Matrix, mask: &[Vec<bool>]) -> Matrix {
     assert_eq!(mask.len(), scores.rows(), "mask row count mismatch");
+    let kernel = RowKernel::active();
     let mut out = scores.clone();
     for r in 0..out.rows() {
         let mrow = &mask[r];
@@ -74,7 +135,7 @@ pub fn masked_softmax_rows(scores: &Matrix, mask: &[Vec<bool>]) -> Matrix {
                 *x = f32::NEG_INFINITY;
             }
         }
-        softmax_slice(row);
+        kernel.softmax(row);
     }
     out
 }
@@ -285,17 +346,39 @@ mod tests {
     }
 }
 
+/// What [`attend_row`] carries from row to row: the kernel choice, the
+/// score scale, and the scratch the scores land in (pooled, so a steady
+/// state allocates nothing per row — or per call).
+pub struct Attend {
+    kernel: RowKernel,
+    scale: f32,
+    weights: PoolBuf,
+}
+
+impl Attend {
+    /// State for rows scored as `q·K[j]·scale` under `kernel`. One per
+    /// thread of rows: per [`sparse_attention`] call, per span of a
+    /// [`crate::row_dispatch`] fan-out.
+    pub fn new(kernel: RowKernel, scale: f32) -> Self {
+        Self {
+            kernel,
+            scale,
+            weights: PoolBuf::take(0),
+        }
+    }
+}
+
 /// Scaled scores `q·K[j]·scale` of the keys `k.row(j)[c0..c0 + q.len()]`,
-/// `j` over `sel`: each one ascending-`k` chain from zero, the arithmetic
-/// of [`Matrix::dot`].
-fn selected_scores(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32) -> Vec<f32> {
+/// `j` over `sel`, into `scores`: each one ascending-`k` chain from zero,
+/// the arithmetic of [`Matrix::dot`].
+fn scores_scalar(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32, scores: &mut [f32]) {
     let key = |j: u32| &k.row(j as usize)[c0..c0 + q.len()];
-    let mut scores = Vec::with_capacity(sel.len());
     // Four keys per pass: a lone chain waits out the add latency at every
     // step, four independent ones keep the adder busy. Order *within* a
     // chain is what the bits depend on, and that is untouched.
     let mut groups = sel.chunks_exact(4);
-    for g in &mut groups {
+    let mut outs = scores.chunks_exact_mut(4);
+    for (g, out) in (&mut groups).zip(&mut outs) {
         let keys = q
             .iter()
             .zip(key(g[0]))
@@ -309,11 +392,24 @@ fn selected_scores(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32) ->
             acc[2] += qk * k2;
             acc[3] += qk * k3;
         }
-        scores.extend(acc.iter().map(|a| a * scale));
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a * scale;
+        }
     }
-    let rest = groups.remainder().iter();
-    scores.extend(rest.map(|&j| Matrix::dot(q, key(j)) * scale));
-    scores
+    for (o, &j) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+        *o = Matrix::dot(q, key(j)) * scale;
+    }
+}
+
+/// `out[c] += w_j · V[j][c0 + c]` for `j` over `sel` in order: every output
+/// element one chain in `sel` order.
+fn accumulate_scalar(weights: &[f32], v: &Matrix, c0: usize, sel: &[u32], out: &mut [f32]) {
+    for (&j, &w) in sel.iter().zip(weights) {
+        let v_row = &v.row(j as usize)[c0..c0 + out.len()];
+        for (o, &vv) in out.iter_mut().zip(v_row) {
+            *o += w * vv;
+        }
+    }
 }
 
 /// One query row of attention over the selected keys: scores
@@ -321,32 +417,248 @@ fn selected_scores(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32) ->
 /// `w_j·V[j]` into `out` in `sel` order — `O(sel)` work, nothing per
 /// unselected key. Keys and values are read in place as the column windows
 /// `k.row(j)[c0..c0 + q.len()]` and `v.row(j)[c0..c0 + out.len()]`, so one
-/// head of a `t x d_model` cache needs no per-head copy.
+/// head of a `t x d_model` cache needs no per-head copy; `sel` may be in
+/// any order and repeat keys.
 ///
 /// Every score is one ascending-`k` chain from zero and every output
 /// element one chain in `sel` order: for an ascending `sel` that is bitwise
 /// what [`masked_softmax_rows`] followed by a GEMM computes, whose masked
-/// terms only ever add `+0.0`.
+/// terms only ever add `+0.0`. The lanes of `state`'s [`RowKernel`] run
+/// those same chains eight keys (scores) or eight columns (values) at a
+/// time.
 ///
 /// # Panics
 ///
 /// Panics if an index of `sel` is out of bounds or a window exceeds the
 /// matrix width.
 pub fn attend_row(
+    state: &mut Attend,
     q: &[f32],
     k: &Matrix,
     v: &Matrix,
     c0: usize,
     sel: &[u32],
-    scale: f32,
     out: &mut [f32],
 ) {
-    let mut weights = selected_scores(q, k, c0, sel, scale);
-    softmax_slice(&mut weights);
-    for (&j, &w) in sel.iter().zip(&weights) {
-        let v_row = &v.row(j as usize)[c0..c0 + out.len()];
-        for (o, &vv) in out.iter_mut().zip(v_row) {
-            *o += w * vv;
+    // Checked up front, for both bodies: the lanes form raw pointers from
+    // these indices.
+    let last = sel.iter().fold(0, |m, &j| m.max(j)) as usize;
+    assert!(
+        sel.is_empty() || last < k.rows().min(v.rows()),
+        "selected key {last} out of bounds ({} cached)",
+        k.rows().min(v.rows())
+    );
+    assert!(
+        c0 + q.len() <= k.cols() && c0 + out.len() <= v.cols(),
+        "head window exceeds the matrix width"
+    );
+    let Attend {
+        kernel,
+        scale,
+        ref mut weights,
+    } = *state;
+    let weights = weights.resized(sel.len());
+    #[cfg(target_arch = "x86_64")]
+    if kernel.lanes {
+        // SAFETY (both blocks): `lanes` is set only on a host with AVX2;
+        // the two asserts above are the bounds the kernels document, and
+        // `weights` was sized to `sel` two lines up.
+        unsafe { x86::scores(q, k, c0, sel, scale, weights) };
+        kernel.softmax(weights);
+        unsafe { x86::accumulate(weights, v, c0, sel, out) };
+        return;
+    }
+    scores_scalar(q, k, c0, sel, scale, weights);
+    kernel.softmax(weights);
+    accumulate_scalar(weights, v, c0, sel, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::Matrix;
+    use std::arch::x86_64::*;
+
+    /// Columns `kb..kb + 4` of the eight key rows `rows`, transposed:
+    /// element `c` holds column `kb + c`, lane `i` of it key `i`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; every pointer must have `kb + 4` readable floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn key_columns(rows: &[*const f32; 8], kb: usize) -> [__m256; 4] {
+        // Keys i and i + 4 share a register, one per 128-bit half, so the
+        // 4x4 transposes below never cross a half.
+        let pair = |i: usize| {
+            _mm256_insertf128_ps::<1>(
+                _mm256_castps128_ps256(_mm_loadu_ps(rows[i].add(kb))),
+                _mm_loadu_ps(rows[i + 4].add(kb)),
+            )
+        };
+        let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
+        // Even/odd picks (0x88, 0xDD) at both stages rather than the
+        // textbook unpack + movlh/movhl: those have no `unpck` spelling,
+        // so they stay `vshufps`, which recent Intel cores issue on two
+        // ports where `vunpck*` has one.
+        let even01 = _mm256_shuffle_ps::<0x88>(r0, r1); // r0[0] r0[2] r1[0] r1[2]
+        let odd01 = _mm256_shuffle_ps::<0xDD>(r0, r1); // r0[1] r0[3] r1[1] r1[3]
+        let even23 = _mm256_shuffle_ps::<0x88>(r2, r3);
+        let odd23 = _mm256_shuffle_ps::<0xDD>(r2, r3);
+        [
+            _mm256_shuffle_ps::<0x88>(even01, even23), // column 0 of r0 r1 r2 r3
+            _mm256_shuffle_ps::<0x88>(odd01, odd23),   // column 1
+            _mm256_shuffle_ps::<0xDD>(even01, even23), // column 2
+            _mm256_shuffle_ps::<0xDD>(odd01, odd23),   // column 3
+        ]
+    }
+
+    /// The scores of `N` groups of eight keys, `8 * N` floats stored at
+    /// `out`: lane `i` of a group is key `i`'s ascending-`k` chain from
+    /// `+0.0`, multiply then add (never fused), `· scale` last. The groups
+    /// advance together, so `N` independent chains cover the add latency.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `q.len()` must be a multiple of four, every pointer
+    /// of `rows` must have `q.len()` readable floats, and `out` room for
+    /// `8 * N`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn group_scores<const N: usize>(
+        q: &[f32],
+        rows: &[[*const f32; 8]; N],
+        scale: f32,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); N];
+        for kb in (0..q.len()).step_by(4) {
+            let cols: [[__m256; 4]; N] = std::array::from_fn(|n| key_columns(&rows[n], kb));
+            for c in 0..4 {
+                // SAFETY: `kb + c < q.len()`, a multiple of four.
+                let qc = _mm256_set1_ps(*q.get_unchecked(kb + c));
+                for n in 0..N {
+                    acc[n] = _mm256_add_ps(acc[n], _mm256_mul_ps(qc, cols[n][c]));
+                }
+            }
+        }
+        for (n, acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(8 * n), _mm256_mul_ps(*acc, _mm256_set1_ps(scale)));
+        }
+    }
+
+    /// [`super::scores_scalar`], eight keys per register, two registers in
+    /// flight ([`group_scores`]); a tail of fewer than eight keys, and head
+    /// widths that are not a multiple of four, take the scalar chain.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; every index of `sel` must be a row of `k`,
+    /// `c0 + q.len() <= k.cols()` and `scores.len() == sel.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scores(
+        q: &[f32],
+        k: &Matrix,
+        c0: usize,
+        sel: &[u32],
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        let lanes_end = if q.len().is_multiple_of(4) {
+            sel.len() & !7
+        } else {
+            0
+        };
+        let cols = k.cols();
+        // SAFETY: row `j < k.rows()` starts at `j * cols` and has
+        // `c0 + q.len() <= cols` floats, so each pointer below has
+        // `q.len()` readable ones; groups end at `lanes_end <= scores.len()`.
+        let base = k.as_slice().as_ptr().add(c0);
+        let rows_of = |g: usize| -> [*const f32; 8] {
+            let keys = &sel[g..g + 8];
+            std::array::from_fn(|i| base.add(keys[i] as usize * cols))
+        };
+        let out = scores.as_mut_ptr();
+        let mut g = 0;
+        while g + 16 <= lanes_end {
+            group_scores(q, &[rows_of(g), rows_of(g + 8)], scale, out.add(g));
+            g += 16;
+        }
+        if g < lanes_end {
+            group_scores(q, &[rows_of(g)], scale, out.add(g));
+        }
+        super::scores_scalar(q, k, c0, &sel[lanes_end..], scale, &mut scores[lanes_end..]);
+    }
+
+    /// `N * 8` output columns at `out`, held in `N` registers across the
+    /// whole `sel` loop — loaded first, since the row kernel adds into its
+    /// output, and stored once. Each lane is one output element's chain in
+    /// `sel` order, multiply then add (never fused). `v0` points at these
+    /// columns in row 0 of the values, `cols` floats per row.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `out`, and `v0 + j * cols` for every `j` of `sel`,
+    /// must have `N * 8` readable (`out`: writable) floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate_columns<const N: usize>(
+        weights: &[f32],
+        v0: *const f32,
+        cols: usize,
+        sel: &[u32],
+        out: *mut f32,
+    ) {
+        let mut acc: [__m256; N] = std::array::from_fn(|i| _mm256_loadu_ps(out.add(8 * i)));
+        for (&j, &w) in sel.iter().zip(weights) {
+            let row = v0.add(j as usize * cols);
+            let w = _mm256_set1_ps(w);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(w, _mm256_loadu_ps(row.add(8 * i))));
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(8 * i), *a);
+        }
+    }
+
+    /// [`super::accumulate_scalar`], the output columns in registers
+    /// ([`accumulate_columns`]): 32 at a time (one head of the mid model),
+    /// then 16, then 8, the rest scalar.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; every index of `sel` must be a row of `v`,
+    /// `c0 + out.len() <= v.cols()` and `weights.len() == sel.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn accumulate(
+        weights: &[f32],
+        v: &Matrix,
+        c0: usize,
+        sel: &[u32],
+        out: &mut [f32],
+    ) {
+        let cols = v.cols();
+        let n = out.len();
+        // SAFETY: row `j < v.rows()` starts at `j * cols` and has
+        // `c0 + n <= cols` floats; every block below ends at or before
+        // column `n` of `out` and of that window.
+        let v0 = v.as_slice().as_ptr().add(c0);
+        let out_ptr = out.as_mut_ptr();
+        let mut c = 0;
+        while c + 32 <= n {
+            accumulate_columns::<4>(weights, v0.add(c), cols, sel, out_ptr.add(c));
+            c += 32;
+        }
+        if c + 16 <= n {
+            accumulate_columns::<2>(weights, v0.add(c), cols, sel, out_ptr.add(c));
+            c += 16;
+        }
+        if c + 8 <= n {
+            accumulate_columns::<1>(weights, v0.add(c), cols, sel, out_ptr.add(c));
+            c += 8;
+        }
+        if c < n {
+            super::accumulate_scalar(weights, v, c0 + c, sel, &mut out[c..]);
         }
     }
 }
@@ -376,8 +688,9 @@ pub fn sparse_attention(
     assert_eq!(k.rows(), v.rows(), "k/v length mismatch");
     assert_eq!(selected.len(), q.rows(), "one selection per query");
     let mut out = Matrix::zeros(q.rows(), v.cols());
+    let mut state = Attend::new(RowKernel::active(), scale);
     for (i, sel) in selected.iter().enumerate() {
-        attend_row(q.row(i), k, v, 0, sel, scale, out.row_mut(i));
+        attend_row(&mut state, q.row(i), k, v, 0, sel, out.row_mut(i));
     }
     out
 }
@@ -490,5 +803,230 @@ mod sparse_properties {
             let sparse = sparse_attention(&q, &kk, &v, &sel, scale);
             prop_assert!(sparse.approx_eq(&dense, 1e-3));
         }
+    }
+}
+
+#[cfg(test)]
+mod row_kernel_tests {
+    use super::*;
+    use crate::exp::exp_f32;
+    use crate::rng::SeededRng;
+    use crate::simd::with_gemm_env;
+    use proptest::prelude::*;
+
+    const FAMILIES: [&str; 3] = ["simd", "fma", "scalar"];
+
+    /// Values softmax and the row kernel must carry through the lanes like
+    /// the scalar bodies do, then an ordinary one.
+    const PLANTS: [f32; 8] = [
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -150.0, // >= 104 below any maximum the tests use: exp underflows to +0
+        1.0e-40,
+        f32::INFINITY,
+        -1.0e-39,
+        -0.0,
+        0.25,
+    ];
+
+    /// Bitwise equal, any NaN equal to any NaN.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(same(g, w), "{what}: {g:e} != {w:e} at {i}");
+        }
+    }
+
+    /// The production scalar body: what `DOTA_GEMM=scalar` runs.
+    const SCALAR: RowKernel = RowKernel { lanes: false };
+
+    /// Softmax as its element-wise expression through [`exp_f32`].
+    fn softmax_expression(row: &[f32]) -> Vec<f32> {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if !max.is_finite() {
+            return vec![0.0; row.len()];
+        }
+        let e: Vec<f32> = row.iter().map(|&x| exp_f32(x - max)).collect();
+        let mut sum = 0.0;
+        for &x in &e {
+            sum += x;
+        }
+        if sum > 0.0 {
+            e.iter().map(|x| x / sum).collect()
+        } else {
+            e
+        }
+    }
+
+    #[test]
+    fn softmax_slice_every_short_length_offset_and_planted_lane() {
+        let mut rng = SeededRng::new(31);
+        let base = rng.normal_matrix(1, 32, 3.0);
+        for len in 0..=17 {
+            for offset in 0..4 {
+                for plant in PLANTS {
+                    for at in 0..len.max(1) {
+                        let mut buf = base.as_slice().to_vec();
+                        if at < len {
+                            buf[offset + at] = plant;
+                        }
+                        let input = buf[offset..offset + len].to_vec();
+                        softmax_slice(&mut buf[offset..offset + len]);
+                        let what = format!("len {len} offset {offset} plant {plant:e} at {at}");
+                        assert_same(
+                            &buf[offset..offset + len],
+                            &softmax_expression(&input),
+                            &what,
+                        );
+                        let mut scalar = input.clone();
+                        SCALAR.softmax(&mut scalar);
+                        assert_same(&buf[offset..offset + len], &scalar, &what);
+                        // Nothing outside the slice is written.
+                        assert_eq!(buf[..offset], base.as_slice()[..offset]);
+                        assert_eq!(buf[offset + len..], base.as_slice()[offset + len..]);
+                    }
+                }
+                // Fully masked.
+                let mut masked = vec![f32::NEG_INFINITY; len];
+                softmax_slice(&mut masked);
+                assert!(masked.iter().all(|x| x.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn masked_rows_match_the_scalar_kernel_under_every_family() {
+        let mut rng = SeededRng::new(32);
+        let scores = rng.normal_matrix(9, 37, 2.0);
+        let mask: Vec<Vec<bool>> = (0..9)
+            .map(|r| {
+                (0..37)
+                    .map(|c| r != 4 && (rng.below(4) == 0 || c == r))
+                    .collect()
+            })
+            .collect();
+        let mut want = scores.clone();
+        for (r, mrow) in mask.iter().enumerate() {
+            for (x, &keep) in want.row_mut(r).iter_mut().zip(mrow) {
+                if !keep {
+                    *x = f32::NEG_INFINITY;
+                }
+            }
+            SCALAR.softmax(want.row_mut(r));
+        }
+        for family in FAMILIES {
+            let got = with_gemm_env(Some(family), || masked_softmax_rows(&scores, &mask));
+            assert_same(got.as_slice(), want.as_slice(), family);
+        }
+    }
+
+    proptest! {
+        /// The slice kernel is the scalar body element by element under
+        /// every kernel family: there is no inexact softmax, `fma` included.
+        #[test]
+        fn softmax_slice_matches_scalar_oracle(
+            seed in 0u64..1 << 32,
+            len in 0usize..70,
+            std in 0usize..4,
+            plants in proptest::collection::vec(0usize..70 * 8, 0..4),
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let mut input = rng.normal_matrix(1, len, [1e-3, 1.0, 8.0, 60.0][std]).as_slice().to_vec();
+            for p in plants {
+                if let Some(slot) = input.get_mut(p / 8) {
+                    *slot = PLANTS[p % 8];
+                }
+            }
+            let mut want = input.clone();
+            SCALAR.softmax(&mut want);
+            for family in FAMILIES {
+                let mut got = input.clone();
+                with_gemm_env(Some(family), || softmax_slice(&mut got));
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(same(g, w), "{family}: {g:e} != {w:e} at {i}");
+                }
+            }
+        }
+
+        /// The row kernel is the scalar body bit for bit under every kernel
+        /// family, whatever the head width, window offset, context,
+        /// selection shape and operand values.
+        #[test]
+        fn attend_row_matches_scalar_oracle(
+            seed in 0u64..1 << 32,
+            hd in 1usize..41,
+            context in 0usize..71,
+            c0 in 0usize..10,
+            sel_kind in 0usize..5,
+            q_std in 0usize..3,
+            plants in proptest::collection::vec(0usize..1 << 20, 0..4),
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let cols = c0 + hd + seed as usize % 3;
+            // `q_std` 2 spreads the scores over far more than 104.
+            let q = rng.normal_matrix(1, hd, [1.0, 6.0, 80.0][q_std]);
+            let mut k = rng.normal_matrix(context, cols, 1.0);
+            let mut v = rng.normal_matrix(context, cols, 1.0);
+            for p in plants {
+                let m = if p % 2 == 0 { &mut k } else { &mut v };
+                let n = m.len();
+                if let Some(slot) = m.as_mut_slice().get_mut((p / 16) % n.max(1)) {
+                    *slot = PLANTS[(p / 2) % 8];
+                }
+            }
+            let all: Vec<u32> = (0..context as u32).collect();
+            let sel: Vec<u32> = match sel_kind {
+                0 => all,
+                // Ascending subset.
+                1 => all.into_iter().filter(|_| rng.below(3) == 0).collect(),
+                // Unsorted subset.
+                2 => rng.sample_indices(context, context / 2).into_iter().map(|j| j as u32).collect(),
+                // With repeats, possibly longer than the context.
+                3 if context > 0 => (0..2 * context).map(|_| rng.below(context) as u32).collect(),
+                _ => Vec::new(),
+            };
+            let filled = rng.normal_matrix(1, hd, 1.0);
+            let scale = 1.0 / (hd as f32).sqrt();
+            let run = |kernel: RowKernel| {
+                let mut out = filled.as_slice().to_vec();
+                attend_row(&mut Attend::new(kernel, scale), q.row(0), &k, &v, c0, &sel, &mut out);
+                out
+            };
+            let want = run(SCALAR);
+            for family in FAMILIES {
+                let got = with_gemm_env(Some(family), || run(RowKernel::active()));
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        same(g, w),
+                        "{family}: hd {hd} context {context} sel {sel_kind}: {g:e} != {w:e} at {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn family_selects_the_row_kernel() {
+        with_gemm_env(Some("scalar"), || assert_eq!(RowKernel::active(), SCALAR));
+        for family in ["simd", "fma"] {
+            let lanes = with_gemm_env(Some(family), || RowKernel::active().lanes);
+            #[cfg(target_arch = "x86_64")]
+            assert_eq!(lanes, crate::simd::fma_available(), "{family}");
+            #[cfg(not(target_arch = "x86_64"))]
+            assert!(!lanes, "{family}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the matrix width")]
+    fn attend_row_checks_the_window() {
+        let (k, v) = (Matrix::zeros(2, 4), Matrix::zeros(2, 4));
+        let mut out = [0.0; 2];
+        let mut state = Attend::new(RowKernel::active(), 1.0);
+        attend_row(&mut state, &[0.0; 2], &k, &v, 3, &[0], &mut out);
     }
 }

@@ -48,6 +48,13 @@ impl PoolBuf {
         &mut self.buf
     }
 
+    /// The buffer at `len` elements: what it already held up to there
+    /// (zeros past it), for callers that overwrite all of it anyway.
+    pub(crate) fn resized(&mut self, len: usize) -> &mut [f32] {
+        self.buf.resize(len, 0.0);
+        &mut self.buf
+    }
+
     pub(crate) fn as_slice(&self) -> &[f32] {
         &self.buf
     }

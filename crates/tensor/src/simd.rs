@@ -26,10 +26,11 @@
 //! front ends reject malformed values up front via
 //! [`family_from_env_checked`]).
 //!
-//! The element-wise `tanh`/GELU kernels ([`crate::tanh`]) follow the same
-//! selection — `scalar` runs the port loop, `simd` and `fma` the 8-lane
-//! kernel — but have no inexact flavour: their bits are the same under all
-//! three.
+//! The element-wise `tanh`/GELU kernels ([`crate::tanh`]), and the `exp`,
+//! softmax and attention row kernels ([`crate::exp`],
+//! [`crate::ops::RowKernel`]), follow the same selection — `scalar` runs
+//! the scalar bodies, `simd` and `fma` the 8-lane kernels — but have no
+//! inexact flavour: their bits are the same under all three.
 //!
 //! Every family is deterministic: for a fixed kernel family the output is
 //! a pure function of the operands — bitwise identical across
@@ -207,8 +208,8 @@ pub fn fma_available() -> bool {
 /// numbers are only interpretable next to what the machine could run.
 /// `avx512f` is reported as provenance only — no kernel uses it: the
 /// widest lanes in the workspace are AVX2's eight (GEMM microkernels, the
-/// `tanh`/GELU kernel), which already leave GELU under 10 % of a prompt
-/// position.
+/// `tanh`/GELU, `exp` and attention row kernels), which already leave GELU
+/// under 10 % of a prompt position.
 pub fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]

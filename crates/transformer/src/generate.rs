@@ -164,6 +164,8 @@ impl Model {
         let d = cfg.d_model;
         let hd = cfg.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
+        // Looked up here, once: `attend_row` runs per (layer, row, head).
+        let kernel = ops::RowKernel::active();
 
         let tok_table = params.value(tp.token_embedding);
         let pos_table = params.value(tp.pos_embedding);
@@ -249,17 +251,18 @@ impl Model {
             // Rows are independent given the appended K/V, so they fan out
             // like a GEMM's (a score and a value pass per connection).
             let attend = |first: usize, out: &mut [f32]| {
+                let mut state = ops::Attend::new(kernel, scale);
                 for (out_row, r) in out.chunks_exact_mut(d).zip(first..) {
                     let cache = caches[rows[r].0];
                     for h in 0..cfg.n_heads {
                         let c0 = h * hd;
                         ops::attend_row(
+                            &mut state,
                             &q.row(r)[c0..c0 + hd],
                             &cache.keys[l],
                             &cache.values[l],
                             c0,
                             &sel[spans[r * cfg.n_heads + h].clone()],
-                            scale,
                             &mut out_row[c0..c0 + hd],
                         );
                     }

@@ -304,10 +304,11 @@ impl crate::Model {
                         // Scale and softmax every row in the buffer the
                         // GEMM wrote: no further n x n copy.
                         let mut scores = qh.matmul_nt(&kh).expect("shape");
+                        let kernel = ops::RowKernel::active();
                         for r in 0..n {
                             let row = scores.row_mut(r);
                             row.iter_mut().for_each(|s| *s *= scale);
-                            ops::softmax_slice(row);
+                            kernel.softmax(row);
                         }
                         scores.matmul(&vh).expect("shape")
                     }
