@@ -2,7 +2,7 @@ use crate::energy;
 use crate::fault::SimFault;
 use crate::memory::{DramModel, SramModel};
 use crate::sched;
-use crate::synth::{sample_selection, SelectionProfile};
+use crate::synth::{SelectionProfile, SelectionSampler};
 use dota_faults::FaultSite;
 use dota_quant::rmmu::RmmuConfig;
 use dota_quant::Precision;
@@ -341,16 +341,26 @@ impl Accelerator {
         let layers = model.n_layers as u64;
         let k_per_row = ((retention * n as f64).round() as usize).clamp(1, n);
 
-        // One representative head's K/V schedule.
-        let mut rng = SeededRng::new(0xacce1);
+        // One representative head's K/V schedule, counted one
+        // token-parallel group at a time as the rows are sampled.
         let (key_loads_head, rbr_head) = if retention < 1.0 {
-            let sel = sample_selection(n, k_per_row, profile, &mut rng);
-            let s = sched::schedule_matrix(
-                &sel,
-                self.config.token_parallelism,
-                self.config.out_of_order,
-            );
-            (s.total_loads(), sched::row_by_row_loads(&sel))
+            let mut rng = SeededRng::new(0xacce1);
+            let mut sampler = SelectionSampler::new(n, k_per_row, profile, &mut rng);
+            let mut counter = sched::LoadCounter::new(self.config.out_of_order);
+            let t = self.config.token_parallelism;
+            let mut group: Vec<Vec<u32>> = (0..t.min(n))
+                .map(|_| Vec::with_capacity(k_per_row))
+                .collect();
+            let mut rbr = 0;
+            for first in (0..n).step_by(t) {
+                let rows = &mut group[..t.min(n - first)];
+                for row in rows.iter_mut() {
+                    sampler.next_row(row);
+                }
+                counter.group(rows);
+                rbr += sched::row_by_row_loads(rows);
+            }
+            (counter.finish().loads, rbr)
         } else {
             // Dense attention streams each K/V once per token-parallel group.
             let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
@@ -420,7 +430,9 @@ impl Accelerator {
 
     /// Simulates a replayed [`ForwardTrace`] from a real model inference:
     /// the exact per-head selections drive the scheduler and the sparse
-    /// attention cost.
+    /// attention cost. The sequence length is the first head's; a trace
+    /// without a head, or over no tokens, has nothing to simulate and
+    /// reports [`PerfReport::default`].
     pub fn simulate_trace(&self, model: &TransformerConfig, trace: &ForwardTrace) -> PerfReport {
         match self.simulate_trace_impl(model, trace, false) {
             Ok(report) => report,
@@ -452,9 +464,13 @@ impl Accelerator {
         faults: bool,
     ) -> Result<PerfReport, SimFault> {
         let _prof = dota_prof::span("accel.simulate_trace");
+        let first_head = trace.layers.iter().flat_map(|layer| &layer.heads).next();
+        let n = match first_head.map(|head| head.q.rows()) {
+            None | Some(0) => return Ok(PerfReport::default()),
+            Some(n) => n,
+        };
         let exec = self.degraded(faults)?;
         let mut total = PerfReport::default();
-        let n = trace.layers[0].heads[0].q.rows();
         let sigma = 0.0; // detection cost is folded per-head below
         let mut cursor = 0u64;
         for (l, layer) in trace.layers.iter().enumerate() {
@@ -465,12 +481,12 @@ impl Accelerator {
                 let kept = head.kept_connections();
                 kept_sum += kept;
                 if let Some(sel) = &head.selected {
-                    let s = sched::schedule_matrix(
+                    key_loads += sched::matrix_loads(
                         sel,
                         self.config.token_parallelism,
                         self.config.out_of_order,
-                    );
-                    key_loads += s.total_loads();
+                    )
+                    .loads;
                     rbr += sched::row_by_row_loads(sel);
                 } else {
                     let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
@@ -479,12 +495,18 @@ impl Accelerator {
                 }
             }
             let heads = layer.heads.len() as u64;
-            let retention = kept_sum as f64 / (heads * (n * n) as u64) as f64;
-            let k_per_row = (kept_sum as f64 / (heads as f64 * n as f64)).round() as usize;
+            // A layer without heads keeps nothing: only its linear and FFN
+            // stages cost anything.
+            let (retention, k_per_row) = if heads == 0 {
+                (0.0, 0)
+            } else {
+                let k = (kept_sum as f64 / (heads as f64 * n as f64)).round() as usize;
+                (kept_sum as f64 / (heads * (n * n) as u64) as f64, k.max(1))
+            };
             let mut rep = exec.layer_report(
                 model,
                 n,
-                k_per_row.max(1),
+                k_per_row,
                 retention,
                 sigma,
                 key_loads / heads.max(1),
@@ -787,6 +809,270 @@ mod tests {
     fn rejects_zero_retention() {
         let acc = Accelerator::new(AccelConfig::default());
         let _ = acc.simulate_shape(&lra(), 128, 0.0, 0.2, &SelectionProfile::default());
+    }
+}
+
+/// The simulate paths against themselves as they were before they counted
+/// (whole selection sampled, every group's schedule materialised), and on
+/// traces no inference would produce.
+#[cfg(test)]
+mod counting_tests {
+    use super::*;
+    use crate::synth::sample_selection;
+    use dota_autograd::ParamSet;
+    use dota_tensor::Matrix;
+    use dota_transformer::{HeadTrace, InferenceHook, LayerTrace, Model, NoHook};
+
+    impl Accelerator {
+        fn simulate_shape_reference(
+            &self,
+            model: &TransformerConfig,
+            n: usize,
+            retention: f64,
+            sigma: f64,
+            profile: &SelectionProfile,
+        ) -> PerfReport {
+            let heads = model.n_heads as u64;
+            let layers = model.n_layers as u64;
+            let k_per_row = ((retention * n as f64).round() as usize).clamp(1, n);
+            let mut rng = SeededRng::new(0xacce1);
+            let (key_loads_head, rbr_head) = if retention < 1.0 {
+                let sel = sample_selection(n, k_per_row, profile, &mut rng);
+                let s = sched::schedule_matrix(
+                    &sel,
+                    self.config.token_parallelism,
+                    self.config.out_of_order,
+                );
+                (s.total_loads(), sched::row_by_row_loads(&sel))
+            } else {
+                let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
+                ((n as u64) * groups, (n as u64) * (n as u64))
+            };
+            let mut report = PerfReport::default();
+            let mut cursor = 0u64;
+            for l in 0..layers {
+                let layer = self
+                    .layer_report(
+                        model,
+                        n,
+                        k_per_row,
+                        retention,
+                        sigma,
+                        key_loads_head,
+                        rbr_head,
+                        l,
+                        false,
+                    )
+                    .expect("fault-free");
+                if dota_trace::enabled() {
+                    cursor = emit_stage_events(l, cursor, &layer.cycles);
+                }
+                report = report.add(&layer);
+            }
+            report.key_loads = key_loads_head * heads * layers;
+            report.key_loads_row_by_row = rbr_head * heads * layers;
+            report.retention = retention;
+            report
+        }
+
+        fn simulate_trace_reference(
+            &self,
+            model: &TransformerConfig,
+            trace: &ForwardTrace,
+        ) -> PerfReport {
+            let mut total = PerfReport::default();
+            let n = trace.layers[0].heads[0].q.rows();
+            let mut cursor = 0u64;
+            for (l, layer) in trace.layers.iter().enumerate() {
+                let mut kept_sum = 0u64;
+                let mut key_loads = 0u64;
+                let mut rbr = 0u64;
+                for head in &layer.heads {
+                    kept_sum += head.kept_connections();
+                    if let Some(sel) = &head.selected {
+                        let s = sched::schedule_matrix(
+                            sel,
+                            self.config.token_parallelism,
+                            self.config.out_of_order,
+                        );
+                        key_loads += s.total_loads();
+                        rbr += sched::row_by_row_loads(sel);
+                    } else {
+                        let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
+                        key_loads += n as u64 * groups;
+                        rbr += (n * n) as u64;
+                    }
+                }
+                let heads = layer.heads.len() as u64;
+                let retention = kept_sum as f64 / (heads * (n * n) as u64) as f64;
+                let k_per_row = (kept_sum as f64 / (heads as f64 * n as f64)).round() as usize;
+                let mut rep = self
+                    .layer_report(
+                        model,
+                        n,
+                        k_per_row.max(1),
+                        retention,
+                        0.0,
+                        key_loads / heads.max(1),
+                        rbr / heads.max(1),
+                        l as u64,
+                        false,
+                    )
+                    .expect("fault-free");
+                rep.key_loads = key_loads;
+                rep.key_loads_row_by_row = rbr;
+                rep.retention = retention;
+                if dota_trace::enabled() {
+                    cursor = emit_stage_events(l as u64, cursor, &rep.cycles);
+                }
+                total = total.add(&rep);
+            }
+            total
+        }
+    }
+
+    /// Runs `f` in a trace session of its own; its result and the counters
+    /// it recorded.
+    fn traced<R>(f: impl FnOnce() -> R) -> (R, std::collections::BTreeMap<String, u64>) {
+        let guard = dota_trace::session("counting");
+        let result = f();
+        (result, guard.counters())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn simulate_shape_matches_materialised_oracle(
+            n in 1usize..=300,
+            retention in 0.01f64..1.0,
+            profile in 0usize..3,
+            token_parallelism in 1usize..=6,
+            out_of_order in 0usize..2,
+        ) {
+            let profile = [
+                SelectionProfile::default(),
+                SelectionProfile::uniform(),
+                SelectionProfile { window: 0, ..SelectionProfile::default() },
+            ][profile];
+            let acc = Accelerator::new(AccelConfig {
+                token_parallelism,
+                out_of_order: out_of_order == 1,
+                ..AccelConfig::default()
+            });
+            let model = TransformerConfig::tiny(300, 16, 2);
+            let want = traced(|| acc.simulate_shape_reference(&model, n, retention, 0.25, &profile));
+            let got = traced(|| acc.simulate_shape(&model, n, retention, 0.25, &profile));
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Keeps the query's own position and every `stride`-th key on its
+    /// anti-diagonals: rows of unequal length that share keys, a different
+    /// pattern per `(layer, head)`.
+    struct StridedHook;
+
+    impl InferenceHook for StridedHook {
+        fn select(&self, layer: usize, head: usize, x: &Matrix) -> Option<Vec<Vec<u32>>> {
+            let n = x.rows();
+            let stride = 2 + layer + head;
+            Some(
+                (0..n)
+                    .map(|q| {
+                        (0..n)
+                            .filter(|j| (q + j) % stride == 0 || *j == q)
+                            .map(|j| j as u32)
+                            .collect()
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn simulate_trace_matches_materialised_oracle() {
+        let mut params = ParamSet::new();
+        let tiny = TransformerConfig::tiny(48, 8, 2);
+        let model = Model::init(tiny.clone(), &mut params, 3);
+        let ids: Vec<usize> = (0..45).map(|i| i * 5 % 8).collect();
+        for trace in [
+            model.infer(&params, &ids, &StridedHook),
+            model.infer(&params, &ids, &NoHook),
+        ] {
+            for (token_parallelism, out_of_order) in [(4, true), (4, false), (6, true), (1, true)] {
+                let acc = Accelerator::new(AccelConfig {
+                    token_parallelism,
+                    out_of_order,
+                    ..AccelConfig::default()
+                });
+                let want = traced(|| acc.simulate_trace_reference(&tiny, &trace));
+                let got = traced(|| acc.simulate_trace(&tiny, &trace));
+                assert_eq!(
+                    got, want,
+                    "T = {token_parallelism}, out of order {out_of_order}"
+                );
+                assert_eq!(acc.try_simulate_trace(&tiny, &trace).as_ref(), Ok(&want.0));
+            }
+        }
+    }
+
+    fn trace_of(layers: Vec<LayerTrace>) -> ForwardTrace {
+        ForwardTrace {
+            layers,
+            logits: Matrix::zeros(1, 1),
+            fallback_dense: 0,
+        }
+    }
+
+    fn dense_head(n: usize) -> HeadTrace {
+        HeadTrace {
+            selected: None,
+            q: Matrix::zeros(n, 4),
+            k: Matrix::zeros(n, 4),
+            v: Matrix::zeros(n, 4),
+        }
+    }
+
+    #[test]
+    fn empty_traces_have_nothing_to_simulate() {
+        let acc = Accelerator::new(AccelConfig::default());
+        let model = TransformerConfig::tiny(16, 8, 2);
+        for trace in [
+            trace_of(vec![]),
+            trace_of(vec![LayerTrace { heads: vec![] }]),
+            trace_of(vec![LayerTrace {
+                heads: vec![dense_head(0)],
+            }]),
+        ] {
+            assert_eq!(acc.simulate_trace(&model, &trace), PerfReport::default());
+            assert_eq!(
+                acc.try_simulate_trace(&model, &trace),
+                Ok(PerfReport::default())
+            );
+        }
+    }
+
+    #[test]
+    fn head_less_layer_costs_its_linear_stages_only() {
+        let acc = Accelerator::new(AccelConfig::default());
+        let model = TransformerConfig::tiny(16, 8, 2);
+        let full = LayerTrace {
+            heads: vec![dense_head(16), dense_head(16)],
+        };
+        let empty = LayerTrace { heads: vec![] };
+        let one = acc.simulate_trace(&model, &trace_of(vec![full.clone()]));
+        // The sequence length comes from the first head there is, wherever
+        // the head-less layer sits; `add` reports the last layer's retention.
+        let before = acc.simulate_trace(&model, &trace_of(vec![empty.clone(), full.clone()]));
+        let after = acc.simulate_trace(&model, &trace_of(vec![full, empty]));
+        assert_eq!(before.retention, 1.0);
+        assert_eq!(after.retention, 0.0);
+        for two in [before, after] {
+            assert_eq!(two.cycles.linear, 2 * one.cycles.linear);
+            assert_eq!(two.cycles.ffn, 2 * one.cycles.ffn);
+            assert_eq!(two.cycles.attention_block(), one.cycles.attention_block());
+            assert_eq!(two.key_loads, one.key_loads);
+            assert!(two.energy.total_pj().is_finite());
+            assert!(two.attention_energy_pj.is_finite());
+        }
     }
 }
 

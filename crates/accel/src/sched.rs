@@ -15,6 +15,13 @@
 //!   `2^T - 1` buffers by the bitmask of queries that need them, and each
 //!   round greedily issues the most-shared ID first, topping up unassigned
 //!   queries from their best remaining buffers (Fig. 9/10, 7 loads).
+//!
+//! The token-parallel schedules come two ways from one greedy: built round
+//! by round ([`schedule_matrix`], [`locality_aware_schedule`],
+//! [`in_order_schedule`] → [`Schedule`]) for the walk-throughs and
+//! renderings that show rounds, and counted ([`matrix_loads`],
+//! [`LoadCounter`] → [`LoadCounts`]) for the simulator, which reads only
+//! totals.
 
 use std::collections::VecDeque;
 
@@ -52,29 +59,77 @@ impl Schedule {
     }
 }
 
-/// Records a produced schedule's aggregate counters under the given
-/// dataflow prefix (`sched.<prefix>.*`). No-op outside a trace session.
-fn record_schedule(prefix: &str, s: &Schedule) {
-    if !dota_trace::enabled() {
-        return;
+/// What the simulator takes from a schedule: its counts. The counting
+/// scheduler ([`LoadCounter`], [`matrix_loads`]) produces them without
+/// building a single [`Round`], equal field for field to the materialised
+/// [`Schedule`]'s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadCounts {
+    /// Key-vector loads ([`Schedule::total_loads`]).
+    pub loads: u64,
+    /// Rounds ([`Schedule::round_count`]).
+    pub rounds: u64,
+    /// `(query, key)` assignments ([`Schedule::total_assignments`]).
+    pub assignments: u64,
+    /// Loads beyond a key's first within its group: a key split across
+    /// rounds is re-fetched (Fig. 10's k5).
+    pub reloads: u64,
+    /// Groups whose greedy schedule loaded more than in-order issue and
+    /// fell back to it (always 0 for the in-order dataflow).
+    pub fallbacks: u64,
+}
+
+impl std::ops::AddAssign for LoadCounts {
+    fn add_assign(&mut self, o: LoadCounts) {
+        self.loads += o.loads;
+        self.rounds += o.rounds;
+        self.assignments += o.assignments;
+        self.reloads += o.reloads;
+        self.fallbacks += o.fallbacks;
     }
-    dota_trace::count(&format!("sched.{prefix}.loads"), s.total_loads());
-    dota_trace::count(&format!("sched.{prefix}.rounds"), s.round_count() as u64);
-    dota_trace::count(
-        &format!("sched.{prefix}.assignments"),
-        s.total_assignments(),
-    );
-    // A key loaded in more than one round was split across rounds and
-    // re-fetched (Fig. 10's k5): reloads = total loads − distinct keys.
-    let distinct: std::collections::BTreeSet<u32> = s
-        .rounds
-        .iter()
-        .flat_map(|r| r.loads.iter().copied())
-        .collect();
-    dota_trace::count(
-        &format!("sched.{prefix}.reloads"),
-        s.total_loads() - distinct.len() as u64,
-    );
+}
+
+/// `sched.<dataflow>.{loads, rounds, assignments, reloads}`.
+type CounterNames = [&'static str; 4];
+const IN_ORDER: CounterNames = [
+    "sched.in_order.loads",
+    "sched.in_order.rounds",
+    "sched.in_order.assignments",
+    "sched.in_order.reloads",
+];
+const OOO: CounterNames = [
+    "sched.ooo.loads",
+    "sched.ooo.rounds",
+    "sched.ooo.assignments",
+    "sched.ooo.reloads",
+];
+
+impl LoadCounts {
+    /// The counts of a materialised schedule over `distinct` key IDs.
+    fn of(s: &Schedule, distinct: u64, fallbacks: u64) -> Self {
+        Self {
+            loads: s.total_loads(),
+            rounds: s.round_count() as u64,
+            assignments: s.total_assignments(),
+            reloads: s.total_loads() - distinct,
+            fallbacks,
+        }
+    }
+
+    /// Adds the counts to the dataflow's `sched.*` counters. No-op outside
+    /// a trace session.
+    fn record(&self, names: &CounterNames) {
+        if !dota_trace::enabled() {
+            return;
+        }
+        dota_trace::count(names[0], self.loads);
+        dota_trace::count(names[1], self.rounds);
+        dota_trace::count(names[2], self.assignments);
+        dota_trace::count(names[3], self.reloads);
+        if self.fallbacks > 0 {
+            dota_trace::count("sched.ooo.fallbacks", self.fallbacks);
+        }
+    }
 }
 
 /// Key loads of the row-by-row dataflow: every selected connection loads
@@ -92,7 +147,10 @@ pub fn row_by_row_loads(selections: &[Vec<u32>]) -> u64 {
 /// Records `sched.in_order.*` counters when a trace session is active.
 pub fn in_order_schedule(selections: &[Vec<u32>]) -> Schedule {
     let s = in_order_schedule_impl(selections);
-    record_schedule("in_order", &s);
+    if dota_trace::enabled() {
+        let distinct = Binning::default().distinct(selections);
+        LoadCounts::of(&s, distinct, 0).record(&IN_ORDER);
+    }
     s
 }
 
@@ -117,9 +175,10 @@ fn in_order_schedule_impl(selections: &[Vec<u32>]) -> Schedule {
     Schedule { rounds }
 }
 
-/// Key loads of the in-order token-parallel schedule without its rounds:
-/// the distinct keys the group's queries touch at each step, summed.
-fn in_order_loads(selections: &[Vec<u32>]) -> u64 {
+/// The in-order token-parallel schedule's counts without its rounds: per
+/// step, the distinct keys the group's queries touch; one round per step of
+/// the longest row; one assignment per connection.
+fn in_order_counts(selections: &[Vec<u32>]) -> LoadCounts {
     let max_len = selections.iter().map(Vec::len).max().unwrap_or(0);
     let mut loads = 0;
     for step in 0..max_len {
@@ -132,65 +191,149 @@ fn in_order_loads(selections: &[Vec<u32>]) -> u64 {
             }
         }
     }
-    loads
+    LoadCounts {
+        loads,
+        rounds: max_len as u64,
+        assignments: selections.iter().map(|s| s.len() as u64).sum(),
+        ..LoadCounts::default()
+    }
 }
 
-/// The Scheduler's ID buffers (§4.3) as flat storage: one FIFO per owner
-/// bitmask, indexed by the mask itself and kept across the groups of a
-/// matrix, so that after the first group binning and issue allocate only
-/// the rounds they emit.
+/// The in-order counts, if a greedy schedule of `loads` loads over `distinct`
+/// key IDs lost to in-order issue. Every key is loaded at least once
+/// whatever the order, so a greedy that reloaded nothing cannot have lost
+/// and the in-order count is not taken.
+fn in_order_if_fewer(selections: &[Vec<u32>], loads: u64, distinct: u64) -> Option<LoadCounts> {
+    if loads == distinct {
+        return None;
+    }
+    let in_order = in_order_counts(selections);
+    (loads > in_order.loads).then_some(in_order)
+}
+
+/// Bins one group's key IDs by owner bitmask — the set of the group's
+/// queries that selected the key — in ascending key order, on buffers kept
+/// across groups. Rows may come in any order and repeat keys.
+///
+/// A group whose bit maps would take no more words than it has IDs is
+/// binned through them (about 3 ns per ID at the simulator's densities);
+/// a sparser one sorts `(key, query)` pairs (about 9). That is where the two
+/// cost the same, and it bounds the maps by the size of the input whatever
+/// the largest key ID.
 #[derive(Debug, Default)]
-struct IdBuffers {
-    /// `fifo[mask]`: key IDs whose not-yet-served owners are exactly `mask`.
-    fifo: Vec<VecDeque<u32>>,
-    /// Masks whose FIFO has held an ID during the current group, ascending:
-    /// the buffers a pick compares, in the order that breaks its ties.
-    live: Vec<u32>,
-    /// IDs buffered across all FIFOs; a group is done at zero.
-    buffered: usize,
-    /// One `key << 32 | query bit` per connection of the group: sorted, the
-    /// run of a key ORs into its owner mask.
+struct Binning {
+    /// Sparse groups: one `key << 32 | query bit` per connection; sorted,
+    /// the run of a key ORs into its owner mask.
     pairs: Vec<u64>,
+    /// Dense groups: one bit per `(key, query)`, word `w` of query `q`'s
+    /// map at `w * t + q`. All zero between groups.
+    maps: Vec<u64>,
 }
 
-impl IdBuffers {
-    fn push(&mut self, mask: u32, key: u32) {
-        let fifo = &mut self.fifo[mask as usize];
-        if fifo.is_empty() {
+impl Binning {
+    /// Calls `owner(mask, key)` once per distinct key ID of the group, keys
+    /// ascending.
+    fn for_each_key(&mut self, selections: &[Vec<u32>], mut owner: impl FnMut(u32, u32)) {
+        let t = selections.len();
+        let ids: usize = selections.iter().map(Vec::len).sum();
+        let Some(max) = selections.iter().flatten().copied().max() else {
+            return;
+        };
+        let words = (max >> 6) as usize + 1;
+        if words * t <= ids {
+            if self.maps.len() < words * t {
+                self.maps.resize(words * t, 0);
+            }
+            for (q, sel) in selections.iter().enumerate() {
+                for &key in sel {
+                    self.maps[(key >> 6) as usize * t + q] |= 1 << (key & 63);
+                }
+            }
+            for (w, rows) in self.maps[..words * t].chunks_exact_mut(t).enumerate() {
+                let mut any = rows.iter().fold(0, |any, &row| any | row);
+                while any != 0 {
+                    let bit = any.trailing_zeros();
+                    any &= any - 1;
+                    let mask = rows
+                        .iter()
+                        .enumerate()
+                        .fold(0, |mask, (q, &row)| mask | ((row >> bit) as u32 & 1) << q);
+                    owner(mask, (w as u32) << 6 | bit);
+                }
+                rows.fill(0);
+            }
+        } else {
+            self.pairs.clear();
+            for (q, sel) in selections.iter().enumerate() {
+                let bit = 1u64 << q;
+                self.pairs
+                    .extend(sel.iter().map(|&key| u64::from(key) << 32 | bit));
+            }
+            self.pairs.sort_unstable();
+            let mut i = 0;
+            while i < self.pairs.len() {
+                let key = (self.pairs[i] >> 32) as u32;
+                let mut mask = 0u32;
+                while i < self.pairs.len() && (self.pairs[i] >> 32) as u32 == key {
+                    mask |= self.pairs[i] as u32;
+                    i += 1;
+                }
+                owner(mask, key);
+            }
+        }
+    }
+
+    /// Distinct key IDs of a group of any number of rows (the in-order
+    /// dataflow has no owner masks, so no limit on the queries it groups).
+    fn distinct(&mut self, selections: &[Vec<u32>]) -> u64 {
+        self.pairs.clear();
+        self.pairs
+            .extend(selections.iter().flatten().map(|&key| u64::from(key)));
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        self.pairs.len() as u64
+    }
+}
+
+/// The Scheduler's FSM state (§4.3): how many key IDs each of the `2^T - 1`
+/// ID buffers holds. A round of Algorithm 1 looks only at *which* buffers
+/// are non-empty, so this is all the greedy needs; the IDs themselves matter
+/// only to a caller that wants the rounds ([`IdBuffers`]).
+#[derive(Debug, Default)]
+struct Buckets {
+    /// `count[mask]`: key IDs whose not-yet-served owners are exactly `mask`.
+    count: Vec<u32>,
+    /// Masks whose buffer has held an ID during the current group,
+    /// ascending: the buffers a pick compares, in the order that breaks its
+    /// ties.
+    live: Vec<u32>,
+    /// IDs buffered across all masks; a group is done at zero.
+    buffered: u64,
+}
+
+impl Buckets {
+    /// Readies the (drained) state for a group of `t` queries.
+    fn reset(&mut self, t: usize) {
+        assert!(
+            t <= 16,
+            "token parallelism {t} exceeds the modeled scheduler"
+        );
+        debug_assert_eq!(self.buffered, 0, "previous group left IDs behind");
+        if self.count.len() < 1 << t {
+            self.count.resize(1 << t, 0);
+        }
+        self.live.clear();
+    }
+
+    fn push(&mut self, mask: u32) {
+        let count = &mut self.count[mask as usize];
+        if *count == 0 {
             if let Err(at) = self.live.binary_search(&mask) {
                 self.live.insert(at, mask);
             }
         }
-        fifo.push_back(key);
+        *count += 1;
         self.buffered += 1;
-    }
-
-    /// Bins the group's key IDs by owner bitmask, each FIFO in ascending
-    /// key order.
-    fn fill(&mut self, selections: &[Vec<u32>]) {
-        debug_assert_eq!(self.buffered, 0, "previous group left IDs behind");
-        let n_masks = 1usize << selections.len();
-        if self.fifo.len() < n_masks {
-            self.fifo.resize_with(n_masks, VecDeque::new);
-        }
-        self.live.clear();
-        self.pairs.clear();
-        for (q, sel) in selections.iter().enumerate() {
-            let bit = 1u64 << q;
-            self.pairs
-                .extend(sel.iter().map(|&key| u64::from(key) << 32 | bit));
-        }
-        self.pairs.sort_unstable();
-        let mut i = 0;
-        while i < self.pairs.len() {
-            let key = (self.pairs[i] >> 32) as u32;
-            let mut mask = 0u32;
-            while i < self.pairs.len() && (self.pairs[i] >> 32) as u32 == key {
-                mask |= self.pairs[i] as u32;
-                i += 1;
-            }
-            self.push(mask, key);
-        }
     }
 
     /// The non-empty buffer serving the most `unassigned` queries;
@@ -201,7 +344,7 @@ impl IdBuffers {
         let mut best: Option<(u32, u32, u32)> = None; // (mask, served, overlap)
         for &mask in &self.live {
             let served = (mask & unassigned).count_ones();
-            if served == 0 || self.fifo[mask as usize].is_empty() {
+            if served == 0 || self.count[mask as usize] == 0 {
                 continue;
             }
             let overlap = (mask & assigned).count_ones();
@@ -216,62 +359,244 @@ impl IdBuffers {
         best.map(|(mask, _, _)| mask)
     }
 
-    /// Uninstrumented Algorithm 1 greedy (see [`locality_aware_schedule`]).
-    fn greedy(&mut self, selections: &[Vec<u32>]) -> Schedule {
+    /// One round of Algorithm 1 over the group's `t` queries: until every
+    /// query has a key or no buffered ID serves an unassigned one, issues an
+    /// ID from the [`best`](Self::best) buffer and hands it back to its
+    /// already-assigned (residual) owners' buffer for a later round. Calls
+    /// `issue(mask, serve_mask)` per issued ID — the buffer it left and the
+    /// queries it serves now.
+    ///
+    /// Within a round a buffer is left at most once (its owners are all
+    /// assigned afterwards) and a residual buffer is never picked (its
+    /// owners already are), so the round is a function of the set of
+    /// non-empty buffers it starts from.
+    fn round(&mut self, t: usize, mut issue: impl FnMut(u32, u32)) {
+        let all = (1u32 << t) - 1;
+        let mut assigned = 0u32;
+        while assigned != all {
+            let Some(mask) = self.best(all & !assigned, assigned) else {
+                break;
+            };
+            let serve_mask = mask & !assigned;
+            self.count[mask as usize] -= 1;
+            self.buffered -= 1;
+            let residual = mask & assigned;
+            if residual != 0 {
+                self.push(residual);
+            }
+            issue(mask, serve_mask);
+            assigned |= serve_mask;
+        }
+        debug_assert!(assigned != 0, "round made no progress");
+    }
+
+    /// After a [`round`](Self::round) that issued `picks` (`(mask,
+    /// residual)` each): if it left the set of non-empty buffers as it found
+    /// it, the next round is the same round — plays it until a buffer it
+    /// drains is empty and returns how many times that was.
+    fn replay(&mut self, picks: &[(u32, u32)]) -> u64 {
+        let refills = |mask: u32| picks.iter().filter(|p| p.1 == mask).count() as u32;
+        let mut times = u32::MAX;
+        for &(mask, residual) in picks {
+            let remaining = self.count[mask as usize];
+            if remaining == 0 {
+                return 0; // the round emptied a buffer
+            }
+            if refills(mask) == 0 {
+                times = times.min(remaining);
+            }
+            if residual != 0 {
+                let issued = u32::from(picks.iter().any(|p| p.0 == residual));
+                if self.count[residual as usize] + issued == refills(residual) {
+                    return 0; // the round opened a buffer
+                }
+            }
+        }
+        // The largest mask a round leaves is refilled by none of its
+        // residuals (each a strict subset of a mask left), so it drains.
+        debug_assert_ne!(times, u32::MAX, "a round drains some buffer");
+        for &(_, residual) in picks {
+            if residual != 0 {
+                self.count[residual as usize] += times;
+                self.buffered += u64::from(times);
+            }
+        }
+        for &(mask, _) in picks {
+            self.count[mask as usize] -= times;
+            self.buffered -= u64::from(times);
+        }
+        u64::from(times)
+    }
+}
+
+/// The materialising scheduler: the FSM with the Scheduler's ID buffers
+/// attached — one FIFO of key IDs per owner bitmask, indexed by the mask
+/// itself and kept across the groups of a matrix, so that after the first
+/// group binning and issue allocate only the rounds they emit.
+#[derive(Debug, Default)]
+struct IdBuffers {
+    state: Buckets,
+    /// `fifo[mask]`: the `state.count[mask]` key IDs of that buffer.
+    fifo: Vec<VecDeque<u32>>,
+    binning: Binning,
+}
+
+impl IdBuffers {
+    /// Uninstrumented Algorithm 1 greedy (see [`locality_aware_schedule`])
+    /// and the number of distinct key IDs it scheduled.
+    fn greedy(&mut self, selections: &[Vec<u32>]) -> (Schedule, u64) {
         let t = selections.len();
-        assert!(
-            t <= 16,
-            "token parallelism {t} exceeds the modeled scheduler"
-        );
-        self.fill(selections);
+        let Self {
+            state,
+            fifo,
+            binning,
+        } = self;
+        state.reset(t);
+        if fifo.len() < 1 << t {
+            fifo.resize_with(1 << t, VecDeque::new);
+        }
+        let mut distinct = 0;
+        binning.for_each_key(selections, |mask, key| {
+            state.push(mask);
+            fifo[mask as usize].push_back(key);
+            distinct += 1;
+        });
         let mut rounds = Vec::new();
-        while self.buffered > 0 {
-            let mut assigned: u32 = 0;
+        while state.buffered > 0 {
             let mut loads = Vec::with_capacity(t);
             let mut assignments = Vec::with_capacity(t);
-            loop {
-                let unassigned = !assigned & ((1u32 << t) - 1);
-                if unassigned == 0 {
-                    break;
-                }
-                let Some(mask) = self.best(unassigned, assigned) else {
-                    break;
-                };
-                let key = self.fifo[mask as usize]
+            state.round(t, |mask, serve_mask| {
+                let key = fifo[mask as usize]
                     .pop_front()
-                    .expect("candidate exists");
-                self.buffered -= 1;
-                let serve_mask = mask & unassigned;
+                    .expect("a counted ID is buffered");
                 for q in 0..t {
                     if serve_mask & (1 << q) != 0 {
                         assignments.push((q, key));
                     }
                 }
                 loads.push(key);
-                assigned |= serve_mask;
                 // Residual owners get the ID back for a later round.
                 let residual = mask & !serve_mask;
                 if residual != 0 {
-                    self.push(residual, key);
+                    fifo[residual as usize].push_back(key);
                 }
-            }
-            debug_assert!(!loads.is_empty(), "round made no progress");
+            });
             rounds.push(Round { loads, assignments });
         }
-        Schedule { rounds }
+        (Schedule { rounds }, distinct)
     }
 
     /// [`locality_aware_schedule`] on these buffers.
     fn schedule(&mut self, selections: &[Vec<u32>]) -> Schedule {
-        let greedy = self.greedy(selections);
-        let s = if greedy.total_loads() > in_order_loads(selections) {
-            dota_trace::count("sched.ooo.fallbacks", 1);
+        let (greedy, distinct) = self.greedy(selections);
+        let fallback = in_order_if_fewer(selections, greedy.total_loads(), distinct).is_some();
+        let s = if fallback {
             in_order_schedule_impl(selections)
         } else {
             greedy
         };
-        record_schedule("ooo", &s);
+        if dota_trace::enabled() {
+            LoadCounts::of(&s, distinct, u64::from(fallback)).record(&OOO);
+        }
         s
+    }
+}
+
+/// The counting scheduler: what [`schedule_matrix`] would report for the
+/// groups fed to it, from the same binning, the same pick rule and the same
+/// round procedure, without an ID buffer or a [`Round`]. The simulator's
+/// entry point: it feeds token-parallel groups as it samples them.
+#[derive(Debug)]
+pub struct LoadCounter {
+    out_of_order: bool,
+    state: Buckets,
+    binning: Binning,
+    /// `(mask, residual)` of each ID the current round issued.
+    picks: Vec<(u32, u32)>,
+    total: LoadCounts,
+    groups: u64,
+}
+
+impl LoadCounter {
+    /// A counter for the out-of-order (Algorithm 1, with its in-order
+    /// fallback) or the in-order token-parallel dataflow.
+    pub fn new(out_of_order: bool) -> Self {
+        Self {
+            out_of_order,
+            state: Buckets::default(),
+            binning: Binning::default(),
+            picks: Vec::new(),
+            total: LoadCounts::default(),
+            groups: 0,
+        }
+    }
+
+    /// Counts one token-parallel group (`selections.len()` queries in
+    /// lockstep) and returns its counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the out-of-order dataflow groups more than 16 queries.
+    pub fn group(&mut self, selections: &[Vec<u32>]) -> LoadCounts {
+        let (mut counts, distinct) = if self.out_of_order {
+            let (greedy, distinct) = self.greedy(selections);
+            let counts = match in_order_if_fewer(selections, greedy.loads, distinct) {
+                Some(in_order) => LoadCounts {
+                    fallbacks: 1,
+                    ..in_order
+                },
+                None => greedy,
+            };
+            (counts, distinct)
+        } else {
+            (
+                in_order_counts(selections),
+                self.binning.distinct(selections),
+            )
+        };
+        counts.reloads = counts.loads - distinct;
+        self.total += counts;
+        self.groups += 1;
+        counts
+    }
+
+    /// Algorithm 1 on bucket counts: the greedy's loads, rounds and
+    /// assignments, and the number of distinct key IDs of the group.
+    fn greedy(&mut self, selections: &[Vec<u32>]) -> (LoadCounts, u64) {
+        let t = selections.len();
+        let Self {
+            state,
+            binning,
+            picks,
+            ..
+        } = self;
+        state.reset(t);
+        let mut counts = LoadCounts::default();
+        let mut distinct = 0;
+        binning.for_each_key(selections, |mask, _key| {
+            state.push(mask);
+            // A key repeated inside a row is one ID: one assignment per owner.
+            counts.assignments += u64::from(mask.count_ones());
+            distinct += 1;
+        });
+        while state.buffered > 0 {
+            picks.clear();
+            state.round(t, |mask, serve_mask| picks.push((mask, mask & !serve_mask)));
+            let times = 1 + state.replay(picks);
+            counts.loads += times * picks.len() as u64;
+            counts.rounds += times;
+        }
+        (counts, distinct)
+    }
+
+    /// The summed counts of every group fed so far, recorded once under
+    /// `sched.ooo.*` / `sched.in_order.*` when a trace session is active.
+    pub fn finish(self) -> LoadCounts {
+        if self.groups > 0 {
+            let names = if self.out_of_order { &OOO } else { &IN_ORDER };
+            self.total.record(names);
+        }
+        self.total
     }
 }
 
@@ -304,7 +629,7 @@ pub fn locality_aware_schedule(selections: &[Vec<u32>]) -> Schedule {
 
 /// Schedules a whole attention matrix by splitting its query rows into
 /// groups of `token_parallelism` and scheduling each group independently;
-/// returns the concatenated schedule and the total key loads.
+/// returns the groups' rounds concatenated.
 pub fn schedule_matrix(
     selections: &[Vec<u32>],
     token_parallelism: usize,
@@ -322,6 +647,21 @@ pub fn schedule_matrix(
         all.rounds.extend(s.rounds);
     }
     all
+}
+
+/// [`schedule_matrix`]'s counts without its rounds: the same groups through
+/// the counting scheduler.
+pub fn matrix_loads(
+    selections: &[Vec<u32>],
+    token_parallelism: usize,
+    out_of_order: bool,
+) -> LoadCounts {
+    assert!(token_parallelism > 0, "token parallelism must be positive");
+    let mut counter = LoadCounter::new(out_of_order);
+    for group in selections.chunks(token_parallelism) {
+        counter.group(group);
+    }
+    counter.finish()
 }
 
 /// ID-buffer count required by a Scheduler with token parallelism `t`
@@ -588,9 +928,55 @@ mod tests {
         all
     }
 
+    /// Three queries over six keys is where the greedy loses to in-order
+    /// issue about once in a hundred groups: on every such group the
+    /// counting scheduler takes the fallback the materialising one takes.
+    #[test]
+    fn counted_fallbacks_match_materialised_oracle() {
+        use dota_tensor::rng::SeededRng;
+        let mut rng = SeededRng::new(5);
+        let mut counter = LoadCounter::new(true);
+        for _ in 0..2000 {
+            let sel: Vec<Vec<u32>> = (0..3)
+                .map(|_| (0..6).filter(|_| rng.uniform() < 0.5).collect())
+                .collect();
+            let in_order = in_order_schedule_impl(&sel);
+            let fallback =
+                locality_aware_schedule_oracle(&sel).total_loads() > in_order.total_loads();
+            let counts = counter.group(&sel);
+            assert_eq!(counts.fallbacks, u64::from(fallback), "{sel:?}");
+            if fallback {
+                assert_eq!(counts.loads, in_order.total_loads(), "{sel:?}");
+                assert_eq!(counts.rounds, in_order.round_count() as u64, "{sel:?}");
+                assert_eq!(counts.assignments, in_order.total_assignments(), "{sel:?}");
+            }
+        }
+        let fallbacks = counter.finish().fallbacks;
+        assert!(fallbacks >= 10, "only {fallbacks} of 2000 groups fell back");
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Rows as drawn folded onto `n_keys` IDs (any order, repeated keys
+        /// inside a row), or ascending and distinct (where over few keys
+        /// the greedy sometimes loses and the fallback fires); `spread`
+        /// strides the IDs far apart, past what a bit map may span.
+        fn rows(drawn: &[Vec<u32>], n_keys: u32, ascending: bool, spread: bool) -> Vec<Vec<u32>> {
+            let stride = if spread { 1 << 22 } else { 1 };
+            drawn
+                .iter()
+                .map(|row| {
+                    let mut row: Vec<u32> = row.iter().map(|&key| key % n_keys * stride).collect();
+                    if ascending {
+                        row.sort_unstable();
+                        row.dedup();
+                    }
+                    row
+                })
+                .collect()
+        }
 
         proptest! {
             /// Rows of any length, either as drawn (any order, repeated
@@ -607,19 +993,10 @@ mod tests {
                 ),
                 n_keys in 4u32..24,
                 ascending in 0usize..2,
+                spread in 0usize..2,
                 t in 1usize..=8,
             ) {
-                let sel: Vec<Vec<u32>> = drawn
-                    .iter()
-                    .map(|row| {
-                        let mut row: Vec<u32> = row.iter().map(|&key| key % n_keys).collect();
-                        if ascending == 1 {
-                            row.sort_unstable();
-                            row.dedup();
-                        }
-                        row
-                    })
-                    .collect();
+                let sel = rows(&drawn, n_keys, ascending == 1, spread == 1);
                 for out_of_order in [true, false] {
                     prop_assert_eq!(
                         schedule_matrix(&sel, t, out_of_order),
@@ -628,9 +1005,70 @@ mod tests {
                 }
                 for group in sel.chunks(t) {
                     prop_assert_eq!(
-                        in_order_loads(group),
+                        in_order_counts(group).loads,
                         in_order_schedule_impl(group).total_loads()
                     );
+                }
+            }
+
+            /// The same rows, and long ones (hundreds of keys over few
+            /// hundred IDs, where a round repeats and the replay fires):
+            /// the counting scheduler reports, group by group and summed,
+            /// the loads, rounds, assignments, reloads and fallbacks of the
+            /// materialised schedule, and records the same `sched.*`
+            /// counters.
+            #[test]
+            fn matrix_loads_matches_schedule_matrix_oracle(
+                short in proptest::collection::vec(
+                    proptest::collection::vec(0u32..1000, 0..14),
+                    0..20,
+                ),
+                long in proptest::collection::vec(
+                    proptest::collection::vec(0u32..1000, 0..300),
+                    0..10,
+                ),
+                n_keys in 4u32..24,
+                n_keys_long in 1u32..=400,
+                ascending in 0usize..2,
+                spread in 0usize..2,
+                t in 1usize..=8,
+            ) {
+                use std::collections::BTreeSet;
+                for sel in [
+                    rows(&short, n_keys, ascending == 1, spread == 1),
+                    rows(&long, n_keys_long, ascending == 1, spread == 1),
+                ] {
+                    for out_of_order in [true, false] {
+                        let mut counter = LoadCounter::new(out_of_order);
+                        let mut total = LoadCounts::default();
+                        for group in sel.chunks(t) {
+                            let greedy = locality_aware_schedule_oracle(group);
+                            let in_order = in_order_schedule_impl(group);
+                            let fallback =
+                                out_of_order && greedy.total_loads() > in_order.total_loads();
+                            let s = if out_of_order && !fallback { greedy } else { in_order };
+                            let distinct: BTreeSet<u32> = group.iter().flatten().copied().collect();
+                            let want = LoadCounts {
+                                loads: s.total_loads(),
+                                rounds: s.round_count() as u64,
+                                assignments: s.total_assignments(),
+                                reloads: s.total_loads() - distinct.len() as u64,
+                                fallbacks: u64::from(fallback),
+                            };
+                            prop_assert_eq!(counter.group(group), want);
+                            total += want;
+                        }
+                        prop_assert_eq!(counter.finish(), total);
+
+                        let materialised = dota_trace::session("materialised");
+                        let s = schedule_matrix(&sel, t, out_of_order);
+                        let want = materialised.counters();
+                        drop(materialised);
+                        prop_assert_eq!(s.total_loads(), total.loads);
+                        let counted = dota_trace::session("counted");
+                        prop_assert_eq!(matrix_loads(&sel, t, out_of_order), total);
+                        prop_assert_eq!(counted.counters(), want);
+                    }
                 }
             }
         }

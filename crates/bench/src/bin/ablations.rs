@@ -112,8 +112,8 @@ fn main() {
     let k = 205;
     let mut rng = SeededRng::new(2);
     let sel = dota_accel::synth::sample_selection(n, k, &SelectionProfile::default(), &mut rng);
-    let on = sched::schedule_matrix(&sel, 4, true).total_loads();
-    let off = sched::schedule_matrix(&sel, 4, false).total_loads();
+    let on = sched::matrix_loads(&sel, 4, true).loads;
+    let off = sched::matrix_loads(&sel, 4, false).loads;
     println!(
         "  K/V loads with OoO: {on}; without: {off}; reduction {:.2}x",
         off as f64 / on as f64

@@ -15,15 +15,19 @@
 //! buffers and `matmul_into` outputs make repeated products allocation-
 //! free), that a `decode_step` allocates no more at a long context than at
 //! a short one (and no more than 60 times), and that a 32-row `decode_rows`
-//! call allocates no more than 244 times. It also prints the GELU,
-//! attention-row and softmax kernel rows, without a timing assert. CI runs
-//! this leg.
+//! call allocates no more than 244 times, and that one sparse
+//! `simulate_shape` allocates no more than 64 times (nothing per round, per
+//! row or per group). It also prints the GELU, attention-row, softmax and
+//! scheduler kernel rows, without a timing assert. CI runs this leg.
 //!
 //! Thread-pool speedups depend on the machine: the report records the
 //! actual pool width, physical core count and detected CPU features so
 //! `pool_speedup` is interpretable across hosts — expect ~1.0 on a
 //! single-core container and >3x at 2048² on a real multi-core host.
 
+use dota_accel::sched::{matrix_loads, schedule_matrix};
+use dota_accel::synth::{sample_selection, SelectionProfile};
+use dota_accel::{AccelConfig, Accelerator};
 use dota_autograd::ParamSet;
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
@@ -175,6 +179,28 @@ struct AttendRowRow {
     every8th_lanes_ns_per_conn: f64,
 }
 
+/// One of the simulator's own kernels — the scheduler and the sampler behind
+/// `simulate_shape` / `simulate_trace`, and the generator refill under the
+/// sampler — in nanoseconds (p50) per `per`, next to the implementation it
+/// stands in for where there is one.
+#[derive(Serialize)]
+struct SchedulerRow {
+    /// `sched_loads_n<seq>_r10`, `sample_selection_n4096_r10` (a default-
+    /// profile selection at retention 0.1), `chacha_refill`.
+    kernel: String,
+    /// What the nanoseconds are per: a selected key ID, or a refill of the
+    /// generator's four ChaCha12 blocks.
+    per: &'static str,
+    /// `schedule_matrix(..).total_loads()` — every round built, then
+    /// counted — for the `sched_loads_*` rows; a scalar block function
+    /// called four times for `chacha_refill`.
+    reference_ns: Option<f64>,
+    /// `matrix_loads`; `sample_selection`; an undrawn generator's clone and
+    /// first draw (`dota-bench` reaches the `rand` shim only through
+    /// `SeededRng`: the refill plus a ~300-byte copy).
+    ns: f64,
+}
+
 #[derive(Serialize)]
 struct CounterScenario {
     scenario: String,
@@ -207,6 +233,9 @@ struct Report {
     /// Softmax over one 1024-score row through each `exp` (see
     /// [`LibmPortLanesRow`]).
     exp: Vec<LibmPortLanesRow>,
+    /// The simulator's scheduler, sampler and generator refill (see
+    /// [`SchedulerRow`]).
+    scheduler: Vec<SchedulerRow>,
     /// Deterministic hardware-counter snapshots (see `dota-trace`): the
     /// same scenarios `counters_baseline` regression-checks. Unlike the
     /// timing rows, these are bit-identical across hosts and thread counts.
@@ -527,6 +556,138 @@ fn exp_rows() -> Vec<LibmPortLanesRow> {
     )]
 }
 
+/// Exact median nanoseconds of `f` over `reps` calls.
+fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// One ChaCha12 block in plain scalar code: what the generator's refill
+/// called four times before it computed its four blocks in lanes.
+fn chacha12_block_scalar(key: &[u32; 8], counter: u64) -> [u32; 16] {
+    fn quarter(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+        for (rot_d, rot_b) in [(16, 12), (8, 7)] {
+            x[a] = x[a].wrapping_add(x[b]);
+            x[d] = (x[d] ^ x[a]).rotate_left(rot_d);
+            x[c] = x[c].wrapping_add(x[d]);
+            x[b] = (x[b] ^ x[c]).rotate_left(rot_b);
+        }
+    }
+    let mut state = [
+        0x6170_7865,
+        0x3320_646e,
+        0x7962_2d32,
+        0x6b20_6574,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+    ];
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    let mut x = state;
+    for _ in 0..6 {
+        for (a, b, c, d) in [(0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15)] {
+            quarter(&mut x, a, b, c, d);
+        }
+        for (a, b, c, d) in [(0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14)] {
+            quarter(&mut x, a, b, c, d);
+        }
+    }
+    for (xi, si) in x.iter_mut().zip(&state) {
+        *xi = xi.wrapping_add(*si);
+    }
+    x
+}
+
+/// Times the scheduler on default-profile selections at retention 0.1, the
+/// sampler that draws them, and the generator refill under it.
+fn scheduler_rows() -> Vec<SchedulerRow> {
+    println!(
+        "\nScheduler (ns per selected key ID; materialised schedule vs counted), sampler, refill"
+    );
+    let profile = SelectionProfile::default();
+    let token_parallelism = AccelConfig::default().token_parallelism;
+    let mut rows = Vec::new();
+    for n in [1024usize, 4096] {
+        let sel = sample_selection(n, n / 10, &profile, &mut SeededRng::new(19));
+        let ids = (n * (n / 10)) as f64;
+        let reps = if n > 1024 { 5 } else { 15 };
+        let counted = matrix_loads(&sel, token_parallelism, true).loads;
+        assert_eq!(
+            schedule_matrix(&sel, token_parallelism, true).total_loads(),
+            counted
+        );
+        rows.push(SchedulerRow {
+            kernel: format!("sched_loads_n{n}_r10"),
+            per: "key ID",
+            reference_ns: Some(
+                median_ns(reps, || {
+                    schedule_matrix(&sel, token_parallelism, true).total_loads()
+                }) / ids,
+            ),
+            ns: median_ns(reps, || matrix_loads(&sel, token_parallelism, true).loads) / ids,
+        });
+    }
+    let n = 4096;
+    rows.push(SchedulerRow {
+        kernel: format!("sample_selection_n{n}_r10"),
+        per: "key ID",
+        reference_ns: None,
+        ns: median_ns(5, || {
+            sample_selection(n, n / 10, &profile, &mut SeededRng::new(19))
+        }) / (n * (n / 10)) as f64,
+    });
+    const REFILLS: usize = 2000;
+    let undrawn = SeededRng::new(17);
+    let key = [0x0123_4567, 0x89ab_cdef, 2, 3, 4, 5, 6, 7];
+    rows.push(SchedulerRow {
+        kernel: "chacha_refill".to_owned(),
+        per: "4 blocks",
+        reference_ns: Some(
+            median_ns(15, || {
+                (0..REFILLS as u64).fold(0, |sum, refill| {
+                    let blocks: [[u32; 16]; 4] = std::array::from_fn(|b| {
+                        chacha12_block_scalar(std::hint::black_box(&key), 4 * refill + b as u64)
+                    });
+                    sum ^ std::hint::black_box(blocks)[3][15]
+                })
+            }) / REFILLS as f64,
+        ),
+        ns: median_ns(15, || {
+            (0..REFILLS).fold(0.0, |sum, _| {
+                sum + std::hint::black_box(&undrawn).clone().uniform()
+            })
+        }) / REFILLS as f64,
+    });
+    for r in &rows {
+        match r.reference_ns {
+            Some(reference) => println!(
+                "  {:<28} reference {:>7.2}  now {:>7.2}  ns per {}",
+                r.kernel, reference, r.ns, r.per
+            ),
+            None => println!("  {:<28} {:>27.2}  ns per {}", r.kernel, r.ns, r.per),
+        }
+    }
+    rows
+}
+
 /// Steady-state allocation budget for the `--quick` smoke, in bytes
 /// across all timed reps combined: after warmup, the packed path
 /// (`matmul_into` + pooled pack buffers) should allocate nothing; the
@@ -557,6 +718,7 @@ fn run_quick() -> bool {
     gelu_rows();
     attend_row_rows();
     exp_rows();
+    scheduler_rows();
 
     // Detect whether the counting allocator is live: a deliberate 1 MiB
     // allocation must move the counter. Without prof-alloc the budget
@@ -596,7 +758,7 @@ fn run_quick() -> bool {
         return false;
     }
     println!("steady-state allocation budget: OK");
-    decode_allocation_pins()
+    decode_allocation_pins() && simulate_allocation_pin()
 }
 
 /// Heap allocations a single-row `decode_step` may make on the tiny model
@@ -682,6 +844,35 @@ fn decode_allocation_pins() -> bool {
     true
 }
 
+/// Heap allocations one sparse `simulate_shape` may make (the sampler's and
+/// the counter's buffers and one group of rows, all taken once: 30-odd
+/// today; about 212,000 when every round was two `Vec`s and every row one).
+const SIMULATE_SHAPE_ALLOC_BUDGET: u64 = 64;
+
+/// The simulator leg of the `--quick` allocation smoke: `simulate_shape`
+/// holds one token-parallel group at a time and counts its schedule, so it
+/// allocates nothing per round, per row or per group.
+fn simulate_allocation_pin() -> bool {
+    let accel = Accelerator::new(AccelConfig::default());
+    let model = TransformerConfig::lra(2048, 4);
+    let before = dota_prof::alloc_stats().allocation_calls;
+    std::hint::black_box(accel.simulate_shape(
+        &model,
+        2048,
+        0.1,
+        0.2,
+        &SelectionProfile::default(),
+    ));
+    let calls = dota_prof::alloc_stats().allocation_calls - before;
+    println!("simulate_shape(lra@2048, retention 0.1) heap allocations: {calls}");
+    if calls > SIMULATE_SHAPE_ALLOC_BUDGET {
+        eprintln!("FAIL: simulate_shape exceeded {SIMULATE_SHAPE_ALLOC_BUDGET} allocations");
+        return false;
+    }
+    println!("simulate_shape allocates nothing per round, row or group: OK");
+    true
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let label = if quick {
@@ -722,6 +913,7 @@ fn main() {
     let gelu = gelu_rows();
     let attend_row = attend_row_rows();
     let exp = exp_rows();
+    let scheduler = scheduler_rows();
 
     println!("\nHardware counters (deterministic; selected totals per scenario)");
     let counters: Vec<CounterScenario> = dota_bench::counter_scenarios()
@@ -762,6 +954,7 @@ fn main() {
         gelu,
         attend_row,
         exp,
+        scheduler,
         counters,
     };
     let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));

@@ -51,7 +51,7 @@ fn main() {
     let profile = SelectionProfile::default();
     let mut rng = SeededRng::new(0xf15);
     let sel = sample_selection(n, k, &profile, &mut rng);
-    let base_loads = sched::schedule_matrix(&sel, 1, true).total_loads();
+    let base_loads = sched::matrix_loads(&sel, 1, true).loads;
 
     println!("Figure 15: Text (2K tokens, 10% retention), K/V access vs parallelism\n");
     println!(
@@ -60,7 +60,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for t in 1..=6 {
-        let loads = sched::schedule_matrix(&sel, t, true).total_loads();
+        let loads = sched::matrix_loads(&sel, t, true).loads;
         let mem = loads as f64 / base_loads as f64;
         let buffers = sched::buffer_requirement(t);
         // Scheduler cost model: energy grows with buffer count (CAM-like

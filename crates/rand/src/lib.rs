@@ -237,11 +237,11 @@ impl StdRng {
         }
     }
 
+    /// One call per 64 words served: out of line, so that a draw inlines to
+    /// a buffer read behind an index test.
+    #[cold]
     fn refill(&mut self, offset: usize) {
-        for b in 0..4 {
-            let block = chacha12_block(&self.key, self.counter.wrapping_add(b as u64));
-            self.buf[b * 16..(b + 1) * 16].copy_from_slice(&block);
-        }
+        chacha12_blocks(&self.key, self.counter, &mut self.buf);
         self.counter = self.counter.wrapping_add(4);
         self.index = offset;
     }
@@ -265,6 +265,7 @@ impl SeedableRng for StdRng {
 }
 
 impl RngCore for StdRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         if self.index >= CHACHA_WORDS {
             self.refill(0);
@@ -274,6 +275,7 @@ impl RngCore for StdRng {
         v
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let index = self.index;
         if index < CHACHA_WORDS - 1 {
@@ -292,13 +294,109 @@ impl RngCore for StdRng {
     }
 }
 
-/// One ChaCha block with 12 rounds, 64-bit counter, zero nonce/stream.
+/// The four consecutive ChaCha12 blocks `counter..counter + 4` (wrapping),
+/// block `b` in `out[16 * b..16 * (b + 1)]`.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+fn chacha12_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; CHACHA_WORDS]) {
+    for (b, words) in out.chunks_exact_mut(16).enumerate() {
+        words.copy_from_slice(&chacha12_block(key, counter.wrapping_add(b as u64)));
+    }
+}
+
+/// The four consecutive ChaCha12 blocks `counter..counter + 4` (wrapping),
+/// block `b` in `out[16 * b..16 * (b + 1)]`: the four computed side by side,
+/// lane `b` of every state word being block `counter + b`'s. Integer adds,
+/// xors and rotates only, so the words are [`chacha12_block`]'s.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+fn chacha12_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; CHACHA_WORDS]) {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_setzero_si128,
+        _mm_slli_epi32, _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
+        _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
+    };
+
+    macro_rules! xor_rotl {
+        ($a:expr, $b:expr, $n:literal) => {{
+            let v = _mm_xor_si128($a, $b);
+            _mm_or_si128(_mm_slli_epi32::<$n>(v), _mm_srli_epi32::<{ 32 - $n }>(v))
+        }};
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn quarter(x: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = xor_rotl!(x[d], x[a], 16);
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = xor_rotl!(x[b], x[c], 12);
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = xor_rotl!(x[d], x[a], 8);
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = xor_rotl!(x[b], x[c], 7);
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32; CHACHA_WORDS]) {
+        let mut state = [_mm_setzero_si128(); 16];
+        for (s, w) in state.iter_mut().zip(CHACHA_CONSTANTS.iter().chain(key)) {
+            *s = _mm_set1_epi32(*w as i32);
+        }
+        let c: [u64; 4] = std::array::from_fn(|b| counter.wrapping_add(b as u64));
+        let lanes = |w: [u64; 4]| _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32);
+        state[12] = lanes(c);
+        state[13] = lanes(c.map(|c| c >> 32));
+        let mut x = state;
+        for _ in 0..6 {
+            quarter(&mut x, 0, 4, 8, 12);
+            quarter(&mut x, 1, 5, 9, 13);
+            quarter(&mut x, 2, 6, 10, 14);
+            quarter(&mut x, 3, 7, 11, 15);
+            quarter(&mut x, 0, 5, 10, 15);
+            quarter(&mut x, 1, 6, 11, 12);
+            quarter(&mut x, 2, 7, 8, 13);
+            quarter(&mut x, 3, 4, 9, 14);
+        }
+        for i in (0..16).step_by(4) {
+            // Transpose words `i..i + 4` from one vector per word (a lane
+            // per block) to one vector per block.
+            let row: [__m128i; 4] = std::array::from_fn(|j| _mm_add_epi32(x[i + j], state[i + j]));
+            let (lo01, hi01) = (
+                _mm_unpacklo_epi32(row[0], row[1]),
+                _mm_unpackhi_epi32(row[0], row[1]),
+            );
+            let (lo23, hi23) = (
+                _mm_unpacklo_epi32(row[2], row[3]),
+                _mm_unpackhi_epi32(row[2], row[3]),
+            );
+            let per_block = [
+                _mm_unpacklo_epi64(lo01, lo23),
+                _mm_unpackhi_epi64(lo01, lo23),
+                _mm_unpacklo_epi64(hi01, hi23),
+                _mm_unpackhi_epi64(hi01, hi23),
+            ];
+            for (b, words) in per_block.into_iter().enumerate() {
+                let dst = &mut out[16 * b + i..16 * b + i + 4];
+                // SAFETY: `dst` is four `u32`s (the slice above is bounds
+                // checked), exactly the 16 bytes the unaligned store writes.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), words) };
+            }
+        }
+    }
+
+    // SAFETY: `blocks` needs SSE2, and this function is compiled only when
+    // SSE2 is enabled for the whole build (the `cfg` above): any CPU the
+    // binary may run on has it.
+    unsafe { blocks(key, counter, out) }
+}
+
+const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// One ChaCha block with 12 rounds, 64-bit counter, zero nonce/stream: the
+/// portable refill, and the lanes' oracle.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 fn chacha12_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
     let mut state = [0u32; 16];
-    state[0] = 0x6170_7865;
-    state[1] = 0x3320_646e;
-    state[2] = 0x7962_2d32;
-    state[3] = 0x6b20_6574;
+    state[..4].copy_from_slice(&CHACHA_CONSTANTS);
     state[4..12].copy_from_slice(key);
     state[12] = counter as u32;
     state[13] = (counter >> 32) as u32;
@@ -319,6 +417,7 @@ fn chacha12_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
     x
 }
 
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 #[inline]
 fn quarter(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     x[a] = x[a].wrapping_add(x[b]);
@@ -396,6 +495,73 @@ mod tests {
         assert_eq!(out[0], 0xe4e7f110);
         assert_eq!(out[1], 0x15593bd1);
         assert_eq!(out[15], 0x4e3c50a2);
+    }
+
+    #[test]
+    fn refill_blocks_match_scalar_block_oracle() {
+        let key = StdRng::seed_from_u64(11).key;
+        let carry = (1u64 << 32) - 3; // ..= 2^32: the carry into word 13
+        for counter in [0, 1, carry, carry + 1, carry + 2, carry + 3, u64::MAX - 1] {
+            let mut out = [0u32; CHACHA_WORDS];
+            chacha12_blocks(&key, counter, &mut out);
+            for (b, words) in out.chunks_exact(16).enumerate() {
+                let block = chacha12_block(&key, counter.wrapping_add(b as u64));
+                assert_eq!(words, &block[..], "block {b} from counter {counter:#x}");
+            }
+        }
+    }
+
+    /// The keystream as one flat word sequence off the scalar block
+    /// function: what `BlockRng` serves, with no buffer to refill. A `u64`
+    /// is two consecutive words, low half first, wherever they fall.
+    struct FlatStream {
+        key: [u32; 8],
+        cursor: u64,
+    }
+
+    impl RngCore for FlatStream {
+        fn next_u32(&mut self) -> u32 {
+            let word = chacha12_block(&self.key, self.cursor / 16)[(self.cursor % 16) as usize];
+            self.cursor += 1;
+            word
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let lo = u64::from(self.next_u32());
+            u64::from(self.next_u32()) << 32 | lo
+        }
+    }
+
+    #[test]
+    fn mixed_draws_match_flat_stream_oracle() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut flat = FlatStream {
+            key: rng.key,
+            cursor: 0,
+        };
+        // One word left in the buffer, then a `u64`: the boundary case.
+        for _ in 0..CHACHA_WORDS - 1 {
+            assert_eq!(rng.next_u32(), flat.next_u32());
+        }
+        assert_eq!(rng.index, CHACHA_WORDS - 1);
+        assert_eq!(rng.next_u64(), flat.next_u64());
+        let mut straddles = 0;
+        for draw in 0..10_000u32 {
+            let kind = draw.wrapping_mul(2_654_435_761) >> 29;
+            // Kinds 3.. draw `u64`s.
+            straddles += u32::from(kind >= 3 && rng.index == CHACHA_WORDS - 1);
+            match kind {
+                0..=1 => assert_eq!(rng.next_u32(), flat.next_u32()),
+                2 => assert_eq!(rng.gen_range(-5i32..=5), flat.gen_range(-5i32..=5)),
+                3..=4 => assert_eq!(rng.next_u64(), flat.next_u64()),
+                5 => assert_eq!(rng.gen_range(0..4096usize), flat.gen_range(0..4096usize)),
+                _ => assert_eq!(rng.gen_range(0..17usize), flat.gen_range(0..17usize)),
+            }
+        }
+        assert!(
+            straddles > 20,
+            "only {straddles} u64 draws began on the last word"
+        );
     }
 
     #[test]

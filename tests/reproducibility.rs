@@ -63,10 +63,10 @@ fn fig15_optimum_pinned_at_parallelism_4() {
     let profile = SelectionProfile::default();
     let mut rng = SeededRng::new(0xf15);
     let sel = sample_selection(n, k, &profile, &mut rng);
-    let base = sched::schedule_matrix(&sel, 1, true).total_loads();
+    let base = sched::matrix_loads(&sel, 1, true).loads;
     let mut best = (0usize, f64::INFINITY);
     for t in 1..=6 {
-        let loads = sched::schedule_matrix(&sel, t, true).total_loads();
+        let loads = sched::matrix_loads(&sel, t, true).loads;
         let mem = loads as f64 / base as f64;
         let sched_cost =
             sched::buffer_requirement(t) as f64 / sched::buffer_requirement(4) as f64 * 0.08;
