@@ -17,8 +17,10 @@
 //! a short one (and no more than 60 times), and that a 32-row `decode_rows`
 //! call allocates no more than 244 times, and that one sparse
 //! `simulate_shape` allocates no more than 64 times (nothing per round, per
-//! row or per group). It also prints the GELU, attention-row, softmax and
-//! scheduler kernel rows, without a timing assert. CI runs this leg.
+//! row or per group), and that one fused detector `select` at sequence
+//! length 512 allocates under 1 MiB (no `n x n` score matrix). It also
+//! prints the GELU, attention-row, softmax, scheduler and selection kernel
+//! rows, without a timing assert. CI runs this leg.
 //!
 //! Thread-pool speedups depend on the machine: the report records the
 //! actual pool width, physical core count and detected CPU features so
@@ -29,12 +31,13 @@ use dota_accel::sched::{matrix_loads, schedule_matrix};
 use dota_accel::synth::{sample_selection, SelectionProfile};
 use dota_accel::{AccelConfig, Accelerator};
 use dota_autograd::ParamSet;
+use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
-use dota_tensor::{ops, reference, Matrix};
-use dota_transformer::{DecodeItem, DenseDecode, KvCache, Model, TransformerConfig};
+use dota_tensor::{ops, reference, topk, Matrix};
+use dota_transformer::{DecodeItem, DenseDecode, InferenceHook, KvCache, Model, TransformerConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -201,6 +204,26 @@ struct SchedulerRow {
     ns: f64,
 }
 
+/// Selection as the detector runs it at sequence length 1024, retention
+/// 0.1: the ordered path it replaced next to top-k as a set.
+#[derive(Serialize)]
+struct SelectionRow {
+    /// `topk_set_n1024_k102` (one row of INT4 rank-6 estimated scores) or
+    /// `detect_select_n1024_r10` (one head of the benchmark's mid encoder:
+    /// sketch, estimate and selection).
+    kernel: String,
+    /// What the numbers are: `ns per element`, `ms per head`.
+    unit: &'static str,
+    /// `top_k_indices` plus the ascending sort its consumers then did;
+    /// `estimated_scores_quantized` plus `top_k_rows`.
+    ordered: f64,
+    /// `top_k_set` on the scaled `f32` scores (the `topk_set_*` row only).
+    set_f32: Option<f64>,
+    /// `top_k_set_keys` on the row's integer accumulators in `±384`; the
+    /// fused `DotaInferenceHook::select`.
+    set_integer: f64,
+}
+
 #[derive(Serialize)]
 struct CounterScenario {
     scenario: String,
@@ -236,6 +259,9 @@ struct Report {
     /// The simulator's scheduler, sampler and generator refill (see
     /// [`SchedulerRow`]).
     scheduler: Vec<SchedulerRow>,
+    /// Top-k as a set and the fused detector select against the ordered,
+    /// materialising path (see [`SelectionRow`]).
+    selection: Vec<SelectionRow>,
     /// Deterministic hardware-counter snapshots (see `dota-trace`): the
     /// same scenarios `counters_baseline` regression-checks. Unlike the
     /// timing rows, these are bit-identical across hosts and thread counts.
@@ -688,6 +714,126 @@ fn scheduler_rows() -> Vec<SchedulerRow> {
     rows
 }
 
+/// The benchmark's mid encoder shape (4 heads of 32 at d 128: detector rank
+/// 6 at the default sigma) with a default INT4 detector at retention 0.1,
+/// and `n` rows of layer input.
+fn detector_fixture(n: usize) -> (DotaHook, ParamSet, Matrix) {
+    let model = TransformerConfig {
+        d_model: 128,
+        n_heads: 4,
+        ..TransformerConfig::tiny(n, 256, 4)
+    };
+    let mut params = ParamSet::new();
+    let hook = DotaHook::init(DetectorConfig::new(0.1), &model, &mut params);
+    let x = SeededRng::new(23).normal_matrix(n, model.d_model, 1.0);
+    (hook, params, x)
+}
+
+/// Times top-k as a set against the ordered top-k on one row of estimated
+/// scores, and the fused select against materialise-then-rank on one head.
+fn selection_rows() -> Vec<SelectionRow> {
+    println!(
+        "\nSelection at n 1024, retention 0.1 (ordered path | set, f32 front | set, integer keys)"
+    );
+    const N: usize = 1024;
+    const K: usize = 102;
+    // One row of a real INT4 rank-6 estimate, as accumulators and scaled.
+    let mut rng = SeededRng::new(22);
+    let q = Int8Matrix::quantize(&rng.normal_matrix(1, 6, 1.0), Precision::Int4);
+    let k = Int8Matrix::quantize(&rng.normal_matrix(N, 6, 1.0), Precision::Int4);
+    let bound = q.acc_bound(&k) as i32;
+    let mut acc = Vec::new();
+    q.for_each_acc_row(&k, |_, row| acc = row.to_vec())
+        .expect("shape");
+    let scores = q.matmul_nt_dequant(&k).expect("shape");
+    let scores = scores.row(0);
+    let (mut keys, mut set) = (Vec::new(), Vec::with_capacity(K));
+    const ROWS: usize = 200;
+    let per_elem = |ns: f64| ns / (ROWS * N) as f64;
+    let topk_row = SelectionRow {
+        kernel: format!("topk_set_n{N}_k{K}"),
+        unit: "ns per element",
+        ordered: per_elem(median_ns(15, || {
+            for _ in 0..ROWS {
+                let mut idx = topk::top_k_indices(std::hint::black_box(scores), K);
+                idx.sort_unstable();
+                std::hint::black_box(idx);
+            }
+        })),
+        set_f32: Some(per_elem(median_ns(15, || {
+            for _ in 0..ROWS {
+                set.clear();
+                topk::top_k_set(std::hint::black_box(scores), K, &mut keys, &mut set);
+                std::hint::black_box(&set);
+            }
+        }))),
+        set_integer: per_elem(median_ns(15, || {
+            for _ in 0..ROWS {
+                set.clear();
+                topk::top_k_set_keys(std::hint::black_box(&acc), K, -bound, bound, &mut set);
+                std::hint::black_box(&set);
+            }
+        })),
+    };
+
+    let (hook, params, x) = detector_fixture(N);
+    let (det, cfg) = (hook.detector(0, 0), hook.config());
+    let bound_hook = hook.inference(&params);
+    let fused = bound_hook.select(0, 0, &x).expect("the detector selects");
+    let materialised = topk::top_k_rows(&det.estimated_scores_quantized(cfg, &params, &x), K);
+    assert!(
+        fused.iter().zip(&materialised).all(|(f, m)| {
+            let mut m: Vec<u32> = m.iter().map(|&j| j as u32).collect();
+            m.sort_unstable();
+            *f == m
+        }),
+        "fused select disagrees with the materialised path"
+    );
+    let select_row = SelectionRow {
+        kernel: format!("detect_select_n{N}_r10"),
+        unit: "ms per head",
+        ordered: median_ns(9, || {
+            topk::top_k_rows(&det.estimated_scores_quantized(cfg, &params, &x), K)
+        }) / 1e6,
+        set_f32: None,
+        set_integer: median_ns(9, || bound_hook.select(0, 0, &x)) / 1e6,
+    };
+    let rows = vec![topk_row, select_row];
+    for r in &rows {
+        let set_f32 = r
+            .set_f32
+            .map_or("      -".to_owned(), |v| format!("{v:>7.3}"));
+        println!(
+            "  {:<26} ordered {:>7.3}  set/f32 {set_f32}  set/integer {:>7.3}  {}",
+            r.kernel, r.ordered, r.set_integer, r.unit
+        );
+    }
+    rows
+}
+
+/// Heap bytes one fused `select` may allocate at sequence length 512: the
+/// selection itself (~100 KiB), the sketches and one row buffer. The
+/// materialised path takes a 1 MiB score matrix there (and as much again in
+/// packed keys), so an `n x n` buffer cannot come back unnoticed.
+const SELECT_ALLOC_BUDGET_BYTES: u64 = 1 << 20;
+
+/// The detector leg of the `--quick` allocation smoke.
+fn select_allocation_pin() -> bool {
+    let (hook, params, x) = detector_fixture(512);
+    let bound = hook.inference(&params);
+    std::hint::black_box(bound.select(0, 0, &x));
+    let before = dota_prof::alloc_stats().allocated_bytes;
+    std::hint::black_box(bound.select(0, 0, &x));
+    let spent = dota_prof::alloc_stats().allocated_bytes - before;
+    println!("fused select at n 512 allocates {spent} bytes (budget {SELECT_ALLOC_BUDGET_BYTES})");
+    if spent >= SELECT_ALLOC_BUDGET_BYTES {
+        eprintln!("FAIL: the fused select allocates like a score matrix");
+        return false;
+    }
+    println!("the fused select holds no n x n buffer: OK");
+    true
+}
+
 /// Steady-state allocation budget for the `--quick` smoke, in bytes
 /// across all timed reps combined: after warmup, the packed path
 /// (`matmul_into` + pooled pack buffers) should allocate nothing; the
@@ -719,6 +865,7 @@ fn run_quick() -> bool {
     attend_row_rows();
     exp_rows();
     scheduler_rows();
+    selection_rows();
 
     // Detect whether the counting allocator is live: a deliberate 1 MiB
     // allocation must move the counter. Without prof-alloc the budget
@@ -758,7 +905,7 @@ fn run_quick() -> bool {
         return false;
     }
     println!("steady-state allocation budget: OK");
-    decode_allocation_pins() && simulate_allocation_pin()
+    decode_allocation_pins() && simulate_allocation_pin() && select_allocation_pin()
 }
 
 /// Heap allocations a single-row `decode_step` may make on the tiny model
@@ -914,6 +1061,7 @@ fn main() {
     let attend_row = attend_row_rows();
     let exp = exp_rows();
     let scheduler = scheduler_rows();
+    let selection = selection_rows();
 
     println!("\nHardware counters (deterministic; selected totals per scenario)");
     let counters: Vec<CounterScenario> = dota_bench::counter_scenarios()
@@ -955,6 +1103,7 @@ fn main() {
         attend_row,
         exp,
         scheduler,
+        selection,
         counters,
     };
     let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));

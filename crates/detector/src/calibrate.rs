@@ -13,9 +13,9 @@
 //! the workload-imbalance trade-off §4.3 discusses. The calibrated hook
 //! optionally caps each row at `max_per_row` to bound the imbalance.
 
-use crate::{DetectorConfig, DotaHook};
+use crate::DotaHook;
 use dota_autograd::ParamSet;
-use dota_tensor::Matrix;
+use dota_tensor::{topk, Matrix};
 use dota_transformer::{InferenceHook, Model};
 
 /// Per-(layer, head) calibrated thresholds.
@@ -128,53 +128,44 @@ impl<'a> ThresholdHook<'a> {
     pub fn table(&self) -> &ThresholdTable {
         &self.table
     }
-
-    fn cfg(&self) -> &DetectorConfig {
-        self.hook.config()
-    }
 }
 
 impl InferenceHook for ThresholdHook<'_> {
     fn select(&self, layer: usize, head: usize, x: &Matrix) -> Option<Vec<Vec<u32>>> {
-        let scores = self
-            .hook
-            .inference(self.params)
-            .estimated_scores(layer, head, x);
-        let _ = self.cfg();
         let thresh = self.table.threshold(layer, head);
-        let n = scores.cols();
-        Some(
-            (0..scores.rows())
-                .map(|r| {
-                    let row = scores.row(r);
-                    let mut keep: Vec<(f32, u32)> = row
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v >= thresh)
-                        .map(|(j, &v)| (v, j as u32))
-                        .collect();
-                    if keep.is_empty() {
-                        // A starved row keeps its single strongest key so
-                        // its output stays defined (as the Scheduler would).
-                        let best = dota_tensor::topk::top_k_indices(row, 1)[0] as u32;
-                        keep.push((row[best as usize], best));
-                    }
-                    if let Some(cap) = self.max_per_row {
-                        keep.sort_by(|a, b| {
-                            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
-                        });
-                        keep.truncate(cap.min(n));
-                    }
-                    keep.into_iter().map(|(_, j)| j).collect()
-                })
-                .collect(),
-        )
+        let mut selection = Vec::with_capacity(x.rows());
+        // The comparator sees each estimated row as it is produced and
+        // keeps key IDs, never scores: no n x n matrix is held.
+        self.hook
+            .detector(layer, head)
+            .for_each_quantized_score_row(self.hook.config(), self.params, x, |_, row| {
+                let mut keep = Vec::new();
+                topk::threshold_set(row, thresh, &mut keep);
+                if keep.is_empty() {
+                    // A starved row keeps its single strongest key so
+                    // its output stays defined (as the Scheduler would).
+                    keep.push(topk::top_k_indices(row, 1)[0] as u32);
+                }
+                if let Some(cap) = self.max_per_row {
+                    // Strongest first; the sort is stable, so ties stay in
+                    // index order.
+                    let strength = |j: &u32| row[*j as usize];
+                    keep.sort_by(|a, b| {
+                        let by_value = strength(b).partial_cmp(&strength(a));
+                        by_value.unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    keep.truncate(cap.min(row.len()));
+                }
+                selection.push(keep);
+            });
+        Some(selection)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DetectorConfig;
     use dota_transformer::TransformerConfig;
 
     fn setup() -> (Model, ParamSet, DotaHook, Vec<Vec<usize>>) {
@@ -189,6 +180,68 @@ mod tests {
             .map(|s| (0..24).map(|i| (i * 7 + s) % 12).collect())
             .collect();
         (model, params, hook, validation)
+    }
+
+    /// The hook as it was before it took the row stream: the materialised
+    /// estimate, every kept key carried with its score.
+    fn select_by_matrix(
+        th: &ThresholdHook<'_>,
+        layer: usize,
+        head: usize,
+        x: &Matrix,
+    ) -> Vec<Vec<u32>> {
+        let scores = th
+            .hook
+            .inference(th.params)
+            .estimated_scores(layer, head, x);
+        let thresh = th.table.threshold(layer, head);
+        (0..scores.rows())
+            .map(|r| {
+                let row = scores.row(r);
+                let mut keep: Vec<(f32, u32)> = row
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v >= thresh)
+                    .map(|(j, &v)| (v, j as u32))
+                    .collect();
+                if keep.is_empty() {
+                    let best = topk::top_k_indices(row, 1)[0] as u32;
+                    keep.push((row[best as usize], best));
+                }
+                if let Some(cap) = th.max_per_row {
+                    keep.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+                    keep.truncate(cap.min(scores.cols()));
+                }
+                keep.into_iter().map(|(_, j)| j).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_comparator_matches_materialised_oracle() {
+        // Past one 64-key block, with a NaN row and starved ones.
+        let mut params = ParamSet::new();
+        let model = Model::init(TransformerConfig::tiny(70, 12, 2), &mut params, 31);
+        let cfg = DetectorConfig::new(0.25).with_sigma(0.5);
+        let hook = DotaHook::init(cfg, model.config(), &mut params);
+        let validation = vec![(0..70).map(|i| (i * 7) % 12).collect::<Vec<usize>>()];
+        let ids: Vec<usize> = (0..70).map(|i| (i * 5 + 1) % 12).collect();
+        let mut xs = crate::metrics::layer_inputs(&model, &params, &ids);
+        xs[1].row_mut(3).fill(f32::NAN);
+        for retention in [0.02, 0.25, 0.9] {
+            let table = calibrate_thresholds(&model, &params, &hook, &validation, retention);
+            for cap in [None, Some(1), Some(5), Some(200)] {
+                let mut th = ThresholdHook::new(&hook, &params, table.clone());
+                th.max_per_row = cap;
+                for (l, h) in [(0, 0), (1, 1)] {
+                    assert_eq!(
+                        th.select(l, h, &xs[l]).unwrap(),
+                        select_by_matrix(&th, l, h, &xs[l]),
+                        "retention {retention}, cap {cap:?}, layer {l}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -91,14 +91,10 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         // exact ascending-k dot per sketch row, no operand packed or copied.
         let q = q_row.row(0);
         let scores: Vec<f32> = sketches.rows_iter().map(|k| Matrix::dot(q, k)).collect();
-        let keep = ((self.cfg.retention_for_layer(layer) * cache_len as f64).round() as usize)
-            .clamp(1, cache_len);
-        Some(
-            topk::top_k_indices(&scores, keep)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect(),
-        )
+        let keep = self.cfg.keys_per_row_for_layer(layer, cache_len);
+        let mut kept = Vec::with_capacity(keep);
+        topk::top_k_set(&scores, keep, &mut Vec::new(), &mut kept);
+        Some(kept)
     }
 }
 
@@ -279,6 +275,46 @@ mod tests {
                     proptest::prop_assert!(caches[i].keys(l) == cache.keys(l));
                     proptest::prop_assert!(caches[i].values(l) == cache.values(l));
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Fed one position at a time, the selector keeps exactly what the
+        /// ordered `top_k_indices` keeps of the same sketch scores — as a
+        /// set, ascending — while the cache grows past one 8-lane compare
+        /// and one 64-key block.
+        #[test]
+        fn decode_selector_matches_top_k_indices_oracle(seed in 0u64..1 << 32) {
+            use dota_tensor::rng::SeededRng;
+
+            let (model, params, hook) = setup();
+            let cfg = model.config();
+            let selector = DotaDecodeSelector::new(&hook, &params, cfg.n_layers, cfg.n_heads);
+            let det = hook.detector(1, 0);
+            let mut rng = SeededRng::new(seed);
+            let mut sketches: Vec<Vec<f32>> = Vec::new();
+            for t in 1..=70 {
+                let mut x = rng.normal_matrix(1, cfg.d_model, 1.0);
+                if t % 9 == 0 {
+                    // A repeated input: its sketch ties with an earlier one.
+                    x = Matrix::filled(1, cfg.d_model, 0.5);
+                }
+                let xp = x.matmul(det.projection()).unwrap();
+                let k_row = xp.matmul(params.value(det.wk_tilde())).unwrap();
+                let q_row = xp.matmul(params.value(det.wq_tilde())).unwrap();
+                sketches.push(k_row.row(0).to_vec());
+                let scores: Vec<f32> = sketches
+                    .iter()
+                    .map(|k| Matrix::dot(q_row.row(0), k))
+                    .collect();
+                let keep = hook.config().keys_per_row_for_layer(1, t);
+                let mut want: Vec<u32> = topk::top_k_indices(&scores, keep)
+                    .into_iter()
+                    .map(|i| i as u32)
+                    .collect();
+                want.sort_unstable();
+                proptest::prop_assert_eq!(selector.select(1, 0, &x, t), Some(want), "position {}", t);
             }
         }
     }

@@ -218,14 +218,25 @@ impl InferenceHook for DotaInferenceHook<'_> {
                 return Some(bad);
             }
         }
-        let scores = self.estimated_scores(layer, head, x);
-        let sel = LowRankDetector::select_for_layer(&self.hook.cfg, &scores, Some(layer));
-        if dota_metrics::hist_enabled() {
-            dota_metrics::observe_many(
-                &format!("detector.scores.L{layer}.H{head}"),
-                scores.as_slice().iter().map(|&s| f64::from(s)),
-            );
-        }
+        let cfg = &self.hook.cfg;
+        let observed = dota_metrics::hist_enabled();
+        let sel = if self.quantized && !observed {
+            // The deployed path: estimate and select fused per query row.
+            let det = self.hook.detector(layer, head);
+            det.select_quantized(cfg, self.params, x, layer)
+        } else {
+            // The FP32 reference point ranks the float product it is
+            // defined by, and a live histogram session observes every
+            // estimated score: both hold the matrix while they run.
+            let scores = self.estimated_scores(layer, head, x);
+            if observed {
+                dota_metrics::observe_many(
+                    &format!("detector.scores.L{layer}.H{head}"),
+                    scores.as_slice().iter().map(|&s| f64::from(s)),
+                );
+            }
+            LowRankDetector::select_for_layer(cfg, &scores, Some(layer))
+        };
         if dota_trace::enabled() {
             let n = x.rows() as u64;
             dota_trace::count("detector.selections", 1);
@@ -380,6 +391,122 @@ mod tests {
         let trace = model.infer(&params, &ids, &hook.inference(&params));
         assert_eq!(trace.fallback_dense, 0);
         assert!((trace.retention() - 0.25).abs() < 1e-9);
+    }
+
+    /// What the parent of the fused path computed: the materialised
+    /// estimate through the ordered `top_k_rows`, each row then sorted.
+    fn materialised_selection(
+        bound: &DotaInferenceHook<'_>,
+        layer: usize,
+        head: usize,
+        x: &Matrix,
+    ) -> Vec<Vec<u32>> {
+        let scores = bound.estimated_scores(layer, head, x);
+        let keep = bound.hook.cfg.keys_per_row_for_layer(layer, x.rows());
+        topk::top_k_rows(&scores, keep)
+            .into_iter()
+            .map(|row| {
+                let mut row: Vec<u32> = row.into_iter().map(|j| j as u32).collect();
+                row.sort_unstable();
+                row
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The fused select — no score matrix, integer keys wherever the
+        /// scale guard allows — keeps exactly what ranking the materialised
+        /// estimate keeps: lengths off the 8- and 64-key grids, every
+        /// precision that has an integer path, ranks on both sides of the
+        /// column/depth kernel switch, `k` from 1 to `n`, a per-layer
+        /// schedule, and inputs scaled until the product of the operand
+        /// scales underflows, overflows or vanishes (where rows go through
+        /// the `f32` front instead). The FP32 hook, which ranks a float
+        /// product, is held to the same oracle.
+        #[test]
+        fn fused_select_matches_materialised_oracle(
+            seed in 0u64..1 << 32,
+            n in 1usize..=200,
+            rank in 1usize..=20,
+            precision in 0usize..3,
+            keep in 0usize..3,
+            input in 0usize..10,
+        ) {
+            use dota_quant::Precision;
+            use dota_tensor::rng::SeededRng;
+
+            let model_cfg = TransformerConfig {
+                d_model: 40,
+                ..TransformerConfig::tiny(n, 8, 2)
+            };
+            // Head dimension 20: sigma picks the rank exactly.
+            let cfg = DetectorConfig::new([1e-9, 0.37, 1.0][keep])
+                .with_sigma(((rank as f64 + 0.5) / 20.0).min(1.0))
+                .with_precision([Precision::Int2, Precision::Int4, Precision::Int8][precision])
+                .with_layer_retentions(vec![0.11]);
+            let mut params = ParamSet::new();
+            let hook = DotaHook::init(cfg, &model_cfg, &mut params);
+            proptest::prop_assert_eq!(hook.detector(0, 0).rank(), rank);
+
+            let mut rng = SeededRng::new(seed);
+            let mut x = rng.normal_matrix(n, 40, 1.0);
+            match input {
+                0 => x = x.scale(2f32.powi(60)),
+                1 => x = x.scale(2f32.powi(-60)),
+                2 => x = x.scale(2f32.powi(-70)),
+                3 => x = Matrix::filled(n, 40, 1e-45),
+                4 => x = Matrix::zeros(n, 40),
+                5 => x.row_mut(rng.below(n)).fill(f32::NAN),
+                6 => x[(rng.below(n), 3)] = 1e30,
+                _ => {}
+            }
+            for (layer, head) in [(0, 1), (1, 0)] {
+                for bound in [hook.inference(&params), hook.inference_f32(&params)] {
+                    let want = materialised_selection(&bound, layer, head, &x);
+                    let got = bound.select(layer, head, &x).expect("the detector selects");
+                    proptest::prop_assert_eq!(
+                        &got, &want,
+                        "layer {} n {} rank {} input {} quantized {}",
+                        layer, n, rank, input, bound.quantized
+                    );
+                    let scores = bound.estimated_scores(layer, head, &x);
+                    let by_matrix =
+                        LowRankDetector::select_for_layer(hook.config(), &scores, Some(layer));
+                    proptest::prop_assert_eq!(&by_matrix, &want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_select_the_lowest_indices() {
+        // Every estimated score ties (all-zero codes): the tie rule keeps
+        // the lowest k indices of each row — and nothing panics on the way
+        // (a 1e-45 input used to underflow the quantizer's scale to zero).
+        let (model, hook, params) = setup();
+        let d = model.config().d_model;
+        for fill in [1e-45, f32::NAN, 0.0] {
+            let x = Matrix::filled(8, d, fill);
+            let sel = hook.inference(&params).select(1, 1, &x).unwrap();
+            assert_eq!(sel, vec![vec![0, 1]; 8], "x filled with {fill}");
+        }
+    }
+
+    #[test]
+    fn histogram_session_sees_every_estimated_score() {
+        let (model, hook, params) = setup();
+        let ids = vec![1, 2, 3, 4, 5, 6, 7, 0];
+        let plain = model.infer(&params, &ids, &hook.inference(&params));
+        let session = dota_metrics::hist_session("detector_scores");
+        let observed = model.infer(&params, &ids, &hook.inference(&params));
+        // Watching changes nothing, and every head's n x n scores arrive.
+        assert_eq!(observed.logits, plain.logits);
+        for (l, h) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let hist = session
+                .histogram(&format!("detector.scores.L{l}.H{h}"))
+                .expect("scores observed");
+            assert_eq!(hist.count(), 64);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use crate::{DetectorConfig, SelectionStrategy};
 use dota_autograd::{Graph, ParamId, ParamSet, Var};
-use dota_quant::Quantizer;
+use dota_quant::qgemm::scaling_preserves_order;
+use dota_quant::{QuantizedMatrix, Quantizer};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::{topk, Matrix};
 
@@ -87,17 +88,18 @@ impl LowRankDetector {
         g.matmul_nt(q_tilde, k_tilde)
     }
 
-    /// Quantized inference path: `X P` is computed in float (the projection
-    /// is ternary — in hardware it is adds/subtracts), then `X P`, `W̃_Q`
-    /// and `W̃_K` are quantized to `cfg.precision` and all remaining GEMMs
-    /// run in integer arithmetic, exactly like the RMMU's low-precision
-    /// rows.
-    pub fn estimated_scores_quantized(
+    /// The sketch step of the quantized inference path: `X P` is computed
+    /// in float (the projection is ternary — in hardware it is
+    /// adds/subtracts), then `X P`, `W̃_Q` and `W̃_K` are quantized to
+    /// `cfg.precision` and `Q̃`, `K̃` come out of integer GEMMs, exactly
+    /// like the RMMU's low-precision rows. Returns `(Q̃, K̃)` requantized
+    /// for the score product.
+    fn quantized_sketches(
         &self,
         cfg: &DetectorConfig,
         params: &ParamSet,
         x: &Matrix,
-    ) -> Matrix {
+    ) -> (QuantizedMatrix, QuantizedMatrix) {
         let xp = x.matmul(&self.projection).expect("projection shape");
         let quant = Quantizer::symmetric(cfg.precision);
         let q_xp = quant.quantize(&xp);
@@ -111,11 +113,86 @@ impl LowRankDetector {
         let k_tilde = q_xp
             .matmul_nt_dequant(&transpose_quantized(&q_wk, cfg))
             .expect("shape");
-        // …then S̃ = Q̃ K̃^T, requantized as the RMMU would before the
+        // …requantized as the RMMU would before S̃ = Q̃ K̃^T and the
         // Detector's threshold comparison.
-        let q_q = quant.quantize(&q_tilde);
-        let q_k = quant.quantize(&k_tilde);
-        q_q.matmul_nt_dequant(&q_k).expect("shape")
+        (quant.quantize(&q_tilde), quant.quantize(&k_tilde))
+    }
+
+    /// Quantized inference path: the estimated scores `S̃ = Q̃ K̃^T` of the
+    /// requantized sketches, as a matrix — the analysis API (detection
+    /// quality, calibration) and the oracle of
+    /// [`select_quantized`](Self::select_quantized), which never builds it.
+    pub fn estimated_scores_quantized(
+        &self,
+        cfg: &DetectorConfig,
+        params: &ParamSet,
+        x: &Matrix,
+    ) -> Matrix {
+        let (q, k) = self.quantized_sketches(cfg, params, x);
+        q.matmul_nt_dequant(&k).expect("shape")
+    }
+
+    /// [`estimated_scores_quantized`](Self::estimated_scores_quantized) one
+    /// query row at a time: `f(i, scores)` sees the bits row `i` of the
+    /// matrix would hold, and the matrix never exists — the Detector's
+    /// comparator (§4.3) streams, it does not store.
+    pub fn for_each_quantized_score_row(
+        &self,
+        cfg: &DetectorConfig,
+        params: &ParamSet,
+        x: &Matrix,
+        f: impl FnMut(usize, &[f32]),
+    ) {
+        let (q, k) = self.quantized_sketches(cfg, params, x);
+        q.for_each_score_row(&k, f).expect("shape");
+    }
+
+    /// The deployed selection at `layer`: what
+    /// [`select_for_layer`](Self::select_for_layer) keeps of
+    /// [`estimated_scores_quantized`](Self::estimated_scores_quantized),
+    /// every row ascending. Under [`SelectionStrategy::BalancedTopK`] the
+    /// estimate is consumed one query row at a time and no `n × n` matrix
+    /// is held: each row is ranked as the integer accumulators it already
+    /// is whenever [`scaling_preserves_order`] says the dequantizing scale
+    /// cannot reorder or merge them, and as scaled `f32` scores otherwise
+    /// (a product scale that underflowed or overflowed, codes wider than
+    /// 8 bits) — the same set either way.
+    pub fn select_quantized(
+        &self,
+        cfg: &DetectorConfig,
+        params: &ParamSet,
+        x: &Matrix,
+        layer: usize,
+    ) -> Vec<Vec<u32>> {
+        if cfg.strategy == SelectionStrategy::GlobalThreshold {
+            // One threshold over all n² scores: this ablation needs them all.
+            let scores = self.estimated_scores_quantized(cfg, params, x);
+            return Self::select_for_layer(cfg, &scores, Some(layer));
+        }
+        let (q, k) = self.quantized_sketches(cfg, params, x);
+        let keep = cfg.keys_per_row_for_layer(layer, k.rows());
+        let mut selection = Vec::with_capacity(q.rows());
+        if let Some((q8, k8)) = q.narrowed_with(&k) {
+            let bound = q8.acc_bound(&k8);
+            if scaling_preserves_order(bound, q8.scale() * k8.scale()) {
+                let bound = bound as i32;
+                q8.for_each_acc_row(&k8, |_, acc| {
+                    let mut row = Vec::with_capacity(keep);
+                    topk::top_k_set_keys(acc, keep, -bound, bound, &mut row);
+                    selection.push(row);
+                })
+                .expect("shape");
+                return selection;
+            }
+        }
+        let mut keys = Vec::new();
+        q.for_each_score_row(&k, |_, scores| {
+            let mut row = Vec::with_capacity(keep);
+            topk::top_k_set(scores, keep, &mut keys, &mut row);
+            selection.push(row);
+        })
+        .expect("shape");
+        selection
     }
 
     /// Float (FP32) inference path, for the Fig. 14b precision ablation.
@@ -127,7 +204,7 @@ impl LowRankDetector {
     }
 
     /// Converts estimated scores into the per-row key selection according to
-    /// the configured strategy, at the base retention.
+    /// the configured strategy, at the base retention; every row ascending.
     pub fn select(cfg: &DetectorConfig, scores: &Matrix) -> Vec<Vec<u32>> {
         Self::select_for_layer(cfg, scores, None)
     }
@@ -141,18 +218,26 @@ impl LowRankDetector {
     ) -> Vec<Vec<u32>> {
         let n_rows = scores.rows();
         let n_cols = scores.cols();
-        let retention = layer
-            .map(|l| cfg.retention_for_layer(l))
-            .unwrap_or(cfg.retention);
         match cfg.strategy {
             SelectionStrategy::BalancedTopK => {
-                let k = ((retention * n_cols as f64).round() as usize).clamp(1, n_cols);
-                topk::top_k_rows(scores, k)
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|i| i as u32).collect())
+                let k = match layer {
+                    Some(l) => cfg.keys_per_row_for_layer(l, n_cols),
+                    None => cfg.keys_per_row(n_cols),
+                };
+                let mut keys = Vec::with_capacity(n_cols);
+                scores
+                    .rows_iter()
+                    .map(|row| {
+                        let mut kept = Vec::with_capacity(k);
+                        topk::top_k_set(row, k, &mut keys, &mut kept);
+                        kept
+                    })
                     .collect()
             }
             SelectionStrategy::GlobalThreshold => {
+                let retention = layer
+                    .map(|l| cfg.retention_for_layer(l))
+                    .unwrap_or(cfg.retention);
                 // Keep the strongest `retention` fraction of all entries.
                 let total = n_rows * n_cols;
                 let keep = ((retention * total as f64).round() as usize).clamp(1, total);
@@ -187,10 +272,7 @@ impl LowRankDetector {
 /// Transposes a quantized matrix by dequantizing, transposing and
 /// requantizing with the same scale (codes are preserved exactly — the
 /// operation is a pure layout change, as in hardware).
-fn transpose_quantized(
-    q: &dota_quant::QuantizedMatrix,
-    cfg: &DetectorConfig,
-) -> dota_quant::QuantizedMatrix {
+fn transpose_quantized(q: &QuantizedMatrix, cfg: &DetectorConfig) -> QuantizedMatrix {
     let deq = q.dequantize().transpose();
     Quantizer::symmetric(cfg.precision).quantize_with_scale(&deq, q.scale())
 }
@@ -263,6 +345,35 @@ mod tests {
             "INT8 {r8} should match f32 at least as well as INT2 {r2}"
         );
         assert!(r8 > 0.8, "INT8 recall {r8}");
+    }
+
+    #[test]
+    fn extreme_product_scales_leave_the_integer_path() {
+        // Whether `select_quantized` may rank accumulators is decided per
+        // call from the operands' scales; both sides of that decision are
+        // held to the materialised oracle in `hook.rs`.
+        let (cfg, det, params) = setup(0.5);
+        let x = SeededRng::new(9).normal_matrix(12, 32, 1.0);
+        let integer_keys = |x: &Matrix| {
+            let (q, k) = det.quantized_sketches(&cfg, &params, x);
+            let (q8, k8) = q.narrowed_with(&k).expect("INT4 codes fit a byte");
+            scaling_preserves_order(q8.acc_bound(&k8), q8.scale() * k8.scale())
+        };
+        assert!(integer_keys(&x));
+        assert!(integer_keys(&Matrix::zeros(12, 32)));
+        // The product of the two sketch scales underflows…
+        assert!(!integer_keys(&x.scale(2f32.powi(-70))));
+        // …or the largest possible score overflows.
+        assert!(!integer_keys(&x.scale(2f32.powi(60))));
+        // Codes wider than a byte have no accumulator stream at all.
+        let wide = cfg.clone().with_precision(dota_quant::Precision::Fx16);
+        let (q, k) = det.quantized_sketches(&wide, &params, &x);
+        assert!(q.narrowed_with(&k).is_none());
+        let scores = det.estimated_scores_quantized(&wide, &params, &x);
+        assert_eq!(
+            det.select_quantized(&wide, &params, &x, 0),
+            LowRankDetector::select_for_layer(&wide, &scores, Some(0))
+        );
     }
 
     #[test]

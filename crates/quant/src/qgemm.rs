@@ -9,7 +9,18 @@
 //!   bits fits), with an i32-accumulating `A·Bᵀ` kernel that runs AVX2
 //!   `madd` lanes when the host has them.
 //! * [`Int4Packed`] — two INT4 codes per byte (the storage the RMMU's
-//!   bit-fusion blocks assume), unpacked strip-wise into the `i8` kernel.
+//!   bit-fusion blocks assume), unpacked into the `i8` kernel.
+//!
+//! The kernels produce *accumulators*, one output row at a time
+//! ([`Int8Matrix::for_each_acc_row`]): exact `i32` dot products, which is
+//! all an integer GEMM is. The scales are an epilogue — `push_scaled`,
+//! `acc as f32 * (scale_a · scale_b)`, the one expression every
+//! dequantizing caller shares — so a consumer that only ranks a row (the
+//! detector's top-k, §3.1) or compares it with a threshold (§4.3) takes
+//! the stream and never holds the `n × n` product, while
+//! `matmul_nt_dequant` is that stream written into a matrix.
+//! [`scaling_preserves_order`] states when the epilogue cannot change a
+//! ranking, i.e. when the accumulators may be ranked as they are.
 //!
 //! Integer addition is associative, so the SIMD and scalar paths are
 //! bitwise identical by construction — no kernel-family knob is needed
@@ -17,8 +28,9 @@
 //! [`QuantizedMatrix`]'s: symmetric, zero-point 0, output scaled by the
 //! product of the operand scales.
 //!
-//! [`QuantizedMatrix::matmul_nt_dequant`] routes through the `i8` kernel
-//! automatically whenever its operands fit, so the detector's estimated
+//! [`QuantizedMatrix::matmul_nt_dequant`] (and its row stream,
+//! [`QuantizedMatrix::for_each_score_row`]) route through the `i8` kernel
+//! automatically whenever the operands fit, so the detector's estimated
 //! scores (the `S̃ = Q̃·K̃ᵀ` path) get the fast kernel without callers
 //! changing.
 
@@ -111,27 +123,80 @@ impl Int8Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Largest magnitude an accumulator of `self · otherᵀ` can reach: the
+    /// depth times the product of the two precisions' most negative codes.
+    pub fn acc_bound(&self, other: &Int8Matrix) -> i64 {
+        let widest = |p: Precision| -i64::from(p.qmin());
+        self.cols as i64 * widest(self.precision) * widest(other.precision)
+    }
+
+    /// The integer product `self · otherᵀ` as a stream of output rows:
+    /// calls `f(i, acc)` for `i` ascending, `acc[j]` the exact `i32` dot
+    /// product of row `i` of `self` with row `j` of `other`. Nothing the
+    /// size of the product is held — one row buffer, reused — so a caller
+    /// that only ranks or thresholds a row never pays for the matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when the inner dimensions disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the depth is [`I32_SAFE_K`] or more (the sums could leave
+    /// `i32`).
+    pub fn for_each_acc_row(
+        &self,
+        other: &Int8Matrix,
+        mut f: impl FnMut(usize, &[i32]),
+    ) -> Result<(), ShapeError> {
+        self.check_depth(other)?;
+        assert!(
+            self.cols < I32_SAFE_K,
+            "depth {} is not i32-safe",
+            self.cols
+        );
+        let kernel = Kernel::for_product(&other.data, self.cols);
+        // Whole 8-lane groups, so the column kernel stores full vectors.
+        let mut acc = vec![0i32; other.rows.next_multiple_of(8)];
+        for i in 0..self.rows {
+            kernel.acc_row(self.code_row(i), other.rows, &mut acc);
+            f(i, &acc[..other.rows]);
+        }
+        Ok(())
+    }
+
     /// Integer matrix product with transposed right operand,
     /// `self · otherᵀ`, dequantized by both scales — the low-precision
-    /// score kernel, on host lanes.
+    /// score kernel, on host lanes: [`Int8Matrix::for_each_acc_row`] with
+    /// `acc as f32 * scale` as each row's epilogue.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when the inner dimensions disagree.
     pub fn matmul_nt_dequant(&self, other: &Int8Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != other.cols {
-            return Err(ShapeError::new(
-                "qmatmul_nt_i8",
-                (self.rows, self.cols),
-                (other.rows, other.cols),
-            ));
-        }
+        self.check_depth(other)?;
         let _prof = dota_prof::span("gemm.qmatmul_nt_i8");
+        Ok(self.dequant_product(other))
+    }
+
+    fn check_depth(&self, other: &Int8Matrix) -> Result<(), ShapeError> {
+        if self.cols == other.cols {
+            return Ok(());
+        }
+        Err(ShapeError::new(
+            "qmatmul_nt_i8",
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+        ))
+    }
+
+    /// `self · otherᵀ` dequantized, depths already checked equal.
+    fn dequant_product(&self, other: &Int8Matrix) -> Matrix {
         let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
         if self.cols >= I32_SAFE_K {
             // i64 fallback for pathological depths; never hit by the
             // paper's sequence lengths.
+            let mut out = Matrix::zeros(self.rows, other.rows);
             for i in 0..self.rows {
                 let a = self.code_row(i);
                 let row = out.row_mut(i);
@@ -141,14 +206,36 @@ impl Int8Matrix {
                     *o = acc as f32 * out_scale;
                 }
             }
-            return Ok(out);
+            return out;
         }
-        let kernel = Kernel::for_product(&other.data, self.cols);
-        for i in 0..self.rows {
-            kernel.score_row(self.code_row(i), out_scale, out.row_mut(i));
-        }
-        Ok(out)
+        // Rows are appended as they are scaled: the matrix is written
+        // once, never zeroed first.
+        let mut data = Vec::with_capacity(self.rows * other.rows);
+        self.for_each_acc_row(other, |_, acc| push_scaled(acc, out_scale, &mut data))
+            .expect("depths checked equal");
+        Matrix::from_vec(self.rows, other.rows, data).expect("one row per row of self")
     }
+}
+
+/// The dequantising epilogue of one output row: appends `acc[j] as f32 *
+/// out_scale` for every `j` — the one place the integer product meets the
+/// scales, so every kernel and every caller produces the same bits.
+pub(crate) fn push_scaled(acc: &[i32], out_scale: f32, out: &mut Vec<f32>) {
+    out.extend(acc.iter().map(|&a| a as f32 * out_scale));
+}
+
+/// Whether `acc as f32 * scale` is strictly increasing over every integer
+/// of `-bound..=bound`, so that ranking accumulators *is* ranking the
+/// dequantised scores (ties included; no NaN, no `-0.0` can arise).
+///
+/// Below `2^22` the conversion is exact and neighbouring integers differ by
+/// more than an ulp of either, which survives one correctly rounded
+/// multiplication by a positive normal `scale` as long as nothing leaves
+/// the normal range: `|acc| >= 1` keeps products at or above `scale`, and
+/// `bound · scale` finite keeps them below infinity. A product of operand
+/// scales that underflowed, overflowed or is NaN is refused here.
+pub fn scaling_preserves_order(bound: i64, scale: f32) -> bool {
+    bound < 1 << 22 && scale.is_normal() && scale > 0.0 && (bound as f32 * scale).is_finite()
 }
 
 /// Depths below this run [`Kernel::Avx2Columns`]: under one 16-lane step
@@ -159,9 +246,8 @@ const COLUMN_KERNEL_BELOW: usize = 16;
 
 /// The `i8` kernel of one `A·Bᵀ` product with its right operand, decided
 /// (and, for small depths, re-laid-out) once per product instead of once
-/// per output element. All kernels produce identical bits: integer
-/// addition is associative, and the `i32 → f32` conversion and the scaling
-/// are the same two operations per element everywhere.
+/// per output element. All kernels produce identical accumulators: integer
+/// addition is associative.
 enum Kernel<'b> {
     /// Inlined scalar loop over the row-major codes: every host.
     Scalar(&'b [i8]),
@@ -193,39 +279,39 @@ impl<'b> Kernel<'b> {
         Kernel::Scalar(b)
     }
 
-    /// One output row: `out[j] = (a · b_j) · out_scale` over the rows `b_j`
-    /// of the right operand, each `a.len() < `[`I32_SAFE_K`] codes long.
-    fn score_row(&self, a: &[i8], out_scale: f32, out: &mut [f32]) {
+    /// One output row of accumulators: `acc[j] = a · b_j` for the `n` rows
+    /// `b_j` of the right operand, each `a.len() < `[`I32_SAFE_K`] codes
+    /// long. `acc` holds `n` rounded up to a multiple of eight; what lies
+    /// past `n` is scratch.
+    fn acc_row(&self, a: &[i8], n: usize, acc: &mut [i32]) {
         let k = a.len();
         debug_assert!(k < I32_SAFE_K);
+        assert_eq!(acc.len(), n.next_multiple_of(8), "row buffer");
         match self {
             Kernel::Scalar(b) => {
-                debug_assert_eq!(b.len(), k * out.len());
-                for (j, o) in out.iter_mut().enumerate() {
+                debug_assert_eq!(b.len(), k * n);
+                for (j, o) in acc[..n].iter_mut().enumerate() {
                     let b_j = &b[j * k..(j + 1) * k];
-                    let acc: i32 = a.iter().zip(b_j).map(|(&x, &y)| x as i32 * y as i32).sum();
-                    *o = acc as f32 * out_scale;
+                    *o = a.iter().zip(b_j).map(|(&x, &y)| x as i32 * y as i32).sum();
                 }
             }
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2Depth(b) => {
-                assert_eq!(b.len(), k * out.len(), "operand shape");
-                // SAFETY: `for_product` verified AVX2 before building this
-                // variant; the row count is asserted above.
-                unsafe { score_row_avx2(a, b, out_scale, out) }
+                assert_eq!(b.len(), k * n, "operand shape");
+                for (j, o) in acc[..n].iter_mut().enumerate() {
+                    // SAFETY: `for_product` verified AVX2 before building
+                    // this variant; both slices are `k` codes long.
+                    *o = unsafe { dot_i8_avx2(a, &b[j * k..(j + 1) * k]) };
+                }
             }
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2Columns(pairs) => {
                 assert!(k < COLUMN_KERNEL_BELOW, "depth {k} has no column kernel");
-                assert_eq!(
-                    pairs.len(),
-                    out.len().div_ceil(8) * k.div_ceil(2) * 16,
-                    "operand shape"
-                );
+                assert_eq!(pairs.len(), acc.len() * k.div_ceil(2) * 2, "operand shape");
                 // SAFETY: `for_product` verified AVX2 before building this
-                // variant; depth and the interleaved length are asserted
-                // above.
-                unsafe { score_row_columns_avx2(a, pairs, out_scale, out) }
+                // variant; depth, the interleaved length and the whole
+                // 8-lane groups of `acc` are asserted above.
+                unsafe { acc_row_columns_avx2(a, pairs, acc) }
             }
         }
     }
@@ -254,11 +340,12 @@ fn interleave_pairs(b: &[i8], k: usize) -> Vec<i16> {
 
 /// # Safety
 ///
-/// Requires AVX2; `a.len() < 16` and `pairs` must be [`interleave_pairs`]
-/// of `out.len()` rows of that depth.
+/// Requires AVX2; `a.len() < 16`, `acc.len()` a multiple of eight and
+/// `pairs` [`interleave_pairs`] of that depth with one block per eight
+/// accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_row_columns_avx2(a: &[i8], pairs: &[i16], out_scale: f32, out: &mut [f32]) {
+unsafe fn acc_row_columns_avx2(a: &[i8], pairs: &[i16], acc: &mut [i32]) {
     use std::arch::x86_64::*;
     let n_pairs = a.len().div_ceil(2);
     // Each depth pair of `a`, both halves in one i32, in every lane.
@@ -268,38 +355,17 @@ unsafe fn score_row_columns_avx2(a: &[i8], pairs: &[i16], out_scale: f32, out: &
         let hi = pair.get(1).map_or(0, |&c| i32::from(c));
         a_pairs[p] = _mm256_set1_epi32(hi << 16 | lo);
     }
-    let scale = _mm256_set1_ps(out_scale);
     let mut block = pairs.as_ptr() as *const __m256i;
-    for chunk in out.chunks_mut(8) {
-        let mut acc = _mm256_setzero_si256();
+    for group in acc.chunks_exact_mut(8) {
+        let mut sum = _mm256_setzero_si256();
         for a_pair in &a_pairs[..n_pairs] {
-            // SAFETY: `pairs` holds `n_pairs` 16-value groups per chunk of
-            // `out`; loadu takes any alignment.
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(*a_pair, _mm256_loadu_si256(block)));
+            // SAFETY: `pairs` holds `n_pairs` 16-value groups per eight
+            // accumulators; loadu takes any alignment.
+            sum = _mm256_add_epi32(sum, _mm256_madd_epi16(*a_pair, _mm256_loadu_si256(block)));
             block = block.add(1);
         }
-        // `acc as f32 * out_scale`, eight at once.
-        let scored = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale);
-        if chunk.len() == 8 {
-            _mm256_storeu_ps(chunk.as_mut_ptr(), scored);
-        } else {
-            let mut tail = [0.0f32; 8];
-            _mm256_storeu_ps(tail.as_mut_ptr(), scored);
-            chunk.copy_from_slice(&tail[..chunk.len()]);
-        }
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2; `b` must hold `out.len()` rows of `a.len()` codes, of
-/// `i32`-safe depth.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn score_row_avx2(a: &[i8], b: &[i8], out_scale: f32, out: &mut [f32]) {
-    let k = a.len();
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = dot_i8_avx2(a, &b[j * k..(j + 1) * k]) as f32 * out_scale;
+        // SAFETY: `group` is eight `i32`s, the width of the store.
+        _mm256_storeu_si256(group.as_mut_ptr() as *mut __m256i, sum);
     }
 }
 
@@ -425,9 +491,26 @@ impl Int4Packed {
         }
     }
 
+    /// The same codes, one per byte.
+    fn unpack(&self) -> Int8Matrix {
+        let mut data = vec![0i8; self.rows * self.cols];
+        if self.cols > 0 {
+            for (r, row) in data.chunks_exact_mut(self.cols).enumerate() {
+                self.unpack_row(r, row);
+            }
+        }
+        Int8Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+            scale: self.scale,
+            precision: self.precision,
+        }
+    }
+
     /// Integer matrix product with transposed right operand,
-    /// `self · otherᵀ`, dequantized by both scales. Rows unpack into
-    /// per-call `i8` strips that then run the same kernel as
+    /// `self · otherᵀ`, dequantized by both scales. Both operands unpack
+    /// into per-call `i8` codes that then run the same kernel as
     /// [`Int8Matrix::matmul_nt_dequant`] — unpacking is O((m+n)·k)
     /// against O(m·n·k) arithmetic.
     ///
@@ -443,21 +526,7 @@ impl Int4Packed {
             ));
         }
         let _prof = dota_prof::span("gemm.qmatmul_nt_i4");
-        let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        // Unpack all of `other` once (it is re-read per output row), and
-        // one row of `self` at a time.
-        let mut b_codes = vec![0i8; other.rows * other.cols];
-        for j in 0..other.rows {
-            other.unpack_row(j, &mut b_codes[j * other.cols..(j + 1) * other.cols]);
-        }
-        let mut a_row = vec![0i8; self.cols];
-        let kernel = Kernel::for_product(&b_codes, self.cols);
-        for i in 0..self.rows {
-            self.unpack_row(i, &mut a_row);
-            kernel.score_row(&a_row, out_scale, out.row_mut(i));
-        }
-        Ok(out)
+        Ok(self.unpack().dequant_product(&other.unpack()))
     }
 }
 
@@ -506,6 +575,98 @@ mod tests {
                 assert_eq!(reference_bits(&qa, &qb), got_bits, "{p} depth {k} x {n}");
             }
         }
+    }
+
+    proptest::proptest! {
+        /// Every accumulator row of the stream equals an `i64` sum over the
+        /// wide codes: a lone code, one pair, the detector's rank, odd
+        /// depths, the last depth of the column kernel, then lanes along
+        /// the depth without and with a scalar tail — at every precision
+        /// that fits a byte, output counts on both sides of whole 8-lane
+        /// groups.
+        #[test]
+        fn acc_rows_match_i64_reference_oracle(
+            seed in 0u64..1 << 32,
+            depth in 0usize..7,
+            n in 1usize..27,
+            p in 0usize..3,
+        ) {
+            let k = [1, 2, 6, 7, 15, 16, 37][depth];
+            let p = [Precision::Int2, Precision::Int4, Precision::Int8][p];
+            let mut rng = SeededRng::new(seed);
+            let qa = Quantizer::symmetric(p).quantize(&rng.normal_matrix(5, k, 1.0));
+            let qb = Quantizer::symmetric(p).quantize(&rng.normal_matrix(n, k, 1.0));
+            let (a, b) = (Int8Matrix::from_quantized(&qa), Int8Matrix::from_quantized(&qb));
+            let mut seen = 0;
+            a.for_each_acc_row(&b, |i, acc| {
+                assert_eq!(i, seen, "rows arrive in order");
+                seen += 1;
+                let want: Vec<i64> = (0..n)
+                    .map(|j| {
+                        let (x, y) = (qa.code_row(i), qb.code_row(j));
+                        x.iter().zip(y).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
+                    })
+                    .collect();
+                let got: Vec<i64> = acc.iter().map(|&v| i64::from(v)).collect();
+                assert_eq!(got, want, "{p} depth {k} x {n}, row {i}");
+                assert!(want.iter().all(|v| v.abs() <= a.acc_bound(&b)));
+            })
+            .unwrap();
+            proptest::prop_assert_eq!(seen, 5);
+        }
+
+        /// The order argument behind ranking accumulators instead of
+        /// scores: wherever the guard holds, `acc as f32 * scale` is
+        /// strictly increasing — over all of the INT4 rank-6 range, and
+        /// over runs of neighbours anywhere below `2^22`.
+        #[test]
+        fn guarded_scaling_is_strictly_increasing_oracle(
+            scale_bits in 0x0080_0000u32..0x7f80_0000,
+            start in -(1i32 << 22) + 1..(1 << 22) - 64,
+        ) {
+            let scale = f32::from_bits(scale_bits);
+            let increasing = |from: i32, to: i32| {
+                (from..to).all(|acc| (acc as f32 * scale) < ((acc + 1) as f32 * scale))
+            };
+            if scaling_preserves_order(384, scale) {
+                proptest::prop_assert!(increasing(-384, 384), "scale {:e}", scale);
+            }
+            if scaling_preserves_order((1 << 22) - 1, scale) {
+                proptest::prop_assert!(increasing(start, start + 63), "scale {:e} from {}", scale, start);
+            }
+        }
+    }
+
+    #[test]
+    fn scaling_guard_refuses_what_collapses() {
+        assert!(scaling_preserves_order(384, 1.0));
+        assert!(scaling_preserves_order(384, f32::MIN_POSITIVE));
+        assert!(scaling_preserves_order((1 << 22) - 1, 3.0e-3));
+        // One scale just outside each condition, with the collapse it
+        // guards against.
+        let collapses = |scale: f32, a: i32| {
+            let (x, y) = (a as f32 * scale, (a + 1) as f32 * scale);
+            // Not strictly increasing: equal, or unordered (NaN).
+            x.partial_cmp(&y) != Some(std::cmp::Ordering::Less)
+        };
+        // A product of operand scales that underflowed to zero…
+        assert!(!scaling_preserves_order(384, 0.0) && collapses(0.0, 5));
+        // …or overflowed: every score is infinite or NaN.
+        assert!(!scaling_preserves_order(384, f32::INFINITY) && collapses(f32::INFINITY, 0));
+        assert!(!scaling_preserves_order(384, f32::NAN) && collapses(f32::NAN, 5));
+        assert!(!scaling_preserves_order(384, -1.0) && collapses(-1.0, 5));
+        // A finite scale whose largest products are not: the top of the
+        // range merges into +inf.
+        let huge = f32::MAX / 100.0;
+        assert!(!scaling_preserves_order(384, huge) && collapses(huge, 300));
+        assert!(scaling_preserves_order(99, huge));
+        // Accumulators past the exact range of the conversion merge before
+        // the scale is even applied.
+        assert!(!scaling_preserves_order(1 << 22, 1.0));
+        assert!(!scaling_preserves_order(1 << 25, 1.0) && collapses(1.0, 1 << 24));
+        // Subnormal scales are refused without a collapse to show: the
+        // product of the operand scales has already lost bits there.
+        assert!(!scaling_preserves_order(384, 1e-40));
     }
 
     #[test]

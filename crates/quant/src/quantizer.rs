@@ -1,4 +1,4 @@
-use crate::Precision;
+use crate::{Int8Matrix, Precision};
 use dota_tensor::{Matrix, ShapeError};
 
 /// Symmetric linear quantizer for a chosen [`Precision`].
@@ -39,12 +39,14 @@ impl Quantizer {
 
     /// Quantizes a matrix, choosing the scale from its absolute maximum.
     ///
-    /// An all-zero matrix quantizes with scale 1 so dequantization is exact.
+    /// An all-zero matrix quantizes with scale 1 so dequantization is exact,
+    /// and so does any matrix whose derived scale is not a positive finite
+    /// number — entries so small that `abs_max / qmax` underflows to zero
+    /// (every code is 0 either way), or an infinite `abs_max`.
     pub fn quantize(&self, m: &Matrix) -> QuantizedMatrix {
-        let qmax = self.precision.qmax() as f32;
-        let abs_max = m.abs_max();
-        let scale = if abs_max > 0.0 { abs_max / qmax } else { 1.0 };
-        self.quantize_with_scale(m, scale)
+        let scale = m.abs_max() / self.precision.qmax() as f32;
+        let usable = scale > 0.0 && scale.is_finite();
+        self.quantize_with_scale(m, if usable { scale } else { 1.0 })
     }
 
     /// Quantizes with an explicit scale (e.g. a calibrated activation scale
@@ -150,32 +152,83 @@ impl QuantizedMatrix {
     ///
     /// Returns a [`ShapeError`] when inner dimensions disagree.
     pub fn matmul_nt_dequant(&self, other: &QuantizedMatrix) -> Result<Matrix, ShapeError> {
-        if self.cols != other.cols {
-            return Err(ShapeError::new(
-                "qmatmul_nt",
-                (self.rows, self.cols),
-                (other.rows, other.cols),
-            ));
+        self.check_depth(other)?;
+        if let Some((a, b)) = self.narrowed_with(other) {
+            return a.matmul_nt_dequant(&b);
         }
-        if self.precision.bits() <= 8
-            && other.precision.bits() <= 8
-            && self.cols < crate::qgemm::I32_SAFE_K
-        {
-            return crate::qgemm::Int8Matrix::from_quantized(self)
-                .matmul_nt_dequant(&crate::qgemm::Int8Matrix::from_quantized(other));
-        }
-        let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
+        let mut data = Vec::with_capacity(self.rows * other.rows);
         for i in 0..self.rows {
-            let a = self.code_row(i);
-            let row = out.row_mut(i);
-            for j in 0..other.rows {
-                let b = other.code_row(j);
-                let acc: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
-                row[j] = acc as f32 * out_scale;
-            }
+            self.push_wide_score_row(i, other, &mut data);
         }
-        Ok(out)
+        Ok(Matrix::from_vec(self.rows, other.rows, data).expect("one row per row of self"))
+    }
+
+    /// [`matmul_nt_dequant`](Self::matmul_nt_dequant) as a stream of output
+    /// rows: calls `f(i, scores)` for `i` ascending with the bits row `i`
+    /// of the product matrix would hold, out of one reused row buffer — for
+    /// callers that rank or threshold a row and never need the matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when inner dimensions disagree.
+    pub fn for_each_score_row(
+        &self,
+        other: &QuantizedMatrix,
+        mut f: impl FnMut(usize, &[f32]),
+    ) -> Result<(), ShapeError> {
+        self.check_depth(other)?;
+        let mut scores = Vec::with_capacity(other.rows);
+        if let Some((a, b)) = self.narrowed_with(other) {
+            let out_scale = self.scale * other.scale;
+            return a.for_each_acc_row(&b, |i, acc| {
+                scores.clear();
+                crate::qgemm::push_scaled(acc, out_scale, &mut scores);
+                f(i, &scores);
+            });
+        }
+        for i in 0..self.rows {
+            scores.clear();
+            self.push_wide_score_row(i, other, &mut scores);
+            f(i, &scores);
+        }
+        Ok(())
+    }
+
+    fn check_depth(&self, other: &QuantizedMatrix) -> Result<(), ShapeError> {
+        if self.cols == other.cols {
+            return Ok(());
+        }
+        Err(ShapeError::new(
+            "qmatmul_nt",
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+        ))
+    }
+
+    /// Both operands as `i8` codes, when the [`crate::qgemm`] kernel can
+    /// take the product: codes of at most 8 bits and an `i32`-safe depth.
+    pub fn narrowed_with(&self, other: &QuantizedMatrix) -> Option<(Int8Matrix, Int8Matrix)> {
+        let fits = self.precision.bits() <= 8
+            && other.precision.bits() <= 8
+            && self.cols < crate::qgemm::I32_SAFE_K;
+        fits.then(|| {
+            (
+                Int8Matrix::from_quantized(self),
+                Int8Matrix::from_quantized(other),
+            )
+        })
+    }
+
+    /// Appends row `i` of `self · otherᵀ` from the wide codes, one `i64`
+    /// sum per element: any precision, any depth.
+    fn push_wide_score_row(&self, i: usize, other: &QuantizedMatrix, out: &mut Vec<f32>) {
+        let out_scale = self.scale * other.scale;
+        let a = self.code_row(i);
+        out.extend((0..other.rows).map(|j| {
+            let b = other.code_row(j);
+            let acc: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
+            acc as f32 * out_scale
+        }));
     }
 
     /// Quantization signal-to-noise ratio in dB against a reference matrix.
@@ -230,6 +283,40 @@ mod tests {
         let q = Quantizer::symmetric(Precision::Int4).quantize(&z);
         assert_eq!(q.dequantize(), z);
         assert_eq!(q.scale(), 1.0);
+    }
+
+    #[test]
+    fn underflowing_scale_quantizes_like_zero() {
+        // 1e-45 is the smallest subnormal: divided by any qmax above 1 it
+        // underflows to 0, which used to trip `quantize_with_scale`'s
+        // positive-scale assert.
+        for p in [Precision::Int2, Precision::Int4, Precision::Int8] {
+            for fill in [1e-45f32, -1e-45] {
+                let q = Quantizer::symmetric(p).quantize(&Matrix::filled(2, 2, fill));
+                if p.qmax() == 1 {
+                    // INT2 divides by one: the scale is the input itself.
+                    assert_eq!((q.scale(), q.code(0, 0).abs()), (1e-45, 1), "{p}");
+                } else {
+                    assert_eq!((q.scale(), q.code(0, 0)), (1.0, 0), "{p}");
+                }
+            }
+            // No finite maximum (NaN entries are skipped by `abs_max`), or
+            // an infinite one: scale 1 as well.
+            let q = Quantizer::symmetric(p).quantize(&Matrix::filled(2, 2, f32::NAN));
+            assert_eq!((q.scale(), q.code(1, 1)), (1.0, 0), "{p}");
+            let q = Quantizer::symmetric(p).quantize(&Matrix::filled(2, 2, f32::INFINITY));
+            assert_eq!((q.scale(), q.code(1, 1)), (1.0, p.qmax()), "{p}");
+            // The smallest input whose scale survives keeps its own scale.
+            let tiny = Matrix::filled(2, 2, 1e-45 * 256.0);
+            assert!(Quantizer::symmetric(p).quantize(&tiny).scale() < 1e-40);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be positive")]
+    fn explicit_zero_scale_still_rejected() {
+        let _ =
+            Quantizer::symmetric(Precision::Int4).quantize_with_scale(&Matrix::zeros(1, 1), 0.0);
     }
 
     #[test]

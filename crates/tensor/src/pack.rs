@@ -24,7 +24,8 @@ const POOL_CAP: usize = 32;
 
 static POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
 
-/// A zero-filled `f32` buffer checked out of the free list; returns there
+/// An `f32` buffer checked out of the free list — zero-filled by
+/// [`PoolBuf::take`], as found by [`PoolBuf::take_stale`]; returns there
 /// on drop. Capacity is retained across uses, so repeated GEMMs of the
 /// same shapes reach a steady state with no heap traffic at all.
 pub(crate) struct PoolBuf {
@@ -34,12 +35,22 @@ pub(crate) struct PoolBuf {
 impl PoolBuf {
     /// Checks a buffer of `len` zeroed elements out of the pool.
     pub(crate) fn take(len: usize) -> Self {
+        let mut taken = Self::take_stale(0);
+        taken.buf.resize(len, 0.0);
+        taken
+    }
+
+    /// Checks a buffer of `len` elements out of the pool as its last user
+    /// left it (zeros past what that user held): for the pack panels, whose
+    /// every element — padding included — the packing routines write
+    /// before the microkernel reads any. Saves a memset the size of both
+    /// panels per product.
+    pub(crate) fn take_stale(len: usize) -> Self {
         let mut buf = POOL
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        buf.clear();
         buf.resize(len, 0.0);
         Self { buf }
     }

@@ -559,7 +559,9 @@ pub(crate) fn packed_gemm(
         return;
     }
     let n_strips = n.div_ceil(NR);
-    let mut b_pack = PoolBuf::take(n_strips * k_dim * NR);
+    // Both panels are written in full before they are read (the packing
+    // routines zero their own padding), so neither is cleared first.
+    let mut b_pack = PoolBuf::take_stale(n_strips * k_dim * NR);
     // Strips are independent: pack them across the pool. One strip is one
     // unit, so the partition is on strip boundaries.
     par_partition_mut(b_pack.as_mut_slice(), k_dim * NR, |first_strip, span| {
@@ -573,7 +575,7 @@ pub(crate) fn packed_gemm(
     par_panels_mut(out.as_mut_slice(), cols, MC, |first_row, span| {
         let rows = span.len() / cols;
         let row_strips = rows.div_ceil(MR);
-        let mut a_pack = PoolBuf::take(row_strips * MR * k_dim);
+        let mut a_pack = PoolBuf::take_stale(row_strips * MR * k_dim);
         pack_a_panel(layout, a, first_row, rows, MR, a_pack.as_mut_slice());
         let ap = a_pack.as_slice();
         // Edge tiles run through the same microkernel against a
@@ -703,6 +705,42 @@ mod tests {
         for i in 0..MR {
             for j in 0..NR {
                 assert_eq!(c[i * NR + j].to_bits(), want[(i, j)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn stale_pack_buffers_never_reach_the_output() {
+        // The panels are checked out uncleared: whatever the pool held —
+        // here NaNs, longer and shorter than any panel below — must be
+        // overwritten, padding lanes included, before a tile reads it.
+        // Shapes off the MR/NR grid, one of them spanning two row panels.
+        let poison = |len: usize| {
+            let held: Vec<PoolBuf> = (0..6).map(|_| PoolBuf::take_stale(len)).collect();
+            for mut buf in held {
+                buf.as_mut_slice().fill(f32::NAN);
+            }
+        };
+        let micro = micro_for(KernelFamily::Simd).unwrap_or(micro_tile_portable);
+        let mut rng = SeededRng::new(12);
+        for &(m, k, n) in &[(5, 7, 3), (37, 41, 43), (70, 33, 130), (MC + 3, 9, NR + 1)] {
+            let a = rng.normal_matrix(m, k, 1.0);
+            let b = rng.normal_matrix(k, n, 1.0);
+            let bt = rng.normal_matrix(n, k, 1.0);
+            let at = rng.normal_matrix(k, m, 1.0);
+            let cases = [
+                (Layout::Nn, &a, &b, reference::matmul(&a, &b)),
+                (Layout::Nt, &a, &bt, reference::matmul_nt(&a, &bt)),
+                (Layout::Tn, &at, &b, reference::matmul_tn(&at, &b)),
+            ];
+            for (layout, lhs, rhs, want) in cases {
+                for len in [1 << 16, 24] {
+                    poison(len);
+                    let mut out = Matrix::zeros(m, n);
+                    packed_gemm(layout, lhs, rhs, &mut out, micro);
+                    let bits = |m: &Matrix| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out), bits(&want), "{m}x{k}x{n}, pool of {len}");
+                }
             }
         }
     }

@@ -86,6 +86,276 @@ pub fn top_k_rows(scores: &Matrix, k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// Top-k as a *set*: appends to `out`, in ascending index order, exactly
+/// the indices [`top_k_indices`]`(row, k)` returns — what a consumer that
+/// masks, gathers or schedules the kept keys wants, without the sort by
+/// value it would throw away.
+///
+/// Each element becomes one signed key, [`descending_rank`] reversed (a
+/// stronger value has a larger key), so the NaN and `±0` rules are the
+/// ordered function's by construction; the keys land in `keys`, a scratch
+/// buffer a caller selecting many rows passes again, and go through
+/// [`top_k_set_keys`] between their own minimum and maximum.
+///
+/// # Panics
+///
+/// Panics if `row` has more than `u32::MAX` elements.
+///
+/// # Example
+///
+/// ```
+/// use dota_tensor::topk::{top_k_indices, top_k_set};
+///
+/// let row = [0.1, 0.9, 0.5, 0.9];
+/// let mut set = Vec::new();
+/// top_k_set(&row, 3, &mut Vec::new(), &mut set);
+/// assert_eq!(top_k_indices(&row, 3), vec![1, 3, 2]);
+/// assert_eq!(set, vec![1, 2, 3]);
+/// ```
+pub fn top_k_set(row: &[f32], k: usize, keys: &mut Vec<i32>, out: &mut Vec<u32>) {
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    keys.clear();
+    keys.extend(row.iter().map(|&v| {
+        let key = (descending_rank(v) ^ 0x7fff_ffff) as i32;
+        lo = lo.min(key);
+        hi = hi.max(key);
+        key
+    }));
+    top_k_set_keys(keys, k, lo, hi, out);
+}
+
+/// [`top_k_set`] on keys that are already ordered integers — a larger key
+/// is stronger, ties go to the lower index: appends to `out`, ascending,
+/// the indices of the `min(k, keys.len())` strongest keys. Nothing is
+/// permuted and nothing allocated beyond `out`.
+///
+/// Every key must lie in `lo..=hi`. The k-th largest key `t` is found by
+/// bisecting that *value* range, each step one pass counting `key >= mid`
+/// — at most `⌈log₂(hi − lo + 1)⌉` passes, ten for the detector's INT4
+/// rank-6 accumulators in `±384`, fewer whenever a step happens to count
+/// exactly `k`. One more pass then takes every `key > t` and the first
+/// `k − count(key > t)` positions of `key == t`, 64 keys at a time as two
+/// bit masks whose set bits are read off by `trailing_zeros` — so rows are
+/// born ascending and the tie rule costs nothing. Both passes run eight
+/// keys per compare where the host has AVX2 (integer compares: the same
+/// answer on every host, no kernel-family question).
+///
+/// # Panics
+///
+/// Panics if `keys` has more than `u32::MAX` elements.
+pub fn top_k_set_keys(keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
+    select_keys(Lanes::active(), keys, k, lo, hi, out);
+}
+
+/// Who runs the two passes of [`top_k_set_keys`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lanes {
+    /// Plain Rust: every host, and the oracle of the lanes.
+    Plain,
+    /// Eight keys per compare. Only [`Lanes::active`] builds this variant.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Lanes {
+    /// By availability, as `dota-quant`'s integer kernels choose theirs.
+    fn active() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Lanes::Avx2;
+        }
+        Lanes::Plain
+    }
+}
+
+/// The body of [`top_k_set_keys`] on the given lanes.
+fn select_keys(lanes: Lanes, keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
+    match lanes {
+        Lanes::Plain => select_with(keys, k, lo, hi, out, count_ge, masks),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2` is only built on a host that has the feature.
+        Lanes::Avx2 => unsafe { x86::select(keys, k, lo, hi, out) },
+    }
+}
+
+/// How many keys are at least `t`.
+fn count_ge(keys: &[i32], t: i32) -> usize {
+    keys.iter().filter(|&&x| x >= t).count()
+}
+
+/// Bit `i` of the two masks: `block[i] > t`, `block[i] == t`, for a block
+/// of at most 64 keys.
+fn masks(block: &[i32], t: i32) -> (u64, u64) {
+    block.iter().enumerate().fold((0, 0), |(gt, eq), (i, &x)| {
+        (gt | u64::from(x > t) << i, eq | u64::from(x == t) << i)
+    })
+}
+
+/// The threshold search and the compaction pass of [`top_k_set_keys`],
+/// once, over whichever `count_ge` and `masks` the lanes supply (inlined
+/// into each, so the lanes' copy is compiled with their features).
+#[inline(always)]
+fn select_with(
+    keys: &[i32],
+    k: usize,
+    lo: i32,
+    hi: i32,
+    out: &mut Vec<u32>,
+    count_ge: impl Fn(&[i32], i32) -> usize,
+    masks: impl Fn(&[i32], i32) -> (u64, u64),
+) {
+    assert!(
+        u32::try_from(keys.len()).is_ok(),
+        "row of {} keys exceeds the 32-bit index of a selection",
+        keys.len()
+    );
+    debug_assert!(
+        keys.iter().all(|x| (lo..=hi).contains(x)),
+        "key out of bounds"
+    );
+    if k >= keys.len() {
+        out.extend(0..keys.len() as u32);
+        return;
+    }
+    if k == 0 {
+        return;
+    }
+    // Invariant: at least `k` keys reach `lo`, only `above < k` exceed `hi`
+    // (in `i64`: the bounds may span all of `i32`).
+    let (mut lo, mut hi, mut above) = (i64::from(lo), i64::from(hi), 0);
+    while lo < hi {
+        let mid = lo + (hi - lo + 1) / 2;
+        let reach = count_ge(keys, mid as i32);
+        if reach == k {
+            // Exactly the set: nothing to ration among the ties at `mid`.
+            (lo, above) = (mid, 0);
+            break;
+        }
+        if reach > k {
+            lo = mid;
+        } else {
+            (hi, above) = (mid - 1, reach);
+        }
+    }
+    let t = lo as i32;
+    let mut ties = k - above;
+    out.reserve(k);
+    for (b, block) in keys.chunks(64).enumerate() {
+        let (gt, mut eq) = masks(block, t);
+        if eq != 0 {
+            let tied = eq.count_ones() as usize;
+            if tied > ties {
+                // The threshold's last block of ties: keep the lowest `ties`.
+                let mut kept = 0;
+                for _ in 0..ties {
+                    kept |= eq & eq.wrapping_neg();
+                    eq &= eq - 1;
+                }
+                eq = kept;
+            }
+            ties -= tied.min(ties);
+        }
+        push_set_bits(gt | eq, (b * 64) as u32, out);
+    }
+}
+
+/// Appends `base + i` for every set bit `i` of `mask`, ascending.
+#[inline(always)]
+fn push_set_bits(mut mask: u64, base: u32, out: &mut Vec<u32>) {
+    while mask != 0 {
+        out.push(base + mask.trailing_zeros());
+        mask &= mask - 1;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    /// [`super::select_with`] on the eight-lane passes below.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn select(keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
+        super::select_with(
+            keys,
+            k,
+            lo,
+            hi,
+            out,
+            // SAFETY (both): this function's own requirement, AVX2.
+            |keys, t| unsafe { count_ge(keys, t) },
+            |block, t| match <&[i32; 64]>::try_from(block) {
+                Ok(block) => unsafe { masks64(block, t) },
+                Err(_) => super::masks(block, t),
+            },
+        );
+    }
+
+    /// [`super::count_ge`]: `keys.len()` less the `t > key` compares, whose
+    /// all-ones lanes subtract as −1.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn count_ge(keys: &[i32], t: i32) -> usize {
+        let tv = _mm256_set1_epi32(t);
+        // SAFETY (every load below): `loadu` takes any alignment and reads
+        // the eight keys of a chunk `chunks_exact` proved present.
+        let below = |chunk: &[i32]| {
+            _mm256_cmpgt_epi32(tv, _mm256_loadu_si256(chunk.as_ptr() as *const __m256i))
+        };
+        // Four independent counters, 32 keys a step; a lane counts at most
+        // `len / 8 < 2^29` keys, so it cannot wrap.
+        let mut acc = [_mm256_setzero_si256(); 4];
+        let mut steps = keys.chunks_exact(32);
+        for step in &mut steps {
+            for (a, chunk) in acc.iter_mut().zip(step.chunks_exact(8)) {
+                *a = _mm256_sub_epi32(*a, below(chunk));
+            }
+        }
+        let mut rest = steps.remainder().chunks_exact(8);
+        for chunk in &mut rest {
+            acc[0] = _mm256_sub_epi32(acc[0], below(chunk));
+        }
+        let sum = _mm256_add_epi32(
+            _mm256_add_epi32(acc[0], acc[1]),
+            _mm256_add_epi32(acc[2], acc[3]),
+        );
+        let mut lanes = [0i32; 8];
+        // SAFETY: `lanes` is eight `i32`s, the width of the store.
+        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sum);
+        let below_t = lanes.iter().map(|&c| c as usize).sum::<usize>()
+            + rest.remainder().iter().filter(|&&x| x < t).count();
+        keys.len() - below_t
+    }
+
+    /// [`super::masks`] of a full block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn masks64(block: &[i32; 64], t: i32) -> (u64, u64) {
+        let tv = _mm256_set1_epi32(t);
+        let (mut gt, mut eq) = (0u64, 0u64);
+        for (g, group) in block.chunks_exact(8).enumerate() {
+            // SAFETY: `loadu` takes any alignment; `group` is eight keys.
+            let keys = _mm256_loadu_si256(group.as_ptr() as *const __m256i);
+            // One sign bit per 32-bit lane, lane 0 lowest.
+            let bits = |m: __m256i| u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(m)) as u8);
+            gt |= bits(_mm256_cmpgt_epi32(keys, tv)) << (8 * g);
+            eq |= bits(_mm256_cmpeq_epi32(keys, tv)) << (8 * g);
+        }
+        (gt, eq)
+    }
+}
+
 /// Converts per-row selected indices into a dense boolean mask with the given
 /// number of columns.
 ///
@@ -115,6 +385,17 @@ pub fn threshold_mask(scores: &Matrix, threshold: f32) -> Vec<Vec<bool>> {
         .rows_iter()
         .map(|row| row.iter().map(|&x| x >= threshold).collect())
         .collect()
+}
+
+/// [`threshold_mask`] of one row as a set: appends to `out`, ascending, every
+/// index with `row[i] >= threshold` (never a NaN) — the comparator's output
+/// as the key IDs the Scheduler consumes, 64 compares to a bit mask.
+pub fn threshold_set(row: &[f32], threshold: f32, out: &mut Vec<u32>) {
+    for (b, block) in row.chunks(64).enumerate() {
+        let pass = |(i, &v): (usize, &f32)| u64::from(v >= threshold) << i;
+        let passed = block.iter().enumerate().map(pass).fold(0, |m, bit| m | bit);
+        push_set_bits(passed, (b * 64) as u32, out);
+    }
 }
 
 /// Finds, per row, the threshold that would keep exactly `k` entries; returns
@@ -196,6 +477,48 @@ mod tests {
         idx
     }
 
+    /// Every body of the selection core this host can run.
+    fn bodies() -> Vec<Lanes> {
+        let mut bodies = vec![Lanes::Plain];
+        if Lanes::active() != Lanes::Plain {
+            bodies.push(Lanes::active());
+        }
+        bodies
+    }
+
+    /// `top_k_set(row, k)` and each body of the core on the row's keys
+    /// against `top_k_indices(row, k)`, sorted.
+    fn check_set(row: &[f32], k: usize) {
+        let mut expected: Vec<u32> = top_k_indices(row, k).iter().map(|&i| i as u32).collect();
+        expected.sort_unstable();
+        let (mut keys, mut got) = (vec![7; 3], Vec::new());
+        top_k_set(row, k, &mut keys, &mut got);
+        assert_eq!(got, expected, "k {k} of {}", row.len());
+        let (lo, hi) = (keys.iter().min(), keys.iter().max());
+        let (lo, hi) = (*lo.unwrap_or(&0), *hi.unwrap_or(&0));
+        for lanes in bodies() {
+            got.clear();
+            select_keys(lanes, &keys, k, lo, hi, &mut got);
+            assert_eq!(got, expected, "{lanes:?}, k {k} of {}", row.len());
+        }
+    }
+
+    #[test]
+    fn top_k_set_rations_ties_across_blocks() {
+        // 130 equal keys under three stronger ones: the threshold's ties
+        // run out inside the first, the second and the third 64-key block.
+        let mut row = vec![1.0f32; 133];
+        for strong in [5, 70, 131] {
+            row[strong] = 2.0;
+        }
+        for k in [1, 3, 4, 40, 64, 65, 66, 100, 128, 129, 130, 132, 133] {
+            check_set(&row, k);
+        }
+        let mut set = Vec::new();
+        top_k_set(&row, 5, &mut Vec::new(), &mut set);
+        assert_eq!(set, vec![0, 1, 5, 70, 131]);
+    }
+
     const TIED_VALUES: [f32; 16] = [
         f32::NEG_INFINITY,
         f32::MIN,
@@ -248,6 +571,66 @@ mod tests {
                 .map(|row| top_k_indices_by_full_sort(row, k))
                 .collect();
             prop_assert_eq!(top_k_rows(&scores, k), expected);
+        }
+
+        /// The set primitive returns `top_k_indices`' set, ascending, on
+        /// tie-, zero-, subnormal-, infinity- and NaN-laden rows on both
+        /// sides of one 8-lane compare and of one and two 64-key blocks,
+        /// for every `k` from 0 past the row length — through the `f32`
+        /// front and through both bodies of the core.
+        #[test]
+        fn top_k_set_matches_top_k_indices_oracle(
+            picks in proptest::collection::vec(0usize..16, 0..140),
+        ) {
+            let row: Vec<f32> = picks.iter().map(|&p| TIED_VALUES[p]).collect();
+            for k in 0..row.len() + 2 {
+                check_set(&row, k);
+            }
+        }
+
+        /// The same on rows of 16 to 22 blocks: tied values only, tied
+        /// values reversed, and distinct random ones (where bisection stops
+        /// on an exact count long before its range is exhausted).
+        #[test]
+        fn top_k_set_long_tied_rows_match_oracle(
+            picks in proptest::collection::vec(0usize..16, 1024..1400),
+            k in 0usize..1500,
+            seed in 0u64..1 << 32,
+        ) {
+            let tied: Vec<f32> = picks.iter().map(|&p| TIED_VALUES[p]).collect();
+            check_set(&tied, k);
+            check_set(&tied.iter().rev().copied().collect::<Vec<_>>(), k);
+            let random = SeededRng::new(seed).normal_matrix(1, picks.len(), 1.0);
+            check_set(random.as_slice(), k);
+        }
+
+        /// The integer core on small-range keys (the detector's
+        /// accumulators: far more keys than values) agrees with a full sort
+        /// whether its bounds are tight, loose or all of `i32`, and whether
+        /// the keys sit at either end of `i32`.
+        #[test]
+        fn top_k_set_keys_small_range_matches_full_sort_oracle(
+            picks in proptest::collection::vec(-384i32..=384, 1..300),
+            spread in 1i32..=384,
+            k in 0usize..310,
+            shift in 0usize..3,
+        ) {
+            let offset = [0, i32::MIN + 384, i32::MAX - 384][shift];
+            let keys: Vec<i32> = picks.iter().map(|&p| p % spread + offset).collect();
+            let (min, max) = (*keys.iter().min().unwrap(), *keys.iter().max().unwrap());
+            let mut by_sort: Vec<u32> = (0..keys.len() as u32).collect();
+            by_sort.sort_by_key(|&i| (std::cmp::Reverse(keys[i as usize]), i));
+            by_sort.truncate(k);
+            by_sort.sort_unstable();
+            let loose = (min.saturating_sub(1000), max.saturating_add(77));
+            for (lo, hi) in [(min, max), loose, (i32::MIN, i32::MAX)] {
+                for lanes in bodies() {
+                    let mut got = vec![u32::MAX];
+                    select_keys(lanes, &keys, k, lo, hi, &mut got);
+                    prop_assert_eq!(got[0], u32::MAX, "appends, never clears");
+                    prop_assert_eq!(&got[1..], &by_sort[..], "{:?} in {}..={}", lanes, lo, hi);
+                }
+            }
         }
 
         /// `descending_rank` orders any two floats the way the oracle's
@@ -326,6 +709,23 @@ mod tests {
         let mask = threshold_mask(&m, kth[0]);
         assert_eq!(row_counts(&mask), vec![2]);
         assert!(mask[0][2] && mask[0][1]);
+    }
+
+    #[test]
+    fn threshold_set_is_the_mask_as_indices() {
+        let mut rng = SeededRng::new(4);
+        let mut m = rng.normal_matrix(3, 150, 1.0);
+        m[(1, 64)] = f32::NAN;
+        m[(1, 149)] = f32::INFINITY;
+        for threshold in [-0.3, 0.0, 1.1, f32::NEG_INFINITY, f32::NAN] {
+            let mask = threshold_mask(&m, threshold);
+            for (r, row) in m.rows_iter().enumerate() {
+                let mut set = vec![9];
+                threshold_set(row, threshold, &mut set);
+                let want: Vec<u32> = (0..150).filter(|&j| mask[r][j as usize]).collect();
+                assert_eq!(set[1..], want, "row {r} at {threshold}");
+            }
+        }
     }
 
     #[test]
