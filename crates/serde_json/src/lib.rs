@@ -162,7 +162,7 @@ fn write_string(out: &mut String, s: &str) {
 pub fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing input at byte {pos}")));
@@ -176,8 +176,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest array/object nesting [`parse`] accepts (real serde_json's
+/// recursion limit): deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(Error::new(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}"
+        )));
+    }
     match b.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
         Some(b'{') => {
@@ -196,7 +205,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::new(format!("expected ':' at byte {pos}")));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -218,7 +227,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -389,5 +398,13 @@ mod tests {
             Value::Array(xs) => assert_eq!(xs.len(), 5),
             _ => panic!("expected array"),
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at = |n: usize| format!("{}0{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&at(MAX_DEPTH)).is_ok());
+        assert!(parse(&at(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"k\":".repeat(1_000_000)).is_err());
     }
 }

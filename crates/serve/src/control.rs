@@ -124,6 +124,12 @@ pub struct ControlInputs {
 }
 
 /// Aggregate controller activity for a run (reported per cell).
+///
+/// An observation is one scheduler pass of the engine. That includes the
+/// idle passes it credits without running them: while a ready retry waits
+/// on quarantined lanes, the engine jumps to its next event and counts
+/// each skipped cycle as one more observation of the same inputs, exactly
+/// as the one-pass-per-cycle wait it replaced did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlSummary {
     /// Rung changes over the run.
@@ -134,7 +140,8 @@ pub struct ControlSummary {
     pub final_level: usize,
     /// Deepest rung reached.
     pub max_level: usize,
-    /// Mean rung over all observations.
+    /// Mean rung over all observations (weighted by scheduler passes,
+    /// credited idle passes included).
     pub mean_level: f64,
 }
 
@@ -195,8 +202,9 @@ impl Controller {
         self.gated
     }
 
-    /// Feeds one observation and updates the rung and gate. Pure in the
-    /// controller state and `inputs`: no clocks, no randomness.
+    /// Feeds one observation (one scheduler pass) and updates the rung and
+    /// gate. Pure in the controller state and `inputs`: no clocks, no
+    /// randomness.
     pub fn observe(&mut self, inputs: &ControlInputs) {
         let cap = inputs.capacity.max(1);
         let burn_known = inputs.samples > 0;
@@ -236,6 +244,19 @@ impl Controller {
         self.max_level = self.max_level.max(self.level);
         self.level_sum += self.level as u64;
         self.observations += 1;
+    }
+
+    /// Credits `k` more observations of the inputs last observed, in O(1).
+    /// Only valid at a fixed point — when the last observation moved
+    /// neither the rung nor the gate: the decision is a function of rung,
+    /// gate, last change and inputs, so the same inputs move nothing
+    /// again, and each repeat only adds its rung and gate to the sums.
+    pub(crate) fn repeat_observation(&mut self, k: u64) {
+        self.observations += k;
+        self.level_sum += k * self.level as u64;
+        if self.gated {
+            self.gated_steps += k;
+        }
     }
 
     /// Aggregate activity so far.
@@ -391,6 +412,37 @@ mod tests {
         assert_eq!(s.changes, 2);
         assert!(s.gated_steps > 0);
         assert!(s.mean_level > 0.0 && s.mean_level <= 2.0);
+    }
+
+    #[test]
+    fn repeat_observation_equals_repeated_observe() {
+        let cfg = ControlConfig::default();
+        for (burn, depth, occupancy) in [(5.0, 64, 8), (0.7, 3, 0), (0.1, 0, 0)] {
+            let x = ControlInputs {
+                occupancy,
+                ..inputs(burn, depth, 9)
+            };
+            let mut ctl = Controller::new(cfg.clone(), 3);
+            for step in 0..9 {
+                ctl.observe(&inputs(5.0, 64, step));
+            }
+            // Observe until a pass moves nothing: the fixed point.
+            let mut before = (ctl.level(), ctl.gated());
+            loop {
+                ctl.observe(&x);
+                let after = (ctl.level(), ctl.gated());
+                if after == before {
+                    break;
+                }
+                before = after;
+            }
+            let mut credited = ctl.clone();
+            credited.repeat_observation(1000);
+            for _ in 0..1000 {
+                ctl.observe(&x);
+            }
+            assert_eq!(credited.summary(), ctl.summary(), "inputs {x:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,13 @@
 //! 5. **evict** — requests that finished (`max_new` tokens or EOS) or
 //!    overran their deadline leave the batch at step boundaries.
 //!
+//! A pass that ends with no slot in flight does not step: the clock jumps
+//! to the next instant anything can act (`next_wake`), so host time
+//! follows scheduler events, never simulated cycles. While a ready retry
+//! waits on quarantined lanes, a pass per skipped cycle would do nothing
+//! but observe the controller, so those observations are credited instead
+//! (`credit_idle_passes`).
+//!
 //! The scheduler knows nothing about who is watching: every transition
 //! goes out through one `emit` as a typed [`ServeEvent`], every terminal
 //! through one `finish`, and the timeline, flight ring, gauges, trace
@@ -441,6 +448,9 @@ pub struct ServeEngine<'m> {
     failed: u64,
     timeout_steps: u64,
     quarantine_events: u64,
+    /// See [`ServeEngine::waits_per_cycle`].
+    #[cfg(test)]
+    pub(crate) per_cycle_idle: bool,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -492,6 +502,8 @@ impl<'m> ServeEngine<'m> {
             failed: 0,
             timeout_steps: 0,
             quarantine_events: 0,
+            #[cfg(test)]
+            per_cycle_idle: false,
         })
     }
 
@@ -556,34 +568,29 @@ impl<'m> ServeEngine<'m> {
             self.expire_queued();
             self.expire_retries();
             self.probe_quarantine();
-            self.observe_control();
+            self.observe_control(self.now);
             self.admit();
             if self.slots.is_empty() {
-                // Idle: jump to the next instant anything can happen — an
-                // arrival, a queued/retrying deadline, a retry backoff
-                // elapsing, or a quarantine probe.
-                let mut next = arrivals.peek().map(|r| r.arrival);
-                let mut consider = |t: u64| match next {
-                    Some(n) if n <= t => {}
-                    _ => next = Some(t),
-                };
-                if self.pending_len() > 0 || !self.retryq.is_empty() {
-                    for q in self.queues.iter().flat_map(|q| q.iter()) {
-                        consider(q.deadline);
+                // Idle: jump to the next instant anything can happen (see
+                // `next_wake` for the candidates).
+                let now = self.now;
+                match self.next_wake(arrivals.peek().map(|r| r.arrival)) {
+                    // Unreachable: the passes above drained every
+                    // candidate at or before `now`. Kept as a forward step
+                    // so that no input can hang a release build.
+                    Some((t, what)) if t <= now => {
+                        debug_assert!(
+                            self.waits_per_cycle(),
+                            "idle engine offered a past wake-up: {what} at cycle {t}, now {now}"
+                        );
+                        self.now += 1;
                     }
-                    for r in &self.retryq {
-                        consider(r.ready_at);
-                        consider(r.deadline);
+                    Some((t, _)) => {
+                        if self.retryq.iter().any(|r| r.ready_at <= now) {
+                            self.credit_idle_passes(now + 1, t);
+                        }
+                        self.now = t;
                     }
-                    for q in &self.quarantine {
-                        consider(q.release_at);
-                    }
-                }
-                match next {
-                    // Every candidate in the past was already drained
-                    // above, but guarantee forward progress regardless.
-                    Some(t) if t <= self.now => self.now += 1,
-                    Some(t) => self.now = t,
                     None => {
                         assert!(
                             self.pending_len() == 0 && self.retryq.is_empty(),
@@ -634,6 +641,73 @@ impl<'m> ServeEngine<'m> {
             quarantine_log: self.quarantine_log,
             control: self.control.as_ref().map(Controller::summary),
         }
+    }
+
+    /// The earliest instant an idle engine can act at, and what acts then.
+    /// The wake candidates: the next `arrival`, a queued or retrying
+    /// request's deadline, a retry backoff that has not yet elapsed, and a
+    /// quarantine probe. A retry whose backoff has elapsed is none: an idle
+    /// engine still holds it only because every lane is quarantined
+    /// (admission places ready retries first, past the gate), so it next
+    /// moves at a probe or at its deadline.
+    fn next_wake(&self, arrival: Option<u64>) -> Option<(u64, &'static str)> {
+        let mut next = arrival.map(|t| (t, "arrival"));
+        let mut consider = |t: u64, what: &'static str| {
+            if next.is_none_or(|(n, _)| t < n) {
+                next = Some((t, what));
+            }
+        };
+        if self.pending_len() > 0 || !self.retryq.is_empty() {
+            for q in self.queues.iter().flat_map(|q| q.iter()) {
+                consider(q.deadline, "queue deadline");
+            }
+            for r in &self.retryq {
+                if r.ready_at > self.now || self.waits_per_cycle() {
+                    consider(r.ready_at, "retry backoff");
+                }
+                consider(r.deadline, "retry deadline");
+            }
+            for q in &self.quarantine {
+                consider(q.release_at, "quarantine probe");
+            }
+        }
+        next
+    }
+
+    /// Credits the scheduler passes a per-cycle idle loop would run at
+    /// cycles `from..until` while a ready retry waits on quarantined lanes.
+    /// Everything that can act in them is a wake candidate, so each pass
+    /// is one controller observation of unchanged inputs. Once an
+    /// observation moves neither the rung nor the gate the controller is
+    /// at a fixed point and the rest are credited in O(1); until then (a
+    /// cooldown of 0 steps lets the rung walk at one step count) they run
+    /// one by one, each transition stamped with its own cycle.
+    fn credit_idle_passes(&mut self, from: u64, until: u64) {
+        let mut at = from;
+        while at < until {
+            let moved = self.observe_control(at);
+            at += 1;
+            if !moved {
+                break;
+            }
+        }
+        if let Some(ctl) = self.control.as_mut() {
+            ctl.repeat_observation(until - at);
+        }
+    }
+
+    /// Whether the idle rule runs as its per-cycle reference: a ready
+    /// retry blocked on quarantined lanes is a wake-up in the past, so the
+    /// engine steps one cycle and re-runs a full pass (the oracle of the
+    /// jump in `idle_tests`).
+    #[cfg(test)]
+    fn waits_per_cycle(&self) -> bool {
+        self.per_cycle_idle
+    }
+
+    #[cfg(not(test))]
+    fn waits_per_cycle(&self) -> bool {
+        false
     }
 
     fn pending_len(&self) -> usize {
@@ -767,12 +841,14 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Feeds the controller one observation of the current engine state
-    /// (no-op outside [`ShedPolicy::Slo`]). Runs once per scheduler
-    /// iteration, before admission, entirely on the simulated clock.
-    fn observe_control(&mut self) {
+    /// Feeds the controller one observation of the current engine state,
+    /// stamping a rung or gate transition with cycle `at`; `true` when the
+    /// rung or the gate moved (always `false` outside [`ShedPolicy::Slo`]).
+    /// Runs once per scheduler pass, before admission, entirely on the
+    /// simulated clock.
+    fn observe_control(&mut self, at: u64) -> bool {
         let Some(ctl) = self.control.as_mut() else {
-            return;
+            return false;
         };
         let (level_before, gated_before) = (ctl.level() as u64, ctl.gated());
         let slo = self.slo.as_ref().expect("slo policy validated the monitor");
@@ -787,16 +863,17 @@ impl<'m> ServeEngine<'m> {
         });
         let (level_after, gated_after) = (ctl.level() as u64, ctl.gated());
         if level_after != level_before {
-            self.emit(self.now, |_| Transition::Rung {
+            self.emit(at, |_| Transition::Rung {
                 from: level_before,
                 to: level_after,
             });
         }
         if gated_after != gated_before {
-            self.emit(self.now, |_| Transition::Gate {
+            self.emit(at, |_| Transition::Gate {
                 closed: gated_after,
             });
         }
+        (level_after, gated_after) != (level_before, gated_before)
     }
 
     /// Fails retrying requests whose deadline passed during backoff.

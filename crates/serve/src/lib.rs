@@ -74,6 +74,11 @@ pub use timeline::{
 pub use traffic::TrafficConfig;
 
 #[cfg(test)]
+mod idle_tests;
+#[cfg(test)]
+mod never_panic;
+
+#[cfg(test)]
 mod prop_tests {
     //! Property tests for the scheduler invariants the service's claims
     //! rest on: bounded occupancy, FIFO-within-class admission, no
