@@ -232,7 +232,7 @@ fn emit_stage_events(l: u64, cursor: u64, cycles: &StageLatency) -> u64 {
         ("attention", cycles.attention),
         ("ffn", cycles.ffn),
     ] {
-        dota_trace::sim_event("encoder", &format!("L{l}.{stage}"), t, dur);
+        dota_trace::sim_event("encoder", format_args!("L{l}.{stage}"), t, dur);
         t += dur;
     }
     t

@@ -85,6 +85,14 @@ impl HistState {
         self.label.push_str(label);
         self.hists.clear();
     }
+
+    /// The named histogram; its name is copied only on first use.
+    fn histogram(&mut self, name: &str) -> &mut Histogram {
+        if !self.hists.contains_key(name) {
+            self.hists.insert(name.to_owned(), Histogram::default());
+        }
+        self.hists.get_mut(name).expect("inserted above")
+    }
 }
 
 fn lock_state() -> MutexGuard<'static, HistState> {
@@ -99,8 +107,7 @@ pub fn observe(name: &str, value: f64) {
     if !hist_enabled() {
         return;
     }
-    let mut st = lock_state();
-    st.hists.entry(name.to_owned()).or_default().record(value);
+    lock_state().histogram(name).record(value);
 }
 
 /// Records every sample of an iterator into the named histogram, taking
@@ -110,11 +117,7 @@ pub fn observe_many(name: &str, values: impl IntoIterator<Item = f64>) {
     if !hist_enabled() {
         return;
     }
-    let mut st = lock_state();
-    st.hists
-        .entry(name.to_owned())
-        .or_default()
-        .record_all(values);
+    lock_state().histogram(name).record_all(values);
 }
 
 /// A snapshot of every named histogram collected by the active session,

@@ -80,7 +80,7 @@ struct Frame {
 
 struct Node {
     parent: u32,
-    name: String,
+    name: &'static str,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -94,10 +94,10 @@ struct ProfState {
     label: String,
     /// Interned frame tree; index 0 is the reserved root sentinel.
     nodes: Vec<Node>,
-    index: BTreeMap<(u32, String), u32>,
+    index: BTreeMap<(u32, &'static str), u32>,
     stats: Vec<NodeStat>,
     /// Span-duration histograms (milliseconds) keyed by span name.
-    hists: BTreeMap<String, Histogram>,
+    hists: BTreeMap<&'static str, Histogram>,
     /// Incremented on every session start; spans record it at open and are
     /// discarded at close if a different session is live by then.
     session: u64,
@@ -120,7 +120,7 @@ impl ProfState {
         self.nodes.clear();
         self.nodes.push(Node {
             parent: ROOT,
-            name: String::new(),
+            name: "",
         });
         self.index.clear();
         self.stats.clear();
@@ -129,17 +129,14 @@ impl ProfState {
         self.session += 1;
     }
 
-    fn intern(&mut self, parent: u32, name: &str) -> u32 {
-        if let Some(&id) = self.index.get(&(parent, name.to_owned())) {
+    fn intern(&mut self, parent: u32, name: &'static str) -> u32 {
+        if let Some(&id) = self.index.get(&(parent, name)) {
             return id;
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            parent,
-            name: name.to_owned(),
-        });
+        self.nodes.push(Node { parent, name });
         self.stats.push(NodeStat::default());
-        self.index.insert((parent, name.to_owned()), id);
+        self.index.insert((parent, name), id);
         id
     }
 
@@ -147,7 +144,7 @@ impl ProfState {
     fn path(&self, mut node: u32) -> String {
         let mut names: Vec<&str> = Vec::new();
         while node != ROOT {
-            names.push(&self.nodes[node as usize].name);
+            names.push(self.nodes[node as usize].name);
             node = self.nodes[node as usize].parent;
         }
         names.reverse();
@@ -167,7 +164,7 @@ fn lock_state() -> MutexGuard<'static, ProfState> {
 /// Worker threads (e.g. the `dota-parallel` pool) start from an empty
 /// stack, so their spans root at the top level of the profile rather than
 /// under the span that spawned the work — profiles are per-thread-honest.
-pub fn span(name: &str) -> ProfSpan {
+pub fn span(name: &'static str) -> ProfSpan {
     let trace = dota_trace::host_span(name);
     if !enabled() {
         return ProfSpan {
@@ -234,7 +231,7 @@ impl Drop for ProfSpan {
         stat.count += 1;
         stat.total_ns += elapsed_ns;
         stat.self_ns += elapsed_ns.saturating_sub(child_ns);
-        let name = st.nodes[self.node as usize].name.clone();
+        let name = st.nodes[self.node as usize].name;
         st.hists
             .entry(name)
             .or_default()
@@ -389,11 +386,11 @@ impl ProfGuard {
         let alloc = alloc_stats();
         let (label, hist_entries) = {
             let st = lock_state();
-            let hists: Vec<(String, String)> = st
+            let hists: Vec<(&str, String)> = st
                 .hists
                 .iter()
                 .filter(|(_, h)| !h.is_empty())
-                .map(|(k, h)| (k.clone(), h.summary_json()))
+                .map(|(&k, h)| (k, h.summary_json()))
                 .collect();
             (st.label.clone(), hists)
         };
@@ -499,7 +496,7 @@ pub fn spans_snapshot() -> Vec<SpanStat> {
             };
             SpanStat {
                 path: st.path(i as u32),
-                name: st.nodes[i].name.clone(),
+                name: st.nodes[i].name.to_owned(),
                 depth,
                 count: st.stats[i].count,
                 total_ns: st.stats[i].total_ns,
@@ -774,6 +771,38 @@ mod tests {
         let spans = g.spans();
         let s = spans.iter().find(|s| s.path == "alloc.heavy").unwrap();
         assert!(s.alloc_bytes >= 1 << 19, "attributed to innermost span");
+    }
+
+    /// A warm trace session records into the buffers the previous session
+    /// left behind: 10k host spans, 10k counter samples and 10k five-arg
+    /// sim events, and (nearly) no allocation among them.
+    #[cfg(feature = "prof-alloc")]
+    #[test]
+    fn warm_trace_session_records_without_allocating() {
+        fn record() {
+            for i in 0..10_000u64 {
+                drop(dota_trace::host_span("pin.span"));
+                dota_trace::sim_counter(format_args!("{}.queue_depth", "pin"), i, i % 7);
+                dota_trace::sim_event_args(
+                    format_args!("pin.slot{}", i % 4),
+                    format_args!("req{}[{}]", i / 8, i % 8),
+                    i,
+                    1,
+                    &[("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", i)],
+                );
+            }
+        }
+        {
+            let _warm = dota_trace::session("warm-up");
+            record();
+        }
+        let g = session("pin");
+        let trace = dota_trace::session("pinned");
+        let before = g.alloc().allocation_calls;
+        record();
+        let calls = g.alloc().allocation_calls - before;
+        drop(trace);
+        assert!(calls <= 16, "{calls} allocations recording 30k events");
     }
 
     #[test]

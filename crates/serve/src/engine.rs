@@ -1274,7 +1274,7 @@ impl<'m> ServeEngine<'m> {
             tokens,
             timeouts,
             burn,
-            state: GaugesSample {
+            state: Box::new(GaugesSample {
                 cell: String::new(),
                 cycle: now,
                 steps: self.steps,
@@ -1293,7 +1293,7 @@ impl<'m> ServeEngine<'m> {
                 quarantined_lanes: self.quarantine.len() as u64,
                 lane_skew_milli: dota_telemetry::gauges::lane_skew_milli(&lane_retained),
                 lane_retained,
-            },
+            }),
         }
     }
 

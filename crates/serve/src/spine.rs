@@ -160,7 +160,7 @@ impl Spine {
     /// The histogram samples and Chrome counter tracks of one event.
     fn sessions(&self, event: &ServeEvent) {
         let track = |name: &str, ts: u64, value: u64| {
-            dota_trace::sim_counter(&format!("{}.{name}", self.label), ts, value);
+            dota_trace::sim_counter(format_args!("{}.{name}", self.label), ts, value);
         };
         let milli = |x: f64| (x * 1e3).round() as u64;
         match &event.what {

@@ -221,8 +221,8 @@ impl TimelineRecorder {
         let queued_until = r.admit.unwrap_or(r.finish);
         if queued_until > r.arrival {
             dota_trace::sim_event_args(
-                &format!("{}.queue", self.label),
-                &format!("req{} queued", r.id),
+                format_args!("{}.queue", self.label),
+                format_args!("req{} queued", r.id),
                 r.arrival,
                 queued_until - r.arrival,
                 &[("deadline", r.deadline)],
@@ -231,10 +231,9 @@ impl TimelineRecorder {
         let (Some(lane), Some(admit)) = (r.lane, r.admit) else {
             return;
         };
-        let track = format!("{}.slot{}", self.label, lane);
         dota_trace::sim_event_args(
-            &track,
-            &format!("req{} {}", r.id, r.reason.name()),
+            format_args!("{}.slot{lane}", self.label),
+            format_args!("req{} {}", r.id, r.reason.name()),
             admit,
             r.finish - admit,
             &[
@@ -247,8 +246,8 @@ impl TimelineRecorder {
         );
         for (i, st) in r.steps.iter().enumerate() {
             dota_trace::sim_event_args(
-                &track,
-                &format!("req{}[{}]", r.id, i),
+                format_args!("{}.slot{lane}", self.label),
+                format_args!("req{}[{}]", r.id, i),
                 st.start,
                 st.cycles,
                 &[

@@ -217,7 +217,9 @@ pub enum Transition {
         burn: Option<f64>,
         /// The engine's state after evictions. `cell` is left empty: the
         /// cell name belongs to whoever is watching, not the scheduler.
-        state: GaugesSample,
+        /// Boxed so that every other event stays small (the flight ring
+        /// holds events but never a boundary).
+        state: Box<GaugesSample>,
     },
 }
 

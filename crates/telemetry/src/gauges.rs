@@ -94,14 +94,14 @@ impl EventSink for Arc<ServeGauges> {
 /// Retained-work skew across busy lanes ×1000 (max/mean); 1000 when the
 /// busy lanes are perfectly balanced, 0 when every lane is idle.
 pub fn lane_skew_milli(lane_retained: &[u64]) -> u64 {
-    let busy: Vec<u64> = lane_retained.iter().copied().filter(|&r| r > 0).collect();
-    if busy.is_empty() {
-        return 0;
+    let (mut busy, mut max, mut sum) = (0u64, 0u64, 0u64);
+    for &r in lane_retained.iter().filter(|&&r| r > 0) {
+        busy += 1;
+        max = max.max(r);
+        sum += r;
     }
-    let max = *busy.iter().max().expect("non-empty");
-    let sum: u64 = busy.iter().sum();
     // max/mean = max * n / sum, scaled to milli.
-    (max * busy.len() as u64 * 1000) / sum
+    (max * busy * 1000).checked_div(sum).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -138,7 +138,7 @@ mod tests {
                 tokens: 3,
                 timeouts: 0,
                 burn: Some(1.31),
-                state: state.clone(),
+                state: Box::new(state.clone()),
             },
         });
         let expected = GaugesSample {

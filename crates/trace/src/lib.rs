@@ -25,11 +25,21 @@
 //! ```
 //! let trace = dota_trace::session("example");
 //! dota_trace::count("sched.loads", 7);
-//! dota_trace::sim_event("RmmuFx", "L0.attention", 0, 120);
+//! dota_trace::sim_event("RmmuFx", format_args!("L{}.attention", 0), 0, 120);
 //! assert_eq!(trace.counter("sched.loads"), 7);
 //! let json = trace.chrome_trace_json();
 //! assert!(json.contains("L0.attention"));
 //! ```
+//!
+//! Recording does not allocate per event. A session owns a few flat
+//! buffers: every name it records (event and track names, arg keys,
+//! counter names) is appended to one `text` string, an event is a `Copy`
+//! record holding byte ranges into it, and event args live in one shared
+//! array. Names are taken as `impl Display`, so a caller passes
+//! `format_args!` and the name is formatted straight into `text`. Starting
+//! a session clears the buffers but keeps their capacity, so a session
+//! that records no more than the previous one does not touch the
+//! allocator.
 //!
 //! Sessions are exclusive: [`session`] blocks until any other live
 //! [`TraceGuard`] is dropped (do not nest sessions on one thread — that
@@ -49,6 +59,7 @@ pub use gate::{enabled, scope, Scope, ScopeGuard};
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -62,35 +73,49 @@ static STATE: Mutex<State> = Mutex::new(State::new());
 static NEXT_HOST_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Host-span bookkeeping: this thread's Chrome tid and its current
-    /// span-nesting depth (depth guarantees well-nested X events per tid).
+    /// This thread's Chrome tid on the host process (0 until its first
+    /// host span).
     static HOST_THREAD: Cell<u64> = const { Cell::new(0) };
 }
 
-#[derive(Debug)]
+/// A byte range of [`State::text`].
+#[derive(Debug, Clone, Copy)]
+struct Text {
+    start: u32,
+    end: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Event {
-    /// Chrome event phase: `'X'` for complete spans, `'C'` for counter
+    /// Chrome event phase: `b'X'` for complete spans, `b'C'` for counter
     /// samples (rendered as a stacked-area track; `dur_us` is unused).
-    ph: char,
+    ph: u8,
+    /// [`HOST_PID`] (category `host`) or [`SIM_PID`] (category `sim`).
     pid: u32,
     tid: u64,
-    name: String,
-    cat: &'static str,
+    name: Text,
     /// Start timestamp in microseconds (cycles map 1:1 to µs on sim tracks).
     ts_us: f64,
     dur_us: f64,
-    args: Vec<(String, u64)>,
+    /// Range of [`State::args`].
+    args: (u32, u32),
 }
 
 #[derive(Debug)]
 struct State {
     label: String,
-    counters: BTreeMap<String, u64>,
+    /// Every name the session recorded, back to back.
+    text: String,
     events: Vec<Event>,
-    /// Simulated-hardware track name → Chrome tid.
-    sim_tracks: BTreeMap<String, u64>,
-    /// Chrome tid → display name (host threads and sim tracks).
-    track_names: Vec<(u32, u64, String)>,
+    /// Event args as (key, value); each event owns one contiguous range.
+    args: Vec<(Text, u64)>,
+    /// Counters, sorted by name.
+    counters: Vec<(Text, u64)>,
+    /// Simulated-hardware track name → Chrome tid, sorted by name.
+    sim_tracks: Vec<(Text, u64)>,
+    /// (pid, tid, display name) of host threads and sim tracks, in the
+    /// order they were first seen.
+    track_names: Vec<(u32, u64, Text)>,
     epoch: Option<Instant>,
 }
 
@@ -98,23 +123,92 @@ impl State {
     const fn new() -> Self {
         Self {
             label: String::new(),
-            counters: BTreeMap::new(),
+            text: String::new(),
             events: Vec::new(),
-            sim_tracks: BTreeMap::new(),
+            args: Vec::new(),
+            counters: Vec::new(),
+            sim_tracks: Vec::new(),
             track_names: Vec::new(),
             epoch: None,
         }
     }
 
+    /// Empties the recording, keeping every buffer's capacity.
     fn clear(&mut self, label: &str) {
         self.label.clear();
         self.label.push_str(label);
-        self.counters.clear();
+        self.text.clear();
         self.events.clear();
+        self.args.clear();
+        self.counters.clear();
         self.sim_tracks.clear();
         self.track_names.clear();
         self.epoch = Some(Instant::now());
     }
+
+    fn str(&self, t: Text) -> &str {
+        &self.text[t.start as usize..t.end as usize]
+    }
+
+    /// Appends `name`'s `Display` output to `text`.
+    fn push(&mut self, name: impl Display) -> Text {
+        let start = offset(self.text.len());
+        write!(self.text, "{name}").expect("formatting into a String cannot fail");
+        Text {
+            start,
+            end: offset(self.text.len()),
+        }
+    }
+
+    /// [`State::push`] for a plain string, without a formatting pass.
+    fn push_str(&mut self, s: &str) -> Text {
+        let start = offset(self.text.len());
+        self.text.push_str(s);
+        Text {
+            start,
+            end: offset(self.text.len()),
+        }
+    }
+
+    /// Index of `name` in `sorted` (a name-sorted table), or where it
+    /// would be inserted.
+    fn find(&self, sorted: &[(Text, u64)], name: &str) -> Result<usize, usize> {
+        sorted.binary_search_by(|&(t, _)| self.str(t).cmp(name))
+    }
+
+    /// The Chrome tid of simulated track `track`, registering it on first
+    /// use (tids count up from 1 in order of first appearance).
+    fn sim_track(&mut self, track: impl Display) -> u64 {
+        let name = self.push(track);
+        match self.find(&self.sim_tracks, self.str(name)) {
+            Ok(i) => {
+                self.text.truncate(name.start as usize);
+                self.sim_tracks[i].1
+            }
+            Err(i) => {
+                let tid = self.sim_tracks.len() as u64 + 1;
+                self.sim_tracks.insert(i, (name, tid));
+                self.track_names.push((SIM_PID, tid, name));
+                tid
+            }
+        }
+    }
+
+    /// Appends one event's args; returns their range of `args`.
+    fn push_args(&mut self, args: &[(&str, u64)]) -> (u32, u32) {
+        let first = offset(self.args.len());
+        for &(key, value) in args {
+            let key = self.push_str(key);
+            self.args.push((key, value));
+        }
+        (first, offset(self.args.len()))
+    }
+}
+
+/// A buffer length as a stored offset. A session holding 4 GiB of names
+/// or args is a runaway recording, not a trace.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a trace session records under 4 GiB of names and args")
 }
 
 fn lock_state() -> MutexGuard<'static, State> {
@@ -123,40 +217,52 @@ fn lock_state() -> MutexGuard<'static, State> {
 
 /// Adds `delta` to the named counter. A no-op (one atomic load) outside a
 /// session. Counters are monotonic sums, so totals are independent of the
-/// order and the thread that recorded each increment.
+/// order and the thread that recorded each increment. Only a counter's
+/// first increment in a session stores its name.
 #[inline]
 pub fn count(name: &str, delta: u64) {
     if !enabled() {
         return;
     }
-    let mut st = lock_state();
-    *st.counters.entry(name.to_owned()).or_insert(0) += delta;
+    let st = &mut *lock_state();
+    match st.find(&st.counters, name) {
+        Ok(i) => st.counters[i].1 += delta,
+        Err(i) => {
+            let name = st.push_str(name);
+            st.counters.insert(i, (name, delta));
+        }
+    }
 }
 
 /// Current value of a counter (0 if never written). Only meaningful inside
 /// a session.
 pub fn counter_value(name: &str) -> u64 {
-    lock_state().counters.get(name).copied().unwrap_or(0)
+    let st = lock_state();
+    st.find(&st.counters, name).map_or(0, |i| st.counters[i].1)
 }
 
 /// Snapshot of every counter recorded so far in the current session.
 pub fn counters_snapshot() -> BTreeMap<String, u64> {
-    lock_state().counters.clone()
+    let st = lock_state();
+    st.counters
+        .iter()
+        .map(|&(name, v)| (st.str(name).to_owned(), v))
+        .collect()
 }
 
 /// Records a complete event on a simulated-hardware track: `track` is the
 /// resource name (becomes a named Chrome thread under the simulator
 /// process), `start` and `dur` are in cycles (rendered as µs, 1 cycle =
 /// 1 µs). No-op outside a session.
-pub fn sim_event(track: &str, name: &str, start_cycles: u64, dur_cycles: u64) {
+pub fn sim_event(track: impl Display, name: impl Display, start_cycles: u64, dur_cycles: u64) {
     sim_event_args(track, name, start_cycles, dur_cycles, &[]);
 }
 
 /// [`sim_event`] with counter-style `args` attached (shown in the Chrome
 /// trace's detail pane).
 pub fn sim_event_args(
-    track: &str,
-    name: &str,
+    track: impl Display,
+    name: impl Display,
     start_cycles: u64,
     dur_cycles: u64,
     args: &[(&str, u64)],
@@ -164,25 +270,18 @@ pub fn sim_event_args(
     if !enabled() {
         return;
     }
-    let mut st = lock_state();
-    let tid = match st.sim_tracks.get(track) {
-        Some(&tid) => tid,
-        None => {
-            let tid = st.sim_tracks.len() as u64 + 1;
-            st.sim_tracks.insert(track.to_owned(), tid);
-            st.track_names.push((SIM_PID, tid, track.to_owned()));
-            tid
-        }
-    };
+    let st = &mut *lock_state();
+    let tid = st.sim_track(track);
+    let name = st.push(name);
+    let args = st.push_args(args);
     st.events.push(Event {
-        ph: 'X',
+        ph: b'X',
         pid: SIM_PID,
         tid,
-        name: name.to_owned(),
-        cat: "sim",
+        name,
         ts_us: start_cycles as f64,
         dur_us: dur_cycles as f64,
-        args: args.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
+        args,
     });
 }
 
@@ -191,30 +290,31 @@ pub fn sim_event_args(
 /// stacked-area track under the simulator process). `ts` is in cycles on
 /// the same clock as [`sim_event`], so counter tracks line up with event
 /// tracks from any engine sharing the session. No-op outside a session.
-pub fn sim_counter(name: &str, ts_cycles: u64, value: u64) {
+pub fn sim_counter(name: impl Display, ts_cycles: u64, value: u64) {
     if !enabled() {
         return;
     }
-    let mut st = lock_state();
+    let st = &mut *lock_state();
+    let name = st.push(name);
+    let args = st.push_args(&[("value", value)]);
     st.events.push(Event {
-        ph: 'C',
+        ph: b'C',
         pid: SIM_PID,
         tid: 0,
-        name: name.to_owned(),
-        cat: "sim",
+        name,
         ts_us: ts_cycles as f64,
         dur_us: 0.0,
-        args: vec![("value".to_owned(), value)],
+        args,
     });
 }
 
 /// Opens a wall-clock span on the calling thread's host track; the span is
 /// recorded when the returned guard drops. Spans on one thread are strictly
 /// nested by construction (RAII), so the exported events are well-nested.
-pub fn host_span(name: &str) -> HostSpan {
+pub fn host_span(name: &'static str) -> HostSpan {
     if !enabled() {
         return HostSpan {
-            name: String::new(),
+            name,
             start: None,
             tid: 0,
         };
@@ -223,13 +323,14 @@ pub fn host_span(name: &str) -> HostSpan {
         if t.get() == 0 {
             let tid = NEXT_HOST_TID.fetch_add(1, Ordering::Relaxed);
             t.set(tid);
-            let mut st = lock_state();
-            st.track_names.push((HOST_PID, tid, format!("host-{tid}")));
+            let st = &mut *lock_state();
+            let name = st.push(format_args!("host-{tid}"));
+            st.track_names.push((HOST_PID, tid, name));
         }
         t.get()
     });
     HostSpan {
-        name: name.to_owned(),
+        name,
         start: Some(Instant::now()),
         tid,
     }
@@ -238,7 +339,7 @@ pub fn host_span(name: &str) -> HostSpan {
 /// Guard for a wall-clock host span (see [`host_span`]).
 #[derive(Debug)]
 pub struct HostSpan {
-    name: String,
+    name: &'static str,
     start: Option<Instant>,
     tid: u64,
 }
@@ -249,21 +350,20 @@ impl Drop for HostSpan {
         if !enabled() {
             return;
         }
-        let mut st = lock_state();
+        // The span ends now, not once the registry lock is ours.
+        let end = Instant::now();
+        let st = &mut *lock_state();
         let Some(epoch) = st.epoch else { return };
-        let ts_us = start.duration_since(epoch).as_secs_f64() * 1e6;
-        let dur_us = start.elapsed().as_secs_f64() * 1e6;
-        let name = std::mem::take(&mut self.name);
-        let tid = self.tid;
+        let name = st.push_str(self.name);
+        let args = st.push_args(&[]);
         st.events.push(Event {
-            ph: 'X',
+            ph: b'X',
             pid: HOST_PID,
-            tid,
+            tid: self.tid,
             name,
-            cat: "host",
-            ts_us,
-            dur_us,
-            args: Vec::new(),
+            ts_us: start.duration_since(epoch).as_secs_f64() * 1e6,
+            dur_us: end.duration_since(start).as_secs_f64() * 1e6,
+            args,
         });
     }
 }
@@ -307,14 +407,13 @@ impl TraceGuard {
         out.push_str("{\n  \"label\": ");
         write_json_string(&mut out, &st.label);
         out.push_str(",\n  \"counters\": {");
-        for (i, (k, v)) in st.counters.iter().enumerate() {
+        for (i, &(name, v)) in st.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    ");
-            write_json_string(&mut out, k);
-            out.push_str(": ");
-            out.push_str(&v.to_string());
+            write_json_string(&mut out, st.str(name));
+            let _ = write!(out, ": {v}");
         }
         if !st.counters.is_empty() {
             out.push_str("\n  ");
@@ -330,52 +429,46 @@ impl TraceGuard {
         let st = lock_state();
         let mut out = String::with_capacity(256 + st.events.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let push_sep = |out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str("\n  ");
-        };
-        for &(pid, name) in &[(HOST_PID, "host"), (SIM_PID, "dota-accelerator")] {
-            push_sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
+        let mut sep = "\n  ";
+        for (pid, name) in [(HOST_PID, "host"), (SIM_PID, "dota-accelerator")] {
+            let _ = write!(
+                out,
+                "{sep}{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"name\":\"{name}\"}}}}"
-            ));
+            );
+            sep = ",\n  ";
         }
-        for (pid, tid, name) in &st.track_names {
-            push_sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
-            ));
-            write_json_string(&mut out, name);
+        for &(pid, tid, name) in &st.track_names {
+            let _ = write!(
+                out,
+                "{sep}{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+            );
+            write_json_string(&mut out, st.str(name));
             out.push_str("}}");
         }
         for e in &st.events {
-            push_sep(&mut out, &mut first);
-            out.push_str(&format!("{{\"ph\":\"{}\",\"name\":", e.ph));
-            write_json_string(&mut out, &e.name);
-            out.push_str(&format!(
-                ",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-                e.cat,
+            let _ = write!(out, "{sep}{{\"ph\":\"{}\",\"name\":", char::from(e.ph));
+            write_json_string(&mut out, st.str(e.name));
+            let cat = if e.pid == HOST_PID { "host" } else { "sim" };
+            let _ = write!(
+                out,
+                ",\"cat\":\"{cat}\",\"pid\":{},\"tid\":{},\"ts\":{}",
                 e.pid,
                 e.tid,
                 fmt_f64(e.ts_us)
-            ));
-            if e.ph == 'X' {
-                out.push_str(&format!(",\"dur\":{}", fmt_f64(e.dur_us)));
+            );
+            if e.ph == b'X' {
+                let _ = write!(out, ",\"dur\":{}", fmt_f64(e.dur_us));
             }
-            if !e.args.is_empty() {
+            let args = &st.args[e.args.0 as usize..e.args.1 as usize];
+            if !args.is_empty() {
                 out.push_str(",\"args\":{");
-                for (i, (k, v)) in e.args.iter().enumerate() {
+                for (i, &(key, v)) in args.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(&mut out, k);
-                    out.push(':');
-                    out.push_str(&v.to_string());
+                    write_json_string(&mut out, st.str(key));
+                    let _ = write!(out, ":{v}");
                 }
                 out.push('}');
             }
@@ -427,7 +520,9 @@ fn write_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -564,5 +659,205 @@ mod tests {
         assert_eq!(fmt_f64(12.0), "12");
         assert_eq!(fmt_f64(0.5), "0.5");
         assert_eq!(fmt_f64(f64::NAN), "0");
+    }
+
+    /// The fixed script behind the exporter's golden bytes: sim events
+    /// with and without args on new and reused tracks, names formatted
+    /// through `format_args!` that need escaping, counter samples and
+    /// counters.
+    fn golden_script() {
+        sim_event("RmmuFx", "L0.linear", 0, 100);
+        sim_event_args(
+            "RmmuFx",
+            format_args!("L{}.attention", 0),
+            100,
+            50,
+            &[("loads", 7), ("reloads", 0)],
+        );
+        sim_event(
+            format_args!("{}.queue", "cell"),
+            format_args!("req{} queued", 12),
+            3,
+            9,
+        );
+        sim_event_args(
+            format_args!("cell.slot{}", 1),
+            format_args!("req{} \"{}\" \\ {}\n{}", 4, "q", "b", '\u{1}'),
+            10,
+            5,
+            &[
+                ("retention_milli", 125),
+                ("level", 2),
+                ("tokens", 8),
+                ("attended", 40),
+                ("omitted", 24),
+            ],
+        );
+        sim_event("DramPort", "L0.weights", 0, 30);
+        sim_event(
+            format_args!("{}", "RmmuFx"),
+            format_args!("naïve ✓ {}", "\t\r\u{7f}"),
+            150,
+            0,
+        );
+        sim_event_args(
+            format_args!("cell.slot{}", 1),
+            "big",
+            u64::MAX,
+            1 << 53,
+            &[("k\"ey", u64::MAX)],
+        );
+        sim_counter(format_args!("{}.queue_depth", "cell"), 0, 3);
+        sim_counter("serve.slo.burn_milli", 120, 5);
+        sim_counter(format_args!("{}.queue_depth", "cell"), 130, 0);
+        count("serve.steps", 2);
+        count("a.first", 1);
+        count("serve.steps", 3);
+        count(&format!("attn.L{}.H{}.retained", 1, 0), 9);
+        count("zz \"esc\"\n", 4);
+        count("Z.upper", 0);
+        count("é.accent", 1);
+    }
+
+    /// Bytes the per-event-`String` recorder exported for [`golden_script`].
+    const GOLDEN_CHROME: &str = concat!(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+        r#"  {"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"host"}},"#,
+        "\n",
+        r#"  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"dota-accelerator"}},"#,
+        "\n",
+        r#"  {"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"RmmuFx"}},"#,
+        "\n",
+        r#"  {"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"cell.queue"}},"#,
+        "\n",
+        r#"  {"ph":"M","name":"thread_name","pid":1,"tid":3,"args":{"name":"cell.slot1"}},"#,
+        "\n",
+        r#"  {"ph":"M","name":"thread_name","pid":1,"tid":4,"args":{"name":"DramPort"}},"#,
+        "\n",
+        r#"  {"ph":"X","name":"L0.linear","cat":"sim","pid":1,"tid":1,"ts":0,"dur":100},"#,
+        "\n",
+        r#"  {"ph":"X","name":"L0.attention","cat":"sim","pid":1,"tid":1,"ts":100,"dur":50,"args":{"loads":7,"reloads":0}},"#,
+        "\n",
+        r#"  {"ph":"X","name":"req12 queued","cat":"sim","pid":1,"tid":2,"ts":3,"dur":9},"#,
+        "\n",
+        r#"  {"ph":"X","name":"req4 \"q\" \\ b\n\u0001","cat":"sim","pid":1,"tid":3,"ts":10,"dur":5,"args":{"retention_milli":125,"level":2,"tokens":8,"attended":40,"omitted":24}},"#,
+        "\n",
+        r#"  {"ph":"X","name":"L0.weights","cat":"sim","pid":1,"tid":4,"ts":0,"dur":30},"#,
+        "\n",
+        "  {\"ph\":\"X\",\"name\":\"naïve ✓ \\t\\r\u{7f}\",\"cat\":\"sim\",\"pid\":1,\"tid\":1,\"ts\":150,\"dur\":0},",
+        "\n",
+        r#"  {"ph":"X","name":"big","cat":"sim","pid":1,"tid":3,"ts":18446744073709552000,"dur":9007199254740992,"args":{"k\"ey":18446744073709551615}},"#,
+        "\n",
+        r#"  {"ph":"C","name":"cell.queue_depth","cat":"sim","pid":1,"tid":0,"ts":0,"args":{"value":3}},"#,
+        "\n",
+        r#"  {"ph":"C","name":"serve.slo.burn_milli","cat":"sim","pid":1,"tid":0,"ts":120,"args":{"value":5}},"#,
+        "\n",
+        r#"  {"ph":"C","name":"cell.queue_depth","cat":"sim","pid":1,"tid":0,"ts":130,"args":{"value":0}}"#,
+        "\n]}\n",
+    );
+
+    const GOLDEN_COUNTERS: &str = concat!(
+        "{\n",
+        "  \"label\": \"golden \\\"script\\\"\\n\",\n",
+        "  \"counters\": {\n",
+        "    \"Z.upper\": 0,\n",
+        "    \"a.first\": 1,\n",
+        "    \"attn.L1.H0.retained\": 9,\n",
+        "    \"serve.steps\": 5,\n",
+        "    \"zz \\\"esc\\\"\\n\": 4,\n",
+        "    \"é.accent\": 1\n",
+        "  }\n",
+        "}\n",
+    );
+
+    #[test]
+    fn exporter_bytes_match_the_golden_script() {
+        for _ in 0..2 {
+            // The second pass records into the first one's kept buffers.
+            let t = session("golden \"script\"\n");
+            golden_script();
+            assert_eq!(t.chrome_trace_json(), GOLDEN_CHROME);
+            assert_eq!(t.counters_json(), GOLDEN_COUNTERS);
+        }
+        let t = session("");
+        assert_eq!(
+            t.chrome_trace_json(),
+            concat!(
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+                r#"  {"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"host"}},"#,
+                "\n",
+                r#"  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"dota-accelerator"}}"#,
+                "\n]}\n",
+            )
+        );
+        assert_eq!(
+            t.counters_json(),
+            "{\n  \"label\": \"\",\n  \"counters\": {}\n}\n"
+        );
+    }
+
+    /// The value of `"key":` in one exported event line.
+    fn field<'a>(line: &'a str, key: &str) -> &'a str {
+        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let rest = &line[at..];
+        &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+    }
+
+    #[test]
+    fn host_spans_export_well_nested_on_the_thread_track() {
+        let t = session("host");
+        {
+            let _outer = host_span("outer");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            drop(host_span("inner"));
+        }
+        let json = t.chrome_trace_json();
+        let tid = HOST_THREAD.with(Cell::get);
+        assert_ne!(tid, 0);
+        let spans: Vec<(&str, f64, f64)> = json
+            .lines()
+            .filter(|l| l.contains("\"cat\":\"host\""))
+            .map(|l| {
+                assert_eq!(field(l, "ph"), "\"X\"");
+                assert_eq!(field(l, "pid"), HOST_PID.to_string());
+                assert_eq!(field(l, "tid"), tid.to_string());
+                let ts: f64 = field(l, "ts").parse().unwrap();
+                let dur: f64 = field(l, "dur").parse().unwrap();
+                assert!(ts >= 0.0 && dur >= 0.0, "{l}");
+                (field(l, "name"), ts, dur)
+            })
+            .collect();
+        // Spans record as they close: the inner one first.
+        let [(inner, i_ts, i_dur), (outer, o_ts, o_dur)] = spans[..] else {
+            panic!("two host spans expected:\n{json}");
+        };
+        assert_eq!((inner, outer), ("\"inner\"", "\"outer\""));
+        assert!(o_ts <= i_ts && i_ts + i_dur <= o_ts + o_dur, "{json}");
+        assert!(o_dur >= 1e3, "outer slept 1 ms: {json}");
+    }
+
+    #[test]
+    fn host_span_duration_excludes_waiting_for_the_registry() {
+        let t = session("lock");
+        let span = host_span("waits");
+        let held = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let st = lock_state();
+                held.wait();
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                drop(st);
+            });
+            held.wait();
+            // Blocks on the registry until the other thread lets go.
+            drop(span);
+        });
+        let dur_us = lock_state()
+            .events
+            .last()
+            .expect("the span recorded")
+            .dur_us;
+        assert!(dur_us < 50e3, "span timed the lock: {dur_us} µs");
+        drop(t);
     }
 }
