@@ -1,5 +1,6 @@
 use crate::optim::{ParamId, ParamSet};
 use dota_tensor::exp::exp_f32;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{ops, Matrix};
 
 /// A handle to a node in a [`Graph`].
@@ -303,7 +304,7 @@ impl Graph {
     /// Hyperbolic tangent, element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
         let mut v = self.value(a).clone();
-        ops::tanh_slice(v.as_mut_slice());
+        ops::tanh_slice(Lanes::active(), v.as_mut_slice());
         self.push(v, Op::Tanh(a))
     }
 
@@ -537,7 +538,7 @@ impl Graph {
                     // t = tanh(u) for the whole matrix through the slice
                     // kernel, then the derivative element by element.
                     let mut dx = x.map(|v| C * (v + 0.044_715 * v * v * v));
-                    ops::tanh_slice(dx.as_mut_slice());
+                    ops::tanh_slice(Lanes::active(), dx.as_mut_slice());
                     for ((out, &v), &g) in dx.iter_mut().zip(x.iter()).zip(grad.iter()) {
                         let t = *out;
                         let du = C * (1.0 + 3.0 * 0.044_715 * v * v);

@@ -34,6 +34,7 @@ use dota_autograd::ParamSet;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
+use dota_tensor::lanes::Lanes;
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
 use dota_tensor::{ops, reference, topk, Matrix};
@@ -149,14 +150,20 @@ struct LibmPortLanesRow {
 }
 
 impl LibmPortLanesRow {
-    /// Times `libm` and `kernel` (under `scalar`, then `simd`) over `src`
-    /// and prints the row.
-    fn time(name: String, src: &[f32], libm: impl Fn(&mut [f32]), kernel: fn(&mut [f32])) -> Self {
+    /// Times `libm` and `kernel` (plain, then on the `simd` lanes) over
+    /// `src` and prints the row.
+    fn time(
+        name: String,
+        src: &[f32],
+        libm: impl Fn(&mut [f32]),
+        kernel: fn(Lanes, &mut [f32]),
+    ) -> Self {
+        let lanes = with_family("simd", Lanes::active);
         let row = Self {
             kernel: name,
             libm_ns_per_elem: ns_per_elem(src, libm),
-            port_ns_per_elem: with_family("scalar", || ns_per_elem(src, kernel)),
-            lanes_ns_per_elem: with_family("simd", || ns_per_elem(src, kernel)),
+            port_ns_per_elem: ns_per_elem(src, |xs| kernel(Lanes::Plain, xs)),
+            lanes_ns_per_elem: ns_per_elem(src, |xs| kernel(lanes, xs)),
         };
         println!(
             "  {:<14} libm {:>6.2} ns/elem  port {:>6.2} ns/elem  lanes {:>6.2} ns/elem",
@@ -372,12 +379,7 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
     let mut rows = Vec::new();
     let mut scalar_p50 = f64::NAN;
     for fam in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
-        let available = match fam {
-            KernelFamily::Scalar => true,
-            KernelFamily::Simd => simd::simd_available(),
-            KernelFamily::Fma => simd::fma_available(),
-        };
-        if !available {
+        if simd::parse_family(fam.name()).is_err() {
             continue;
         }
         a.matmul_into(&b, &mut out).expect("shape"); // warm pools
@@ -531,20 +533,19 @@ fn attend_row_rows() -> Vec<AttendRowRow> {
         let v = rng.normal_matrix(context, 4 * HD, 1.0);
         let dense: Vec<u32> = (0..context as u32).collect();
         let every8th: Vec<u32> = dense.iter().copied().step_by(8).collect();
-        let time = |family: &str, sel: &[u32]| {
-            with_family(family, || {
-                let mut state = ops::Attend::new(ops::RowKernel::active(), 0.176_776_7);
-                let attend =
-                    |out: &mut [f32]| ops::attend_row(&mut state, q.row(0), &k, &v, HD, sel, out);
-                ns_per_elem(&[0.0; HD], attend) * HD as f64 / sel.len() as f64
-            })
+        let time = |lanes: Lanes, sel: &[u32]| {
+            let mut state = ops::Attend::new(lanes, 0.176_776_7);
+            let attend =
+                |out: &mut [f32]| ops::attend_row(&mut state, q.row(0), &k, &v, HD, sel, out);
+            ns_per_elem(&[0.0; HD], attend) * HD as f64 / sel.len() as f64
         };
+        let lanes = with_family("simd", Lanes::active);
         let row = AttendRowRow {
             kernel: format!("attend_row_ctx{context}"),
-            dense_scalar_ns_per_conn: time("scalar", &dense),
-            dense_lanes_ns_per_conn: time("simd", &dense),
-            every8th_scalar_ns_per_conn: time("scalar", &every8th),
-            every8th_lanes_ns_per_conn: time("simd", &every8th),
+            dense_scalar_ns_per_conn: time(Lanes::Plain, &dense),
+            dense_lanes_ns_per_conn: time(lanes, &dense),
+            every8th_scalar_ns_per_conn: time(Lanes::Plain, &every8th),
+            every8th_lanes_ns_per_conn: time(lanes, &every8th),
         };
         println!(
             "  {:<20} dense: scalar {:>5.2} lanes {:>5.2}   every 8th key: scalar {:>5.2} lanes {:>5.2}",
@@ -742,8 +743,9 @@ fn selection_rows() -> Vec<SelectionRow> {
     let q = Int8Matrix::quantize(&rng.normal_matrix(1, 6, 1.0), Precision::Int4);
     let k = Int8Matrix::quantize(&rng.normal_matrix(N, 6, 1.0), Precision::Int4);
     let bound = q.acc_bound(&k) as i32;
+    let lanes = Lanes::active();
     let mut acc = Vec::new();
-    q.for_each_acc_row(&k, |_, row| acc = row.to_vec())
+    q.for_each_acc_row(lanes, &k, |_, row| acc = row.to_vec())
         .expect("shape");
     let scores = q.matmul_nt_dequant(&k).expect("shape");
     let scores = scores.row(0);
@@ -763,14 +765,15 @@ fn selection_rows() -> Vec<SelectionRow> {
         set_f32: Some(per_elem(median_ns(15, || {
             for _ in 0..ROWS {
                 set.clear();
-                topk::top_k_set(std::hint::black_box(scores), K, &mut keys, &mut set);
+                topk::top_k_set(lanes, std::hint::black_box(scores), K, &mut keys, &mut set);
                 std::hint::black_box(&set);
             }
         }))),
         set_integer: per_elem(median_ns(15, || {
             for _ in 0..ROWS {
                 set.clear();
-                topk::top_k_set_keys(std::hint::black_box(&acc), K, -bound, bound, &mut set);
+                let acc = std::hint::black_box(&acc);
+                topk::top_k_set_keys(lanes, acc, K, -bound, bound, &mut set);
                 std::hint::black_box(&set);
             }
         })),

@@ -22,8 +22,8 @@ pub enum EnvKind {
     OneOf(&'static [&'static str]),
     /// Comma-separated numbers in `[0, 1]`, at least one.
     RateList,
-    /// Whatever [`dota_tensor::simd::family_from_env_checked`] accepts: a
-    /// kernel family this CPU can run.
+    /// Whatever [`dota_tensor::simd::parse_family`] accepts: a kernel
+    /// family this CPU can run.
     GemmFamily,
 }
 
@@ -141,11 +141,9 @@ impl EnvKind {
                 // `all` on the rest; `next` first so an empty list fails.
                 rates.next().is_some_and(in_range) && rates.all(in_range)
             }
-            // The checked reader reads the variable itself and words its
-            // own complaint (it knows which lanes this CPU reports).
-            EnvKind::GemmFamily => {
-                return dota_tensor::simd::family_from_env_checked().map(|_| ());
-            }
+            // The family parser words its own complaint (it knows which
+            // lanes this CPU reports).
+            EnvKind::GemmFamily => return dota_tensor::simd::parse_family(value).map(|_| ()),
         };
         if ok {
             return Ok(());
@@ -165,11 +163,18 @@ impl EnvKind {
 ///
 /// # Errors
 ///
-/// One line naming the first malformed variable in [`ENV`] order.
+/// One line naming the first malformed variable in [`ENV`] order; a value
+/// that is not Unicode is malformed whatever the row.
 pub fn validate_env() -> Result<(), String> {
     for &(name, _, kind, expected) in ENV {
-        if let Ok(v) = std::env::var(name) {
-            kind.check(name, &v, expected)?;
+        match std::env::var(name) {
+            Ok(v) => kind.check(name, &v, expected)?,
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                return Err(format!(
+                    "{name} must be {expected}, got non-Unicode {raw:?}"
+                ));
+            }
+            Err(std::env::VarError::NotPresent) => {}
         }
     }
     Ok(())
@@ -363,6 +368,22 @@ mod tests {
             assert!(text.contains("cli.test"), "{f}: {text}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest::proptest! {
+        /// Every row's checker answers arbitrary bytes (lossy UTF-8) with
+        /// `Ok` or a complaint naming its variable — never a panic.
+        #[test]
+        fn every_env_checker_never_panics(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let value = String::from_utf8_lossy(&noise);
+            for &(name, _, kind, expected) in ENV {
+                if let Err(complaint) = kind.check(name, &value, expected) {
+                    proptest::prop_assert!(complaint.contains(name), "{complaint}");
+                }
+            }
+        }
     }
 
     #[test]

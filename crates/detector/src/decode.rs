@@ -10,6 +10,7 @@
 
 use crate::{DetectorConfig, DotaHook};
 use dota_autograd::ParamSet;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{topk, Matrix};
 use dota_transformer::DecodeSelector;
 use std::cell::RefCell;
@@ -29,6 +30,8 @@ pub struct DotaDecodeSelector<'a> {
     params: &'a ParamSet,
     cfg: DetectorConfig,
     n_heads: usize,
+    /// The selection's lanes, decided once per generation.
+    lanes: Lanes,
     /// `k̃` rows accumulated so far, per layer, per head.
     sketches: RefCell<Vec<Vec<Matrix>>>,
 }
@@ -42,6 +45,7 @@ impl<'a> DotaDecodeSelector<'a> {
             params,
             cfg: hook.config().clone(),
             n_heads,
+            lanes: Lanes::active(),
             sketches: RefCell::new(
                 (0..n_layers)
                     .map(|l| {
@@ -93,7 +97,7 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         let scores: Vec<f32> = sketches.rows_iter().map(|k| Matrix::dot(q, k)).collect();
         let keep = self.cfg.keys_per_row_for_layer(layer, cache_len);
         let mut kept = Vec::with_capacity(keep);
-        topk::top_k_set(&scores, keep, &mut Vec::new(), &mut kept);
+        topk::top_k_set(self.lanes, &scores, keep, &mut Vec::new(), &mut kept);
         Some(kept)
     }
 }

@@ -2,6 +2,7 @@ use crate::{DetectorConfig, SelectionStrategy};
 use dota_autograd::{Graph, ParamId, ParamSet, Var};
 use dota_quant::qgemm::scaling_preserves_order;
 use dota_quant::{QuantizedMatrix, Quantizer};
+use dota_tensor::lanes::Lanes;
 use dota_tensor::rng::SeededRng;
 use dota_tensor::{topk, Matrix};
 
@@ -171,14 +172,15 @@ impl LowRankDetector {
         }
         let (q, k) = self.quantized_sketches(cfg, params, x);
         let keep = cfg.keys_per_row_for_layer(layer, k.rows());
+        let lanes = Lanes::active();
         let mut selection = Vec::with_capacity(q.rows());
         if let Some((q8, k8)) = q.narrowed_with(&k) {
             let bound = q8.acc_bound(&k8);
             if scaling_preserves_order(bound, q8.scale() * k8.scale()) {
                 let bound = bound as i32;
-                q8.for_each_acc_row(&k8, |_, acc| {
+                q8.for_each_acc_row(lanes, &k8, |_, acc| {
                     let mut row = Vec::with_capacity(keep);
-                    topk::top_k_set_keys(acc, keep, -bound, bound, &mut row);
+                    topk::top_k_set_keys(lanes, acc, keep, -bound, bound, &mut row);
                     selection.push(row);
                 })
                 .expect("shape");
@@ -188,7 +190,7 @@ impl LowRankDetector {
         let mut keys = Vec::new();
         q.for_each_score_row(&k, |_, scores| {
             let mut row = Vec::with_capacity(keep);
-            topk::top_k_set(scores, keep, &mut keys, &mut row);
+            topk::top_k_set(lanes, scores, keep, &mut keys, &mut row);
             selection.push(row);
         })
         .expect("shape");
@@ -224,12 +226,13 @@ impl LowRankDetector {
                     Some(l) => cfg.keys_per_row_for_layer(l, n_cols),
                     None => cfg.keys_per_row(n_cols),
                 };
+                let lanes = Lanes::active();
                 let mut keys = Vec::with_capacity(n_cols);
                 scores
                     .rows_iter()
                     .map(|row| {
                         let mut kept = Vec::with_capacity(k);
-                        topk::top_k_set(row, k, &mut keys, &mut kept);
+                        topk::top_k_set(lanes, row, k, &mut keys, &mut kept);
                         kept
                     })
                     .collect()

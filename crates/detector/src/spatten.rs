@@ -14,6 +14,7 @@
 //! configured schedule.
 
 use dota_autograd::ParamSet;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{ops, topk, Matrix};
 use dota_transformer::{InferenceHook, Model, TransformerParams};
 use std::sync::Mutex;
@@ -93,6 +94,7 @@ impl SpattenHook {
     fn cascade(&self, x: &Matrix) -> Vec<Vec<u32>> {
         let n = x.rows();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let lanes = Lanes::active();
         let mut survivors: Vec<u32> = (0..n as u32).collect();
         let mut per_layer = Vec::with_capacity(self.n_layers);
         for l in 0..self.n_layers {
@@ -114,7 +116,7 @@ impl SpattenHook {
                                 Matrix::dot(qh.row(qi as usize), kh.row(kj as usize)) * scale
                             })
                             .collect();
-                        ops::softmax_slice(&mut row);
+                        ops::softmax_slice(lanes, &mut row);
                         for (slot, &p) in row.iter().enumerate() {
                             importance[slot] += p;
                         }

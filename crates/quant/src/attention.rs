@@ -16,6 +16,7 @@
 //! to the f32 reference can be measured (the tests bound it).
 
 use crate::{Fx16, Precision, Quantizer};
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{ops, Matrix};
 
 /// A matrix of FX16 values plus the scale used to produce them (real value
@@ -125,6 +126,7 @@ pub fn fx16_sparse_attention(
     // The MFU re-quantizes softmax outputs (probabilities in [0,1]) at a
     // fixed scale so A·V stays in fixed point.
     let prob_quant = Quantizer::symmetric(Precision::Fx16);
+    let lanes = Lanes::active();
 
     let mut out = Matrix::zeros(q.rows(), v.cols());
     for (i, sel) in selected.iter().enumerate() {
@@ -140,7 +142,7 @@ pub fn fx16_sparse_attention(
             })
             .collect();
         // 3: f32 softmax in the MFU.
-        ops::softmax_slice(&mut weights);
+        ops::softmax_slice(lanes, &mut weights);
         // 4: quantize probabilities back to fixed point.
         let w_mat = Matrix::from_vec(1, weights.len(), weights.clone()).expect("row");
         let w_q = prob_quant.quantize_with_scale(&w_mat, 1.0 / 32767.0);

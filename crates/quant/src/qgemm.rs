@@ -23,8 +23,9 @@
 //! ranking, i.e. when the accumulators may be ranked as they are.
 //!
 //! Integer addition is associative, so the SIMD and scalar paths are
-//! bitwise identical by construction — no kernel-family knob is needed
-//! here, only availability. Scale handling is exactly
+//! bitwise identical by construction; which one runs is the caller's
+//! [`Lanes`], as for every lane kernel (`DOTA_GEMM=scalar` pins the plain
+//! loops). Scale handling is exactly
 //! [`QuantizedMatrix`]'s: symmetric, zero-point 0, output scaled by the
 //! product of the operand scales.
 //!
@@ -35,6 +36,9 @@
 //! changing.
 
 use crate::{Precision, QuantizedMatrix, Quantizer};
+#[cfg(target_arch = "x86_64")]
+use dota_tensor::lanes::Avx2;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{Matrix, ShapeError};
 
 /// Largest inner dimension the i32-accumulating kernel accepts: every
@@ -130,11 +134,12 @@ impl Int8Matrix {
         self.cols as i64 * widest(self.precision) * widest(other.precision)
     }
 
-    /// The integer product `self · otherᵀ` as a stream of output rows:
-    /// calls `f(i, acc)` for `i` ascending, `acc[j]` the exact `i32` dot
-    /// product of row `i` of `self` with row `j` of `other`. Nothing the
-    /// size of the product is held — one row buffer, reused — so a caller
-    /// that only ranks or thresholds a row never pays for the matrix.
+    /// The integer product `self · otherᵀ` as a stream of output rows, on
+    /// `lanes`: calls `f(i, acc)` for `i` ascending, `acc[j]` the exact
+    /// `i32` dot product of row `i` of `self` with row `j` of `other`.
+    /// Nothing the size of the product is held — one row buffer, reused —
+    /// so a caller that only ranks or thresholds a row never pays for the
+    /// matrix.
     ///
     /// # Errors
     ///
@@ -146,6 +151,7 @@ impl Int8Matrix {
     /// `i32`).
     pub fn for_each_acc_row(
         &self,
+        lanes: Lanes,
         other: &Int8Matrix,
         mut f: impl FnMut(usize, &[i32]),
     ) -> Result<(), ShapeError> {
@@ -155,7 +161,7 @@ impl Int8Matrix {
             "depth {} is not i32-safe",
             self.cols
         );
-        let kernel = Kernel::for_product(&other.data, self.cols);
+        let kernel = Kernel::for_product(lanes, &other.data, self.cols);
         // Whole 8-lane groups, so the column kernel stores full vectors.
         let mut acc = vec![0i32; other.rows.next_multiple_of(8)];
         for i in 0..self.rows {
@@ -211,8 +217,10 @@ impl Int8Matrix {
         // Rows are appended as they are scaled: the matrix is written
         // once, never zeroed first.
         let mut data = Vec::with_capacity(self.rows * other.rows);
-        self.for_each_acc_row(other, |_, acc| push_scaled(acc, out_scale, &mut data))
-            .expect("depths checked equal");
+        self.for_each_acc_row(Lanes::active(), other, |_, acc| {
+            push_scaled(acc, out_scale, &mut data)
+        })
+        .expect("depths checked equal");
         Matrix::from_vec(self.rows, other.rows, data).expect("one row per row of self")
     }
 }
@@ -239,8 +247,8 @@ pub fn scaling_preserves_order(bound: i64, scale: f32) -> bool {
 }
 
 /// Depths below this run [`Kernel::Avx2Columns`]: under one 16-lane step
-/// the per-output [`dot_i8_avx2`] would run nothing but its set-up and
-/// scalar tail.
+/// the per-output dot product along the depth would run nothing but its
+/// set-up and scalar tail.
 #[cfg(target_arch = "x86_64")]
 const COLUMN_KERNEL_BELOW: usize = 16;
 
@@ -252,31 +260,28 @@ enum Kernel<'b> {
     /// Inlined scalar loop over the row-major codes: every host.
     Scalar(&'b [i8]),
     /// AVX2 `madd` lanes along the depth, one output at a time: depths of
-    /// at least one 16-lane step. Only [`Kernel::for_product`] builds the
-    /// AVX2 variants, after verifying the feature.
+    /// at least one 16-lane step.
     #[cfg(target_arch = "x86_64")]
-    Avx2Depth(&'b [i8]),
+    Avx2Depth(Avx2, &'b [i8]),
     /// AVX2 `madd` lanes across eight output columns: small depths — the
     /// detector's rank-6 sketches — where the depth has no lanes to fill
     /// but the output row does. Holds the right operand pair-interleaved
     /// (see [`interleave_pairs`]).
     #[cfg(target_arch = "x86_64")]
-    Avx2Columns(Vec<i16>),
+    Avx2Columns(Avx2, Vec<i32>),
 }
 
 impl<'b> Kernel<'b> {
     /// The kernel for the row-major right operand `b` (`n` rows of `k`
-    /// codes).
-    fn for_product(b: &'b [i8], k: usize) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return if k >= COLUMN_KERNEL_BELOW {
-                Kernel::Avx2Depth(b)
-            } else {
-                Kernel::Avx2Columns(interleave_pairs(b, k))
-            };
+    /// codes) on `lanes`.
+    fn for_product(lanes: Lanes, b: &'b [i8], k: usize) -> Self {
+        match lanes {
+            Lanes::Plain => Kernel::Scalar(b),
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(token) if k >= COLUMN_KERNEL_BELOW => Kernel::Avx2Depth(token, b),
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(token) => Kernel::Avx2Columns(token, interleave_pairs(b, k)),
         }
-        Kernel::Scalar(b)
     }
 
     /// One output row of accumulators: `acc[j] = a · b_j` for the `n` rows
@@ -296,104 +301,94 @@ impl<'b> Kernel<'b> {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2Depth(b) => {
+            Kernel::Avx2Depth(_, b) => {
                 assert_eq!(b.len(), k * n, "operand shape");
-                for (j, o) in acc[..n].iter_mut().enumerate() {
-                    // SAFETY: `for_product` verified AVX2 before building
-                    // this variant; both slices are `k` codes long.
-                    *o = unsafe { dot_i8_avx2(a, &b[j * k..(j + 1) * k]) };
-                }
+                // SAFETY: the token proves AVX2 and FMA.
+                unsafe { x86::acc_row_depth(a, b, &mut acc[..n]) }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2Columns(pairs) => {
+            Kernel::Avx2Columns(_, pairs) => {
                 assert!(k < COLUMN_KERNEL_BELOW, "depth {k} has no column kernel");
-                assert_eq!(pairs.len(), acc.len() * k.div_ceil(2) * 2, "operand shape");
-                // SAFETY: `for_product` verified AVX2 before building this
-                // variant; depth, the interleaved length and the whole
-                // 8-lane groups of `acc` are asserted above.
-                unsafe { acc_row_columns_avx2(a, pairs, acc) }
+                assert_eq!(pairs.len(), acc.len() * k.div_ceil(2), "operand shape");
+                // SAFETY: the token proves AVX2 and FMA.
+                unsafe { x86::acc_row_columns(a, pairs, acc) }
             }
         }
     }
 }
 
-/// `b` (rows of `k` codes) widened to `i16` and pair-interleaved in blocks
-/// of eight rows: block `r`, depth pair `p` is sixteen values
-/// `b[8r + c][2p], b[8r + c][2p + 1]` for `c = 0..8` — one `madd` operand
+/// `b` (rows of `k` codes) pair-interleaved in blocks of eight rows: block
+/// `r`, depth pair `p` is eight `i32`s, lane `c` holding `b[8r + c][2p]`
+/// and `b[8r + c][2p + 1]` as its low and high `i16` — one `madd` operand
 /// yielding eight outputs' worth of two depth steps. Odd depths and a last
 /// block short of eight rows are zero-padded, which adds nothing to a sum.
 #[cfg(target_arch = "x86_64")]
-fn interleave_pairs(b: &[i8], k: usize) -> Vec<i16> {
+fn interleave_pairs(b: &[i8], k: usize) -> Vec<i32> {
     if k == 0 {
         return Vec::new();
     }
     let pairs = k.div_ceil(2);
-    let mut out = vec![0i16; (b.len() / k).div_ceil(8) * pairs * 16];
+    let mut out = vec![0; (b.len() / k).div_ceil(8) * pairs * 8];
     for (j, row) in b.chunks_exact(k).enumerate() {
-        let block = &mut out[j / 8 * pairs * 16..];
+        let block = &mut out[j / 8 * pairs * 8..];
         for (d, &code) in row.iter().enumerate() {
-            block[d / 2 * 16 + j % 8 * 2 + d % 2] = i16::from(code);
+            block[d / 2 * 8 + j % 8] |= (i32::from(code) & 0xffff) << (16 * (d % 2));
         }
     }
     out
 }
 
-/// # Safety
-///
-/// Requires AVX2; `a.len() < 16`, `acc.len()` a multiple of eight and
-/// `pairs` [`interleave_pairs`] of that depth with one block per eight
-/// accumulators.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn acc_row_columns_avx2(a: &[i8], pairs: &[i16], acc: &mut [i32]) {
+mod x86 {
+    use dota_tensor::lanes::{load_i32, load_i8, store_i32};
     use std::arch::x86_64::*;
-    let n_pairs = a.len().div_ceil(2);
-    // Each depth pair of `a`, both halves in one i32, in every lane.
-    let mut a_pairs = [_mm256_setzero_si256(); 8];
-    for (p, pair) in a.chunks(2).enumerate() {
-        let lo = i32::from(pair[0]) & 0xffff;
-        let hi = pair.get(1).map_or(0, |&c| i32::from(c));
-        a_pairs[p] = _mm256_set1_epi32(hi << 16 | lo);
-    }
-    let mut block = pairs.as_ptr() as *const __m256i;
-    for group in acc.chunks_exact_mut(8) {
-        let mut sum = _mm256_setzero_si256();
-        for a_pair in &a_pairs[..n_pairs] {
-            // SAFETY: `pairs` holds `n_pairs` 16-value groups per eight
-            // accumulators; loadu takes any alignment.
-            sum = _mm256_add_epi32(sum, _mm256_madd_epi16(*a_pair, _mm256_loadu_si256(block)));
-            block = block.add(1);
-        }
-        // SAFETY: `group` is eight `i32`s, the width of the store.
-        _mm256_storeu_si256(group.as_mut_ptr() as *mut __m256i, sum);
-    }
-}
 
-/// # Safety
-///
-/// Requires AVX2; slices must be equal length with `i32`-safe depth.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 16 <= n {
-        // 16 i8 → 16 i16 lanes, then madd pairs into 8 i32 partial sums.
-        let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i) as *const __m128i));
-        let bv = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-        i += 16;
+    /// [`super::Kernel::Avx2Columns`]' row: `a.len() < 16`, `acc` whole
+    /// 8-lane groups and `pairs` [`super::interleave_pairs`] of that depth
+    /// with one block per eight accumulators.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn acc_row_columns(a: &[i8], pairs: &[i32], acc: &mut [i32]) {
+        let n_pairs = a.len().div_ceil(2);
+        // Each depth pair of `a`, both halves in one i32, in every lane.
+        let mut a_pairs = [_mm256_setzero_si256(); 8];
+        for (p, pair) in a.chunks(2).enumerate() {
+            let lo = i32::from(pair[0]) & 0xffff;
+            let hi = pair.get(1).map_or(0, |&c| i32::from(c));
+            a_pairs[p] = _mm256_set1_epi32(hi << 16 | lo);
+        }
+        let (blocks, _) = pairs.as_chunks::<8>();
+        let (groups, _) = acc.as_chunks_mut::<8>();
+        for (g, group) in groups.iter_mut().enumerate() {
+            let mut sum = _mm256_setzero_si256();
+            for (a_pair, b) in a_pairs.iter().zip(&blocks[g * n_pairs..][..n_pairs]) {
+                sum = _mm256_add_epi32(sum, _mm256_madd_epi16(*a_pair, load_i32(b)));
+            }
+            store_i32(group, sum);
+        }
     }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut total: i32 = lanes.iter().sum();
-    while i < n {
-        total += a[i] as i32 * b[i] as i32;
-        i += 1;
+
+    /// [`super::Kernel::Avx2Depth`]' row: `acc[j]` is `a` dotted with the
+    /// `j`-th `a.len()`-code row of `b`, 16 codes a step.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn acc_row_depth(a: &[i8], b: &[i8], acc: &mut [i32]) {
+        let (a16, a_tail) = a.as_chunks::<16>();
+        for (o, b_j) in acc.iter_mut().zip(b.chunks_exact(a.len())) {
+            let (b16, b_tail) = b_j.as_chunks::<16>();
+            let mut sum = _mm256_setzero_si256();
+            for (x, y) in a16.iter().zip(b16) {
+                // 16 i8 → 16 i16 lanes, then madd pairs into 8 i32 sums.
+                let x = _mm256_cvtepi8_epi16(load_i8(x));
+                let y = _mm256_cvtepi8_epi16(load_i8(y));
+                sum = _mm256_add_epi32(sum, _mm256_madd_epi16(x, y));
+            }
+            let mut lanes = [0i32; 8];
+            store_i32(&mut lanes, sum);
+            *o = lanes.iter().sum();
+            for (&x, &y) in a_tail.iter().zip(b_tail) {
+                *o += x as i32 * y as i32;
+            }
+        }
     }
-    total
 }
 
 /// An INT4 (or INT2) matrix packed two codes per byte, the density the
@@ -578,12 +573,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Every accumulator row of the stream equals an `i64` sum over the
-        /// wide codes: a lone code, one pair, the detector's rank, odd
-        /// depths, the last depth of the column kernel, then lanes along
-        /// the depth without and with a scalar tail — at every precision
-        /// that fits a byte, output counts on both sides of whole 8-lane
-        /// groups.
+        /// Every accumulator row of the stream, on both bodies, equals an
+        /// `i64` sum over the wide codes: a lone code, one pair, the
+        /// detector's rank, odd depths, the last depth of the column
+        /// kernel, then lanes along the depth without and with a scalar
+        /// tail — at every precision that fits a byte, output counts on
+        /// both sides of whole 8-lane groups.
         #[test]
         fn acc_rows_match_i64_reference_oracle(
             seed in 0u64..1 << 32,
@@ -597,22 +592,24 @@ mod tests {
             let qa = Quantizer::symmetric(p).quantize(&rng.normal_matrix(5, k, 1.0));
             let qb = Quantizer::symmetric(p).quantize(&rng.normal_matrix(n, k, 1.0));
             let (a, b) = (Int8Matrix::from_quantized(&qa), Int8Matrix::from_quantized(&qb));
-            let mut seen = 0;
-            a.for_each_acc_row(&b, |i, acc| {
-                assert_eq!(i, seen, "rows arrive in order");
-                seen += 1;
-                let want: Vec<i64> = (0..n)
-                    .map(|j| {
-                        let (x, y) = (qa.code_row(i), qb.code_row(j));
-                        x.iter().zip(y).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
-                    })
-                    .collect();
-                let got: Vec<i64> = acc.iter().map(|&v| i64::from(v)).collect();
-                assert_eq!(got, want, "{p} depth {k} x {n}, row {i}");
-                assert!(want.iter().all(|v| v.abs() <= a.acc_bound(&b)));
-            })
-            .unwrap();
-            proptest::prop_assert_eq!(seen, 5);
+            for lanes in [Lanes::Plain, Lanes::active()] {
+                let mut seen = 0;
+                a.for_each_acc_row(lanes, &b, |i, acc| {
+                    assert_eq!(i, seen, "rows arrive in order");
+                    seen += 1;
+                    let want: Vec<i64> = (0..n)
+                        .map(|j| {
+                            let (x, y) = (qa.code_row(i), qb.code_row(j));
+                            x.iter().zip(y).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
+                        })
+                        .collect();
+                    let got: Vec<i64> = acc.iter().map(|&v| i64::from(v)).collect();
+                    assert_eq!(got, want, "{lanes:?}: {p} depth {k} x {n}, row {i}");
+                    assert!(want.iter().all(|v| v.abs() <= a.acc_bound(&b)));
+                })
+                .unwrap();
+                proptest::prop_assert_eq!(seen, 5);
+            }
         }
 
         /// The order argument behind ranking accumulators instead of

@@ -1,4 +1,5 @@
 use crate::{Int8Matrix, Precision};
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{Matrix, ShapeError};
 
 /// Symmetric linear quantizer for a chosen [`Precision`].
@@ -180,7 +181,7 @@ impl QuantizedMatrix {
         let mut scores = Vec::with_capacity(other.rows);
         if let Some((a, b)) = self.narrowed_with(other) {
             let out_scale = self.scale * other.scale;
-            return a.for_each_acc_row(&b, |i, acc| {
+            return a.for_each_acc_row(Lanes::active(), &b, |i, acc| {
                 scores.clear();
                 crate::qgemm::push_scaled(acc, out_scale, &mut scores);
                 f(i, &scores);

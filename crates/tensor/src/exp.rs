@@ -18,6 +18,8 @@
 //! twins in the lanes) are the only fused operations of the attention
 //! path: adding, removing or splitting one breaks the equality.
 
+use crate::lanes::Lanes;
+
 /// `32 / ln 2`.
 const INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
 /// `1.5 · 2⁵²`: adding it rounds to an integer in the low mantissa bits.
@@ -118,64 +120,40 @@ fn exp_port(x: f32) -> f32 {
 /// every attention) and the autograd sigmoid are defined by it, and so is
 /// every committed baseline.
 pub fn exp_f32(x: f32) -> f32 {
-    let mut y = x;
-    exp_slice_port(std::slice::from_mut(&mut y));
-    y
+    exp_port(x)
 }
 
-/// [`exp_f32`] of every element, in place, through the scalar recipe — the
-/// `scalar` family's loop, and what a host without AVX2+FMA runs. The
-/// FMA-enabled instantiation is taken where the host runs `mul_add` as one
-/// instruction.
-pub(crate) fn exp_slice_port(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: FMA detected on the line above.
-        return unsafe { x86::exp_port_loop_fma(xs) };
-    }
-    for x in xs {
-        *x = exp_port(*x);
+/// `exp_f32(x − max)` of every element, in place — softmax's middle pass;
+/// `x − 0.0` is `x`, so `max = 0.0` is the plain `exp`. The plain body is
+/// the recipe loop (`mul_add` a libm call there); the lanes run eight per
+/// pass, with the subtraction in the same registers.
+pub(crate) fn exp_sub(lanes: Lanes, xs: &mut [f32], max: f32) {
+    match lanes {
+        Lanes::Plain => xs.iter_mut().for_each(|x| *x = exp_port(*x - max)),
+        // SAFETY: the token proves AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx2(_) => unsafe { x86::exp_sub_lanes(xs, max) },
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) use x86::exp_sub_lanes;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
+    use crate::lanes::{gather, load, store};
     use std::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Requires FMA.
-    #[target_feature(enable = "fma")]
-    pub(super) unsafe fn exp_port_loop_fma(xs: &mut [f32]) {
-        for x in xs {
-            *x = exp_port(*x);
-        }
-    }
 
     /// The main path of [`exp_port`] on four lanes widened to `f64`,
     /// narrowed back. Lanes with `|x| >= 88` may hold anything.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp4(x: __m128) -> __m128 {
+    fn exp4(x: __m128) -> __m128 {
         let pd = |v: f64| _mm256_set1_pd(v);
         let xd = _mm256_cvtps_pd(x);
         let kd = _mm256_fmadd_pd(pd(INV_LN2_N), xd, pd(SHIFT));
         let ki = _mm256_castpd_si256(kd);
         let kd = _mm256_sub_pd(kd, pd(SHIFT));
         let r = _mm256_fmsub_pd(pd(INV_LN2_N), xd, kd);
-        // SAFETY: every index is masked to 0..32, the table's length;
-        // scale 8 is the size of its `u64` entries.
-        let t = _mm256_i64gather_epi64::<8>(
-            TABLE.as_ptr() as *const i64,
-            _mm256_and_si256(ki, _mm256_set1_epi64x(31)),
-        );
+        let t = gather(&TABLE, ki);
         let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
         let z = _mm256_fmadd_pd(r, pd(C0), pd(C1));
         let r2 = _mm256_mul_pd(r, r);
@@ -188,12 +166,9 @@ mod x86 {
     /// `|x| >= 88` endings blended in lane by lane. Each threshold implies
     /// `|x| >= 88`, so comparing `x` alone reproduces the recipe's nested
     /// tests; a masked softmax row is mostly `-inf` and stays on the lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp8(x: __m256) -> __m256 {
+    fn exp8(x: __m256) -> __m256 {
         let ps = |v: f32| _mm256_set1_ps(v);
         let lo = exp4(_mm256_castps256_ps128(x));
         let hi = exp4(_mm256_extractf128_ps::<1>(x));
@@ -209,25 +184,16 @@ mod x86 {
         _mm256_blendv_ps(y, _mm256_add_ps(x, x), nan)
     }
 
-    /// `exp_f32(x − max)` of every element, in place, eight per pass and
-    /// the tail `< 8` through the recipe — softmax's middle pass, the
-    /// subtraction riding in the same registers. `x − 0.0` is `x`, so
-    /// `max = 0.0` is the plain `exp`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA.
+    /// [`super::exp_sub`] on the lanes: eight per pass through [`exp8`],
+    /// the tail `< 8` through the recipe.
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn exp_sub_lanes(xs: &mut [f32], max: f32) {
+    pub(super) fn exp_sub_lanes(xs: &mut [f32], max: f32) {
         let shift = _mm256_set1_ps(max);
-        let mut groups = xs.chunks_exact_mut(8);
-        for g in &mut groups {
-            // SAFETY: `g` is exactly eight floats; loadu/storeu take any
-            // alignment.
-            let x = _mm256_sub_ps(_mm256_loadu_ps(g.as_ptr()), shift);
-            _mm256_storeu_ps(g.as_mut_ptr(), exp8(x));
+        let (groups, tail) = xs.as_chunks_mut::<8>();
+        for g in groups {
+            store(g, exp8(_mm256_sub_ps(load(g), shift)));
         }
-        for v in groups.into_remainder() {
+        for v in tail {
             *v = exp_port(*v - max);
         }
     }
@@ -236,7 +202,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::exp_slice;
+    use crate::lanes::{assert_lanes_port_host_agree, bodies, exhaustive_mismatches, same};
     use crate::rng::SeededRng;
 
     /// The only two inputs among all 2³² on which the fused recipe and the
@@ -249,11 +215,6 @@ mod tests {
         (0x4202_422f, 0x56fc_9f1c), // exp(32.564632)
         (0xc27c_65d9, 0x11fa_2993), // exp(-63.09946)
     ];
-
-    /// Bitwise equal, any NaN equal to any NaN.
-    fn same(a: f32, b: f32) -> bool {
-        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-    }
 
     /// Whether the host's libm computes glibc's FMA-variant `expf`; prints
     /// the note the comparisons against it skip with when it does not.
@@ -271,47 +232,24 @@ mod tests {
         is
     }
 
-    /// `exp` through the 8-lane kernel whatever `DOTA_GEMM` says; the
-    /// recipe loop on a host without the lanes (noted once by the
-    /// exhaustive test).
-    fn exp_through_lanes(xs: &mut [f32]) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::fma_available() {
-            // SAFETY: AVX2 and FMA detected on the line above.
-            unsafe { exp_sub_lanes(xs, 0.0) };
-            return true;
-        }
-        exp_slice_port(xs);
-        false
-    }
-
     /// Lanes == port on every input of `bits`, and port == host libm where
     /// that is `__expf_fma`.
-    fn assert_lanes_port_host_agree(bits: &[u32]) {
-        let mut lanes: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        exp_through_lanes(&mut lanes);
-        let host = host_exp_is_glibc_fma();
-        for (&b, &got) in bits.iter().zip(&lanes) {
-            let x = f32::from_bits(b);
-            let port = exp_f32(x);
-            assert!(
-                same(got, port),
-                "lanes {got:e} != port {port:e} at {b:#010x}"
-            );
-            assert!(
-                !host || same(port, x.exp()),
-                "port {port:e} != host {:e} at {b:#010x}",
-                x.exp()
-            );
-        }
+    fn agree(bits: &[u32]) {
+        let host = host_exp_is_glibc_fma().then_some(f32::exp as fn(f32) -> f32);
+        assert_lanes_port_host_agree(bits, |lanes, xs| exp_sub(lanes, xs, 0.0), exp_f32, host);
     }
 
     #[test]
     fn exp_port_reproduces_pinned_glibc_fma_outputs() {
         for (x, y) in FMA_PROBES {
             assert_eq!(exp_f32(f32::from_bits(x)).to_bits(), y, "at {x:#010x}");
-            // Both instantiations of the recipe: hardware and libm `fma`.
-            assert_eq!(exp_port(f32::from_bits(x)).to_bits(), y, "at {x:#010x}");
+            // Both instantiations of the recipe: libm's `fma` in the plain
+            // body, one instruction per `mul_add` in the lanes' tail.
+            for lanes in bodies() {
+                let mut tail = [f32::from_bits(x)];
+                exp_sub(lanes, &mut tail, 0.0);
+                assert_eq!(tail[0].to_bits(), y, "{lanes:?} at {x:#010x}");
+            }
         }
         assert_eq!(exp_f32(0.0), 1.0);
         assert_eq!(exp_f32(-0.0), 1.0);
@@ -364,7 +302,7 @@ mod tests {
         // across steps of `ki >> 5`: x = i·ln2/32 for i in -80..=80.
         bits.extend((-80..=80).map(|i| (i as f32 * (std::f32::consts::LN_2 / 32.0)).to_bits()));
         bits.extend(FMA_PROBES.map(|(x, _)| x));
-        assert_lanes_port_host_agree(&bits);
+        agree(&bits);
     }
 
     #[test]
@@ -373,25 +311,27 @@ mod tests {
         let mut bits: Vec<u32> = (0..1 << 20).map(|_| rng.below(1 << 32) as u32).collect();
         // [-104, 0] in steps of 2^-12: softmax's whole input range.
         bits.extend((-(104i32 << 12)..=0).map(|i| (i as f32 / 4096.0).to_bits()));
-        assert_lanes_port_host_agree(&bits);
+        agree(&bits);
     }
 
     #[test]
     fn exp_slice_is_the_port_element_wise_at_every_short_length() {
         let mut rng = SeededRng::new(24);
         let base = rng.normal_matrix(1, 40, 30.0);
-        for len in 0..=17 {
-            for offset in 0..4 {
-                let mut buf = base.as_slice().to_vec();
-                exp_slice(&mut buf[offset..offset + len]);
-                for (i, (&x, &y)) in base.as_slice().iter().zip(&buf).enumerate() {
-                    let inside = (offset..offset + len).contains(&i);
-                    let want = if inside { exp_f32(x) } else { x };
-                    assert_eq!(
-                        y.to_bits(),
-                        want.to_bits(),
-                        "len {len} offset {offset} at {i}"
-                    );
+        for lanes in bodies() {
+            for len in 0..=17 {
+                for offset in 0..4 {
+                    let mut buf = base.as_slice().to_vec();
+                    exp_sub(lanes, &mut buf[offset..offset + len], 0.0);
+                    for (i, (&x, &y)) in base.as_slice().iter().zip(&buf).enumerate() {
+                        let inside = (offset..offset + len).contains(&i);
+                        let want = if inside { exp_f32(x) } else { x };
+                        assert_eq!(
+                            y.to_bits(),
+                            want.to_bits(),
+                            "{lanes:?} len {len} offset {offset} at {i}"
+                        );
+                    }
                 }
             }
         }
@@ -402,25 +342,10 @@ mod tests {
     #[test]
     #[ignore = "exhaustive: 2^32 inputs"]
     fn exp_lanes_match_port_exhaustive() {
-        const CHUNK: u64 = 1 << 16;
-        let mut buf = vec![0.0f32; CHUNK as usize];
-        let mut mismatches = 0u64;
-        let mut through_lanes = true;
-        for base in (0..1u64 << 32).step_by(CHUNK as usize) {
-            for (i, x) in buf.iter_mut().enumerate() {
-                *x = f32::from_bits((base + i as u64) as u32);
-            }
-            through_lanes &= exp_through_lanes(&mut buf);
-            for (i, &got) in buf.iter().enumerate() {
-                let x = f32::from_bits((base + i as u64) as u32);
-                mismatches += u64::from(!same(got, exp_f32(x)));
-            }
-        }
-        if !through_lanes {
-            eprintln!("note: no AVX2+FMA on this host; compared the port loop with itself");
-        }
-        println!("exp lanes vs port: {mismatches} mismatches over 2^32 inputs");
-        assert_eq!(mismatches, 0);
+        assert_eq!(
+            exhaustive_mismatches("exp", |lanes, xs| exp_sub(lanes, xs, 0.0), exp_f32),
+            0
+        );
     }
 
     /// Provenance: the port against the host libm's `expf` on all 2³²

@@ -343,19 +343,8 @@ impl Matrix {
         if self.cols() != v.len() {
             return Err(ShapeError::new("matvec", self.shape(), (v.len(), 1)));
         }
-        if KernelFamily::active() == KernelFamily::Fma {
-            if let Some(first) = self
-                .rows_iter()
-                .next()
-                .and_then(|row| simd::fma_dot(row, v))
-            {
-                let mut out = Vec::with_capacity(self.rows());
-                out.push(first);
-                for row in self.rows_iter().skip(1) {
-                    out.push(simd::fma_dot(row, v).expect("fma support checked above"));
-                }
-                return Ok(out);
-            }
+        if let Some(out) = simd::fma_matvec(self, v) {
+            return Ok(out);
         }
         Ok(self.rows_iter().map(|row| dot_chain(0.0, row, v)).collect())
     }

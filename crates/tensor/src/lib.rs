@@ -36,6 +36,7 @@ mod pack;
 
 pub mod exp;
 pub mod flops;
+pub mod lanes;
 pub mod ops;
 pub mod reference;
 pub mod rng;

@@ -7,81 +7,38 @@
 //!
 //! Softmax and the attention row kernel ([`attend_row`]) come as one
 //! scalar definition and one AVX2 kernel that evaluates the same chain of
-//! operations per lane, chosen by a [`RowKernel`]; like GELU they have no
+//! operations per lane, chosen by a [`Lanes`]; like GELU they have no
 //! inexact flavour — their bits are equal under every `DOTA_GEMM` family.
 
 use crate::exp;
+use crate::lanes::Lanes;
 use crate::pack::PoolBuf;
 use crate::tanh::tanh_f32;
 use crate::Matrix;
 
 pub use crate::tanh::{gelu_slice, tanh_slice};
 
-/// Which body the row kernels of this module run — the scalar definitions
-/// or the 8-lane AVX2+FMA kernels — looked up once per batch of rows and
-/// handed down, because the lookup reads `DOTA_GEMM` from the environment
-/// (tens of nanoseconds) and a row can be shorter than that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowKernel {
-    /// Only [`RowKernel::active`] sets this, after detecting AVX2 and FMA:
-    /// the `unsafe` calls below rest on it.
-    lanes: bool,
-}
-
-impl RowKernel {
-    /// The lanes under the `simd` and `fma` families on a host with AVX2
-    /// and FMA; the scalar bodies under `scalar` and everywhere else. The
-    /// same bits either way.
-    pub fn active() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let lanes = {
-            use crate::simd::{fma_available, KernelFamily};
-            KernelFamily::active() != KernelFamily::Scalar && fma_available()
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let lanes = false;
-        Self { lanes }
+/// Numerically-stable softmax over a single slice, in place: every
+/// element `exp_f32(x − max)` over their sum, the sum one chain from zero
+/// in index order — the same bits on both bodies. A row without a finite
+/// maximum (fully masked, or holding `+inf`) becomes all zeros rather than
+/// NaN, so downstream aggregation is a no-op.
+pub fn softmax_slice(lanes: Lanes, row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    if !max.is_finite() {
+        row.fill(0.0);
+        return;
     }
-
-    /// `exp(x − max)` of every element, in place.
-    fn exp_sub(self, xs: &mut [f32], max: f32) {
-        #[cfg(target_arch = "x86_64")]
-        if self.lanes {
-            // SAFETY: `lanes` is set only on a host with AVX2 and FMA.
-            return unsafe { exp::exp_sub_lanes(xs, max) };
-        }
-        xs.iter_mut().for_each(|x| *x -= max);
-        exp::exp_slice_port(xs);
+    exp::exp_sub(lanes, row, max);
+    let mut sum = 0.0;
+    for &x in row.iter() {
+        sum += x;
     }
-
-    /// Numerically-stable softmax over a single slice, in place: every
-    /// element `exp_f32(x − max)` over their sum, the sum one chain from
-    /// zero in index order. A row without a finite maximum (fully masked,
-    /// or holding `+inf`) becomes all zeros rather than NaN, so downstream
-    /// aggregation is a no-op.
-    pub fn softmax(self, row: &mut [f32]) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if !max.is_finite() {
-            row.fill(0.0);
-            return;
-        }
-        self.exp_sub(row, max);
-        let mut sum = 0.0;
-        for &x in row.iter() {
-            sum += x;
-        }
-        if sum > 0.0 {
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
         }
     }
-}
-
-/// [`exp::exp_f32`] of every element, in place; dispatch and bits as
-/// [`softmax_slice`].
-pub fn exp_slice(xs: &mut [f32]) {
-    RowKernel::active().exp_sub(xs, 0.0);
 }
 
 /// Row-wise numerically-stable softmax (Eq. 2 of the paper).
@@ -98,18 +55,12 @@ pub fn exp_slice(xs: &mut [f32]) {
 /// assert!((a[(0, 0)] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax_rows(scores: &Matrix) -> Matrix {
-    let kernel = RowKernel::active();
+    let lanes = Lanes::active();
     let mut out = scores.clone();
     for r in 0..out.rows() {
-        kernel.softmax(out.row_mut(r));
+        softmax_slice(lanes, out.row_mut(r));
     }
     out
-}
-
-/// [`RowKernel::softmax`] under the active kernel. Callers with many rows
-/// look the kernel up once instead.
-pub fn softmax_slice(row: &mut [f32]) {
-    RowKernel::active().softmax(row);
 }
 
 /// Row-wise softmax with a binary mask: positions where `mask` is `false`
@@ -124,7 +75,7 @@ pub fn softmax_slice(row: &mut [f32]) {
 /// Panics if `mask` dimensions disagree with `scores`.
 pub fn masked_softmax_rows(scores: &Matrix, mask: &[Vec<bool>]) -> Matrix {
     assert_eq!(mask.len(), scores.rows(), "mask row count mismatch");
-    let kernel = RowKernel::active();
+    let lanes = Lanes::active();
     let mut out = scores.clone();
     for r in 0..out.rows() {
         let mrow = &mask[r];
@@ -135,7 +86,7 @@ pub fn masked_softmax_rows(scores: &Matrix, mask: &[Vec<bool>]) -> Matrix {
                 *x = f32::NEG_INFINITY;
             }
         }
-        kernel.softmax(row);
+        softmax_slice(lanes, row);
     }
     out
 }
@@ -166,7 +117,7 @@ pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> Matrix {
 /// a copy.
 pub fn gelu(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    gelu_slice(out.as_mut_slice());
+    gelu_slice(Lanes::active(), out.as_mut_slice());
     out
 }
 
@@ -346,22 +297,22 @@ mod tests {
     }
 }
 
-/// What [`attend_row`] carries from row to row: the kernel choice, the
-/// score scale, and the scratch the scores land in (pooled, so a steady
-/// state allocates nothing per row — or per call).
+/// What [`attend_row`] carries from row to row: the lanes, the score
+/// scale, and the scratch the scores land in (pooled, so a steady state
+/// allocates nothing per row — or per call).
 pub struct Attend {
-    kernel: RowKernel,
+    lanes: Lanes,
     scale: f32,
     weights: PoolBuf,
 }
 
 impl Attend {
-    /// State for rows scored as `q·K[j]·scale` under `kernel`. One per
-    /// thread of rows: per [`sparse_attention`] call, per span of a
+    /// State for rows scored as `q·K[j]·scale` on `lanes`. One per thread
+    /// of rows: per [`sparse_attention`] call, per span of a
     /// [`crate::row_dispatch`] fan-out.
-    pub fn new(kernel: RowKernel, scale: f32) -> Self {
+    pub fn new(lanes: Lanes, scale: f32) -> Self {
         Self {
-            kernel,
+            lanes,
             scale,
             weights: PoolBuf::take(0),
         }
@@ -423,7 +374,7 @@ fn accumulate_scalar(weights: &[f32], v: &Matrix, c0: usize, sel: &[u32], out: &
 /// Every score is one ascending-`k` chain from zero and every output
 /// element one chain in `sel` order: for an ascending `sel` that is bitwise
 /// what [`masked_softmax_rows`] followed by a GEMM computes, whose masked
-/// terms only ever add `+0.0`. The lanes of `state`'s [`RowKernel`] run
+/// terms only ever add `+0.0`. The lanes of `state`'s [`Lanes`] run
 /// those same chains eight keys (scores) or eight columns (values) at a
 /// time.
 ///
@@ -440,8 +391,8 @@ pub fn attend_row(
     sel: &[u32],
     out: &mut [f32],
 ) {
-    // Checked up front, for both bodies: the lanes form raw pointers from
-    // these indices.
+    // Checked up front, for both bodies: the lanes slice whole blocks of
+    // columns out of these rows.
     let last = sel.iter().fold(0, |m, &j| m.max(j)) as usize;
     assert!(
         sel.is_empty() || last < k.rows().min(v.rows()),
@@ -453,109 +404,66 @@ pub fn attend_row(
         "head window exceeds the matrix width"
     );
     let Attend {
-        kernel,
+        lanes,
         scale,
         ref mut weights,
     } = *state;
     let weights = weights.resized(sel.len());
     #[cfg(target_arch = "x86_64")]
-    if kernel.lanes {
-        // SAFETY (both blocks): `lanes` is set only on a host with AVX2;
-        // the two asserts above are the bounds the kernels document, and
-        // `weights` was sized to `sel` two lines up.
+    if let Lanes::Avx2(_) = lanes {
+        // SAFETY: the token proves AVX2 and FMA.
         unsafe { x86::scores(q, k, c0, sel, scale, weights) };
-        kernel.softmax(weights);
+        softmax_slice(lanes, weights);
+        // SAFETY: as above.
         unsafe { x86::accumulate(weights, v, c0, sel, out) };
         return;
     }
     scores_scalar(q, k, c0, sel, scale, weights);
-    kernel.softmax(weights);
+    softmax_slice(lanes, weights);
     accumulate_scalar(weights, v, c0, sel, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::lanes::{load, store, KeyRows};
     use crate::Matrix;
     use std::arch::x86_64::*;
 
-    /// Columns `kb..kb + 4` of the eight key rows `rows`, transposed:
-    /// element `c` holds column `kb + c`, lane `i` of it key `i`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; every pointer must have `kb + 4` readable floats.
+    /// The scores of `N` groups of eight keys into `out`: lane `i` of a
+    /// group is key `i`'s ascending-`k` chain from `+0.0`, multiply then
+    /// add (never fused), `· scale` last. The groups advance together, so
+    /// `N` independent chains cover the add latency.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn key_columns(rows: &[*const f32; 8], kb: usize) -> [__m256; 4] {
-        // Keys i and i + 4 share a register, one per 128-bit half, so the
-        // 4x4 transposes below never cross a half.
-        let pair = |i: usize| {
-            _mm256_insertf128_ps::<1>(
-                _mm256_castps128_ps256(_mm_loadu_ps(rows[i].add(kb))),
-                _mm_loadu_ps(rows[i + 4].add(kb)),
-            )
-        };
-        let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
-        // Even/odd picks (0x88, 0xDD) at both stages rather than the
-        // textbook unpack + movlh/movhl: those have no `unpck` spelling,
-        // so they stay `vshufps`, which recent Intel cores issue on two
-        // ports where `vunpck*` has one.
-        let even01 = _mm256_shuffle_ps::<0x88>(r0, r1); // r0[0] r0[2] r1[0] r1[2]
-        let odd01 = _mm256_shuffle_ps::<0xDD>(r0, r1); // r0[1] r0[3] r1[1] r1[3]
-        let even23 = _mm256_shuffle_ps::<0x88>(r2, r3);
-        let odd23 = _mm256_shuffle_ps::<0xDD>(r2, r3);
-        [
-            _mm256_shuffle_ps::<0x88>(even01, even23), // column 0 of r0 r1 r2 r3
-            _mm256_shuffle_ps::<0x88>(odd01, odd23),   // column 1
-            _mm256_shuffle_ps::<0xDD>(even01, even23), // column 2
-            _mm256_shuffle_ps::<0xDD>(odd01, odd23),   // column 3
-        ]
-    }
-
-    /// The scores of `N` groups of eight keys, `8 * N` floats stored at
-    /// `out`: lane `i` of a group is key `i`'s ascending-`k` chain from
-    /// `+0.0`, multiply then add (never fused), `· scale` last. The groups
-    /// advance together, so `N` independent chains cover the add latency.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `q.len()` must be a multiple of four, every pointer
-    /// of `rows` must have `q.len()` readable floats, and `out` room for
-    /// `8 * N`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn group_scores<const N: usize>(
-        q: &[f32],
-        rows: &[[*const f32; 8]; N],
+    #[target_feature(enable = "avx2,fma")]
+    fn group_scores<const N: usize>(
+        q: &[[f32; 4]],
+        keys: [KeyRows; N],
         scale: f32,
-        out: *mut f32,
+        out: &mut [[f32; 8]; N],
     ) {
         let mut acc = [_mm256_setzero_ps(); N];
-        for kb in (0..q.len()).step_by(4) {
-            let cols: [[__m256; 4]; N] = std::array::from_fn(|n| key_columns(&rows[n], kb));
-            for c in 0..4 {
-                // SAFETY: `kb + c < q.len()`, a multiple of four.
-                let qc = _mm256_set1_ps(*q.get_unchecked(kb + c));
-                for n in 0..N {
-                    acc[n] = _mm256_add_ps(acc[n], _mm256_mul_ps(qc, cols[n][c]));
+        for (c, qc) in q.iter().enumerate() {
+            let mut cols = [[_mm256_setzero_ps(); 4]; N];
+            for (col, keys) in cols.iter_mut().zip(&keys) {
+                *col = keys.columns(c);
+            }
+            for (j, &qj) in qc.iter().enumerate() {
+                let qj = _mm256_set1_ps(qj);
+                for (a, col) in acc.iter_mut().zip(&cols) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qj, col[j]));
                 }
             }
         }
-        for (n, acc) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(8 * n), _mm256_mul_ps(*acc, _mm256_set1_ps(scale)));
+        for (o, a) in out.iter_mut().zip(acc) {
+            store(o, _mm256_mul_ps(a, _mm256_set1_ps(scale)));
         }
     }
 
     /// [`super::scores_scalar`], eight keys per register, two registers in
     /// flight ([`group_scores`]); a tail of fewer than eight keys, and head
     /// widths that are not a multiple of four, take the scalar chain.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; every index of `sel` must be a row of `k`,
-    /// `c0 + q.len() <= k.cols()` and `scores.len() == sel.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scores(
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn scores(
         q: &[f32],
         k: &Matrix,
         c0: usize,
@@ -563,102 +471,73 @@ mod x86 {
         scale: f32,
         scores: &mut [f32],
     ) {
-        let lanes_end = if q.len().is_multiple_of(4) {
-            sel.len() & !7
-        } else {
-            0
-        };
-        let cols = k.cols();
-        // SAFETY: row `j < k.rows()` starts at `j * cols` and has
-        // `c0 + q.len() <= cols` floats, so each pointer below has
-        // `q.len()` readable ones; groups end at `lanes_end <= scores.len()`.
-        let base = k.as_slice().as_ptr().add(c0);
-        let rows_of = |g: usize| -> [*const f32; 8] {
-            let keys = &sel[g..g + 8];
-            std::array::from_fn(|i| base.add(keys[i] as usize * cols))
-        };
-        let out = scores.as_mut_ptr();
-        let mut g = 0;
-        while g + 16 <= lanes_end {
-            group_scores(q, &[rows_of(g), rows_of(g + 8)], scale, out.add(g));
-            g += 16;
+        let (q4, rest) = q.as_chunks::<4>();
+        let lanes_end = if rest.is_empty() { sel.len() & !7 } else { 0 };
+        let rows = |keys| KeyRows::new(k.as_slice(), k.cols(), c0, q.len(), keys);
+        let (groups, _) = scores[..lanes_end].as_chunks_mut::<8>();
+        let (out_pairs, out_single) = groups.as_chunks_mut::<2>();
+        let (keys, _) = sel[..lanes_end].as_chunks::<8>();
+        let (key_pairs, key_single) = keys.as_chunks::<2>();
+        for (out, [a, b]) in out_pairs.iter_mut().zip(key_pairs) {
+            group_scores(q4, [rows(a), rows(b)], scale, out);
         }
-        if g < lanes_end {
-            group_scores(q, &[rows_of(g)], scale, out.add(g));
+        if let ([out], [keys]) = (out_single, key_single) {
+            group_scores(q4, [rows(keys)], scale, std::array::from_mut(out));
         }
         super::scores_scalar(q, k, c0, &sel[lanes_end..], scale, &mut scores[lanes_end..]);
     }
 
-    /// `N * 8` output columns at `out`, held in `N` registers across the
+    /// `N` blocks of eight output columns held in `N` registers across the
     /// whole `sel` loop — loaded first, since the row kernel adds into its
     /// output, and stored once. Each lane is one output element's chain in
-    /// `sel` order, multiply then add (never fused). `v0` points at these
-    /// columns in row 0 of the values, `cols` floats per row.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `out`, and `v0 + j * cols` for every `j` of `sel`,
-    /// must have `N * 8` readable (`out`: writable) floats.
+    /// `sel` order, multiply then add (never fused); `c0` is the first
+    /// column of the blocks in the value rows.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_columns<const N: usize>(
+    #[target_feature(enable = "avx2,fma")]
+    fn accumulate_columns<const N: usize>(
         weights: &[f32],
-        v0: *const f32,
-        cols: usize,
+        v: &Matrix,
+        c0: usize,
         sel: &[u32],
-        out: *mut f32,
+        out: &mut [[f32; 8]],
     ) {
-        let mut acc: [__m256; N] = std::array::from_fn(|i| _mm256_loadu_ps(out.add(8 * i)));
+        let mut acc = [_mm256_setzero_ps(); N];
+        for (a, o) in acc.iter_mut().zip(&*out) {
+            *a = load(o);
+        }
         for (&j, &w) in sel.iter().zip(weights) {
-            let row = v0.add(j as usize * cols);
+            let (row, _) = v.as_slice()[j as usize * v.cols() + c0..][..8 * N].as_chunks::<8>();
             let w = _mm256_set1_ps(w);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(w, _mm256_loadu_ps(row.add(8 * i))));
+            for (a, r) in acc.iter_mut().zip(row) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(w, load(r)));
             }
         }
-        for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(8 * i), *a);
+        for (o, a) in out.iter_mut().zip(acc) {
+            store(o, a);
         }
     }
 
     /// [`super::accumulate_scalar`], the output columns in registers
     /// ([`accumulate_columns`]): 32 at a time (one head of the mid model),
     /// then 16, then 8, the rest scalar.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; every index of `sel` must be a row of `v`,
-    /// `c0 + out.len() <= v.cols()` and `weights.len() == sel.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate(
-        weights: &[f32],
-        v: &Matrix,
-        c0: usize,
-        sel: &[u32],
-        out: &mut [f32],
-    ) {
-        let cols = v.cols();
-        let n = out.len();
-        // SAFETY: row `j < v.rows()` starts at `j * cols` and has
-        // `c0 + n <= cols` floats; every block below ends at or before
-        // column `n` of `out` and of that window.
-        let v0 = v.as_slice().as_ptr().add(c0);
-        let out_ptr = out.as_mut_ptr();
-        let mut c = 0;
-        while c + 32 <= n {
-            accumulate_columns::<4>(weights, v0.add(c), cols, sel, out_ptr.add(c));
-            c += 32;
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn accumulate(weights: &[f32], v: &Matrix, c0: usize, sel: &[u32], out: &mut [f32]) {
+        let (blocks, _) = out.as_chunks_mut::<8>();
+        let mut b = 0;
+        while b + 4 <= blocks.len() {
+            accumulate_columns::<4>(weights, v, c0 + 8 * b, sel, &mut blocks[b..b + 4]);
+            b += 4;
         }
-        if c + 16 <= n {
-            accumulate_columns::<2>(weights, v0.add(c), cols, sel, out_ptr.add(c));
-            c += 16;
+        if b + 2 <= blocks.len() {
+            accumulate_columns::<2>(weights, v, c0 + 8 * b, sel, &mut blocks[b..b + 2]);
+            b += 2;
         }
-        if c + 8 <= n {
-            accumulate_columns::<1>(weights, v0.add(c), cols, sel, out_ptr.add(c));
-            c += 8;
+        if b < blocks.len() {
+            accumulate_columns::<1>(weights, v, c0 + 8 * b, sel, &mut blocks[b..]);
+            b += 1;
         }
-        if c < n {
-            super::accumulate_scalar(weights, v, c0 + c, sel, &mut out[c..]);
+        if 8 * b < out.len() {
+            super::accumulate_scalar(weights, v, c0 + 8 * b, sel, &mut out[8 * b..]);
         }
     }
 }
@@ -688,7 +567,7 @@ pub fn sparse_attention(
     assert_eq!(k.rows(), v.rows(), "k/v length mismatch");
     assert_eq!(selected.len(), q.rows(), "one selection per query");
     let mut out = Matrix::zeros(q.rows(), v.cols());
-    let mut state = Attend::new(RowKernel::active(), scale);
+    let mut state = Attend::new(Lanes::active(), scale);
     for (i, sel) in selected.iter().enumerate() {
         attend_row(&mut state, q.row(i), k, v, 0, sel, out.row_mut(i));
     }
@@ -810,11 +689,10 @@ mod sparse_properties {
 mod row_kernel_tests {
     use super::*;
     use crate::exp::exp_f32;
+    use crate::lanes::{bodies, same};
     use crate::rng::SeededRng;
     use crate::simd::with_gemm_env;
     use proptest::prelude::*;
-
-    const FAMILIES: [&str; 3] = ["simd", "fma", "scalar"];
 
     /// Values softmax and the row kernel must carry through the lanes like
     /// the scalar bodies do, then an ordinary one.
@@ -829,20 +707,12 @@ mod row_kernel_tests {
         0.25,
     ];
 
-    /// Bitwise equal, any NaN equal to any NaN.
-    fn same(a: f32, b: f32) -> bool {
-        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-    }
-
     fn assert_same(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
         for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
             assert!(same(g, w), "{what}: {g:e} != {w:e} at {i}");
         }
     }
-
-    /// The production scalar body: what `DOTA_GEMM=scalar` runs.
-    const SCALAR: RowKernel = RowKernel { lanes: false };
 
     /// Softmax as its element-wise expression through [`exp_f32`].
     fn softmax_expression(row: &[f32]) -> Vec<f32> {
@@ -875,7 +745,7 @@ mod row_kernel_tests {
                             buf[offset + at] = plant;
                         }
                         let input = buf[offset..offset + len].to_vec();
-                        softmax_slice(&mut buf[offset..offset + len]);
+                        softmax_slice(Lanes::active(), &mut buf[offset..offset + len]);
                         let what = format!("len {len} offset {offset} plant {plant:e} at {at}");
                         assert_same(
                             &buf[offset..offset + len],
@@ -883,7 +753,7 @@ mod row_kernel_tests {
                             &what,
                         );
                         let mut scalar = input.clone();
-                        SCALAR.softmax(&mut scalar);
+                        softmax_slice(Lanes::Plain, &mut scalar);
                         assert_same(&buf[offset..offset + len], &scalar, &what);
                         // Nothing outside the slice is written.
                         assert_eq!(buf[..offset], base.as_slice()[..offset]);
@@ -892,7 +762,7 @@ mod row_kernel_tests {
                 }
                 // Fully masked.
                 let mut masked = vec![f32::NEG_INFINITY; len];
-                softmax_slice(&mut masked);
+                softmax_slice(Lanes::active(), &mut masked);
                 assert!(masked.iter().all(|x| x.to_bits() == 0));
             }
         }
@@ -916,17 +786,17 @@ mod row_kernel_tests {
                     *x = f32::NEG_INFINITY;
                 }
             }
-            SCALAR.softmax(want.row_mut(r));
+            softmax_slice(Lanes::Plain, want.row_mut(r));
         }
-        for family in FAMILIES {
+        for family in ["simd", "fma", "scalar"] {
             let got = with_gemm_env(Some(family), || masked_softmax_rows(&scores, &mask));
             assert_same(got.as_slice(), want.as_slice(), family);
         }
     }
 
     proptest! {
-        /// The slice kernel is the scalar body element by element under
-        /// every kernel family: there is no inexact softmax, `fma` included.
+        /// The slice kernel is the scalar body element by element on both
+        /// bodies: there is no inexact softmax.
         #[test]
         fn softmax_slice_matches_scalar_oracle(
             seed in 0u64..1 << 32,
@@ -942,18 +812,18 @@ mod row_kernel_tests {
                 }
             }
             let mut want = input.clone();
-            SCALAR.softmax(&mut want);
-            for family in FAMILIES {
+            softmax_slice(Lanes::Plain, &mut want);
+            for lanes in bodies() {
                 let mut got = input.clone();
-                with_gemm_env(Some(family), || softmax_slice(&mut got));
+                softmax_slice(lanes, &mut got);
                 for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                    prop_assert!(same(g, w), "{family}: {g:e} != {w:e} at {i}");
+                    prop_assert!(same(g, w), "{lanes:?}: {g:e} != {w:e} at {i}");
                 }
             }
         }
 
-        /// The row kernel is the scalar body bit for bit under every kernel
-        /// family, whatever the head width, window offset, context,
+        /// The row kernel is the scalar body bit for bit on both bodies,
+        /// whatever the head width, window offset, context,
         /// selection shape and operand values.
         #[test]
         fn attend_row_matches_scalar_oracle(
@@ -991,18 +861,18 @@ mod row_kernel_tests {
             };
             let filled = rng.normal_matrix(1, hd, 1.0);
             let scale = 1.0 / (hd as f32).sqrt();
-            let run = |kernel: RowKernel| {
+            let run = |lanes: Lanes| {
                 let mut out = filled.as_slice().to_vec();
-                attend_row(&mut Attend::new(kernel, scale), q.row(0), &k, &v, c0, &sel, &mut out);
+                attend_row(&mut Attend::new(lanes, scale), q.row(0), &k, &v, c0, &sel, &mut out);
                 out
             };
-            let want = run(SCALAR);
-            for family in FAMILIES {
-                let got = with_gemm_env(Some(family), || run(RowKernel::active()));
+            let want = run(Lanes::Plain);
+            for lanes in bodies() {
+                let got = run(lanes);
                 for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     prop_assert!(
                         same(g, w),
-                        "{family}: hd {hd} context {context} sel {sel_kind}: {g:e} != {w:e} at {i}"
+                        "{lanes:?}: hd {hd} context {context} sel {sel_kind}: {g:e} != {w:e} at {i}"
                     );
                 }
             }
@@ -1011,13 +881,11 @@ mod row_kernel_tests {
 
     #[test]
     fn family_selects_the_row_kernel() {
-        with_gemm_env(Some("scalar"), || assert_eq!(RowKernel::active(), SCALAR));
+        with_gemm_env(Some("scalar"), || assert_eq!(Lanes::active(), Lanes::Plain));
         for family in ["simd", "fma"] {
-            let lanes = with_gemm_env(Some(family), || RowKernel::active().lanes);
-            #[cfg(target_arch = "x86_64")]
-            assert_eq!(lanes, crate::simd::fma_available(), "{family}");
-            #[cfg(not(target_arch = "x86_64"))]
-            assert!(!lanes, "{family}");
+            let lanes = with_gemm_env(Some(family), Lanes::active);
+            let want = cfg!(target_arch = "x86_64") && crate::lanes::host_has_lanes();
+            assert_eq!(lanes != Lanes::Plain, want, "{family}");
         }
     }
 
@@ -1026,7 +894,7 @@ mod row_kernel_tests {
     fn attend_row_checks_the_window() {
         let (k, v) = (Matrix::zeros(2, 4), Matrix::zeros(2, 4));
         let mut out = [0.0; 2];
-        let mut state = Attend::new(RowKernel::active(), 1.0);
+        let mut state = Attend::new(Lanes::active(), 1.0);
         attend_row(&mut state, &[0.0; 2], &k, &v, 3, &[0], &mut out);
     }
 }

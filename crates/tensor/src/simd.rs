@@ -20,22 +20,23 @@
 //!   of recorded results is a repo-wide invariant; regenerate goldens
 //!   deliberately if you switch training or figure runs to this family.
 //!
-//! Selection is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`, `fma`} plus
-//! runtime CPU feature detection; a requested family whose lanes are
-//! missing falls back to the best available one ([`KernelFamily::active`];
-//! front ends reject malformed values up front via
-//! [`family_from_env_checked`]).
+//! Selection is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`, `fma`}, read by
+//! one parser ([`parse_family`]) against the host's lanes (on x86-64, AVX2
+//! and FMA together: [`crate::lanes`]); a requested family the host cannot
+//! run, or a malformed value, falls back to `auto` in
+//! [`KernelFamily::active`], while front ends reject both up front.
 //!
-//! The element-wise `tanh`/GELU kernels ([`crate::tanh`]), and the `exp`,
-//! softmax and attention row kernels ([`crate::exp`],
-//! [`crate::ops::RowKernel`]), follow the same selection — `scalar` runs
-//! the scalar bodies, `simd` and `fma` the 8-lane kernels — but have no
-//! inexact flavour: their bits are the same under all three.
+//! Every other lane kernel — `tanh`/GELU, `exp`/softmax, the attention
+//! row, top-k selection and `dota-quant`'s integer products — follows the
+//! same selection through one value, [`crate::lanes::Lanes`]: `scalar`
+//! runs the plain bodies, `simd` and `fma` the 8-lane kernels. None of
+//! them has an inexact flavour: their bits are the same under all three.
 //!
 //! Every family is deterministic: for a fixed kernel family the output is
 //! a pure function of the operands — bitwise identical across
 //! `DOTA_THREADS`, panel boundaries, and serial-vs-parallel builds.
 
+use crate::lanes;
 use crate::pack::{pack_a_panel, pack_b_strip, Layout, PoolBuf};
 use crate::Matrix;
 
@@ -110,96 +111,53 @@ impl KernelFamily {
         }
     }
 
-    /// The family the GEMM entry points will use right now: `DOTA_GEMM`
-    /// (default `auto`) clamped to what the host supports. `auto` resolves
-    /// to `simd` when SIMD lanes are detected, else `scalar`; `fma`
-    /// degrades to `simd` without FMA units, and both degrade to `scalar`
-    /// without SIMD lanes. The variable is re-read per dispatch (cost is
-    /// trivial next to any product worth optimizing) so tests and benches
-    /// can toggle families at runtime.
+    /// The family the kernels will use right now: `DOTA_GEMM` (default
+    /// `auto`) through [`parse_family`], silently `auto` where that is an
+    /// error. The variable is re-read per dispatch (cost is trivial next to
+    /// any product worth optimizing) so tests and benches can toggle
+    /// families at runtime.
     pub fn active() -> KernelFamily {
-        let requested = match std::env::var(GEMM_ENV) {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "scalar" => Some(KernelFamily::Scalar),
-                "simd" => Some(KernelFamily::Simd),
-                "fma" => Some(KernelFamily::Fma),
-                _ => None, // auto / malformed: silent best-available
-            },
-            Err(_) => None,
-        };
-        match requested {
-            Some(KernelFamily::Scalar) => KernelFamily::Scalar,
-            Some(KernelFamily::Fma) if fma_available() => KernelFamily::Fma,
-            Some(KernelFamily::Fma) | Some(KernelFamily::Simd) | None => {
-                if simd_available() {
-                    KernelFamily::Simd
-                } else {
-                    KernelFamily::Scalar
-                }
-            }
-        }
+        std::env::var(GEMM_ENV)
+            .ok()
+            .and_then(|v| parse_family(&v).ok())
+            .unwrap_or_else(auto)
     }
 }
 
-/// [`KernelFamily::active`] that surfaces a malformed or unsupported
-/// `DOTA_GEMM` as an error instead of silently degrading — front ends call
-/// this from `validate_env` so a typo'd family (which would invalidate a
-/// benchmark) fails loudly.
+/// What `auto` resolves to: `simd` on a host with lanes, else `scalar` —
+/// never the numerics-shifting `fma`.
+fn auto() -> KernelFamily {
+    if lanes::host_has_lanes() {
+        KernelFamily::Simd
+    } else {
+        KernelFamily::Scalar
+    }
+}
+
+/// The family `DOTA_GEMM=value` selects on this host: the one parser of
+/// the variable, behind [`KernelFamily::active`] and the front ends'
+/// up-front validation, which reports what this returns instead of
+/// falling back — a typo'd family would invalidate a benchmark.
 ///
 /// # Errors
 ///
-/// A description of the bad value when `DOTA_GEMM` is set but is not one
-/// of `auto`/`scalar`/`simd`/`fma`, or names a family the host's CPU
-/// cannot run.
-pub fn family_from_env_checked() -> Result<KernelFamily, String> {
-    match std::env::var(GEMM_ENV) {
-        Err(_) => Ok(KernelFamily::active()),
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelFamily::active()),
-            "scalar" => Ok(KernelFamily::Scalar),
-            "simd" if simd_available() => Ok(KernelFamily::Simd),
-            "fma" if fma_available() => Ok(KernelFamily::Fma),
-            "simd" | "fma" => Err(format!(
-                "{GEMM_ENV}={v} requires SIMD lanes this CPU does not report \
-                 (detected: {})",
-                cpu_features().join("+")
-            )),
-            _ => Err(format!(
-                "{GEMM_ENV} must be one of auto|scalar|simd|fma, got `{v}`"
-            )),
-        },
-    }
-}
-
-/// `true` when the packed SIMD (mul+add) family can run on this host.
-pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        true // NEON is baseline on aarch64.
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        false
-    }
-}
-
-/// `true` when the fused-multiply-add family can run on this host.
-pub fn fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        true // FMLA is baseline NEON on aarch64.
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        false
+/// A description of the bad value when it is not one of
+/// `auto`/`scalar`/`simd`/`fma` (in any case, blanks around it ignored),
+/// or names a family the host's CPU cannot run.
+pub fn parse_family(value: &str) -> Result<KernelFamily, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "auto" => Ok(auto()),
+        "scalar" => Ok(KernelFamily::Scalar),
+        "simd" | "fma" if !lanes::host_has_lanes() => Err(format!(
+            "{GEMM_ENV}={value} requires SIMD lanes this CPU does not report \
+             (detected: {})",
+            cpu_features().join("+")
+        )),
+        "simd" => Ok(KernelFamily::Simd),
+        "fma" => Ok(KernelFamily::Fma),
+        _ => Err(format!(
+            "{GEMM_ENV} must be one of auto|scalar|simd|fma, got `{value}`"
+        )),
     }
 }
 
@@ -234,33 +192,79 @@ pub fn cpu_features() -> Vec<&'static str> {
     f
 }
 
-/// One `MR×NR` register tile: continues every output element's ascending-k
-/// accumulation chain from the values already in `c` (row stride `ldc`)
-/// across `k` packed depth steps.
-///
-/// # Safety
-///
-/// `ap` must hold `k*MR` readable floats, `bp` `k*NR`, and `c` an
-/// `MR`-row × `NR`-column tile at row stride `ldc`; the caller must have
-/// verified the CPU features of the concrete kernel.
-type MicroFn = unsafe fn(k: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize);
+/// The register-tile kernel of a packed product, chosen once per product.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Micro {
+    /// AVX2 tiles, fused for the `fma` family.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(lanes::Avx2, bool),
+    /// NEON tiles, fused for the `fma` family.
+    #[cfg(target_arch = "aarch64")]
+    Neon(bool),
+}
 
-/// Portable tile kernel with the exact scalar chain; used for whole
-/// products only in tests (families dispatch to a lane kernel whenever one
-/// exists, and fall back to the legacy scalar kernels otherwise).
-///
-/// # Safety
-///
-/// See [`MicroFn`].
+impl Micro {
+    /// The lane tile of `family`, or `None` when it has no lanes here.
+    fn of(family: KernelFamily) -> Option<Micro> {
+        let fused = family == KernelFamily::Fma;
+        #[cfg(target_arch = "x86_64")]
+        if let lanes::Lanes::Avx2(token) = lanes::Lanes::of(family) {
+            return Some(Micro::Avx2(token, fused));
+        }
+        #[cfg(target_arch = "aarch64")]
+        if family != KernelFamily::Scalar {
+            return Some(Micro::Neon(fused));
+        }
+        let _ = fused;
+        None
+    }
+
+    /// One `MR×NR` register tile: continues every output element's
+    /// ascending-k accumulation chain from the values already in `c` (row
+    /// stride `ldc`) across the `k` packed depth steps of `ap` (`k·MR`
+    /// floats) and `bp` (`k·NR`).
+    fn tile(self, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+        let k = ap.len() / MR;
+        assert!(
+            ap.len() == k * MR && bp.len() == k * NR && c.len() >= (MR - 1) * ldc + NR,
+            "tile operands"
+        );
+        match self {
+            // SAFETY: the token proves AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            Micro::Avx2(_, fused) => unsafe {
+                if fused {
+                    x86::tile_fused(ap, bp, c, ldc)
+                } else {
+                    x86::tile_exact(ap, bp, c, ldc)
+                }
+            },
+            // SAFETY: NEON is baseline; the lengths asserted above are the
+            // bounds the kernels read and write.
+            #[cfg(target_arch = "aarch64")]
+            Micro::Neon(fused) => unsafe {
+                let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+                if fused {
+                    arm::micro_neon_fma(k, ap, bp, c, ldc)
+                } else {
+                    arm::micro_neon_exact(k, ap, bp, c, ldc)
+                }
+            },
+        }
+    }
+}
+
+/// [`Micro::tile`] in plain Rust, one chain per element: the oracle of the
+/// lane tiles.
 #[cfg(test)]
-unsafe fn micro_tile_portable(k: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize) {
+fn tile_portable(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
     for ii in 0..MR {
         for jj in 0..NR {
-            let mut acc = *c.add(ii * ldc + jj);
-            for kk in 0..k {
-                acc += *ap.add(kk * MR + ii) * *bp.add(kk * NR + jj);
+            let mut acc = c[ii * ldc + jj];
+            for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+                acc += a[ii] * b[jj];
             }
-            *c.add(ii * ldc + jj) = acc;
+            c[ii * ldc + jj] = acc;
         }
     }
 }
@@ -268,51 +272,38 @@ unsafe fn micro_tile_portable(k: usize, ap: *const f32, bp: *const f32, c: *mut 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{MR, NR};
+    use crate::lanes::{load, store};
+    use crate::Matrix;
     use std::arch::x86_64::*;
 
-    macro_rules! avx2_micro {
-        ($name:ident, $feature:literal, $mac:expr) => {
-            /// # Safety
-            ///
-            /// See [`super::MicroFn`]; requires the named target feature.
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(
-                k: usize,
-                mut ap: *const f32,
-                mut bp: *const f32,
-                c: *mut f32,
-                ldc: usize,
-            ) {
+    macro_rules! avx2_tile {
+        ($name:ident, $mac:expr) => {
+            /// [`super::Micro::tile`] on AVX2 lanes.
+            #[target_feature(enable = "avx2,fma")]
+            pub(super) fn $name(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
                 debug_assert_eq!((MR, NR), (4, 16));
                 // 4×16 tile = eight 8-lane accumulators: enough
                 // independent add/FMA chains to hide instruction latency
                 // at two vector ops per cycle.
-                let mut acc: [[__m256; 2]; 4] = [
-                    [_mm256_loadu_ps(c), _mm256_loadu_ps(c.add(8))],
-                    [_mm256_loadu_ps(c.add(ldc)), _mm256_loadu_ps(c.add(ldc + 8))],
-                    [
-                        _mm256_loadu_ps(c.add(2 * ldc)),
-                        _mm256_loadu_ps(c.add(2 * ldc + 8)),
-                    ],
-                    [
-                        _mm256_loadu_ps(c.add(3 * ldc)),
-                        _mm256_loadu_ps(c.add(3 * ldc + 8)),
-                    ],
-                ];
-                for _ in 0..k {
-                    let b0 = _mm256_loadu_ps(bp);
-                    let b1 = _mm256_loadu_ps(bp.add(8));
-                    for ii in 0..MR {
-                        let a = _mm256_broadcast_ss(&*ap.add(ii));
-                        acc[ii][0] = $mac(acc[ii][0], a, b0);
-                        acc[ii][1] = $mac(acc[ii][1], a, b1);
+                let mut acc: [[__m256; 2]; MR] = std::array::from_fn(|ii| {
+                    let (row, _) = c[ii * ldc..][..NR].as_chunks::<8>();
+                    [load(&row[0]), load(&row[1])]
+                });
+                let (a_steps, _) = ap.as_chunks::<MR>();
+                let (b_steps, _) = bp.as_chunks::<NR>();
+                for (a, b) in a_steps.iter().zip(b_steps) {
+                    let (b, _) = b.as_chunks::<8>();
+                    let (b0, b1) = (load(&b[0]), load(&b[1]));
+                    for (row, &a) in acc.iter_mut().zip(a) {
+                        let a = _mm256_set1_ps(a);
+                        row[0] = $mac(row[0], a, b0);
+                        row[1] = $mac(row[1], a, b1);
                     }
-                    ap = ap.add(MR);
-                    bp = bp.add(NR);
                 }
                 for (ii, row) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(c.add(ii * ldc), row[0]);
-                    _mm256_storeu_ps(c.add(ii * ldc + 8), row[1]);
+                    let (out, _) = c[ii * ldc..][..NR].as_chunks_mut::<8>();
+                    store(&mut out[0], row[0]);
+                    store(&mut out[1], row[1]);
                 }
             }
         };
@@ -320,50 +311,45 @@ mod x86 {
 
     // Exact family: separate multiply and add round exactly like the
     // scalar `acc += a * b`, keeping the family bit-identical to it.
-    avx2_micro!(micro_avx2_exact, "avx2", |acc, a, b| _mm256_add_ps(
+    avx2_tile!(tile_exact, |acc, a, b| _mm256_add_ps(
         acc,
         _mm256_mul_ps(a, b)
     ));
     // FMA family: single rounding per step — faster, low bits differ.
-    avx2_micro!(micro_avx2_fma, "avx2,fma", |acc, a, b| _mm256_fmadd_ps(
-        a, b, acc
-    ));
+    avx2_tile!(tile_fused, |acc, a, b| _mm256_fmadd_ps(a, b, acc));
 
-    /// Reassociated FMA dot product: four 8-lane accumulator chains, then
-    /// a lane reduction — the `fma` family's matvec kernel. Not
+    /// The `fma` family's matvec: per row four 8-lane accumulator chains
+    /// over 32 floats a step, then the remaining eights on the first, a
+    /// lane reduction and the scalar tail — reassociated, so not
     /// bit-compatible with the sequential scalar chain.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; slices must be equal length.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let mut acc = [_mm256_setzero_ps(); 4];
-        let mut i = 0;
-        while i + 32 <= n {
-            for (q, lane) in acc.iter_mut().enumerate() {
-                let av = _mm256_loadu_ps(a.as_ptr().add(i + 8 * q));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(i + 8 * q));
-                *lane = _mm256_fmadd_ps(av, bv, *lane);
-            }
-            i += 32;
-        }
-        while i + 8 <= n {
-            let av = _mm256_loadu_ps(a.as_ptr().add(i));
-            let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-            acc[0] = _mm256_fmadd_ps(av, bv, acc[0]);
-            i += 8;
-        }
-        let sum = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-        let mut total: f32 = lanes.iter().sum();
-        while i < n {
-            total = a[i].mul_add(b[i], total);
-            i += 1;
-        }
-        total
+    pub(super) fn matvec_fma(m: &Matrix, v: &[f32]) -> Vec<f32> {
+        let (v8, _) = v.as_chunks::<8>();
+        let whole = v8.len() * 8;
+        m.rows_iter()
+            .map(|row| {
+                let (a8, _) = row.as_chunks::<8>();
+                let mut acc = [_mm256_setzero_ps(); 4];
+                for (a4, b4) in a8.chunks_exact(4).zip(v8.chunks_exact(4)) {
+                    for ((lane, a), b) in acc.iter_mut().zip(a4).zip(b4) {
+                        *lane = _mm256_fmadd_ps(load(a), load(b), *lane);
+                    }
+                }
+                let done = a8.len() / 4 * 4;
+                for (a, b) in a8[done..].iter().zip(&v8[done..]) {
+                    acc[0] = _mm256_fmadd_ps(load(a), load(b), acc[0]);
+                }
+                let sum =
+                    _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+                let mut lanes = [0.0f32; 8];
+                store(&mut lanes, sum);
+                let mut total: f32 = lanes.iter().sum();
+                for (a, b) in row[whole..].iter().zip(&v[whole..]) {
+                    total = a.mul_add(*b, total);
+                }
+                total
+            })
+            .collect()
     }
 }
 
@@ -376,7 +362,9 @@ mod arm {
         ($name:ident, $mac:expr) => {
             /// # Safety
             ///
-            /// See [`super::MicroFn`]. NEON is baseline on aarch64.
+            /// See [`super::Micro::tile`]: `ap` must hold `k*MR` readable
+            /// floats, `bp` `k*NR`, and `c` an `MR`-row × `NR`-column tile
+            /// at row stride `ldc`. NEON is baseline on aarch64.
             pub unsafe fn $name(
                 k: usize,
                 mut ap: *const f32,
@@ -458,78 +446,38 @@ mod arm {
     }
 }
 
-/// The lane microkernel for a family, or `None` when the host has no lanes
-/// (the caller then uses the legacy scalar kernels).
-fn micro_for(family: KernelFamily) -> Option<MicroFn> {
-    match family {
-        KernelFamily::Scalar => None,
-        KernelFamily::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                simd_available().then_some(x86::micro_avx2_exact as MicroFn)
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                Some(arm::micro_neon_exact as MicroFn)
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                None
-            }
-        }
-        KernelFamily::Fma => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                fma_available().then_some(x86::micro_avx2_fma as MicroFn)
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                Some(arm::micro_neon_fma as MicroFn)
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                None
-            }
-        }
+/// The `fma` family's matvec, or `None` under any other family (callers
+/// then use the exact sequential chain). Documented numerics shift: the
+/// four partial chains plus fused rounding make every row differ from the
+/// scalar chain in the low bits, like the `fma` GEMM family it belongs to.
+pub(crate) fn fma_matvec(m: &Matrix, v: &[f32]) -> Option<Vec<f32>> {
+    debug_assert_eq!(m.cols(), v.len());
+    match Micro::of(KernelFamily::active())? {
+        // SAFETY: the token proves AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Micro::Avx2(_, true) => Some(unsafe { x86::matvec_fma(m, v) }),
+        // SAFETY: NEON is baseline; every row has `v.len()` floats.
+        #[cfg(target_arch = "aarch64")]
+        Micro::Neon(true) => Some(
+            m.rows_iter()
+                .map(|row| unsafe { arm::dot_fma(row, v) })
+                .collect(),
+        ),
+        _ => None,
     }
 }
 
-/// Reassociated multi-chain SIMD dot product for the `fma` family's
-/// matvec, or `None` when the host lacks FMA lanes (callers then use the
-/// exact sequential chain). Documented numerics shift: the four partial
-/// chains plus fused rounding make this differ from the scalar chain in
-/// the low bits, like the `fma` GEMM family it belongs to.
-pub(crate) fn fma_dot(a: &[f32], b: &[f32]) -> Option<f32> {
-    debug_assert_eq!(a.len(), b.len());
-    if !fma_available() {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: FMA support verified above; equal lengths asserted.
-        unsafe { Some(x86::dot_fma(a, b)) }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // SAFETY: NEON is baseline; equal lengths asserted.
-        unsafe { Some(arm::dot_fma(a, b)) }
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        None
-    }
-}
-
-/// Whether `family` will take the packed path for a product of `flops`
-/// multiply-adds; below the cutoff the packing copies cost more than they
-/// save and the legacy blocked kernels run instead (same bits for the
-/// `simd` family, so the cutoff is purely a performance knob).
-pub(crate) fn packed_kernel(family: KernelFamily, flops: usize) -> Option<MicroFn> {
+/// The tile kernel a product of `flops` multiply-adds takes under
+/// `family`, or `None` for the legacy blocked kernels: without lanes, and
+/// below the cutoff, where the packing copies cost more than they save
+/// (same bits for the `simd` family, so the cutoff is purely a
+/// performance knob).
+pub(crate) fn packed_kernel(family: KernelFamily, flops: usize) -> Option<Micro> {
     const PACK_CUTOFF_FLOPS: usize = 16 * 16 * 16;
     if flops < PACK_CUTOFF_FLOPS {
         return None;
     }
-    micro_for(family)
+    Micro::of(family)
 }
 
 /// Runs one packed GEMM: packs `b` once (strip-parallel), then fans the
@@ -539,13 +487,7 @@ pub(crate) fn packed_kernel(family: KernelFamily, flops: usize) -> Option<MicroF
 ///
 /// `out` must already be shaped `m_out × n_out` and zeroed (or hold the
 /// values the accumulation chains should continue from).
-pub(crate) fn packed_gemm(
-    layout: Layout,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    micro: MicroFn,
-) {
+pub(crate) fn packed_gemm(layout: Layout, a: &Matrix, b: &Matrix, out: &mut Matrix, micro: Micro) {
     let (m, n) = out.shape();
     let k_dim = match layout {
         Layout::Nn | Layout::Nt => a.cols(),
@@ -584,24 +526,18 @@ pub(crate) fn packed_gemm(
         let mut edge = [0.0f32; MR * NR];
         for s in 0..row_strips {
             let strip_rows = MR.min(rows - s * MR);
-            let a_strip = &ap[s * MR * k_dim..];
+            let a_strip = &ap[s * MR * k_dim..][..MR * k_dim];
             for js in 0..n_strips {
                 let strip_cols = NR.min(n - js * NR);
-                let b_strip = &b_pack[js * k_dim * NR..];
+                let b_strip = &b_pack[js * k_dim * NR..][..k_dim * NR];
                 let c0 = s * MR * cols + js * NR;
                 if strip_rows == MR && strip_cols == NR {
-                    // SAFETY: full tile inside the span; panel buffers
-                    // hold k_dim packed steps; feature support was checked
-                    // when `micro` was selected.
-                    unsafe {
-                        micro(
-                            k_dim,
-                            a_strip.as_ptr(),
-                            b_strip.as_ptr(),
-                            span.as_mut_ptr().add(c0),
-                            cols,
-                        );
-                    }
+                    micro.tile(
+                        a_strip,
+                        b_strip,
+                        &mut span[c0..c0 + (MR - 1) * cols + NR],
+                        cols,
+                    );
                 } else {
                     for ii in 0..strip_rows {
                         let src = &span[c0 + ii * cols..c0 + ii * cols + strip_cols];
@@ -610,17 +546,7 @@ pub(crate) fn packed_gemm(
                     for ii in strip_rows..MR {
                         edge[ii * NR..(ii + 1) * NR].fill(0.0);
                     }
-                    // SAFETY: the edge tile is a full MR×NR scratch
-                    // buffer with row stride NR.
-                    unsafe {
-                        micro(
-                            k_dim,
-                            a_strip.as_ptr(),
-                            b_strip.as_ptr(),
-                            edge.as_mut_ptr(),
-                            NR,
-                        );
-                    }
+                    micro.tile(a_strip, b_strip, &mut edge, NR);
                     for ii in 0..strip_rows {
                         let dst = &mut span[c0 + ii * cols..c0 + ii * cols + strip_cols];
                         dst.copy_from_slice(&edge[ii * NR..ii * NR + strip_cols]);
@@ -663,12 +589,12 @@ mod tests {
             assert_eq!(KernelFamily::active(), KernelFamily::Scalar);
         });
         with_gemm_env(Some("simd"), || {
-            let fam = KernelFamily::active();
-            if simd_available() {
-                assert_eq!(fam, KernelFamily::Simd);
+            let want = if lanes::host_has_lanes() {
+                KernelFamily::Simd
             } else {
-                assert_eq!(fam, KernelFamily::Scalar);
-            }
+                KernelFamily::Scalar
+            };
+            assert_eq!(KernelFamily::active(), want);
         });
         with_gemm_env(None, || {
             // auto never selects the numerics-shifting family.
@@ -677,8 +603,8 @@ mod tests {
         with_gemm_env(Some("typo"), || {
             // Malformed values behave like auto on the silent path …
             let _ = KernelFamily::active();
-            // … and error on the checked one.
-            let err = family_from_env_checked().unwrap_err();
+            // … and error where the value is parsed for validation.
+            let err = parse_family("typo").unwrap_err();
             assert!(err.contains(GEMM_ENV), "{err}");
             assert!(err.contains("typo"), "{err}");
         });
@@ -699,8 +625,7 @@ mod tests {
         pack_a_panel(Layout::Nn, &a, 0, MR, MR, &mut ap);
         pack_b_strip(Layout::Nn, &b, 0, NR, &mut bp);
         let mut c = vec![0.0f32; MR * NR];
-        // SAFETY: buffers sized to the tile contract above.
-        unsafe { micro_tile_portable(13, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), NR) };
+        tile_portable(&ap, &bp, &mut c, NR);
         let want = reference::matmul(&a, &b);
         for i in 0..MR {
             for j in 0..NR {
@@ -721,7 +646,10 @@ mod tests {
                 buf.as_mut_slice().fill(f32::NAN);
             }
         };
-        let micro = micro_for(KernelFamily::Simd).unwrap_or(micro_tile_portable);
+        // Without lanes no product is packed: nothing to check.
+        let Some(micro) = Micro::of(KernelFamily::Simd) else {
+            return;
+        };
         let mut rng = SeededRng::new(12);
         for &(m, k, n) in &[(5, 7, 3), (37, 41, 43), (70, 33, 130), (MC + 3, 9, NR + 1)] {
             let a = rng.normal_matrix(m, k, 1.0);
@@ -749,7 +677,7 @@ mod tests {
     fn lane_kernels_match_portable_tile_bitwise() {
         // The mul+add lane kernel must reproduce the scalar chain exactly;
         // this is the keystone of golden-result stability under `simd`.
-        let Some(micro) = micro_for(KernelFamily::Simd) else {
+        let Some(micro) = Micro::of(KernelFamily::Simd) else {
             return; // host without lanes: nothing to check
         };
         let mut rng = SeededRng::new(10);
@@ -762,12 +690,8 @@ mod tests {
             pack_b_strip(Layout::Nn, &b, 0, NR, &mut bp);
             let mut lane = vec![0.5f32; MR * NR];
             let mut port = vec![0.5f32; MR * NR];
-            // SAFETY: sized per the tile contract; lane support verified
-            // by micro_for.
-            unsafe {
-                micro(k, ap.as_ptr(), bp.as_ptr(), lane.as_mut_ptr(), NR);
-                micro_tile_portable(k, ap.as_ptr(), bp.as_ptr(), port.as_mut_ptr(), NR);
-            }
+            micro.tile(&ap, &bp, &mut lane, NR);
+            tile_portable(&ap, &bp, &mut port, NR);
             let lane_bits: Vec<u32> = lane.iter().map(|x| x.to_bits()).collect();
             let port_bits: Vec<u32> = port.iter().map(|x| x.to_bits()).collect();
             assert_eq!(lane_bits, port_bits, "k={k}");

@@ -12,8 +12,11 @@
 //! on every input — `tanh_lanes_match_port_exhaustive` walks all 2³².
 //!
 //! No `mul_add`, no `f64` and no FMA intrinsic may appear in this file:
-//! one fused rounding anywhere breaks the equality.
+//! one fused rounding anywhere breaks the equality. (The lanes are compiled
+//! with FMA enabled, like every lane kernel; a multiply and an add are
+//! never fused unless written as one.)
 
+use crate::lanes::Lanes;
 use crate::ops::gelu_scalar;
 
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -153,48 +156,33 @@ pub fn tanh_f32(x: f32) -> f32 {
     }
 }
 
-/// `true` when the slice kernels should run the 8-lane kernel: any family
-/// but `scalar`, on a host with AVX2. There is no inexact flavour — `simd`
-/// and `fma` produce the port's bits.
-#[cfg(target_arch = "x86_64")]
-fn lanes_active() -> bool {
-    use crate::simd::{simd_available, KernelFamily};
-    // `simd_available` is AVX2 detection on x86-64; checked here, not
-    // inferred from the family, because the `unsafe` calls below rest on it.
-    KernelFamily::active() != KernelFamily::Scalar && simd_available()
-}
-
-/// [`tanh_f32`] of every element, in place: the 8-lane kernel under the
-/// `simd` and `fma` families on a host with AVX2, the port loop otherwise
-/// — the same bits either way. The family is looked up once per call.
-pub fn tanh_slice(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if lanes_active() {
-        // SAFETY: `lanes_active` is true only on a host with AVX2.
-        return unsafe { x86::tanh_lanes(xs) };
-    }
-    for x in xs {
-        *x = tanh_f32(*x);
+/// [`tanh_f32`] of every element, in place: the port loop or the 8-lane
+/// kernel — the same bits either way.
+pub fn tanh_slice(lanes: Lanes, xs: &mut [f32]) {
+    match lanes {
+        Lanes::Plain => xs.iter_mut().for_each(|x| *x = tanh_f32(*x)),
+        // SAFETY: the token proves AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx2(_) => unsafe { x86::tanh_lanes(xs) },
     }
 }
 
-/// [`gelu_scalar`] of every element, in place; dispatch and bits as
+/// [`gelu_scalar`] of every element, in place; bodies and bits as
 /// [`tanh_slice`]. One `ops.gelu` profile span per call.
-pub fn gelu_slice(xs: &mut [f32]) {
+pub fn gelu_slice(lanes: Lanes, xs: &mut [f32]) {
     let _prof = dota_prof::span("ops.gelu");
-    #[cfg(target_arch = "x86_64")]
-    if lanes_active() {
-        // SAFETY: `lanes_active` is true only on a host with AVX2.
-        return unsafe { x86::gelu_lanes(xs) };
-    }
-    for x in xs {
-        *x = gelu_scalar(*x);
+    match lanes {
+        Lanes::Plain => xs.iter_mut().for_each(|x| *x = gelu_scalar(*x)),
+        // SAFETY: the token proves AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx2(_) => unsafe { x86::gelu_lanes(xs) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
+    use crate::lanes::{load, store};
     use crate::ops::{GELU_CUBIC, SQRT_2_OVER_PI};
     use std::arch::x86_64::*;
 
@@ -208,12 +196,9 @@ mod x86 {
     /// `k = 0`, `k = -1`, and `k` in `{-2, -3}` through the general
     /// reduction). Every ending is computed and the lane's own selected by
     /// the value of `k`; a lane's discarded endings may hold anything.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tanh8(x: __m256) -> __m256 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn tanh8(x: __m256) -> __m256 {
         let ps = |v: f32| _mm256_set1_ps(v);
         let epi = |v: i32| _mm256_set1_epi32(v);
         let as_ps = |v: __m256i| _mm256_castsi256_ps(v);
@@ -314,12 +299,9 @@ mod x86 {
 
     /// Whether any lane of `x` is one [`tanh8`] leaves to the port:
     /// `|x| < 2⁻⁵⁵` (`±0` included), `±inf` or NaN.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn any_rare(x: __m256) -> bool {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn any_rare(x: __m256) -> bool {
         let ix = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(i32::MAX));
         let rare = _mm256_or_si256(
             _mm256_cmpgt_epi32(_mm256_set1_epi32(0x2400_0000), ix),
@@ -330,24 +312,18 @@ mod x86 {
 
     /// [`tanh_f32`] of every element: eight per pass through [`tanh8`], a
     /// group holding a rare lane and the tail `< 8` through the port.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tanh_lanes(xs: &mut [f32]) {
-        let mut groups = xs.chunks_exact_mut(8);
-        for g in &mut groups {
-            // SAFETY: `g` is exactly eight floats; loadu/storeu take any
-            // alignment.
-            let x = _mm256_loadu_ps(g.as_ptr());
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn tanh_lanes(xs: &mut [f32]) {
+        let (groups, tail) = xs.as_chunks_mut::<8>();
+        for g in groups {
+            let x = load(g);
             if any_rare(x) {
                 g.iter_mut().for_each(|v| *v = tanh_f32(*v));
             } else {
-                _mm256_storeu_ps(g.as_mut_ptr(), tanh8(x));
+                store(g, tanh8(x));
             }
         }
-        for v in groups.into_remainder() {
+        for v in tail {
             *v = tanh_f32(*v);
         }
     }
@@ -356,28 +332,22 @@ mod x86 {
     /// the final `0.5·x·(1 + t)` in one pass, each product in the scalar
     /// expression's left-to-right order. Rare `u` (`x = ±0` among them)
     /// and the tail go through the port, as in [`tanh_lanes`].
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gelu_lanes(xs: &mut [f32]) {
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn gelu_lanes(xs: &mut [f32]) {
         let ps = |v: f32| _mm256_set1_ps(v);
-        let mut groups = xs.chunks_exact_mut(8);
-        for g in &mut groups {
-            // SAFETY: `g` is exactly eight floats; loadu/storeu take any
-            // alignment.
-            let x = _mm256_loadu_ps(g.as_ptr());
+        let (groups, tail) = xs.as_chunks_mut::<8>();
+        for g in groups {
+            let x = load(g);
             let cube = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(ps(GELU_CUBIC), x), x), x);
             let u = _mm256_mul_ps(ps(SQRT_2_OVER_PI), _mm256_add_ps(x, cube));
             if any_rare(u) {
                 g.iter_mut().for_each(|v| *v = gelu_scalar(*v));
             } else {
                 let y = _mm256_mul_ps(_mm256_mul_ps(ps(0.5), x), _mm256_add_ps(ps(1.0), tanh8(u)));
-                _mm256_storeu_ps(g.as_mut_ptr(), y);
+                store(g, y);
             }
         }
-        for v in groups.into_remainder() {
+        for v in tail {
             *v = gelu_scalar(*v);
         }
     }
@@ -386,8 +356,8 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::{assert_lanes_port_host_agree, bodies, exhaustive_mismatches, same};
     use crate::rng::SeededRng;
-    use crate::simd::with_gemm_env;
     use proptest::prelude::*;
 
     /// Inputs on which fdlibm's `tanhf` is not the correctly-rounded
@@ -401,11 +371,6 @@ mod tests {
         (0x3fc0_001e, 0x3f67_b7d6),
         (0x4060_01b1, 0x3f7f_889c),
     ];
-
-    /// Bitwise equal, any NaN equal to any NaN.
-    fn same(a: f32, b: f32) -> bool {
-        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-    }
 
     /// Whether the host's libm computes fdlibm's `tanhf`; prints the note
     /// the comparisons against it skip with when it does not.
@@ -423,39 +388,11 @@ mod tests {
         is
     }
 
-    /// [`tanh_slice`] through the 8-lane kernel whatever `DOTA_GEMM` says;
-    /// the port loop on a host without the lanes (noted once by the
-    /// exhaustive test).
-    fn tanh_through_lanes(xs: &mut [f32]) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::simd_available() {
-            // SAFETY: AVX2 detected on the line above.
-            unsafe { x86::tanh_lanes(xs) };
-            return true;
-        }
-        xs.iter_mut().for_each(|x| *x = tanh_f32(*x));
-        false
-    }
-
     /// Lanes == port on every input of `bits`, and port == host libm where
     /// that is fdlibm.
-    fn assert_lanes_port_host_agree(bits: &[u32]) {
-        let mut lanes: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        tanh_through_lanes(&mut lanes);
-        let host = host_tanh_is_fdlibm();
-        for (&b, &got) in bits.iter().zip(&lanes) {
-            let x = f32::from_bits(b);
-            let port = tanh_f32(x);
-            assert!(
-                same(got, port),
-                "lanes {got:e} != port {port:e} at {b:#010x}"
-            );
-            assert!(
-                !host || same(port, x.tanh()),
-                "port {port:e} != host {:e} at {b:#010x}",
-                x.tanh()
-            );
-        }
+    fn agree(bits: &[u32]) {
+        let host = host_tanh_is_fdlibm().then_some(f32::tanh as fn(f32) -> f32);
+        assert_lanes_port_host_agree(bits, tanh_slice, tanh_f32, host);
     }
 
     /// `|x|` bit pattern of the first input whose `expm1f` reduction of
@@ -504,7 +441,7 @@ mod tests {
         }
         let negatives: Vec<u32> = bits.iter().map(|b| b | 0x8000_0000).collect();
         bits.extend(negatives);
-        assert_lanes_port_host_agree(&bits);
+        agree(&bits);
     }
 
     #[test]
@@ -513,7 +450,7 @@ mod tests {
         let mut bits: Vec<u32> = (0..1 << 20).map(|_| rng.below(1 << 32) as u32).collect();
         // [-8, 8] in steps of 2^-14: 2^18 + 1 points.
         bits.extend((-(1i32 << 17)..=1 << 17).map(|i| (i as f32 / 16384.0).to_bits()));
-        assert_lanes_port_host_agree(&bits);
+        agree(&bits);
     }
 
     /// `tanhf` reaches only part of `expm1f` (no `k = 1`, no overflow, no
@@ -571,13 +508,13 @@ mod tests {
                         // Copy into a buffer at the same misalignment.
                         let mut buf = base.as_slice().to_vec();
                         buf[offset..offset + len].copy_from_slice(&input);
-                        gelu_slice(&mut buf[offset..offset + len]);
+                        gelu_slice(Lanes::active(), &mut buf[offset..offset + len]);
                         for (&x, &y) in input.iter().zip(&buf[offset..]) {
                             assert!(same(y, gelu_scalar(x)), "gelu({x:e}) len {len} at {at}");
                             assert!(y.is_nan() || !x.is_nan());
                         }
                         buf[offset..offset + len].copy_from_slice(&input);
-                        tanh_slice(&mut buf[offset..offset + len]);
+                        tanh_slice(Lanes::active(), &mut buf[offset..offset + len]);
                         for (&x, &y) in input.iter().zip(&buf[offset..]) {
                             assert!(same(y, tanh_f32(x)), "tanh({x:e}) len {len} at {at}");
                         }
@@ -591,9 +528,8 @@ mod tests {
     }
 
     proptest! {
-        /// The slice kernel is the scalar definition element by element
-        /// under every kernel family: there is no inexact GELU, `fma`
-        /// included.
+        /// The slice kernel is the scalar definition element by element on
+        /// both bodies: there is no inexact GELU.
         #[test]
         fn gelu_slice_matches_scalar_oracle(
             seed in 0u64..1 << 32,
@@ -608,11 +544,11 @@ mod tests {
                     *slot = PLANTS[p % 8];
                 }
             }
-            for family in ["simd", "fma", "scalar"] {
+            for lanes in bodies() {
                 let mut got = input.clone();
-                with_gemm_env(Some(family), || gelu_slice(&mut got));
+                gelu_slice(lanes, &mut got);
                 for (&x, &y) in input.iter().zip(&got) {
-                    prop_assert!(same(y, gelu_scalar(x)), "{family}: gelu({x:e}) = {y:e}");
+                    prop_assert!(same(y, gelu_scalar(x)), "{lanes:?}: gelu({x:e}) = {y:e}");
                 }
             }
         }
@@ -623,25 +559,7 @@ mod tests {
     #[test]
     #[ignore = "exhaustive: 2^32 inputs"]
     fn tanh_lanes_match_port_exhaustive() {
-        const CHUNK: u64 = 1 << 16;
-        let mut buf = vec![0.0f32; CHUNK as usize];
-        let mut mismatches = 0u64;
-        let mut through_lanes = true;
-        for base in (0..1u64 << 32).step_by(CHUNK as usize) {
-            for (i, x) in buf.iter_mut().enumerate() {
-                *x = f32::from_bits((base + i as u64) as u32);
-            }
-            through_lanes &= tanh_through_lanes(&mut buf);
-            for (i, &got) in buf.iter().enumerate() {
-                let x = f32::from_bits((base + i as u64) as u32);
-                mismatches += u64::from(!same(got, tanh_f32(x)));
-            }
-        }
-        if !through_lanes {
-            eprintln!("note: no AVX2 on this host; compared the port loop with itself");
-        }
-        println!("lanes vs port: {mismatches} mismatches over 2^32 inputs");
-        assert_eq!(mismatches, 0);
+        assert_eq!(exhaustive_mismatches("tanh", tanh_slice, tanh_f32), 0);
     }
 
     /// Provenance: the port against the host libm's `tanhf` on all 2³²

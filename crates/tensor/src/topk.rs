@@ -6,6 +6,7 @@
 //! primitives live here, along with helpers to convert selections into the
 //! binary masks the rest of the stack consumes.
 
+use crate::lanes::Lanes;
 use crate::Matrix;
 
 /// Position of `v` in descending order as a plain integer: a larger value
@@ -95,7 +96,7 @@ pub fn top_k_rows(scores: &Matrix, k: usize) -> Vec<Vec<usize>> {
 /// stronger value has a larger key), so the NaN and `±0` rules are the
 /// ordered function's by construction; the keys land in `keys`, a scratch
 /// buffer a caller selecting many rows passes again, and go through
-/// [`top_k_set_keys`] between their own minimum and maximum.
+/// [`top_k_set_keys`] on `lanes` between their own minimum and maximum.
 ///
 /// # Panics
 ///
@@ -104,15 +105,16 @@ pub fn top_k_rows(scores: &Matrix, k: usize) -> Vec<Vec<usize>> {
 /// # Example
 ///
 /// ```
+/// use dota_tensor::lanes::Lanes;
 /// use dota_tensor::topk::{top_k_indices, top_k_set};
 ///
 /// let row = [0.1, 0.9, 0.5, 0.9];
 /// let mut set = Vec::new();
-/// top_k_set(&row, 3, &mut Vec::new(), &mut set);
+/// top_k_set(Lanes::active(), &row, 3, &mut Vec::new(), &mut set);
 /// assert_eq!(top_k_indices(&row, 3), vec![1, 3, 2]);
 /// assert_eq!(set, vec![1, 2, 3]);
 /// ```
-pub fn top_k_set(row: &[f32], k: usize, keys: &mut Vec<i32>, out: &mut Vec<u32>) {
+pub fn top_k_set(lanes: Lanes, row: &[f32], k: usize, keys: &mut Vec<i32>, out: &mut Vec<u32>) {
     let (mut lo, mut hi) = (i32::MAX, i32::MIN);
     keys.clear();
     keys.extend(row.iter().map(|&v| {
@@ -121,7 +123,7 @@ pub fn top_k_set(row: &[f32], k: usize, keys: &mut Vec<i32>, out: &mut Vec<u32>)
         hi = hi.max(key);
         key
     }));
-    top_k_set_keys(keys, k, lo, hi, out);
+    top_k_set_keys(lanes, keys, k, lo, hi, out);
 }
 
 /// [`top_k_set`] on keys that are already ordered integers — a larger key
@@ -137,44 +139,18 @@ pub fn top_k_set(row: &[f32], k: usize, keys: &mut Vec<i32>, out: &mut Vec<u32>)
 /// `k − count(key > t)` positions of `key == t`, 64 keys at a time as two
 /// bit masks whose set bits are read off by `trailing_zeros` — so rows are
 /// born ascending and the tie rule costs nothing. Both passes run eight
-/// keys per compare where the host has AVX2 (integer compares: the same
-/// answer on every host, no kernel-family question).
+/// keys per compare on the lanes (integer compares: the same answer on
+/// either body).
 ///
 /// # Panics
 ///
 /// Panics if `keys` has more than `u32::MAX` elements.
-pub fn top_k_set_keys(keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
-    select_keys(Lanes::active(), keys, k, lo, hi, out);
-}
-
-/// Who runs the two passes of [`top_k_set_keys`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lanes {
-    /// Plain Rust: every host, and the oracle of the lanes.
-    Plain,
-    /// Eight keys per compare. Only [`Lanes::active`] builds this variant.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Lanes {
-    /// By availability, as `dota-quant`'s integer kernels choose theirs.
-    fn active() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Lanes::Avx2;
-        }
-        Lanes::Plain
-    }
-}
-
-/// The body of [`top_k_set_keys`] on the given lanes.
-fn select_keys(lanes: Lanes, keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
+pub fn top_k_set_keys(lanes: Lanes, keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
     match lanes {
         Lanes::Plain => select_with(keys, k, lo, hi, out, count_ge, masks),
+        // SAFETY: the token proves AVX2 and FMA.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only built on a host that has the feature.
-        Lanes::Avx2 => unsafe { x86::select(keys, k, lo, hi, out) },
+        Lanes::Avx2(_) => unsafe { x86::select(keys, k, lo, hi, out) },
     }
 }
 
@@ -270,25 +246,21 @@ fn push_set_bits(mut mask: u64, base: u32, out: &mut Vec<u32>) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::lanes::{load_i32, store_i32};
     use std::arch::x86_64::*;
 
     /// [`super::select_with`] on the eight-lane passes below.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn select(keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn select(keys: &[i32], k: usize, lo: i32, hi: i32, out: &mut Vec<u32>) {
         super::select_with(
             keys,
             k,
             lo,
             hi,
             out,
-            // SAFETY (both): this function's own requirement, AVX2.
-            |keys, t| unsafe { count_ge(keys, t) },
+            |keys, t| count_ge(keys, t),
             |block, t| match <&[i32; 64]>::try_from(block) {
-                Ok(block) => unsafe { masks64(block, t) },
+                Ok(block) => masks64(block, t),
                 Err(_) => super::masks(block, t),
             },
         );
@@ -296,30 +268,22 @@ mod x86 {
 
     /// [`super::count_ge`]: `keys.len()` less the `t > key` compares, whose
     /// all-ones lanes subtract as −1.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn count_ge(keys: &[i32], t: i32) -> usize {
+    #[target_feature(enable = "avx2,fma")]
+    fn count_ge(keys: &[i32], t: i32) -> usize {
         let tv = _mm256_set1_epi32(t);
-        // SAFETY (every load below): `loadu` takes any alignment and reads
-        // the eight keys of a chunk `chunks_exact` proved present.
-        let below = |chunk: &[i32]| {
-            _mm256_cmpgt_epi32(tv, _mm256_loadu_si256(chunk.as_ptr() as *const __m256i))
-        };
+        let below = |chunk: &[i32; 8]| _mm256_cmpgt_epi32(tv, load_i32(chunk));
+        let (chunks, rest) = keys.as_chunks::<8>();
         // Four independent counters, 32 keys a step; a lane counts at most
         // `len / 8 < 2^29` keys, so it cannot wrap.
         let mut acc = [_mm256_setzero_si256(); 4];
-        let mut steps = keys.chunks_exact(32);
+        let mut steps = chunks.chunks_exact(4);
         for step in &mut steps {
-            for (a, chunk) in acc.iter_mut().zip(step.chunks_exact(8)) {
+            for (a, chunk) in acc.iter_mut().zip(step) {
                 *a = _mm256_sub_epi32(*a, below(chunk));
             }
         }
-        let mut rest = steps.remainder().chunks_exact(8);
-        for chunk in &mut rest {
+        for chunk in steps.remainder() {
             acc[0] = _mm256_sub_epi32(acc[0], below(chunk));
         }
         let sum = _mm256_add_epi32(
@@ -327,26 +291,21 @@ mod x86 {
             _mm256_add_epi32(acc[2], acc[3]),
         );
         let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is eight `i32`s, the width of the store.
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sum);
+        store_i32(&mut lanes, sum);
         let below_t = lanes.iter().map(|&c| c as usize).sum::<usize>()
-            + rest.remainder().iter().filter(|&&x| x < t).count();
+            + rest.iter().filter(|&&x| x < t).count();
         keys.len() - below_t
     }
 
     /// [`super::masks`] of a full block.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn masks64(block: &[i32; 64], t: i32) -> (u64, u64) {
+    #[target_feature(enable = "avx2,fma")]
+    fn masks64(block: &[i32; 64], t: i32) -> (u64, u64) {
         let tv = _mm256_set1_epi32(t);
         let (mut gt, mut eq) = (0u64, 0u64);
-        for (g, group) in block.chunks_exact(8).enumerate() {
-            // SAFETY: `loadu` takes any alignment; `group` is eight keys.
-            let keys = _mm256_loadu_si256(group.as_ptr() as *const __m256i);
+        let (groups, _) = block.as_chunks::<8>();
+        for (g, group) in groups.iter().enumerate() {
+            let keys = load_i32(group);
             // One sign bit per 32-bit lane, lane 0 lowest.
             let bits = |m: __m256i| u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(m)) as u8);
             gt |= bits(_mm256_cmpgt_epi32(keys, tv)) << (8 * g);
@@ -456,6 +415,7 @@ pub fn row_counts(mask: &[Vec<bool>]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::bodies;
     use crate::rng::SeededRng;
     use proptest::prelude::*;
 
@@ -477,28 +437,19 @@ mod tests {
         idx
     }
 
-    /// Every body of the selection core this host can run.
-    fn bodies() -> Vec<Lanes> {
-        let mut bodies = vec![Lanes::Plain];
-        if Lanes::active() != Lanes::Plain {
-            bodies.push(Lanes::active());
-        }
-        bodies
-    }
-
     /// `top_k_set(row, k)` and each body of the core on the row's keys
     /// against `top_k_indices(row, k)`, sorted.
     fn check_set(row: &[f32], k: usize) {
         let mut expected: Vec<u32> = top_k_indices(row, k).iter().map(|&i| i as u32).collect();
         expected.sort_unstable();
         let (mut keys, mut got) = (vec![7; 3], Vec::new());
-        top_k_set(row, k, &mut keys, &mut got);
+        top_k_set(Lanes::active(), row, k, &mut keys, &mut got);
         assert_eq!(got, expected, "k {k} of {}", row.len());
         let (lo, hi) = (keys.iter().min(), keys.iter().max());
         let (lo, hi) = (*lo.unwrap_or(&0), *hi.unwrap_or(&0));
         for lanes in bodies() {
             got.clear();
-            select_keys(lanes, &keys, k, lo, hi, &mut got);
+            top_k_set_keys(lanes, &keys, k, lo, hi, &mut got);
             assert_eq!(got, expected, "{lanes:?}, k {k} of {}", row.len());
         }
     }
@@ -515,7 +466,7 @@ mod tests {
             check_set(&row, k);
         }
         let mut set = Vec::new();
-        top_k_set(&row, 5, &mut Vec::new(), &mut set);
+        top_k_set(Lanes::active(), &row, 5, &mut Vec::new(), &mut set);
         assert_eq!(set, vec![0, 1, 5, 70, 131]);
     }
 
@@ -626,7 +577,7 @@ mod tests {
             for (lo, hi) in [(min, max), loose, (i32::MIN, i32::MAX)] {
                 for lanes in bodies() {
                     let mut got = vec![u32::MAX];
-                    select_keys(lanes, &keys, k, lo, hi, &mut got);
+                    top_k_set_keys(lanes, &keys, k, lo, hi, &mut got);
                     prop_assert_eq!(got[0], u32::MAX, "appends, never clears");
                     prop_assert_eq!(&got[1..], &by_sort[..], "{:?} in {}..={}", lanes, lo, hi);
                 }

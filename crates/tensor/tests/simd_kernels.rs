@@ -80,14 +80,10 @@ fn assert_close_fma(got: &Matrix, want: &Matrix, ctx: &str) {
 
 /// The families this host can actually run, `scalar` first.
 fn families() -> Vec<KernelFamily> {
-    let mut fams = vec![KernelFamily::Scalar];
-    if simd::simd_available() {
-        fams.push(KernelFamily::Simd);
-    }
-    if simd::fma_available() {
-        fams.push(KernelFamily::Fma);
-    }
-    fams
+    [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma]
+        .into_iter()
+        .filter(|fam| simd::parse_family(fam.name()).is_ok())
+        .collect()
 }
 
 /// All three layouts of one operand pair (see `parallel_kernels.rs` for

@@ -14,6 +14,7 @@
 
 use crate::{Model, TransformerParams};
 use dota_autograd::ParamSet;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{ops, Matrix};
 
 /// Per-layer cached keys and values for incremental decoding.
@@ -165,7 +166,7 @@ impl Model {
         let hd = cfg.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
         // Looked up here, once: `attend_row` runs per (layer, row, head).
-        let kernel = ops::RowKernel::active();
+        let lanes = Lanes::active();
 
         let tok_table = params.value(tp.token_embedding);
         let pos_table = params.value(tp.pos_embedding);
@@ -251,7 +252,7 @@ impl Model {
             // Rows are independent given the appended K/V, so they fan out
             // like a GEMM's (a score and a value pass per connection).
             let attend = |first: usize, out: &mut [f32]| {
-                let mut state = ops::Attend::new(kernel, scale);
+                let mut state = ops::Attend::new(lanes, scale);
                 for (out_row, r) in out.chunks_exact_mut(d).zip(first..) {
                     let cache = caches[rows[r].0];
                     for h in 0..cfg.n_heads {
@@ -280,7 +281,7 @@ impl Model {
             );
             let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
             ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
-            ops::gelu_slice(h1.as_mut_slice());
+            ops::gelu_slice(lanes, h1.as_mut_slice());
             let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
             ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
             add_residual(&normed1, &mut h2);

@@ -1,6 +1,7 @@
 use crate::TransformerParams;
 use dota_autograd::ParamSet;
 use dota_faults::FaultSite;
+use dota_tensor::lanes::Lanes;
 use dota_tensor::{ops, Matrix};
 use std::fmt;
 
@@ -202,6 +203,7 @@ impl crate::Model {
         );
         let hd = cfg.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
+        let lanes = Lanes::active();
 
         let tok_table = params.value(tp.token_embedding);
         let pos_table = params.value(tp.pos_embedding);
@@ -304,11 +306,10 @@ impl crate::Model {
                         // Scale and softmax every row in the buffer the
                         // GEMM wrote: no further n x n copy.
                         let mut scores = qh.matmul_nt(&kh).expect("shape");
-                        let kernel = ops::RowKernel::active();
                         for r in 0..n {
                             let row = scores.row_mut(r);
                             row.iter_mut().for_each(|s| *s *= scale);
-                            kernel.softmax(row);
+                            ops::softmax_slice(lanes, row);
                         }
                         scores.matmul(&vh).expect("shape")
                     }
@@ -353,7 +354,7 @@ impl crate::Model {
 
             let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
             ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
-            ops::gelu_slice(h1.as_mut_slice());
+            ops::gelu_slice(lanes, h1.as_mut_slice());
             let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
             ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
 

@@ -213,6 +213,26 @@ fn cli_rejects_malformed_dota_threads() {
     assert!(stderr.contains("DOTA_THREADS"), "stderr was: {stderr}");
 }
 
+/// A set but non-Unicode variable is malformed, not unset: rejected up
+/// front with the variable named, like `DOTA_THREADS=many`.
+#[test]
+#[cfg(unix)]
+fn cli_rejects_non_unicode_dota_env() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    for name in ["DOTA_THREADS", "DOTA_GEMM"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dota"))
+            .args(["help"])
+            .env(name, OsStr::from_bytes(b"\xff"))
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{name}=\\xff was accepted");
+        assert!(out.stdout.is_empty(), "work ran before the rejection");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(name), "stderr for {name}: {stderr}");
+    }
+}
+
 /// The figure subcommands are gone outright (the `dota-bench` binaries are
 /// the one door to each table and figure): asking for one is an unknown
 /// command, answered with the usage text.
