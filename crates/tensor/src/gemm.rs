@@ -7,39 +7,65 @@
 //! Each layout dispatches over the kernel families in [`crate::simd`]:
 //! products big enough to amortize panel packing run the packed SIMD
 //! microkernel driver ([`crate::simd::packed_gemm`]) when the selected
-//! family has lanes on this host; everything else — small products,
-//! `A·B` with fewer than `PACK_MIN_ROWS` rows (packing all of `B` has too
-//! few output rows to amortize over), the `scalar` family, hosts without
-//! SIMD — runs the legacy blocked kernels below. The legacy path builds
-//! each product from one row-range kernel, cache-blocked over `i`/`k`;
-//! with the `parallel` feature, products past [`PAR_CUTOFF_FLOPS`] run that
-//! kernel over per-worker row blocks via
+//! family has lanes on this host. `A·B` with fewer than `PACK_MIN_ROWS`
+//! rows is never packed — packing all of `B` has too few output rows to
+//! amortize over — and on lanes runs a register tile that reads `B` in
+//! place ([`crate::simd::few_rows`]), as does every other `A·B` too small
+//! to pack. Everything else — small `A·Bᵀ` and `Aᵀ·B`, the `scalar`
+//! family, hosts without lanes — runs the plain blocked row kernels below,
+//! cache-blocked over `i`/`k`. With the `parallel` feature, row-kernel
+//! products past [`PAR_CUTOFF_FLOPS`] run over per-worker row blocks via
 //! `dota_parallel::par_partition_mut`.
 //!
-//! Both paths keep the same numerics contract: every output element is one
-//! ascending-`k` accumulation chain, so for the `scalar` and `simd`
+//! Every path keeps the same numerics contract: every output element is
+//! one ascending-`k` accumulation chain, so for the `scalar` and `simd`
 //! families results are bitwise identical to the naive reference — across
 //! paths, across `DOTA_THREADS`, and across the serial/parallel feature
-//! builds. Only the opt-in `fma` family shifts low bits (fused rounding).
+//! builds. Only the opt-in `fma` family shifts low bits, and only in
+//! packed tiles (fused rounding); its row-tile products stay exact.
+//!
+//! No route skips a zero of `A`: like the reference, `0·∞` and `0·NaN`
+//! are NaN, so non-finite weights give the same result whichever route a
+//! product takes (NaN payloads aside). For finite operands a skipped
+//! `+ 0·b` would not change a bit — a chain started at `+0` never holds
+//! `-0` — so the rule costs the plain kernels nothing but a multiply.
+//!
+//! The kernel decision is one [`KernelFamily`]: [`Matrix::gemm_into`]
+//! takes it from a caller that decided once for many products (a decode
+//! forward), and the other entries read [`KernelFamily::active`] per call.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; repeated
 //! products of the same shape then run with zero steady-state heap traffic
 //! (pack buffers are pooled, see [`crate::pack`]).
 
+use crate::lanes::Lanes;
 use crate::pack::Layout;
 use crate::simd::{self, KernelFamily};
 use crate::{Matrix, ShapeError};
 
 const BLOCK: usize = 32;
 
-/// `A·B` products with fewer output rows than this stay on the blocked row
-/// kernel: the packed driver copies all of `B` per call, which the row
-/// kernel — streaming `B`'s rows in place, one 32-row panel reused across
-/// the block — undercuts until about eight rows share the copy. Measured
-/// per output row on `k×n` = 128×512 (µs; 128×128, 128×256 and 512×128
-/// cross at the same `m`): row kernel 6.8 flat in `m`; packed 19.3 at
-/// `m = 2`, 12.8 at 3, 9.2 at 4, 7.1 at 7, 6.1 at 8, 4.2 at 16.
-const PACK_MIN_ROWS: usize = 8;
+/// `A·B` products with fewer output rows than this never pack `B`: the row
+/// tile ([`simd::few_rows`]) reads `B` in place, and the packed driver's
+/// copy of all of `B` pays for itself only once enough rows share it.
+/// (Under the `fma` family these products therefore stay exact.)
+/// Measured per output row on one core of a 2-core AVX2 Xeon (`simd`
+/// family, several runs each):
+///
+/// | `m` | 32×32 row tile | 32×32 packed | 128×512 row tile | 128×512 packed |
+/// |----:|---------------:|-------------:|-----------------:|---------------:|
+/// |   1 |     150–165 ns |            — |       6.4–7.1 µs |       49–55 µs |
+/// |   4 |       80–90 ns |   200–250 ns |       4.3–4.9 µs |       12–13 µs |
+/// |   8 |       75–85 ns |   140–180 ns |       4.7–5.7 µs |      8.0–9.0 µs |
+/// |  16 |       65–80 ns |   140–150 ns |       3.0–5.0 µs |      5.7–6.6 µs |
+/// |  32 |       75–80 ns |   125–135 ns |       4.6–5.2 µs |      4.9–5.1 µs |
+/// |  64 |       75–80 ns |   110–125 ns |       4.7–5.1 µs |      4.4–4.6 µs |
+///
+/// At 32×32 packing never pays (the packed path is still ~110 ns at
+/// `m` = 1024, and a product under 16³ multiply-adds is not packed at
+/// all); at 128×512 it ties at 32 rows and wins from 64. 512×128 and
+/// 128×128 cross later, near 128 and 256 rows.
+const PACK_MIN_ROWS: usize = 32;
 
 /// Products smaller than this many multiply-adds (`m·k·n`) stay serial even
 /// when the `parallel` feature is enabled: below it, thread dispatch costs
@@ -72,16 +98,17 @@ pub fn row_dispatch(out: &mut Matrix, flops: usize, kernel: impl Fn(usize, &mut 
 }
 
 /// Runs one product into the pre-zeroed `out`: the packed SIMD driver when
-/// the active family has lanes and the product is worth packing, the
-/// legacy blocked kernel otherwise. The split is invisible in the bits for
-/// the `scalar`/`simd` families — both paths produce the reference chain —
-/// so the cutoff inside [`simd::packed_kernel`] is purely a perf knob.
+/// `family` has lanes and the product is worth packing, the row kernel
+/// `rows` otherwise. The split is invisible in the bits for the
+/// `scalar`/`simd` families — both paths produce the reference chain — so
+/// the cutoff inside [`simd::packed_kernel`] is purely a perf knob.
 fn gemm_dispatch(
+    family: KernelFamily,
     layout: Layout,
     a: &Matrix,
     b: &Matrix,
     out: &mut Matrix,
-    legacy: impl Fn(usize, &mut [f32]) + Sync,
+    rows: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     let (m, n) = out.shape();
     let k = match layout {
@@ -89,16 +116,16 @@ fn gemm_dispatch(
         Layout::Tn => a.rows(),
     };
     let flops = m * k * n;
-    // A few rows of `x·W` are `k` axpys each over rows of `b` that are
-    // already contiguous: packing would copy all of `b` to use it `m` times.
+    // A few rows of `x·W` read `b`'s rows where they lie: packing would
+    // copy all of `b` to use it `m` times.
     let few_rows = m < PACK_MIN_ROWS && layout == Layout::Nn;
     if !few_rows {
-        if let Some(micro) = simd::packed_kernel(KernelFamily::active(), flops) {
+        if let Some(micro) = simd::packed_kernel(family, flops) {
             simd::packed_gemm(layout, a, b, out, micro);
             return;
         }
     }
-    row_dispatch(out, flops, legacy);
+    row_dispatch(out, flops, rows);
 }
 
 /// `out += a * b` over a row. The plain `zip` is the form LLVM vectorizes;
@@ -149,11 +176,7 @@ fn nn_kernel(a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
                 let a_row = a.row(first + i);
                 let o_row = &mut span[i * n..(i + 1) * n];
                 for kk in kb..ke {
-                    let aval = a_row[kk];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, b.row(kk), aval);
+                    axpy(o_row, b.row(kk), a_row[kk]);
                 }
             }
         }
@@ -201,11 +224,7 @@ fn tn_kernel(a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
             for i in ib..ie {
                 let o_row = &mut span[i * n..(i + 1) * n];
                 for kk in kb..ke {
-                    let aval = a[(kk, first + i)];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, b.row(kk), aval);
+                    axpy(o_row, b.row(kk), a[(kk, first + i)]);
                 }
             }
         }
@@ -256,14 +275,35 @@ impl Matrix {
     /// Returns a [`ShapeError`] when `self.cols() != other.rows()` or
     /// `out` has the wrong shape.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
+        self.gemm_into(other, out, KernelFamily::active())
+    }
+
+    /// [`Matrix::matmul_into`] under a kernel family the caller decided:
+    /// a forward that runs many products reads [`KernelFamily::active`]
+    /// once and hands it to each, instead of each reading `DOTA_GEMM`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when `self.cols() != other.rows()` or
+    /// `out` has the wrong shape.
+    pub fn gemm_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        family: KernelFamily,
+    ) -> Result<(), ShapeError> {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()));
         }
         prep_out("matmul_into", out, self.rows(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul");
-        gemm_dispatch(Layout::Nn, self, other, out, |first, span| {
-            nn_kernel(self, other, first, span);
-        });
+        let lanes = Lanes::of(family);
+        let rows = |first, span: &mut [f32]| match lanes {
+            Lanes::Plain => nn_kernel(self, other, first, span),
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(token) => simd::few_rows(token, self, other, first, span),
+        };
+        gemm_dispatch(family, Layout::Nn, self, other, out, rows);
         Ok(())
     }
 
@@ -294,9 +334,8 @@ impl Matrix {
         }
         prep_out("matmul_nt_into", out, self.rows(), other.rows())?;
         let _prof = dota_prof::span("gemm.matmul_nt");
-        gemm_dispatch(Layout::Nt, self, other, out, |first, span| {
-            nt_kernel(self, other, first, span);
-        });
+        let rows = |first, span: &mut [f32]| nt_kernel(self, other, first, span);
+        gemm_dispatch(KernelFamily::active(), Layout::Nt, self, other, out, rows);
         Ok(())
     }
 
@@ -324,9 +363,8 @@ impl Matrix {
         }
         prep_out("matmul_tn_into", out, self.cols(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul_tn");
-        gemm_dispatch(Layout::Tn, self, other, out, |first, span| {
-            tn_kernel(self, other, first, span);
-        });
+        let rows = |first, span: &mut [f32]| tn_kernel(self, other, first, span);
+        gemm_dispatch(KernelFamily::active(), Layout::Tn, self, other, out, rows);
         Ok(())
     }
 
@@ -366,10 +404,12 @@ impl Matrix {
 
 #[cfg(test)]
 mod tests {
+    use crate::lanes::same;
     use crate::reference;
     use crate::rng::SeededRng;
-    use crate::simd::with_gemm_env;
+    use crate::simd::{self, with_gemm_env};
     use crate::Matrix;
+    use proptest::prelude::*;
 
     #[test]
     fn matmul_small_known() {
@@ -527,6 +567,83 @@ mod tests {
                     reference::matmul_tn(&at, &b).as_slice(),
                     "{family} tn bits differ at {m}x{k}x{n}"
                 );
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Every `A·B` below `PACK_MIN_ROWS` rows — the row tile on lanes,
+        /// the plain row kernel without — is bitwise the reference under
+        /// each family, `fma` included: `n` has tails below 8, 16 and 64
+        /// columns, and `k = 0` leaves an all-zero product.
+        #[test]
+        fn few_row_products_are_bitwise_the_reference_oracle(
+            m in 1usize..super::PACK_MIN_ROWS,
+            k in 0usize..70,
+            n in 1usize..130,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let a = rng.normal_matrix(m, k, 1.0);
+            let b = rng.normal_matrix(k, n, 1.0);
+            let want = bits(&reference::matmul(&a, &b));
+            for family in ["scalar", "simd", "fma"] {
+                if simd::parse_family(family).is_err() {
+                    continue;
+                }
+                let got = with_gemm_env(Some(family), || a.matmul(&b).unwrap());
+                assert_eq!(bits(&got), want, "{family} at {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn zeros_of_a_meet_non_finite_weights_alike_on_every_route() {
+        // No route skips a zero of `A`: `0·∞` and `0·NaN` are NaN on the
+        // row kernels, the row tile and the packed tiles alike, as in the
+        // reference. Zero rows, `±0.0` and non-finite entries of `B`, at
+        // row counts below and above `PACK_MIN_ROWS`.
+        let mut rng = SeededRng::new(13);
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0];
+        for m in [1, 3, 5, super::PACK_MIN_ROWS + 3] {
+            let (k, n) = (37, 70);
+            let mut a = rng.normal_matrix(m, k, 1.0);
+            for (i, x) in a.iter_mut().enumerate() {
+                if i % 3 == 0 || i / k == 1 {
+                    *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let mut b = rng.normal_matrix(k, n, 1.0);
+            for (i, x) in b.iter_mut().enumerate() {
+                if i % 11 == 0 {
+                    *x = specials[i / 11 % specials.len()];
+                }
+            }
+            let at = a.transpose();
+            let want_nn = reference::matmul(&a, &b);
+            let want_tn = reference::matmul_tn(&at, &b);
+            assert!(want_nn.iter().any(|x| x.is_nan()), "the case reaches 0·∞");
+            for family in ["scalar", "simd", "fma"] {
+                if simd::parse_family(family).is_err() {
+                    continue;
+                }
+                let (nn, tn) = with_gemm_env(Some(family), || {
+                    (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap())
+                });
+                // The fused family moves low bits in packed tiles (every
+                // `tn` here, `nn` from `PACK_MIN_ROWS` rows), never NaNs.
+                let few_rows = m < super::PACK_MIN_ROWS;
+                for (got, want, op) in [(&nn, &want_nn, "nn"), (&tn, &want_tn, "tn")] {
+                    let fused = family == "fma" && !(few_rows && op == "nn");
+                    for (&g, &w) in got.iter().zip(want.iter()) {
+                        let alike = same(g, w) || (fused && (g - w).abs() < 1e-3);
+                        assert!(alike, "{family} {op} m={m}: {g} vs {w}");
+                    }
+                }
             }
         }
     }

@@ -49,8 +49,9 @@ impl Lanes {
         Self::of(KernelFamily::active())
     }
 
-    /// The lanes of `family` on this host.
-    pub(crate) fn of(family: KernelFamily) -> Self {
+    /// The lanes of `family` on this host: for a caller that already holds
+    /// the family it runs its products under.
+    pub fn of(family: KernelFamily) -> Self {
         #[cfg(target_arch = "x86_64")]
         if family != KernelFamily::Scalar && host_has_lanes() {
             return Lanes::Avx2(Avx2(()));

@@ -20,6 +20,11 @@
 //!   of recorded results is a repo-wide invariant; regenerate goldens
 //!   deliberately if you switch training or figure runs to this family.
 //!
+//! `A·B` with too few rows to pack (a decode step's `x·W`) runs one more
+//! lane kernel under `simd` and `fma` alike: [`few_rows`], a register tile
+//! that reads `B` in place with separate multiply and add — exact under
+//! both families.
+//!
 //! Selection is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`, `fma`}, read by
 //! one parser ([`parse_family`]) against the host's lanes (on x86-64, AVX2
 //! and FMA together: [`crate::lanes`]); a requested family the host cannot
@@ -113,9 +118,12 @@ impl KernelFamily {
 
     /// The family the kernels will use right now: `DOTA_GEMM` (default
     /// `auto`) through [`parse_family`], silently `auto` where that is an
-    /// error. The variable is re-read per dispatch (cost is trivial next to
-    /// any product worth optimizing) so tests and benches can toggle
-    /// families at runtime.
+    /// error. It reads the environment on every call, so tests and benches
+    /// can toggle families at runtime — and that read (about 100 ns) costs
+    /// as much as a whole 1×32×32 product. A caller running many small
+    /// products reads it once and passes it down: `dota-transformer`'s
+    /// decode forward hands it to every product through
+    /// [`Matrix::gemm_into`] and derives its [`lanes::Lanes`] from it.
     pub fn active() -> KernelFamily {
         std::env::var(GEMM_ENV)
             .ok()
@@ -318,6 +326,88 @@ mod x86 {
     // FMA family: single rounding per step — faster, low bits differ.
     avx2_tile!(tile_fused, |acc, a, b| _mm256_fmadd_ps(a, b, acc));
 
+    /// [`super::few_rows`]: rows in groups of up to four, each group's
+    /// columns in register tiles as wide as eight accumulators allow, then
+    /// narrower tiles, then the scalar chain for the last few columns.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn few_rows(a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
+        let n = b.cols();
+        for (g, out) in span.chunks_mut(4 * n).enumerate() {
+            let row = |r: usize| a.row(first + 4 * g + r);
+            match out.len() / n {
+                4 => row_group(&[row(0), row(1), row(2), row(3)], b, out),
+                3 => row_group(&[row(0), row(1), row(2)], b, out),
+                2 => row_group(&[row(0), row(1)], b, out),
+                _ => row_group(&[row(0)], b, out),
+            }
+        }
+    }
+
+    /// The `R` output rows `out` of `a·b`, `a` holding the rows of `A`.
+    #[target_feature(enable = "avx2,fma")]
+    fn row_group<const R: usize>(a: &[&[f32]; R], b: &Matrix, out: &mut [f32]) {
+        let (n, w) = (b.cols(), b.as_slice());
+        let mut j = 0;
+        if R == 1 {
+            j = tiles::<R, 8>(a, w, n, out, j);
+        }
+        if R <= 2 {
+            j = tiles::<R, 4>(a, w, n, out, j);
+        }
+        j = tiles::<R, 2>(a, w, n, out, j);
+        j = tiles::<R, 1>(a, w, n, out, j);
+        for jj in j..n {
+            for (a, o) in a.iter().zip(out.chunks_exact_mut(n)) {
+                let mut acc = 0.0f32;
+                for (kk, &x) in a.iter().enumerate() {
+                    acc += x * w[kk * n + jj];
+                }
+                o[jj] = acc;
+            }
+        }
+    }
+
+    /// Output columns `j..end` of the `R` rows in tiles of `V` vectors for
+    /// as long as a whole tile fits; returns the first column left.
+    /// Per `k`, each row's `a[k]` is broadcast against `V` vectors of row
+    /// `k` of `W`, read in place: every element is the chain
+    /// `((0 + a₀w₀) + a₁w₁) + …`, multiply then add, like the reference.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn tiles<const R: usize, const V: usize>(
+        a: &[&[f32]; R],
+        w: &[f32],
+        n: usize,
+        out: &mut [f32],
+        mut j: usize,
+    ) -> usize {
+        let k = a[0].len();
+        while j + 8 * V <= n {
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for kk in 0..k {
+                let (w, _) = w[kk * n + j..][..8 * V].as_chunks::<8>();
+                let mut x = [_mm256_setzero_ps(); R];
+                for (x, a) in x.iter_mut().zip(a) {
+                    *x = _mm256_set1_ps(a[kk]);
+                }
+                for (v, w) in w.iter().enumerate() {
+                    let w = load(w);
+                    for (acc, &x) in acc.iter_mut().zip(&x) {
+                        acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(x, w));
+                    }
+                }
+            }
+            for (acc, o) in acc.iter().zip(out.chunks_exact_mut(n)) {
+                let (o, _) = o[j..][..8 * V].as_chunks_mut::<8>();
+                for (o, &v) in o.iter_mut().zip(acc) {
+                    store(o, v);
+                }
+            }
+            j += 8 * V;
+        }
+        j
+    }
+
     /// The `fma` family's matvec: per row four 8-lane accumulator chains
     /// over 32 floats a step, then the remaining eights on the first, a
     /// lane reduction and the scalar tail — reassociated, so not
@@ -465,6 +555,17 @@ pub(crate) fn fma_matvec(m: &Matrix, v: &[f32]) -> Option<Vec<f32>> {
         ),
         _ => None,
     }
+}
+
+/// Fills output rows `[first, first + span.len()/n)` of `A·B` on AVX2
+/// lanes, reading `B` in place: register tiles of up to four rows and 64
+/// columns, nothing packed. Every element is one ascending-`k` chain of
+/// separate multiplies and adds, so the bits are the reference's under
+/// every family — `fma` included, which fuses only packed tiles.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn few_rows(_: lanes::Avx2, a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
+    // SAFETY: the token proves AVX2 and FMA.
+    unsafe { x86::few_rows(a, b, first, span) }
 }
 
 /// The tile kernel a product of `flops` multiply-adds takes under

@@ -138,13 +138,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     #[test]
     fn families_match_reference_above_pack_cutoff(
-        m in 17usize..45,
+        m in 32usize..60,
         k in 17usize..45,
         n in 17usize..45,
         seed in 0u64..1_000_000,
     ) {
-        // m·k·n ≥ 17³ > the packing cutoff, so simd/fma take the packed
-        // microkernel path (tile edges included: extents here are not
+        // m·k·n ≥ 32·17² > the packing cutoff, and 32 rows reach
+        // `PACK_MIN_ROWS`, so simd/fma take the packed microkernel path
+        // for every layout (tile edges included: extents here are not
         // multiples of the 4×16 tile).
         check_family_vs_reference(m, k, n, seed);
     }

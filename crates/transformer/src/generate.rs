@@ -15,6 +15,7 @@
 use crate::{Model, TransformerParams};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
+use dota_tensor::simd::KernelFamily;
 use dota_tensor::{ops, Matrix};
 
 /// Per-layer cached keys and values for incremental decoding.
@@ -165,8 +166,16 @@ impl Model {
         let d = cfg.d_model;
         let hd = cfg.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
-        // Looked up here, once: `attend_row` runs per (layer, row, head).
-        let lanes = Lanes::active();
+        // Decided here, once: every product, GELU and `attend_row` (per
+        // layer, row and head) of the call runs under it.
+        let family = KernelFamily::active();
+        let lanes = Lanes::of(family);
+        let linear = |x: &Matrix, w| {
+            let w = params.value(w);
+            let mut out = Matrix::zeros(x.rows(), w.cols());
+            x.gemm_into(w, &mut out, family).expect("shape");
+            out
+        };
 
         let tok_table = params.value(tp.token_embedding);
         let pos_table = params.value(tp.pos_embedding);
@@ -203,9 +212,9 @@ impl Model {
         // Selectors take their row as a matrix of its own.
         let mut x_row = Matrix::zeros(1, d);
         for (l, layer) in tp.layers.iter().enumerate() {
-            let q = x.matmul(params.value(layer.wq)).expect("shape");
-            let k_new = x.matmul(params.value(layer.wk)).expect("shape");
-            let v_new = x.matmul(params.value(layer.wv)).expect("shape");
+            let q = linear(&x, layer.wq);
+            let k_new = linear(&x, layer.wk);
+            let v_new = linear(&x, layer.wv);
             for (r, &(i, _)) in rows.iter().enumerate() {
                 items[i].cache.append(l, k_new.row(r), v_new.row(r));
             }
@@ -271,7 +280,7 @@ impl Model {
             };
             dota_tensor::row_dispatch(&mut heads, 2 * hd * connections, attend);
 
-            let mut res1 = heads.matmul(params.value(layer.wo)).expect("shape");
+            let mut res1 = linear(&heads, layer.wo);
             add_residual(&x, &mut res1);
             let normed1 = ops::layer_norm(
                 &res1,
@@ -279,10 +288,10 @@ impl Model {
                 params.value(layer.ln1_beta).row(0),
                 1e-5,
             );
-            let mut h1 = normed1.matmul(params.value(layer.w_ff1)).expect("shape");
+            let mut h1 = linear(&normed1, layer.w_ff1);
             ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
             ops::gelu_slice(lanes, h1.as_mut_slice());
-            let mut h2 = h1.matmul(params.value(layer.w_ff2)).expect("shape");
+            let mut h2 = linear(&h1, layer.w_ff2);
             ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
             add_residual(&normed1, &mut h2);
             x = ops::layer_norm(
@@ -302,7 +311,7 @@ impl Model {
             }
             x = last;
         }
-        let mut logits = x.matmul(params.value(tp.w_head)).expect("shape");
+        let mut logits = linear(&x, tp.w_head);
         ops::add_bias_in_place(&mut logits, params.value(tp.b_head).row(0));
         DecodedRows { logits, attended }
     }
