@@ -16,8 +16,10 @@
 //! free), that one-row products of the tiny and the mid model's shapes
 //! read `W` in place (fewer allocations than products, fewer bytes than a
 //! copy of `W`), that a `decode_step` allocates no more at a long context than at
-//! a short one (and no more than 60 times), and that a 32-row `decode_rows`
-//! call allocates no more than 244 times, and that one sparse
+//! a short one (and no more than 27 times), and that a 32-row `decode_rows`
+//! call allocates no more than 29 times, that a `decode_rows_in` call into
+//! a warm arena allocates nothing (tiny and mid shapes, one row and 32,
+//! dense, window and detector selectors), and that one sparse
 //! `simulate_shape` allocates no more than 64 times (nothing per round, per
 //! row or per group), and that one fused detector `select` at sequence
 //! length 512 allocates under 1 MiB (no `n x n` score matrix). It also
@@ -33,6 +35,7 @@ use dota_accel::sched::{matrix_loads, schedule_matrix};
 use dota_accel::synth::{sample_selection, SelectionProfile};
 use dota_accel::{AccelConfig, Accelerator};
 use dota_autograd::ParamSet;
+use dota_detector::decode::DotaDecodeSelector;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
@@ -40,7 +43,10 @@ use dota_tensor::lanes::Lanes;
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
 use dota_tensor::{ops, reference, topk, Matrix};
-use dota_transformer::{DecodeItem, DenseDecode, InferenceHook, KvCache, Model, TransformerConfig};
+use dota_transformer::{
+    DecodeItem, DecodeScratch, DecodeSelector, DenseDecode, InferenceHook, KvCache, Model,
+    TransformerConfig,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -912,6 +918,7 @@ fn run_quick() -> bool {
     println!("steady-state allocation budget: OK");
     few_row_allocation_pin(&mut rng)
         && decode_allocation_pins()
+        && decode_scratch_pins()
         && simulate_allocation_pin()
         && select_allocation_pin()
 }
@@ -919,9 +926,9 @@ fn run_quick() -> bool {
 /// The few-row leg of the `--quick` allocation smoke: one-row products of
 /// the tiny and the mid model's shapes into a reused output allocate
 /// nothing themselves — the row tile reads `W` in place, so there is no
-/// pack and no pooled buffer to take. What the counter may still see is
-/// the profiling session's own bookkeeping (a `gemm.matmul` span duration
-/// landing in a new histogram bucket), so the pin is fewer allocations
+/// pack and no pooled buffer to take. The counter leaves out the profiling
+/// session's own bookkeeping (a `gemm.matmul` span duration landing in a
+/// new histogram bucket), so this reads 0; the pin is fewer allocations
 /// than products and fewer bytes than one copy of `W`. The family is read
 /// once, as the decode forward reads it (a set `DOTA_GEMM` allocates its
 /// value on every read).
@@ -953,29 +960,29 @@ fn few_row_allocation_pin(rng: &mut SeededRng) -> bool {
     true
 }
 
-/// Heap allocations a single-row `decode_step` may make on the tiny model
-/// (27 today: per step, per layer and per product — none per attended row,
-/// whose scores land in pooled scratch).
-const DECODE_STEP_ALLOC_BUDGET: u64 = 60;
+/// Heap allocations a single-row `decode_step` may make on the tiny model:
+/// the buffers of the fresh arena it runs in, each taken once (16 today;
+/// 27 before the forward had an arena, when every layer took its own).
+/// None per attended row, whose scores land in pooled scratch.
+const DECODE_STEP_ALLOC_BUDGET: u64 = 27;
 
 /// Rows of the block `decode_rows` is held to amortize its buffers over.
 const BLOCK_ROWS: usize = 32;
 
 /// Heap allocations one [`BLOCK_ROWS`]-row `decode_rows` call may make on
-/// the tiny model (29 today; 369 when every `(row, head, layer)` took a
-/// score vector of its own).
-const BLOCK_ALLOC_BUDGET: u64 = 244;
+/// the tiny model (17 today, a fresh arena's buffers; 29 before the arena;
+/// 369 when every `(row, head, layer)` took a score vector of its own).
+const BLOCK_ALLOC_BUDGET: u64 = 29;
 
-/// The decode leg of the `--quick` allocation smoke: one dense
-/// `decode_step` makes the same number of heap allocations at context 64
-/// as at context 768 — every buffer it takes is per step, per layer or per
-/// head, none per cached position — and no more than
+/// The decode leg of the `--quick` allocation smoke, for the wrappers that
+/// run in a fresh arena: one dense `decode_step` makes the same number of
+/// heap allocations at context 64 as at context 768 — every buffer it
+/// takes is per call, none per cached position — and no more than
 /// [`DECODE_STEP_ALLOC_BUDGET`]; and one [`BLOCK_ROWS`]-row `decode_rows`
 /// call makes no more than [`BLOCK_ALLOC_BUDGET`], far fewer than
 /// [`BLOCK_ROWS`] single steps would: the block path shares its buffers
-/// across rows instead of taking them per row. (The
-/// cache's own storage doubles, amortized, on power-of-two lengths; every
-/// probe sits between doublings.)
+/// across rows instead of taking them per row. The caches are sized at
+/// creation, so no probe sees one grow.
 fn decode_allocation_pins() -> bool {
     const PROBES: [usize; 2] = [64, 768];
     let mut params = ParamSet::new();
@@ -984,7 +991,8 @@ fn decode_allocation_pins() -> bool {
         &mut params,
         5,
     );
-    let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+    let (n_layers, d) = (model.config().n_layers, model.config().d_model);
+    let mut cache = KvCache::with_capacity(n_layers, d, PROBES[1]);
     let mut calls = [0u64; 2];
     while cache.len() < PROBES[1] {
         let before = dota_prof::alloc_stats().allocation_calls;
@@ -1009,9 +1017,9 @@ fn decode_allocation_pins() -> bool {
         return false;
     }
 
-    // Positions 80..112 of a fresh cache: between the doublings at 64 and 128.
+    // Positions 80..112 of a fresh cache.
     let tokens: Vec<usize> = (0..80 + BLOCK_ROWS).map(|i| i % 16).collect();
-    let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+    let mut cache = KvCache::with_capacity(n_layers, d, tokens.len());
     let mut rows_calls = |tokens: &[usize]| {
         let before = dota_prof::alloc_stats().allocation_calls;
         let mut item = [DecodeItem {
@@ -1036,9 +1044,117 @@ fn decode_allocation_pins() -> bool {
     true
 }
 
+/// Keeps the most recent `ceil(r · t)` positions, answering in place:
+/// `dota_serve::WindowSelector`'s rule (this binary has no edge to
+/// `dota-serve`), for the window leg of [`decode_scratch_pins`].
+struct Window(f64);
+
+impl DecodeSelector for Window {
+    fn select(&self, l: usize, h: usize, x: &Matrix, len: usize) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        self.select_into(l, h, x, len, &mut out).then_some(out)
+    }
+
+    fn select_into(
+        &self,
+        _l: usize,
+        _h: usize,
+        _x: &Matrix,
+        len: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let keep = ((self.0 * len as f64).ceil() as usize).max(1).min(len);
+        out.extend((len - keep) as u32..len as u32);
+        true
+    }
+}
+
+/// Positions a sequence of the steady-state pin has decoded before the
+/// counted call: the detector's sketches have doubled to 128 rows by then
+/// and the counted rows (at most 32) fit, so nothing may grow.
+const STEADY_FROM: usize = 96;
+
+/// The arena leg of the `--quick` allocation smoke: a `decode_rows_in`
+/// call into an arena that has seen the call's shapes, over a cache sized
+/// at creation, allocates nothing at all — at the tiny and the mid model's
+/// shapes, for one row and for a 32-row block, under the dense, window and
+/// detector selectors. Each count is a sequence's call at positions
+/// [`STEADY_FROM`]`..`, after the same calls on another sequence have shown
+/// the arena (shared by every sequence) those shapes.
+fn decode_scratch_pins() -> bool {
+    let shapes = [
+        ("tiny", TransformerConfig::tiny_causal(160, 16)),
+        (
+            "mid",
+            TransformerConfig {
+                d_model: 128,
+                n_heads: 4,
+                n_layers: 4,
+                d_ff: 512,
+                ..TransformerConfig::tiny_causal(160, 256)
+            },
+        ),
+    ];
+    let mut ok = true;
+    for (name, cfg) in shapes {
+        let mut params = ParamSet::new();
+        let model = Model::init(cfg, &mut params, 5);
+        let hook = DotaHook::init(DetectorConfig::new(0.125), model.config(), &mut params);
+        let cfg = model.config();
+        let mut scratch = DecodeScratch::default();
+        for rows in [1, 32] {
+            let mut counts = Vec::new();
+            for kind in ["dense", "window", "dota"] {
+                // The first pass shows the arena the shapes; the second counts.
+                let mut spent = 0;
+                for _ in 0..2 {
+                    let selector: Box<dyn DecodeSelector> = match kind {
+                        "dense" => Box::new(DenseDecode),
+                        "window" => Box::new(Window(0.25)),
+                        _ => Box::new(DotaDecodeSelector::new(
+                            &hook,
+                            &params,
+                            cfg.n_layers,
+                            cfg.n_heads,
+                        )),
+                    };
+                    let tokens: Vec<usize> = (0..STEADY_FROM + rows).map(|i| i % 16).collect();
+                    let mut cache = KvCache::with_capacity(cfg.n_layers, cfg.d_model, tokens.len());
+                    for block in [&tokens[..STEADY_FROM], &tokens[STEADY_FROM..]] {
+                        let mut item = [DecodeItem {
+                            cache: &mut cache,
+                            tokens: block,
+                            selector: &*selector,
+                        }];
+                        let before = dota_prof::alloc_stats().allocation_calls;
+                        std::hint::black_box(model.decode_rows_in(
+                            &params,
+                            &mut item,
+                            &mut scratch,
+                        ));
+                        spent = dota_prof::alloc_stats().allocation_calls - before;
+                    }
+                }
+                counts.push(format!("{kind} {spent}"));
+                ok &= spent == 0;
+            }
+            println!(
+                "decode_rows_in steady-state heap allocations, {name} model, {rows} row(s): {}",
+                counts.join(", ")
+            );
+        }
+    }
+    if !ok {
+        eprintln!("FAIL: a steady-state decode_rows_in call allocates");
+        return false;
+    }
+    println!("decode_rows_in runs without the allocator in steady state: OK");
+    true
+}
+
 /// Heap allocations one sparse `simulate_shape` may make (the sampler's and
-/// the counter's buffers and one group of rows, all taken once: 30-odd
-/// today; about 212,000 when every round was two `Vec`s and every row one).
+/// the counter's buffers and one group of rows, all taken once: 15 today;
+/// about 212,000 when every round was two `Vec`s and every row one).
 const SIMULATE_SHAPE_ALLOC_BUDGET: u64 = 64;
 
 /// The simulator leg of the `--quick` allocation smoke: `simulate_shape`

@@ -802,6 +802,22 @@ mod tests {
         assert!(serde_json::parse(&a.to_json()).is_ok());
     }
 
+    /// The audit's closed form and the selector agree on every rung of the
+    /// default ladder at every context, the empty cache included (where
+    /// the window keeps nothing rather than panicking).
+    #[test]
+    fn window_selector_length_matches_window_size() {
+        use dota_transformer::DecodeSelector;
+        let x = dota_tensor::Matrix::zeros(1, 4);
+        for &r in &dota_serve::ServeConfig::default().ladder {
+            let selector = dota_serve::WindowSelector::new(r);
+            for t in 0..=64usize {
+                let kept = selector.select(0, 0, &x, t).map_or(t, |keep| keep.len());
+                assert_eq!(kept as u64, window_size(r, t as u64), "r={r} t={t}");
+            }
+        }
+    }
+
     #[test]
     fn window_size_matches_selector_semantics() {
         assert_eq!(window_size(1.0, 5), 5);

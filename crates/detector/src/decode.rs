@@ -11,6 +11,7 @@
 use crate::{DetectorConfig, DotaHook};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
+use dota_tensor::simd::KernelFamily;
 use dota_tensor::{topk, Matrix};
 use dota_transformer::DecodeSelector;
 use std::cell::RefCell;
@@ -30,39 +31,65 @@ pub struct DotaDecodeSelector<'a> {
     params: &'a ParamSet,
     cfg: DetectorConfig,
     n_heads: usize,
-    /// The selection's lanes, decided once per generation.
+    /// The sketch products' kernel family and the selection's lanes,
+    /// decided once per generation.
+    family: KernelFamily,
     lanes: Lanes,
+    state: RefCell<SketchState>,
+}
+
+/// What a [`DotaDecodeSelector`] changes through `&self`: the sketches, and
+/// the buffers one `select_into` works in, reused from call to call so a
+/// selection allocates nothing beyond its sketch's growth.
+#[derive(Debug)]
+struct SketchState {
     /// `k̃` rows accumulated so far, per layer, per head.
-    sketches: RefCell<Vec<Vec<Matrix>>>,
+    sketches: Vec<Vec<Matrix>>,
+    /// The current row projected (`1 x rank`), then its key and query
+    /// sketches.
+    xp: Matrix,
+    k_row: Matrix,
+    q_row: Matrix,
+    /// Estimated scores against every cached key, and the top-k's keys.
+    scores: Vec<f32>,
+    keys: Vec<i32>,
 }
 
 impl<'a> DotaDecodeSelector<'a> {
     /// Creates a selector over a trained detector bank for a model with
     /// `n_layers` × `n_heads` heads.
     pub fn new(hook: &'a DotaHook, params: &'a ParamSet, n_layers: usize, n_heads: usize) -> Self {
+        let family = KernelFamily::active();
         Self {
             hook,
             params,
             cfg: hook.config().clone(),
             n_heads,
-            lanes: Lanes::active(),
-            sketches: RefCell::new(
-                (0..n_layers)
+            family,
+            lanes: Lanes::of(family),
+            state: RefCell::new(SketchState {
+                sketches: (0..n_layers)
                     .map(|l| {
                         (0..n_heads)
                             .map(|h| Matrix::zeros(0, hook.detector(l, h).rank()))
                             .collect()
                     })
                     .collect(),
-            ),
+                xp: Matrix::default(),
+                k_row: Matrix::default(),
+                q_row: Matrix::default(),
+                scores: Vec::new(),
+                keys: Vec::new(),
+            }),
         }
     }
 
     /// Number of positions every layer and head has cached (the last
     /// `(layer, head)` of a forward is the last to see a position).
     pub fn cached(&self) -> usize {
-        let sketches = self.sketches.borrow();
-        sketches
+        let state = self.state.borrow();
+        state
+            .sketches
             .last()
             .and_then(|heads| heads.last())
             .map_or(0, Matrix::rows)
@@ -71,34 +98,60 @@ impl<'a> DotaDecodeSelector<'a> {
 
 impl DecodeSelector for DotaDecodeSelector<'_> {
     fn select(&self, layer: usize, head: usize, x: &Matrix, cache_len: usize) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        self.select_into(layer, head, x, cache_len, &mut out)
+            .then_some(out)
+    }
+
+    fn select_into(
+        &self,
+        layer: usize,
+        head: usize,
+        x: &Matrix,
+        cache_len: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
         assert!(head < self.n_heads, "head index out of range");
         let det = self.hook.detector(layer, head);
+        let mut state = self.state.borrow_mut();
+        let SketchState {
+            sketches,
+            xp,
+            k_row,
+            q_row,
+            scores,
+            keys,
+        } = &mut *state;
+        let product = |a: &Matrix, w: &Matrix, out: &mut Matrix| {
+            out.reuse_as(a.rows(), w.cols());
+            a.gemm_into(w, out, self.family).expect("sketch shape");
+        };
         // Project the current row once: xp is 1 x rank.
-        let xp = x.matmul(det.projection()).expect("projection shape");
-        let k_row = xp.matmul(self.params.value(det.wk_tilde())).expect("shape");
-        let q_row = xp.matmul(self.params.value(det.wq_tilde())).expect("shape");
+        product(x, det.projection(), xp);
+        product(xp, self.params.value(det.wk_tilde()), k_row);
+        product(xp, self.params.value(det.wq_tilde()), q_row);
 
         // Append this step's key sketch in place (the model appends its
         // K/V before calling attention, so cache_len already includes the
         // new row).
-        let sketches = &mut self.sketches.borrow_mut()[layer][head];
-        sketches.push_row(k_row.row(0));
+        let sketch = &mut sketches[layer][head];
+        sketch.push_row(k_row.row(0));
         // Scores below pair sketch row `j` with cache position `j`: a
         // skipped or repeated position would select the wrong keys silently.
         assert!(
-            sketches.rows() == cache_len,
+            sketch.rows() == cache_len,
             "layer {layer} head {head}: selected out of order (cache_len {cache_len}, {} sketched)",
-            sketches.rows()
+            sketch.rows()
         );
 
         // Estimated scores of the new query against every cached key: one
         // exact ascending-k dot per sketch row, no operand packed or copied.
         let q = q_row.row(0);
-        let scores: Vec<f32> = sketches.rows_iter().map(|k| Matrix::dot(q, k)).collect();
+        scores.clear();
+        scores.extend(sketch.rows_iter().map(|k| Matrix::dot(q, k)));
         let keep = self.cfg.keys_per_row_for_layer(layer, cache_len);
-        let mut kept = Vec::with_capacity(keep);
-        topk::top_k_set(self.lanes, &scores, keep, &mut Vec::new(), &mut kept);
-        Some(kept)
+        topk::top_k_set(self.lanes, scores, keep, keys, out);
+        true
     }
 }
 
@@ -204,7 +257,7 @@ mod tests {
         #[test]
         fn block_fed_selector_matches_token_fed_oracle(seed in 0u64..1_000_000) {
             use dota_tensor::rng::SeededRng;
-            use dota_transformer::{DecodeItem, KvCache};
+            use dota_transformer::{DecodeItem, DecodeScratch, KvCache};
 
             let mut params = ParamSet::new();
             let model = Model::init(TransformerConfig::tiny_causal(80, 8), &mut params, seed % 4);
@@ -220,6 +273,7 @@ mod tests {
                 .collect();
 
             // Token-fed: per sequence, logits and attended per position.
+            let mut scratch = DecodeScratch::default();
             let token_fed: Vec<_> = prompts
                 .iter()
                 .map(|prompt| {
@@ -227,7 +281,11 @@ mod tests {
                     let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
                     let steps: Vec<(Matrix, u64)> = prompt
                         .iter()
-                        .map(|&t| model.decode_step(&params, &mut cache, t, &selector))
+                        .map(|&t| {
+                            let step = DecodeItem { cache: &mut cache, tokens: &[t], selector: &selector };
+                            let out = model.decode_rows_in(&params, &mut [step], &mut scratch);
+                            (out.logits.clone(), out.attended[0])
+                        })
                         .collect();
                     (selector, cache, steps)
                 })
@@ -319,6 +377,144 @@ mod tests {
                     .collect();
                 want.sort_unstable();
                 proptest::prop_assert_eq!(selector.select(1, 0, &x, t), Some(want), "position {}", t);
+            }
+        }
+    }
+
+    /// Keeps the most recent `ceil(r · len)` positions (what
+    /// `dota_serve::WindowSelector` does).
+    struct Window(f64);
+
+    impl DecodeSelector for Window {
+        fn select(&self, _l: usize, _h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            let keep = ((self.0 * len as f64).ceil() as usize).clamp(1, len);
+            Some(((len - keep) as u32..len as u32).collect())
+        }
+    }
+
+    /// Answers as badly as the trait allows, as a pure function of
+    /// `(layer, head, len)`: by turns `None`, an empty list, and lists that
+    /// are unsorted, repeat entries and reach past the cache.
+    struct Adversarial(u64);
+
+    impl DecodeSelector for Adversarial {
+        fn select(&self, l: usize, h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
+            use dota_tensor::rng::SeededRng;
+            let mut rng =
+                SeededRng::new(self.0 ^ ((l as u64) << 40) ^ ((h as u64) << 20) ^ len as u64);
+            match rng.below(5) {
+                0 => None,
+                1 => Some(Vec::new()),
+                _ => {
+                    let n = rng.below(2 * len + 1);
+                    Some((0..n).map(|_| rng.below(len + 3) as u32).collect())
+                }
+            }
+        }
+    }
+
+    /// A model, its weights and a detector bank over them.
+    type Bank = (Model, ParamSet, DotaHook);
+
+    /// One sequence of the reuse oracle, decoded twice side by side: in the
+    /// reused arena and in fresh ones, each copy under its own selector.
+    struct Seq<'a> {
+        model: usize,
+        reused: (dota_transformer::KvCache, Box<dyn DecodeSelector + 'a>),
+        fresh: (dota_transformer::KvCache, Box<dyn DecodeSelector + 'a>),
+    }
+
+    fn reuse_selector(kind: usize, bank: &Bank, seed: u64) -> Box<dyn DecodeSelector + '_> {
+        let (model, params, hook) = bank;
+        let cfg = model.config();
+        match kind {
+            0 => Box::new(DenseDecode),
+            1 => Box::new(Window(0.3)),
+            2 => Box::new(DotaDecodeSelector::new(
+                hook,
+                params,
+                cfg.n_layers,
+                cfg.n_heads,
+            )),
+            _ => Box::new(Adversarial(seed)),
+        }
+    }
+
+    proptest::proptest! {
+        /// One arena reused across a random run of calls gives every call
+        /// the bits a fresh arena gives — logits, attended counts and every
+        /// cache row — while the calls switch between a tiny and a mid-width
+        /// model, shrink and grow between 1 and 40 rows over 1 to 4 items,
+        /// continue old sequences and start new ones, under dense, window,
+        /// detector and adversarial selectors. A buffer left unzeroed or a
+        /// stale selection tail shows up as a difference.
+        #[test]
+        fn decode_scratch_reuse_is_bitwise_fresh_oracle(seed in 0u64..1_000_000) {
+            use dota_tensor::rng::SeededRng;
+            use dota_transformer::{DecodeItem, DecodeScratch, KvCache};
+
+            const SEQ: usize = 80;
+            let tiny = TransformerConfig::tiny_causal(SEQ, 16);
+            let mid = TransformerConfig { d_model: 128, n_heads: 4, d_ff: 512, ..tiny.clone() };
+            let banks: Vec<Bank> = [tiny, mid]
+                .into_iter()
+                .map(|cfg| {
+                    let mut params = ParamSet::new();
+                    let model = Model::init(cfg, &mut params, seed % 4);
+                    let detector = DetectorConfig::new(0.25).with_sigma(0.5);
+                    let hook = DotaHook::init(detector, model.config(), &mut params);
+                    (model, params, hook)
+                })
+                .collect();
+            let mut rng = SeededRng::new(seed);
+            let mut scratch = DecodeScratch::default();
+            let mut seqs: Vec<Seq> = Vec::new();
+            for call in 0..6 {
+                let which = rng.below(2);
+                let (model, params, _) = &banks[which];
+                let cfg = model.config();
+                // (sequence, its block) for this call.
+                let mut blocks: Vec<(usize, Vec<usize>)> = Vec::new();
+                let mut budget = 1 + rng.below(40);
+                for _ in 0..1 + rng.below(4) {
+                    let open: Vec<usize> = (0..seqs.len())
+                        .filter(|&i| seqs[i].model == which && seqs[i].reused.0.len() < SEQ)
+                        .filter(|&i| blocks.iter().all(|b| b.0 != i))
+                        .collect();
+                    let i = if !open.is_empty() && rng.below(2) == 0 {
+                        open[rng.below(open.len())]
+                    } else {
+                        let kind = rng.below(4);
+                        let new = || (KvCache::new(cfg.n_layers, cfg.d_model), reuse_selector(kind, &banks[which], seed));
+                        seqs.push(Seq { model: which, reused: new(), fresh: new() });
+                        seqs.len() - 1
+                    };
+                    let n = (1 + rng.below(budget)).min(SEQ - seqs[i].reused.0.len());
+                    blocks.push((i, (0..n).map(|_| rng.below(16)).collect()));
+                    budget -= n;
+                    if budget == 0 {
+                        break;
+                    }
+                }
+                let mut reused = Vec::new();
+                let mut fresh = Vec::new();
+                for (i, s) in seqs.iter_mut().enumerate() {
+                    if let Some((_, tokens)) = blocks.iter().find(|b| b.0 == i) {
+                        reused.push(DecodeItem { cache: &mut s.reused.0, tokens, selector: &*s.reused.1 });
+                        fresh.push(DecodeItem { cache: &mut s.fresh.0, tokens, selector: &*s.fresh.1 });
+                    }
+                }
+                let got = model.decode_rows_in(params, &mut reused, &mut scratch);
+                let want = model.decode_rows(params, &mut fresh);
+                proptest::prop_assert!(*got.logits == want.logits, "seed {seed}, call {call}: logits differ");
+                proptest::prop_assert_eq!(got.attended, &want.attended[..], "seed {}, call {}", seed, call);
+                drop((reused, fresh));
+                for (i, _) in &blocks {
+                    let (a, b) = (&seqs[*i].reused.0, &seqs[*i].fresh.0);
+                    for l in 0..cfg.n_layers {
+                        proptest::prop_assert!(a.keys(l) == b.keys(l) && a.values(l) == b.values(l), "seed {seed}, call {call}, sequence {i}");
+                    }
+                }
             }
         }
     }

@@ -68,6 +68,25 @@ thread_local! {
     static CURRENT_NODE: Cell<u32> = const { Cell::new(ROOT) };
     /// This thread's open-span stack.
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// Set while this thread's profiler files a span (interns its node,
+    /// grows its stack, records its duration): what is allocated then is the
+    /// profiler's, not the profiled code's, and is not counted.
+    static BOOKKEEPING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` as the profiler's own bookkeeping (see `BOOKKEEPING`).
+fn bookkeeping<R>(f: impl FnOnce() -> R) -> R {
+    BOOKKEEPING.with(|b| b.set(true));
+    let out = f();
+    BOOKKEEPING.with(|b| b.set(false));
+    out
+}
+
+/// Whether an allocation event on this thread is counted: a session is
+/// live here and the profiler is not filing a span.
+#[inline]
+fn counted() -> bool {
+    enabled() && !BOOKKEEPING.try_with(Cell::get).unwrap_or(true)
 }
 
 #[derive(Clone, Copy)]
@@ -175,11 +194,12 @@ pub fn span(name: &'static str) -> ProfSpan {
         };
     }
     let parent = CURRENT_NODE.with(Cell::get);
-    let (node, session) = {
+    let (node, session) = bookkeeping(|| {
         let mut st = lock_state();
-        (st.intern(parent, name), st.session)
-    };
-    STACK.with(|s| s.borrow_mut().push(Frame { node, child_ns: 0 }));
+        let node = st.intern(parent, name);
+        STACK.with(|s| s.borrow_mut().push(Frame { node, child_ns: 0 }));
+        (node, st.session)
+    });
     CURRENT_NODE.with(|c| c.set(node));
     ProfSpan {
         _trace: trace,
@@ -232,23 +252,26 @@ impl Drop for ProfSpan {
         stat.total_ns += elapsed_ns;
         stat.self_ns += elapsed_ns.saturating_sub(child_ns);
         let name = st.nodes[self.node as usize].name;
-        st.hists
-            .entry(name)
-            .or_default()
-            .record(elapsed.as_secs_f64() * 1e3);
+        bookkeeping(|| {
+            st.hists
+                .entry(name)
+                .or_default()
+                .record(elapsed.as_secs_f64() * 1e3);
+        });
     }
 }
 
 // --- Allocation accounting. ---
 
 /// Records an allocation of `bytes`, attributed to the calling thread's
-/// innermost live span. No-op without a live session. Called by the
+/// innermost live span. No-op without a live session, and for the
+/// profiler's own allocations while it files a span. Called by the
 /// `prof-alloc` global allocator; safe to call directly (tests do).
 ///
 /// Never allocates — a hard requirement since it runs inside the allocator.
 #[inline]
 pub fn record_alloc(bytes: u64) {
-    if !enabled() {
+    if !counted() {
         return;
     }
     ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
@@ -263,10 +286,10 @@ pub fn record_alloc(bytes: u64) {
     NODE_ALLOC_CALLS[slot].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records a deallocation of `bytes`. No-op without a live session.
+/// Records a deallocation of `bytes`. No-op where [`record_alloc`] is.
 #[inline]
 pub fn record_dealloc(bytes: u64) {
-    if !enabled() {
+    if !counted() {
         return;
     }
     FREED_BYTES.fetch_add(bytes, Ordering::Relaxed);
@@ -771,6 +794,24 @@ mod tests {
         let spans = g.spans();
         let s = spans.iter().find(|s| s.path == "alloc.heavy").unwrap();
         assert!(s.alloc_bytes >= 1 << 19, "attributed to innermost span");
+    }
+
+    /// Filing spans is the profiler's own work: new frames, a deeper stack
+    /// and new histogram buckets cost the counters nothing, so a pin on
+    /// the profiled code reads that code's allocations alone.
+    #[cfg(feature = "prof-alloc")]
+    #[test]
+    fn span_bookkeeping_is_not_counted() {
+        static NAMES: [&str; 4] = ["book.a", "book.b", "book.c", "book.d"];
+        let g = session("bookkeeping");
+        let before = g.alloc().allocation_calls;
+        for (i, &name) in NAMES.iter().cycle().take(4_000).enumerate() {
+            let _outer = span(name);
+            let _inner = span(NAMES[i % 3]);
+            std::hint::black_box(i);
+        }
+        assert_eq!(g.alloc().allocation_calls, before);
+        assert_eq!(g.spans().len(), 4 + 4 * 3);
     }
 
     /// A warm trace session records into the buffers the previous session

@@ -1,7 +1,8 @@
 //! The continuous-batching scheduler.
 //!
 //! [`ServeEngine`] drives the real incremental decode path
-//! ([`Model::decode_rows`]) for a whole population of requests at once.
+//! ([`Model::decode_rows_in`], in one arena held for the run) for a whole
+//! population of requests at once.
 //! Time is the accelerator's 1 GHz cycle clock, advanced by the
 //! [`CostModel`] after every step, so the run — admission decisions,
 //! latencies, the serialized report — is a pure function of the request
@@ -25,8 +26,8 @@
 //!    advances one token (prompt tokens first, then greedy generation) and
 //!    the step costs one shared weight stream plus each member's measured
 //!    K/V traffic. The *host* pays that weight stream once per step too:
-//!    one ragged [`Model::decode_rows`] call covers every slot that needs
-//!    host work, and a slot in its prompt computes its next
+//!    one ragged [`Model::decode_rows_in`] call covers every slot that
+//!    needs host work, and a slot in its prompt computes its next
 //!    `PREFILL_BLOCK` positions in that call — their inputs were known at
 //!    admission — then just pops one buffered attended count per step. The
 //!    host runs ahead of the simulated clock on prompt positions; the
@@ -62,7 +63,7 @@ use dota_autograd::ParamSet;
 use dota_faults::FaultSite;
 use dota_telemetry::{EventSink, GaugesSample, ServeEvent, SloReading, Transition};
 use dota_tensor::ops;
-use dota_transformer::{DecodeItem, KvCache, Model};
+use dota_transformer::{DecodeItem, DecodeScratch, KvCache, Model};
 use std::collections::VecDeque;
 
 /// Coordinate namespace for quarantine probe decisions, disjoint from
@@ -448,6 +449,14 @@ pub struct ServeEngine<'m> {
     failed: u64,
     timeout_steps: u64,
     quarantine_events: u64,
+    /// The decode forward's arena, held for the run: every step's forward
+    /// runs in it.
+    scratch: DecodeScratch,
+    /// Per-step buffers, kept for their capacity: the slots with host work
+    /// this step, their next tokens, and every slot's K/V cycles.
+    working: Vec<usize>,
+    next: Vec<usize>,
+    kv: Vec<u64>,
     /// See [`ServeEngine::waits_per_cycle`].
     #[cfg(test)]
     pub(crate) per_cycle_idle: bool,
@@ -502,6 +511,10 @@ impl<'m> ServeEngine<'m> {
             failed: 0,
             timeout_steps: 0,
             quarantine_events: 0,
+            scratch: DecodeScratch::default(),
+            working: Vec::new(),
+            next: Vec::new(),
+            kv: Vec::new(),
             #[cfg(test)]
             per_cycle_idle: false,
         })
@@ -964,16 +977,18 @@ impl<'m> ServeEngine<'m> {
             attempt,
         });
         let mcfg = self.model.config();
+        // Sized once, here: nothing a request holds grows mid-request.
+        let positions = req.total_positions().min(mcfg.seq_len);
         self.slots.push(Slot {
             deadline,
             retention,
             level,
             lane,
-            cache: KvCache::new(mcfg.n_layers, mcfg.d_model),
+            cache: KvCache::with_capacity(mcfg.n_layers, mcfg.d_model, positions),
             selector: WindowSelector::new(retention),
             consumed: 0,
-            ahead: VecDeque::new(),
-            tokens: Vec::new(),
+            ahead: VecDeque::with_capacity(PREFILL_BLOCK),
+            tokens: Vec::with_capacity(req.max_new),
             next_token: None,
             eos_hit: false,
             admit: self.now,
@@ -1081,8 +1096,9 @@ impl<'m> ServeEngine<'m> {
     /// bits do not depend on who shares the forward.
     fn decode_all(&mut self) {
         let faults = dota_faults::enabled();
-        // Slots with host work this step, and their rows of the forward.
-        let mut working = Vec::new();
+        // Slots with host work this step, and their rows of the forward
+        // (the one list a step allocates: its borrows last the step).
+        self.working.clear();
         let mut items = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if (faults && !Self::position_survives(slot)) || !slot.ahead.is_empty() {
@@ -1095,7 +1111,7 @@ impl<'m> ServeEngine<'m> {
             } else {
                 slot.next_token.as_slice()
             };
-            working.push(i);
+            self.working.push(i);
             items.push(DecodeItem {
                 cache: &mut slot.cache,
                 tokens,
@@ -1103,9 +1119,12 @@ impl<'m> ServeEngine<'m> {
             });
         }
         if !items.is_empty() {
-            let out = self.model.decode_rows(self.params, &mut items);
+            let out = self
+                .model
+                .decode_rows_in(self.params, &mut items, &mut self.scratch);
+            ops::argmax_rows_into(out.logits, &mut self.next);
             let mut attended = out.attended.iter().copied();
-            for (&i, next) in working.iter().zip(ops::argmax_rows(&out.logits)) {
+            for (&i, &next) in self.working.iter().zip(&self.next) {
                 let slot = &mut self.slots[i];
                 let rows = slot.cache.len() - slot.consumed;
                 slot.ahead.extend(attended.by_ref().take(rows));
@@ -1139,11 +1158,13 @@ impl<'m> ServeEngine<'m> {
         // Equivalent to `cost.step_cycles`, unrolled so each slot's own
         // K/V share is attributable in its timeline.
         let weight_cycles = self.cost.weight_cycles();
-        let kv: Vec<u64> = self
-            .slots
-            .iter()
-            .map(|s| self.cost.kv_cycles(s.attended_last))
-            .collect();
+        let mut kv = std::mem::take(&mut self.kv);
+        kv.clear();
+        kv.extend(
+            self.slots
+                .iter()
+                .map(|s| self.cost.kv_cycles(s.attended_last)),
+        );
         let cycles = weight_cycles + kv.iter().sum::<u64>();
         self.now += cycles;
         self.total_cycles += cycles;
@@ -1159,6 +1180,7 @@ impl<'m> ServeEngine<'m> {
                 e.slot_step(i, start, cycles, weight_cycles, kv_cycles)
             });
         }
+        self.kv = kv;
 
         let timeouts: u64 = self
             .slots
@@ -1387,6 +1409,106 @@ mod tests {
         assert!(c.finish > c.first_token.unwrap());
         assert_eq!(out.steps, 3 + 4 - 1); // one decode per prompt token, last prompt step emits
         assert_eq!(out.tokens, 4);
+    }
+
+    /// A slot's cache is sized once, at admission, to the positions its
+    /// request can reach: `min(prompt + max_new, seq_len)` rows of
+    /// capacity, unchanged through every step to the slot's retirement.
+    #[test]
+    fn slot_cache_is_sized_once_at_admission() {
+        let (model, params) = tiny_model(24);
+        let cfg = ServeConfig {
+            capacity: 4,
+            shed: ShedPolicy::QueueOnly,
+            interactive_deadline_us: 1e6,
+            batch_deadline_us: 1e6,
+            ..Default::default()
+        };
+        let mut e = engine(&model, &params, cfg);
+        let requests = [
+            req(1, 0, &[1, 2, 3], 4),
+            req(2, 0, &[1; 20], 4),
+            req(3, 0, &[5], 1),
+            req(4, 0, &[2, 6], 9),
+        ];
+        for r in requests {
+            e.enqueue(r);
+        }
+        e.admit();
+        assert_eq!(e.slots.len(), 4);
+        let sized = |s: &Slot| (s.req.prompt.len() + s.req.max_new).min(24);
+        while !e.slots.is_empty() {
+            for s in &e.slots {
+                assert_eq!(s.cache.capacity(), sized(s), "request {}", s.req.id);
+            }
+            e.step();
+        }
+    }
+
+    /// A plain engine step — one that admits and retires nothing — makes at
+    /// most one heap allocation, its list of decode items, once the run's
+    /// buffers have seen their shapes: of two identical waves of requests
+    /// through one engine, each plain step of the second is counted. Needs
+    /// the counting allocator (`--features dota-prof/prof-alloc`).
+    #[test]
+    #[ignore = "needs the counting allocator: --features dota-prof/prof-alloc"]
+    fn plain_engine_step_allocates_at_most_once() {
+        let (model, params) = tiny_model(64);
+        let cfg = ServeConfig {
+            capacity: 4,
+            interactive_deadline_us: 1e6,
+            batch_deadline_us: 1e6,
+            ..Default::default()
+        };
+        let mut e = engine(&model, &params, cfg);
+        let _session = dota_prof::session("plain_engine_step");
+        let calls = || dota_prof::alloc_stats().allocation_calls;
+        let probe = calls();
+        drop(std::hint::black_box(Box::new(0u64)));
+        assert!(calls() > probe, "the counting allocator is not installed");
+        let mut ids = Vec::with_capacity(4);
+        let mut counted = 0;
+        for wave in 0..2 {
+            // Prompts from 5 to 54 positions (one to two prefill blocks);
+            // the backlog admits half of them below full retention.
+            for i in 0..8 {
+                let prompt: Vec<usize> = (0..5 + 7 * i).map(|t| t % 8).collect();
+                e.enqueue(req((wave * 8 + i) as u64, e.now, &prompt, 10));
+            }
+            loop {
+                e.admit();
+                if e.slots.is_empty() {
+                    break;
+                }
+                ids.clear();
+                ids.extend(e.slots.iter().map(|s| s.req.id));
+                let snap0: Vec<(String, u64)> = dota_prof::spans_snapshot()
+                    .into_iter()
+                    .map(|s| (s.path, s.alloc_calls))
+                    .collect();
+                let before = calls();
+                e.step();
+                let spent = calls() - before;
+                if spent > 1 && wave == 1 {
+                    let snap1: Vec<(String, u64)> = dota_prof::spans_snapshot()
+                        .into_iter()
+                        .map(|s| (s.path, s.alloc_calls))
+                        .collect();
+                    for (p, c) in &snap1 {
+                        let c0 = snap0.iter().find(|x| &x.0 == p).map_or(0, |x| x.1);
+                        if *c != c0 {
+                            println!("{p}: {}", c - c0);
+                        }
+                    }
+                }
+                let plain = e.slots.iter().map(|s| s.req.id).eq(ids.iter().copied());
+                if wave == 1 && plain {
+                    assert!(spent <= 1, "step {}: {spent} allocations", e.steps);
+                    counted += 1;
+                }
+            }
+        }
+        assert!(counted > 50, "only {counted} plain steps");
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod prop_tests {
     use crate::engine::PREFILL_BLOCK;
     use dota_accel::AccelConfig;
     use dota_autograd::ParamSet;
-    use dota_transformer::{KvCache, Model, TransformerConfig};
+    use dota_transformer::{DecodeItem, DecodeScratch, KvCache, Model, TransformerConfig};
     use proptest::prelude::*;
 
     const SEQ: usize = 160;
@@ -167,15 +167,21 @@ mod prop_tests {
     ) -> Vec<usize> {
         let selector = WindowSelector::new(retention);
         let mut cache = KvCache::new(model.config().n_layers, model.config().d_model);
+        let mut scratch = DecodeScratch::default();
         let mut tokens = Vec::new();
         for consumed in 0..req.prompt.len() + req.max_new - 1 {
             let input = match req.prompt.get(consumed) {
                 Some(&t) => t,
                 None => *tokens.last().expect("the last prompt position emits"),
             };
-            let (logits, _) = model.decode_step(params, &mut cache, input, &selector);
+            let step = DecodeItem {
+                cache: &mut cache,
+                tokens: &[input],
+                selector: &selector,
+            };
+            let out = model.decode_rows_in(params, &mut [step], &mut scratch);
             if consumed + 1 >= req.prompt.len() {
-                tokens.push(dota_tensor::ops::argmax_rows(&logits)[0]);
+                tokens.push(dota_tensor::ops::argmax_rows(out.logits)[0]);
             }
         }
         tokens

@@ -43,12 +43,30 @@ impl WindowSelector {
 }
 
 impl DecodeSelector for WindowSelector {
-    fn select(&self, _l: usize, _h: usize, _x: &Matrix, cache_len: usize) -> Option<Vec<u32>> {
+    fn select(&self, l: usize, h: usize, x: &Matrix, cache_len: usize) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        self.select_into(l, h, x, cache_len, &mut out)
+            .then_some(out)
+    }
+
+    fn select_into(
+        &self,
+        _l: usize,
+        _h: usize,
+        _x: &Matrix,
+        cache_len: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
         if self.retention >= 1.0 {
-            return None;
+            return false;
         }
-        let keep = ((self.retention * cache_len as f64).ceil() as usize).clamp(1, cache_len);
-        Some(((cache_len - keep)..cache_len).map(|i| i as u32).collect())
+        // At least one position, never more than the cache holds: an empty
+        // cache keeps nothing.
+        let keep = ((self.retention * cache_len as f64).ceil() as usize)
+            .max(1)
+            .min(cache_len);
+        out.extend((cache_len - keep) as u32..cache_len as u32);
+        true
     }
 }
 

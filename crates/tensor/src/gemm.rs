@@ -650,27 +650,33 @@ mod tests {
 
     #[test]
     fn into_variants_match_and_reuse_output() {
-        let mut rng = SeededRng::new(8);
-        let a = rng.normal_matrix(33, 20, 1.0);
-        let b = rng.normal_matrix(20, 17, 1.0);
-        let mut out = Matrix::filled(33, 17, f32::NAN); // overwritten, not accumulated
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
-        // Second product into the same buffer: same bits again.
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
+        // Every product below must run under one kernel family: the env
+        // lock keeps a test that sets `DOTA_GEMM` meanwhile from splitting
+        // them (the fused family moves low bits in packed tiles).
+        let family = std::env::var(simd::GEMM_ENV).ok();
+        with_gemm_env(family.as_deref(), || {
+            let mut rng = SeededRng::new(8);
+            let a = rng.normal_matrix(33, 20, 1.0);
+            let b = rng.normal_matrix(20, 17, 1.0);
+            let mut out = Matrix::filled(33, 17, f32::NAN); // overwritten, not accumulated
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
+            // Second product into the same buffer: same bits again.
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
 
-        let mut wrong = Matrix::zeros(4, 4);
-        assert!(a.matmul_into(&b, &mut wrong).is_err());
-        assert!(a.matmul_nt_into(&b, &mut wrong).is_err());
-        let bt = b.transpose();
-        let mut out_nt = Matrix::zeros(33, 17);
-        a.matmul_nt_into(&bt, &mut out_nt).unwrap();
-        assert_eq!(out_nt.as_slice(), out.as_slice());
-        let at = a.transpose();
-        let mut out_tn = Matrix::zeros(33, 17);
-        at.matmul_tn_into(&b, &mut out_tn).unwrap();
-        assert_eq!(out_tn.as_slice(), out.as_slice());
+            let mut wrong = Matrix::zeros(4, 4);
+            assert!(a.matmul_into(&b, &mut wrong).is_err());
+            assert!(a.matmul_nt_into(&b, &mut wrong).is_err());
+            let bt = b.transpose();
+            let mut out_nt = Matrix::zeros(33, 17);
+            a.matmul_nt_into(&bt, &mut out_nt).unwrap();
+            assert_eq!(out_nt.as_slice(), out.as_slice());
+            let at = a.transpose();
+            let mut out_tn = Matrix::zeros(33, 17);
+            at.matmul_tn_into(&b, &mut out_tn).unwrap();
+            assert_eq!(out_tn.as_slice(), out.as_slice());
+        });
     }
 
     #[test]

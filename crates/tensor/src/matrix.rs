@@ -18,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 2)], 5.0);
 /// assert_eq!(m.row(0), &[0.0, 1.0, 2.0]);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -55,6 +55,16 @@ impl Matrix {
             m[(i, i)] = 1.0;
         }
         m
+    }
+
+    /// An empty `0 x cols` matrix with room for `rows` rows: pushing up to
+    /// that many with [`Matrix::push_row`] never reallocates.
+    pub fn with_row_capacity(rows: usize, cols: usize) -> Self {
+        Self {
+            rows: 0,
+            cols,
+            data: Vec::with_capacity(rows * cols),
+        }
     }
 
     /// Creates a matrix by calling `f(row, col)` for every element.
@@ -407,6 +417,22 @@ impl Matrix {
         assert_eq!(row.len(), self.cols, "pushed row width mismatch");
         self.data.extend_from_slice(row);
         self.rows += 1;
+    }
+
+    /// Rows the storage holds before [`Matrix::push_row`] must reallocate.
+    pub fn row_capacity(&self) -> usize {
+        self.data.capacity().checked_div(self.cols).unwrap_or(0)
+    }
+
+    /// Takes the shape `rows x cols` in the storage it already has, so a
+    /// buffer reshaped to sizes no larger than its largest so far allocates
+    /// nothing. For a buffer whose every element is about to be written (a
+    /// product's output, a layer norm's): the elements are whatever the
+    /// storage held, zeros where it grew — not a zero matrix.
+    pub fn reuse_as(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Frobenius norm.

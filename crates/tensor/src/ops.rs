@@ -91,26 +91,40 @@ pub fn masked_softmax_rows(scores: &Matrix, mask: &[Vec<bool>]) -> Matrix {
     out
 }
 
-/// Layer normalization over each row with learnable `gamma` and `beta`.
+/// Layer normalization over each row with learnable `gamma` and `beta`:
+/// [`layer_norm_into`] into a new matrix.
 ///
 /// # Panics
 ///
 /// Panics if `gamma` or `beta` lengths differ from `x.cols()`.
 pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> Matrix {
+    let mut out = Matrix::default();
+    layer_norm_into(x, gamma, beta, eps, &mut out);
+    out
+}
+
+/// [`layer_norm`] into `out`, which takes `x`'s shape in the storage it
+/// already has ([`Matrix::reuse_as`]).
+///
+/// # Panics
+///
+/// Panics if `gamma` or `beta` lengths differ from `x.cols()`.
+pub fn layer_norm_into(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32, out: &mut Matrix) {
     assert_eq!(gamma.len(), x.cols(), "gamma length mismatch");
     assert_eq!(beta.len(), x.cols(), "beta length mismatch");
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    out.reuse_as(x.rows(), x.cols());
+    for (row, out) in x
+        .rows_iter()
+        .zip(out.as_mut_slice().chunks_exact_mut(x.cols().max(1)))
+    {
         let n = row.len() as f32;
         let mean: f32 = row.iter().sum::<f32>() / n;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
         let inv_std = 1.0 / (var + eps).sqrt();
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = (*v - mean) * inv_std * gamma[i] + beta[i];
+        for (i, (o, v)) in out.iter_mut().zip(row).enumerate() {
+            *o = (*v - mean) * inv_std * gamma[i] + beta[i];
         }
     }
-    out
 }
 
 /// GELU activation (tanh approximation), element-wise: [`gelu_slice`] on
@@ -181,15 +195,21 @@ pub fn mse(a: &Matrix, b: &Matrix) -> f32 {
 
 /// Row-wise argmax: the index of the largest element of each row.
 pub fn argmax_rows(x: &Matrix) -> Vec<usize> {
-    x.rows_iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
+    let mut out = Vec::with_capacity(x.rows());
+    argmax_rows_into(x, &mut out);
+    out
+}
+
+/// [`argmax_rows`] into `out`, which is cleared first.
+pub fn argmax_rows_into(x: &Matrix, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(x.rows_iter().map(|row| {
+        row.iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    }));
 }
 
 #[cfg(test)]

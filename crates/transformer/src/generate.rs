@@ -6,17 +6,19 @@
 //! the software twin of the accelerator's decoder mode, and the unit tests
 //! pin it against the batch [`infer`](crate::Model::infer) path (the same
 //! prompt must produce identical logits). There is one forward,
-//! [`Model::decode_rows`]: positions whose inputs are already known (a
+//! [`Model::decode_rows_in`]: positions whose inputs are already known (a
 //! prompt block, the next token of several sequences) share one activation
 //! matrix, and with it one stream of every weight, as the accelerator's
 //! decoder mode shares it across a batch; a single step is its one-row
-//! case.
+//! case. Like the decoder mode's fixed on-chip buffers, its buffers are
+//! held across steps, in a caller's [`DecodeScratch`].
 
 use crate::{Model, TransformerParams};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
 use dota_tensor::simd::KernelFamily;
 use dota_tensor::{ops, Matrix};
+use std::ops::Range;
 
 /// Per-layer cached keys and values for incremental decoding.
 #[derive(Debug, Clone)]
@@ -30,9 +32,18 @@ pub struct KvCache {
 impl KvCache {
     /// An empty cache for a model with `n_layers` layers and width `d`.
     pub fn new(n_layers: usize, d: usize) -> Self {
+        Self::with_capacity(n_layers, d, 0)
+    }
+
+    /// An empty cache with room for `positions` positions: appending up to
+    /// that many never reallocates. A caller that knows how long the
+    /// sequence can grow (a served request: prompt plus `max_new`) sizes
+    /// it once here instead of letting every matrix double its way there.
+    pub fn with_capacity(n_layers: usize, d: usize, positions: usize) -> Self {
+        let empty = || Matrix::with_row_capacity(positions, d);
         Self {
-            keys: (0..n_layers).map(|_| Matrix::zeros(0, d)).collect(),
-            values: (0..n_layers).map(|_| Matrix::zeros(0, d)).collect(),
+            keys: (0..n_layers).map(|_| empty()).collect(),
+            values: (0..n_layers).map(|_| empty()).collect(),
         }
     }
 
@@ -44,6 +55,17 @@ impl KvCache {
     /// `true` if nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Positions the cache holds before an append must reallocate (its
+    /// smallest matrix's row capacity; 0 for a layer-less cache).
+    pub fn capacity(&self) -> usize {
+        self.keys
+            .iter()
+            .chain(&self.values)
+            .map(Matrix::row_capacity)
+            .min()
+            .unwrap_or(0)
     }
 
     /// The accumulated `t x d_model` key matrix of `layer` (tests pin its
@@ -65,8 +87,9 @@ impl KvCache {
         &self.values[layer]
     }
 
-    /// Appends one position to `layer`, in place (amortized O(d): the
-    /// storage doubles, it is never re-concatenated).
+    /// Appends one position to `layer`, in place: within
+    /// [`capacity`](Self::capacity) nothing is allocated, past it the
+    /// storage doubles (it is never re-concatenated).
     fn append(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
         self.keys[layer].push_row(k_row);
         self.values[layer].push_row(v_row);
@@ -82,12 +105,37 @@ pub trait DecodeSelector {
     /// may attend to in `(layer, head)`, given that position's input row
     /// `x` (`1 x d`). `None` means attend to all.
     ///
-    /// Asked exactly once per `(layer, head, position)`; per
-    /// `(layer, head)`, positions arrive in ascending order — one position
-    /// through all layers ([`Model::decode_step`]) or a block of positions
-    /// layer by layer ([`Model::decode_rows`]) — which is all a selector
-    /// that keeps per-position state may rely on.
+    /// Asked exactly once per `(layer, head, position)` — through
+    /// [`select_into`](Self::select_into), which calls this unless a
+    /// selector overrides it; per `(layer, head)`, positions arrive in
+    /// ascending order — one position through all layers
+    /// ([`Model::decode_step`]) or a block of positions layer by layer
+    /// ([`Model::decode_rows`]) — which is all a selector that keeps
+    /// per-position state may rely on.
     fn select(&self, layer: usize, head: usize, x: &Matrix, cache_len: usize) -> Option<Vec<u32>>;
+
+    /// [`select`](Self::select) without a `Vec` of its own: appends the
+    /// kept positions to `out` and returns `true`, or returns `false` for
+    /// "attend to all" (anything appended is then ignored). This is what
+    /// the forward asks; the selectors of this workspace answer here and
+    /// make `select` the wrapper, so a decode step allocates nothing for
+    /// them.
+    fn select_into(
+        &self,
+        layer: usize,
+        head: usize,
+        x: &Matrix,
+        cache_len: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        match self.select(layer, head, x, cache_len) {
+            Some(keep) => {
+                out.extend(keep);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// Dense decoding: attend to the full cache.
@@ -95,8 +143,20 @@ pub trait DecodeSelector {
 pub struct DenseDecode;
 
 impl DecodeSelector for DenseDecode {
-    fn select(&self, _l: usize, _h: usize, _x: &Matrix, _len: usize) -> Option<Vec<u32>> {
-        None
+    fn select(&self, l: usize, h: usize, x: &Matrix, len: usize) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        self.select_into(l, h, x, len, &mut out).then_some(out)
+    }
+
+    fn select_into(
+        &self,
+        _l: usize,
+        _h: usize,
+        _x: &Matrix,
+        _len: usize,
+        _out: &mut Vec<u32>,
+    ) -> bool {
+        false
     }
 }
 
@@ -133,12 +193,100 @@ pub struct DecodedRows {
     pub attended: Vec<u64>,
 }
 
+/// Output of [`Model::decode_rows_in`]: [`DecodedRows`], borrowed from the
+/// arena the forward ran in (valid until its next call).
+#[derive(Debug, Clone, Copy)]
+pub struct DecodedView<'a> {
+    /// Row `i`: the logits of item `i`'s **last** position.
+    pub logits: &'a Matrix,
+    /// Cached K/V connections each decoded position attended, items in
+    /// call order, positions ascending within an item.
+    pub attended: &'a [u64],
+}
+
+/// Every buffer of one [`Model::decode_rows_in`] forward, held across calls
+/// by a caller that decodes in a loop (a serving engine, a generation).
+///
+/// Each call gives the buffers its own shapes in place
+/// ([`Matrix::reuse_as`], `Vec::clear`), so they keep their capacity: once an
+/// arena has seen a call's largest shapes, the forward allocates nothing.
+/// Nothing carries from one call to the next — every buffer is fully
+/// written, or zeroed where a kernel accumulates, before it is read — so a
+/// reused arena gives the bits of a fresh one.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    /// The rows' activations: each layer's input, then its output.
+    x: Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// Attention output, heads side by side.
+    heads: Matrix,
+    res1: Matrix,
+    normed1: Matrix,
+    h1: Matrix,
+    h2: Matrix,
+    /// Each item's last row, when some item decodes several.
+    last: Matrix,
+    /// The one-row input a selector is shown.
+    x_row: Matrix,
+    /// Row -> (item, position in its sequence).
+    rows: Vec<(usize, usize)>,
+    /// Selections, flat: `0..longest sequence` (every dense answer is a
+    /// prefix of it), then, per layer, one ascending list per sparse
+    /// `(row, head)`; `spans[row * n_heads + head]` indexes it.
+    sel: Vec<u32>,
+    spans: Vec<Range<usize>>,
+    /// The items' caches, per layer — empty between layers: only the
+    /// allocation is kept (see [`recycle`]).
+    caches: Vec<&'static KvCache>,
+    attended: Vec<u64>,
+    logits: Matrix,
+}
+
+/// `v`'s allocation as an empty vector of references of another lifetime:
+/// collecting a `Vec`'s own iterator into an element type of the same
+/// layout reuses its buffer in place, so the arena keeps the per-layer
+/// cache list's storage although each call borrows different caches.
+fn recycle<'b>(mut v: Vec<&KvCache>) -> Vec<&'b KvCache> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 /// `acc += x`, element-wise: a residual connection without a third buffer
 /// (IEEE addition commutes, so the bits are those of `x + acc`).
 fn add_residual(x: &Matrix, acc: &mut Matrix) {
     for (a, &x) in acc.iter_mut().zip(x.iter()) {
         *a += x;
     }
+}
+
+/// Makes `sel[start..]`, a selector's raw answer for the position `t - 1`,
+/// what attention reads: the distinct positions below `t` it names, plus
+/// `t - 1` itself (always attendable: the selector filters the older
+/// cache), ascending — the order that keeps the output bits those of
+/// dense-then-mask. Returns the tail's range.
+fn normalize_tail(sel: &mut Vec<u32>, start: usize, t: usize) -> Range<usize> {
+    sel.push(t as u32 - 1);
+    let mut end = start;
+    for j in start..sel.len() {
+        if (sel[j] as usize) < t {
+            sel[end] = sel[j];
+            end += 1;
+        }
+    }
+    sel.truncate(end);
+    sel[start..].sort_unstable();
+    // `dedup`, on the tail only.
+    let mut end = start + 1;
+    for j in start + 1..sel.len() {
+        if sel[j] != sel[end - 1] {
+            sel[end] = sel[j];
+            end += 1;
+        }
+    }
+    sel.truncate(end);
+    start..end
 }
 
 impl Model {
@@ -149,40 +297,70 @@ impl Model {
     /// of rows. K/V rows are appended per item, and each row attends over
     /// its own sequence's cache prefix (`cache_len = position + 1`).
     ///
+    /// Every buffer comes from `scratch`, and the returned view borrows the
+    /// logits and attended counts from it: a caller that keeps one arena
+    /// across calls — and sizes its caches once
+    /// ([`KvCache::with_capacity`]) — decodes without the allocator.
+    ///
     /// Every output element is the arithmetic of a one-token step — GEMM
     /// rows are independent ascending-`k` chains, softmax, layer norm and
     /// GELU are row-wise — so logits, attended counts and caches are
-    /// bitwise what feeding the same tokens one call at a time produces.
+    /// bitwise what feeding the same tokens one call at a time produces,
+    /// whatever arena the calls run in.
     ///
     /// # Panics
     ///
     /// Panics if the model is not causal, an item has no tokens, a token is
     /// out of vocabulary, or an item would grow its cache past `seq_len`.
-    pub fn decode_rows(&self, params: &ParamSet, items: &mut [DecodeItem<'_>]) -> DecodedRows {
+    pub fn decode_rows_in<'s>(
+        &self,
+        params: &ParamSet,
+        items: &mut [DecodeItem<'_>],
+        scratch: &'s mut DecodeScratch,
+    ) -> DecodedView<'s> {
         let _prof = dota_prof::span("model.decode_rows");
         let cfg = self.config();
         assert!(cfg.causal, "decode_rows requires a causal model");
         let tp: &TransformerParams = self.params();
         let d = cfg.d_model;
         let hd = cfg.head_dim();
+        let n_heads = cfg.n_heads;
         let scale = 1.0 / (hd as f32).sqrt();
         // Decided here, once: every product, GELU and `attend_row` (per
         // layer, row and head) of the call runs under it.
         let family = KernelFamily::active();
         let lanes = Lanes::of(family);
-        let linear = |x: &Matrix, w| {
+        let linear = |x: &Matrix, w, out: &mut Matrix| {
             let w = params.value(w);
-            let mut out = Matrix::zeros(x.rows(), w.cols());
-            x.gemm_into(w, &mut out, family).expect("shape");
-            out
+            out.reuse_as(x.rows(), w.cols());
+            x.gemm_into(w, out, family).expect("shape");
         };
+        let DecodeScratch {
+            x,
+            q,
+            k,
+            v,
+            heads,
+            res1,
+            normed1,
+            h1,
+            h2,
+            last,
+            x_row,
+            rows,
+            sel,
+            spans,
+            caches,
+            attended,
+            logits,
+        } = scratch;
 
         let tok_table = params.value(tp.token_embedding);
         let pos_table = params.value(tp.pos_embedding);
         let m: usize = items.iter().map(|item| item.tokens.len()).sum();
-        let mut x = Matrix::zeros(m, d);
-        // Row -> (item, position in its sequence).
-        let mut rows = Vec::with_capacity(m);
+        x.reuse_as(m, d);
+        rows.clear();
+        rows.reserve(m);
         for (i, item) in items.iter().enumerate() {
             assert!(!item.tokens.is_empty(), "item {i} decodes no position");
             let first = item.cache.len();
@@ -201,22 +379,19 @@ impl Model {
             }
         }
 
-        let mut attended = vec![0u64; m];
-        // Selections, flat: `0..longest sequence` up front for the whole call
-        // (every dense answer is a prefix of it), then, per layer, one
-        // ascending list per sparse `(row, head)`;
-        // `spans[row * n_heads + head]` indexes it.
+        attended.clear();
+        attended.resize(m, 0);
+        spans.reserve(m * n_heads);
         let longest = rows.iter().map(|&(_, pos)| pos + 1).max().unwrap_or(0);
-        let mut sel: Vec<u32> = (0..longest as u32).collect();
-        let mut spans = Vec::with_capacity(m * cfg.n_heads);
-        // Selectors take their row as a matrix of its own.
-        let mut x_row = Matrix::zeros(1, d);
+        sel.clear();
+        sel.extend(0..longest as u32);
+        x_row.reuse_as(1, d);
         for (l, layer) in tp.layers.iter().enumerate() {
-            let q = linear(&x, layer.wq);
-            let k_new = linear(&x, layer.wk);
-            let v_new = linear(&x, layer.wv);
+            linear(x, layer.wq, q);
+            linear(x, layer.wk, k);
+            linear(x, layer.wv, v);
             for (r, &(i, _)) in rows.iter().enumerate() {
-                items[i].cache.append(l, k_new.row(r), v_new.row(r));
+                items[i].cache.append(l, k.row(r), v.row(r));
             }
 
             // Selectors may carry state and need not be `Sync`: they are
@@ -227,28 +402,13 @@ impl Model {
             for (r, &(i, pos)) in rows.iter().enumerate() {
                 let t = pos + 1;
                 x_row.row_mut(0).copy_from_slice(x.row(r));
-                for h in 0..cfg.n_heads {
-                    let span = match items[i].selector.select(l, h, &x_row, t) {
-                        None => 0..t,
-                        // The current position (t-1) is always attendable; the
-                        // selector filters the older cache. Ascending order is
-                        // what keeps the output bits those of dense-then-mask.
-                        Some(keep) => {
-                            let start = sel.len();
-                            sel.extend(keep.into_iter().filter(|&j| (j as usize) < t));
-                            sel.push(pos as u32);
-                            sel[start..].sort_unstable();
-                            // `dedup`, on the tail only.
-                            let mut end = start + 1;
-                            for j in start + 1..sel.len() {
-                                if sel[j] != sel[end - 1] {
-                                    sel[end] = sel[j];
-                                    end += 1;
-                                }
-                            }
-                            sel.truncate(end);
-                            start..end
-                        }
+                for h in 0..n_heads {
+                    let start = sel.len();
+                    let span = if items[i].selector.select_into(l, h, x_row, t, sel) {
+                        normalize_tail(sel, start, t)
+                    } else {
+                        sel.truncate(start);
+                        0..t
                     };
                     attended[r] += span.len() as u64;
                     connections += span.len();
@@ -256,15 +416,18 @@ impl Model {
                 }
             }
 
-            let caches: Vec<&KvCache> = items.iter().map(|item| &*item.cache).collect();
-            let mut heads = Matrix::zeros(m, d);
+            let mut layer_caches = recycle(std::mem::take(caches));
+            layer_caches.extend(items.iter().map(|item| &*item.cache));
+            // `attend_row` accumulates into its output.
+            heads.reuse_as(m, d);
+            heads.as_mut_slice().fill(0.0);
             // Rows are independent given the appended K/V, so they fan out
             // like a GEMM's (a score and a value pass per connection).
             let attend = |first: usize, out: &mut [f32]| {
                 let mut state = ops::Attend::new(lanes, scale);
                 for (out_row, r) in out.chunks_exact_mut(d).zip(first..) {
-                    let cache = caches[rows[r].0];
-                    for h in 0..cfg.n_heads {
+                    let cache = layer_caches[rows[r].0];
+                    for h in 0..n_heads {
                         let c0 = h * hd;
                         ops::attend_row(
                             &mut state,
@@ -272,48 +435,68 @@ impl Model {
                             &cache.keys[l],
                             &cache.values[l],
                             c0,
-                            &sel[spans[r * cfg.n_heads + h].clone()],
+                            &sel[spans[r * n_heads + h].clone()],
                             &mut out_row[c0..c0 + hd],
                         );
                     }
                 }
             };
-            dota_tensor::row_dispatch(&mut heads, 2 * hd * connections, attend);
+            dota_tensor::row_dispatch(heads, 2 * hd * connections, attend);
+            *caches = recycle(layer_caches);
 
-            let mut res1 = linear(&heads, layer.wo);
-            add_residual(&x, &mut res1);
-            let normed1 = ops::layer_norm(
-                &res1,
+            linear(heads, layer.wo, res1);
+            add_residual(x, res1);
+            ops::layer_norm_into(
+                res1,
                 params.value(layer.ln1_gamma).row(0),
                 params.value(layer.ln1_beta).row(0),
                 1e-5,
+                normed1,
             );
-            let mut h1 = linear(&normed1, layer.w_ff1);
-            ops::add_bias_in_place(&mut h1, params.value(layer.b_ff1).row(0));
+            linear(normed1, layer.w_ff1, h1);
+            ops::add_bias_in_place(h1, params.value(layer.b_ff1).row(0));
             ops::gelu_slice(lanes, h1.as_mut_slice());
-            let mut h2 = linear(&h1, layer.w_ff2);
-            ops::add_bias_in_place(&mut h2, params.value(layer.b_ff2).row(0));
-            add_residual(&normed1, &mut h2);
-            x = ops::layer_norm(
-                &h2,
+            linear(h1, layer.w_ff2, h2);
+            ops::add_bias_in_place(h2, params.value(layer.b_ff2).row(0));
+            add_residual(normed1, h2);
+            ops::layer_norm_into(
+                h2,
                 params.value(layer.ln2_gamma).row(0),
                 params.value(layer.ln2_beta).row(0),
                 1e-5,
+                x,
             );
         }
         // Only an item's last position feeds anything downstream.
-        if m > items.len() {
-            let mut last = Matrix::zeros(items.len(), d);
+        let out = if m > items.len() {
+            last.reuse_as(items.len(), d);
             let mut end = 0;
             for (i, item) in items.iter().enumerate() {
                 end += item.tokens.len();
                 last.row_mut(i).copy_from_slice(x.row(end - 1));
             }
-            x = last;
+            &*last
+        } else {
+            &*x
+        };
+        linear(out, tp.w_head, logits);
+        ops::add_bias_in_place(logits, params.value(tp.b_head).row(0));
+        DecodedView { logits, attended }
+    }
+
+    /// [`decode_rows_in`](Self::decode_rows_in) in a fresh arena, returning
+    /// what it computed by value.
+    ///
+    /// # Panics
+    ///
+    /// As [`decode_rows_in`](Self::decode_rows_in).
+    pub fn decode_rows(&self, params: &ParamSet, items: &mut [DecodeItem<'_>]) -> DecodedRows {
+        let mut scratch = DecodeScratch::default();
+        self.decode_rows_in(params, items, &mut scratch);
+        DecodedRows {
+            logits: scratch.logits,
+            attended: scratch.attended,
         }
-        let mut logits = linear(&x, tp.w_head);
-        ops::add_bias_in_place(&mut logits, params.value(tp.b_head).row(0));
-        DecodedRows { logits, attended }
     }
 
     /// Runs one token through the decoder incrementally, returning its
@@ -342,7 +525,7 @@ impl Model {
 
     /// Greedy generation: feeds `prompt` (one ragged forward over all of
     /// it), then samples `n_new` tokens by argmax, attending through
-    /// `selector`.
+    /// `selector` — every forward in one arena, over a cache sized once.
     ///
     /// # Panics
     ///
@@ -355,26 +538,34 @@ impl Model {
         n_new: usize,
         selector: &dyn DecodeSelector,
     ) -> Generation {
+        let cfg = self.config();
         assert!(!prompt.is_empty(), "prompt must be non-empty");
         assert!(
-            prompt.len() + n_new <= self.config().seq_len,
+            prompt.len() + n_new <= cfg.seq_len,
             "generation exceeds seq_len"
         );
-        let mut cache = KvCache::new(self.config().n_layers, self.config().d_model);
+        let mut cache = KvCache::with_capacity(cfg.n_layers, cfg.d_model, prompt.len() + n_new);
+        let mut scratch = DecodeScratch::default();
+        let mut argmax = Vec::with_capacity(1);
+        let mut tokens = Vec::with_capacity(n_new);
+        let mut attended_per_token = Vec::with_capacity(n_new);
         let prefill = DecodeItem {
             cache: &mut cache,
             tokens: prompt,
             selector,
         };
-        let mut last_logits = self.decode_rows(params, &mut [prefill]).logits;
-        let mut tokens = Vec::with_capacity(n_new);
-        let mut attended_per_token = Vec::with_capacity(n_new);
+        let mut out = self.decode_rows_in(params, &mut [prefill], &mut scratch);
         for _ in 0..n_new {
-            let next = ops::argmax_rows(&last_logits)[0];
-            let (logits, attended) = self.decode_step(params, &mut cache, next, selector);
+            ops::argmax_rows_into(out.logits, &mut argmax);
+            let next = argmax[0];
+            let step = DecodeItem {
+                cache: &mut cache,
+                tokens: &[next],
+                selector,
+            };
+            out = self.decode_rows_in(params, &mut [step], &mut scratch);
             tokens.push(next);
-            attended_per_token.push(attended);
-            last_logits = logits;
+            attended_per_token.push(out.attended[0]);
         }
         Generation {
             tokens,
@@ -507,6 +698,42 @@ mod tests {
             let _ = model.decode_step(&params, &mut cache, t, &DenseDecode);
             assert_eq!(cache.len(), i + 1);
         }
+    }
+
+    /// A cache sized for `n` positions and filled to `n` through one arena
+    /// — a prompt block, then single rows — keeps the storage it was given:
+    /// capacity unchanged, no matrix moved.
+    #[test]
+    fn kv_cache_with_capacity_never_reallocates() {
+        let (model, params) = causal_model();
+        let cfg = model.config();
+        let n = cfg.seq_len;
+        let mut cache = KvCache::with_capacity(cfg.n_layers, cfg.d_model, n);
+        assert_eq!(cache.capacity(), n);
+        let storage = |c: &KvCache| -> Vec<*const f32> {
+            (0..cfg.n_layers)
+                .flat_map(|l| {
+                    [
+                        c.keys(l).as_slice().as_ptr(),
+                        c.values(l).as_slice().as_ptr(),
+                    ]
+                })
+                .collect()
+        };
+        let before = storage(&cache);
+        let tokens: Vec<usize> = (0..n).map(|i| (i * 3) % cfg.vocab_size).collect();
+        let mut scratch = DecodeScratch::default();
+        for block in std::iter::once(&tokens[..5]).chain(tokens[5..].chunks(1)) {
+            let item = DecodeItem {
+                cache: &mut cache,
+                tokens: block,
+                selector: &DenseDecode,
+            };
+            model.decode_rows_in(&params, &mut [item], &mut scratch);
+        }
+        assert_eq!(cache.len(), n);
+        assert_eq!(cache.capacity(), n);
+        assert_eq!(storage(&cache), before);
     }
 
     #[test]

@@ -31,7 +31,10 @@ mod model;
 mod params;
 
 pub use config::{Pooling, TransformerConfig};
-pub use generate::{DecodeItem, DecodeSelector, DecodedRows, DenseDecode, Generation, KvCache};
+pub use generate::{
+    DecodeItem, DecodeScratch, DecodeSelector, DecodedRows, DecodedView, DenseDecode, Generation,
+    KvCache,
+};
 pub use hooks::{AttentionHook, HookOutcome, NoHook};
 pub use infer::{ForwardTrace, HeadTrace, InferError, InferenceHook, LayerTrace};
 pub use model::{MaskStat, Model, TrainOutput};
