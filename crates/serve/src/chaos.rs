@@ -20,13 +20,11 @@
 use crate::control::{ControlConfig, ControlSummary};
 use crate::cost::CostModel;
 use crate::engine::{ServeEngine, ShedPolicy};
-use crate::report::{mean_service_cycles, traffic_proto, BenchOptions};
+use crate::report::{bench_model, bench_traffic, BenchOptions};
 use crate::request::FinishReason;
 use dota_accel::AccelConfig;
-use dota_autograd::ParamSet;
 use dota_faults::{FaultPlan, FaultSite};
 use dota_metrics::{fmt_f64, Histogram, JsonWriter, ToJson};
-use dota_transformer::{Model, TransformerConfig};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -263,18 +261,11 @@ pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
     }
     let _sp = dota_prof::span("serve.chaos");
     let b = &opts.bench;
-    let mcfg = TransformerConfig::tiny_causal(b.seq, b.vocab);
-    let mut params = ParamSet::new();
-    let model = Model::init(mcfg.clone(), &mut params, b.seed);
+    let (model, params) = bench_model(b);
     let accel = AccelConfig::default();
-    let cost = CostModel::new(&accel, &mcfg);
-    let mean_service = mean_service_cycles(b, &cost, &mcfg);
-
     let mut cells = Vec::with_capacity(b.loads.len() * opts.rates.len());
     for &load in &b.loads {
-        let mut traffic = traffic_proto(b);
-        traffic.mean_gap_cycles = mean_service / load;
-        let requests = traffic.generate();
+        let (_, requests) = bench_traffic(b, load);
         for &rate in &opts.rates {
             let _cell_sp = dota_prof::span("serve.chaos.cell");
             let plan = opts

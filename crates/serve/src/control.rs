@@ -238,24 +238,22 @@ impl Controller {
         {
             self.gated = true;
         }
-        if self.gated {
-            self.gated_steps += 1;
-        }
         self.max_level = self.max_level.max(self.level);
-        self.level_sum += self.level as u64;
-        self.observations += 1;
+        self.repeat_observation(1);
     }
 
     /// Credits `k` more observations of the inputs last observed, in O(1).
     /// Only valid at a fixed point — when the last observation moved
     /// neither the rung nor the gate: the decision is a function of rung,
     /// gate, last change and inputs, so the same inputs move nothing
-    /// again, and each repeat only adds its rung and gate to the sums.
+    /// again, and each repeat only adds its rung and gate to the sums
+    /// (saturating: a wait can span the whole clock).
     pub(crate) fn repeat_observation(&mut self, k: u64) {
-        self.observations += k;
-        self.level_sum += k * self.level as u64;
+        self.observations = self.observations.saturating_add(k);
+        let levels = k.saturating_mul(self.level as u64);
+        self.level_sum = self.level_sum.saturating_add(levels);
         if self.gated {
-            self.gated_steps += k;
+            self.gated_steps = self.gated_steps.saturating_add(k);
         }
     }
 

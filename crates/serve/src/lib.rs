@@ -49,6 +49,7 @@ mod chaos;
 mod control;
 mod cost;
 mod engine;
+mod forward;
 mod report;
 mod request;
 mod selector;
@@ -85,9 +86,10 @@ mod prop_tests {
     //! starvation, and batch-mate independence of decoded tokens.
 
     use super::*;
-    use crate::engine::PREFILL_BLOCK;
+    use crate::forward::{ModelForward, PREFILL_BLOCK};
     use dota_accel::AccelConfig;
     use dota_autograd::ParamSet;
+    use dota_faults::{FaultPlan, FaultSite};
     use dota_transformer::{DecodeItem, DecodeScratch, KvCache, Model, TransformerConfig};
     use proptest::prelude::*;
 
@@ -111,6 +113,22 @@ mod prop_tests {
             batch_deadline_us: 1e9,
             ..Default::default()
         }
+    }
+
+    /// `requests` served under [`generous_cfg`].
+    fn serve(
+        m: &(Model, ParamSet),
+        capacity: usize,
+        shed: ShedPolicy,
+        requests: Vec<Request>,
+    ) -> ServeOutcome {
+        let engine = ServeEngine::new(
+            &m.0,
+            &m.1,
+            generous_cfg(capacity, shed),
+            &AccelConfig::default(),
+        );
+        engine.unwrap().run(requests)
     }
 
     /// Builds a valid request trace (sorted arrivals, shapes that fit the
@@ -149,12 +167,10 @@ mod prop_tests {
     }
 
     /// A plan arming every serve-layer fault site at `rate` per decision.
-    fn all_sites(seed: u64, rate: f64) -> dota_faults::FaultPlan {
-        dota_faults::FaultSite::SERVE
+    fn all_sites(seed: u64, rate: f64) -> FaultPlan {
+        FaultSite::SERVE
             .iter()
-            .fold(dota_faults::FaultPlan::new(seed), |p, &site| {
-                p.with_rate(site, rate)
-            })
+            .fold(FaultPlan::new(seed), |p, &site| p.with_rate(site, rate))
     }
 
     /// What one `decode_step` per token at `retention` generates for `req`
@@ -236,27 +252,19 @@ mod prop_tests {
         }
     }
 
-    /// Runs `requests` with a timeline and a capture of the raw event
-    /// stream, inside a fault session when a plan is given.
+    /// Runs `requests` watched (timeline, raw event stream), inside a
+    /// fault session armed with `plan`.
     fn run_captured(
         model: &Model,
         params: &ParamSet,
         cfg: ServeConfig,
         requests: &[Request],
-        plan: Option<dota_faults::FaultPlan>,
+        plan: FaultPlan,
     ) -> (ServeOutcome, Vec<ServeEvent>) {
-        use std::sync::{Arc, Mutex};
-        let _session = plan.map(dota_faults::session);
-        let stream = Arc::new(Mutex::new(Vec::<ServeEvent>::new()));
-        let mut engine = ServeEngine::new(model, params, cfg, &AccelConfig::default()).unwrap();
-        engine.observe(
-            "captured",
-            [Box::new(Arc::clone(&stream)) as Box<dyn EventSink>],
-        );
-        engine.enable_timeline("captured");
-        let out = engine.run(requests.to_vec());
-        let stream = std::mem::take(&mut *stream.lock().unwrap());
-        (out, stream)
+        let cost = CostModel::new(&AccelConfig::default(), model.config());
+        let engine = crate::engine::Core::new(cfg, cost, ModelForward::new(model, params));
+        let (w, _) = crate::idle_tests::watch(engine, &plan, requests.to_vec(), false);
+        (w.outcome, w.stream)
     }
 
     /// `true` when some step of the stream was discarded (an abort or a
@@ -288,7 +296,6 @@ mod prop_tests {
     /// and none of them leaks into what is delivered or recorded.
     #[test]
     fn aborts_repeats_and_evictions_land_mid_block() {
-        use dota_faults::{FaultPlan, FaultSite};
         let (model, params) = model();
         let requests = trace_from(&[2, 5, 1, 8, 4, 2]);
         assert!(requests.iter().all(|r| r.prompt.len() > PREFILL_BLOCK));
@@ -301,8 +308,7 @@ mod prop_tests {
             let mut seen = false;
             for seed in 0..4 {
                 let plan = FaultPlan::new(seed).with_rate(site, rate);
-                let (out, stream) =
-                    run_captured(&model, &params, cfg.clone(), &requests, Some(plan));
+                let (out, stream) = run_captured(&model, &params, cfg.clone(), &requests, plan);
                 assert_matches_offline(&model, &params, &requests, &out);
                 assert!(out.served() > 0, "{site:?}: nothing served at seed {seed}");
                 seen |= discarded_mid_block(&requests, &stream);
@@ -316,7 +322,7 @@ mod prop_tests {
             batch_deadline_us: 20.0,
             ..cfg
         };
-        let (out, _) = run_captured(&model, &params, tight, &requests, None);
+        let (out, _) = run_captured(&model, &params, tight, &requests, FaultPlan::new(0));
         assert_matches_offline(&model, &params, &requests, &out);
         let timelines = out.timeline.as_deref().unwrap();
         assert!(
@@ -353,7 +359,7 @@ mod prop_tests {
                 ..Default::default()
             };
             let plan = all_sites(fault_seed, [0.0, 0.002, 0.01, 0.05][rate]);
-            let (out, _) = run_captured(&model, &params, cfg, &requests, Some(plan));
+            let (out, _) = run_captured(&model, &params, cfg, &requests, plan);
             assert_matches_offline(&model, &params, &requests, &out);
         }
     }
@@ -369,13 +375,10 @@ mod prop_tests {
             capacity in 1usize..5,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
+            let m = model();
             let n = requests.len();
             let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            let out = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::Retention),
-                &AccelConfig::default(),
-            ).unwrap().run(requests);
+            let out = serve(&m, capacity, ShedPolicy::Retention, requests);
             prop_assert!(out.max_occupancy <= capacity);
             prop_assert_eq!(out.completions.len(), n);
             let mut seen: Vec<u64> = out.completions.iter().map(|c| c.id).collect();
@@ -391,11 +394,8 @@ mod prop_tests {
             capacity in 1usize..4,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
-            let out = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::Retention),
-                &AccelConfig::default(),
-            ).unwrap().run(requests);
+            let m = model();
+            let out = serve(&m, capacity, ShedPolicy::Retention, requests);
             for c in &out.completions {
                 prop_assert!(c.reason.is_served(), "request {} ended {:?}", c.id, c.reason);
                 prop_assert!(c.admit_seq.is_some());
@@ -411,11 +411,8 @@ mod prop_tests {
             capacity in 1usize..4,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
-            let out = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly),
-                &AccelConfig::default(),
-            ).unwrap().run(requests);
+            let m = model();
+            let out = serve(&m, capacity, ShedPolicy::QueueOnly, requests);
             for class in [DeadlineClass::Interactive, DeadlineClass::Batch] {
                 let mut admitted: Vec<&Completion> = out
                     .completions
@@ -449,11 +446,7 @@ mod prop_tests {
             let (model, params) = model();
             let cfg = generous_cfg(capacity, ShedPolicy::Retention);
             let ladder = cfg.ladder.clone();
-            let mut engine = ServeEngine::new(
-                &model, &params, cfg, &AccelConfig::default(),
-            ).unwrap();
-            engine.enable_timeline("prop");
-            let out = engine.run(requests);
+            let (out, _) = run_captured(&model, &params, cfg, &requests, FaultPlan::new(0));
             let lh = (model.config().n_layers * model.config().n_heads) as u64;
             for tl in out.timeline.as_deref().unwrap() {
                 prop_assert!(ladder.contains(&tl.retention), "retention {} off-ladder", tl.retention);
@@ -497,18 +490,13 @@ mod prop_tests {
             capacity in 2usize..5,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
-            let accel = AccelConfig::default();
+            let m = model();
             // QueueOnly pins retention at ladder[0] for everyone, so the
             // solo run is admitted at the same retention as the shared run.
-            let shared = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
-            ).unwrap().run(requests.clone());
+            let shared = serve(&m, capacity, ShedPolicy::QueueOnly, requests.clone());
             for req in &requests {
                 let solo_req = Request { arrival: 0, ..req.clone() };
-                let solo = ServeEngine::new(
-                    &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
-                ).unwrap().run(vec![solo_req]);
+                let solo = serve(&m, capacity, ShedPolicy::QueueOnly, vec![solo_req]);
                 let shared_c = shared.completions.iter().find(|c| c.id == req.id).unwrap();
                 prop_assert_eq!(&shared_c.tokens, &solo.completions[0].tokens);
             }
@@ -527,17 +515,14 @@ mod prop_tests {
             rate in 0usize..5,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
+            let m = model();
             let n = requests.len();
             let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
             // Per position and site: from "long prompts mostly get through,
             // hit somewhere mid-block" to "nothing survives a few steps".
             let rate = [0.0, 0.002, 0.01, 0.05, 0.3][rate];
             let _session = dota_faults::session(all_sites(fault_seed, rate));
-            let out = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::Retention),
-                &AccelConfig::default(),
-            ).unwrap().run(requests);
+            let out = serve(&m, capacity, ShedPolicy::Retention, requests);
             prop_assert!(out.max_occupancy <= capacity);
             prop_assert_eq!(out.completions.len(), n);
             let mut seen: Vec<u64> = out.completions.iter().map(|c| c.id).collect();
@@ -661,8 +646,7 @@ mod prop_tests {
             fault_seed in 0u64..1000,
         ) {
             let requests = trace_from(&gaps);
-            let (model, params) = model();
-            let accel = AccelConfig::default();
+            let m = model();
             // QueueOnly pins retention at ladder[0], so the fault-free
             // solo run is admitted at the same retention as the faulted
             // shared run (retries re-pin the original level anyway). At 1 %
@@ -670,9 +654,7 @@ mod prop_tests {
             // somewhere inside a block and still often served on a retry.
             let faulted = {
                 let _session = dota_faults::session(all_sites(fault_seed, 0.01));
-                ServeEngine::new(
-                    &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
-                ).unwrap().run(requests.clone())
+                serve(&m, capacity, ShedPolicy::QueueOnly, requests.clone())
             };
             for req in &requests {
                 let c = faulted.completions.iter().find(|c| c.id == req.id).unwrap();
@@ -680,9 +662,7 @@ mod prop_tests {
                     continue;
                 }
                 let solo_req = Request { arrival: 0, ..req.clone() };
-                let solo = ServeEngine::new(
-                    &model, &params, generous_cfg(capacity, ShedPolicy::QueueOnly), &accel,
-                ).unwrap().run(vec![solo_req]);
+                let solo = serve(&m, capacity, ShedPolicy::QueueOnly, vec![solo_req]);
                 prop_assert_eq!(
                     &c.tokens, &solo.completions[0].tokens,
                     "request {} ({} retries) diverged from its fault-free run",
@@ -702,15 +682,9 @@ mod prop_tests {
         ) {
             let requests = trace_from(&gaps);
             let (model, params) = model();
-            let plan = dota_faults::FaultPlan::new(fault_seed)
-                .with_rate(dota_faults::FaultSite::SlotFail, 0.3);
-            let _session = dota_faults::session(plan);
-            let mut engine = ServeEngine::new(
-                &model, &params, generous_cfg(capacity, ShedPolicy::Retention),
-                &AccelConfig::default(),
-            ).unwrap();
-            engine.enable_timeline("prop");
-            let out = engine.run(requests);
+            let plan = FaultPlan::new(fault_seed).with_rate(FaultSite::SlotFail, 0.3);
+            let cfg = generous_cfg(capacity, ShedPolicy::Retention);
+            let (out, _) = run_captured(&model, &params, cfg, &requests, plan);
             let timelines = out.timeline.as_deref().unwrap();
             for span in &out.quarantine_log {
                 // A lane quarantined on the run's last cycle closes empty

@@ -3,12 +3,14 @@
 //! (`dota top`, the exposition linter) and the JSON `report diff` and
 //! `analyze --serve` read. Each parser sees arbitrary bytes (lossy UTF-8)
 //! and mutations of a valid document, and must answer `Ok` or `Err` —
-//! never panic — in bounded time.
+//! never panic — in bounded time. The numbers `dota serve` takes run the
+//! engine at the extremes validation lets through.
 
-use crate::ShedPolicy;
+use crate::idle_tests::{run_model, Cases};
+use crate::{engine::MAX_CAPACITY, report::MAX_SEQ, FinishReason, ShedPolicy};
 use dota_faults::{FaultPlan, FaultSite};
 use dota_metrics::Histogram;
-use dota_telemetry::{exposition, GaugesSample};
+use dota_telemetry::{exposition, GaugesSample, Transition};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -165,6 +167,52 @@ proptest! {
                     let _ = exposition::parse(&input);
                 }
             });
+        }
+    }
+
+    /// Deadlines, retry backoff and quarantine windows up to the largest
+    /// values validation accepts: every request terminates once, waits out
+    /// at least its base backoff per retry, and with a deadline of weeks
+    /// never expires while lost lanes come back within days. A width or
+    /// length past its bound is a typed error naming the value.
+    #[test]
+    fn extreme_serve_values_never_panics(
+        case in Cases,
+        deadline_log2 in 0i32..=80,
+        backoff_log2 in 0u32..=80,
+        quarantine_log2 in 0u32..=80,
+        capacity_log2 in 0u32..16,
+        seq_log2 in 3u32..20,
+    ) {
+        let mut case = case;
+        let o = &mut case.opts;
+        (o.capacity, o.seq) = (1 << capacity_log2, 1 << seq_log2);
+        let deadline_us = if deadline_log2 >= 70 { f64::MAX } else { 2f64.powi(deadline_log2) };
+        (o.interactive_deadline_us, o.batch_deadline_us) = (deadline_us, deadline_us);
+        if let Err(e) = o.validate() {
+            prop_assert!(o.capacity > MAX_CAPACITY || !(16..=MAX_SEQ).contains(&o.seq), "{e}");
+            prop_assert!([o.capacity, o.seq].iter().any(|v| e.contains(&v.to_string())), "{e}");
+            return;
+        }
+        let backoff = 1u64.checked_shl(backoff_log2).unwrap_or(u64::MAX);
+        case.cfg = o.serve_config(case.cfg.shed);
+        case.cfg.retry_backoff_cycles = backoff;
+        case.cfg.quarantine_cycles = 1u64.checked_shl(quarantine_log2).unwrap_or(u64::MAX);
+        let (w, _) = run_model(&case, false);
+        let mut ids: Vec<u64> = w.outcome.completions.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..case.opts.requests as u64).collect::<Vec<_>>());
+        let mut retried = BTreeMap::new();
+        for ev in &w.stream {
+            if let Transition::Retry { id, .. } = ev.what {
+                retried.insert(id, ev.cycle);
+            } else if let Transition::Admitted { id, attempt: 1.., .. } = ev.what {
+                prop_assert!(ev.cycle >= retried[&id].saturating_add(backoff), "request {id}");
+            }
+        }
+        for c in w.outcome.completions.iter().filter(|_| deadline_log2 >= 40 && quarantine_log2 < 40) {
+            let expired = [FinishReason::QueueExpired, FinishReason::DeadlineEvicted];
+            prop_assert!(!expired.contains(&c.reason), "request {} {:?}", c.id, c.reason);
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::cost::CostModel;
 use crate::engine::{ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
-use crate::request::FinishReason;
+use crate::request::{FinishReason, Request};
 use crate::timeline::{CellTimeline, TimelineConfig, TimelineReport};
 use crate::traffic::TrafficConfig;
 use dota_accel::AccelConfig;
@@ -24,6 +24,9 @@ use std::sync::{Arc, PoisonError};
 
 /// Report format version (bump on any schema change).
 pub const SERVE_REPORT_VERSION: u32 = 1;
+
+/// Longest model sequence a sweep may ask for (see [`BenchOptions::validate`]).
+pub(crate) const MAX_SEQ: usize = 1 << 16;
 
 /// Parameters of one `dota serve --bench` sweep.
 #[derive(Debug, Clone)]
@@ -115,6 +118,14 @@ impl BenchOptions {
         }
         if self.sheds.is_empty() {
             return Err("at least one shed policy required".into());
+        }
+        // The model's position table (`seq × d_model` floats) is memory a
+        // flag chooses before any request runs; the committed sweeps run 48.
+        if self.seq > MAX_SEQ {
+            return Err(format!(
+                "seq_len {} exceeds the {MAX_SEQ} positions a served model supports",
+                self.seq
+            ));
         }
         if self.prompt_len.1 + self.new_tokens.1 > self.seq {
             return Err(format!(
@@ -383,34 +394,35 @@ impl BenchReport {
     }
 }
 
-/// Traffic-trace prototype for one sweep (per-load `mean_gap_cycles` is
-/// filled in by the caller). Shared with the chaos campaign so both sweeps
-/// offer identical seeded arrivals for identical options.
-pub(crate) fn traffic_proto(opts: &BenchOptions) -> TrafficConfig {
-    TrafficConfig {
+/// The sweep's model, seeded like its traffic.
+pub(crate) fn bench_model(opts: &BenchOptions) -> (Model, ParamSet) {
+    let mut params = ParamSet::new();
+    let mcfg = TransformerConfig::tiny_causal(opts.seq, opts.vocab);
+    (Model::init(mcfg, &mut params, opts.seed), params)
+}
+
+/// The sweep's seeded arrivals at offered `load` (bench policies and chaos
+/// rates compare on the same trace) and their mean gap in cycles: the dense
+/// per-request service estimate at full occupancy, over the mean context a
+/// request sees across its lifetime, divided by `load`.
+pub(crate) fn bench_traffic(opts: &BenchOptions, load: f64) -> (f64, Vec<Request>) {
+    let mcfg = TransformerConfig::tiny_causal(opts.seq, opts.vocab);
+    let cost = CostModel::new(&AccelConfig::default(), &mcfg);
+    let mut traffic = TrafficConfig {
         requests: opts.requests,
         seed: opts.seed,
-        mean_gap_cycles: 1.0, // placeholder, set per load by the caller
+        mean_gap_cycles: 1.0, // placeholder until the service estimate
         prompt_len: opts.prompt_len,
         new_tokens: opts.new_tokens,
         interactive_fraction: opts.interactive_fraction,
         vocab: opts.vocab,
         eos: None,
-    }
-}
-
-/// Dense per-request service estimate (cycles) at full occupancy, over the
-/// mean context a request sees across its lifetime; offered load `L` maps
-/// to a mean interarrival gap of `mean_service / L`.
-pub(crate) fn mean_service_cycles(
-    opts: &BenchOptions,
-    cost: &CostModel,
-    mcfg: &TransformerConfig,
-) -> f64 {
-    let mean_positions = traffic_proto(opts).mean_positions();
+    };
+    let mean_positions = traffic.mean_positions();
     let mean_context = (mean_positions / 2.0).max(1.0) as usize;
-    let per_token = cost.per_token_estimate(mcfg, opts.capacity, mean_context);
-    mean_positions * per_token
+    let per_token = cost.per_token_estimate(&mcfg, opts.capacity, mean_context);
+    traffic.mean_gap_cycles = mean_positions * per_token / load;
+    (traffic.mean_gap_cycles, traffic.generate())
 }
 
 /// Runs the load-test sweep described by `opts`.
@@ -426,22 +438,12 @@ pub(crate) fn mean_service_cycles(
 pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
     opts.validate()?;
     let _sp = dota_prof::span("serve.bench");
-    let mcfg = TransformerConfig::tiny_causal(opts.seq, opts.vocab);
-    let mut params = ParamSet::new();
-    let model = Model::init(mcfg.clone(), &mut params, opts.seed);
+    let (model, params) = bench_model(&opts);
     let accel = AccelConfig::default();
-    let cost = CostModel::new(&accel, &mcfg);
-
-    let traffic_proto = traffic_proto(&opts);
-    let mean_service = mean_service_cycles(&opts, &cost, &mcfg);
-
     let mut cells = Vec::with_capacity(opts.loads.len() * opts.sheds.len());
     let mut timeline_cells = Vec::new();
     for &load in &opts.loads {
-        let mean_gap = mean_service / load;
-        let mut traffic = traffic_proto.clone();
-        traffic.mean_gap_cycles = mean_gap;
-        let requests = traffic.generate();
+        let (mean_gap, requests) = bench_traffic(&opts, load);
         for &shed in &opts.sheds {
             let _cell_sp = dota_prof::span("serve.bench.cell");
             let mut engine = ServeEngine::new(&model, &params, opts.serve_config(shed), &accel)?;
@@ -489,8 +491,8 @@ pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
             queue_capacity: opts.queue_capacity,
             seq: opts.seq,
             vocab: opts.vocab,
-            n_layers: mcfg.n_layers,
-            n_heads: mcfg.n_heads,
+            n_layers: model.config().n_layers,
+            n_heads: model.config().n_heads,
             slo_window: opts.slo_window,
             ladder: opts.ladder.clone(),
             interactive_deadline_us: opts.interactive_deadline_us,
@@ -593,6 +595,7 @@ mod tests {
             |o: &mut BenchOptions| o.loads = vec![0.0],
             |o: &mut BenchOptions| o.sheds.clear(),
             |o: &mut BenchOptions| o.seq = 4,
+            |o: &mut BenchOptions| o.seq = MAX_SEQ + 1,
             |o: &mut BenchOptions| o.ladder.clear(),
         ] {
             let mut o = quick_opts();
