@@ -166,7 +166,7 @@ impl LibmPortLanesRow {
         libm: impl Fn(&mut [f32]),
         kernel: fn(Lanes, &mut [f32]),
     ) -> Self {
-        let lanes = with_family("simd", Lanes::active);
+        let lanes = Lanes::of(KernelFamily::Simd);
         let row = Self {
             kernel: name,
             libm_ns_per_elem: ns_per_elem(src, libm),
@@ -307,32 +307,6 @@ fn time_hist<R>(reps: usize, mut f: impl FnMut() -> R) -> (Histogram, AllocSumma
     (h, alloc)
 }
 
-fn with_one_thread<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::env::var(dota_parallel::THREADS_ENV).ok();
-    std::env::set_var(dota_parallel::THREADS_ENV, "1");
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dota_parallel::THREADS_ENV, v),
-        None => std::env::remove_var(dota_parallel::THREADS_ENV),
-    }
-    out
-}
-
-/// Runs `f` with `DOTA_GEMM` forced to `family`, restoring afterwards.
-/// Safe here because the bench binary is single-threaded at the top level
-/// (kernel workers never read the variable mid-product — the family is
-/// resolved once per dispatch on the calling thread).
-fn with_family<R>(family: &str, f: impl FnOnce() -> R) -> R {
-    let prev = std::env::var(simd::GEMM_ENV).ok();
-    std::env::set_var(simd::GEMM_ENV, family);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(simd::GEMM_ENV, v),
-        None => std::env::remove_var(simd::GEMM_ENV),
-    }
-    out
-}
-
 fn p50(h: &Histogram) -> f64 {
     h.quantile(0.5).unwrap_or(f64::NAN)
 }
@@ -351,8 +325,9 @@ fn gemm_rows(sizes: &[usize]) -> Vec<GemmRow> {
         // Warm the pack-buffer pool so the timed reps see the steady
         // state the alloc column is meant to capture.
         a.matmul_into(&b, &mut out).expect("shape");
-        let (serial, serial_alloc) =
-            with_one_thread(|| time_hist(opt_reps, || a.matmul_into(&b, &mut out).expect("shape")));
+        let (serial, serial_alloc) = dota_parallel::with_threads(1, || {
+            time_hist(opt_reps, || a.matmul_into(&b, &mut out).expect("shape"))
+        });
         let (pool, _) = time_hist(opt_reps, || a.matmul_into(&b, &mut out).expect("shape"));
         let row = GemmRow {
             size,
@@ -391,7 +366,7 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
             continue;
         }
         a.matmul_into(&b, &mut out).expect("shape"); // warm pools
-        let (h, _) = with_family(fam.name(), || {
+        let (h, _) = simd::with_family(fam, || {
             time_hist(reps, || a.matmul_into(&b, &mut out).expect("shape"))
         });
         let ms = p50(&h);
@@ -547,7 +522,7 @@ fn attend_row_rows() -> Vec<AttendRowRow> {
                 |out: &mut [f32]| ops::attend_row(&mut state, q.row(0), &k, &v, HD, sel, out);
             ns_per_elem(&[0.0; HD], attend) * HD as f64 / sel.len() as f64
         };
-        let lanes = with_family("simd", Lanes::active);
+        let lanes = Lanes::of(KernelFamily::Simd);
         let row = AttendRowRow {
             kernel: format!("attend_row_ctx{context}"),
             dense_scalar_ns_per_conn: time(Lanes::Plain, &dense),

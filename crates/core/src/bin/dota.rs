@@ -33,6 +33,7 @@ use dota_core::experiments::{self, BenchmarkRun, Method, TrainOptions};
 use dota_core::report;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::{Manifest, MetricsSink};
+use dota_transformer::MAX_SEQ_LEN;
 use dota_workloads::{Benchmark, TaskSpec};
 use std::process::ExitCode;
 
@@ -95,7 +96,8 @@ type Flags = std::collections::BTreeMap<String, String>;
 
 /// Flag wins over environment wins over the caller's default.
 fn flag_or_env(flags: &Flags, flag: &str) -> Option<String> {
-    flags.get(flag).cloned().or_else(|| env_for(flag))
+    let env = || env_for(flag, |name| std::env::var_os(name));
+    flags.get(flag).cloned().or_else(env)
 }
 
 /// Opens the global fault-injection session requested by `--faults`
@@ -129,7 +131,7 @@ fn fault_session(
 }
 
 fn cmd_faults(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "faults", "seed sites rates seq out")?;
     if let Some(extra) = positional.first() {
         return Err(format!(
             "faults takes no positional arguments, got `{extra}`"
@@ -145,9 +147,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     if let Some(rates) = flags.get("rates") {
         opts.rates = number_list(rates, "rates")?;
     }
-    if let Some(seq) = flag_usize(&flags, "seq")? {
-        opts.seq_len = seq;
-    }
+    opts.seq_len = flag_task_seq(&flags, opts.seq_len)?;
     if opts.sites.is_empty() || opts.rates.is_empty() {
         return Err("the campaign needs at least one site and one rate".to_owned());
     }
@@ -194,7 +194,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let bench = take_bool_flag(&mut args, "--bench");
     let chaos = take_bool_flag(&mut args, "--chaos");
-    let (positional, flags) = parse_flags(&args)?;
+    let (command, known) = if chaos {
+        ("serve --chaos", format!("{SERVE_FLAGS} {CHAOS_FLAGS}"))
+    } else {
+        ("serve", SERVE_FLAGS.to_owned())
+    };
+    let (positional, flags) = parse_flags(&args, command, &known)?;
     if let Some(extra) = positional.first() {
         return Err(format!(
             "serve takes no positional arguments, got `{extra}`"
@@ -397,6 +402,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `dota serve` reads (`--bench` and `--chaos` are switches).
+const SERVE_FLAGS: &str = "requests seed capacity queue seq deadline-interactive \
+    deadline-batch shed loads load slo-window out timeline metrics-addr flight-out";
+
+/// The flags `dota serve --chaos` reads on top of [`SERVE_FLAGS`].
+const CHAOS_FLAGS: &str = "chaos-rates chaos-sites chaos-seed retry-cap retry-backoff \
+    quarantine ctl-burn-high ctl-burn-low ctl-cooldown";
+
 /// Flight-recorder ring size: enough for the full event stream of a
 /// default bench sweep, so `dropped` is informative rather than routine.
 const FLIGHT_CAPACITY: usize = 65_536;
@@ -420,14 +433,14 @@ fn write_flight(flight: &dota_telemetry::FlightHandle, path: &str) -> Result<(),
 fn cmd_top(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let once = take_bool_flag(&mut args, "--once");
-    let (positional, flags) = parse_flags(&args)?;
+    let (positional, flags) = parse_flags(&args, "top", "addr interval-ms ticks")?;
     if let Some(extra) = positional.first() {
         return Err(format!("top takes no positional arguments, got `{extra}`"));
     }
     let addr = flags
         .get("addr")
         .cloned()
-        .or_else(|| env_for("metrics-addr"))
+        .or_else(|| env_for("metrics-addr", |name| std::env::var_os(name)))
         .ok_or("top needs --addr HOST:PORT (or DOTA_SERVE_METRICS_ADDR)")?;
     let interval_ms = flag_usize(&flags, "interval-ms")?.unwrap_or(1000) as u64;
     let ticks = if once {
@@ -505,6 +518,7 @@ fn cmd_serve_chaos(
     if let Some(n) = flag_usize(flags, "ctl-cooldown")? {
         opts.control.cooldown_steps = n as u64;
     }
+    opts.validate()?;
     println!(
         "chaos campaign: traffic seed {}, fault seed {}, shed {}, {} requests/cell, \
          {} site(s) x {} rate(s) x {} load(s)",
@@ -736,13 +750,18 @@ fn parse_benchmark(s: &str) -> Result<Benchmark, String> {
 }
 
 /// Extracts `--flag value` from an argument list; returns remaining
-/// positional arguments.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
+/// positional arguments. A flag outside `known`, the space-separated
+/// flags `dota cmd` reads, is an error: a typo'd flag silently falling
+/// back to its default would run something other than what was asked.
+fn parse_flags(args: &[String], cmd: &str, known: &str) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag `{a}` for `dota {cmd}`"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.insert(name.to_owned(), value.clone());
         } else {
@@ -796,15 +815,47 @@ fn flag_usize(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
     flag_number(flags, name, "an integer")
 }
 
+/// `--retention` (default 0.25): the share of connections the detector
+/// keeps, in (0, 1].
+fn flag_retention(flags: &Flags) -> Result<f64, String> {
+    let r = flag_f64(flags, "retention")?.unwrap_or(0.25);
+    if r > 0.0 && r <= 1.0 {
+        return Ok(r);
+    }
+    Err(format!("--retention {r} must be in (0, 1]"))
+}
+
+/// `--seq` of a synthetic task (default `default`): from the shortest the
+/// task generators are built for up to the longest a model is built for.
+fn flag_task_seq(flags: &Flags, default: usize) -> Result<usize, String> {
+    let seq = flag_usize(flags, "seq")?.unwrap_or(default);
+    let (min, max) = (TaskSpec::MIN_SEQ_LEN, MAX_SEQ_LEN);
+    if (min..=max).contains(&seq) {
+        return Ok(seq);
+    }
+    Err(format!("--seq {seq} must be in {min}..={max}"))
+}
+
+/// Most token ids `dota train` generates for its training set, all before
+/// the first step; the committed runs train on 400 samples of 24.
+const MAX_TRAIN_TOKENS: usize = 1 << 24;
+
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let known = "retention seq samples epochs metrics-out save";
+    let (positional, flags) = parse_flags(args, "train", known)?;
     let bench = positional
         .first()
         .ok_or("train needs a benchmark".to_owned())
         .and_then(|s| parse_benchmark(s))?;
-    let retention = flag_f64(&flags, "retention")?.unwrap_or(0.25);
-    let seq = flag_usize(&flags, "seq")?.unwrap_or(24);
+    let retention = flag_retention(&flags)?;
+    let seq = flag_task_seq(&flags, 24)?;
     let samples = flag_usize(&flags, "samples")?.unwrap_or(400);
+    let most = MAX_TRAIN_TOKENS / seq;
+    if !(1..=most).contains(&samples) {
+        return Err(format!(
+            "--samples {samples} must be in 1..={most} at --seq {seq}"
+        ));
+    }
     let epochs = flag_usize(&flags, "epochs")?.unwrap_or(20);
     let seed = 5u64;
     let metrics_out = flags.get("metrics-out").cloned();
@@ -913,7 +964,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 fn cmd_report(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let allow_added = take_bool_flag(&mut args, "--allow-added");
-    let (positional, flags) = parse_flags(&args)?;
+    let (positional, flags) = parse_flags(&args, "report", "tol ignore")?;
     match positional.first().map(String::as_str) {
         Some("diff") => {
             let a = positional
@@ -1004,13 +1055,13 @@ fn run_infer_workload(
 }
 
 fn cmd_infer(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "infer", "retention seq seed")?;
     let bench = positional
         .first()
         .ok_or("infer needs a benchmark".to_owned())
         .and_then(|s| parse_benchmark(s))?;
-    let retention = flag_f64(&flags, "retention")?.unwrap_or(0.25);
-    let seq = flag_usize(&flags, "seq")?.unwrap_or(16);
+    let retention = flag_retention(&flags)?;
+    let seq = flag_task_seq(&flags, 16)?;
     let seed = flag_usize(&flags, "seed")?.unwrap_or(7) as u64;
 
     let run = run_infer_workload(bench, retention, seq, seed)?;
@@ -1038,7 +1089,8 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let known = "serve retention seq seed top out";
+    let (positional, flags) = parse_flags(args, "analyze", known)?;
     if let Some(timeline) = flags.get("serve") {
         if let Some(extra) = positional.first() {
             return Err(format!(
@@ -1051,8 +1103,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .first()
         .ok_or("analyze needs a benchmark".to_owned())
         .and_then(|s| parse_benchmark(s))?;
-    let retention = flag_f64(&flags, "retention")?.unwrap_or(0.25);
-    let seq = flag_usize(&flags, "seq")?.unwrap_or(16);
+    let retention = flag_retention(&flags)?;
+    let seq = flag_task_seq(&flags, 16)?;
     let seed = flag_usize(&flags, "seed")?.unwrap_or(7) as u64;
     let top = flag_usize(&flags, "top")?.unwrap_or(10);
     let out_path = flags.get("out").cloned();
@@ -1170,49 +1222,27 @@ mod tests {
     use super::*;
     use dota_core::cli::{validate_env, ENV};
 
-    /// Runs `body` with one environment variable set (or unset), restoring
-    /// it afterwards; serialized because the environment is process-global.
-    fn with_env<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = std::env::var(name).ok();
-        match value {
-            Some(v) => std::env::set_var(name, v),
-            None => std::env::remove_var(name),
-        }
-        let out = body();
-        match prev {
-            Some(v) => std::env::set_var(name, v),
-            None => std::env::remove_var(name),
-        }
-        out
-    }
-
     /// `validate_env` names `name` when rejecting each of `bad`, accepts
     /// each of `good` (and the variable being unset), and a well-formed
     /// value reaches the flag the [`ENV`] table pairs it with unless the
-    /// flag is given too.
-    fn check_env(name: &str, bad: &[&str], good: &[&str]) {
+    /// flag is given too. Each value is looked up from a one-row table,
+    /// never from the process environment.
+    fn check_env(name: &str, bad: &[&'static str], good: &[&'static str]) {
+        let set = |value: &'static str| move |n: &str| (n == name).then(|| value.into());
         for value in bad {
-            with_env(name, Some(value), || {
-                let err = validate_env().unwrap_err();
-                assert!(err.contains(name), "{name}={value:?}: {err}");
-            });
+            let err = validate_env(set(value)).unwrap_err();
+            assert!(err.contains(name), "{name}={value:?}: {err}");
         }
         for value in good {
-            with_env(name, Some(value), || {
-                validate_env().unwrap_or_else(|e| panic!("{name}={value:?}: {e}"));
-                let role = ENV.iter().find(|row| row.0 == name).unwrap().1;
-                if let Some(flag) = role.strip_prefix("--") {
-                    assert_eq!(env_for(flag).as_deref(), Some(*value));
-                    let flags = Flags::from([(flag.to_owned(), "explicit".to_owned())]);
-                    assert_eq!(flag_or_env(&flags, flag).as_deref(), Some("explicit"));
-                }
-            });
+            validate_env(set(value)).unwrap_or_else(|e| panic!("{name}={value:?}: {e}"));
+            let role = ENV.iter().find(|row| row.0 == name).unwrap().1;
+            if let Some(flag) = role.strip_prefix("--") {
+                assert_eq!(env_for(flag, set(value)).as_deref(), Some(*value));
+                let flags = Flags::from([(flag.to_owned(), "explicit".to_owned())]);
+                assert_eq!(flag_or_env(&flags, flag).as_deref(), Some("explicit"));
+            }
         }
-        with_env(name, None, || validate_env().unwrap());
+        validate_env(|_| None).unwrap();
     }
 
     /// The one table behind every environment test: `test name(variable,

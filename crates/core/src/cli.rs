@@ -5,6 +5,8 @@
 //! CLI and every `dota-bench` figure binary go through both, so neither
 //! can read a variable unvalidated.
 
+use std::ffi::OsString;
+
 /// How an environment variable's value must read.
 #[derive(Clone, Copy)]
 pub enum EnvKind {
@@ -159,34 +161,36 @@ impl EnvKind {
 
 /// Rejects malformed `DOTA_*` environment variables up front: a typo'd
 /// `DOTA_THREADS=all` silently falling back to the default would
-/// invalidate a benchmark without any sign of it.
+/// invalidate a benchmark without any sign of it. Each variable is read
+/// through `var` (`std::env::var_os` in the binaries).
 ///
 /// # Errors
 ///
 /// One line naming the first malformed variable in [`ENV`] order; a value
 /// that is not Unicode is malformed whatever the row.
-pub fn validate_env() -> Result<(), String> {
+pub fn validate_env(var: impl Fn(&str) -> Option<OsString>) -> Result<(), String> {
     for &(name, _, kind, expected) in ENV {
-        match std::env::var(name) {
-            Ok(v) => kind.check(name, &v, expected)?,
-            Err(std::env::VarError::NotUnicode(raw)) => {
+        match var(name).map(OsString::into_string) {
+            Some(Ok(v)) => kind.check(name, &v, expected)?,
+            Some(Err(raw)) => {
                 return Err(format!(
                     "{name} must be {expected}, got non-Unicode {raw:?}"
                 ));
             }
-            Err(std::env::VarError::NotPresent) => {}
+            None => {}
         }
     }
     Ok(())
 }
 
-/// The [`ENV`] variable standing in for `--flag`, if it has one and it is
-/// set ([`validate_env`] has already rejected malformed values).
-pub fn env_for(flag: &str) -> Option<String> {
+/// The [`ENV`] variable standing in for `--flag`, read through `var`, if
+/// it has one and it is set ([`validate_env`] has already rejected
+/// malformed values).
+pub fn env_for(flag: &str, var: impl Fn(&str) -> Option<OsString>) -> Option<String> {
     let &(name, ..) = ENV
         .iter()
         .find(|row| row.1.strip_prefix("--") == Some(flag))?;
-    std::env::var(name).ok()
+    var(name)?.into_string().ok()
 }
 
 /// The "environment" section of a usage text: one line per [`ENV`] row.
@@ -245,9 +249,10 @@ impl Sessions {
     ///
     /// A malformed `DOTA_*` variable, or a flag without a value.
     pub fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
-        validate_env()?;
+        validate_env(|name| std::env::var_os(name))?;
         let mut global = |flag: &str| -> Result<Option<String>, String> {
-            Ok(take_flag(args, &format!("--{flag}"))?.or_else(|| env_for(flag)))
+            Ok(take_flag(args, &format!("--{flag}"))?
+                .or_else(|| env_for(flag, |name| std::env::var_os(name))))
         };
         Ok(Self {
             trace_path: global("trace")?,

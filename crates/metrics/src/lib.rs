@@ -57,7 +57,7 @@ pub use gate::{
 };
 pub use histogram::{Histogram, SUB_BUCKETS};
 pub use json::{write_atomic, JsonWriter, ToJson};
-pub use manifest::Manifest;
+pub use manifest::{physical_cores, thread_budget, Manifest};
 pub use rolling::RollingWindow;
 pub use sink::MetricsSink;
 

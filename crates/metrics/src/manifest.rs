@@ -118,26 +118,28 @@ impl Manifest {
     }
 }
 
-/// The worker-thread budget: the `DOTA_THREADS` cap when set, otherwise the
-/// host's available parallelism (1 when undeterminable).
-fn thread_budget() -> usize {
-    if let Ok(v) = std::env::var("DOTA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+/// The worker-thread budget: the `DOTA_THREADS` cap when set to a
+/// positive integer, otherwise the host's available parallelism (1 when
+/// undeterminable). The one parser of the variable: `dota-parallel`
+/// resolves its pool width through it once per process.
+pub fn thread_budget() -> usize {
+    budget(std::env::var("DOTA_THREADS").ok().as_deref()).unwrap_or_else(available_parallelism)
+}
+
+/// The budget a `DOTA_THREADS` value asks for: `None` when it is unset or
+/// not a positive integer.
+fn budget(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n >= 1)
+}
+
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Physical core count: distinct `(physical id, core id)` pairs from
 /// `/proc/cpuinfo` where available (Linux), otherwise the host's available
-/// parallelism. Duplicated from `dota-parallel` so this crate keeps its
-/// zero-dependency layering (same idiom as `thread_budget` above).
-fn physical_cores() -> usize {
+/// parallelism (which counts logical CPUs).
+pub fn physical_cores() -> usize {
     if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
         let mut cores = std::collections::BTreeSet::new();
         let (mut phys, mut core) = (None, None);
@@ -163,9 +165,7 @@ fn physical_cores() -> usize {
             return cores.len();
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    available_parallelism()
 }
 
 /// Detected SIMD capabilities (`avx2`/`fma`/`avx512f` on x86-64, `neon`
@@ -248,6 +248,15 @@ mod tests {
         assert!(!m.cpu_features.is_empty());
         assert!(json.contains("\"physical_cores\":"));
         assert!(json.contains("\"cpu_features\": ["));
+    }
+
+    #[test]
+    fn thread_budget_falls_back_on_malformed_values() {
+        assert_eq!(budget(Some(" 3 ")), Some(3));
+        for v in ["0", "all", "-2", "1.5", ""] {
+            assert_eq!(budget(Some(v)), None, "{v:?}");
+        }
+        assert_eq!(budget(None), None);
     }
 
     #[test]

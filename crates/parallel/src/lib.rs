@@ -17,24 +17,29 @@
 //!   buffer on unit boundaries; used for row-block GEMM, where partitioning
 //!   by output rows keeps parallel results bitwise identical to serial.
 //!
-//! The pool size is `min(DOTA_THREADS, available cores)`; setting
+//! The pool width is `DOTA_THREADS` (default: the machine's available
+//! parallelism), read once, the first time a dispatch asks; setting
 //! `DOTA_THREADS=1` forces fully serial execution, which CI uses to pin
-//! down reproducibility. The environment variable is re-read on every
-//! dispatch (the cost is trivial next to any work worth parallelizing), so
-//! tests can toggle it at runtime.
+//! down reproducibility. An in-process choice of width is a scoped value,
+//! [`with_threads`], on the calling thread, never a write to the
+//! environment: it needs no propagation, because a dispatch from inside a
+//! worker stays serial whatever its width ([`in_worker`]).
 
 #![deny(missing_docs)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Name of the environment variable capping the pool size.
-pub const THREADS_ENV: &str = "DOTA_THREADS";
+/// Number of **physical** cores, the denominator of `pool_speedup` columns.
+pub use dota_metrics::physical_cores as num_physical_cores;
 
 thread_local! {
     /// Set while the current thread is a pool worker; nested dispatches
     /// check it and stay serial instead of forking a second pool.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The width of the innermost [`with_threads`] scope on this thread.
+    static SCOPED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// `true` when called from inside a [`par_map`] / [`par_partition_mut`] /
@@ -86,38 +91,35 @@ fn as_worker<R>(scopes: Scopes, body: impl FnOnce() -> R) -> R {
     out
 }
 
-/// The number of worker threads a dispatch may use: `DOTA_THREADS` if set
-/// to a positive integer, otherwise the machine's available parallelism.
+/// The number of worker threads a dispatch from this thread may use: the
+/// innermost [`with_threads`] scope's width, else the process setting —
+/// `DOTA_THREADS` if set to a positive integer, otherwise the machine's
+/// available parallelism, resolved once per process by
+/// [`dota_metrics::thread_budget`].
 ///
 /// A malformed `DOTA_THREADS` falls back to the machine default so hot
-/// library paths never fail; front ends should reject it up front with
-/// [`num_threads_checked`] instead.
+/// library paths never fail; front ends reject it up front (the `dota`
+/// binaries through `dota_core::cli::ENV`).
 pub fn num_threads() -> usize {
-    num_threads_checked().unwrap_or_else(|_| available())
+    static PROCESS: OnceLock<usize> = OnceLock::new();
+    SCOPED
+        .with(Cell::get)
+        .unwrap_or_else(|| *PROCESS.get_or_init(dota_metrics::thread_budget))
 }
 
-/// [`num_threads`] that surfaces a malformed `DOTA_THREADS` as an error
-/// instead of silently using the machine default (a typo'd budget would
-/// otherwise invalidate benchmark results without any sign of it).
-///
-/// # Errors
-///
-/// A description of the bad value when `DOTA_THREADS` is set but is not a
-/// positive integer.
-pub fn num_threads_checked() -> Result<usize, String> {
-    match std::env::var(THREADS_ENV) {
-        Err(_) => Ok(available()),
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "{THREADS_ENV} must be a positive integer, got `{v}`"
-            )),
-        },
+/// Runs `body` with dispatches from the calling thread capped at `n`
+/// workers (`0` counts as `1`), then restores the previous width — also
+/// when `body` panics. Scopes nest; other threads, including threads
+/// `body` spawns itself, keep the process setting.
+pub fn with_threads<R>(n: usize, body: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| s.set(self.0));
+        }
     }
-}
-
-fn available() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(n.max(1)))));
+    body()
 }
 
 /// Order-preserving parallel map: returns `f(i, &items[i])` for every `i`,
@@ -309,96 +311,34 @@ where
     });
 }
 
-/// Number of **physical** cores, best-effort: parsed from Linux
-/// `/proc/cpuinfo` (distinct `(physical id, core id)` pairs), falling back
-/// to [`available_parallelism`](std::thread::available_parallelism) (which
-/// counts logical CPUs) elsewhere or when the parse yields nothing.
-///
-/// Recorded in bench manifests so `pool_speedup` columns are interpretable:
-/// a 2x ceiling on a 2-core host is expected, the same number on a 16-core
-/// host is a scheduling bug.
-pub fn num_physical_cores() -> usize {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
-            let mut cores = std::collections::BTreeSet::new();
-            let (mut phys, mut core) = (None, None);
-            for line in info.lines() {
-                let mut kv = line.splitn(2, ':');
-                let key = kv.next().unwrap_or("").trim();
-                let val = kv.next().unwrap_or("").trim().to_owned();
-                match key {
-                    "physical id" => phys = Some(val),
-                    "core id" => core = Some(val),
-                    "" => {
-                        if let (Some(p), Some(c)) = (phys.take(), core.take()) {
-                            cores.insert((p, c));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let (Some(p), Some(c)) = (phys, core) {
-                cores.insert((p, c));
-            }
-            if !cores.is_empty() {
-                return cores.len();
-            }
-        }
-    }
-    available()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Runs `body` with `DOTA_THREADS` set to `n`, restoring the previous
-    /// value afterwards. Serialized by a mutex since the variable is
-    /// process-global.
-    fn with_threads<R>(n: Option<&str>, body: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        let prev = std::env::var(THREADS_ENV).ok();
-        match n {
-            Some(v) => std::env::set_var(THREADS_ENV, v),
-            None => std::env::remove_var(THREADS_ENV),
-        }
-        let out = body();
-        match prev {
-            Some(v) => std::env::set_var(THREADS_ENV, v),
-            None => std::env::remove_var(THREADS_ENV),
-        }
-        out
-    }
-
     #[test]
-    fn threads_env_is_validated_by_checked_variant() {
-        // valid value: both variants agree
-        with_threads(Some("3"), || {
-            assert_eq!(num_threads(), 3);
-            assert_eq!(num_threads_checked(), Ok(3));
+    fn with_threads_is_scoped_to_the_calling_thread() {
+        let process = num_threads();
+        assert!(process >= 1);
+        let inner = with_threads(4, || {
+            let spawned = std::thread::spawn(num_threads).join().unwrap();
+            assert_eq!(
+                spawned, process,
+                "a spawned thread reads the process setting"
+            );
+            let nested = with_threads(1, num_threads);
+            (nested, num_threads(), with_threads(0, num_threads))
         });
-        // unset: both use the machine default
-        with_threads(None, || {
-            assert_eq!(num_threads_checked(), Ok(num_threads()));
-        });
-        // malformed values: checked errors with the variable name, the
-        // silent variant falls back
-        for bad in ["0", "all", "-2", "1.5", ""] {
-            with_threads(Some(bad), || {
-                let err = num_threads_checked().unwrap_err();
-                assert!(err.contains("DOTA_THREADS"), "{err}");
-                assert!(err.contains(bad) || bad.is_empty(), "{err}");
-                assert!(num_threads() >= 1);
-            });
-        }
+        assert_eq!(inner, (1, 4, 1), "scopes nest and restore; 0 counts as 1");
+        assert_eq!(num_threads(), process, "restored on exit");
+        let unwound = std::panic::catch_unwind(|| with_threads(3, || panic!("body")));
+        assert!(unwound.is_err());
+        assert_eq!(num_threads(), process, "restored on panic");
     }
 
     #[test]
     fn par_map_preserves_order() {
-        for threads in ["1", "2", "7"] {
-            let got = with_threads(Some(threads), || {
+        for threads in [1, 2, 7] {
+            let got = with_threads(threads, || {
                 let items: Vec<usize> = (0..100).collect();
                 par_map(&items, |i, &x| {
                     assert_eq!(i, x);
@@ -418,8 +358,8 @@ mod tests {
 
     #[test]
     fn partition_covers_every_unit_exactly_once() {
-        for threads in ["1", "3", "16"] {
-            with_threads(Some(threads), || {
+        for threads in [1, 3, 16] {
+            with_threads(threads, || {
                 let rows = 37;
                 let cols = 5;
                 let mut data = vec![0u32; rows * cols];
@@ -450,14 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn env_var_caps_pool() {
-        with_threads(Some("1"), || assert_eq!(num_threads(), 1));
-        with_threads(Some("4"), || assert_eq!(num_threads(), 4));
-        with_threads(Some("garbage"), || assert!(num_threads() >= 1));
-        with_threads(None, || assert!(num_threads() >= 1));
-    }
-
-    #[test]
     #[should_panic(expected = "whole units")]
     fn partition_rejects_ragged_data() {
         let mut data = vec![0.0f32; 7];
@@ -466,9 +398,9 @@ mod tests {
 
     #[test]
     fn panels_cover_every_unit_exactly_once() {
-        for threads in ["1", "3", "16"] {
+        for threads in [1, 3, 16] {
             for panel_units in [1usize, 4, 7, 100] {
-                with_threads(Some(threads), || {
+                with_threads(threads, || {
                     let rows = 37;
                     let cols = 5;
                     let mut data = vec![0u32; rows * cols];
@@ -495,7 +427,7 @@ mod tests {
 
     #[test]
     fn nested_dispatch_stays_serial() {
-        with_threads(Some("4"), || {
+        with_threads(4, || {
             assert!(!in_worker(), "top level is not a worker");
             let items: Vec<usize> = (0..16).collect();
             let nested_flags = par_map(&items, |_, _| {
@@ -514,7 +446,7 @@ mod tests {
 
     #[test]
     fn workers_join_the_dispatchers_sessions() {
-        with_threads(Some("4"), || {
+        with_threads(4, || {
             let trace = dota_trace::session("pool");
             let faults = dota_faults::session(
                 dota_faults::FaultPlan::new(1).with_rate(dota_faults::FaultSite::DramRead, 1.0),

@@ -265,7 +265,7 @@ pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
     let accel = AccelConfig::default();
     let mut cells = Vec::with_capacity(b.loads.len() * opts.rates.len());
     for &load in &b.loads {
-        let (_, requests) = bench_traffic(b, load);
+        let requests = bench_traffic(b, load).generate();
         for &rate in &opts.rates {
             let _cell_sp = dota_prof::span("serve.chaos.cell");
             let plan = opts

@@ -73,6 +73,9 @@ const TIMEOUT_ESCALATE: u64 = 3;
 /// Widest batch a configuration may ask for (see [`ServeConfig::validate`]).
 pub(crate) const MAX_CAPACITY: usize = 4096;
 
+/// Longest SLO window a configuration may ask for (see [`ServeConfig::validate`]).
+pub(crate) const MAX_SLO_WINDOW: usize = 1 << 20;
+
 /// What the scheduler does when demand outruns capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedPolicy {
@@ -213,6 +216,14 @@ impl ServeConfig {
             if !(us > 0.0 && us.is_finite()) {
                 return Err("deadline budgets must be positive and finite".into());
             }
+        }
+        // The monitor allocates its whole rolling window up front (16 bytes
+        // a terminal); the committed runs use 64.
+        if self.slo_window > MAX_SLO_WINDOW {
+            return Err(format!(
+                "slo_window {} exceeds the {MAX_SLO_WINDOW} terminals a monitor holds",
+                self.slo_window
+            ));
         }
         if self.shed == ShedPolicy::Slo && self.slo_window == 0 {
             return Err("shed policy slo needs the SLO monitor (slo_window > 0)".into());
@@ -1418,6 +1429,7 @@ mod tests {
         for f in [
             |c: &mut ServeConfig| c.capacity = 0,
             |c: &mut ServeConfig| c.capacity = MAX_CAPACITY + 1,
+            |c: &mut ServeConfig| c.slo_window = MAX_SLO_WINDOW + 1,
             |c: &mut ServeConfig| c.ladder = vec![],
             |c: &mut ServeConfig| c.ladder = vec![0.5, 1.0],
             |c: &mut ServeConfig| c.ladder = vec![1.0, 0.0],

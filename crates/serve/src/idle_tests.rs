@@ -101,7 +101,7 @@ pub(crate) fn watch(
 fn run(case: &Case, model: &Model, fw: impl Forward, per_cycle: bool) -> (Watched, u64) {
     let cost = CostModel::new(&AccelConfig::default(), model.config());
     let engine = Core::new(case.cfg.clone(), cost, fw);
-    let (_, requests) = bench_traffic(&case.opts, case.load);
+    let requests = bench_traffic(&case.opts, case.load).generate();
     watch(engine, &case.plan, requests, per_cycle)
 }
 

@@ -6,11 +6,13 @@
 //! never panic — in bounded time. The numbers `dota serve` takes run the
 //! engine at the extremes validation lets through.
 
+use crate::engine::{MAX_CAPACITY, MAX_SLO_WINDOW};
 use crate::idle_tests::{run_model, Cases};
-use crate::{engine::MAX_CAPACITY, report::MAX_SEQ, FinishReason, ShedPolicy};
+use crate::{report::MAX_REQUESTS, FinishReason, ShedPolicy};
 use dota_faults::{FaultPlan, FaultSite};
 use dota_metrics::Histogram;
 use dota_telemetry::{exposition, GaugesSample, Transition};
+use dota_transformer::MAX_SEQ_LEN;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -173,8 +175,9 @@ proptest! {
     /// Deadlines, retry backoff and quarantine windows up to the largest
     /// values validation accepts: every request terminates once, waits out
     /// at least its base backoff per retry, and with a deadline of weeks
-    /// never expires while lost lanes come back within days. A width or
-    /// length past its bound is a typed error naming the value.
+    /// never expires while lost lanes come back within days. A request
+    /// count, width, length or SLO window past its bound, or a load so low
+    /// its trace outruns the cycle clock, is a typed error naming the value.
     #[test]
     fn extreme_serve_values_never_panics(
         case in Cases,
@@ -183,15 +186,26 @@ proptest! {
         quarantine_log2 in 0u32..=80,
         capacity_log2 in 0u32..16,
         seq_log2 in 3u32..20,
+        requests in 0usize..24,
+        slo_log2 in 0u32..24,
+        load_log10 in -300i32..300,
     ) {
         let mut case = case;
+        if load_log10 < 0 {
+            case.load = 10f64.powi(load_log10);
+        }
         let o = &mut case.opts;
         (o.capacity, o.seq) = (1 << capacity_log2, 1 << seq_log2);
+        (o.requests, o.slo_window, o.loads) = (requests, 1 << slo_log2, vec![case.load]);
         let deadline_us = if deadline_log2 >= 70 { f64::MAX } else { 2f64.powi(deadline_log2) };
         (o.interactive_deadline_us, o.batch_deadline_us) = (deadline_us, deadline_us);
         if let Err(e) = o.validate() {
-            prop_assert!(o.capacity > MAX_CAPACITY || !(16..=MAX_SEQ).contains(&o.seq), "{e}");
-            prop_assert!([o.capacity, o.seq].iter().any(|v| e.contains(&v.to_string())), "{e}");
+            let past = o.capacity > MAX_CAPACITY || o.slo_window > MAX_SLO_WINDOW;
+            let off = !(16..=MAX_SEQ_LEN).contains(&o.seq) || o.requests > MAX_REQUESTS;
+            prop_assert!(past || off || o.requests == 0 || case.load < 1e-6, "{e}");
+            let load = format!("{:?}", case.load);
+            let named = [o.capacity, o.seq, o.requests, o.slo_window].map(|v| v.to_string());
+            prop_assert!(named.iter().chain([&load]).any(|v| e.contains(v.as_str())), "{e}");
             return;
         }
         let backoff = 1u64.checked_shl(backoff_log2).unwrap_or(u64::MAX);

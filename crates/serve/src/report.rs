@@ -11,22 +11,22 @@
 
 use crate::cost::CostModel;
 use crate::engine::{ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
-use crate::request::{FinishReason, Request};
+use crate::request::FinishReason;
 use crate::timeline::{CellTimeline, TimelineConfig, TimelineReport};
 use crate::traffic::TrafficConfig;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_metrics::{fmt_f64, Histogram, JsonWriter, ToJson};
 use dota_telemetry::{EventSink, FlightHandle, ServeGauges};
-use dota_transformer::{Model, TransformerConfig};
+use dota_transformer::{Model, TransformerConfig, MAX_SEQ_LEN};
 use std::path::Path;
 use std::sync::{Arc, PoisonError};
 
 /// Report format version (bump on any schema change).
 pub const SERVE_REPORT_VERSION: u32 = 1;
 
-/// Longest model sequence a sweep may ask for (see [`BenchOptions::validate`]).
-pub(crate) const MAX_SEQ: usize = 1 << 16;
+/// Most requests a sweep may offer per cell (see [`BenchOptions::validate`]).
+pub(crate) const MAX_REQUESTS: usize = 1 << 20;
 
 /// Parameters of one `dota serve --bench` sweep.
 #[derive(Debug, Clone)]
@@ -107,6 +107,14 @@ impl BenchOptions {
     ///
     /// Describes the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        // Each cell's trace is generated whole before it is served (one
+        // record plus its prompt per request); the committed sweeps offer 80.
+        if !(1..=MAX_REQUESTS).contains(&self.requests) {
+            return Err(format!(
+                "requests {} must be in 1..={MAX_REQUESTS}",
+                self.requests
+            ));
+        }
         if self.loads.is_empty() {
             return Err("at least one load point required".into());
         }
@@ -119,11 +127,10 @@ impl BenchOptions {
         if self.sheds.is_empty() {
             return Err("at least one shed policy required".into());
         }
-        // The model's position table (`seq × d_model` floats) is memory a
-        // flag chooses before any request runs; the committed sweeps run 48.
-        if self.seq > MAX_SEQ {
+        // The committed sweeps run 48.
+        if self.seq > MAX_SEQ_LEN {
             return Err(format!(
-                "seq_len {} exceeds the {MAX_SEQ} positions a served model supports",
+                "seq_len {} exceeds the {MAX_SEQ_LEN} positions a served model supports",
                 self.seq
             ));
         }
@@ -133,6 +140,11 @@ impl BenchOptions {
                 self.prompt_len.1 + self.new_tokens.1,
                 self.seq
             ));
+        }
+        for &load in &self.loads {
+            bench_traffic(self, load)
+                .validate()
+                .map_err(|e| format!("load {load:?}: {e}"))?;
         }
         self.serve_config(self.sheds[0]).validate()?;
         Ok(())
@@ -401,11 +413,11 @@ pub(crate) fn bench_model(opts: &BenchOptions) -> (Model, ParamSet) {
     (Model::init(mcfg, &mut params, opts.seed), params)
 }
 
-/// The sweep's seeded arrivals at offered `load` (bench policies and chaos
-/// rates compare on the same trace) and their mean gap in cycles: the dense
+/// The sweep's seeded traffic at offered `load` (bench policies and chaos
+/// rates compare on the same trace); its mean gap in cycles is the dense
 /// per-request service estimate at full occupancy, over the mean context a
 /// request sees across its lifetime, divided by `load`.
-pub(crate) fn bench_traffic(opts: &BenchOptions, load: f64) -> (f64, Vec<Request>) {
+pub(crate) fn bench_traffic(opts: &BenchOptions, load: f64) -> TrafficConfig {
     let mcfg = TransformerConfig::tiny_causal(opts.seq, opts.vocab);
     let cost = CostModel::new(&AccelConfig::default(), &mcfg);
     let mut traffic = TrafficConfig {
@@ -422,7 +434,7 @@ pub(crate) fn bench_traffic(opts: &BenchOptions, load: f64) -> (f64, Vec<Request
     let mean_context = (mean_positions / 2.0).max(1.0) as usize;
     let per_token = cost.per_token_estimate(&mcfg, opts.capacity, mean_context);
     traffic.mean_gap_cycles = mean_positions * per_token / load;
-    (traffic.mean_gap_cycles, traffic.generate())
+    traffic
 }
 
 /// Runs the load-test sweep described by `opts`.
@@ -443,7 +455,8 @@ pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
     let mut cells = Vec::with_capacity(opts.loads.len() * opts.sheds.len());
     let mut timeline_cells = Vec::new();
     for &load in &opts.loads {
-        let (mean_gap, requests) = bench_traffic(&opts, load);
+        let traffic = bench_traffic(&opts, load);
+        let requests = traffic.generate();
         for &shed in &opts.sheds {
             let _cell_sp = dota_prof::span("serve.bench.cell");
             let mut engine = ServeEngine::new(&model, &params, opts.serve_config(shed), &accel)?;
@@ -477,7 +490,7 @@ pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
             cells.push(CellReport::from_outcome(
                 shed,
                 load,
-                mean_gap,
+                traffic.mean_gap_cycles,
                 &opts.ladder,
                 &outcome,
             ));
@@ -593,9 +606,11 @@ mod tests {
         for f in [
             |o: &mut BenchOptions| o.loads.clear(),
             |o: &mut BenchOptions| o.loads = vec![0.0],
+            |o: &mut BenchOptions| o.loads = vec![1e-20],
+            |o: &mut BenchOptions| o.requests = 0,
             |o: &mut BenchOptions| o.sheds.clear(),
             |o: &mut BenchOptions| o.seq = 4,
-            |o: &mut BenchOptions| o.seq = MAX_SEQ + 1,
+            |o: &mut BenchOptions| o.seq = MAX_SEQ_LEN + 1,
             |o: &mut BenchOptions| o.ladder.clear(),
         ] {
             let mut o = quick_opts();

@@ -56,6 +56,17 @@ impl TrafficConfig {
         if !(self.mean_gap_cycles > 0.0 && self.mean_gap_cycles.is_finite()) {
             return Err("mean interarrival gap must be positive".into());
         }
+        // Arrivals are running sums of gaps on the `u64` cycle clock: the
+        // longest trace, every gap at its cap, must fit it, or the clock
+        // wraps and the trace is no longer sorted by arrival.
+        let longest = self.requests as f64 * (self.mean_gap_cycles * GAP_CAP).ceil();
+        if longest >= u64::MAX as f64 {
+            return Err(format!(
+                "{} requests at a mean gap of {:e} cycles can span {longest:e} cycles, \
+                 past the u64 cycle clock",
+                self.requests, self.mean_gap_cycles
+            ));
+        }
         let (p0, p1) = self.prompt_len;
         let (n0, n1) = self.new_tokens;
         if p0 == 0 || p0 > p1 {

@@ -32,7 +32,8 @@
 //!
 //! The kernel decision is one [`KernelFamily`]: [`Matrix::gemm_into`]
 //! takes it from a caller that decided once for many products (a decode
-//! forward), and the other entries read [`KernelFamily::active`] per call.
+//! forward), and the other entries take [`KernelFamily::active`] on the
+//! dispatching thread per call and hand it to every pool panel.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; repeated
 //! products of the same shape then run with zero steady-state heap traffic
@@ -279,8 +280,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_into`] under a kernel family the caller decided:
-    /// a forward that runs many products reads [`KernelFamily::active`]
-    /// once and hands it to each, instead of each reading `DOTA_GEMM`.
+    /// a forward that runs many products takes [`KernelFamily::active`]
+    /// once and hands it to each.
     ///
     /// # Errors
     ///
@@ -407,7 +408,7 @@ mod tests {
     use crate::lanes::same;
     use crate::reference;
     use crate::rng::SeededRng;
-    use crate::simd::{self, with_gemm_env};
+    use crate::simd::{with_family, KernelFamily};
     use crate::Matrix;
     use proptest::prelude::*;
 
@@ -529,7 +530,7 @@ mod tests {
         // row counts straddle that seam.
         let mut rng = SeededRng::new(7);
         let seam = super::PACK_MIN_ROWS;
-        for family in ["simd", "scalar"] {
+        for family in [KernelFamily::Simd, KernelFamily::Scalar] {
             for &(m, k, n) in &[
                 (37, 41, 43),
                 (64, 64, 64),
@@ -545,7 +546,7 @@ mod tests {
                 let b = rng.normal_matrix(k, n, 1.0);
                 let bt = rng.normal_matrix(n, k, 1.0);
                 let at = rng.normal_matrix(k, m, 1.0);
-                let (nn, nt, tn) = with_gemm_env(Some(family), || {
+                let (nn, nt, tn) = with_family(family, || {
                     (
                         a.matmul(&b).unwrap(),
                         a.matmul_nt(&bt).unwrap(),
@@ -555,17 +556,17 @@ mod tests {
                 assert_eq!(
                     nn.as_slice(),
                     reference::matmul(&a, &b).as_slice(),
-                    "{family} nn bits differ at {m}x{k}x{n}"
+                    "{family:?} nn bits differ at {m}x{k}x{n}"
                 );
                 assert_eq!(
                     nt.as_slice(),
                     reference::matmul_nt(&a, &bt).as_slice(),
-                    "{family} nt bits differ at {m}x{k}x{n}"
+                    "{family:?} nt bits differ at {m}x{k}x{n}"
                 );
                 assert_eq!(
                     tn.as_slice(),
                     reference::matmul_tn(&at, &b).as_slice(),
-                    "{family} tn bits differ at {m}x{k}x{n}"
+                    "{family:?} tn bits differ at {m}x{k}x{n}"
                 );
             }
         }
@@ -591,12 +592,9 @@ mod tests {
             let a = rng.normal_matrix(m, k, 1.0);
             let b = rng.normal_matrix(k, n, 1.0);
             let want = bits(&reference::matmul(&a, &b));
-            for family in ["scalar", "simd", "fma"] {
-                if simd::parse_family(family).is_err() {
-                    continue;
-                }
-                let got = with_gemm_env(Some(family), || a.matmul(&b).unwrap());
-                assert_eq!(bits(&got), want, "{family} at {m}x{k}x{n}");
+            for family in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
+                let got = with_family(family, || a.matmul(&b).unwrap());
+                assert_eq!(bits(&got), want, "{family:?} at {m}x{k}x{n}");
             }
         }
     }
@@ -627,21 +625,18 @@ mod tests {
             let want_nn = reference::matmul(&a, &b);
             let want_tn = reference::matmul_tn(&at, &b);
             assert!(want_nn.iter().any(|x| x.is_nan()), "the case reaches 0·∞");
-            for family in ["scalar", "simd", "fma"] {
-                if simd::parse_family(family).is_err() {
-                    continue;
-                }
-                let (nn, tn) = with_gemm_env(Some(family), || {
+            for family in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
+                let (nn, tn) = with_family(family, || {
                     (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap())
                 });
                 // The fused family moves low bits in packed tiles (every
                 // `tn` here, `nn` from `PACK_MIN_ROWS` rows), never NaNs.
                 let few_rows = m < super::PACK_MIN_ROWS;
                 for (got, want, op) in [(&nn, &want_nn, "nn"), (&tn, &want_tn, "tn")] {
-                    let fused = family == "fma" && !(few_rows && op == "nn");
+                    let fused = family == KernelFamily::Fma && !(few_rows && op == "nn");
                     for (&g, &w) in got.iter().zip(want.iter()) {
                         let alike = same(g, w) || (fused && (g - w).abs() < 1e-3);
-                        assert!(alike, "{family} {op} m={m}: {g} vs {w}");
+                        assert!(alike, "{family:?} {op} m={m}: {g} vs {w}");
                     }
                 }
             }
@@ -650,33 +645,27 @@ mod tests {
 
     #[test]
     fn into_variants_match_and_reuse_output() {
-        // Every product below must run under one kernel family: the env
-        // lock keeps a test that sets `DOTA_GEMM` meanwhile from splitting
-        // them (the fused family moves low bits in packed tiles).
-        let family = std::env::var(simd::GEMM_ENV).ok();
-        with_gemm_env(family.as_deref(), || {
-            let mut rng = SeededRng::new(8);
-            let a = rng.normal_matrix(33, 20, 1.0);
-            let b = rng.normal_matrix(20, 17, 1.0);
-            let mut out = Matrix::filled(33, 17, f32::NAN); // overwritten, not accumulated
-            a.matmul_into(&b, &mut out).unwrap();
-            assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
-            // Second product into the same buffer: same bits again.
-            a.matmul_into(&b, &mut out).unwrap();
-            assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
+        let mut rng = SeededRng::new(8);
+        let a = rng.normal_matrix(33, 20, 1.0);
+        let b = rng.normal_matrix(20, 17, 1.0);
+        let mut out = Matrix::filled(33, 17, f32::NAN); // overwritten, not accumulated
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
+        // Second product into the same buffer: same bits again.
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(out.as_slice(), a.matmul(&b).unwrap().as_slice());
 
-            let mut wrong = Matrix::zeros(4, 4);
-            assert!(a.matmul_into(&b, &mut wrong).is_err());
-            assert!(a.matmul_nt_into(&b, &mut wrong).is_err());
-            let bt = b.transpose();
-            let mut out_nt = Matrix::zeros(33, 17);
-            a.matmul_nt_into(&bt, &mut out_nt).unwrap();
-            assert_eq!(out_nt.as_slice(), out.as_slice());
-            let at = a.transpose();
-            let mut out_tn = Matrix::zeros(33, 17);
-            at.matmul_tn_into(&b, &mut out_tn).unwrap();
-            assert_eq!(out_tn.as_slice(), out.as_slice());
-        });
+        let mut wrong = Matrix::zeros(4, 4);
+        assert!(a.matmul_into(&b, &mut wrong).is_err());
+        assert!(a.matmul_nt_into(&b, &mut wrong).is_err());
+        let bt = b.transpose();
+        let mut out_nt = Matrix::zeros(33, 17);
+        a.matmul_nt_into(&bt, &mut out_nt).unwrap();
+        assert_eq!(out_nt.as_slice(), out.as_slice());
+        let at = a.transpose();
+        let mut out_tn = Matrix::zeros(33, 17);
+        at.matmul_tn_into(&b, &mut out_tn).unwrap();
+        assert_eq!(out_tn.as_slice(), out.as_slice());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 use crate::simd::KernelFamily;
 
-/// Which body a lane kernel runs. Copy it down to every row of a call;
-/// looking it up reads `DOTA_GEMM`, which costs more than a short row.
+/// Which body a lane kernel runs. Copy it down to every row of a call
+/// rather than looking it up per row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lanes {
     /// Plain Rust: the `scalar` family, every host without the lanes, and
@@ -42,7 +42,7 @@ pub enum Lanes {
 pub struct Avx2(());
 
 impl Lanes {
-    /// The lanes under the active kernel family: [`Lanes::Avx2`] for `simd`
+    /// The lanes under [`KernelFamily::active`]: [`Lanes::Avx2`] for `simd`
     /// and `fma` on a host with AVX2 and FMA, [`Lanes::Plain`] for
     /// `scalar` and everywhere else — the same bits either way.
     pub fn active() -> Self {

@@ -711,7 +711,7 @@ mod row_kernel_tests {
     use crate::exp::exp_f32;
     use crate::lanes::{bodies, same};
     use crate::rng::SeededRng;
-    use crate::simd::with_gemm_env;
+    use crate::simd::{with_family, KernelFamily};
     use proptest::prelude::*;
 
     /// Values softmax and the row kernel must carry through the lanes like
@@ -808,9 +808,9 @@ mod row_kernel_tests {
             }
             softmax_slice(Lanes::Plain, want.row_mut(r));
         }
-        for family in ["simd", "fma", "scalar"] {
-            let got = with_gemm_env(Some(family), || masked_softmax_rows(&scores, &mask));
-            assert_same(got.as_slice(), want.as_slice(), family);
+        for family in [KernelFamily::Simd, KernelFamily::Fma, KernelFamily::Scalar] {
+            let got = with_family(family, || masked_softmax_rows(&scores, &mask));
+            assert_same(got.as_slice(), want.as_slice(), family.name());
         }
     }
 
@@ -901,11 +901,13 @@ mod row_kernel_tests {
 
     #[test]
     fn family_selects_the_row_kernel() {
-        with_gemm_env(Some("scalar"), || assert_eq!(Lanes::active(), Lanes::Plain));
-        for family in ["simd", "fma"] {
-            let lanes = with_gemm_env(Some(family), Lanes::active);
+        with_family(KernelFamily::Scalar, || {
+            assert_eq!(Lanes::active(), Lanes::Plain)
+        });
+        for family in [KernelFamily::Simd, KernelFamily::Fma] {
+            let lanes = with_family(family, Lanes::active);
             let want = cfg!(target_arch = "x86_64") && crate::lanes::host_has_lanes();
-            assert_eq!(lanes != Lanes::Plain, want, "{family}");
+            assert_eq!(lanes != Lanes::Plain, want, "{family:?}");
         }
     }
 

@@ -25,11 +25,13 @@
 //! that reads `B` in place with separate multiply and add — exact under
 //! both families.
 //!
-//! Selection is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`, `fma`}, read by
-//! one parser ([`parse_family`]) against the host's lanes (on x86-64, AVX2
-//! and FMA together: [`crate::lanes`]); a requested family the host cannot
-//! run, or a malformed value, falls back to `auto` in
-//! [`KernelFamily::active`], while front ends reject both up front.
+//! Selection is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`, `fma`}, read once
+//! per process by one parser ([`parse_family`]) against the host's lanes
+//! (on x86-64, AVX2 and FMA together: [`crate::lanes`]); a requested
+//! family the host cannot run, or a malformed value, falls back to `auto`
+//! in [`KernelFamily::active`], while front ends reject both up front. An
+//! in-process choice is a scoped value on the calling thread,
+//! [`with_family`].
 //!
 //! Every other lane kernel — `tanh`/GELU, `exp`/softmax, the attention
 //! row, top-k selection and `dota-quant`'s integer products — follows the
@@ -44,6 +46,8 @@
 use crate::lanes;
 use crate::pack::{pack_a_panel, pack_b_strip, Layout, PoolBuf};
 use crate::Matrix;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 #[cfg(feature = "parallel")]
 use dota_parallel::{par_panels_mut, par_partition_mut};
@@ -116,20 +120,44 @@ impl KernelFamily {
         }
     }
 
-    /// The family the kernels will use right now: `DOTA_GEMM` (default
-    /// `auto`) through [`parse_family`], silently `auto` where that is an
-    /// error. It reads the environment on every call, so tests and benches
-    /// can toggle families at runtime — and that read (about 100 ns) costs
-    /// as much as a whole 1×32×32 product. A caller running many small
-    /// products reads it once and passes it down: `dota-transformer`'s
-    /// decode forward hands it to every product through
-    /// [`Matrix::gemm_into`] and derives its [`lanes::Lanes`] from it.
+    /// The family a product started on this thread runs: the innermost
+    /// [`with_family`] scope's, else `DOTA_GEMM` (default `auto`) read once
+    /// per process through [`parse_family`], silently `auto` where that is
+    /// an error. A GEMM resolves it on the dispatching thread and hands it
+    /// to its pool panels; a product started by a `dota_parallel::par_map`
+    /// worker (the per-head attention fan-out) runs under the process
+    /// setting. The decode forward reads it once and passes it to every
+    /// product through [`Matrix::gemm_into`].
     pub fn active() -> KernelFamily {
-        std::env::var(GEMM_ENV)
-            .ok()
-            .and_then(|v| parse_family(&v).ok())
-            .unwrap_or_else(auto)
+        static PROCESS: OnceLock<KernelFamily> = OnceLock::new();
+        SCOPED.with(Cell::get).unwrap_or_else(|| {
+            *PROCESS.get_or_init(|| {
+                parse_family(&std::env::var(GEMM_ENV).unwrap_or_default())
+                    .unwrap_or_else(|_| auto())
+            })
+        })
     }
+}
+
+thread_local! {
+    /// The family of the innermost [`with_family`] scope on this thread.
+    static SCOPED: Cell<Option<KernelFamily>> = const { Cell::new(None) };
+}
+
+/// Runs `body` with products started on the calling thread under `family`
+/// (a family without lanes on this host runs the plain bodies), then
+/// restores the previous choice — also when `body` panics. Scopes nest;
+/// other threads, including threads `body` spawns itself, keep the process
+/// setting.
+pub fn with_family<R>(family: KernelFamily, body: impl FnOnce() -> R) -> R {
+    struct Restore(Option<KernelFamily>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(family))));
+    body()
 }
 
 /// What `auto` resolves to: `simd` on a host with lanes, else `scalar` —
@@ -658,26 +686,6 @@ pub(crate) fn packed_gemm(layout: Layout, a: &Matrix, b: &Matrix, out: &mut Matr
     });
 }
 
-/// Runs `body` with `DOTA_GEMM` set to `val` (unset for `None`), restoring
-/// the previous value afterwards. All in-process env mutations serialize
-/// on one lock — the environment is process-global state.
-#[cfg(test)]
-pub(crate) fn with_gemm_env<R>(val: Option<&str>, body: impl FnOnce() -> R) -> R {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var(GEMM_ENV).ok();
-    match val {
-        Some(v) => std::env::set_var(GEMM_ENV, v),
-        None => std::env::remove_var(GEMM_ENV),
-    }
-    let out = body();
-    match prev {
-        Some(v) => std::env::set_var(GEMM_ENV, v),
-        None => std::env::remove_var(GEMM_ENV),
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,30 +693,38 @@ mod tests {
     use crate::rng::SeededRng;
 
     #[test]
-    fn family_selection_clamps_to_host() {
-        with_gemm_env(Some("scalar"), || {
-            assert_eq!(KernelFamily::active(), KernelFamily::Scalar);
+    fn parse_family_clamps_to_host() {
+        assert_eq!(parse_family(" Scalar "), Ok(KernelFamily::Scalar));
+        let simd = parse_family("simd");
+        assert_eq!(simd.is_ok(), lanes::host_has_lanes(), "{simd:?}");
+        // auto never selects the numerics-shifting family.
+        assert_eq!(parse_family("AUTO"), Ok(auto()));
+        assert_ne!(auto(), KernelFamily::Fma);
+        for typo in ["typo", ""] {
+            let err = parse_family(typo).unwrap_err();
+            assert!(err.contains(GEMM_ENV) && err.contains(typo), "{err}");
+        }
+    }
+
+    #[test]
+    fn with_family_is_scoped_to_the_calling_thread() {
+        let process = KernelFamily::active();
+        let inner = with_family(KernelFamily::Fma, || {
+            let spawned = std::thread::spawn(KernelFamily::active).join().unwrap();
+            assert_eq!(
+                spawned, process,
+                "a spawned thread reads the process setting"
+            );
+            let nested = with_family(KernelFamily::Scalar, KernelFamily::active);
+            (nested, KernelFamily::active())
         });
-        with_gemm_env(Some("simd"), || {
-            let want = if lanes::host_has_lanes() {
-                KernelFamily::Simd
-            } else {
-                KernelFamily::Scalar
-            };
-            assert_eq!(KernelFamily::active(), want);
-        });
-        with_gemm_env(None, || {
-            // auto never selects the numerics-shifting family.
-            assert_ne!(KernelFamily::active(), KernelFamily::Fma);
-        });
-        with_gemm_env(Some("typo"), || {
-            // Malformed values behave like auto on the silent path …
-            let _ = KernelFamily::active();
-            // … and error where the value is parsed for validation.
-            let err = parse_family("typo").unwrap_err();
-            assert!(err.contains(GEMM_ENV), "{err}");
-            assert!(err.contains("typo"), "{err}");
-        });
+        let want = (KernelFamily::Scalar, KernelFamily::Fma);
+        assert_eq!(inner, want, "scopes nest and restore");
+        assert_eq!(KernelFamily::active(), process, "restored on exit");
+        let unwound =
+            std::panic::catch_unwind(|| with_family(KernelFamily::Scalar, || panic!("body")));
+        assert!(unwound.is_err());
+        assert_eq!(KernelFamily::active(), process, "restored on panic");
     }
 
     #[test]

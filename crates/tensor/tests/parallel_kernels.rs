@@ -1,7 +1,8 @@
 //! Property tests pinning down the parallel GEMM contract: for every
 //! product layout and every shape — including empty and 1×N — the result is
-//! bitwise identical no matter how many threads `DOTA_THREADS` allows, and
-//! `DOTA_THREADS=1` reproduces the default-pool output exactly.
+//! bitwise identical no matter how many workers the pool may use
+//! (`dota_parallel::with_threads`, scoped to the test's thread), and one
+//! worker reproduces the default-pool output exactly.
 //!
 //! Without the `parallel` feature these properties hold trivially (every
 //! path is serial); with it they exercise the row-partitioned dispatch in
@@ -11,23 +12,12 @@ use dota_tensor::rng::SeededRng;
 use dota_tensor::{reference, Matrix};
 use proptest::prelude::*;
 
-/// Runs `body` with `DOTA_THREADS` set to `val` (or unset for `None`),
-/// restoring the previous value afterwards. The environment is
-/// process-global, so all tests in this binary serialize on one lock.
-fn with_threads<R>(val: Option<&str>, body: impl FnOnce() -> R) -> R {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("DOTA_THREADS").ok();
-    match val {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
-    let out = body();
-    match prev {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
-    out
+#[cfg(feature = "parallel")]
+use dota_parallel::with_threads;
+/// Without the `parallel` feature every product is serial: the width is moot.
+#[cfg(not(feature = "parallel"))]
+fn with_threads<R>(_: usize, body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// The exact bit patterns of a matrix, for bitwise (not approximate)
@@ -63,8 +53,8 @@ proptest! {
         let a = rng.normal_matrix(m, k, 1.0);
         let b_nn = rng.normal_matrix(k, n, 1.0);
         let b_nt = rng.normal_matrix(n, k, 1.0);
-        let serial = with_threads(Some("1"), || all_products(&a, &b_nn, &b_nt));
-        let threaded = with_threads(Some("4"), || all_products(&a, &b_nn, &b_nt));
+        let serial = with_threads(1, || all_products(&a, &b_nn, &b_nt));
+        let threaded = with_threads(4, || all_products(&a, &b_nn, &b_nt));
         prop_assert_eq!(bits(&serial.0), bits(&threaded.0), "matmul at {}x{}x{}", m, k, n);
         prop_assert_eq!(bits(&serial.1), bits(&threaded.1), "matmul_nt at {}x{}x{}", m, k, n);
         prop_assert_eq!(bits(&serial.2), bits(&threaded.2), "matmul_tn at {}x{}x{}", m, k, n);
@@ -86,14 +76,14 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         // m·k·n ≥ 64³ here, so with the `parallel` feature these products
-        // take the threaded path whenever DOTA_THREADS > 1.
+        // take the threaded path whenever the pool is wider than one.
         let mut rng = SeededRng::new(seed);
         let a = rng.normal_matrix(m, k, 1.0);
         let b_nn = rng.normal_matrix(k, n, 1.0);
         let b_nt = rng.normal_matrix(n, k, 1.0);
-        let serial = with_threads(Some("1"), || all_products(&a, &b_nn, &b_nt));
-        for threads in ["2", "3", "8"] {
-            let threaded = with_threads(Some(threads), || all_products(&a, &b_nn, &b_nt));
+        let serial = with_threads(1, || all_products(&a, &b_nn, &b_nt));
+        for threads in [2, 3, 8] {
+            let threaded = with_threads(threads, || all_products(&a, &b_nn, &b_nt));
             prop_assert_eq!(bits(&serial.0), bits(&threaded.0), "matmul, {} threads", threads);
             prop_assert_eq!(bits(&serial.1), bits(&threaded.1), "matmul_nt, {} threads", threads);
             prop_assert_eq!(bits(&serial.2), bits(&threaded.2), "matmul_tn, {} threads", threads);
@@ -113,10 +103,10 @@ proptest! {
         let a = rng.normal_matrix(1, 48, 1.0);
         let b = rng.normal_matrix(48, n, 1.0);
         let b_t = rng.normal_matrix(n, 48, 1.0);
-        let serial = with_threads(Some("1"), || {
+        let serial = with_threads(1, || {
             (a.matmul(&b).unwrap(), a.matmul_nt(&b_t).unwrap())
         });
-        let threaded = with_threads(Some("8"), || {
+        let threaded = with_threads(8, || {
             (a.matmul(&b).unwrap(), a.matmul_nt(&b_t).unwrap())
         });
         prop_assert_eq!(bits(&serial.0), bits(&threaded.0));
@@ -126,30 +116,31 @@ proptest! {
 
 #[test]
 fn empty_operands_do_not_panic_under_any_pool() {
-    for threads in [Some("1"), Some("4"), None] {
-        with_threads(threads, || {
-            let a = Matrix::zeros(0, 7);
-            let b = Matrix::zeros(7, 3);
-            assert_eq!(a.matmul(&b).unwrap().shape(), (0, 3));
-            let c = Matrix::zeros(4, 0);
-            assert_eq!(c.matmul(&Matrix::zeros(0, 2)).unwrap().shape(), (4, 2));
-            assert_eq!(c.matmul_nt(&Matrix::zeros(6, 0)).unwrap().shape(), (4, 6));
-            assert_eq!(a.matmul_tn(&Matrix::zeros(0, 5)).unwrap().shape(), (7, 5));
-        });
-    }
+    let check = || {
+        let a = Matrix::zeros(0, 7);
+        let b = Matrix::zeros(7, 3);
+        assert_eq!(a.matmul(&b).unwrap().shape(), (0, 3));
+        let c = Matrix::zeros(4, 0);
+        assert_eq!(c.matmul(&Matrix::zeros(0, 2)).unwrap().shape(), (4, 2));
+        assert_eq!(c.matmul_nt(&Matrix::zeros(6, 0)).unwrap().shape(), (4, 6));
+        assert_eq!(a.matmul_tn(&Matrix::zeros(0, 5)).unwrap().shape(), (7, 5));
+    };
+    with_threads(1, check);
+    with_threads(4, check);
+    check();
 }
 
 #[test]
 fn default_pool_matches_threads_one() {
-    // The machine's default pool (DOTA_THREADS unset) must produce the same
+    // The process's default pool (`DOTA_THREADS`) must produce the same
     // bits as an explicitly serial run, at a size big enough to engage the
     // parallel path on multi-core hosts.
     let mut rng = SeededRng::new(7);
     let a = rng.normal_matrix(96, 80, 1.0);
     let b = rng.normal_matrix(80, 96, 1.0);
     let b_t = rng.normal_matrix(96, 80, 1.0);
-    let serial = with_threads(Some("1"), || all_products(&a, &b, &b_t));
-    let default_pool = with_threads(None, || all_products(&a, &b, &b_t));
+    let serial = with_threads(1, || all_products(&a, &b, &b_t));
+    let default_pool = all_products(&a, &b, &b_t);
     assert_eq!(bits(&serial.0), bits(&default_pool.0));
     assert_eq!(bits(&serial.1), bits(&default_pool.1));
     assert_eq!(bits(&serial.2), bits(&default_pool.2));

@@ -11,12 +11,14 @@
 //!   [`FMA_ULP_TOL`] ULPs of the reference, or [`FMA_ABS_TOL`] absolutely
 //!   for near-zero outputs where cancellation makes ULP distance
 //!   meaningless.
-//! - Every family is **thread-count invariant**: identical bits under
-//!   `DOTA_THREADS` ∈ {1, 4, 8} (panelization is fixed; workers only
-//!   claim disjoint panels).
+//! - Every family is **thread-count invariant**: identical bits at pool
+//!   widths 1, 4 and 8 (panelization is fixed; workers only claim
+//!   disjoint panels). Family and width are scoped to the test's thread,
+//!   so under `--features parallel` this is also the check that the pool
+//!   runs a scoped family's panels.
 
 use dota_tensor::rng::SeededRng;
-use dota_tensor::simd::{self, KernelFamily};
+use dota_tensor::simd::{self, with_family, KernelFamily};
 use dota_tensor::{reference, Matrix};
 use proptest::prelude::*;
 
@@ -29,29 +31,12 @@ const FMA_ULP_TOL: u32 = 256;
 /// makes ULP distance unbounded.
 const FMA_ABS_TOL: f32 = 1e-4;
 
-/// Runs `body` with `DOTA_GEMM` (and optionally `DOTA_THREADS`) forced,
-/// restoring both afterwards. The environment is process-global, so all
-/// tests in this binary serialize on one lock.
-fn with_env<R>(family: &str, threads: Option<&str>, body: impl FnOnce() -> R) -> R {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_fam = std::env::var(simd::GEMM_ENV).ok();
-    let prev_thr = std::env::var("DOTA_THREADS").ok();
-    std::env::set_var(simd::GEMM_ENV, family);
-    match threads {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
-    let out = body();
-    match prev_fam {
-        Some(v) => std::env::set_var(simd::GEMM_ENV, v),
-        None => std::env::remove_var(simd::GEMM_ENV),
-    }
-    match prev_thr {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
-    out
+#[cfg(feature = "parallel")]
+use dota_parallel::with_threads;
+/// Without the `parallel` feature every product is serial: the width is moot.
+#[cfg(not(feature = "parallel"))]
+fn with_threads<R>(_: usize, body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -106,7 +91,7 @@ fn check_family_vs_reference(m: usize, k: usize, n: usize, seed: u64) {
         reference::matmul_tn(&a.transpose(), &b_nn),
     );
     for fam in families() {
-        let got = with_env(fam.name(), Some("1"), || all_products(&a, &b_nn, &b_nt));
+        let got = with_family(fam, || all_products(&a, &b_nn, &b_nt));
         let ctx = |op: &str| format!("{op} {m}x{k}x{n} family {}", fam.name());
         if fam == KernelFamily::Fma {
             assert_close_fma(&got.0, &want.0, &ctx("matmul"));
@@ -180,10 +165,10 @@ proptest! {
         let b_nn = rng.normal_matrix(k, n, 1.0);
         let b_nt = rng.normal_matrix(n, k, 1.0);
         for fam in families() {
-            let serial = with_env(fam.name(), Some("1"), || all_products(&a, &b_nn, &b_nt));
-            for threads in ["4", "8"] {
-                let threaded =
-                    with_env(fam.name(), Some(threads), || all_products(&a, &b_nn, &b_nt));
+            let products = || with_family(fam, || all_products(&a, &b_nn, &b_nt));
+            let serial = with_threads(1, products);
+            for threads in [4, 8] {
+                let threaded = with_threads(threads, products);
                 prop_assert_eq!(
                     bits(&serial.0), bits(&threaded.0),
                     "matmul family {} threads {}", fam.name(), threads
@@ -206,9 +191,9 @@ fn matvec_families_match_reference() {
     let mut rng = SeededRng::new(5);
     let a = rng.normal_matrix(33, 129, 1.0);
     let x: Vec<f32> = (0..129).map(|i| (i as f32 * 0.37).sin()).collect();
-    let want = with_env("scalar", Some("1"), || a.matvec(&x).expect("shape"));
+    let want = with_family(KernelFamily::Scalar, || a.matvec(&x).expect("shape"));
     for fam in families() {
-        let got = with_env(fam.name(), Some("1"), || a.matvec(&x).expect("shape"));
+        let got = with_family(fam, || a.matvec(&x).expect("shape"));
         if fam == KernelFamily::Fma {
             for (g, w) in got.iter().zip(&want) {
                 assert!(
@@ -222,14 +207,4 @@ fn matvec_families_match_reference() {
             assert_eq!(gb, wb, "family {}", fam.name());
         }
     }
-}
-
-#[test]
-fn auto_never_selects_fma() {
-    // `auto` must stay on the bit-exact families; fused rounding is
-    // strictly opt-in.
-    let active = with_env("auto", None, KernelFamily::active);
-    assert_ne!(active, KernelFamily::Fma);
-    let dflt = with_env("", None, KernelFamily::active);
-    assert_ne!(dflt, KernelFamily::Fma);
 }

@@ -9,6 +9,11 @@ pub enum Pooling {
     First,
 }
 
+/// Longest sequence a front end builds a model for: the position table
+/// (`seq_len × d_model` floats) and every per-position buffer are memory a
+/// flag chooses before any token runs.
+pub const MAX_SEQ_LEN: usize = 1 << 16;
+
 /// Hyperparameters of a Transformer model.
 ///
 /// The same struct describes both the tiny trainable models used for the

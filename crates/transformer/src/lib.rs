@@ -30,7 +30,7 @@ mod infer;
 mod model;
 mod params;
 
-pub use config::{Pooling, TransformerConfig};
+pub use config::{Pooling, TransformerConfig, MAX_SEQ_LEN};
 pub use generate::{
     DecodeItem, DecodeScratch, DecodeSelector, DecodedRows, DecodedView, DenseDecode, Generation,
     KvCache,

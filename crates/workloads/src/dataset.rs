@@ -94,14 +94,19 @@ impl TaskSpec {
 }
 
 impl TaskSpec {
+    /// Shortest sequence the synthetic generators are built for: they
+    /// plant markers, facts and distractors at distinct positions.
+    pub const MIN_SEQ_LEN: usize = 16;
+
     /// A scaled-down spec suitable for training the tiny models in tests
     /// and experiments: same structure as the paper task, shorter sequence.
     ///
     /// # Panics
     ///
-    /// Panics if `seq_len < 16`.
+    /// Panics if `seq_len` is below [`Self::MIN_SEQ_LEN`].
     pub fn tiny(benchmark: Benchmark, seq_len: usize, seed: u64) -> Self {
-        assert!(seq_len >= 16, "synthetic tasks need seq_len >= 16");
+        let min = Self::MIN_SEQ_LEN;
+        assert!(seq_len >= min, "synthetic tasks need seq_len >= {min}");
         let (vocab_size, n_classes) = match benchmark {
             Benchmark::Qa => (40, 4),
             Benchmark::Image => (32, 4),
@@ -121,7 +126,7 @@ impl TaskSpec {
     /// The paper-scale spec (sequence length from §5.1) — used for
     /// simulator-side experiments where no training happens.
     pub fn paper(benchmark: Benchmark, seed: u64) -> Self {
-        let mut spec = Self::tiny(benchmark, 16, seed);
+        let mut spec = Self::tiny(benchmark, Self::MIN_SEQ_LEN, seed);
         spec.seq_len = benchmark.paper_seq_len();
         spec
     }

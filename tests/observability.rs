@@ -88,26 +88,20 @@ fn counters_identical_across_thread_counts() {
     // identical no matter how `dota-parallel` partitions the work. The
     // same workload also backs `counters_baseline --check`, which compares
     // the serial and `--features parallel` builds across processes.
-    // Literal name of `dota_parallel::THREADS_ENV` — the pool crate is an
-    // optional dependency, absent from the serial build this test must
-    // also pass under.
-    const THREADS_ENV: &str = "DOTA_THREADS";
-    let prev = std::env::var(THREADS_ENV).ok();
-    let mut snapshots = Vec::new();
-    for threads in ["1", "4", "8"] {
-        std::env::set_var(THREADS_ENV, threads);
-        snapshots.push((threads, tiny_workload_counters()));
-    }
-    match prev {
-        Some(v) => std::env::set_var(THREADS_ENV, v),
-        None => std::env::remove_var(THREADS_ENV),
-    }
+    let snapshots: Vec<_> = [1, 4, 8]
+        .map(|threads| {
+            (
+                threads,
+                dota_parallel::with_threads(threads, tiny_workload_counters),
+            )
+        })
+        .to_vec();
     let (_, first) = &snapshots[0];
     assert!(!first.is_empty());
     for (threads, snap) in &snapshots[1..] {
         assert_eq!(
             snap, first,
-            "counters drifted between DOTA_THREADS=1 and DOTA_THREADS={threads}"
+            "counters drifted between 1 and {threads} pool workers"
         );
     }
     // Sanity: the workload exercised detection, attention and the replay.

@@ -92,9 +92,9 @@ fn crash_resume_matches_uninterrupted_run_exactly() {
 
 /// The campaign report is a pure function of the seed: fault decisions
 /// hash `(seed, site, coordinates)` rather than consuming a shared RNG
-/// stream, so the serialized report is byte-identical whatever
-/// `DOTA_THREADS` says (and across serial/`parallel` builds, which CI
-/// pins by diffing artifacts from both).
+/// stream, so the serialized report is byte-identical at any pool width
+/// (and across serial/`parallel` builds, which CI pins by diffing
+/// artifacts from both).
 #[test]
 fn campaign_report_is_byte_identical_across_thread_counts() {
     let opts = CampaignOptions {
@@ -103,15 +103,8 @@ fn campaign_report_is_byte_identical_across_thread_counts() {
         rates: vec![0.0, 0.05, 1.0],
         seq_len: 16,
     };
-    let prev = std::env::var("DOTA_THREADS").ok();
-    std::env::set_var("DOTA_THREADS", "1");
-    let serial = run_campaign(&opts).to_json();
-    std::env::set_var("DOTA_THREADS", "8");
-    let threaded = run_campaign(&opts).to_json();
-    match prev {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
+    let serial = dota_parallel::with_threads(1, || run_campaign(&opts).to_json());
+    let threaded = dota_parallel::with_threads(8, || run_campaign(&opts).to_json());
     assert_eq!(serial, threaded, "campaign report depends on thread count");
 }
 
@@ -303,6 +296,50 @@ fn cli_rejects_malformed_dota_serve_env() {
         assert!(!out.status.success(), "{name}={bad} was accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(name), "stderr for {name}={bad}: {stderr}");
+    }
+}
+
+/// Out-of-range and unknown flags fail before any work: exit 1 with an
+/// `error:` line naming the value or the flag, never a panic or an
+/// allocation abort — a typo'd flag silently falling back to its default
+/// would run something other than what was asked.
+#[test]
+fn cli_rejects_out_of_range_and_unknown_flags() {
+    for (args, named) in [
+        ("serve --requests 0", "requests 0"),
+        ("serve --chaos --requests 0", "requests 0"),
+        ("serve --requests 4 --loads 1e-20", "1e-20"),
+        ("serve --chaos --requests 4 --loads 1e-300", "1e-300"),
+        ("serve --requests 100000000000", "100000000000"),
+        ("serve --slo-window 100000000000", "100000000000"),
+        ("infer text --seq 1", "--seq 1"),
+        ("train text --seq 1", "--seq 1"),
+        ("faults --seq 0", "--seq 0"),
+        ("infer text --seq 100000000000", "100000000000"),
+        ("train text --seq 100000000000", "100000000000"),
+        ("faults --seq 100000000000", "100000000000"),
+        ("train text --seq 16 --samples 100000000000", "100000000000"),
+        ("infer text --retention 0", "--retention 0"),
+        ("analyze qa --retention 2", "--retention 2"),
+        ("serve --reqeusts 4", "`--reqeusts` for `dota serve`"),
+        ("serve --chaos --tl t", "`--tl` for `dota serve --chaos`"),
+        ("infer text --sq 32", "`--sq` for `dota infer`"),
+        ("analyze qa --sq 32", "`--sq` for `dota analyze`"),
+        ("faults --rate 0.5", "`--rate` for `dota faults`"),
+        ("train text --lr-typo 3", "`--lr-typo` for `dota train`"),
+        ("report diff a b --tl 1", "`--tl` for `dota report`"),
+        ("top --adr 127.0.0.1:1", "`--adr` for `dota top`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dota"))
+            .args(args.split(' '))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        let error = stderr.lines().find(|l| l.starts_with("error: "));
+        assert!(error.is_some_and(|l| l.contains(named)), "{args}: {stderr}");
+        let aborted = stderr.contains("panicked") || stderr.contains("memory allocation");
+        assert!(!aborted, "{args}: {stderr}");
     }
 }
 

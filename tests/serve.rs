@@ -11,6 +11,7 @@
 //! 3. The canonical JSON **round-trips through `dota report diff`**: two
 //!    same-seed runs diff clean, and a different-seed run is flagged.
 
+use dota_parallel::with_threads;
 use dota_serve::{run_bench, run_chaos, BenchOptions, ChaosOptions, ShedPolicy};
 use std::path::PathBuf;
 use std::process::Command;
@@ -30,19 +31,11 @@ fn quick_opts() -> BenchOptions {
 }
 
 /// The library-level report is a pure function of its options: rendering
-/// it twice under different `DOTA_THREADS` settings (read per scheduler
-/// call by the thread pool) yields the same bytes.
+/// it twice at different pool widths yields the same bytes.
 #[test]
 fn bench_report_bytes_ignore_thread_count() {
-    let prev = std::env::var("DOTA_THREADS").ok();
-    std::env::set_var("DOTA_THREADS", "1");
-    let serial = run_bench(quick_opts()).unwrap().to_json();
-    std::env::set_var("DOTA_THREADS", "8");
-    let threaded = run_bench(quick_opts()).unwrap().to_json();
-    match prev {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
+    let serial = with_threads(1, || run_bench(quick_opts()).unwrap().to_json());
+    let threaded = with_threads(8, || run_bench(quick_opts()).unwrap().to_json());
     assert_eq!(serial, threaded, "serve report depends on thread count");
 }
 
@@ -176,15 +169,8 @@ fn timeline_bytes_ignore_thread_count() {
         timeline: true,
         ..quick_opts()
     };
-    let prev = std::env::var("DOTA_THREADS").ok();
-    std::env::set_var("DOTA_THREADS", "1");
-    let serial = run_bench(opts()).unwrap().timeline.unwrap().to_json();
-    std::env::set_var("DOTA_THREADS", "8");
-    let threaded = run_bench(opts()).unwrap().timeline.unwrap().to_json();
-    match prev {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
+    let timeline = || run_bench(opts()).unwrap().timeline.unwrap().to_json();
+    let (serial, threaded) = (with_threads(1, timeline), with_threads(8, timeline));
     assert_eq!(serial, threaded, "serve timeline depends on thread count");
 }
 
@@ -429,7 +415,7 @@ fn slo_control_no_worse_than_static_retention_at_overload() {
     );
 }
 
-/// The chaos report is byte-identical across `DOTA_THREADS`: fault
+/// The chaos report is byte-identical across pool widths: fault
 /// decisions hash deterministic coordinates and the scheduler loop is
 /// serial, so injection cannot make thread count visible.
 #[test]
@@ -443,15 +429,8 @@ fn chaos_report_bytes_ignore_thread_count() {
         rates: vec![0.0, 0.1],
         ..Default::default()
     };
-    let prev = std::env::var("DOTA_THREADS").ok();
-    std::env::set_var("DOTA_THREADS", "1");
-    let serial = run_chaos(opts()).unwrap().to_json();
-    std::env::set_var("DOTA_THREADS", "8");
-    let threaded = run_chaos(opts()).unwrap().to_json();
-    match prev {
-        Some(v) => std::env::set_var("DOTA_THREADS", v),
-        None => std::env::remove_var("DOTA_THREADS"),
-    }
+    let serial = with_threads(1, || run_chaos(opts()).unwrap().to_json());
+    let threaded = with_threads(8, || run_chaos(opts()).unwrap().to_json());
     assert_eq!(serial, threaded, "chaos report depends on thread count");
 }
 
