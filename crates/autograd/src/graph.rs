@@ -1,6 +1,7 @@
 use crate::optim::{ParamId, ParamSet};
 use dota_tensor::exp::exp_f32;
 use dota_tensor::lanes::Lanes;
+use dota_tensor::ln::ln_f32;
 use dota_tensor::{ops, Matrix};
 
 /// A handle to a node in a [`Graph`].
@@ -344,7 +345,7 @@ impl Graph {
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < l.cols(), "target {t} out of range");
-            loss -= probs[(r, t)].max(1e-12).ln();
+            loss -= ln_f32(probs[(r, t)].max(1e-12));
         }
         loss /= targets.len().max(1) as f32;
         let v = Matrix::from_vec(1, 1, vec![loss]).expect("scalar");

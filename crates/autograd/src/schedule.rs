@@ -6,6 +6,8 @@
 //! compose: a [`Schedule`] maps a 1-based optimizer step to a multiplier of
 //! the base rate.
 
+use dota_tensor::cos::cos_f32;
+
 /// A learning-rate schedule: step → multiplier of the base rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Schedule {
@@ -63,7 +65,7 @@ impl Schedule {
                     return step as f32 / warmup as f32;
                 }
                 let progress = ((step - warmup) as f32 / (total - warmup).max(1) as f32).min(1.0);
-                let cos = 0.5 * (1.0 + (std::f32::consts::PI * progress).cos());
+                let cos = 0.5 * (1.0 + cos_f32(std::f32::consts::PI * progress));
                 floor + (1.0 - floor) * cos
             }
             Schedule::StepDecay { every, gamma } => {

@@ -22,9 +22,11 @@
 //! dense, window and detector selectors), and that one sparse
 //! `simulate_shape` allocates no more than 64 times (nothing per round, per
 //! row or per group), and that one fused detector `select` at sequence
-//! length 512 allocates under 1 MiB (no `n x n` score matrix). It also
-//! prints the GELU, attention-row, softmax, scheduler and selection kernel
-//! rows, without a timing assert. CI runs this leg.
+//! length 512 allocates under 1 MiB (no `n x n` score matrix); the decode
+//! pins count on one pool thread, so no worker spawn is counted as the
+//! forward's. It also prints the GELU, attention-row, softmax, scheduler,
+//! selection and seeded-draw rows, without a timing assert. CI runs this
+//! leg.
 //!
 //! Thread-pool speedups depend on the machine: the report records the
 //! actual pool width, physical core count and detected CPU features so
@@ -239,6 +241,20 @@ struct SelectionRow {
     set_integer: f64,
 }
 
+/// Seeded initialisation, the cost `Model::init` and `DotaHook::init` are
+/// made of: the bulk Box–Muller, the keystream under it, and the
+/// benchmark's mid causal model at context 1024 (1.1M draws). Medians.
+#[derive(Serialize)]
+struct DrawRow {
+    /// `rng.normal_ns_per_draw`: `SeededRng::normal_matrix` over 2¹⁸
+    /// draws.
+    normal_ns_per_draw: f64,
+    /// `rng.keystream_ns_per_word`: `SeededRng::fill_words` over 2¹⁶ words.
+    keystream_ns_per_word: f64,
+    /// `transformer.init_mid_ms`: one `Model::init`.
+    init_mid_ms: f64,
+}
+
 #[derive(Serialize)]
 struct CounterScenario {
     scenario: String,
@@ -277,6 +293,8 @@ struct Report {
     /// Top-k as a set and the fused detector select against the ordered,
     /// materialising path (see [`SelectionRow`]).
     selection: Vec<SelectionRow>,
+    /// Seeded initialisation (see [`DrawRow`]).
+    draws: DrawRow,
     /// Deterministic hardware-counter snapshots (see `dota-trace`): the
     /// same scenarios `counters_baseline` regression-checks. Unlike the
     /// timing rows, these are bit-identical across hosts and thread counts.
@@ -698,6 +716,38 @@ fn scheduler_rows() -> Vec<SchedulerRow> {
     rows
 }
 
+/// Times seeded initialisation (see [`DrawRow`]) on the active lanes.
+fn draw_row() -> DrawRow {
+    println!("\nSeeded draws (lanes {:?})", Lanes::active());
+    const DRAWS: usize = 1 << 18;
+    let normal = || SeededRng::new(7).normal_matrix(512, DRAWS / 512, 1.0);
+    let mut words = vec![0u32; 1 << 16];
+    let mut keystream = || SeededRng::new(7).fill_words(Lanes::active(), &mut words);
+    let config = TransformerConfig {
+        d_model: 128,
+        n_heads: 4,
+        n_layers: 4,
+        d_ff: 512,
+        ..TransformerConfig::tiny_causal(1024, 256)
+    };
+    let init = || Model::init(config.clone(), &mut ParamSet::new(), 7);
+    let row = DrawRow {
+        normal_ns_per_draw: median_ns(21, normal) / DRAWS as f64,
+        keystream_ns_per_word: median_ns(41, &mut keystream) / (1 << 16) as f64,
+        init_mid_ms: median_ns(11, init) / 1e6,
+    };
+    println!(
+        "  rng.normal_ns_per_draw      {:>8.2}",
+        row.normal_ns_per_draw
+    );
+    println!(
+        "  rng.keystream_ns_per_word   {:>8.2}",
+        row.keystream_ns_per_word
+    );
+    println!("  transformer.init_mid_ms     {:>8.2}", row.init_mid_ms);
+    row
+}
+
 /// The benchmark's mid encoder shape (4 heads of 32 at d 128: detector rank
 /// 6 at the default sigma) with a default INT4 detector at retention 0.1,
 /// and `n` rows of layer input.
@@ -852,6 +902,7 @@ fn run_quick() -> bool {
     exp_rows();
     scheduler_rows();
     selection_rows();
+    draw_row();
 
     // Detect whether the counting allocator is live: a deliberate 1 MiB
     // allocation must move the counter. Without prof-alloc the budget
@@ -891,9 +942,10 @@ fn run_quick() -> bool {
         return false;
     }
     println!("steady-state allocation budget: OK");
+    // The decode legs count on one pool thread: a parallel dispatch spawns
+    // its workers per call, and those spawns are not the forward's buffers.
     few_row_allocation_pin(&mut rng)
-        && decode_allocation_pins()
-        && decode_scratch_pins()
+        && dota_parallel::with_threads(1, || decode_allocation_pins() && decode_scratch_pins())
         && simulate_allocation_pin()
         && select_allocation_pin()
 }
@@ -947,6 +999,9 @@ const BLOCK_ROWS: usize = 32;
 /// Heap allocations one [`BLOCK_ROWS`]-row `decode_rows` call may make on
 /// the tiny model (17 today, a fresh arena's buffers; 29 before the arena;
 /// 369 when every `(row, head, layer)` took a score vector of its own).
+/// Counted on one pool thread, as every decode pin is: with more, the count
+/// also holds the worker spawns of each parallel dispatch (101 on a 2-vCPU
+/// host).
 const BLOCK_ALLOC_BUDGET: u64 = 29;
 
 /// The decode leg of the `--quick` allocation smoke, for the wrappers that
@@ -1198,6 +1253,7 @@ fn main() {
     let exp = exp_rows();
     let scheduler = scheduler_rows();
     let selection = selection_rows();
+    let draws = draw_row();
 
     println!("\nHardware counters (deterministic; selected totals per scenario)");
     let counters: Vec<CounterScenario> = dota_bench::counter_scenarios()
@@ -1240,6 +1296,7 @@ fn main() {
         exp,
         scheduler,
         selection,
+        draws,
         counters,
     };
     let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));

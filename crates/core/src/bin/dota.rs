@@ -148,9 +148,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
         opts.rates = number_list(rates, "rates")?;
     }
     opts.seq_len = flag_task_seq(&flags, opts.seq_len)?;
-    if opts.sites.is_empty() || opts.rates.is_empty() {
-        return Err("the campaign needs at least one site and one rate".to_owned());
-    }
+    opts.validate()?;
     println!(
         "fault campaign: seed {}, {} site(s) x {} rate(s), seq {}",
         opts.seed,

@@ -41,7 +41,8 @@ pub struct CampaignOptions {
     pub seed: u64,
     /// Sites to inject at (one sweep row per site).
     pub sites: Vec<FaultSite>,
-    /// Fault rates to try per site (clamped to `[0, 1]`).
+    /// Fault rates to try per site, each in `[0, 1]`
+    /// ([`CampaignOptions::validate`]).
     pub rates: Vec<f64>,
     /// Sequence length of the probe workload (the synthetic tasks require
     /// at least 16).
@@ -58,6 +59,23 @@ impl Default for CampaignOptions {
             rates: vec![0.0, 0.05, 1.0],
             seq_len: 16,
         }
+    }
+}
+
+impl CampaignOptions {
+    /// Validates the sweep: at least one site and one rate, and every rate
+    /// by [`dota_faults::check_rate`].
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.sites.is_empty() || self.rates.is_empty() {
+            return Err("the campaign needs at least one site and one rate".to_owned());
+        }
+        self.rates
+            .iter()
+            .try_for_each(|&r| dota_faults::check_rate(r))
     }
 }
 

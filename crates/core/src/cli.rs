@@ -139,7 +139,10 @@ impl EnvKind {
             EnvKind::OneOf(names) => names.contains(&v.to_ascii_lowercase().as_str()),
             EnvKind::RateList => {
                 let mut rates = v.split(',').map(str::trim).filter(|s| !s.is_empty());
-                let in_range = |s: &str| s.parse::<f64>().is_ok_and(|r| (0.0..=1.0).contains(&r));
+                let in_range = |s: &str| {
+                    s.parse::<f64>()
+                        .is_ok_and(|r| dota_faults::check_rate(r).is_ok())
+                };
                 // `all` on the rest; `next` first so an empty list fails.
                 rates.next().is_some_and(in_range) && rates.all(in_range)
             }

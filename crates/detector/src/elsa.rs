@@ -13,6 +13,7 @@
 //! are what the paper's comparison quantifies.
 
 use dota_autograd::ParamSet;
+use dota_tensor::cos::cos_f32;
 use dota_tensor::rng::SeededRng;
 use dota_tensor::{topk, Matrix};
 use dota_transformer::{InferenceHook, Model, TransformerParams};
@@ -51,7 +52,7 @@ impl SignHasher {
         debug_assert_eq!(a.len(), b.len());
         let ham = a.iter().zip(b).filter(|(x, y)| x != y).count();
         let theta = std::f32::consts::PI * ham as f32 / a.len() as f32;
-        theta.cos()
+        cos_f32(theta)
     }
 }
 

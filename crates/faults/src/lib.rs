@@ -245,14 +245,27 @@ impl FaultPlan {
                 .trim()
                 .parse()
                 .map_err(|_| format!("invalid fault rate `{}` for site `{}`", rate.trim(), site))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!(
-                    "fault rate {rate} for site `{site}` outside [0, 1]"
-                ));
-            }
+            check_rate(rate).map_err(|e| format!("{e} for site `{site}`"))?;
             plan = plan.with_rate(site, rate);
         }
         Ok(plan)
+    }
+}
+
+/// The one rule for a fault rate a user gives (a `--faults` spec,
+/// `dota faults --rates`, `dota serve --chaos-rates`, `DOTA_SERVE_CHAOS`):
+/// a probability, so a finite number in `[0, 1]`. Rejecting beats
+/// [`FaultPlan::with_rate`]'s clamp, which would run a rate the report
+/// does not name.
+///
+/// # Errors
+///
+/// One line naming the rate.
+pub fn check_rate(rate: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(format!("fault rate {rate} outside [0, 1]"))
     }
 }
 

@@ -11,6 +11,12 @@
 //! rejection sampler. The recorded `results/*.json` were produced with
 //! upstream rand; matching its streams exactly keeps every seeded
 //! experiment reproducible against them.
+//!
+//! Beyond that API it serves seeded initialisation in bulk: the stream's
+//! words straight into a slice ([`StdRng::fill_u32`]), the `f32`
+//! conversion on its own ([`unit_f32`]), and a [`WideBlocks`] seam through
+//! which a caller holding wider lanes computes the keystream eight blocks
+//! at a time, this crate detecting no CPU feature of its own.
 
 #![deny(missing_docs)]
 
@@ -81,10 +87,17 @@ pub trait Standard: Sized {
 
 impl Standard for f32 {
     fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
-        // rand 0.8's multiply-based conversion: the top 24 bits of one u32
-        // draw give an exact uniform grid in [0, 1).
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+        unit_f32(rng.next_u32())
     }
+}
+
+/// The `f32` that [`Rng::gen`] makes of one `u32` draw, for a caller that
+/// drew its words in bulk ([`StdRng::fill_u32`]): rand 0.8's
+/// multiply-based conversion, the top 24 bits giving an exact uniform grid
+/// in `[0, 1)`.
+#[inline]
+pub fn unit_f32(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
 impl Standard for f64 {
@@ -234,6 +247,47 @@ impl StdRng {
             counter: 0,
             buf: [0; CHACHA_WORDS],
             index: CHACHA_WORDS, // force a refill on first use
+        }
+    }
+
+    /// The next `dst.len()` words of the stream, in order: what as many
+    /// [`RngCore::next_u32`] calls return, leaving the generator to serve
+    /// the words they would next (not part of rand's API). Whole 64-word
+    /// buffers go straight into `dst`; with a `wide` body, everything past
+    /// the buffered words is computed eight blocks at a time, the last
+    /// eight through a local array whose group holding the final word
+    /// becomes the buffer.
+    pub fn fill_u32(&mut self, dst: &mut [u32], wide: Option<&dyn WideBlocks>) {
+        let served = (CHACHA_WORDS - self.index).min(dst.len());
+        let (head, rest) = dst.split_at_mut(served);
+        head.copy_from_slice(&self.buf[self.index..][..served]);
+        self.index += served;
+        if let Some(wide) = wide {
+            let (pairs, tail) = rest.as_chunks_mut::<{ 2 * CHACHA_WORDS }>();
+            for words in pairs {
+                wide.blocks8(&self.key, self.counter, words);
+                self.counter = self.counter.wrapping_add(8);
+            }
+            if let Some(last) = tail.len().checked_sub(1) {
+                let mut words = [0; 2 * CHACHA_WORDS];
+                wide.blocks8(&self.key, self.counter, &mut words);
+                tail.copy_from_slice(&words[..tail.len()]);
+                let group = last / CHACHA_WORDS;
+                self.buf
+                    .copy_from_slice(&words[group * CHACHA_WORDS..][..CHACHA_WORDS]);
+                self.index = tail.len() - group * CHACHA_WORDS;
+                self.counter = self.counter.wrapping_add(4 * (group as u64 + 1));
+            }
+            return;
+        }
+        let (whole, tail) = rest.as_chunks_mut::<CHACHA_WORDS>();
+        for words in whole {
+            chacha12_blocks(&self.key, self.counter, words);
+            self.counter = self.counter.wrapping_add(4);
+        }
+        if !tail.is_empty() {
+            self.refill(tail.len());
+            tail.copy_from_slice(&self.buf[..tail.len()]);
         }
     }
 
@@ -389,7 +443,32 @@ fn chacha12_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; CHACHA_WORDS]) 
     unsafe { blocks(key, counter, out) }
 }
 
-const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+/// The first four words of every ChaCha block ("expand 32-byte k").
+pub const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// A keystream body eight blocks wide, for a caller holding lanes this
+/// crate does not detect on its own (not part of rand's API): see
+/// [`StdRng::fill_u32`].
+pub trait WideBlocks {
+    /// The eight consecutive ChaCha12 blocks `counter..counter + 8`
+    /// (wrapping) of `key`, block `b` in `out[16 * b..16 * (b + 1)]`: the
+    /// words the generator's own refill computes four at a time.
+    fn blocks8(&self, key: &[u32; 8], counter: u64, out: &mut [u32; 128]);
+}
+
+/// The generator's own refill as a [`WideBlocks`] body, four blocks at a
+/// time: the oracle a lane body is held to.
+#[derive(Debug, Clone, Copy)]
+pub struct Refill;
+
+impl WideBlocks for Refill {
+    fn blocks8(&self, key: &[u32; 8], counter: u64, out: &mut [u32; 128]) {
+        let (low, high) = out.split_at_mut(CHACHA_WORDS);
+        chacha12_blocks(key, counter, low.try_into().expect("64 words"));
+        let high = high.try_into().expect("64 words");
+        chacha12_blocks(key, counter.wrapping_add(4), high);
+    }
+}
 
 /// One ChaCha block with 12 rounds, 64-bit counter, zero nonce/stream: the
 /// portable refill, and the lanes' oracle.
@@ -562,6 +641,52 @@ mod tests {
             straddles > 20,
             "only {straddles} u64 draws began on the last word"
         );
+    }
+
+    /// `fill_u32` (plain, and through the [`Refill`] wide body) against
+    /// `next_u32` from every kind of start — fresh, mid-buffer, one word
+    /// left, just after a `next_u64` that straddled a refill — over lengths
+    /// across one and two refills; then the next mixed draws agree.
+    #[test]
+    fn fill_u32_matches_next_u32_stream() {
+        let wides: [Option<&dyn WideBlocks>; 2] = [None, Some(&Refill)];
+        for (case, len) in [0, 1, 5, 63, 64, 65, 127, 128, 129, 191, 200, 300]
+            .into_iter()
+            .enumerate()
+        {
+            // Words to draw first, then whether a `next_u64` follows.
+            let last = CHACHA_WORDS - 1;
+            let starts = [
+                (0, false),
+                (1, false),
+                (37, false),
+                (last, false),
+                (last, true),
+            ];
+            for (start, (words, straddle)) in starts.into_iter().enumerate() {
+                for wide in wides {
+                    let mut rng = StdRng::seed_from_u64(case as u64);
+                    for _ in 0..words {
+                        rng.next_u32();
+                    }
+                    if straddle {
+                        rng.next_u64();
+                    }
+                    let mut oracle = rng.clone();
+                    let mut got = vec![0; len];
+                    rng.fill_u32(&mut got, wide);
+                    let want: Vec<u32> = (0..len).map(|_| oracle.next_u32()).collect();
+                    assert_eq!(got, want, "len {len} start {start}");
+                    for draw in 0..150u32 {
+                        if draw % 3 == 0 {
+                            assert_eq!(rng.next_u32(), oracle.next_u32());
+                        } else {
+                            assert_eq!(rng.next_u64(), oracle.next_u64(), "len {len} at {draw}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,11 +87,9 @@ impl ChaosOptions {
         if self.rates.is_empty() {
             return Err("at least one fault rate required".into());
         }
-        for &r in &self.rates {
-            if !(r.is_finite() && (0.0..=1.0).contains(&r)) {
-                return Err(format!("fault rate {r} outside [0, 1]"));
-            }
-        }
+        self.rates
+            .iter()
+            .try_for_each(|&r| dota_faults::check_rate(r))?;
         if self.sites.is_empty() {
             return Err("at least one fault site required".into());
         }

@@ -202,7 +202,10 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::{assert_lanes_port_host_agree, bodies, exhaustive_mismatches, same};
+    use crate::lanes::{
+        assert_lanes_port_host_agree, assert_windows_match_port, bodies, exhaustive_mismatches,
+        same,
+    };
     use crate::rng::SeededRng;
 
     /// The only two inputs among all 2³² on which the fused recipe and the
@@ -316,25 +319,9 @@ mod tests {
 
     #[test]
     fn exp_slice_is_the_port_element_wise_at_every_short_length() {
-        let mut rng = SeededRng::new(24);
-        let base = rng.normal_matrix(1, 40, 30.0);
-        for lanes in bodies() {
-            for len in 0..=17 {
-                for offset in 0..4 {
-                    let mut buf = base.as_slice().to_vec();
-                    exp_sub(lanes, &mut buf[offset..offset + len], 0.0);
-                    for (i, (&x, &y)) in base.as_slice().iter().zip(&buf).enumerate() {
-                        let inside = (offset..offset + len).contains(&i);
-                        let want = if inside { exp_f32(x) } else { x };
-                        assert_eq!(
-                            y.to_bits(),
-                            want.to_bits(),
-                            "{lanes:?} len {len} offset {offset} at {i}"
-                        );
-                    }
-                }
-            }
-        }
+        let base = SeededRng::new(24).normal_matrix(1, 40, 30.0);
+        let kernel = |lanes, xs: &mut [f32]| exp_sub(lanes, xs, 0.0);
+        assert_windows_match_port(base.as_slice(), kernel, exp_f32);
     }
 
     /// All 2³² inputs through the lanes, eight consecutive bit patterns per

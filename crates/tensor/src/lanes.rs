@@ -251,6 +251,27 @@ pub(crate) fn assert_lanes_port_host_agree(
     }
 }
 
+/// `kernel` on every body this host runs equals `port` element by element
+/// on each window `offset..offset + len` of `base` (`len <= 17`, `offset <
+/// 4`: every tail length at every misalignment), and writes nothing
+/// outside it.
+#[cfg(test)]
+pub(crate) fn assert_windows_match_port(base: &[f32], kernel: Kernel, port: Port) {
+    for lanes in bodies() {
+        for len in 0..=17 {
+            for offset in 0..4 {
+                let mut buf = base.to_vec();
+                kernel(lanes, &mut buf[offset..offset + len]);
+                for (i, (&x, &y)) in base.iter().zip(&buf).enumerate() {
+                    let inside = (offset..offset + len).contains(&i);
+                    let want = if inside { port(x) } else { x };
+                    assert!(same(y, want), "{lanes:?} len {len} offset {offset} at {i}");
+                }
+            }
+        }
+    }
+}
+
 /// All 2³² inputs through `kernel` on the active lanes, eight consecutive
 /// bit patterns per group, against `port`: prints and returns the number
 /// of mismatches (noting when the active lanes are the plain body).

@@ -34,9 +34,11 @@ mod gemm;
 mod matrix;
 mod pack;
 
+pub mod cos;
 pub mod exp;
 pub mod flops;
 pub mod lanes;
+pub mod ln;
 pub mod ops;
 pub mod reference;
 pub mod rng;

@@ -318,6 +318,9 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         ("infer text --seq 100000000000", "100000000000"),
         ("train text --seq 100000000000", "100000000000"),
         ("faults --seq 100000000000", "100000000000"),
+        ("faults --rates 2,-1,NaN", "fault rate 2 outside"),
+        ("faults --rates 0.5,-1", "fault rate -1 outside"),
+        ("faults --rates NaN", "fault rate NaN outside"),
         ("train text --seq 16 --samples 100000000000", "100000000000"),
         ("infer text --retention 0", "--retention 0"),
         ("analyze qa --retention 2", "--retention 2"),
