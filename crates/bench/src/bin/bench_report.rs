@@ -41,9 +41,9 @@ use dota_detector::decode::DotaDecodeSelector;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
-use dota_tensor::lanes::Lanes;
+use dota_tensor::lanes::{self, Lanes};
 use dota_tensor::rng::SeededRng;
-use dota_tensor::simd::{self, KernelFamily};
+use dota_tensor::simd;
 use dota_tensor::{ops, reference, topk, Matrix};
 use dota_transformer::{
     DecodeItem, DecodeScratch, DecodeSelector, DenseDecode, InferenceHook, KvCache, Model,
@@ -100,7 +100,7 @@ struct GemmRow {
     naive: TimingSummary,
     optimized_serial: TimingSummary,
     optimized_pool: TimingSummary,
-    /// Active-family kernel vs the textbook triple loop, both serial, on
+    /// Active-lanes kernel vs the textbook triple loop, both serial, on
     /// median (p50) wall-clock.
     speedup_vs_naive: f64,
     /// Thread pool vs `DOTA_THREADS=1` on p50; ~1.0 without the
@@ -112,15 +112,15 @@ struct GemmRow {
     optimized_alloc: AllocSummary,
 }
 
-/// One kernel family timed at a fixed square size — the fp32 families
-/// next to the quantized host kernels, so fp32-vs-int8 throughput sits in
+/// One kernel timed at a fixed square size — the fp32 bodies next to
+/// the quantized host kernels, so fp32-vs-int8 throughput sits in
 /// one table beside the RMMU cycle model.
 #[derive(Serialize)]
 struct FamilyRow {
-    /// `fp32/scalar`, `fp32/simd`, `fp32/fma`, `int8`, `int4`.
+    /// `fp32/scalar`, `fp32/simd`, `int8`, `int4`.
     kernel: String,
-    /// Whether this host can run the family (rows for unavailable
-    /// families are omitted, so this is always true in the JSON; kept for
+    /// Whether this host can run the kernel (rows for unavailable
+    /// kernels are omitted, so this is always true in the JSON; kept for
     /// readers scanning across hosts' reports).
     available: bool,
     p50_ms: f64,
@@ -168,7 +168,7 @@ impl LibmPortLanesRow {
         libm: impl Fn(&mut [f32]),
         kernel: fn(Lanes, &mut [f32]),
     ) -> Self {
-        let lanes = Lanes::of(KernelFamily::Simd);
+        let lanes = Lanes::host();
         let row = Self {
             kernel: name,
             libm_ns_per_elem: ns_per_elem(src, libm),
@@ -269,12 +269,12 @@ struct Report {
     physical_cores: usize,
     /// Detected SIMD capabilities (`avx2`/`fma`/`avx512f`/`neon`/`none`).
     cpu_features: Vec<&'static str>,
-    /// Kernel family the fp32 GEMM rows ran with (`DOTA_GEMM` resolution).
+    /// Lanes the fp32 GEMM rows ran on (`DOTA_GEMM` resolution).
     gemm_family: &'static str,
     host_note: &'static str,
     alloc_note: &'static str,
     gemm: Vec<GemmRow>,
-    /// Family comparison at one fixed size (see [`FamilyRow`]).
+    /// Kernel comparison at one fixed size (see [`FamilyRow`]).
     kernel_family_size: usize,
     kernel_families: Vec<FamilyRow>,
     attention: Vec<AttnRow>,
@@ -367,7 +367,7 @@ fn gemm_rows(sizes: &[usize]) -> Vec<GemmRow> {
     rows
 }
 
-/// Times each available kernel family — fp32 scalar/simd/fma and the
+/// Times each available kernel — fp32 scalar/simd and the
 /// quantized int8/int4 host kernels — on one `size`² product.
 fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
     let mut rng = SeededRng::new(9);
@@ -379,20 +379,18 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
 
     let mut rows = Vec::new();
     let mut scalar_p50 = f64::NAN;
-    for fam in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
-        if simd::parse_family(fam.name()).is_err() {
-            continue;
-        }
+    let host = Lanes::host();
+    for lanes in std::iter::once(Lanes::Plain).chain((host != Lanes::Plain).then_some(host)) {
         a.matmul_into(&b, &mut out).expect("shape"); // warm pools
-        let (h, _) = simd::with_family(fam, || {
+        let (h, _) = lanes::with_lanes(lanes, || {
             time_hist(reps, || a.matmul_into(&b, &mut out).expect("shape"))
         });
         let ms = p50(&h);
-        if fam == KernelFamily::Scalar {
+        if lanes == Lanes::Plain {
             scalar_p50 = ms;
         }
         rows.push(FamilyRow {
-            kernel: format!("fp32/{}", fam.name()),
+            kernel: format!("fp32/{}", lanes.name()),
             available: true,
             p50_ms: ms,
             gflops: gflops(ms),
@@ -540,7 +538,7 @@ fn attend_row_rows() -> Vec<AttendRowRow> {
                 |out: &mut [f32]| ops::attend_row(&mut state, q.row(0), &k, &v, HD, sel, out);
             ns_per_elem(&[0.0; HD], attend) * HD as f64 / sel.len() as f64
         };
-        let lanes = Lanes::of(KernelFamily::Simd);
+        let lanes = Lanes::host();
         let row = AttendRowRow {
             kernel: format!("attend_row_ctx{context}"),
             dense_scalar_ns_per_conn: time(Lanes::Plain, &dense),
@@ -718,7 +716,7 @@ fn scheduler_rows() -> Vec<SchedulerRow> {
 
 /// Times seeded initialisation (see [`DrawRow`]) on the active lanes.
 fn draw_row() -> DrawRow {
-    println!("\nSeeded draws (lanes {:?})", Lanes::active());
+    println!("\nSeeded draws (lanes {})", Lanes::active().name());
     const DRAWS: usize = 1 << 18;
     let normal = || SeededRng::new(7).normal_matrix(512, DRAWS / 512, 1.0);
     let mut words = vec![0u32; 1 << 16];
@@ -881,10 +879,10 @@ const QUICK_ALLOC_BUDGET_BYTES: u64 = 1 << 20;
 fn run_quick() -> bool {
     let mut manifest = dota_bench::run_manifest("bench_report_quick");
     manifest.config("mode", "quick");
-    manifest.config("gemm_family", KernelFamily::active().name());
+    manifest.config("gemm_family", Lanes::active().name());
     println!(
-        "Quick kernel smoke (family {}, features {})\n",
-        KernelFamily::active().name(),
+        "Quick kernel smoke (lanes {}, features {})\n",
+        Lanes::active().name(),
         simd::cpu_features().join("+")
     );
     println!("GEMM (square, f32)");
@@ -956,20 +954,19 @@ fn run_quick() -> bool {
 /// pack and no pooled buffer to take. The counter leaves out the profiling
 /// session's own bookkeeping (a `gemm.matmul` span duration landing in a
 /// new histogram bucket), so this reads 0; the pin is fewer allocations
-/// than products and fewer bytes than one copy of `W`. The family is read
-/// once, as the decode forward reads it (a set `DOTA_GEMM` allocates its
-/// value on every read).
+/// than products and fewer bytes than one copy of `W`. The lanes are read
+/// once, as the decode forward reads them.
 fn few_row_allocation_pin(rng: &mut SeededRng) -> bool {
     const PRODUCTS: u64 = 100;
-    let family = KernelFamily::active();
+    let lanes = Lanes::active();
     for (k, n) in [(32, 32), (128, 512)] {
         let x = rng.normal_matrix(1, k, 1.0);
         let w = rng.normal_matrix(k, n, 1.0);
         let mut out = Matrix::zeros(1, n);
-        x.gemm_into(&w, &mut out, family).expect("shape");
+        x.gemm_into(&w, &mut out, lanes).expect("shape");
         let before = dota_prof::alloc_stats();
         for _ in 0..PRODUCTS {
-            x.gemm_into(&w, &mut out, family).expect("shape");
+            x.gemm_into(&w, &mut out, lanes).expect("shape");
             std::hint::black_box(&out);
         }
         let after = dota_prof::alloc_stats();
@@ -1232,19 +1229,19 @@ fn main() {
         return;
     }
     let mut manifest = dota_bench::run_manifest("bench_report");
-    manifest.config("gemm_family", KernelFamily::active().name());
+    manifest.config("gemm_family", Lanes::active().name());
     println!(
-        "Kernel report (parallel feature: {}, pool threads: {}, physical cores: {}, cpu: {}, family: {})\n",
+        "Kernel report (parallel feature: {}, pool threads: {}, physical cores: {}, cpu: {}, lanes: {})\n",
         cfg!(feature = "parallel"),
         dota_parallel::num_threads(),
         dota_parallel::num_physical_cores(),
         simd::cpu_features().join("+"),
-        KernelFamily::active().name(),
+        Lanes::active().name(),
     );
     println!("GEMM (square, f32): packed/blocked kernels vs naive reference");
     let gemm = gemm_rows(&[128, 256, 512, 1024, 2048]);
     const FAMILY_SIZE: usize = 512;
-    println!("\nKernel families at {FAMILY_SIZE}² (fp32 scalar/simd/fma vs quantized int8/int4)");
+    println!("\nKernel families at {FAMILY_SIZE}² (fp32 scalar/simd vs quantized int8/int4)");
     let kernel_families = family_rows(FAMILY_SIZE, 5);
     println!("\nAttention (head_dim 64, retention 10%): dense vs DOTA-sparse");
     let attention = attention_rows();
@@ -1284,7 +1281,7 @@ fn main() {
         pool_threads: dota_parallel::num_threads(),
         physical_cores: dota_parallel::num_physical_cores(),
         cpu_features: simd::cpu_features(),
-        gemm_family: KernelFamily::active().name(),
+        gemm_family: Lanes::active().name(),
         host_note: "pool_speedup is host-dependent; ~1.0 on single-core runners",
         alloc_note: "allocation columns need --features prof-alloc; zeros otherwise",
         gemm,

@@ -14,6 +14,7 @@ fn figure_binary_rejects_malformed_env_before_any_work() {
     for (name, bad) in [
         ("DOTA_THREADS", "many"),
         ("DOTA_GEMM", "fast"),
+        ("DOTA_GEMM", "fma"),
         ("DOTA_PROF", ""),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_table2_area"))

@@ -33,7 +33,6 @@ use dota_core::experiments::{self, BenchmarkRun, Method, TrainOptions};
 use dota_core::report;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_metrics::{Manifest, MetricsSink};
-use dota_transformer::MAX_SEQ_LEN;
 use dota_workloads::{Benchmark, TaskSpec};
 use std::process::ExitCode;
 
@@ -435,17 +434,20 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     if let Some(extra) = positional.first() {
         return Err(format!("top takes no positional arguments, got `{extra}`"));
     }
+    let ticks = if once {
+        Some(1)
+    } else {
+        flag_usize(&flags, "ticks")?
+    };
+    if ticks == Some(0) {
+        return Err("--ticks 0 must be at least 1 (or left out to poll until interrupted)".into());
+    }
     let addr = flags
         .get("addr")
         .cloned()
         .or_else(|| env_for("metrics-addr", |name| std::env::var_os(name)))
         .ok_or("top needs --addr HOST:PORT (or DOTA_SERVE_METRICS_ADDR)")?;
     let interval_ms = flag_usize(&flags, "interval-ms")?.unwrap_or(1000) as u64;
-    let ticks = if once {
-        Some(1)
-    } else {
-        flag_usize(&flags, "ticks")?
-    };
     let bounded = ticks.is_some();
     let mut top = dota_telemetry::top::TopState::new();
     let mut polled = 0usize;
@@ -823,15 +825,24 @@ fn flag_retention(flags: &Flags) -> Result<f64, String> {
     Err(format!("--retention {r} must be in (0, 1]"))
 }
 
+/// Longest `--seq` of a subcommand that runs dense attention (`infer`,
+/// `analyze`, `train`, `faults`): the paper's longest sequence. Dense
+/// attention holds an n × n score matrix per head, 64 MiB here and 16 GiB
+/// at the 65,536 positions a served model supports, where the allocation
+/// would abort the process rather than fail.
+const MAX_DENSE_SEQ: usize = 4096;
+
 /// `--seq` of a synthetic task (default `default`): from the shortest the
-/// task generators are built for up to the longest a model is built for.
+/// task generators are built for up to [`MAX_DENSE_SEQ`].
 fn flag_task_seq(flags: &Flags, default: usize) -> Result<usize, String> {
     let seq = flag_usize(flags, "seq")?.unwrap_or(default);
-    let (min, max) = (TaskSpec::MIN_SEQ_LEN, MAX_SEQ_LEN);
+    let (min, max) = (TaskSpec::MIN_SEQ_LEN, MAX_DENSE_SEQ);
     if (min..=max).contains(&seq) {
         return Ok(seq);
     }
-    Err(format!("--seq {seq} must be in {min}..={max}"))
+    Err(format!(
+        "--seq {seq} must be in {min}..={max} (dense attention holds an n x n score matrix per head)"
+    ))
 }
 
 /// Most token ids `dota train` generates for its training set, all before
@@ -1263,7 +1274,7 @@ mod tests {
         empty_dota_hists_is_rejected("DOTA_HISTS", [""], []);
         empty_dota_prof_is_rejected("DOTA_PROF", [" "], ["/tmp/prof"]);
         empty_dota_counters_is_rejected("DOTA_COUNTERS", [""], []);
-        invalid_dota_gemm_is_rejected("DOTA_GEMM", ["fast"], ["auto", "scalar"]);
+        invalid_dota_gemm_is_rejected("DOTA_GEMM", ["fast", "fma"], ["auto", "scalar"]);
         invalid_dota_serve_batch_is_rejected("DOTA_SERVE_BATCH", ["0", "-2", "many", "1.5"], ["16"]);
         invalid_dota_serve_deadline_is_rejected(
             "DOTA_SERVE_DEADLINE", ["0", "-50", "soon", "inf"], ["75.5"]);

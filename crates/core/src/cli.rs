@@ -24,9 +24,9 @@ pub enum EnvKind {
     OneOf(&'static [&'static str]),
     /// Comma-separated numbers in `[0, 1]`, at least one.
     RateList,
-    /// Whatever [`dota_tensor::simd::parse_family`] accepts: a kernel
-    /// family this CPU can run.
-    GemmFamily,
+    /// Whatever [`dota_tensor::lanes::parse_family`] accepts: kernel
+    /// lanes this CPU can run.
+    Lanes,
 }
 
 /// Every `DOTA_*` variable the binaries read themselves: `(variable, the
@@ -42,14 +42,14 @@ pub const ENV: &[(&str, &str, EnvKind, &str)] = &[
         EnvKind::PositiveInt,
         "a positive integer",
     ),
-    // A typo'd kernel family (or one this CPU cannot run) would silently
-    // fall back and invalidate a benchmark, exactly like a bad
+    // A typo'd kernel choice (or lanes this CPU cannot run) would
+    // silently fall back and invalidate a benchmark, exactly like a bad
     // DOTA_THREADS.
     (
         "DOTA_GEMM",
-        "GEMM kernel family",
-        EnvKind::GemmFamily,
-        "auto|scalar|simd|fma",
+        "kernel lanes",
+        EnvKind::Lanes,
+        "auto|scalar|simd",
     ),
     ("DOTA_TRACE", "--trace", EnvKind::Path, "an output path"),
     (
@@ -146,9 +146,9 @@ impl EnvKind {
                 // `all` on the rest; `next` first so an empty list fails.
                 rates.next().is_some_and(in_range) && rates.all(in_range)
             }
-            // The family parser words its own complaint (it knows which
+            // The lanes parser words its own complaint (it knows which
             // lanes this CPU reports).
-            EnvKind::GemmFamily => return dota_tensor::simd::parse_family(value).map(|_| ()),
+            EnvKind::Lanes => return dota_tensor::lanes::parse_family(value).map(|_| ()),
         };
         if ok {
             return Ok(());

@@ -3,8 +3,9 @@ use dota_quant::Precision;
 /// How selected connection counts are distributed across query rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionStrategy {
-    /// Every query keeps exactly `ceil(retention * n)` keys (row-wise
-    /// top-k). This is DOTA's software workload-balancing constraint
+    /// Every query keeps exactly `round(retention * n)` keys, at least
+    /// one and at most `n` (row-wise top-k; see
+    /// [`DetectorConfig::keys_per_row`]). This is DOTA's software workload-balancing constraint
     /// (§4.3): equal incoming-edge counts keep token-parallel PE groups
     /// synchronized.
     BalancedTopK,

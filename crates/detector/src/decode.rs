@@ -11,7 +11,6 @@
 use crate::{DetectorConfig, DotaHook};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
-use dota_tensor::simd::KernelFamily;
 use dota_tensor::{topk, Matrix};
 use dota_transformer::DecodeSelector;
 use std::cell::RefCell;
@@ -31,9 +30,8 @@ pub struct DotaDecodeSelector<'a> {
     params: &'a ParamSet,
     cfg: DetectorConfig,
     n_heads: usize,
-    /// The sketch products' kernel family and the selection's lanes,
-    /// decided once per generation.
-    family: KernelFamily,
+    /// The lanes of the sketch products and the selection, decided once
+    /// per generation.
     lanes: Lanes,
     state: RefCell<SketchState>,
 }
@@ -59,14 +57,12 @@ impl<'a> DotaDecodeSelector<'a> {
     /// Creates a selector over a trained detector bank for a model with
     /// `n_layers` × `n_heads` heads.
     pub fn new(hook: &'a DotaHook, params: &'a ParamSet, n_layers: usize, n_heads: usize) -> Self {
-        let family = KernelFamily::active();
         Self {
             hook,
             params,
             cfg: hook.config().clone(),
             n_heads,
-            family,
-            lanes: Lanes::of(family),
+            lanes: Lanes::active(),
             state: RefCell::new(SketchState {
                 sketches: (0..n_layers)
                     .map(|l| {
@@ -124,7 +120,7 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         } = &mut *state;
         let product = |a: &Matrix, w: &Matrix, out: &mut Matrix| {
             out.reuse_as(a.rows(), w.cols());
-            a.gemm_into(w, out, self.family).expect("sketch shape");
+            a.gemm_into(w, out, self.lanes).expect("sketch shape");
         };
         // Project the current row once: xp is 1 x rank.
         product(x, det.projection(), xp);

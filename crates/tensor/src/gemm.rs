@@ -1,28 +1,25 @@
-//! General matrix-matrix and matrix-vector products.
+//! General matrix-matrix products.
 //!
 //! Three GEMM layouts are provided because self-attention needs all of
 //! them: `A*B` (projections and `A*V`), `A*B^T` (`Q*K^T`), and `A^T*B`
 //! (gradient computations in `dota-autograd`).
 //!
-//! Each layout dispatches over the kernel families in [`crate::simd`]:
-//! products big enough to amortize panel packing run the packed SIMD
-//! microkernel driver ([`crate::simd::packed_gemm`]) when the selected
-//! family has lanes on this host. `A·B` with fewer than `PACK_MIN_ROWS`
+//! Each layout dispatches on [`Lanes`]: products big enough to amortize
+//! panel packing run the packed SIMD microkernel driver
+//! ([`crate::simd::packed_gemm`]) on lanes. `A·B` with fewer than `PACK_MIN_ROWS`
 //! rows is never packed — packing all of `B` has too few output rows to
 //! amortize over — and on lanes runs a register tile that reads `B` in
 //! place ([`crate::simd::few_rows`]), as does every other `A·B` too small
-//! to pack. Everything else — small `A·Bᵀ` and `Aᵀ·B`, the `scalar`
-//! family, hosts without lanes — runs the plain blocked row kernels below,
+//! to pack. Everything else — small `A·Bᵀ` and `Aᵀ·B`, `DOTA_GEMM=scalar`,
+//! hosts without lanes — runs the plain blocked row kernels below,
 //! cache-blocked over `i`/`k`. With the `parallel` feature, row-kernel
 //! products past [`PAR_CUTOFF_FLOPS`] run over per-worker row blocks via
 //! `dota_parallel::par_partition_mut`.
 //!
 //! Every path keeps the same numerics contract: every output element is
-//! one ascending-`k` accumulation chain, so for the `scalar` and `simd`
-//! families results are bitwise identical to the naive reference — across
-//! paths, across `DOTA_THREADS`, and across the serial/parallel feature
-//! builds. Only the opt-in `fma` family shifts low bits, and only in
-//! packed tiles (fused rounding); its row-tile products stay exact.
+//! one ascending-`k` accumulation chain, so results are bitwise identical
+//! to the naive reference — on lanes or not, across paths, across
+//! `DOTA_THREADS`, and across the serial/parallel feature builds.
 //!
 //! No route skips a zero of `A`: like the reference, `0·∞` and `0·NaN`
 //! are NaN, so non-finite weights give the same result whichever route a
@@ -30,10 +27,10 @@
 //! `+ 0·b` would not change a bit — a chain started at `+0` never holds
 //! `-0` — so the rule costs the plain kernels nothing but a multiply.
 //!
-//! The kernel decision is one [`KernelFamily`]: [`Matrix::gemm_into`]
-//! takes it from a caller that decided once for many products (a decode
-//! forward), and the other entries take [`KernelFamily::active`] on the
-//! dispatching thread per call and hand it to every pool panel.
+//! The kernel decision is one [`Lanes`]: [`Matrix::gemm_into`] takes it
+//! from a caller that decided once for many products (a decode forward),
+//! and the other entries take [`Lanes::active`] on the dispatching thread
+//! per call and hand it to every pool panel.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; repeated
 //! products of the same shape then run with zero steady-state heap traffic
@@ -41,7 +38,7 @@
 
 use crate::lanes::Lanes;
 use crate::pack::Layout;
-use crate::simd::{self, KernelFamily};
+use crate::simd;
 use crate::{Matrix, ShapeError};
 
 const BLOCK: usize = 32;
@@ -49,9 +46,8 @@ const BLOCK: usize = 32;
 /// `A·B` products with fewer output rows than this never pack `B`: the row
 /// tile ([`simd::few_rows`]) reads `B` in place, and the packed driver's
 /// copy of all of `B` pays for itself only once enough rows share it.
-/// (Under the `fma` family these products therefore stay exact.)
 /// Measured per output row on one core of a 2-core AVX2 Xeon (`simd`
-/// family, several runs each):
+/// lanes, several runs each):
 ///
 /// | `m` | 32×32 row tile | 32×32 packed | 128×512 row tile | 128×512 packed |
 /// |----:|---------------:|-------------:|-----------------:|---------------:|
@@ -67,6 +63,11 @@ const BLOCK: usize = 32;
 /// all); at 128×512 it ties at 32 rows and wins from 64. 512×128 and
 /// 128×128 cross later, near 128 and 256 rows.
 const PACK_MIN_ROWS: usize = 32;
+
+/// Products smaller than this many multiply-adds are never packed: the
+/// packing copies would cost more than they save (same bits either way, so
+/// the cutoff is purely a performance knob).
+const PACK_CUTOFF_FLOPS: usize = 16 * 16 * 16;
 
 /// Products smaller than this many multiply-adds (`m·k·n`) stay serial even
 /// when the `parallel` feature is enabled: below it, thread dispatch costs
@@ -98,13 +99,12 @@ pub fn row_dispatch(out: &mut Matrix, flops: usize, kernel: impl Fn(usize, &mut 
     kernel(0, out.as_mut_slice());
 }
 
-/// Runs one product into the pre-zeroed `out`: the packed SIMD driver when
-/// `family` has lanes and the product is worth packing, the row kernel
-/// `rows` otherwise. The split is invisible in the bits for the
-/// `scalar`/`simd` families — both paths produce the reference chain — so
-/// the cutoff inside [`simd::packed_kernel`] is purely a perf knob.
+/// Runs one product into the pre-zeroed `out`: the packed SIMD driver on
+/// lanes when the product is worth packing, the row kernel `rows`
+/// otherwise. The split is invisible in the bits — both paths produce the
+/// reference chain — so the cutoffs are purely perf knobs.
 fn gemm_dispatch(
-    family: KernelFamily,
+    lanes: Lanes,
     layout: Layout,
     a: &Matrix,
     b: &Matrix,
@@ -120,11 +120,9 @@ fn gemm_dispatch(
     // A few rows of `x·W` read `b`'s rows where they lie: packing would
     // copy all of `b` to use it `m` times.
     let few_rows = m < PACK_MIN_ROWS && layout == Layout::Nn;
-    if !few_rows {
-        if let Some(micro) = simd::packed_kernel(family, flops) {
-            simd::packed_gemm(layout, a, b, out, micro);
-            return;
-        }
+    if lanes != Lanes::Plain && !few_rows && flops >= PACK_CUTOFF_FLOPS {
+        simd::packed_gemm(layout, a, b, out, lanes);
+        return;
     }
     row_dispatch(out, flops, rows);
 }
@@ -276,12 +274,12 @@ impl Matrix {
     /// Returns a [`ShapeError`] when `self.cols() != other.rows()` or
     /// `out` has the wrong shape.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        self.gemm_into(other, out, KernelFamily::active())
+        self.gemm_into(other, out, Lanes::active())
     }
 
-    /// [`Matrix::matmul_into`] under a kernel family the caller decided:
-    /// a forward that runs many products takes [`KernelFamily::active`]
-    /// once and hands it to each.
+    /// [`Matrix::matmul_into`] on lanes the caller decided: a forward that
+    /// runs many products takes [`Lanes::active`] once and hands it to
+    /// each.
     ///
     /// # Errors
     ///
@@ -291,20 +289,19 @@ impl Matrix {
         &self,
         other: &Matrix,
         out: &mut Matrix,
-        family: KernelFamily,
+        lanes: Lanes,
     ) -> Result<(), ShapeError> {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()));
         }
         prep_out("matmul_into", out, self.rows(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul");
-        let lanes = Lanes::of(family);
         let rows = |first, span: &mut [f32]| match lanes {
             Lanes::Plain => nn_kernel(self, other, first, span),
             #[cfg(target_arch = "x86_64")]
             Lanes::Avx2(token) => simd::few_rows(token, self, other, first, span),
         };
-        gemm_dispatch(family, Layout::Nn, self, other, out, rows);
+        gemm_dispatch(lanes, Layout::Nn, self, other, out, rows);
         Ok(())
     }
 
@@ -336,7 +333,7 @@ impl Matrix {
         prep_out("matmul_nt_into", out, self.rows(), other.rows())?;
         let _prof = dota_prof::span("gemm.matmul_nt");
         let rows = |first, span: &mut [f32]| nt_kernel(self, other, first, span);
-        gemm_dispatch(KernelFamily::active(), Layout::Nt, self, other, out, rows);
+        gemm_dispatch(Lanes::active(), Layout::Nt, self, other, out, rows);
         Ok(())
     }
 
@@ -365,32 +362,13 @@ impl Matrix {
         prep_out("matmul_tn_into", out, self.cols(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul_tn");
         let rows = |first, span: &mut [f32]| tn_kernel(self, other, first, span);
-        gemm_dispatch(KernelFamily::active(), Layout::Tn, self, other, out, rows);
+        gemm_dispatch(Lanes::active(), Layout::Tn, self, other, out, rows);
         Ok(())
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// The `scalar` and `simd` families use the exact sequential chain;
-    /// the opt-in `fma` family uses a reassociated multi-chain SIMD dot
-    /// (same documented numerics shift as its GEMM kernels).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when `self.cols() != v.len()`.
-    pub fn matvec(&self, v: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        if self.cols() != v.len() {
-            return Err(ShapeError::new("matvec", self.shape(), (v.len(), 1)));
-        }
-        if let Some(out) = simd::fma_matvec(self, v) {
-            return Ok(out);
-        }
-        Ok(self.rows_iter().map(|row| dot_chain(0.0, row, v)).collect())
     }
 
     /// Dot product of two equal-length slices.
     ///
-    /// Always the exact sequential chain, regardless of kernel family: the
+    /// Always the exact sequential chain, regardless of lanes: the
     /// sparse-attention scorer and the detector compare these values
     /// against recorded thresholds, so they must not drift.
     ///
@@ -405,10 +383,9 @@ impl Matrix {
 
 #[cfg(test)]
 mod tests {
-    use crate::lanes::same;
+    use crate::lanes::{same, with_lanes, Lanes};
     use crate::reference;
     use crate::rng::SeededRng;
-    use crate::simd::{with_family, KernelFamily};
     use crate::Matrix;
     use proptest::prelude::*;
 
@@ -523,14 +500,14 @@ mod tests {
     fn packed_path_is_bitwise_equal_to_reference() {
         // Sizes past the packing cutoff with awkward edges: the packed
         // SIMD driver (when this host has lanes) must reproduce the
-        // reference chain exactly, like the legacy kernels do. Runs under
-        // both `simd` and `scalar` so the dispatch seam itself is pinned.
+        // reference chain exactly, like the legacy kernels do. Runs on the
+        // host's lanes and on plain so the dispatch seam itself is pinned.
         // Below `PACK_MIN_ROWS` rows `nn` takes the row kernel (never
         // packed) while `nt` still takes the packed driver; the last three
         // row counts straddle that seam.
         let mut rng = SeededRng::new(7);
         let seam = super::PACK_MIN_ROWS;
-        for family in [KernelFamily::Simd, KernelFamily::Scalar] {
+        for lanes in [Lanes::host(), Lanes::Plain] {
             for &(m, k, n) in &[
                 (37, 41, 43),
                 (64, 64, 64),
@@ -546,7 +523,7 @@ mod tests {
                 let b = rng.normal_matrix(k, n, 1.0);
                 let bt = rng.normal_matrix(n, k, 1.0);
                 let at = rng.normal_matrix(k, m, 1.0);
-                let (nn, nt, tn) = with_family(family, || {
+                let (nn, nt, tn) = with_lanes(lanes, || {
                     (
                         a.matmul(&b).unwrap(),
                         a.matmul_nt(&bt).unwrap(),
@@ -556,17 +533,17 @@ mod tests {
                 assert_eq!(
                     nn.as_slice(),
                     reference::matmul(&a, &b).as_slice(),
-                    "{family:?} nn bits differ at {m}x{k}x{n}"
+                    "{lanes:?} nn bits differ at {m}x{k}x{n}"
                 );
                 assert_eq!(
                     nt.as_slice(),
                     reference::matmul_nt(&a, &bt).as_slice(),
-                    "{family:?} nt bits differ at {m}x{k}x{n}"
+                    "{lanes:?} nt bits differ at {m}x{k}x{n}"
                 );
                 assert_eq!(
                     tn.as_slice(),
                     reference::matmul_tn(&at, &b).as_slice(),
-                    "{family:?} tn bits differ at {m}x{k}x{n}"
+                    "{lanes:?} tn bits differ at {m}x{k}x{n}"
                 );
             }
         }
@@ -578,8 +555,8 @@ mod tests {
 
     proptest! {
         /// Every `A·B` below `PACK_MIN_ROWS` rows — the row tile on lanes,
-        /// the plain row kernel without — is bitwise the reference under
-        /// each family, `fma` included: `n` has tails below 8, 16 and 64
+        /// the plain row kernel without — is bitwise the reference on
+        /// either body: `n` has tails below 8, 16 and 64
         /// columns, and `k = 0` leaves an all-zero product.
         #[test]
         fn few_row_products_are_bitwise_the_reference_oracle(
@@ -592,9 +569,9 @@ mod tests {
             let a = rng.normal_matrix(m, k, 1.0);
             let b = rng.normal_matrix(k, n, 1.0);
             let want = bits(&reference::matmul(&a, &b));
-            for family in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
-                let got = with_family(family, || a.matmul(&b).unwrap());
-                assert_eq!(bits(&got), want, "{family:?} at {m}x{k}x{n}");
+            for lanes in [Lanes::Plain, Lanes::host()] {
+                let got = with_lanes(lanes, || a.matmul(&b).unwrap());
+                assert_eq!(bits(&got), want, "{lanes:?} at {m}x{k}x{n}");
             }
         }
     }
@@ -625,18 +602,12 @@ mod tests {
             let want_nn = reference::matmul(&a, &b);
             let want_tn = reference::matmul_tn(&at, &b);
             assert!(want_nn.iter().any(|x| x.is_nan()), "the case reaches 0·∞");
-            for family in [KernelFamily::Scalar, KernelFamily::Simd, KernelFamily::Fma] {
-                let (nn, tn) = with_family(family, || {
-                    (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap())
-                });
-                // The fused family moves low bits in packed tiles (every
-                // `tn` here, `nn` from `PACK_MIN_ROWS` rows), never NaNs.
-                let few_rows = m < super::PACK_MIN_ROWS;
+            for lanes in [Lanes::Plain, Lanes::host()] {
+                let (nn, tn) =
+                    with_lanes(lanes, || (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap()));
                 for (got, want, op) in [(&nn, &want_nn, "nn"), (&tn, &want_tn, "tn")] {
-                    let fused = family == KernelFamily::Fma && !(few_rows && op == "nn");
                     for (&g, &w) in got.iter().zip(want.iter()) {
-                        let alike = same(g, w) || (fused && (g - w).abs() < 1e-3);
-                        assert!(alike, "{family:?} {op} m={m}: {g} vs {w}");
+                        assert!(same(g, w), "{lanes:?} {op} m={m}: {g} vs {w}");
                     }
                 }
             }
@@ -675,7 +646,6 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         assert!(a.matmul_nt(&Matrix::zeros(4, 4)).is_err());
         assert!(a.matmul_tn(&Matrix::zeros(3, 3)).is_err());
-        assert!(a.matvec(&[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -689,19 +659,6 @@ mod tests {
         assert_eq!(c.matmul(&d).unwrap().shape(), (3, 2));
         assert_eq!(c.matmul_nt(&Matrix::zeros(5, 0)).unwrap().shape(), (3, 5));
         assert_eq!(d.matmul_tn(&Matrix::zeros(0, 4)).unwrap().shape(), (2, 4));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = SeededRng::new(5);
-        let a = rng.normal_matrix(6, 4, 1.0);
-        let v = vec![1.0, -2.0, 0.5, 3.0];
-        let mv = a.matvec(&v).unwrap();
-        let col = Matrix::from_vec(4, 1, v).unwrap();
-        let mm = a.matmul(&col).unwrap();
-        for (i, &x) in mv.iter().enumerate() {
-            assert!((x - mm[(i, 0)]).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! public entry ([`Lanes::active`]) and handed down to every row it serves.
 //! AVX2 and FMA make one token, not two, because the `exp` lanes need both
 //! and the AVX2 cores without FMA are rare (they run the plain bodies).
+//! Other hosts, aarch64 included, run the plain bodies.
+//!
+//! The decision is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`}, read once per
+//! process by one parser ([`parse_family`]): `scalar` is [`Lanes::Plain`],
+//! `simd` the host's lanes, `auto` whichever the host has. A malformed
+//! value, or `simd` on a host without the lanes, falls back to `auto` in
+//! [`Lanes::active`], while front ends reject both up front. An in-process
+//! choice is a scoped value on the calling thread, [`with_lanes`].
 //!
 //! Inside a `#[target_feature]` fn the value-only `std::arch` intrinsics
 //! are safe; touching memory through a raw pointer is not. The loads, the
@@ -20,13 +28,17 @@
 //! than at every read. So `unsafe` appears in these wrappers and in the one
 //! token-bound call by which each kernel entry enters its lanes.
 
-use crate::simd::KernelFamily;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
-/// Which body a lane kernel runs. Copy it down to every row of a call
-/// rather than looking it up per row.
+/// Name of the environment variable selecting the lanes.
+pub const GEMM_ENV: &str = "DOTA_GEMM";
+
+/// Which body a lane kernel runs: the one kernel decision. Copy it down to
+/// every row of a call rather than looking it up per row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lanes {
-    /// Plain Rust: the `scalar` family, every host without the lanes, and
+    /// Plain Rust: `DOTA_GEMM=scalar`, every host without the lanes, and
     /// the oracle each lane kernel is held to.
     Plain,
     /// Eight AVX2+FMA lanes.
@@ -34,7 +46,7 @@ pub enum Lanes {
     Avx2(Avx2),
 }
 
-/// Proof that this host runs AVX2 and FMA: built only by [`Lanes::of`],
+/// Proof that this host runs AVX2 and FMA: built only by [`Lanes::host`],
 /// after detecting both, so an entry holding one may call its
 /// `#[target_feature(enable = "avx2,fma")]` body.
 #[cfg(target_arch = "x86_64")]
@@ -42,34 +54,92 @@ pub enum Lanes {
 pub struct Avx2(());
 
 impl Lanes {
-    /// The lanes under [`KernelFamily::active`]: [`Lanes::Avx2`] for `simd`
-    /// and `fma` on a host with AVX2 and FMA, [`Lanes::Plain`] for
-    /// `scalar` and everywhere else — the same bits either way.
-    pub fn active() -> Self {
-        Self::of(KernelFamily::active())
-    }
-
-    /// The lanes of `family` on this host: for a caller that already holds
-    /// the family it runs its products under.
-    pub fn of(family: KernelFamily) -> Self {
+    /// The lanes this host runs, whatever `DOTA_GEMM` says: [`Lanes::Avx2`]
+    /// on an x86-64 host with AVX2 and FMA, [`Lanes::Plain`] everywhere
+    /// else. What `auto` selects.
+    pub fn host() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if family != KernelFamily::Scalar && host_has_lanes() {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             return Lanes::Avx2(Avx2(()));
         }
-        let _ = family;
         Lanes::Plain
+    }
+
+    /// The lanes a kernel started on this thread runs: the innermost
+    /// [`with_lanes`] scope's, else `DOTA_GEMM` (default `auto`) read once
+    /// per process through [`parse_family`], silently `auto` where that is
+    /// an error. A GEMM resolves it on the dispatching thread and hands it
+    /// to its pool panels; a kernel started by a `dota_parallel::par_map`
+    /// worker (the per-head attention fan-out) runs under the process
+    /// setting. The decode forward reads it once and passes it to every
+    /// product through [`crate::Matrix::gemm_into`].
+    pub fn active() -> Self {
+        static PROCESS: OnceLock<Lanes> = OnceLock::new();
+        SCOPED.with(Cell::get).unwrap_or_else(|| {
+            *PROCESS.get_or_init(|| {
+                parse_family(&std::env::var(GEMM_ENV).unwrap_or_default())
+                    .unwrap_or_else(|_| Lanes::host())
+            })
+        })
+    }
+
+    /// The `DOTA_GEMM` spelling of these lanes, `scalar` or `simd`: the one
+    /// [`parse_family`] maps back to them, and the kernel provenance of run
+    /// manifests and the benchmark.
+    pub fn name(self) -> &'static str {
+        match self {
+            Lanes::Plain => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(_) => "simd",
+        }
     }
 }
 
-/// Whether this host has the lanes the kernels are written for: AVX2 and
-/// FMA on x86-64, NEON (baseline) on aarch64 for the GEMM tiles.
-pub(crate) fn host_has_lanes() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    let lanes =
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
-    #[cfg(not(target_arch = "x86_64"))]
-    let lanes = cfg!(target_arch = "aarch64");
-    lanes
+thread_local! {
+    /// The lanes of the innermost [`with_lanes`] scope on this thread.
+    static SCOPED: Cell<Option<Lanes>> = const { Cell::new(None) };
+}
+
+/// Runs `body` with kernels started on the calling thread on `lanes`, then
+/// restores the previous choice — also when `body` panics. Scopes nest;
+/// other threads, including threads `body` spawns itself, keep the process
+/// setting.
+pub fn with_lanes<R>(lanes: Lanes, body: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Lanes>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(lanes))));
+    body()
+}
+
+/// The lanes `DOTA_GEMM=value` selects on this host: the one parser of the
+/// variable, behind [`Lanes::active`] and the front ends' up-front
+/// validation, which reports what this returns instead of falling back — a
+/// typo'd value would invalidate a benchmark.
+///
+/// # Errors
+///
+/// A description of the bad value when it is not one of
+/// `auto`/`scalar`/`simd` (in any case, blanks around it ignored), or is
+/// `simd` on a host without the lanes.
+pub fn parse_family(value: &str) -> Result<Lanes, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "auto" => Ok(Lanes::host()),
+        "scalar" => Ok(Lanes::Plain),
+        "simd" if Lanes::host() == Lanes::Plain => Err(format!(
+            "{GEMM_ENV}={value} requires SIMD lanes this CPU does not report \
+             (detected: {})",
+            crate::simd::cpu_features().join("+")
+        )),
+        "simd" => Ok(Lanes::host()),
+        _ => Err(format!(
+            "{GEMM_ENV} must be one of auto|scalar|simd, got `{value}`"
+        )),
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -202,7 +272,7 @@ mod avx2 {
 }
 
 /// Every body of a lane kernel this host can run right now: the plain one,
-/// then the lanes if the active family has them.
+/// then the active lanes if they are not plain.
 #[cfg(test)]
 pub(crate) fn bodies() -> Vec<Lanes> {
     let mut bodies = vec![Lanes::Plain];
@@ -322,14 +392,14 @@ mod tests {
     /// for any index.
     #[test]
     fn wrappers_move_exactly_their_lanes() {
-        if Lanes::of(KernelFamily::Simd) == Lanes::Plain {
+        if Lanes::host() == Lanes::Plain {
             return;
         }
         let mut f: [f32; 24] = std::array::from_fn(|k| k as f32);
         let mut i = [[0; 8]; 4];
         let ints: [i32; 9] = std::array::from_fn(|k| 100 + k as i32);
         let bytes: [i8; 16] = std::array::from_fn(|k| k as i8 * 8 - 60);
-        // SAFETY: `Lanes::of` found AVX2 and FMA.
+        // SAFETY: `Lanes::host` found AVX2 and FMA.
         unsafe { round_trips(&mut f, &mut i, &ints, &bytes) };
         let floats = (0..13).chain(3..11).chain(21..24).map(|k| k as f32);
         assert!(f.into_iter().eq(floats));
@@ -357,12 +427,12 @@ mod tests {
     /// refuses a row past the matrix and a block past the window.
     #[test]
     fn key_rows_transpose_their_windows_and_stop_at_the_edge() {
-        if Lanes::of(KernelFamily::Simd) == Lanes::Plain {
+        if Lanes::host() == Lanes::Plain {
             return;
         }
         let data: Vec<f32> = (0..5 * 11).map(|k| k as f32).collect();
         let rows = [4, 0, 3, 1, 2, 4, 0, 1];
-        // SAFETY: `Lanes::of` found AVX2 and FMA.
+        // SAFETY: `Lanes::host` found AVX2 and FMA.
         let edge = std::panic::catch_unwind(|| unsafe { key_blocks(&data, &rows) });
         let message = edge.unwrap_err().downcast::<String>().unwrap();
         assert!(message.contains("block 2 past the window"), "{message}");

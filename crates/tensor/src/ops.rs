@@ -8,7 +8,7 @@
 //! Softmax and the attention row kernel ([`attend_row`]) come as one
 //! scalar definition and one AVX2 kernel that evaluates the same chain of
 //! operations per lane, chosen by a [`Lanes`]; like GELU they have no
-//! inexact flavour — their bits are equal under every `DOTA_GEMM` family.
+//! inexact flavour — their bits are equal under every `DOTA_GEMM` value.
 
 use crate::exp;
 use crate::lanes::Lanes;
@@ -709,9 +709,8 @@ mod sparse_properties {
 mod row_kernel_tests {
     use super::*;
     use crate::exp::exp_f32;
-    use crate::lanes::{bodies, same};
+    use crate::lanes::{bodies, same, with_lanes};
     use crate::rng::SeededRng;
-    use crate::simd::{with_family, KernelFamily};
     use proptest::prelude::*;
 
     /// Values softmax and the row kernel must carry through the lanes like
@@ -808,9 +807,9 @@ mod row_kernel_tests {
             }
             softmax_slice(Lanes::Plain, want.row_mut(r));
         }
-        for family in [KernelFamily::Simd, KernelFamily::Fma, KernelFamily::Scalar] {
-            let got = with_family(family, || masked_softmax_rows(&scores, &mask));
-            assert_same(got.as_slice(), want.as_slice(), family.name());
+        for lanes in [Lanes::host(), Lanes::Plain] {
+            let got = with_lanes(lanes, || masked_softmax_rows(&scores, &mask));
+            assert_same(got.as_slice(), want.as_slice(), lanes.name());
         }
     }
 
@@ -901,14 +900,14 @@ mod row_kernel_tests {
 
     #[test]
     fn family_selects_the_row_kernel() {
-        with_family(KernelFamily::Scalar, || {
-            assert_eq!(Lanes::active(), Lanes::Plain)
-        });
-        for family in [KernelFamily::Simd, KernelFamily::Fma] {
-            let lanes = with_family(family, Lanes::active);
-            let want = cfg!(target_arch = "x86_64") && crate::lanes::host_has_lanes();
-            assert_eq!(lanes != Lanes::Plain, want, "{family:?}");
+        // Each `DOTA_GEMM` value this host accepts is the body the row
+        // kernels run under it; `scalar` is the plain one.
+        for value in ["scalar", "simd", "auto"] {
+            if let Ok(lanes) = crate::lanes::parse_family(value) {
+                assert_eq!(with_lanes(lanes, Lanes::active), lanes, "{value}");
+            }
         }
+        with_lanes(Lanes::Plain, || assert_eq!(Lanes::active(), Lanes::Plain));
     }
 
     #[test]

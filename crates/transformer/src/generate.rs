@@ -16,7 +16,6 @@
 use crate::{Model, TransformerParams};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
-use dota_tensor::simd::KernelFamily;
 use dota_tensor::{ops, Matrix};
 use std::ops::Range;
 
@@ -328,12 +327,11 @@ impl Model {
         let scale = 1.0 / (hd as f32).sqrt();
         // Decided here, once: every product, GELU and `attend_row` (per
         // layer, row and head) of the call runs under it.
-        let family = KernelFamily::active();
-        let lanes = Lanes::of(family);
+        let lanes = Lanes::active();
         let linear = |x: &Matrix, w, out: &mut Matrix| {
             let w = params.value(w);
             out.reuse_as(x.rows(), w.cols());
-            x.gemm_into(w, out, family).expect("shape");
+            x.gemm_into(w, out, lanes).expect("shape");
         };
         let DecodeScratch {
             x,

@@ -318,6 +318,8 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         ("infer text --seq 100000000000", "100000000000"),
         ("train text --seq 100000000000", "100000000000"),
         ("faults --seq 100000000000", "100000000000"),
+        ("infer text --seq 4097", "--seq 4097 must be in 16..=4096"),
+        ("top --addr 127.0.0.1:1 --ticks 0", "--ticks 0"),
         ("faults --rates 2,-1,NaN", "fault rate 2 outside"),
         ("faults --rates 0.5,-1", "fault rate -1 outside"),
         ("faults --rates NaN", "fault rate NaN outside"),
