@@ -79,7 +79,7 @@ impl AccelConfig {
     }
 
     /// Effective MACs per cycle at the linear-stage precision.
-    pub fn linear_macs_per_cycle(&self) -> f64 {
+    pub(crate) fn linear_macs_per_cycle(&self) -> f64 {
         self.reconfigured_macs_per_cycle(self.linear_precision)
     }
 
@@ -289,49 +289,6 @@ impl Accelerator {
         sigma: f64,
         profile: &SelectionProfile,
     ) -> PerfReport {
-        match self.simulate_shape_impl(model, n, retention, sigma, profile, false) {
-            Ok(report) => report,
-            // With injection off the impl has no error source.
-            Err(_) => unreachable!("fault-free simulation cannot fail"),
-        }
-    }
-
-    /// Fault-aware variant of [`simulate_shape`](Accelerator::simulate_shape):
-    /// inside a [`dota_faults`] session, injected SRAM bit-flips and DRAM
-    /// transient-read errors are absorbed (ECC replay / bounded retry,
-    /// counted under `faults.*`) and stuck lanes are routed around at
-    /// reduced throughput; unabsorbable faults (retry exhaustion, every
-    /// lane down) surface as a typed [`SimFault`]. Identical to
-    /// `simulate_shape` when no fault session is active.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimFault`] the modeled machine cannot recover
-    /// from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retention` is outside `(0, 1]`.
-    pub fn try_simulate_shape(
-        &self,
-        model: &TransformerConfig,
-        n: usize,
-        retention: f64,
-        sigma: f64,
-        profile: &SelectionProfile,
-    ) -> Result<PerfReport, SimFault> {
-        self.simulate_shape_impl(model, n, retention, sigma, profile, true)
-    }
-
-    fn simulate_shape_impl(
-        &self,
-        model: &TransformerConfig,
-        n: usize,
-        retention: f64,
-        sigma: f64,
-        profile: &SelectionProfile,
-        faults: bool,
-    ) -> Result<PerfReport, SimFault> {
         let _prof = dota_prof::span("accel.simulate_shape");
         assert!(
             retention > 0.0 && retention <= 1.0,
@@ -373,21 +330,22 @@ impl Accelerator {
         // one representative layer and adding it `layers` times, since the
         // model is pure) so memory/MAC counters accumulate whole-model
         // totals and the trace shows every layer's stages.
-        let exec = self.degraded(faults)?;
         let mut report = PerfReport::default();
         let mut cursor = 0u64;
         for l in 0..layers {
-            let layer = exec.layer_report(
-                model,
-                n,
-                k_per_row,
-                retention,
-                sigma,
-                key_loads_head,
-                rbr_head,
-                l,
-                faults,
-            )?;
+            let layer = self
+                .layer_report(
+                    model,
+                    n,
+                    k_per_row,
+                    retention,
+                    sigma,
+                    key_loads_head,
+                    rbr_head,
+                    l,
+                    false,
+                )
+                .expect("fault-free simulation cannot fail");
             if dota_trace::enabled() {
                 cursor = emit_stage_events(l, cursor, &layer.cycles);
             }
@@ -396,7 +354,7 @@ impl Accelerator {
         report.key_loads = key_loads;
         report.key_loads_row_by_row = key_loads_rbr;
         report.retention = retention;
-        Ok(report)
+        report
     }
 
     /// Routes around stuck lanes: inside a fault session, each configured
@@ -441,9 +399,13 @@ impl Accelerator {
         }
     }
 
-    /// Fault-aware variant of [`simulate_trace`](Accelerator::simulate_trace)
-    /// with the same absorb-or-typed-error semantics as
-    /// [`try_simulate_shape`](Accelerator::try_simulate_shape).
+    /// Fault-aware variant of [`simulate_trace`](Accelerator::simulate_trace):
+    /// inside a [`dota_faults`] session, injected SRAM bit-flips and DRAM
+    /// transient-read errors are absorbed (ECC replay / bounded retry,
+    /// counted under `faults.*`) and stuck lanes are routed around at
+    /// reduced throughput; unabsorbable faults (retry exhaustion, every
+    /// lane down) surface as a typed [`SimFault`]. Identical to
+    /// `simulate_trace` when no fault session is active.
     ///
     /// # Errors
     ///
@@ -1079,60 +1041,85 @@ mod counting_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::synth::sample_selection;
     use dota_faults::{FaultPlan, FaultSite};
+    use dota_tensor::Matrix;
+    use dota_transformer::{HeadTrace, LayerTrace};
 
     fn lra() -> TransformerConfig {
         TransformerConfig::lra(2048, 2)
     }
 
+    /// A trace of `model` at sequence length `n` in which every head keeps
+    /// the same sampled selection, `retention` of each row.
+    fn shape_trace(model: &TransformerConfig, n: usize, retention: f64) -> ForwardTrace {
+        let k = ((retention * n as f64).round() as usize).clamp(1, n);
+        let mut rng = SeededRng::new(0xacce1);
+        let head = HeadTrace {
+            selected: Some(sample_selection(
+                n,
+                k,
+                &SelectionProfile::default(),
+                &mut rng,
+            )),
+            q: Matrix::zeros(n, model.head_dim()),
+            k: Matrix::zeros(n, model.head_dim()),
+            v: Matrix::zeros(n, model.head_dim()),
+        };
+        let layer = LayerTrace {
+            heads: vec![head; model.n_heads],
+        };
+        ForwardTrace {
+            layers: vec![layer; model.n_layers],
+            logits: Matrix::zeros(1, 1),
+            fallback_dense: 0,
+        }
+    }
+
     #[test]
     fn try_simulate_matches_infallible_without_session() {
         let acc = Accelerator::new(AccelConfig::default());
-        let prof = SelectionProfile::default();
-        let a = acc.simulate_shape(&lra(), 256, 0.1, 0.2, &prof);
-        let b = acc
-            .try_simulate_shape(&lra(), 256, 0.1, 0.2, &prof)
-            .unwrap();
+        let trace = shape_trace(&lra(), 256, 0.1);
+        let a = acc.simulate_trace(&lra(), &trace);
+        let b = acc.try_simulate_trace(&lra(), &trace).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn sram_bitflips_absorbed_with_extra_cycles() {
         let acc = Accelerator::new(AccelConfig::default());
-        let prof = SelectionProfile::default();
-        let clean = acc.simulate_shape(&lra(), 256, 0.1, 0.2, &prof);
+        let trace = shape_trace(&lra(), 256, 0.1);
+        let clean = acc.simulate_trace(&lra(), &trace);
         let guard = dota_faults::session(FaultPlan::new(3).with_rate(FaultSite::SramBitFlip, 1.0));
         let faulty = acc
-            .try_simulate_shape(&lra(), 256, 0.1, 0.2, &prof)
+            .try_simulate_trace(&lra(), &trace)
             .expect("bit flips are always absorbed");
         assert!(guard.counter("faults.sram.bitflips") > 0);
         assert!(
             faulty.cycles.total() >= clean.cycles.total(),
             "ECC replay cannot make the run faster"
         );
-        // Legacy entry point stays fault-free even inside the session.
-        let legacy = acc.simulate_shape(&lra(), 256, 0.1, 0.2, &prof);
+        // The infallible entry point stays fault-free even inside the session.
+        let legacy = acc.simulate_trace(&lra(), &trace);
         assert_eq!(legacy, clean);
     }
 
     #[test]
     fn dram_read_faults_retry_then_fail() {
         let acc = Accelerator::new(AccelConfig::default());
-        let prof = SelectionProfile::default();
+        let trace = shape_trace(&lra(), 256, 0.1);
         // Rate 1.0: every retry also faults, so the read must fail.
         let guard = dota_faults::session(FaultPlan::new(4).with_rate(FaultSite::DramRead, 1.0));
-        let err = acc
-            .try_simulate_shape(&lra(), 256, 0.1, 0.2, &prof)
-            .unwrap_err();
+        let err = acc.try_simulate_trace(&lra(), &trace).unwrap_err();
         assert!(matches!(err, SimFault::DramReadFailed { .. }), "{err}");
         assert!(guard.counter("faults.dram.retries") > 0);
         assert!(guard.counter("faults.dram.failed_reads") > 0);
         drop(guard);
         // A low rate is absorbed by the bounded retry.
         let guard = dota_faults::session(FaultPlan::new(4).with_rate(FaultSite::DramRead, 0.05));
-        let clean = acc.simulate_shape(&lra(), 256, 0.1, 0.2, &prof);
+        let clean = acc.simulate_trace(&lra(), &trace);
         let faulty = acc
-            .try_simulate_shape(&lra(), 256, 0.1, 0.2, &prof)
+            .try_simulate_trace(&lra(), &trace)
             .expect("rate 0.05 faults absorbed by retry");
         assert!(guard.counter("faults.dram.retries") > 0);
         assert!(faulty.cycles.total() >= clean.cycles.total());
@@ -1141,25 +1128,23 @@ mod fault_tests {
     #[test]
     fn all_lanes_stuck_is_typed_error() {
         let acc = Accelerator::new(AccelConfig::default());
-        let prof = SelectionProfile::default();
+        let trace = shape_trace(&lra(), 256, 0.1);
         let _guard = dota_faults::session(FaultPlan::new(5).with_rate(FaultSite::LaneStuck, 1.0));
-        let err = acc
-            .try_simulate_shape(&lra(), 256, 0.1, 0.2, &prof)
-            .unwrap_err();
+        let err = acc.try_simulate_trace(&lra(), &trace).unwrap_err();
         assert_eq!(err, SimFault::AllLanesDown { lanes: 4 });
     }
 
     #[test]
     fn partial_lane_drop_degrades_throughput() {
         let acc = Accelerator::new(AccelConfig::default());
-        let prof = SelectionProfile::default();
-        let clean = acc.simulate_shape(&lra(), 512, 0.1, 0.2, &prof);
+        let trace = shape_trace(&lra(), 512, 0.1);
+        let clean = acc.simulate_trace(&lra(), &trace);
         // Find a seed where some but not all lanes survive (deterministic
         // per seed, so scan a few).
         for seed in 0..64u64 {
             let guard =
                 dota_faults::session(FaultPlan::new(seed).with_rate(FaultSite::LaneStuck, 0.5));
-            let result = acc.try_simulate_shape(&lra(), 512, 0.1, 0.2, &prof);
+            let result = acc.try_simulate_trace(&lra(), &trace);
             let dropped = guard.counter("faults.lane.dropped");
             drop(guard);
             if let Ok(report) = result {
@@ -1173,103 +1158,5 @@ mod fault_tests {
             }
         }
         panic!("no seed in 0..64 dropped a strict subset of lanes");
-    }
-}
-
-impl Accelerator {
-    /// Pipelined variant of [`simulate_shape`](Accelerator::simulate_shape):
-    /// the same per-stage work is scheduled through the event-driven
-    /// [`lane`](crate::lane) tile model, so layer `l+1`'s weight stream
-    /// overlaps layer `l`'s compute and the Detector's low-precision rows
-    /// run concurrently with FX16 work. Returns the overlapped report plus
-    /// the pipeline's resource view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retention` is outside `(0, 1]`.
-    pub fn simulate_shape_pipelined(
-        &self,
-        model: &TransformerConfig,
-        n: usize,
-        retention: f64,
-        sigma: f64,
-        profile: &SelectionProfile,
-    ) -> (PerfReport, crate::lane::PipelineReport) {
-        let sequential = self.simulate_shape(model, n, retention, sigma, profile);
-        let layers = model.n_layers as u64;
-        // Per-layer stage cycles from the sequential report.
-        let per = |x: u64| x / layers.max(1);
-        let d = model.d_model as u64;
-        let d_ff = model.d_ff as u64;
-        let weight_bytes = (4 * d * d + 2 * d * d_ff) * 2;
-        let weight_cycles = (weight_bytes as f64 / self.config.dram_gbps).ceil() as u64;
-        // Attention-stage MFU work rides with the attention tile; K/V
-        // streaming gets its own SRAM tile sized from the key loads.
-        let kv_bytes = sequential.key_loads / layers.max(1) * 2 * model.head_dim() as u64 * 2;
-        let kv_cycles = (kv_bytes as f64
-            / (64.0 * 10.0 * self.config.lanes as f64 * self.config.scale))
-            .ceil() as u64;
-        let tiles = crate::lane::encoder_tiles(
-            model.n_layers,
-            weight_cycles,
-            per(sequential.cycles.linear),
-            per(sequential.cycles.detection),
-            per(sequential.cycles.attention),
-            per(sequential.cycles.attention) / 4, // MFU softmax rides behind
-            kv_cycles,
-            per(sequential.cycles.ffn),
-        );
-        let pipeline = crate::lane::schedule(&tiles);
-        let mut report = sequential.clone();
-        // The pipelined makespan replaces the additive total; keep the
-        // stage split for breakdowns (scaled proportionally).
-        let ratio = pipeline.makespan as f64 / sequential.cycles.total().max(1) as f64;
-        let scale_stage = |x: u64| (x as f64 * ratio).round() as u64;
-        report.cycles = StageLatency {
-            linear: scale_stage(sequential.cycles.linear),
-            detection: scale_stage(sequential.cycles.detection),
-            attention: scale_stage(sequential.cycles.attention),
-            ffn: scale_stage(sequential.cycles.ffn),
-        };
-        (report, pipeline)
-    }
-}
-
-#[cfg(test)]
-mod pipeline_tests {
-    use super::*;
-    use crate::lane::Resource;
-
-    #[test]
-    fn pipelined_never_slower_than_sequential() {
-        let acc = Accelerator::new(AccelConfig::default());
-        let model = TransformerConfig::lra(2048, 2);
-        let prof = SelectionProfile::default();
-        let seq = acc.simulate_shape(&model, 1024, 0.1, 0.2, &prof);
-        let (piped, pipeline) = acc.simulate_shape_pipelined(&model, 1024, 0.1, 0.2, &prof);
-        // The coarse model already overlaps within stages (max of compute
-        // and memory), while the tile DAG exposes real dependencies it
-        // ignores, so the two agree within a few percent — and the
-        // pipelined makespan must beat the fully serial tile schedule.
-        assert!(
-            (piped.cycles.total() as f64) <= seq.cycles.total() as f64 * 1.05,
-            "pipelined {} way above sequential {}",
-            piped.cycles.total(),
-            seq.cycles.total()
-        );
-        assert!(piped.cycles.total() < pipeline.serial_cycles());
-        assert!(pipeline.utilization(Resource::RmmuFx) > 0.3);
-    }
-
-    #[test]
-    fn pipelined_breakdown_preserves_proportions() {
-        let acc = Accelerator::new(AccelConfig::default());
-        let model = TransformerConfig::lra(2048, 2);
-        let prof = SelectionProfile::default();
-        let seq = acc.simulate_shape(&model, 512, 0.1, 0.2, &prof);
-        let (piped, _) = acc.simulate_shape_pipelined(&model, 512, 0.1, 0.2, &prof);
-        let seq_frac = seq.cycles.linear as f64 / seq.cycles.total() as f64;
-        let piped_frac = piped.cycles.linear as f64 / piped.cycles.total().max(1) as f64;
-        assert!((seq_frac - piped_frac).abs() < 0.02);
     }
 }

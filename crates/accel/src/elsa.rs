@@ -64,7 +64,7 @@ impl ElsaModel {
     /// Cycles for one layer's attention block at sequence length `n`:
     /// hashing + candidate filtering over all `n²` pairs, then FX16
     /// computation of the kept connections.
-    pub fn attention_cycles(&self, cfg: &TransformerConfig, n: usize) -> u64 {
+    pub(crate) fn attention_cycles(&self, cfg: &TransformerConfig, n: usize) -> u64 {
         let hd = cfg.head_dim() as u64;
         let heads = cfg.n_heads as u64;
         let nn = n as u64;

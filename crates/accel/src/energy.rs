@@ -42,7 +42,7 @@ pub const SRAM_LEAKAGE_MW: f64 = 0.51;
 ///
 /// Narrow MACs reuse a quadratically smaller slice of the fused multiplier
 /// (see [`Precision::mac_energy_rel`]).
-pub fn mac_pj(precision: Precision) -> f64 {
+pub(crate) fn mac_pj(precision: Precision) -> f64 {
     MAC_FX16_PJ * precision.mac_energy_rel()
 }
 

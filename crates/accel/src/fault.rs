@@ -4,10 +4,9 @@
 //! modeled machine has a recovery mechanism — ECC re-reads for SRAM bit
 //! flips, bounded retries for transient DRAM errors, routing around stuck
 //! lanes — and surface as a [`SimFault`] when recovery is exhausted. The
-//! fault-aware paths ([`Accelerator::try_simulate_shape`],
-//! [`Accelerator::try_simulate_trace`]) never panic on injected faults.
+//! fault-aware path, [`Accelerator::try_simulate_trace`], never panics on
+//! injected faults.
 //!
-//! [`Accelerator::try_simulate_shape`]: crate::Accelerator::try_simulate_shape
 //! [`Accelerator::try_simulate_trace`]: crate::Accelerator::try_simulate_trace
 
 use std::fmt;

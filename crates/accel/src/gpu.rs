@@ -37,13 +37,13 @@ impl GpuModel {
     /// Efficiency saturates at 45% for large square GEMMs and collapses
     /// when the smallest dimension is narrow (underfilled SMs, no data
     /// reuse) — the regime of `Q K^T` with `k = 64`.
-    pub fn gemm_efficiency(&self, m: usize, k: usize, n: usize) -> f64 {
+    pub(crate) fn gemm_efficiency(&self, m: usize, k: usize, n: usize) -> f64 {
         let min_dim = m.min(k).min(n) as f64;
         (0.45 * (min_dim / 512.0)).clamp(0.08, 0.45)
     }
 
     /// Seconds for an `m x k x n` GEMM (compute vs. memory roofline).
-    pub fn gemm_seconds(&self, m: usize, k: usize, n: usize) -> f64 {
+    pub(crate) fn gemm_seconds(&self, m: usize, k: usize, n: usize) -> f64 {
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let eff = self.gemm_efficiency(m, k, n);
         let compute = flops / (self.peak_tflops * 1e12 * eff);
@@ -67,7 +67,7 @@ impl GpuModel {
     }
 
     /// Seconds for one full encoder layer (linear + attention + FFN).
-    pub fn layer_seconds(&self, cfg: &TransformerConfig, n: usize) -> f64 {
+    pub(crate) fn layer_seconds(&self, cfg: &TransformerConfig, n: usize) -> f64 {
         let d = cfg.d_model;
         let linear = self.gemm_seconds(n, d, 3 * d) + self.gemm_seconds(n, d, d);
         let ffn = self.gemm_seconds(n, d, cfg.d_ff) + self.gemm_seconds(n, cfg.d_ff, d);

@@ -82,7 +82,8 @@ impl PipelineReport {
     }
 
     /// Sum of all tiles' cycles — the serial (no-overlap) execution time.
-    pub fn serial_cycles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn serial_cycles(&self) -> u64 {
         self.busy.values().sum()
     }
 }

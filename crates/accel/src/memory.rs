@@ -53,7 +53,7 @@ impl DramModel {
     /// # Errors
     ///
     /// Returns [`SimFault::DramReadFailed`] when every retry also faults.
-    pub fn read_checked(
+    pub(crate) fn read_checked(
         &mut self,
         bytes: u64,
         stage: &'static str,
@@ -91,12 +91,12 @@ impl DramModel {
     }
 
     /// Total bytes moved so far.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
 
     /// Energy consumed by all traffic so far, in pJ.
-    pub fn energy_pj(&self) -> f64 {
+    pub(crate) fn energy_pj(&self) -> f64 {
         self.total_bytes() as f64 * energy::DRAM_PJ_PER_BYTE
     }
 
@@ -137,7 +137,7 @@ impl SramModel {
     }
 
     /// The per-Lane configuration from Table 2: 10 × 64 KB = 640 KB.
-    pub fn lane_default() -> Self {
+    pub(crate) fn lane_default() -> Self {
         Self::new(10, 64)
     }
 
@@ -186,7 +186,7 @@ impl SramModel {
     /// `faults.sram.bitflips` counter. `stream`/`layer` are the stable
     /// fault coordinates. Identical to `access` when no fault session is
     /// active.
-    pub fn access_checked(&mut self, bytes: u64, stream_id: u64, layer: u64) -> u64 {
+    pub(crate) fn access_checked(&mut self, bytes: u64, stream_id: u64, layer: u64) -> u64 {
         let cycles = self.access(bytes);
         if dota_faults::enabled()
             && dota_faults::should_inject(FaultSite::SramBitFlip, &[layer, stream_id])
@@ -199,25 +199,14 @@ impl SramModel {
         cycles
     }
 
-    /// Cycles for `accesses` simultaneous accesses that all hit the same
-    /// bank (worst-case conflict: full serialization).
-    pub fn conflict_cycles(&self, accesses: u64) -> u64 {
-        accesses
-    }
-
     /// Total bytes accessed so far.
     pub fn bytes_accessed(&self) -> u64 {
         self.bytes_accessed
     }
 
     /// Energy of all accesses so far, in pJ.
-    pub fn energy_pj(&self) -> f64 {
+    pub(crate) fn energy_pj(&self) -> f64 {
         self.bytes_accessed as f64 * energy::SRAM_PJ_PER_BYTE
-    }
-
-    /// Resets access counters (capacity allocations are kept).
-    pub fn reset_counters(&mut self) {
-        self.bytes_accessed = 0;
     }
 }
 
@@ -267,7 +256,6 @@ mod tests {
         assert_eq!(s.access(256), 1);
         assert_eq!(s.access(257), 2);
         assert_eq!(s.bytes_accessed(), 513);
-        assert_eq!(s.conflict_cycles(7), 7);
     }
 
     #[test]
@@ -277,7 +265,5 @@ mod tests {
         let e1 = s.energy_pj();
         s.access(1000);
         assert!((s.energy_pj() - 2.0 * e1).abs() < 1e-9);
-        s.reset_counters();
-        assert_eq!(s.energy_pj(), 0.0);
     }
 }

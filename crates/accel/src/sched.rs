@@ -49,12 +49,12 @@ impl Schedule {
     }
 
     /// Number of rounds (the group's makespan in key-steps).
-    pub fn round_count(&self) -> usize {
+    pub(crate) fn round_count(&self) -> usize {
         self.rounds.len()
     }
 
     /// Total `(query, key)` assignments.
-    pub fn total_assignments(&self) -> u64 {
+    pub(crate) fn total_assignments(&self) -> u64 {
         self.rounds.iter().map(|r| r.assignments.len() as u64).sum()
     }
 }
@@ -67,9 +67,9 @@ impl Schedule {
 pub struct LoadCounts {
     /// Key-vector loads ([`Schedule::total_loads`]).
     pub loads: u64,
-    /// Rounds ([`Schedule::round_count`]).
+    /// Rounds (`Schedule::round_count`).
     pub rounds: u64,
-    /// `(query, key)` assignments ([`Schedule::total_assignments`]).
+    /// `(query, key)` assignments (`Schedule::total_assignments`).
     pub assignments: u64,
     /// Loads beyond a key's first within its group: a key split across
     /// rounds is re-fetched (Fig. 10's k5).

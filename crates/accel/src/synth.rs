@@ -111,7 +111,7 @@ impl<'a> SelectionSampler<'a> {
     /// # Panics
     ///
     /// Panics after the `n`-th row.
-    pub fn next_row(&mut self, row: &mut Vec<u32>) {
+    pub(crate) fn next_row(&mut self, row: &mut Vec<u32>) {
         let (n, k, q) = (self.n, self.k, self.q);
         assert!(q < n, "a selection over {n} tokens has {n} rows");
         self.q += 1;

@@ -1,15 +1,13 @@
 //! Finite-difference gradient checking.
 //!
 //! Every op's backward rule in this crate is verified against a central
-//! finite difference. The checker is public so downstream crates
-//! (`dota-transformer`, `dota-detector`) can validate their composed models
-//! the same way.
+//! finite difference by this test-only checker.
 
 use crate::{Graph, ParamId, ParamSet};
 use dota_tensor::Matrix;
 
 /// Relative tolerance used by [`check_gradients`].
-pub const DEFAULT_TOLERANCE: f32 = 2e-2;
+const DEFAULT_TOLERANCE: f32 = 2e-2;
 
 /// Checks analytic gradients of `build` against central finite differences.
 ///
@@ -22,7 +20,10 @@ pub const DEFAULT_TOLERANCE: f32 = 2e-2;
 ///
 /// Panics (test-style assert) if any gradient deviates beyond a combined
 /// absolute/relative tolerance.
-pub fn check_gradients(inputs: &[Matrix], build: impl Fn(&mut Graph, &[crate::Var]) -> crate::Var) {
+pub(crate) fn check_gradients(
+    inputs: &[Matrix],
+    build: impl Fn(&mut Graph, &[crate::Var]) -> crate::Var,
+) {
     check_gradients_with(inputs, DEFAULT_TOLERANCE, build);
 }
 
@@ -31,7 +32,7 @@ pub fn check_gradients(inputs: &[Matrix], build: impl Fn(&mut Graph, &[crate::Va
 /// # Panics
 ///
 /// Panics if any gradient deviates beyond the tolerance.
-pub fn check_gradients_with(
+pub(crate) fn check_gradients_with(
     inputs: &[Matrix],
     tol: f32,
     build: impl Fn(&mut Graph, &[crate::Var]) -> crate::Var,

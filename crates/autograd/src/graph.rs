@@ -37,6 +37,7 @@ enum Op {
     Relu(Var),
     Sigmoid(Var),
     Tanh(Var),
+    #[cfg(test)]
     SumAll(Var),
     Embedding {
         table: Var,
@@ -68,8 +69,8 @@ struct Node {
 ///
 /// Build the forward computation with the op methods, then call
 /// [`backward`](Graph::backward) on a scalar (1×1) loss. Gradients are
-/// accumulated per node and can be read back with [`grad`](Graph::grad) or,
-/// for trainable parameters, collected by an optimizer.
+/// accumulated per node; for trainable parameters they are read back with
+/// [`param_grad`](Graph::param_grad) or collected by an optimizer.
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
@@ -120,7 +121,8 @@ impl Graph {
 
     /// The gradient of the loss with respect to `v`, if `backward` has run
     /// and `v` participated in the loss.
-    pub fn grad(&self, v: Var) -> Option<&Matrix> {
+    #[cfg(test)]
+    pub(crate) fn grad(&self, v: Var) -> Option<&Matrix> {
         self.nodes[v.0].grad.as_ref()
     }
 
@@ -311,7 +313,8 @@ impl Graph {
 
     /// Sum of all elements, as a 1×1 scalar node. Useful for reducing any
     /// matrix-valued penalty into a loss term.
-    pub fn sum_all(&mut self, a: Var) -> Var {
+    #[cfg(test)]
+    pub(crate) fn sum_all(&mut self, a: Var) -> Var {
         let v = Matrix::from_vec(1, 1, vec![self.value(a).sum()]).expect("scalar");
         self.push(v, Op::SumAll(a))
     }
@@ -576,6 +579,7 @@ impl Graph {
                     });
                     vec![(*a, dx)]
                 }
+                #[cfg(test)]
                 Op::SumAll(a) => {
                     let x = self.value(*a);
                     let g = grad[(0, 0)];

@@ -39,7 +39,8 @@
 
 #![deny(missing_docs)]
 
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 mod graph;
 mod optim;
 pub mod schedule;

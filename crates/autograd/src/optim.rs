@@ -68,11 +68,6 @@ impl ParamSet {
         (0..self.values.len()).map(ParamId)
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
-    }
-
     /// Global L2 norm of all gradients present in `graph`, useful for
     /// monitoring training and clipping.
     pub fn grad_norm(&self, graph: &Graph) -> f32 {
@@ -89,7 +84,7 @@ impl ParamSet {
     /// `(name, norm)` pairs in registration order. Parameters without a
     /// gradient on this tape are omitted. The telemetry hook behind the
     /// per-step `grad_norm.*` metrics.
-    pub fn grad_norms(&self, graph: &Graph) -> Vec<(&str, f32)> {
+    pub(crate) fn grad_norms(&self, graph: &Graph) -> Vec<(&str, f32)> {
         self.ids()
             .filter_map(|id| {
                 graph.param_grad(id).map(|g| {
@@ -122,32 +117,17 @@ pub trait Optimizer {
     fn step(&mut self, params: &mut ParamSet, graph: &Graph);
 }
 
-/// Stochastic gradient descent with optional momentum and gradient clipping.
+/// Stochastic gradient descent with optional gradient clipping.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
     clip: Option<f32>,
-    velocity: Vec<Option<Matrix>>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            clip: None,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            momentum,
-            ..Self::new(lr)
-        }
+        Self { lr, clip: None }
     }
 
     /// Enables global-norm gradient clipping at `max_norm`.
@@ -169,27 +149,14 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut ParamSet, graph: &Graph) {
-        if self.velocity.len() < params.len() {
-            self.velocity.resize(params.len(), None);
-        }
         let scale = clip_scale(params, graph, self.clip);
-        for (i, id) in params.ids().enumerate().collect::<Vec<_>>() {
+        for id in params.ids() {
             let Some(mut g) = graph.param_grad(id) else {
                 continue;
             };
             g.map_inplace(|x| x * scale);
-            let update = if self.momentum > 0.0 {
-                let v = match self.velocity[i].take() {
-                    Some(prev) => prev.scale(self.momentum).add(&g).expect("shape"),
-                    None => g,
-                };
-                self.velocity[i] = Some(v.clone());
-                v
-            } else {
-                g
-            };
             let p = params.value_mut(id);
-            for (pv, uv) in p.iter_mut().zip(update.iter()) {
+            for (pv, uv) in p.iter_mut().zip(g.iter()) {
                 *pv -= self.lr * uv;
             }
         }
@@ -341,29 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accelerates() {
-        let mut rng = SeededRng::new(2);
-        let x = rng.normal_matrix(32, 4, 1.0);
-        let w_true = rng.normal_matrix(4, 2, 1.0);
-        let y = x.matmul(&w_true).unwrap();
-
-        let run = |mut opt: Sgd| {
-            let mut params = ParamSet::new();
-            let w = params.add("w", Matrix::zeros(4, 2));
-            let mut last = f32::INFINITY;
-            for _ in 0..40 {
-                let (g, loss) = regression_step(&params, w, &x, &y);
-                last = g.value(loss)[(0, 0)];
-                opt.step(&mut params, &g);
-            }
-            last
-        };
-        let plain = run(Sgd::new(0.02));
-        let momentum = run(Sgd::with_momentum(0.02, 0.9));
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
-    #[test]
     fn adam_converges_on_linear_regression() {
         let mut rng = SeededRng::new(3);
         let x = rng.normal_matrix(32, 4, 1.0);
@@ -418,7 +362,6 @@ mod tests {
         let a = params.add("alpha", Matrix::zeros(2, 3));
         assert_eq!(params.name(a), "alpha");
         assert_eq!(params.len(), 1);
-        assert_eq!(params.num_scalars(), 6);
         assert!(!params.is_empty());
     }
 }

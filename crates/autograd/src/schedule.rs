@@ -75,11 +75,6 @@ impl Schedule {
             }
         }
     }
-
-    /// The absolute learning rate at `step` for a base rate `lr`.
-    pub fn lr_at(&self, lr: f32, step: usize) -> f32 {
-        lr * self.multiplier(step)
-    }
 }
 
 #[cfg(test)]
@@ -141,12 +136,6 @@ mod tests {
         assert_eq!(s.multiplier(9), 1.0);
         assert_eq!(s.multiplier(10), 0.5);
         assert_eq!(s.multiplier(25), 0.25);
-    }
-
-    #[test]
-    fn lr_at_scales_base() {
-        let s = Schedule::Warmup { warmup: 10 };
-        assert!((s.lr_at(0.01, 5) - 0.005).abs() < 1e-8);
     }
 
     #[test]

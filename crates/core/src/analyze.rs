@@ -91,7 +91,7 @@ pub fn parallel_fraction(spans: &[SpanStat]) -> f64 {
 }
 
 /// Amdahl speedup bound for `threads` threads at parallel fraction `p`.
-pub fn amdahl_speedup(p: f64, threads: usize) -> f64 {
+pub(crate) fn amdahl_speedup(p: f64, threads: usize) -> f64 {
     1.0 / ((1.0 - p) + p / threads as f64)
 }
 

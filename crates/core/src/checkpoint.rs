@@ -77,7 +77,8 @@ pub enum CheckpointError {
     Parse(String),
     /// The document's format version is not supported.
     Version(u32),
-    /// A parameter's data length disagrees with its shape.
+    /// A parameter's data length disagrees with its shape, or the shape's
+    /// element count overflows.
     Corrupt(String),
 }
 
@@ -169,9 +170,6 @@ pub fn load_params(path: &Path) -> Result<ParamSet, CheckpointError> {
     };
     let mut set = ParamSet::new();
     for (name, rows, cols, data) in params {
-        if data.len() != rows * cols {
-            return Err(CheckpointError::Corrupt(name));
-        }
         let m = Matrix::from_vec(rows, cols, data)
             .map_err(|_| CheckpointError::Corrupt(name.clone()))?;
         set.add(&name, m);
@@ -326,6 +324,77 @@ mod tests {
         let err = load_params(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn overflowing_shape_is_corrupt_not_panic() {
+        let path = tmp("overflow");
+        std::fs::write(
+            &path,
+            r#"{"format_version":2,"params":[{"name":"w","rows":4294967296,"cols":4294967296,"data_bits":[]}]}"#,
+        )
+        .unwrap();
+        let err = load_params(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, CheckpointError::Corrupt(name) if name == "w"),
+            "{err}"
+        );
+    }
+
+    /// A dimension from one of four regimes: small (zero included), just
+    /// below `usize::MAX`, a power of two, or anywhere.
+    fn dim(kind: usize, raw: usize) -> usize {
+        match kind {
+            0 => raw % 5,
+            1 => usize::MAX - raw % 5,
+            2 => 1 << (raw % usize::BITS as usize),
+            _ => raw,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn load_never_panics_and_loads_exactly_consistent_shapes(
+            rows_kind in 0usize..4,
+            rows_raw in proptest::prelude::any::<usize>(),
+            cols_kind in 0usize..4,
+            cols_raw in proptest::prelude::any::<usize>(),
+            len in 0usize..=16,
+            v1 in proptest::prelude::any::<bool>(),
+        ) {
+            let (rows, cols) = (dim(rows_kind, rows_raw), dim(cols_kind, cols_raw));
+            let doc = if v1 {
+                let data = vec!["0.5"; len].join(",");
+                format!(
+                    r#"{{"format_version":1,"params":[{{"name":"w","rows":{rows},"cols":{cols},"data":[{data}]}}]}}"#
+                )
+            } else {
+                let bits = vec!["1056964608"; len].join(",");
+                format!(
+                    r#"{{"format_version":2,"params":[{{"name":"w","rows":{rows},"cols":{cols},"data_bits":[{bits}]}}]}}"#
+                )
+            };
+            let path = tmp("fuzz");
+            std::fs::write(&path, doc).unwrap();
+            let loaded = load_params(&path);
+            std::fs::remove_file(&path).ok();
+            match loaded {
+                Ok(set) => {
+                    proptest::prop_assert_eq!(rows.checked_mul(cols), Some(len));
+                    let m = set.value(set.ids().next().unwrap());
+                    proptest::prop_assert_eq!((m.rows(), m.cols(), m.len()), (rows, cols, len));
+                    proptest::prop_assert!(m.as_slice().iter().all(|&v| v == 0.5));
+                }
+                Err(err) => {
+                    proptest::prop_assert_ne!(rows.checked_mul(cols), Some(len));
+                    proptest::prop_assert!(
+                        matches!(&err, CheckpointError::Corrupt(name) if name == "w"),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use dota_transformer::Model;
 /// Which parameters a compression pass touches: the weight matrices of the
 /// linear transformation and FFN stages (embeddings, layer norms, biases
 /// and the classifier head are left alone, as is standard practice).
-pub fn linear_weight_ids(model: &Model) -> Vec<ParamId> {
+pub(crate) fn linear_weight_ids(model: &Model) -> Vec<ParamId> {
     let mut ids = Vec::new();
     for layer in &model.params().layers {
         ids.extend([

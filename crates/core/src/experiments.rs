@@ -58,7 +58,7 @@ impl Default for TrainOptions {
 impl TrainOptions {
     /// Learning rate at optimizer step `step` (1-based) under linear
     /// warmup.
-    pub fn warmed_lr(&self, step: usize) -> f32 {
+    pub(crate) fn warmed_lr(&self, step: usize) -> f32 {
         if self.lr_warmup_steps == 0 {
             return self.lr;
         }
@@ -94,7 +94,7 @@ pub fn train_dense(
 /// `dense.lr`, `dense.grad_norm` and `dense.grad_norm_max` into `sink`
 /// (one row per optimizer step). Gradient norms are only computed while
 /// the sink is enabled, so the silent path costs nothing extra.
-pub fn train_dense_logged(
+pub(crate) fn train_dense_logged(
     model: &Model,
     params: &mut ParamSet,
     data: &Dataset,
@@ -187,7 +187,7 @@ pub fn train_joint(
 ///
 /// [`ShapeError`] when the model and detector parameter shapes do not
 /// conform (a corrupted checkpoint, for example).
-pub fn train_joint_logged(
+pub(crate) fn train_joint_logged(
     model: &Model,
     params: &mut ParamSet,
     hook: &mut DotaHook,
@@ -383,7 +383,7 @@ pub struct LmEval {
 /// Per-sequence statistics are computed independently (in parallel with the
 /// `parallel` feature) and reduced in input order, so the result does not
 /// depend on the execution schedule.
-pub fn eval_lm(
+pub(crate) fn eval_lm(
     model: &Model,
     params: &ParamSet,
     data: &Dataset,
@@ -511,7 +511,7 @@ impl BenchmarkRun {
     /// [`BenchmarkRun::train`] with per-step telemetry: the dense
     /// pretraining and both joint phases log into one continuous `sink`
     /// (steps are 1-based across the whole pipeline). See
-    /// [`train_dense_logged`] and [`train_joint_logged`] for the metric
+    /// `train_dense_logged` and `train_joint_logged` for the metric
     /// names.
     ///
     /// # Errors

@@ -78,17 +78,6 @@ impl DotaSystem {
         }
     }
 
-    /// A system around a custom accelerator configuration.
-    pub fn with_accel(config: AccelConfig) -> Self {
-        let scale = config.scale;
-        Self {
-            accel: Accelerator::new(config),
-            gpu: GpuModel::default(),
-            elsa: ElsaModel::scaled(scale),
-            profile: SelectionProfile::default(),
-        }
-    }
-
     /// The underlying accelerator simulator.
     pub fn accelerator(&self) -> &Accelerator {
         &self.accel

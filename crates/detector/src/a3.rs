@@ -17,7 +17,7 @@ use dota_transformer::{InferenceHook, Model, TransformerParams};
 /// # Panics
 ///
 /// Panics if `m == 0` or `m > q.cols()` or shapes disagree.
-pub fn a3_scores(q: &Matrix, k: &Matrix, m: usize) -> Matrix {
+pub(crate) fn a3_scores(q: &Matrix, k: &Matrix, m: usize) -> Matrix {
     assert!(m > 0 && m <= q.cols(), "m {m} out of range");
     assert_eq!(q.cols(), k.cols(), "head dims disagree");
     let mut out = Matrix::zeros(q.rows(), k.rows());

@@ -22,7 +22,6 @@ use dota_transformer::{InferenceHook, Model};
 #[derive(Debug, Clone)]
 pub struct ThresholdTable {
     thresholds: Vec<Vec<f32>>,
-    retention_target: f64,
 }
 
 impl ThresholdTable {
@@ -33,11 +32,6 @@ impl ThresholdTable {
     /// Panics if the indices are out of range.
     pub fn threshold(&self, layer: usize, head: usize) -> f32 {
         self.thresholds[layer][head]
-    }
-
-    /// The retention the table was calibrated for.
-    pub fn retention_target(&self) -> f64 {
-        self.retention_target
     }
 
     /// Number of layers covered.
@@ -89,10 +83,7 @@ pub fn calibrate_thresholds(
             thresholds[l][h] = pooled[keep - 1];
         }
     }
-    ThresholdTable {
-        thresholds,
-        retention_target: retention,
-    }
+    ThresholdTable { thresholds }
 }
 
 /// An [`InferenceHook`] that selects by comparing estimated scores against
@@ -102,7 +93,6 @@ pub struct ThresholdHook<'a> {
     hook: &'a DotaHook,
     params: &'a ParamSet,
     table: ThresholdTable,
-    max_per_row: Option<usize>,
 }
 
 impl<'a> ThresholdHook<'a> {
@@ -112,16 +102,7 @@ impl<'a> ThresholdHook<'a> {
             hook,
             params,
             table,
-            max_per_row: None,
         }
-    }
-
-    /// Caps each query row at `cap` selected keys (strongest first) to
-    /// bound workload imbalance.
-    pub fn with_row_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "row cap must be positive");
-        self.max_per_row = Some(cap);
-        self
     }
 
     /// The calibration table.
@@ -145,16 +126,6 @@ impl InferenceHook for ThresholdHook<'_> {
                     // A starved row keeps its single strongest key so
                     // its output stays defined (as the Scheduler would).
                     keep.push(topk::top_k_indices(row, 1)[0] as u32);
-                }
-                if let Some(cap) = self.max_per_row {
-                    // Strongest first; the sort is stable, so ties stay in
-                    // index order.
-                    let strength = |j: &u32| row[*j as usize];
-                    keep.sort_by(|a, b| {
-                        let by_value = strength(b).partial_cmp(&strength(a));
-                        by_value.unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    keep.truncate(cap.min(row.len()));
                 }
                 selection.push(keep);
             });
@@ -183,7 +154,7 @@ mod tests {
     }
 
     /// The hook as it was before it took the row stream: the materialised
-    /// estimate, every kept key carried with its score.
+    /// estimate, filtered row by row.
     fn select_by_matrix(
         th: &ThresholdHook<'_>,
         layer: usize,
@@ -198,21 +169,14 @@ mod tests {
         (0..scores.rows())
             .map(|r| {
                 let row = scores.row(r);
-                let mut keep: Vec<(f32, u32)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v >= thresh)
-                    .map(|(j, &v)| (v, j as u32))
+                let mut keep: Vec<u32> = (0..row.len())
+                    .filter(|&j| row[j] >= thresh)
+                    .map(|j| j as u32)
                     .collect();
                 if keep.is_empty() {
-                    let best = topk::top_k_indices(row, 1)[0] as u32;
-                    keep.push((row[best as usize], best));
+                    keep.push(topk::top_k_indices(row, 1)[0] as u32);
                 }
-                if let Some(cap) = th.max_per_row {
-                    keep.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-                    keep.truncate(cap.min(scores.cols()));
-                }
-                keep.into_iter().map(|(_, j)| j).collect()
+                keep
             })
             .collect()
     }
@@ -230,16 +194,13 @@ mod tests {
         xs[1].row_mut(3).fill(f32::NAN);
         for retention in [0.02, 0.25, 0.9] {
             let table = calibrate_thresholds(&model, &params, &hook, &validation, retention);
-            for cap in [None, Some(1), Some(5), Some(200)] {
-                let mut th = ThresholdHook::new(&hook, &params, table.clone());
-                th.max_per_row = cap;
-                for (l, h) in [(0, 0), (1, 1)] {
-                    assert_eq!(
-                        th.select(l, h, &xs[l]).unwrap(),
-                        select_by_matrix(&th, l, h, &xs[l]),
-                        "retention {retention}, cap {cap:?}, layer {l}"
-                    );
-                }
+            let th = ThresholdHook::new(&hook, &params, table);
+            for (l, h) in [(0, 0), (1, 1)] {
+                assert_eq!(
+                    th.select(l, h, &xs[l]).unwrap(),
+                    select_by_matrix(&th, l, h, &xs[l]),
+                    "retention {retention}, layer {l}"
+                );
             }
         }
     }
@@ -272,17 +233,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn row_cap_bounds_counts() {
-        let (model, params, hook, validation) = setup();
-        let table = calibrate_thresholds(&model, &params, &hook, &validation, 0.5);
-        let th = ThresholdHook::new(&hook, &params, table).with_row_cap(3);
-        let ids: Vec<usize> = (0..24).map(|i| i % 12).collect();
-        let xs = crate::metrics::layer_inputs(&model, &params, &ids);
-        let sel = th.select(0, 0, &xs[0]).unwrap();
-        assert!(sel.iter().all(|r| !r.is_empty() && r.len() <= 3));
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl DetectorConfig {
         self
     }
 
-    /// Sets the estimation-loss weight λ.
-    pub fn with_lambda(mut self, lambda: f32) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// Sets the selection strategy.
     pub fn with_strategy(mut self, strategy: SelectionStrategy) -> Self {
         self.strategy = strategy;
@@ -126,7 +120,7 @@ impl DetectorConfig {
     }
 
     /// Retention of layer `l` (the schedule entry, else the base value).
-    pub fn retention_for_layer(&self, layer: usize) -> f64 {
+    pub(crate) fn retention_for_layer(&self, layer: usize) -> f64 {
         self.layer_retentions
             .as_ref()
             .and_then(|rs| rs.get(layer).copied())
@@ -134,7 +128,7 @@ impl DetectorConfig {
     }
 
     /// Keys kept per query row at layer `l` for sequence length `n`.
-    pub fn keys_per_row_for_layer(&self, layer: usize, n: usize) -> usize {
+    pub(crate) fn keys_per_row_for_layer(&self, layer: usize, n: usize) -> usize {
         ((self.retention_for_layer(layer) * n as f64).round() as usize).clamp(1, n)
     }
 
@@ -212,11 +206,9 @@ mod tests {
     fn builder_chains() {
         let cfg = DetectorConfig::new(0.05)
             .with_precision(Precision::Int2)
-            .with_lambda(0.5)
             .with_strategy(SelectionStrategy::GlobalThreshold)
             .with_seed(99);
         assert_eq!(cfg.precision, Precision::Int2);
-        assert_eq!(cfg.lambda, 0.5);
         assert_eq!(cfg.strategy, SelectionStrategy::GlobalThreshold);
         assert_eq!(cfg.seed, 99);
     }

@@ -40,7 +40,7 @@ impl SignHasher {
     }
 
     /// Hashes every row of `x` to a sign bit vector.
-    pub fn hash_rows(&self, x: &Matrix) -> Vec<Vec<bool>> {
+    pub(crate) fn hash_rows(&self, x: &Matrix) -> Vec<Vec<bool>> {
         let proj = x.matmul(&self.r).expect("hash projection shape");
         proj.rows_iter()
             .map(|row| row.iter().map(|&v| v >= 0.0).collect())
@@ -48,7 +48,7 @@ impl SignHasher {
     }
 
     /// Estimated cosine of the angle between two hashed vectors.
-    pub fn cos_estimate(a: &[bool], b: &[bool]) -> f32 {
+    pub(crate) fn cos_estimate(a: &[bool], b: &[bool]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         let ham = a.iter().zip(b).filter(|(x, y)| x != y).count();
         let theta = std::f32::consts::PI * ham as f32 / a.len() as f32;
@@ -58,7 +58,7 @@ impl SignHasher {
 
 /// ELSA-style approximate score matrix for one head: entry `(i, j)` is
 /// `‖k_j‖ · cos(θ̂(q_i, k_j))`.
-pub fn elsa_scores(hasher: &SignHasher, q: &Matrix, k: &Matrix) -> Matrix {
+pub(crate) fn elsa_scores(hasher: &SignHasher, q: &Matrix, k: &Matrix) -> Matrix {
     let qh = hasher.hash_rows(q);
     let kh = hasher.hash_rows(k);
     let k_norms: Vec<f32> = (0..k.rows())

@@ -63,12 +63,12 @@ impl LowRankDetector {
     }
 
     /// Handle to `W̃_Q`.
-    pub fn wq_tilde(&self) -> ParamId {
+    pub(crate) fn wq_tilde(&self) -> ParamId {
         self.wq_tilde
     }
 
     /// Handle to `W̃_K`.
-    pub fn wk_tilde(&self) -> ParamId {
+    pub(crate) fn wk_tilde(&self) -> ParamId {
         self.wk_tilde
     }
 
@@ -122,7 +122,7 @@ impl LowRankDetector {
     /// Quantized inference path: the estimated scores `S̃ = Q̃ K̃^T` of the
     /// requantized sketches, as a matrix — the analysis API (detection
     /// quality, calibration) and the oracle of
-    /// [`select_quantized`](Self::select_quantized), which never builds it.
+    /// `select_quantized`, which never builds it.
     pub fn estimated_scores_quantized(
         &self,
         cfg: &DetectorConfig,
@@ -137,7 +137,7 @@ impl LowRankDetector {
     /// query row at a time: `f(i, scores)` sees the bits row `i` of the
     /// matrix would hold, and the matrix never exists — the Detector's
     /// comparator (§4.3) streams, it does not store.
-    pub fn for_each_quantized_score_row(
+    pub(crate) fn for_each_quantized_score_row(
         &self,
         cfg: &DetectorConfig,
         params: &ParamSet,
@@ -158,7 +158,7 @@ impl LowRankDetector {
     /// cannot reorder or merge them, and as scaled `f32` scores otherwise
     /// (a product scale that underflowed or overflowed, codes wider than
     /// 8 bits) — the same set either way.
-    pub fn select_quantized(
+    pub(crate) fn select_quantized(
         &self,
         cfg: &DetectorConfig,
         params: &ParamSet,
@@ -213,7 +213,7 @@ impl LowRankDetector {
 
     /// Like [`select`](Self::select), honoring the per-layer retention
     /// schedule when `layer` is given.
-    pub fn select_for_layer(
+    pub(crate) fn select_for_layer(
         cfg: &DetectorConfig,
         scores: &Matrix,
         layer: Option<usize>,

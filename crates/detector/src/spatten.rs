@@ -78,7 +78,7 @@ impl SpattenHook {
     /// Tokens kept at layer `l` for a sequence of length `n` (linear
     /// schedule from `n` at layer 0 down to `final_keep·n` at the last
     /// layer).
-    pub fn keep_at_layer(&self, layer: usize, n: usize) -> usize {
+    pub(crate) fn keep_at_layer(&self, layer: usize, n: usize) -> usize {
         if self.n_layers <= 1 {
             return ((self.final_keep * n as f64).round() as usize).clamp(1, n);
         }

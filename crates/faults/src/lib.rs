@@ -217,11 +217,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// `site`'s injection rate.
     pub fn rate(&self, site: FaultSite) -> f64 {
         self.rates[site.index()]
@@ -334,15 +329,6 @@ pub fn record(name: &str, delta: u64) {
     if let Some(st) = st.as_mut() {
         *st.counters.entry(name.to_owned()).or_insert(0) += delta;
     }
-}
-
-/// The active plan's seed, if a session is live. Instrumented code may use
-/// this to derive deterministic payloads (e.g. which bit to flip).
-pub fn active_seed() -> Option<u64> {
-    if !enabled() {
-        return None;
-    }
-    lock_state().as_ref().map(|st| st.plan.seed())
 }
 
 /// Begins an exclusive fault session with `plan`. Blocks until any other
@@ -538,7 +524,6 @@ mod tests {
             s.spawn(|| {
                 assert!(!should_inject(FaultSite::DramRead, &[0]));
                 record("faults.stray", 1);
-                assert_eq!(active_seed(), None);
             });
         });
         assert!(g.counters().is_empty());

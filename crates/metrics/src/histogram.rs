@@ -182,7 +182,7 @@ impl Histogram {
     /// The top bucket is a clamp bucket: magnitudes at or above 2⁶⁴ all
     /// land in it, so samples there may exceed the nominal bound (the
     /// `+Inf` bucket of an exposition absorbs the discrepancy).
-    pub fn bucket_upper(key: i32) -> f64 {
+    pub(crate) fn bucket_upper(key: i32) -> f64 {
         if key == 0 {
             // Zero bucket: |v| < 2⁻⁶⁴.
             return 2f64.powi(-64);

@@ -71,11 +71,6 @@ impl RollingWindow {
         self.samples.is_empty()
     }
 
-    /// Whether the window has reached its capacity.
-    pub fn is_full(&self) -> bool {
-        self.samples.len() == self.capacity
-    }
-
     /// Fraction of windowed samples with `hit == true` (0 when empty).
     pub fn hit_rate(&self) -> f64 {
         if self.samples.is_empty() {
@@ -103,7 +98,6 @@ mod tests {
     fn empty_window_answers_zero() {
         let w = RollingWindow::new(4);
         assert!(w.is_empty());
-        assert!(!w.is_full());
         assert_eq!(w.hit_rate(), 0.0);
         assert_eq!(w.mean(), 0.0);
     }
@@ -124,7 +118,7 @@ mod tests {
         w.push(true, 1.0);
         w.push(true, 2.0);
         w.push(false, 3.0);
-        assert!(w.is_full());
+        assert_eq!(w.len(), 3);
         // Evicts (true, 1.0): hits 2->1 then +1, sum loses the 1.0.
         w.push(true, 4.0);
         assert_eq!(w.len(), 3);

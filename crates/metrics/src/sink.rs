@@ -47,7 +47,7 @@ impl MetricsSink {
     }
 
     /// Appends one step row with an explicit step index.
-    pub fn log_at(&mut self, step: u64, metrics: &[(&str, f64)]) {
+    pub(crate) fn log_at(&mut self, step: u64, metrics: &[(&str, f64)]) {
         if self.off {
             return;
         }
@@ -106,7 +106,7 @@ impl MetricsSink {
 
     /// The full series as JSON-lines (one object per row, trailing
     /// newline). Deterministic byte-for-byte given the same records.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.rows.len() * 64);
         for (step, kv) in &self.rows {
             out.push_str("{\"step\":");

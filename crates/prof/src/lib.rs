@@ -10,7 +10,7 @@
 //!   into the Chrome-trace stream via [`dota_trace::host_span`], so host
 //!   spans appear alongside simulated lane events whenever a trace session
 //!   is live.
-//! * **Allocation counters** ([`record_alloc`]/[`record_dealloc`]) tracking
+//! * **Allocation counters** (`record_alloc`/`record_dealloc`) tracking
 //!   bytes allocated/freed and peak usage, attributed to the innermost
 //!   live span of the allocating thread. The `prof-alloc` cargo feature
 //!   installs a counting `#[global_allocator]` that feeds these hooks;
@@ -270,7 +270,7 @@ impl Drop for ProfSpan {
 ///
 /// Never allocates — a hard requirement since it runs inside the allocator.
 #[inline]
-pub fn record_alloc(bytes: u64) {
+pub(crate) fn record_alloc(bytes: u64) {
     if !counted() {
         return;
     }
@@ -288,7 +288,7 @@ pub fn record_alloc(bytes: u64) {
 
 /// Records a deallocation of `bytes`. No-op where [`record_alloc`] is.
 #[inline]
-pub fn record_dealloc(bytes: u64) {
+pub(crate) fn record_dealloc(bytes: u64) {
     if !counted() {
         return;
     }
@@ -404,7 +404,7 @@ impl ProfGuard {
     /// The profile as a canonical JSON document: label, per-span stats
     /// (sorted by path), kernel latency histogram summaries, and aggregate
     /// allocation counters.
-    pub fn profile_json(&self) -> String {
+    pub(crate) fn profile_json(&self) -> String {
         let spans = spans_snapshot();
         let alloc = alloc_stats();
         let (label, hist_entries) = {
@@ -468,7 +468,7 @@ impl ProfGuard {
         std::fs::write(path, self.folded())
     }
 
-    /// Writes [`ProfGuard::profile_json`] to `path`.
+    /// Writes `ProfGuard::profile_json` to `path`.
     pub fn write_profile(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.profile_json())
     }
@@ -535,8 +535,8 @@ pub fn spans_snapshot() -> Vec<SpanStat> {
 
 // --- Counting global allocator (feature-gated). ---
 
-/// A `System`-wrapping allocator that feeds [`record_alloc`] /
-/// [`record_dealloc`]. Installed as `#[global_allocator]` by the
+/// A `System`-wrapping allocator that feeds `record_alloc` /
+/// `record_dealloc`. Installed as `#[global_allocator]` by the
 /// `prof-alloc` feature; exported so binaries can install it themselves if
 /// they prefer.
 #[derive(Debug, Default, Clone, Copy)]

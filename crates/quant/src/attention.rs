@@ -90,7 +90,7 @@ impl Fx16Matrix {
     /// # Panics
     ///
     /// Panics if widths differ or indices are out of bounds.
-    pub fn dot_rows(&self, r: usize, other: &Fx16Matrix, o: usize) -> f32 {
+    pub(crate) fn dot_rows(&self, r: usize, other: &Fx16Matrix, o: usize) -> f32 {
         assert_eq!(self.cols, other.cols, "width mismatch");
         let mut acc: i64 = 0;
         for (a, b) in self.row(r).iter().zip(other.row(o)) {

@@ -70,7 +70,8 @@ pub fn decompose(value: i32, bits: u32) -> Vec<Fragment> {
 }
 
 /// Reassembles fragments produced by [`decompose`] back into the integer.
-pub fn recompose(fragments: &[Fragment]) -> i32 {
+#[cfg(test)]
+pub(crate) fn recompose(fragments: &[Fragment]) -> i32 {
     fragments
         .iter()
         .enumerate()
@@ -116,11 +117,6 @@ impl FusedMultiplier {
     /// Total INT2 block multiplications issued so far.
     pub fn int2_ops(&self) -> u64 {
         self.int2_ops
-    }
-
-    /// Resets the INT2 operation counter.
-    pub fn reset_counter(&mut self) {
-        self.int2_ops = 0;
     }
 
     /// Multiplies two signed operands of the configured precision by
@@ -220,7 +216,7 @@ mod tests {
             }
         }
         // One INT2 multiply uses exactly one block.
-        m.reset_counter();
+        let mut m = FusedMultiplier::new(Precision::Int2);
         m.mul(1, -2);
         assert_eq!(m.int2_ops(), 1);
     }

@@ -44,7 +44,7 @@ impl Fx16 {
     }
 
     /// Constructs from the raw underlying bits.
-    pub fn from_raw(raw: i16) -> Self {
+    pub(crate) fn from_raw(raw: i16) -> Self {
         Fx16(raw)
     }
 
@@ -54,12 +54,13 @@ impl Fx16 {
     }
 
     /// Converts to `f32`.
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         self.0 as f32 / (1 << FX16_FRAC_BITS) as f32
     }
 
     /// The quantization step (smallest positive increment).
-    pub fn epsilon() -> f32 {
+    #[cfg(test)]
+    pub(crate) fn epsilon() -> f32 {
         1.0 / (1 << FX16_FRAC_BITS) as f32
     }
 
@@ -79,13 +80,14 @@ impl Fx16 {
     /// rounding: returns `acc + self*rhs` where the product keeps all
     /// `2*FX16_FRAC_BITS` fractional bits. This models the PE's wide PSUM
     /// register (Fig. 7(b)).
-    pub fn mac(self, rhs: Fx16, acc: i64) -> i64 {
+    pub(crate) fn mac(self, rhs: Fx16, acc: i64) -> i64 {
         acc + self.0 as i64 * rhs.0 as i64
     }
 
     /// Converts a wide accumulator produced by [`mac`](Fx16::mac) back into
     /// an `Fx16`, with rounding and saturation.
-    pub fn from_accumulator(acc: i64) -> Fx16 {
+    #[cfg(test)]
+    pub(crate) fn from_accumulator(acc: i64) -> Fx16 {
         let rounded = (acc + (1 << (FX16_FRAC_BITS - 1))) >> FX16_FRAC_BITS;
         Fx16(rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16)
     }

@@ -46,12 +46,12 @@ impl Precision {
 
     /// Largest representable magnitude for symmetric quantization
     /// (`2^(bits-1) - 1`).
-    pub fn qmax(self) -> i32 {
+    pub(crate) fn qmax(self) -> i32 {
         (1 << (self.bits() - 1)) - 1
     }
 
     /// Smallest representable value (`-2^(bits-1)`).
-    pub fn qmin(self) -> i32 {
+    pub(crate) fn qmin(self) -> i32 {
         -(1 << (self.bits() - 1))
     }
 

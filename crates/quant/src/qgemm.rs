@@ -69,7 +69,7 @@ impl Int8Matrix {
     ///
     /// Panics if the source precision is wider than 8 bits (`Fx16` codes
     /// do not fit a byte).
-    pub fn from_quantized(q: &QuantizedMatrix) -> Self {
+    pub(crate) fn from_quantized(q: &QuantizedMatrix) -> Self {
         assert!(
             q.precision().bits() <= 8,
             "{} codes do not fit i8",
@@ -122,7 +122,7 @@ impl Int8Matrix {
     /// # Panics
     ///
     /// Panics if `r >= rows`.
-    pub fn code_row(&self, r: usize) -> &[i8] {
+    pub(crate) fn code_row(&self, r: usize) -> &[i8] {
         assert!(r < self.rows, "row out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -409,7 +409,7 @@ impl Int4Packed {
     /// # Panics
     ///
     /// Panics if the source precision is wider than 4 bits.
-    pub fn from_quantized(q: &QuantizedMatrix) -> Self {
+    pub(crate) fn from_quantized(q: &QuantizedMatrix) -> Self {
         assert!(
             q.precision().bits() <= 4,
             "{} codes do not fit a nibble",
@@ -463,17 +463,12 @@ impl Int4Packed {
         self.precision
     }
 
-    /// Packed bytes behind the matrix (half a byte per code).
-    pub fn packed_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Sign-extends row `r` into `buf` (length ≥ `cols`) as `i8` codes.
     ///
     /// # Panics
     ///
     /// Panics if `r >= rows` or `buf` is too short.
-    pub fn unpack_row(&self, r: usize, buf: &mut [i8]) {
+    pub(crate) fn unpack_row(&self, r: usize, buf: &mut [i8]) {
         assert!(r < self.rows, "row out of bounds");
         let bytes_per_row = self.cols.div_ceil(2);
         let row = &self.data[r * bytes_per_row..(r + 1) * bytes_per_row];
@@ -691,7 +686,6 @@ mod tests {
             let m = rng.normal_matrix(5, 7, 1.0);
             let q = Quantizer::symmetric(p).quantize(&m);
             let packed = Int4Packed::from_quantized(&q);
-            assert_eq!(packed.packed_bytes(), 5 * 4); // ceil(7/2) bytes per row
             let mut buf = vec![0i8; 7];
             for r in 0..5 {
                 packed.unpack_row(r, &mut buf);

@@ -121,7 +121,7 @@ impl QuantizedMatrix {
     /// # Panics
     ///
     /// Panics if `r >= rows`.
-    pub fn code_row(&self, r: usize) -> &[i32] {
+    pub(crate) fn code_row(&self, r: usize) -> &[i32] {
         assert!(r < self.rows, "row out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -231,34 +231,6 @@ impl QuantizedMatrix {
             acc as f32 * out_scale
         }));
     }
-
-    /// Quantization signal-to-noise ratio in dB against a reference matrix.
-    ///
-    /// Useful for validating precision choices in design-space exploration
-    /// (Fig. 14b).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn sqnr_db(&self, reference: &Matrix) -> f64 {
-        assert_eq!(
-            (self.rows, self.cols),
-            reference.shape(),
-            "sqnr shape mismatch"
-        );
-        let deq = self.dequantize();
-        let mut signal = 0.0f64;
-        let mut noise = 0.0f64;
-        for (x, y) in reference.iter().zip(deq.iter()) {
-            signal += (*x as f64) * (*x as f64);
-            noise += ((*x - *y) as f64) * ((*x - *y) as f64);
-        }
-        if noise == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (signal / noise).log10()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -363,6 +335,19 @@ mod tests {
         assert!(a.matmul_nt_dequant(&b).is_err());
     }
 
+    /// Signal-to-noise ratio of `q`'s dequantized values against
+    /// `reference`, in dB.
+    fn sqnr(q: &QuantizedMatrix, reference: &Matrix) -> f64 {
+        let deq = q.dequantize();
+        let mut signal = 0.0f64;
+        let mut noise = 0.0f64;
+        for (x, y) in reference.iter().zip(deq.iter()) {
+            signal += (*x as f64) * (*x as f64);
+            noise += ((*x - *y) as f64) * ((*x - *y) as f64);
+        }
+        10.0 * (signal / noise).log10()
+    }
+
     #[test]
     fn sqnr_improves_with_precision() {
         let mut rng = SeededRng::new(4);
@@ -370,13 +355,13 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for p in Precision::ALL {
             let q = Quantizer::symmetric(p).quantize(&m);
-            let sqnr = q.sqnr_db(&m);
+            let sqnr = sqnr(&q, &m);
             assert!(sqnr > prev, "{p}: {sqnr} <= {prev}");
             prev = sqnr;
         }
         // INT8 should already exceed ~30 dB on Gaussian data.
         let q8 = Quantizer::symmetric(Precision::Int8).quantize(&m);
-        assert!(q8.sqnr_db(&m) > 25.0);
+        assert!(sqnr(&q8, &m) > 25.0);
     }
 
     #[test]

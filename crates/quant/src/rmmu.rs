@@ -49,7 +49,7 @@ impl RmmuConfig {
     /// # Panics
     ///
     /// Panics if `rows` or `cols` is zero.
-    pub fn with_shape(rows: usize, cols: usize, precision: Precision) -> Self {
+    pub(crate) fn with_shape(rows: usize, cols: usize, precision: Precision) -> Self {
         assert!(rows > 0 && cols > 0, "PE array must be non-empty");
         Self {
             cols,
@@ -92,18 +92,8 @@ impl RmmuConfig {
         self.row_precision[r]
     }
 
-    /// Reconfigures row `r` to `precision`. Reconfiguration is how the Lane
-    /// rebalances detection vs computation throughput between stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn set_row(&mut self, r: usize, precision: Precision) {
-        self.row_precision[r] = precision;
-    }
-
     /// Number of rows currently configured at `precision`.
-    pub fn rows_at(&self, precision: Precision) -> usize {
+    pub(crate) fn rows_at(&self, precision: Precision) -> usize {
         self.row_precision
             .iter()
             .filter(|&&p| p == precision)
@@ -118,42 +108,24 @@ impl RmmuConfig {
         self.rows_at(precision) as u64 * self.cols as u64 * precision.throughput_multiplier() as u64
     }
 
-    /// Peak FX16-equivalent MACs per cycle of the whole array (each row
-    /// counted at its configured precision's throughput).
-    pub fn total_macs_per_cycle(&self) -> u64 {
-        Precision::ALL.iter().map(|&p| self.macs_per_cycle(p)).sum()
-    }
-
     /// Cycles to execute an `m x k x n` GEMM at `precision`, assuming ideal
     /// utilization of the rows configured at that precision.
     ///
     /// Returns `None` if no row is configured at that precision.
-    pub fn gemm_cycles(&self, precision: Precision, m: usize, k: usize, n: usize) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn gemm_cycles(
+        &self,
+        precision: Precision,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Option<u64> {
         let rate = self.macs_per_cycle(precision);
         if rate == 0 {
             return None;
         }
         let macs = m as u64 * k as u64 * n as u64;
         Some(macs.div_ceil(rate))
-    }
-
-    /// Cycles to execute a sparse attention aggregation that keeps
-    /// `kept_connections` query–key pairs with head dimension `hd`, at
-    /// `precision`. Two GEMV-like passes per connection: score (`hd` MACs)
-    /// and aggregation (`hd` MACs).
-    ///
-    /// Returns `None` if no row is configured at that precision.
-    pub fn sparse_attention_cycles(
-        &self,
-        precision: Precision,
-        kept_connections: u64,
-        hd: usize,
-    ) -> Option<u64> {
-        let rate = self.macs_per_cycle(precision);
-        if rate == 0 {
-            return None;
-        }
-        Some((2 * kept_connections * hd as u64).div_ceil(rate))
     }
 }
 
@@ -203,35 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn set_row_reconfigures() {
-        let mut cfg = RmmuConfig::uniform(Precision::Fx16);
-        cfg.set_row(0, Precision::Int4);
-        assert_eq!(cfg.rows_at(Precision::Int4), 1);
-        assert_eq!(cfg.rows_at(Precision::Fx16), 31);
-        assert_eq!(cfg.row(0), Precision::Int4);
-    }
-
-    #[test]
-    fn sparse_cycles_scale_with_retention() {
-        let cfg = RmmuConfig::uniform(Precision::Fx16);
-        let n = 1024u64;
-        let full = cfg
-            .sparse_attention_cycles(Precision::Fx16, n * n, 64)
-            .unwrap();
-        let tenth = cfg
-            .sparse_attention_cycles(Precision::Fx16, n * n / 10, 64)
-            .unwrap();
-        let ratio = full as f64 / tenth as f64;
-        assert!((ratio - 10.0).abs() < 0.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn total_macs_sums_rows() {
-        let cfg = RmmuConfig::split(16, Precision::Fx16, 16, Precision::Int8);
-        assert_eq!(cfg.total_macs_per_cycle(), 16 * 16 + 16 * 16 * 4);
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_array_rejected() {
         let _ = RmmuConfig::with_shape(0, 16, Precision::Fx16);
@@ -245,32 +188,23 @@ mod tests {
 ///
 /// This is the consistency bridge between the three RMMU views: the
 /// *functional* result must equal [`crate::QuantizedMatrix::matmul_nt_dequant`]
-/// exactly, and the *cycle* count must equal [`RmmuConfig::gemm_cycles`].
+/// exactly, and the *cycle* count must equal the GEMM's MACs over the
+/// configured rate, rounded up.
 #[derive(Debug, Clone)]
 pub struct RmmuArray {
     config: RmmuConfig,
-    int2_ops: u64,
     cycles: u64,
 }
 
 impl RmmuArray {
     /// Creates an executor over a configuration.
     pub fn new(config: RmmuConfig) -> Self {
-        Self {
-            config,
-            int2_ops: 0,
-            cycles: 0,
-        }
+        Self { config, cycles: 0 }
     }
 
     /// The configuration.
     pub fn config(&self) -> &RmmuConfig {
         &self.config
-    }
-
-    /// Total INT2 block operations issued so far.
-    pub fn int2_ops(&self) -> u64 {
-        self.int2_ops
     }
 
     /// Total cycles accumulated so far.
@@ -317,7 +251,6 @@ impl RmmuArray {
                 out[(i, j)] = acc as f32 * scale;
             }
         }
-        self.int2_ops += mul.int2_ops();
         let macs = (a.rows() * a.cols() * b.rows()) as u64;
         let cycles = macs.div_ceil(rate);
         self.cycles += cycles;
@@ -375,8 +308,9 @@ mod array_tests {
             let qa = Quantizer::symmetric(p).quantize(&a);
             let qb = Quantizer::symmetric(p).quantize(&b);
             let mut array = RmmuArray::new(RmmuConfig::uniform(p));
+            let guard = dota_trace::session("rmmu");
             let _ = array.matmul_nt(p, &qa, &qb).unwrap();
-            array.int2_ops()
+            guard.counters()["rmmu.exec.int2_ops"]
         };
         let macs = 4 * 4 * 4;
         assert_eq!(count_for(Precision::Int2), macs);

@@ -49,7 +49,8 @@ impl CostModel {
 
     /// Total cycles of one step: one weight stream plus every member's K/V
     /// traffic.
-    pub fn step_cycles(&self, attended: impl IntoIterator<Item = u64>) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn step_cycles(&self, attended: impl IntoIterator<Item = u64>) -> u64 {
         let mut cycles = self.weight_cycles();
         for a in attended {
             cycles += self.kv_cycles(a);
@@ -73,7 +74,7 @@ impl CostModel {
     }
 
     /// Converts cycles on the 1 GHz model clock to microseconds.
-    pub fn cycles_to_us(cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_us(cycles: u64) -> f64 {
         cycles as f64 / (energy::FREQ_GHZ * 1e3)
     }
 }

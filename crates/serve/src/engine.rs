@@ -239,7 +239,7 @@ impl ServeConfig {
     }
 
     /// Deadline budget of a class in cycles (1 GHz clock: 1000/µs).
-    pub fn deadline_cycles(&self, class: DeadlineClass) -> u64 {
+    pub(crate) fn deadline_cycles(&self, class: DeadlineClass) -> u64 {
         let us = match class {
             DeadlineClass::Interactive => self.interactive_deadline_us,
             DeadlineClass::Batch => self.batch_deadline_us,

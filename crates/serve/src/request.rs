@@ -21,7 +21,7 @@ pub struct Request {
 
 impl Request {
     /// Total cache positions the request needs (`prompt + max_new`).
-    pub fn total_positions(&self) -> usize {
+    pub(crate) fn total_positions(&self) -> usize {
         self.prompt.len() + self.max_new
     }
 }

@@ -126,7 +126,7 @@ impl SloMonitor {
     }
 
     /// Terminals that missed their SLO so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
@@ -146,7 +146,7 @@ impl SloMonitor {
     }
 
     /// Consumes the monitor, returning its window summaries.
-    pub fn into_windows(self) -> Vec<SloWindow> {
+    pub(crate) fn into_windows(self) -> Vec<SloWindow> {
         self.windows
     }
 }

@@ -84,7 +84,7 @@ pub struct RequestTimeline {
 
 impl RequestTimeline {
     /// End-to-end residence, cycles.
-    pub fn e2e_cycles(&self) -> u64 {
+    pub(crate) fn e2e_cycles(&self) -> u64 {
         self.finish - self.arrival
     }
 
@@ -129,12 +129,12 @@ impl RequestTimeline {
     }
 
     /// Attended connections summed over all steps.
-    pub fn attended_total(&self) -> u64 {
+    pub(crate) fn attended_total(&self) -> u64 {
         self.steps.iter().map(|s| s.attended).sum()
     }
 
     /// Omitted connections summed over all steps.
-    pub fn omitted_total(&self) -> u64 {
+    pub(crate) fn omitted_total(&self) -> u64 {
         self.steps.iter().map(|s| s.omitted).sum()
     }
 
@@ -262,7 +262,7 @@ impl TimelineRecorder {
     }
 
     /// Consumes the recorder, returning the records sorted by request id.
-    pub fn into_requests(self) -> Vec<RequestTimeline> {
+    pub(crate) fn into_requests(self) -> Vec<RequestTimeline> {
         self.requests.into_values().collect()
     }
 }

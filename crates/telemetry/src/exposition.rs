@@ -45,7 +45,7 @@ impl Sample {
 /// Maps a dotted internal metric name (`serve.queue_wait_us`) onto the
 /// Prometheus name grammar: `dota_` prefix, every character outside
 /// `[a-zA-Z0-9_]` replaced with `_`.
-pub fn sanitize_name(name: &str) -> String {
+pub(crate) fn sanitize_name(name: &str) -> String {
     sanitize_with_prefix("dota_", name)
 }
 

@@ -77,23 +77,15 @@ impl MetricsServer {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stops the accept thread and joins it.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
+/// Dropping the server stops the accept thread and joins it.
+impl Drop for MetricsServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 
@@ -170,7 +162,7 @@ mod tests {
         assert_eq!(get(addr, "/metrics").unwrap(), body);
         let err = get(addr, "/other").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
-        server.shutdown();
+        drop(server);
         // After shutdown the port stops answering (connect may succeed
         // briefly on some kernels, so only assert the request fails).
         assert!(get(addr, "/metrics").is_err());

@@ -17,7 +17,7 @@ const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 
 /// Renders `values` as a unicode sparkline scaled to the slice maximum
 /// (all-zero slices render as all-minimum bars).
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     let max = values.iter().copied().fold(0.0f64, f64::max);
     values
         .iter()
@@ -33,7 +33,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// The value of the first sample named `name`, if present.
-pub fn sample_value(samples: &[Sample], name: &str) -> Option<f64> {
+pub(crate) fn sample_value(samples: &[Sample], name: &str) -> Option<f64> {
     samples.iter().find(|s| s.name == name).map(|s| s.value)
 }
 

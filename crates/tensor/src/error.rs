@@ -35,11 +35,6 @@ impl ShapeError {
         self.op
     }
 
-    /// Shape of the left-hand operand as `(rows, cols)`.
-    pub fn lhs(&self) -> (usize, usize) {
-        self.lhs
-    }
-
     /// Shape of the right-hand operand as `(rows, cols)`.
     pub fn rhs(&self) -> (usize, usize) {
         self.rhs
@@ -75,7 +70,6 @@ mod tests {
     fn accessors_round_trip() {
         let e = ShapeError::new("add", (1, 2), (3, 4));
         assert_eq!(e.op(), "add");
-        assert_eq!(e.lhs(), (1, 2));
         assert_eq!(e.rhs(), (3, 4));
     }
 

@@ -12,20 +12,6 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * m as u64 * k as u64 * n as u64
 }
 
-/// FLOPs of a row-wise softmax over an `m x n` matrix.
-///
-/// Counts one exponential (modeled as 1 FLOP), one subtract, one add into the
-/// accumulator and one divide per element, plus the row max scan.
-pub fn softmax_flops(m: usize, n: usize) -> u64 {
-    5 * m as u64 * n as u64
-}
-
-/// FLOPs of layer normalization over an `m x n` matrix (mean, variance,
-/// normalize, scale+shift ≈ 8 per element).
-pub fn layer_norm_flops(m: usize, n: usize) -> u64 {
-    8 * m as u64 * n as u64
-}
-
 /// FLOPs of a GELU over `m x n` elements (tanh approximation ≈ 10 per
 /// element).
 pub fn gelu_flops(m: usize, n: usize) -> u64 {
@@ -60,8 +46,6 @@ mod tests {
 
     #[test]
     fn auxiliary_costs_positive() {
-        assert!(softmax_flops(4, 4) > 0);
-        assert!(layer_norm_flops(4, 4) > 0);
         assert!(gelu_flops(4, 4) > 0);
     }
 }

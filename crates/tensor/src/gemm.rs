@@ -326,7 +326,11 @@ impl Matrix {
     ///
     /// Returns a [`ShapeError`] when `self.cols() != other.cols()` or
     /// `out` has the wrong shape.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
+    pub(crate) fn matmul_nt_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), ShapeError> {
         if self.cols() != other.cols() {
             return Err(ShapeError::new("matmul_nt", self.shape(), other.shape()));
         }
@@ -355,7 +359,11 @@ impl Matrix {
     ///
     /// Returns a [`ShapeError`] when `self.rows() != other.rows()` or
     /// `out` has the wrong shape.
-    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
+    pub(crate) fn matmul_tn_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), ShapeError> {
         if self.rows() != other.rows() {
             return Err(ShapeError::new("matmul_tn", self.shape(), other.shape()));
         }

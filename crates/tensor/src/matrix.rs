@@ -82,9 +82,10 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if `data.len() != rows * cols`.
+    /// Returns a [`ShapeError`] if `data.len() != rows * cols`, or if
+    /// `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, ShapeError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(ShapeError::new("from_vec", (rows, cols), (data.len(), 1)));
         }
         Ok(Self { rows, cols, data })
@@ -164,7 +165,7 @@ impl Matrix {
 
     /// Column `c` collected into a new `Vec`.
     ///
-    /// Allocates per call — hot paths should use [`Matrix::col_iter`]
+    /// Allocates per call — hot paths should use `Matrix::col_iter`
     /// (a strided view over the row-major storage) instead.
     ///
     /// # Panics
@@ -180,7 +181,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `c >= self.cols()`.
-    pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
+    pub(crate) fn col_iter(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
         assert!(c < self.cols, "col index {c} out of bounds ({})", self.cols);
         self.data
             .get(c..)
@@ -198,11 +199,6 @@ impl Matrix {
     /// The underlying row-major data slice, mutably.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major `Vec`.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Iterator over all elements in row-major order.
@@ -263,7 +259,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if the shapes differ.
-    pub fn zip_map(
+    pub(crate) fn zip_map(
         &self,
         other: &Matrix,
         f: impl Fn(f32, f32) -> f32,
@@ -546,6 +542,8 @@ mod tests {
     fn from_vec_checks_len() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 5]).is_err());
+        // 2^32 * 2^32 wraps to 0 = len: the shape must not pass as empty.
+        assert!(Matrix::from_vec(1 << 32, 1 << 32, vec![]).is_err());
     }
 
     #[test]

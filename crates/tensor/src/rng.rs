@@ -52,7 +52,7 @@ impl SeededRng {
     }
 
     /// A uniform sample in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f32, hi: f32) -> f32 {
+    pub(crate) fn uniform_range(&mut self, lo: f32, hi: f32) -> f32 {
         lo + (hi - lo) * self.uniform()
     }
 
@@ -177,23 +177,6 @@ impl SeededRng {
                 0.0
             }
         })
-    }
-
-    /// Dense sign random projection `R ∈ {-1,+1}^{d×k}` scaled by
-    /// `1/sqrt(k)`, as used by the ELSA baseline (paper §6.2).
-    pub fn sign_projection(&mut self, d: usize, k: usize) -> Matrix {
-        let scale = 1.0 / (k.max(1) as f32).sqrt();
-        Matrix::from_fn(
-            d,
-            k,
-            |_, _| {
-                if self.uniform() < 0.5 {
-                    scale
-                } else {
-                    -scale
-                }
-            },
-        )
     }
 }
 
@@ -480,14 +463,6 @@ mod tests {
         }
         let avg = ratio_sum / trials as f32;
         assert!((avg - 1.0).abs() < 0.25, "norm ratio {avg}");
-    }
-
-    #[test]
-    fn sign_projection_entries() {
-        let mut rng = SeededRng::new(5);
-        let p = rng.sign_projection(10, 16);
-        let scale = 0.25;
-        assert!(p.iter().all(|&x| (x.abs() - scale).abs() < 1e-6));
     }
 
     #[test]

@@ -339,16 +339,18 @@ pub fn indices_to_mask(selected: &[Vec<usize>], cols: usize) -> Vec<Vec<bool>> {
 /// `scores[(r, c)] >= threshold`. This models the hardware Detector's
 /// comparator (§4.3), which compares estimated scores against a preset
 /// threshold rather than sorting.
-pub fn threshold_mask(scores: &Matrix, threshold: f32) -> Vec<Vec<bool>> {
+#[cfg(test)]
+pub(crate) fn threshold_mask(scores: &Matrix, threshold: f32) -> Vec<Vec<bool>> {
     scores
         .rows_iter()
         .map(|row| row.iter().map(|&x| x >= threshold).collect())
         .collect()
 }
 
-/// [`threshold_mask`] of one row as a set: appends to `out`, ascending, every
-/// index with `row[i] >= threshold` (never a NaN) — the comparator's output
-/// as the key IDs the Scheduler consumes, 64 compares to a bit mask.
+/// Threshold selection of one row as a set: appends to `out`, ascending,
+/// every index with `row[i] >= threshold` (never a NaN) — the hardware
+/// Detector's comparator (§4.3) output as the key IDs the Scheduler
+/// consumes, 64 compares to a bit mask.
 pub fn threshold_set(row: &[f32], threshold: f32, out: &mut Vec<u32>) {
     for (b, block) in row.chunks(64).enumerate() {
         let pass = |(i, &v): (usize, &f32)| u64::from(v >= threshold) << i;
@@ -360,7 +362,8 @@ pub fn threshold_set(row: &[f32], threshold: f32, out: &mut Vec<u32>) {
 /// Finds, per row, the threshold that would keep exactly `k` entries; returns
 /// the k-th largest value of each row. Used to calibrate hardware threshold
 /// registers from a validation set (§3.1).
-pub fn kth_value_rows(scores: &Matrix, k: usize) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn kth_value_rows(scores: &Matrix, k: usize) -> Vec<f32> {
     scores
         .rows_iter()
         .map(|row| {
@@ -368,16 +371,6 @@ pub fn kth_value_rows(scores: &Matrix, k: usize) -> Vec<f32> {
             idx.last().map(|&i| row[i]).unwrap_or(f32::NEG_INFINITY)
         })
         .collect()
-}
-
-/// Fraction of `true` entries in a mask.
-pub fn mask_density(mask: &[Vec<bool>]) -> f64 {
-    let total: usize = mask.iter().map(|r| r.len()).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let kept: usize = mask.iter().map(|r| r.iter().filter(|&&b| b).count()).sum();
-    kept as f64 / total as f64
 }
 
 /// Overlap between two per-row index selections: the mean fraction of
@@ -406,7 +399,8 @@ pub fn selection_recall(reference: &[Vec<usize>], candidate: &[Vec<usize>]) -> f
 }
 
 /// Number of entries each row keeps under `mask`.
-pub fn row_counts(mask: &[Vec<bool>]) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn row_counts(mask: &[Vec<bool>]) -> Vec<usize> {
     mask.iter()
         .map(|r| r.iter().filter(|&&b| b).count())
         .collect()
@@ -677,13 +671,6 @@ mod tests {
                 assert_eq!(set[1..], want, "row {r} at {threshold}");
             }
         }
-    }
-
-    #[test]
-    fn mask_density_counts() {
-        let mask = vec![vec![true, false], vec![false, false]];
-        assert!((mask_density(&mask) - 0.25).abs() < 1e-9);
-        assert_eq!(mask_density(&[]), 0.0);
     }
 
     #[test]

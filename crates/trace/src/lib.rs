@@ -236,7 +236,7 @@ pub fn count(name: &str, delta: u64) {
 
 /// Current value of a counter (0 if never written). Only meaningful inside
 /// a session.
-pub fn counter_value(name: &str) -> u64 {
+pub(crate) fn counter_value(name: &str) -> u64 {
     let st = lock_state();
     st.find(&st.counters, name).map_or(0, |i| st.counters[i].1)
 }
@@ -401,7 +401,7 @@ impl TraceGuard {
     /// The session's counters as a flat JSON document:
     /// `{"label": ..., "counters": {name: value, ...}}` with keys in
     /// lexicographic order (deterministic run-to-run).
-    pub fn counters_json(&self) -> String {
+    pub(crate) fn counters_json(&self) -> String {
         let st = lock_state();
         let mut out = String::with_capacity(64 + st.counters.len() * 32);
         out.push_str("{\n  \"label\": ");

@@ -170,21 +170,6 @@ impl TransformerConfig {
             pooling: Pooling::Mean,
         }
     }
-
-    /// Total trainable parameter count of the encoder stack plus embeddings
-    /// and classifier (weights only; biases and layer norms included).
-    pub fn param_count(&self) -> u64 {
-        let d = self.d_model as u64;
-        let ff = self.d_ff as u64;
-        let per_layer = 4 * d * d          // WQ, WK, WV, WO
-            + 4 * d            // attention biases folded (wo bias + ln1 gamma/beta ~ small)
-            + d * ff + ff      // FC1
-            + ff * d + d       // FC2
-            + 4 * d; // two layer norms (gamma+beta each)
-        let embed = (self.vocab_size as u64 + self.seq_len as u64) * d;
-        let head = d * self.n_classes as u64 + self.n_classes as u64;
-        embed + self.n_layers as u64 * per_layer + head
-    }
 }
 
 #[cfg(test)]
@@ -223,14 +208,6 @@ mod tests {
         cfg = TransformerConfig::tiny(64, 16, 2);
         cfg.n_layers = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn bert_large_param_count_magnitude() {
-        // BERT-large has ~340M parameters; our count (without some bias
-        // terms and pooler) must land in the same ballpark.
-        let n = TransformerConfig::bert_large(384).param_count();
-        assert!(n > 250_000_000 && n < 400_000_000, "{n}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn dense_layer_flops(cfg: &TransformerConfig, n: usize) -> LayerFlops {
 /// # Panics
 ///
 /// Panics if `retention` is outside `[0, 1]` or `sigma` outside `[0, 1]`.
-pub fn sparse_layer_flops(
+pub(crate) fn sparse_layer_flops(
     cfg: &TransformerConfig,
     n: usize,
     retention: f64,
@@ -89,19 +89,6 @@ pub fn sparse_layer_flops(
         attention,
         ffn,
         detection,
-    }
-}
-
-/// Whole-model FLOPs at sequence length `n` (all layers; embeddings and the
-/// classifier head are negligible and excluded, as in the paper's figure).
-pub fn model_flops(cfg: &TransformerConfig, n: usize, retention: f64, sigma: f64) -> LayerFlops {
-    let per = sparse_layer_flops(cfg, n, retention, sigma);
-    let l = cfg.n_layers as u64;
-    LayerFlops {
-        linear: per.linear * l,
-        attention: per.attention * l,
-        ffn: per.ffn * l,
-        detection: per.detection * l,
     }
 }
 
@@ -180,14 +167,6 @@ mod tests {
         let frac = f.detection as f64 / f.total() as f64;
         assert!(frac < 0.15, "detection fraction {frac}");
         assert!(f.detection > 0);
-    }
-
-    #[test]
-    fn model_flops_multiplies_layers() {
-        let cfg = TransformerConfig::tiny(64, 16, 2);
-        let per = dense_layer_flops(&cfg, 64);
-        let all = model_flops(&cfg, 64, 1.0, 0.0);
-        assert_eq!(all.total(), per.total() * cfg.n_layers as u64);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct TaskSpec {
 impl TaskSpec {
     /// Number of low token ids reserved for structure (markers, symbols,
     /// facts) by this task's generator; fillers start above this.
-    pub fn structure_tokens(&self) -> usize {
+    pub(crate) fn structure_tokens(&self) -> usize {
         match self.benchmark {
             // QUERY/SEP/etc + question symbols + composite fact tokens.
             Benchmark::Qa => 4 + crate::generators::QA_KEYS * (1 + self.n_classes),
@@ -280,29 +280,6 @@ mod tests {
 }
 
 impl Dataset {
-    /// Returns a copy with the samples shuffled by a seeded RNG
-    /// (deterministic per seed).
-    pub fn shuffled(&self, seed: u64) -> Dataset {
-        let mut rng = SeededRng::new(seed);
-        let mut samples = self.samples.clone();
-        rng.shuffle(&mut samples);
-        Dataset {
-            spec: self.spec.clone(),
-            samples,
-        }
-    }
-
-    /// Per-class sample counts (length `n_classes`). For LM datasets every
-    /// sample counts toward class 0.
-    pub fn label_histogram(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.spec.n_classes.max(1)];
-        let top = counts.len() - 1;
-        for s in &self.samples {
-            counts[s.label.min(top)] += 1;
-        }
-        counts
-    }
-
     /// Splits off the first `n` samples into a new dataset, leaving the
     /// rest (useful for carving a validation slice from a training set).
     ///
@@ -346,31 +323,6 @@ mod util_tests {
 
     fn text_ds() -> Dataset {
         TaskSpec::tiny(Benchmark::Text, 24, 8).generate(50)
-    }
-
-    #[test]
-    fn shuffle_is_seeded_permutation() {
-        let ds = text_ds();
-        let a = ds.shuffled(1);
-        let b = ds.shuffled(1);
-        let c = ds.shuffled(2);
-        assert_eq!(a.samples(), b.samples());
-        assert_ne!(a.samples(), c.samples());
-        // Same multiset of samples.
-        let mut orig: Vec<_> = ds.samples().to_vec();
-        let mut shuf: Vec<_> = a.samples().to_vec();
-        orig.sort_by(|x, y| x.ids.cmp(&y.ids));
-        shuf.sort_by(|x, y| x.ids.cmp(&y.ids));
-        assert_eq!(orig, shuf);
-    }
-
-    #[test]
-    fn histogram_sums_to_len() {
-        let ds = text_ds();
-        let hist = ds.label_histogram();
-        assert_eq!(hist.len(), 2);
-        assert_eq!(hist.iter().sum::<usize>(), ds.len());
-        assert!(hist.iter().all(|&c| c > 0), "degenerate labels {hist:?}");
     }
 
     #[test]

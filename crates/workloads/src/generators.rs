@@ -34,7 +34,7 @@ fn filler(spec: &TaskSpec, rng: &mut SeededRng) -> usize {
 /// attention hop from the question to its distant fact — the SQuAD-like
 /// lookup dependency.
 ///
-/// Token layout (see [`qa_fact_token`]): questions at `SYM_BASE..+n_keys`,
+/// Token layout (see `qa_fact_token`): questions at `SYM_BASE..+n_keys`,
 /// facts at `SYM_BASE + n_keys + q*n_classes + answer`.
 pub fn qa(spec: &TaskSpec, rng: &mut SeededRng) -> Sample {
     let n = spec.seq_len;
@@ -66,7 +66,7 @@ pub fn qa(spec: &TaskSpec, rng: &mut SeededRng) -> Sample {
 pub const QA_KEYS: usize = 4;
 
 /// The composite fact token for `(question, answer)`.
-pub fn qa_fact_token(spec: &TaskSpec, question: usize, answer: usize) -> usize {
+pub(crate) fn qa_fact_token(spec: &TaskSpec, question: usize, answer: usize) -> usize {
     SYM_BASE + QA_KEYS + question * spec.n_classes + answer
 }
 
@@ -123,7 +123,7 @@ pub const RETRIEVAL_TOPICS: usize = 4;
 
 /// The composite fact token asserting `(topic, polarity)` in the left
 /// document of the Retrieval task.
-pub fn retrieval_fact_token(topic: usize, polarity: usize) -> usize {
+pub(crate) fn retrieval_fact_token(topic: usize, polarity: usize) -> usize {
     SYM_BASE + RETRIEVAL_TOPICS + topic * 2 + polarity
 }
 
