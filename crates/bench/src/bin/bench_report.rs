@@ -1209,7 +1209,8 @@ fn simulate_allocation_pin() -> bool {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut args = dota_core::cli::Args::from_env();
+    let quick = args.switch("--quick");
     let label = if quick {
         "bench_report_quick"
     } else {
@@ -1220,7 +1221,7 @@ fn main() {
     // gate is independent of the trace gate). The allocation columns need
     // a profiling session whether or not `--profile`/`DOTA_PROF` asked for
     // its files, so one is opened here when the binding opened none.
-    let _files = dota_bench::profile_session(label);
+    let _files = dota_bench::profile_session(label, args);
     let _prof = (!dota_prof::enabled()).then(|| dota_prof::session(label));
     if quick {
         if !run_quick() {

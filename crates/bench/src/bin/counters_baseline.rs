@@ -160,10 +160,11 @@ fn diff(committed: &Baseline, now: &Baseline) -> usize {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let mut args = dota_core::cli::Args::from_env();
+    let check = args.switch("--check");
     // Profiler gate is independent of the trace gate, so the scenarios'
     // internal trace sessions coexist with `--profile`/`DOTA_PROF` here.
-    let _prof = dota_bench::profile_session("counters_baseline");
+    let _prof = dota_bench::profile_session("counters_baseline", args);
     let now = current();
     let path = baseline_path();
 

@@ -7,7 +7,7 @@
 
 #![deny(missing_docs)]
 
-use dota_core::cli::Sessions;
+use dota_core::cli::{Args, Sessions};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -63,15 +63,16 @@ where
 pub struct SessionFiles(Option<Sessions>);
 
 /// Reads `--trace`/`--counters`/`--hists`/`--profile` (or `DOTA_TRACE` /
-/// `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`) and starts the sessions
-/// asked for — just the profile one when `profile_only`, for binaries that
-/// open their own exclusive trace sessions internally
-/// ([`counter_scenarios`]; the profiling gate is independent of the trace
-/// gate). A malformed `DOTA_*` variable ends the process here, before any
-/// work, with the message and exit code the CLI gives it.
-fn start_sessions(label: &str, profile_only: bool) -> SessionFiles {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sessions = Sessions::from_args(&mut args).unwrap_or_else(|e| {
+/// `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`) from `args`, rejects any
+/// argument left, and starts the sessions asked for — just the profile
+/// one when `profile_only`, for binaries that open their own exclusive
+/// trace sessions internally ([`counter_scenarios`]; the profiling gate
+/// is independent of the trace gate). A malformed `DOTA_*` variable or a
+/// stray argument ends the process here, before any work, with the
+/// message and exit code the CLI gives it.
+fn start_sessions(label: &str, mut args: Args, profile_only: bool) -> SessionFiles {
+    let read = Sessions::from_args(&mut args).and_then(|s| args.finish(label).map(|()| s));
+    let mut sessions = read.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
@@ -82,11 +83,12 @@ fn start_sessions(label: &str, profile_only: bool) -> SessionFiles {
     SessionFiles(Some(sessions))
 }
 
-/// The profile-only binding for binaries that run [`counter_scenarios`]:
+/// The profile-only binding for binaries that run [`counter_scenarios`],
+/// over `args` once the binary has read its own switches from them:
 /// validates the environment and honours `--profile` / `DOTA_PROF`. Hold
 /// it for the whole `main`.
-pub fn profile_session(label: &str) -> SessionFiles {
-    start_sessions(label, true)
+pub fn profile_session(label: &str, args: Args) -> SessionFiles {
+    start_sessions(label, args, true)
 }
 
 impl Drop for SessionFiles {
@@ -122,7 +124,7 @@ pub struct ObsInit {
 /// Starts sessions (from flags/environment) and the provenance manifest
 /// for one bench binary — see [`ObsInit`].
 pub fn obs_init(label: &str) -> ObsInit {
-    let sessions = start_sessions(label, false);
+    let sessions = start_sessions(label, Args::from_env(), false);
     ObsInit {
         _manifest: run_manifest(label),
         _sessions: sessions,

@@ -1,9 +1,9 @@
-//! What every binary's front door shares: the table of `DOTA_*`
-//! environment variables with its up-front validation, and [`Sessions`],
-//! the one binding from `--trace/--counters/--hists/--profile` (or their
-//! variables) to live recording sessions and written files. The `dota`
-//! CLI and every `dota-bench` figure binary go through both, so neither
-//! can read a variable unvalidated.
+//! What every binary's front door shares: the `DOTA_*` variables with
+//! their up-front validation, [`Args`], the one argument reader, and
+//! [`Sessions`], the one binding from `--trace/--counters/--hists/--profile`
+//! (or their variables) to recording sessions and written files. The
+//! `dota` CLI and every `dota-bench` binary go through all three, so none
+//! reads a variable unvalidated or drops an argument unread.
 
 use std::ffi::OsString;
 
@@ -186,13 +186,11 @@ pub fn validate_env(var: impl Fn(&str) -> Option<OsString>) -> Result<(), String
     Ok(())
 }
 
-/// The [`ENV`] variable standing in for `--flag`, read through `var`, if
-/// it has one and it is set ([`validate_env`] has already rejected
-/// malformed values).
+/// The [`ENV`] variable standing in for `flag` (`--capacity`), read
+/// through `var`, if it has one and it is set ([`validate_env`] has
+/// already rejected malformed values).
 pub fn env_for(flag: &str, var: impl Fn(&str) -> Option<OsString>) -> Option<String> {
-    let &(name, ..) = ENV
-        .iter()
-        .find(|row| row.1.strip_prefix("--") == Some(flag))?;
+    let &(name, ..) = ENV.iter().find(|row| row.1 == flag)?;
     var(name)?.into_string().ok()
 }
 
@@ -208,22 +206,105 @@ pub fn env_usage() -> String {
     out
 }
 
-/// Removes `--name <value>` from `args` wherever it appears, returning the
-/// value.
-///
-/// # Errors
-///
-/// When the flag is last, with no value after it.
-pub fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
+/// A command line, handed out as the command reads it: each read takes
+/// its flag, switch or positional out, and [`Args::finish`] rejects
+/// whatever is left. A flag is named once, where its value is read, so
+/// one the run never reads — a typo, or a flag of a path not taken —
+/// fails instead of being dropped.
+pub struct Args(Vec<String>);
+
+/// A number a flag can hold, and how a complaint words one.
+pub trait Number: std::str::FromStr {
+    /// "a number", "an integer".
+    const WHAT: &'static str;
+}
+
+impl Number for f64 {
+    const WHAT: &'static str = "a number";
+}
+
+impl Number for usize {
+    const WHAT: &'static str = "an integer";
+}
+
+impl Number for u64 {
+    const WHAT: &'static str = "an integer";
+}
+
+impl Args {
+    /// The process's arguments, the program name left out.
+    pub fn from_env() -> Self {
+        Self(std::env::args().skip(1).collect())
     }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(value))
+
+    /// `args` as given.
+    pub fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Self {
+        Self(args.into_iter().map(Into::into).collect())
+    }
+
+    /// Takes every `flag <value>` out and returns the last value, else the
+    /// [`ENV`] variable standing in for `flag`, so a flag wins over its
+    /// variable. A flag with no value after it is an error.
+    pub fn value(&mut self, flag: &str) -> Result<Option<String>, String> {
+        let mut value = None;
+        while let Some(i) = self.0.iter().position(|a| a == flag) {
+            if i + 1 == self.0.len() {
+                return Err(format!("{flag} needs a value"));
+            }
+            value = Some(self.0.remove(i + 1));
+            self.0.remove(i);
+        }
+        Ok(value.or_else(|| env_for(flag, |name| std::env::var_os(name))))
+    }
+
+    /// Takes out the switch `flag`, returning whether it was given.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        let given = self.0.len();
+        self.0.retain(|a| a != flag);
+        self.0.len() < given
+    }
+
+    /// [`Args::value`] as a number; one that does not parse is an error.
+    pub fn number<T: Number>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        let complaint = |_| format!("{flag} must be {}", T::WHAT);
+        self.value(flag)?
+            .map(|v| v.trim().parse().map_err(complaint))
+            .transpose()
+    }
+
+    /// [`Args::value`] as a comma-separated list: each non-blank entry,
+    /// trimmed, through `parse`, whose first error is the error.
+    pub fn list<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, String> {
+        let Some(list) = self.value(flag)? else {
+            return Ok(None);
+        };
+        let entries = list.split(',').map(str::trim).filter(|s| !s.is_empty());
+        entries.map(parse).collect::<Result<_, _>>().map(Some)
+    }
+
+    /// Takes out the first argument left that is not a `--flag`. Read the
+    /// flags and switches first, so that none of their values is taken
+    /// for a positional.
+    pub fn positional(&mut self) -> Option<String> {
+        let i = self.0.iter().position(|a| !a.starts_with("--"))?;
+        Some(self.0.remove(i))
+    }
+
+    /// Ends the reading for the command `cmd`: call it once the run has
+    /// read all it takes, before any work. Any argument left (an unknown
+    /// flag, one of a path not taken, a stray positional) is an error
+    /// naming the first.
+    pub fn finish(self, cmd: &str) -> Result<(), String> {
+        match self.0.first() {
+            None => Ok(()),
+            Some(a) if a.starts_with("--") => Err(format!("unknown flag `{a}` for `{cmd}`")),
+            Some(a) => Err(format!("unexpected argument `{a}` for `{cmd}`")),
+        }
+    }
 }
 
 /// The recording sessions a run asked for with `--trace <path>` /
@@ -244,24 +325,20 @@ pub struct Sessions {
 }
 
 impl Sessions {
-    /// Validates the environment ([`validate_env`]), then takes the four
-    /// observability flags out of `args`, each falling back to its
+    /// Validates the environment ([`validate_env`]), then reads the four
+    /// observability flags from `args`, each falling back to its
     /// variable. Opens nothing yet.
     ///
     /// # Errors
     ///
     /// A malformed `DOTA_*` variable, or a flag without a value.
-    pub fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
+    pub fn from_args(args: &mut Args) -> Result<Self, String> {
         validate_env(|name| std::env::var_os(name))?;
-        let mut global = |flag: &str| -> Result<Option<String>, String> {
-            Ok(take_flag(args, &format!("--{flag}"))?
-                .or_else(|| env_for(flag, |name| std::env::var_os(name))))
-        };
         Ok(Self {
-            trace_path: global("trace")?,
-            counters_path: global("counters")?,
-            hists_path: global("hists")?,
-            profile_dir: global("profile")?,
+            trace_path: args.value("--trace")?,
+            counters_path: args.value("--counters")?,
+            hists_path: args.value("--hists")?,
+            profile_dir: args.value("--profile")?,
             trace: None,
             hists: None,
             prof: None,
@@ -348,18 +425,19 @@ mod tests {
             "prof/profile.json",
         ];
         let started = || {
-            let mut args: Vec<String> = [
-                ("--trace", "t.json"),
-                ("--counters", "c.json"),
-                ("--hists", "h.json"),
-                ("--profile", "prof"),
-            ]
-            .iter()
-            .flat_map(|(flag, file)| [(*flag).to_owned(), at(file)])
-            .chain(["infer".to_owned()])
-            .collect();
+            let mut args = Args::new(
+                [
+                    ("--trace", "t.json"),
+                    ("--counters", "c.json"),
+                    ("--hists", "h.json"),
+                    ("--profile", "prof"),
+                ]
+                .iter()
+                .flat_map(|(flag, file)| [(*flag).to_owned(), at(file)])
+                .chain(["infer".to_owned()]),
+            );
             let mut sessions = Sessions::from_args(&mut args).unwrap();
-            assert_eq!(args, ["infer"], "the four flags are taken out");
+            assert_eq!(args.0, ["infer"], "the four flags are taken out");
             sessions.start("test");
             dota_trace::count("cli.test", 1);
             dota_metrics::observe("cli.test", 1.0);
@@ -394,11 +472,27 @@ mod tests {
         }
     }
 
+    /// `finish` names what no read took, and a flag without a value fails
+    /// its read.
+    #[test]
+    fn finish_names_what_no_read_took() {
+        let read = |line: &str| {
+            let mut args = Args::new(line.split(' '));
+            let tol = args.number::<f64>("--tol");
+            args.positional();
+            tol.and_then(|_| args.finish("dota report"))
+        };
+        assert_eq!(read("diff --tol 0.5"), Ok(()));
+        let unknown = "unknown flag `--tl` for `dota report`";
+        assert_eq!(read("diff --tl 1").unwrap_err(), unknown);
+        let extra = "unexpected argument `x` for `dota report`";
+        assert_eq!(read("diff x").unwrap_err(), extra);
+        assert_eq!(read("diff --tol").unwrap_err(), "--tol needs a value");
+    }
+
     #[test]
     fn profile_only_keeps_just_the_profile_request() {
-        let mut args: Vec<String> = ["--trace", "t.json", "--profile", "prof"]
-            .map(str::to_owned)
-            .to_vec();
+        let mut args = Args::new(["--trace", "t.json", "--profile", "prof"]);
         let mut sessions = Sessions::from_args(&mut args).unwrap().profile_only();
         sessions.start("test");
         assert!(sessions.trace.is_none() && sessions.prof.is_some());

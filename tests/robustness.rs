@@ -300,9 +300,10 @@ fn cli_rejects_malformed_dota_serve_env() {
 }
 
 /// Out-of-range and unknown flags fail before any work: exit 1 with an
-/// `error:` line naming the value or the flag, never a panic or an
-/// allocation abort — a typo'd flag silently falling back to its default
-/// would run something other than what was asked.
+/// `error:` line naming the value or the flag, an empty stdout, never a
+/// panic or an allocation abort — a typo'd flag, or one the run leaves
+/// unread (`--load` beside `--loads`), silently falling back to its
+/// default would run something other than what was asked.
 #[test]
 fn cli_rejects_out_of_range_and_unknown_flags() {
     for (args, named) in [
@@ -334,6 +335,12 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         ("train text --lr-typo 3", "`--lr-typo` for `dota train`"),
         ("report diff a b --tl 1", "`--tl` for `dota report`"),
         ("top --adr 127.0.0.1:1", "`--adr` for `dota top`"),
+        ("infer text extra", "`extra` for `dota infer`"),
+        ("train text qa", "`qa` for `dota train`"),
+        ("report diff a b c", "`c` for `dota report`"),
+        ("serve --requests 2 --load 1 --loads 2", "`--load` for"),
+        ("infer text --fault-seed 3", "`--fault-seed` for"),
+        ("top --addr 127.0.0.1:1 --once --ticks 5", "`--ticks` for"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dota"))
             .args(args.split(' '))
@@ -345,6 +352,7 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         assert!(error.is_some_and(|l| l.contains(named)), "{args}: {stderr}");
         let aborted = stderr.contains("panicked") || stderr.contains("memory allocation");
         assert!(!aborted, "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: work ran first");
     }
 }
 
@@ -549,7 +557,8 @@ fn cli_chaos_env_knobs_apply_with_flag_precedence() {
 
 /// `report diff --allow-added` tolerates keys that exist only in run B
 /// (schema additions) but still fails on vanished ones: additions are a
-/// distinct class, not silently-accepted regressions.
+/// distinct class, not silently-accepted regressions. `--ignore` skips
+/// the keys it lists, spaces after the commas or not.
 #[test]
 fn cli_report_diff_allow_added_tolerates_additions_not_removals() {
     let dir = scratch_dir("allow_added");
@@ -591,9 +600,17 @@ fn cli_report_diff_allow_added_tolerates_additions_not_removals() {
         .args([new.display().to_string(), old.display().to_string()])
         .output()
         .unwrap();
-    std::fs::remove_dir_all(&dir).ok();
     assert!(
         !vanished.status.success(),
         "--allow-added tolerated a vanished key"
     );
+
+    std::fs::write(&new, "{\"x\":2}\n").unwrap();
+    let ignored = Command::new(env!("CARGO_BIN_EXE_dota"))
+        .args(["report", "diff", "--ignore", "y, x"])
+        .args([old.display().to_string(), new.display().to_string()])
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(ignored.status.success(), "--ignore \"y, x\" kept x");
 }
