@@ -30,7 +30,7 @@ struct Results {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("ablations");
     let mut results = Results::default();
 

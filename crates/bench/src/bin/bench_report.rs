@@ -1219,7 +1219,7 @@ fn main() {
     // Profile-only: `counter_scenarios` opens its own exclusive trace
     // sessions, which would deadlock against an outer one (the profiler
     // gate is independent of the trace gate). The allocation columns need
-    // a profiling session whether or not `--profile`/`DOTA_PROF` asked for
+    // a profiling session whether or not `--profile` asked for
     // its files, so one is opened here when the binding opened none.
     let _files = dota_bench::profile_session(label, args);
     let _prof = (!dota_prof::enabled()).then(|| dota_prof::session(label));

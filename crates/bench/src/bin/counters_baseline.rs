@@ -163,7 +163,7 @@ fn main() {
     let mut args = dota_core::cli::Args::from_env();
     let check = args.switch("--check");
     // Profiler gate is independent of the trace gate, so the scenarios'
-    // internal trace sessions coexist with `--profile`/`DOTA_PROF` here.
+    // internal trace sessions coexist with `--profile` here.
     let _prof = dota_bench::profile_session("counters_baseline", args);
     let now = current();
     let path = baseline_path();

@@ -19,7 +19,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters (or DOTA_TRACE/DOTA_COUNTERS); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("decode_scaling");
     let cfg = AccelConfig::default();
     let model = TransformerConfig::gpt2(16_384);

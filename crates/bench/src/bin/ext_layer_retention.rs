@@ -23,7 +23,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("ext_layer_retention");
     let mean_retention = 0.25;
     let schedules: Vec<(&str, Vec<f64>)> = vec![

@@ -31,7 +31,7 @@ struct Results {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("ext_weight_compress");
     // --- Part 1: accuracy of the transplants. ---
     // QA's lookup structure is sensitive enough to expose the accuracy

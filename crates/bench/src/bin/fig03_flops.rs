@@ -15,7 +15,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig03_flops");
     let cfg = TransformerConfig::bert_large(16_384);
     let seq_lens = [384usize, 512, 1024, 2048, 4096, 8192, 16_384];

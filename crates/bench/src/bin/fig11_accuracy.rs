@@ -59,7 +59,7 @@ fn options_for(benchmark: Benchmark) -> (usize, TrainOptions) {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig11_accuracy");
     // The tiny models use head_dim 16; sigma 0.5 keeps the detector rank
     // proportionate (rank 8) as in the paper's sigma sweep.

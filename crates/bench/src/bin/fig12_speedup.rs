@@ -13,7 +13,7 @@ fn geomean(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    // Honours --trace/--counters (or DOTA_TRACE/DOTA_COUNTERS); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig12_speedup");
     let system = DotaSystem::paper_default();
 

@@ -7,7 +7,7 @@ use dota_core::{DotaSystem, EnergyRow};
 use dota_workloads::Benchmark;
 
 fn main() {
-    // Honours --trace/--counters (or DOTA_TRACE/DOTA_COUNTERS); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig13_energy");
     let system = DotaSystem::paper_default();
 

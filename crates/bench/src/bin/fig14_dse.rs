@@ -32,7 +32,7 @@ struct Results {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig14_dse");
     let retention = 0.25; // fixed, like the paper's 10% at full scale
     let spec = TaskSpec::tiny(Benchmark::Text, 32, 99);

@@ -23,7 +23,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters (or DOTA_TRACE/DOTA_COUNTERS); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("fig15_parallelism");
     // Header: the paper's worked examples.
     let fig8 = vec![vec![1u32, 2], vec![0, 1, 4], vec![1, 2], vec![0, 2, 4]];

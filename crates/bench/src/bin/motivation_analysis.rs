@@ -29,7 +29,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("motivation_analysis");
     let spec = TaskSpec::tiny(Benchmark::Qa, 24, 2024);
     let (train, test) = spec.generate_split(500, 20);

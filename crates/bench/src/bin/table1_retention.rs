@@ -23,7 +23,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("table1_retention");
     let spec = TaskSpec::tiny(Benchmark::Qa, 24, 1234);
     let (train, test) = spec.generate_split(600, 200);

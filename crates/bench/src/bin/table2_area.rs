@@ -14,7 +14,7 @@ struct Row {
 }
 
 fn main() {
-    // Honours --trace/--counters/--hists (or the DOTA_* env vars); no-op otherwise.
+    // Honours --trace/--counters/--hists/--profile; no-op otherwise.
     let _obs = dota_bench::obs_init("table2_area");
     println!("Table 2: DOTA configuration, power and area (22nm, 1 GHz)\n");
     println!(

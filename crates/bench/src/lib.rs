@@ -56,39 +56,39 @@ where
     dota_parallel::par_map(points, |_, p| f(p))
 }
 
-/// The sessions a bench binary's flags/environment asked for
+/// The sessions a bench binary's flags asked for
 /// ([`dota_core::cli::Sessions`], the binding the `dota` CLI uses), their
 /// files written when dropped. A bench `main` has no error path to skip
 /// the write on: it panics, and a panicking run writes nothing.
 pub struct SessionFiles(Option<Sessions>);
 
-/// Reads `--trace`/`--counters`/`--hists`/`--profile` (or `DOTA_TRACE` /
-/// `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`) from `args`, rejects any
-/// argument left, and starts the sessions asked for — just the profile
-/// one when `profile_only`, for binaries that open their own exclusive
-/// trace sessions internally ([`counter_scenarios`]; the profiling gate
-/// is independent of the trace gate). A malformed `DOTA_*` variable or a
-/// stray argument ends the process here, before any work, with the
-/// message and exit code the CLI gives it.
-fn start_sessions(label: &str, mut args: Args, profile_only: bool) -> SessionFiles {
-    let read = Sessions::from_args(&mut args).and_then(|s| args.finish(label).map(|()| s));
+/// Reads the sessions asked for from `args` with `read` (one of
+/// [`Sessions`]' two readers), rejects any argument left, and starts
+/// them. A malformed or unread `DOTA_*` variable or a stray argument ends
+/// the process here, before any work, with the message and exit code the
+/// CLI gives it.
+fn start_sessions(
+    label: &str,
+    mut args: Args,
+    read: fn(&mut Args) -> Result<Sessions, String>,
+) -> SessionFiles {
+    let read = read(&mut args).and_then(|s| args.finish(label).map(|()| s));
     let mut sessions = read.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    if profile_only {
-        sessions = sessions.profile_only();
-    }
     sessions.start(label);
     SessionFiles(Some(sessions))
 }
 
 /// The profile-only binding for binaries that run [`counter_scenarios`],
-/// over `args` once the binary has read its own switches from them:
-/// validates the environment and honours `--profile` / `DOTA_PROF`. Hold
-/// it for the whole `main`.
+/// which open their own exclusive trace sessions (the profiling gate is
+/// independent of the trace gate), over `args` once the binary has read
+/// its own switches from them: validates the environment and honours
+/// `--profile`; `--trace`/`--counters`/`--hists` are unknown flags here.
+/// Hold it for the whole `main`.
 pub fn profile_session(label: &str, args: Args) -> SessionFiles {
-    start_sessions(label, args, true)
+    start_sessions(label, args, Sessions::profile_from_args)
 }
 
 impl Drop for SessionFiles {
@@ -121,10 +121,10 @@ pub struct ObsInit {
     _sessions: SessionFiles,
 }
 
-/// Starts sessions (from flags/environment) and the provenance manifest
+/// Starts sessions (from flags) and the provenance manifest
 /// for one bench binary — see [`ObsInit`].
 pub fn obs_init(label: &str) -> ObsInit {
-    let sessions = start_sessions(label, Args::from_env(), false);
+    let sessions = start_sessions(label, Args::from_env(), Sessions::from_args);
     ObsInit {
         _manifest: run_manifest(label),
         _sessions: sessions,

@@ -1,8 +1,10 @@
 //! The figure binaries go through the same environment validation and
-//! argument reader as the `dota` CLI: a malformed `DOTA_*` variable or an
-//! argument the binary does not read (`counters_baseline --chek`) ends the
-//! run before any work, instead of silently regenerating a committed
-//! result under the wrong settings.
+//! argument reader as the `dota` CLI: a malformed `DOTA_*` variable, one
+//! nothing reads (`DOTA_PROF`, once a second spelling of `--profile`) or
+//! an argument the binary does not read (`counters_baseline --chek`, or
+//! `--trace` beside its profile-only binding) ends the run before any
+//! work, instead of silently regenerating a committed result under the
+//! wrong settings.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,9 +21,10 @@ fn figure_binary_rejects_malformed_env_before_any_work() {
         ("table2_area", "DOTA_THREADS=many"),
         ("table2_area", "DOTA_GEMM=fast"),
         ("table2_area", "DOTA_GEMM=fma"),
-        ("table2_area", "DOTA_PROF="),
+        ("table2_area", "DOTA_PROF=prof"),
         ("table2_area", "--trase x"),
         ("counters_baseline", "--chek"),
+        ("counters_baseline", "--trace t.json --check"),
     ] {
         let before = written(bin);
         let mut command = Command::new(match bin {

@@ -1,6 +1,6 @@
 //! `dota top` — terminal dashboard over a live `/metrics` endpoint.
 
-use dota_core::cli::{env_for, Args};
+use dota_core::cli::Args;
 
 pub(crate) fn cmd_top(mut args: Args) -> Result<(), String> {
     // `--once` is one tick: `--ticks` is read only without it.
@@ -15,9 +15,7 @@ pub(crate) fn cmd_top(mut args: Args) -> Result<(), String> {
     if ticks == Some(0) {
         return Err("--ticks 0 must be at least 1 (or left out to poll until interrupted)".into());
     }
-    let addr = addr
-        .or_else(|| env_for("--metrics-addr", |name| std::env::var_os(name)))
-        .ok_or("top needs --addr HOST:PORT (or DOTA_SERVE_METRICS_ADDR)")?;
+    let addr = addr.ok_or("top needs --addr HOST:PORT")?;
     let bounded = ticks.is_some();
     let mut top = dota_telemetry::top::TopState::new();
     let mut polled = 0usize;

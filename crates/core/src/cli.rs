@@ -1,9 +1,9 @@
-//! What every binary's front door shares: the `DOTA_*` variables with
+//! What every binary's front door shares: the two `DOTA_*` variables with
 //! their up-front validation, [`Args`], the one argument reader, and
 //! [`Sessions`], the one binding from `--trace/--counters/--hists/--profile`
-//! (or their variables) to recording sessions and written files. The
-//! `dota` CLI and every `dota-bench` binary go through all three, so none
-//! reads a variable unvalidated or drops an argument unread.
+//! to recording sessions and written files. The `dota` CLI and every
+//! `dota-bench` binary go through all three, so none reads a variable
+//! unvalidated, runs with one nothing reads, or drops an argument unread.
 
 use std::ffi::OsString;
 
@@ -12,29 +12,18 @@ use std::ffi::OsString;
 pub enum EnvKind {
     /// An integer `>= 1`.
     PositiveInt,
-    /// An integer `>= 0`.
-    NonNegativeInt,
-    /// A finite number `> 0`.
-    PositiveF64,
-    /// Anything but blank.
-    Path,
-    /// `HOST:PORT`.
-    SocketAddr,
-    /// One of the listed spellings, case-insensitively.
-    OneOf(&'static [&'static str]),
-    /// Comma-separated numbers in `[0, 1]`, at least one.
-    RateList,
     /// Whatever [`dota_tensor::lanes::parse_family`] accepts: kernel
     /// lanes this CPU can run.
     Lanes,
 }
 
-/// Every `DOTA_*` variable the binaries read themselves: `(variable, the
-/// `--flag` it stands in for or else a few words on what it sets, what its
-/// value must be, how usage and the complaint word that)`.
-/// [`validate_env`] checks each row up front, [`env_for`] falls back from a
-/// flag to its row, and [`env_usage`] documents every row, so a variable
-/// can be neither read unvalidated nor left out of `dota help`.
+/// The `DOTA_*` variables a program reads: `(variable, what it sets, what
+/// its value must be, how usage and the complaint word that)`. Library
+/// crates read both once per process, and no flag sets either; every
+/// other setting is a flag. [`validate_env`] checks each row up front and
+/// rejects any other `DOTA_*` variable, and [`env_usage`] documents every
+/// row, so a variable can be neither read unvalidated nor left out of
+/// `dota help`.
 pub const ENV: &[(&str, &str, EnvKind, &str)] = &[
     (
         "DOTA_THREADS",
@@ -51,158 +40,65 @@ pub const ENV: &[(&str, &str, EnvKind, &str)] = &[
         EnvKind::Lanes,
         "auto|scalar|simd",
     ),
-    ("DOTA_TRACE", "--trace", EnvKind::Path, "an output path"),
-    (
-        "DOTA_COUNTERS",
-        "--counters",
-        EnvKind::Path,
-        "an output path",
-    ),
-    ("DOTA_HISTS", "--hists", EnvKind::Path, "an output path"),
-    (
-        "DOTA_PROF",
-        "--profile",
-        EnvKind::Path,
-        "an output directory",
-    ),
-    // Serving knobs: a typo'd batch size or shed policy silently falling
-    // back to defaults would make one load test incomparable with the
-    // next, so they are rejected up front like the knobs above.
-    (
-        "DOTA_SERVE_BATCH",
-        "--capacity",
-        EnvKind::PositiveInt,
-        "a positive integer",
-    ),
-    (
-        "DOTA_SERVE_DEADLINE",
-        "--deadline-interactive",
-        EnvKind::PositiveF64,
-        "a positive number of microseconds",
-    ),
-    (
-        "DOTA_SERVE_SHED",
-        "--shed",
-        EnvKind::OneOf(&["queue", "queue-only", "retention", "shed", "slo", "both"]),
-        "queue|retention|slo|both",
-    ),
-    (
-        "DOTA_SERVE_CHAOS",
-        "--chaos-rates",
-        EnvKind::RateList,
-        "a comma-separated list of fault rates in [0, 1]",
-    ),
-    (
-        "DOTA_SERVE_RETRY_CAP",
-        "--retry-cap",
-        EnvKind::NonNegativeInt,
-        "a non-negative integer",
-    ),
-    (
-        "DOTA_SERVE_RETRY_BACKOFF",
-        "--retry-backoff",
-        EnvKind::PositiveInt,
-        "a positive cycle count",
-    ),
-    (
-        "DOTA_SERVE_TIMELINE",
-        "--timeline",
-        EnvKind::Path,
-        "an output path",
-    ),
-    (
-        "DOTA_SERVE_METRICS_ADDR",
-        "--metrics-addr",
-        EnvKind::SocketAddr,
-        "a socket address like 127.0.0.1:9184",
-    ),
-    (
-        "DOTA_SERVE_FLIGHT",
-        "--flight-out",
-        EnvKind::Path,
-        "an output path",
-    ),
 ];
 
 impl EnvKind {
     /// `Ok` when `value` is a well-formed setting of `name`, else the
     /// one-line complaint.
     fn check(self, name: &str, value: &str, expected: &str) -> Result<(), String> {
-        let v = value.trim();
-        let ok = match self {
-            EnvKind::PositiveInt => v.parse::<u64>().is_ok_and(|n| n >= 1),
-            EnvKind::NonNegativeInt => v.parse::<u64>().is_ok(),
-            // NaN must fail too, so test for the one acceptable state.
-            EnvKind::PositiveF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
-            EnvKind::Path => !v.is_empty(),
-            EnvKind::SocketAddr => v.parse::<std::net::SocketAddr>().is_ok(),
-            EnvKind::OneOf(names) => names.contains(&v.to_ascii_lowercase().as_str()),
-            EnvKind::RateList => {
-                let mut rates = v.split(',').map(str::trim).filter(|s| !s.is_empty());
-                let in_range = |s: &str| {
-                    s.parse::<f64>()
-                        .is_ok_and(|r| dota_faults::check_rate(r).is_ok())
-                };
-                // `all` on the rest; `next` first so an empty list fails.
-                rates.next().is_some_and(in_range) && rates.all(in_range)
-            }
+        match self {
+            EnvKind::PositiveInt if value.trim().parse::<u64>().is_ok_and(|n| n >= 1) => Ok(()),
+            EnvKind::PositiveInt => Err(format!("{name} must be {expected}, got `{value}`")),
             // The lanes parser words its own complaint (it knows which
             // lanes this CPU reports).
-            EnvKind::Lanes => return dota_tensor::lanes::parse_family(value).map(|_| ()),
-        };
-        if ok {
-            return Ok(());
+            EnvKind::Lanes => dota_tensor::lanes::parse_family(value).map(|_| ()),
         }
-        Err(match self {
-            EnvKind::Path => {
-                format!("{name} is set but empty; set it to an output path or unset it")
-            }
-            _ => format!("{name} must be {expected}, got `{value}`"),
-        })
     }
 }
 
-/// Rejects malformed `DOTA_*` environment variables up front: a typo'd
+/// Checks every `DOTA_*` variable among `vars` (`std::env::vars_os()` in
+/// the binaries) up front: an [`ENV`] row must be well-formed — a typo'd
 /// `DOTA_THREADS=all` silently falling back to the default would
-/// invalidate a benchmark without any sign of it. Each variable is read
-/// through `var` (`std::env::var_os` in the binaries).
+/// invalidate a benchmark without any sign of it — and any other
+/// `DOTA_*` variable is an error, since nothing would read it.
 ///
 /// # Errors
 ///
-/// One line naming the first malformed variable in [`ENV`] order; a value
-/// that is not Unicode is malformed whatever the row.
-pub fn validate_env(var: impl Fn(&str) -> Option<OsString>) -> Result<(), String> {
-    for &(name, _, kind, expected) in ENV {
-        match var(name).map(OsString::into_string) {
-            Some(Ok(v)) => kind.check(name, &v, expected)?,
-            Some(Err(raw)) => {
+/// One line naming the first offending variable; a value that is not
+/// Unicode is malformed whatever the row.
+pub fn validate_env(vars: impl IntoIterator<Item = (OsString, OsString)>) -> Result<(), String> {
+    for (name, value) in vars {
+        let name = name.to_string_lossy();
+        if !name.starts_with("DOTA_") {
+            continue;
+        }
+        let Some(&(_, _, kind, expected)) = ENV.iter().find(|row| row.0 == name) else {
+            let read: Vec<&str> = ENV.iter().map(|row| row.0).collect();
+            return Err(format!(
+                "`{name}` is not read; every setting but {} is a flag (see `dota help`)",
+                read.join(" and ")
+            ));
+        };
+        match value.into_string() {
+            Ok(v) => kind.check(&name, &v, expected)?,
+            Err(raw) => {
                 return Err(format!(
                     "{name} must be {expected}, got non-Unicode {raw:?}"
                 ));
             }
-            None => {}
         }
     }
     Ok(())
 }
 
-/// The [`ENV`] variable standing in for `flag` (`--capacity`), read
-/// through `var`, if it has one and it is set ([`validate_env`] has
-/// already rejected malformed values).
-pub fn env_for(flag: &str, var: impl Fn(&str) -> Option<OsString>) -> Option<String> {
-    let &(name, ..) = ENV.iter().find(|row| row.1 == flag)?;
-    var(name)?.into_string().ok()
-}
-
 /// The "environment" section of a usage text: one line per [`ENV`] row.
 pub fn env_usage() -> String {
-    let mut out = String::from(
-        "environment (a flag wins over its variable; a malformed value is \
-         rejected before any work runs):\n",
-    );
+    let mut out =
+        String::from("environment (a malformed value is rejected before any work runs):\n");
     for &(name, role, _, expected) in ENV {
         out.push_str(&format!("  {name:<31} {role}: {expected}\n"));
     }
+    out.push_str("  any other DOTA_* variable is an error: every other setting is a flag\n");
     out
 }
 
@@ -242,9 +138,8 @@ impl Args {
         Self(args.into_iter().map(Into::into).collect())
     }
 
-    /// Takes every `flag <value>` out and returns the last value, else the
-    /// [`ENV`] variable standing in for `flag`, so a flag wins over its
-    /// variable. A flag with no value after it is an error.
+    /// Takes every `flag <value>` out and returns the last value. A flag
+    /// with no value after it is an error.
     pub fn value(&mut self, flag: &str) -> Result<Option<String>, String> {
         let mut value = None;
         while let Some(i) = self.0.iter().position(|a| a == flag) {
@@ -254,7 +149,7 @@ impl Args {
             value = Some(self.0.remove(i + 1));
             self.0.remove(i);
         }
-        Ok(value.or_else(|| env_for(flag, |name| std::env::var_os(name))))
+        Ok(value)
     }
 
     /// Takes out the switch `flag`, returning whether it was given.
@@ -308,12 +203,12 @@ impl Args {
 }
 
 /// The recording sessions a run asked for with `--trace <path>` /
-/// `--counters <path>` / `--hists <path>` / `--profile <dir>` (or
-/// `DOTA_TRACE` / `DOTA_COUNTERS` / `DOTA_HISTS` / `DOTA_PROF`), and the
+/// `--counters <path>` / `--hists <path>` / `--profile <dir>`, and the
 /// files they become: [`Sessions::from_args`] reads the request,
 /// [`Sessions::start`] opens one session per gate asked for, and
 /// [`Sessions::finish`] writes the files. A run that failed drops the
 /// value instead, so it never leaves a half-meaningful trace behind.
+#[derive(Default)]
 pub struct Sessions {
     trace_path: Option<String>,
     counters_path: Option<String>,
@@ -326,35 +221,34 @@ pub struct Sessions {
 
 impl Sessions {
     /// Validates the environment ([`validate_env`]), then reads the four
-    /// observability flags from `args`, each falling back to its
-    /// variable. Opens nothing yet.
+    /// observability flags from `args`. Opens nothing yet.
     ///
     /// # Errors
     ///
-    /// A malformed `DOTA_*` variable, or a flag without a value.
+    /// A malformed or unread `DOTA_*` variable, or a flag without a value.
     pub fn from_args(args: &mut Args) -> Result<Self, String> {
-        validate_env(|name| std::env::var_os(name))?;
-        Ok(Self {
-            trace_path: args.value("--trace")?,
-            counters_path: args.value("--counters")?,
-            hists_path: args.value("--hists")?,
-            profile_dir: args.value("--profile")?,
-            trace: None,
-            hists: None,
-            prof: None,
-        })
+        let mut sessions = Self::profile_from_args(args)?;
+        sessions.trace_path = args.value("--trace")?;
+        sessions.counters_path = args.value("--counters")?;
+        sessions.hists_path = args.value("--hists")?;
+        Ok(sessions)
     }
 
-    /// Keeps only the profile request, for binaries that open their own
-    /// trace sessions internally (sessions are exclusive per gate, and the
-    /// profiling gate is independent of the trace gate).
-    pub fn profile_only(self) -> Self {
-        Self {
-            trace_path: None,
-            counters_path: None,
-            hists_path: None,
-            ..self
-        }
+    /// [`Sessions::from_args`] reading `--profile` alone, for binaries
+    /// that open their own trace sessions internally (sessions are
+    /// exclusive per gate, and the profiling gate is independent of the
+    /// trace gate): the other three flags stay in `args` for
+    /// [`Args::finish`] to reject.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sessions::from_args`].
+    pub fn profile_from_args(args: &mut Args) -> Result<Self, String> {
+        validate_env(std::env::vars_os())?;
+        Ok(Self {
+            profile_dir: args.value("--profile")?,
+            ..Self::default()
+        })
     }
 
     /// Opens the sessions asked for, labelled `label`: one trace session
@@ -490,11 +384,15 @@ mod tests {
         assert_eq!(read("diff --tol").unwrap_err(), "--tol needs a value");
     }
 
+    /// The profile-only read takes `--profile` and leaves `--trace` for
+    /// `finish` to reject, instead of reading it and dropping it.
     #[test]
     fn profile_only_keeps_just_the_profile_request() {
         let mut args = Args::new(["--trace", "t.json", "--profile", "prof"]);
-        let mut sessions = Sessions::from_args(&mut args).unwrap().profile_only();
+        let mut sessions = Sessions::profile_from_args(&mut args).unwrap();
         sessions.start("test");
         assert!(sessions.trace.is_none() && sessions.prof.is_some());
+        let unread = "unknown flag `--trace` for `counters_baseline`";
+        assert_eq!(args.finish("counters_baseline").unwrap_err(), unread);
     }
 }

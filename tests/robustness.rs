@@ -246,8 +246,47 @@ fn cli_has_no_figure_subcommands() {
     }
 }
 
-/// An empty `DOTA_PROF` (profile output directory) is caught by the
-/// environment validation, not silently ignored.
+/// The variables that once stood in for a flag are read by nothing: each,
+/// set to a value its flag would take, fails `dota serve` before any work
+/// (exit 1, an `error:` line naming it, an empty stdout, no file written)
+/// instead of being silently dropped or half-applied.
+#[test]
+fn cli_rejects_retired_dota_env() {
+    let dir = scratch_dir("retired_env");
+    for (name, value) in [
+        ("DOTA_TRACE", "t.json"),
+        ("DOTA_COUNTERS", "c.json"),
+        ("DOTA_HISTS", "h.json"),
+        ("DOTA_PROF", "prof"),
+        ("DOTA_SERVE_BATCH", "3"),
+        ("DOTA_SERVE_DEADLINE", "75.5"),
+        ("DOTA_SERVE_SHED", "queue"),
+        ("DOTA_SERVE_CHAOS", "0,0.5"),
+        ("DOTA_SERVE_RETRY_CAP", "5"),
+        ("DOTA_SERVE_RETRY_BACKOFF", "4000"),
+        ("DOTA_SERVE_TIMELINE", "tl.json"),
+        ("DOTA_SERVE_METRICS_ADDR", "127.0.0.1:0"),
+        ("DOTA_SERVE_FLIGHT", "flight.json"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dota"))
+            .args(["serve", "--requests", "4"])
+            .current_dir(&dir)
+            .env(name, value)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}={value}: {stderr}");
+        let error = stderr.lines().find(|l| l.starts_with("error: "));
+        assert!(error.is_some_and(|l| l.contains(name)), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: work ran first");
+        let written = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(written, 0, "{name}: a file was written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An empty `DOTA_PROF` is caught by the environment validation, not
+/// silently ignored: nothing reads the variable, so any value fails.
 #[test]
 fn cli_rejects_empty_dota_prof() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
@@ -260,9 +299,9 @@ fn cli_rejects_empty_dota_prof() {
     assert!(stderr.contains("DOTA_PROF"), "stderr was: {stderr}");
 }
 
-/// Malformed serving knobs are rejected up front for *every* command, like
-/// the observability variables above: a typo'd batch size silently falling
-/// back to the default would make load tests incomparable.
+/// Malformed serving variables are rejected up front for *every* command,
+/// naming the variable: nothing reads them (the flags do the job), so a
+/// typo'd batch size can never silently fall back to the default.
 #[test]
 fn cli_rejects_malformed_dota_serve_env() {
     for (name, bad) in [
@@ -356,38 +395,13 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
     }
 }
 
-/// Well-formed serving knobs are honored: the configuration line `dota
-/// serve` prints reflects `DOTA_SERVE_BATCH`, and an explicit flag wins
-/// over the environment.
+/// Serving flags are honored: the configuration line `dota serve` prints
+/// reflects `--capacity` and `--shed`.
 #[test]
-fn cli_serve_env_knobs_apply_with_flag_precedence() {
+fn cli_serve_flags_set_capacity_and_shed() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--requests", "8"])
-        .env("DOTA_SERVE_BATCH", "3")
-        .env("DOTA_SERVE_SHED", "queue")
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("capacity 3"), "stdout was: {stdout}");
-    assert!(!stdout.contains("retention"), "stdout was: {stdout}");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args([
-            "serve",
-            "--requests",
-            "8",
-            "--capacity",
-            "5",
-            "--shed",
-            "retention",
-        ])
-        .env("DOTA_SERVE_BATCH", "3")
-        .env("DOTA_SERVE_SHED", "queue")
+        .args(["serve", "--requests", "8", "--capacity", "5"])
+        .args(["--shed", "retention"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -400,117 +414,12 @@ fn cli_serve_env_knobs_apply_with_flag_precedence() {
     assert!(stdout.contains("retention"), "stdout was: {stdout}");
 }
 
-/// `DOTA_SERVE_TIMELINE` turns on timeline recording like `--timeline`,
-/// and the flag's path wins when both name a destination.
-#[test]
-fn cli_serve_timeline_env_applies_with_flag_precedence() {
-    let dir = std::env::temp_dir().join(format!("dota_tl_env_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let env_path = dir.join("from_env.json");
-    let flag_path = dir.join("from_flag.json");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--requests", "8"])
-        .env("DOTA_SERVE_TIMELINE", &env_path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(env_path.exists(), "env-named timeline was not written");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--requests", "8", "--timeline"])
-        .arg(&flag_path)
-        .env("DOTA_SERVE_TIMELINE", dir.join("ignored.json"))
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(flag_path.exists(), "flag-named timeline was not written");
-    assert!(
-        !dir.join("ignored.json").exists(),
-        "env path used despite an explicit --timeline flag"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `DOTA_SERVE_FLIGHT` turns on the flight recorder like `--flight-out`,
-/// and the flag's path wins when both name a destination.
-#[test]
-fn cli_serve_flight_env_applies_with_flag_precedence() {
-    let dir = std::env::temp_dir().join(format!("dota_fl_env_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let env_path = dir.join("from_env.json");
-    let flag_path = dir.join("from_flag.json");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--requests", "8"])
-        .env("DOTA_SERVE_FLIGHT", &env_path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(env_path.exists(), "env-named flight dump was not written");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--requests", "8", "--flight-out"])
-        .arg(&flag_path)
-        .env("DOTA_SERVE_FLIGHT", dir.join("ignored.json"))
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(flag_path.exists(), "flag-named flight dump was not written");
-    assert!(
-        !dir.join("ignored.json").exists(),
-        "env path used despite an explicit --flight-out flag"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// `--shed slo` is a first-class policy everywhere a shed is named: the
-/// CLI accepts it (flag and environment) and the run reports `slo` cells.
+/// CLI accepts it and the run reports `slo` cells.
 #[test]
 fn cli_accepts_slo_shed_policy() {
-    for setup in [&["--shed", "slo"][..], &[][..]] {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_dota"));
-        cmd.args(["serve", "--requests", "8"]).args(setup);
-        if setup.is_empty() {
-            cmd.env("DOTA_SERVE_SHED", "slo");
-        }
-        let out = cmd.output().unwrap();
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(stdout.contains("slo"), "stdout was: {stdout}");
-    }
-}
-
-/// Chaos knobs honor flag-over-environment precedence: the campaign's
-/// printed configuration reflects `DOTA_SERVE_CHAOS` and
-/// `DOTA_SERVE_RETRY_CAP`, and explicit flags win over both.
-#[test]
-fn cli_chaos_env_knobs_apply_with_flag_precedence() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
-        .args(["serve", "--chaos", "--requests", "6", "--loads", "1.0"])
-        .env("DOTA_SERVE_CHAOS", "0,0.5")
-        .env("DOTA_SERVE_RETRY_CAP", "5")
-        .env("DOTA_SERVE_RETRY_BACKOFF", "4000")
+        .args(["serve", "--requests", "8", "--shed", "slo"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -519,26 +428,17 @@ fn cli_chaos_env_knobs_apply_with_flag_precedence() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("2 rate(s)"), "stdout was: {stdout}");
-    assert!(stdout.contains("retry cap 5"), "stdout was: {stdout}");
-    assert!(
-        stdout.contains("backoff 4000 cycles"),
-        "stdout was: {stdout}"
-    );
+    assert!(stdout.contains("slo"), "stdout was: {stdout}");
+}
 
+/// Chaos flags are honored: the campaign's printed configuration reflects
+/// `--chaos-rates`, `--retry-cap` and `--retry-backoff`.
+#[test]
+fn cli_chaos_flags_set_rates_and_retries() {
     let out = Command::new(env!("CARGO_BIN_EXE_dota"))
         .args(["serve", "--chaos", "--requests", "6", "--loads", "1.0"])
-        .args([
-            "--chaos-rates",
-            "0",
-            "--retry-cap",
-            "1",
-            "--retry-backoff",
-            "100",
-        ])
-        .env("DOTA_SERVE_CHAOS", "0,0.5")
-        .env("DOTA_SERVE_RETRY_CAP", "5")
-        .env("DOTA_SERVE_RETRY_BACKOFF", "4000")
+        .args(["--chaos-rates", "0", "--retry-cap", "1"])
+        .args(["--retry-backoff", "100"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
