@@ -433,7 +433,9 @@ impl Accelerator {
         };
         let exec = self.degraded(faults)?;
         let mut total = PerfReport::default();
-        let sigma = 0.0; // detection cost is folded per-head below
+        // Replay bills no detection: every layer is costed at σ = 0, so a
+        // DotaHook trace reports 0 detection cycles and no detect MACs.
+        let sigma = 0.0;
         let mut cursor = 0u64;
         for (l, layer) in trace.layers.iter().enumerate() {
             let mut kept_sum = 0u64;

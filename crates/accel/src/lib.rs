@@ -32,7 +32,6 @@ pub mod elsa;
 pub mod energy;
 pub mod fault;
 pub mod gpu;
-pub mod lane;
 mod memory;
 pub mod render;
 pub mod sched;
@@ -40,4 +39,3 @@ pub mod synth;
 
 pub use accelerator::{AccelConfig, Accelerator, EnergyBreakdown, PerfReport, StageLatency};
 pub use fault::SimFault;
-pub use memory::{DramModel, SramModel};

@@ -9,10 +9,9 @@ use dota_faults::FaultSite;
 /// so sustained bandwidth dominates (paper §4.4 notes embedding and decoder
 /// layers are left memory-bound by design).
 #[derive(Debug, Clone)]
-pub struct DramModel {
+pub(crate) struct DramModel {
     bandwidth_gbps: f64,
     bytes_read: u64,
-    bytes_written: u64,
 }
 
 impl DramModel {
@@ -21,22 +20,21 @@ impl DramModel {
     /// # Panics
     ///
     /// Panics if `bandwidth_gbps` is not positive.
-    pub fn new(bandwidth_gbps: f64) -> Self {
+    pub(crate) fn new(bandwidth_gbps: f64) -> Self {
         assert!(bandwidth_gbps > 0.0, "bandwidth must be positive");
         Self {
             bandwidth_gbps,
             bytes_read: 0,
-            bytes_written: 0,
         }
     }
 
     /// Sustained bandwidth in bytes per cycle at the modeled frequency.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle(&self) -> f64 {
         self.bandwidth_gbps / energy::FREQ_GHZ
     }
 
     /// Records a read and returns the cycles it occupies on the interface.
-    pub fn read(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn read(&mut self, bytes: u64) -> u64 {
         self.bytes_read += bytes;
         dota_trace::count("dram.bytes_read", bytes);
         (bytes as f64 / self.bytes_per_cycle()).ceil() as u64
@@ -83,96 +81,37 @@ impl DramModel {
         Ok(cycles)
     }
 
-    /// Records a write and returns the cycles it occupies.
-    pub fn write(&mut self, bytes: u64) -> u64 {
-        self.bytes_written += bytes;
-        dota_trace::count("dram.bytes_written", bytes);
-        (bytes as f64 / self.bytes_per_cycle()).ceil() as u64
-    }
-
-    /// Total bytes moved so far.
-    pub(crate) fn total_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Energy consumed by all traffic so far, in pJ.
     pub(crate) fn energy_pj(&self) -> f64 {
-        self.total_bytes() as f64 * energy::DRAM_PJ_PER_BYTE
-    }
-
-    /// Resets the counters.
-    pub fn reset(&mut self) {
-        self.bytes_read = 0;
-        self.bytes_written = 0;
+        self.bytes_read as f64 * energy::DRAM_PJ_PER_BYTE
     }
 }
 
 /// Banked on-chip SRAM model (per Lane: 10 × 64 KB banks, Table 2 / §4.4).
 ///
-/// Tracks access counts and detects capacity overflows; a batch of accesses
-/// to the same bank in one cycle serializes (bank conflict), which the
-/// access-cycles helper accounts for.
+/// Counts the bytes accessed (for energy) and charges access cycles as if
+/// every access striped evenly across the banks. It models no capacity
+/// (nothing is allocated, so nothing overflows) and no bank conflicts
+/// (two accesses never contend for one bank).
 #[derive(Debug, Clone)]
-pub struct SramModel {
+pub(crate) struct SramModel {
     banks: usize,
-    bank_bytes: u64,
     bytes_accessed: u64,
-    allocated: u64,
 }
 
 impl SramModel {
-    /// Creates an SRAM with `banks` banks of `bank_kb` KiB each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks == 0` or `bank_kb == 0`.
-    pub fn new(banks: usize, bank_kb: u64) -> Self {
-        assert!(banks > 0 && bank_kb > 0, "SRAM must be non-empty");
-        Self {
-            banks,
-            bank_bytes: bank_kb * 1024,
-            bytes_accessed: 0,
-            allocated: 0,
-        }
-    }
-
-    /// The per-Lane configuration from Table 2: 10 × 64 KB = 640 KB.
+    /// The per-Lane configuration from Table 2: 10 banks.
     pub(crate) fn lane_default() -> Self {
-        Self::new(10, 64)
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.banks as u64 * self.bank_bytes
-    }
-
-    /// Reserves `bytes` of capacity for a tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns the shortfall in bytes if the allocation does not fit.
-    pub fn allocate(&mut self, bytes: u64) -> Result<(), u64> {
-        if self.allocated + bytes > self.capacity() {
-            return Err(self.allocated + bytes - self.capacity());
+        Self {
+            banks: 10,
+            bytes_accessed: 0,
         }
-        self.allocated += bytes;
-        Ok(())
-    }
-
-    /// Releases `bytes` of capacity.
-    pub fn free(&mut self, bytes: u64) {
-        self.allocated = self.allocated.saturating_sub(bytes);
-    }
-
-    /// Currently allocated bytes.
-    pub fn allocated(&self) -> u64 {
-        self.allocated
     }
 
     /// Records an access of `bytes` and returns the cycles it takes,
     /// assuming each bank serves a 64-byte line per cycle and accesses
     /// stripe across banks (`ceil(bytes / (64 * banks))`).
-    pub fn access(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn access(&mut self, bytes: u64) -> u64 {
         self.bytes_accessed += bytes;
         dota_trace::count("sram.bytes_accessed", bytes);
         let per_cycle = 64 * self.banks as u64;
@@ -199,11 +138,6 @@ impl SramModel {
         cycles
     }
 
-    /// Total bytes accessed so far.
-    pub fn bytes_accessed(&self) -> u64 {
-        self.bytes_accessed
-    }
-
     /// Energy of all accesses so far, in pJ.
     pub(crate) fn energy_pj(&self) -> f64 {
         self.bytes_accessed as f64 * energy::SRAM_PJ_PER_BYTE
@@ -219,11 +153,7 @@ mod tests {
         let mut d = DramModel::new(64.0); // 64 GB/s at 1 GHz = 64 B/cycle
         assert_eq!(d.read(64), 1);
         assert_eq!(d.read(65), 2);
-        assert_eq!(d.write(128), 2);
-        assert_eq!(d.total_bytes(), 64 + 65 + 128);
-        assert!(d.energy_pj() > 0.0);
-        d.reset();
-        assert_eq!(d.total_bytes(), 0);
+        assert_eq!(d.energy_pj(), (64 + 65) as f64 * energy::DRAM_PJ_PER_BYTE);
     }
 
     #[test]
@@ -233,29 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_sram_is_640kb() {
-        let s = SramModel::lane_default();
-        assert_eq!(s.capacity(), 640 * 1024);
-    }
-
-    #[test]
-    fn allocation_tracks_capacity() {
-        let mut s = SramModel::new(2, 1); // 2 KB
-        assert!(s.allocate(1024).is_ok());
-        assert!(s.allocate(1024).is_ok());
-        let err = s.allocate(1).unwrap_err();
-        assert_eq!(err, 1);
-        s.free(1024);
-        assert!(s.allocate(512).is_ok());
-        assert_eq!(s.allocated(), 1024 + 512);
-    }
-
-    #[test]
     fn access_cycles_stripe_across_banks() {
-        let mut s = SramModel::new(4, 64); // 4 banks * 64 B/cycle = 256 B/cycle
-        assert_eq!(s.access(256), 1);
-        assert_eq!(s.access(257), 2);
-        assert_eq!(s.bytes_accessed(), 513);
+        let mut s = SramModel::lane_default(); // 10 banks * 64 B/cycle
+        assert_eq!(s.access(640), 1);
+        assert_eq!(s.access(641), 2);
+        assert_eq!(s.energy_pj(), 1281.0 * energy::SRAM_PJ_PER_BYTE);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Plain-text rendering of schedules and pipeline occupancy.
+//! Plain-text rendering of schedules.
 //!
-//! The scheduler and lane models produce structures that are much easier to
-//! review as small ASCII charts — these renderers power the
-//! `accelerator_tour` example and debugging sessions.
+//! A materialised [`Schedule`] is much easier to review as a few lines of
+//! text — this renderer draws the Fig. 9 schedule in the
+//! `accelerator_tour` example.
 
-use crate::lane::{PipelineReport, Resource, Tile};
 use crate::sched::Schedule;
 
 /// Renders a token-parallel schedule as one line per round:
@@ -28,64 +27,9 @@ pub fn render_schedule(schedule: &Schedule) -> String {
     out
 }
 
-/// Renders a scheduled tile DAG as a Gantt-style chart, one row per
-/// resource, `width` characters across the makespan. Each tile paints its
-/// span with the first letter of its name; idle time is `.`.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `tiles` and `report` disagree in length.
-pub fn render_gantt(tiles: &[Tile], report: &PipelineReport, width: usize) -> String {
-    assert!(width > 0, "width must be positive");
-    assert_eq!(
-        tiles.len(),
-        report.finish_times.len(),
-        "tiles and report disagree"
-    );
-    let makespan = report.makespan.max(1);
-    let resources = [
-        (Resource::DramPort, "dram"),
-        (Resource::RmmuFx, "rmmu"),
-        (Resource::RmmuDetect, "det "),
-        (Resource::Mfu, "mfu "),
-        (Resource::SramPort, "sram"),
-    ];
-    let mut rows: std::collections::BTreeMap<Resource, Vec<char>> = resources
-        .iter()
-        .map(|&(r, _)| (r, vec!['.'; width]))
-        .collect();
-    for (tile, &finish) in tiles.iter().zip(&report.finish_times) {
-        let start = finish - tile.cycles;
-        let c0 = (start as f64 / makespan as f64 * width as f64) as usize;
-        let c1 =
-            ((finish as f64 / makespan as f64 * width as f64).ceil() as usize).clamp(c0 + 1, width);
-        let glyph = tile
-            .name
-            .chars()
-            .find(|c| c.is_alphanumeric())
-            .unwrap_or('#');
-        if let Some(row) = rows.get_mut(&tile.resource) {
-            for cell in row.iter_mut().take(c1).skip(c0) {
-                *cell = glyph;
-            }
-        }
-    }
-    let mut out = String::new();
-    for (r, label) in resources {
-        let row: String = rows[&r].iter().collect();
-        out.push_str(&format!(
-            "{label} |{row}| {:>5.1}%\n",
-            report.utilization(r) * 100.0
-        ));
-    }
-    out.push_str(&format!("makespan: {} cycles\n", report.makespan));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::{encoder_tiles, schedule};
     use crate::sched::locality_aware_schedule;
 
     #[test]
@@ -101,27 +45,5 @@ mod tests {
         assert_eq!(text.lines().count(), s.rounds.len());
         assert!(text.contains("q0:"));
         assert!(text.contains("load"));
-    }
-
-    #[test]
-    fn gantt_rows_and_utilization_present() {
-        let tiles = encoder_tiles(2, 50, 100, 10, 80, 20, 30, 100);
-        let rep = schedule(&tiles);
-        let chart = render_gantt(&tiles, &rep, 60);
-        assert_eq!(chart.lines().count(), 6); // 5 resources + makespan
-        assert!(chart.contains("rmmu |"));
-        assert!(chart.contains("makespan:"));
-        // The RMMU row should be mostly busy (letters, not dots).
-        let rmmu_line = chart.lines().nth(1).unwrap();
-        let busy = rmmu_line.chars().filter(|c| c.is_alphanumeric()).count();
-        assert!(busy > 30, "rmmu row too idle: {rmmu_line}");
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn gantt_rejects_zero_width() {
-        let tiles = encoder_tiles(1, 1, 1, 1, 1, 1, 1, 1);
-        let rep = schedule(&tiles);
-        let _ = render_gantt(&tiles, &rep, 0);
     }
 }

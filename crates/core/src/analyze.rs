@@ -19,7 +19,7 @@
 //! `dota report diff` unless a *simulated* quantity moved.
 
 use dota_accel::{energy, AccelConfig};
-use dota_metrics::{fmt_f64, write_json_string};
+use dota_metrics::JsonWriter;
 use dota_prof::{AllocStats, SpanStat};
 use std::collections::BTreeMap;
 
@@ -95,13 +95,40 @@ pub(crate) fn amdahl_speedup(p: f64, threads: usize) -> f64 {
     1.0 / ((1.0 - p) + p / threads as f64)
 }
 
+/// Every hardware counter [`render`] reads: exact names, and prefixes
+/// (ending in `.`) whose counters it reports one per suffix. Each one has a
+/// writer in `simulate_trace`/`simulate_shape` or the model's forward
+/// (`every_counter_read_has_a_writer`).
+const COUNTERS_READ: &[&str] = &[
+    "accel.cycles.linear",
+    "accel.cycles.detection",
+    "accel.cycles.attention",
+    "accel.cycles.ffn",
+    "rmmu.macs.",
+    "rmmu.detect_macs.",
+    "mfu.ops",
+    "dram.bytes_read",
+    "sram.bytes_accessed",
+    "attn.heads",
+    "attn.connections.total",
+    "attn.connections.retained",
+    "attn.connections.omitted",
+    "accel.key_loads",
+    "accel.key_loads_row_by_row",
+];
+
 fn get(counters: &BTreeMap<String, u64>, key: &str) -> u64 {
+    debug_assert!(COUNTERS_READ.contains(&key), "{key} not in COUNTERS_READ");
     counters.get(key).copied().unwrap_or(0)
 }
 
-/// Sum of all counters whose name starts with `prefix`, with the matching
-/// suffixes returned for per-precision breakdowns.
+/// The counters whose name starts with `prefix`, keyed by the suffix
+/// (per-precision breakdowns).
 fn prefixed(counters: &BTreeMap<String, u64>, prefix: &str) -> Vec<(String, u64)> {
+    debug_assert!(
+        COUNTERS_READ.contains(&prefix),
+        "{prefix} not in COUNTERS_READ"
+    );
     counters
         .iter()
         .filter(|(k, _)| k.starts_with(prefix))
@@ -117,23 +144,15 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-fn json_u64_map(out: &mut String, indent: &str, entries: &[(String, u64)]) {
-    out.push('{');
-    for (i, (k, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(indent);
-        write_json_string(out, k);
-        out.push_str(&format!(": {v}"));
-    }
-    if !entries.is_empty() {
-        out.push('\n');
-        out.push_str("  ");
-        out.push_str(indent);
-    }
-    out.push('}');
+/// One RMMU group's achieved against peak MACs per cycle.
+fn utilization(w: &mut JsonWriter, key: &str, macs: u64, cycles: u64, peak: f64) {
+    let achieved = ratio(macs, cycles);
+    w.key(key)
+        .obj()
+        .field("achieved_macs_per_cycle", achieved)
+        .field("peak_macs_per_cycle", peak)
+        .field("utilization", achieved / peak.max(f64::MIN_POSITIVE))
+        .end();
 }
 
 /// Renders the bottleneck report as canonical JSON (fixed key order,
@@ -166,9 +185,9 @@ pub fn render(inputs: &AnalyzeInputs<'_>) -> String {
     let total_macs = rmmu_total + detect_total;
     let compute_cycles = linear + attention + ffn;
 
-    let dram_read = get(c, "dram.bytes_read");
-    let dram_written = get(c, "dram.bytes_written");
-    let dram_total = dram_read + dram_written;
+    // The simulator bills DRAM reads only (weights and activations in),
+    // so they are all of its traffic.
+    let dram_total = get(c, "dram.bytes_read");
 
     let peak_fx16 = cfg.fx16_macs_per_cycle();
     let peak_detect = cfg.detect_macs_per_cycle();
@@ -189,9 +208,8 @@ pub fn render(inputs: &AnalyzeInputs<'_>) -> String {
 
     let key_loads = get(c, "accel.key_loads");
     let rbr_loads = get(c, "accel.key_loads_row_by_row");
-
-    let lanes = prefixed(c, "lane.");
-    let makespan = get(c, "lane.makespan_cycles");
+    let connections = get(c, "attn.connections.total");
+    let retained = get(c, "attn.connections.retained");
 
     // --- Host side (volatile; everything below lands under "host"). ---
     let span_total_ns: u64 = inputs
@@ -203,156 +221,93 @@ pub fn render(inputs: &AnalyzeInputs<'_>) -> String {
     let hot = hotspots(inputs.spans, inputs.top_hotspots);
     let p = parallel_fraction(inputs.spans);
 
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"label\": ");
-    write_json_string(&mut out, inputs.label);
-    out.push_str(",\n  \"schema\": \"dota-analyze-v1\",\n");
-
-    out.push_str("  \"cycles\": {");
-    for (i, (name, v)) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{name}\": {v}"));
+    let mut w = JsonWriter::pretty();
+    w.obj()
+        .field("label", inputs.label)
+        .field("schema", "dota-analyze-v1");
+    w.key("cycles").obj();
+    for (name, v) in stages {
+        w.field(name, v);
     }
-    out.push_str(&format!(",\n    \"total\": {total_cycles}\n  }},\n"));
+    w.field("total", total_cycles).end();
+    w.map(
+        "stage_share",
+        stages.map(|(name, v)| (name, ratio(v, total_cycles))),
+    );
 
-    out.push_str("  \"stage_share\": {");
-    for (i, (name, v)) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    \"{name}\": {}",
-            fmt_f64(ratio(*v, total_cycles))
-        ));
-    }
-    out.push_str("\n  },\n");
+    w.key("compute")
+        .obj()
+        .map("rmmu_macs", rmmu_macs)
+        .map("detect_macs", detect_macs)
+        .field("total_macs", total_macs)
+        .field("mfu_ops", get(c, "mfu.ops"));
+    w.key("utilization").obj();
+    utilization(
+        &mut w,
+        "compute_stages",
+        rmmu_total,
+        compute_cycles,
+        peak_fx16,
+    );
+    utilization(&mut w, "detection", detect_total, detection, peak_detect);
+    w.end().end();
 
-    out.push_str("  \"compute\": {\n    \"rmmu_macs\": ");
-    json_u64_map(&mut out, "  ", &rmmu_macs);
-    out.push_str(",\n    \"detect_macs\": ");
-    json_u64_map(&mut out, "  ", &detect_macs);
-    out.push_str(&format!(
-        ",\n    \"total_macs\": {total_macs},\n    \"mfu_ops\": {},\n",
-        get(c, "mfu.ops")
-    ));
-    out.push_str(&format!(
-        "    \"utilization\": {{\n      \"compute_stages\": {{\"achieved_macs_per_cycle\": {}, \"peak_macs_per_cycle\": {}, \"utilization\": {}}},\n",
-        fmt_f64(ratio(rmmu_total, compute_cycles)),
-        fmt_f64(peak_fx16),
-        fmt_f64(ratio(rmmu_total, compute_cycles) / peak_fx16.max(f64::MIN_POSITIVE)),
-    ));
-    out.push_str(&format!(
-        "      \"detection\": {{\"achieved_macs_per_cycle\": {}, \"peak_macs_per_cycle\": {}, \"utilization\": {}}}\n    }}\n  }},\n",
-        fmt_f64(ratio(detect_total, detection)),
-        fmt_f64(peak_detect),
-        fmt_f64(ratio(detect_total, detection) / peak_detect.max(f64::MIN_POSITIVE)),
-    ));
-
-    out.push_str(&format!(
-        "  \"memory\": {{\n    \"dram_bytes_read\": {dram_read},\n    \"dram_bytes_written\": {dram_written},\n    \"sram_bytes_accessed\": {},\n    \"sram_bank_conflict_stalls\": {}\n  }},\n",
-        get(c, "sram.bytes_accessed"),
-        get(c, "sram.bank_conflict_stalls"),
-    ));
-
-    out.push_str(&format!(
-        "  \"roofline\": {{\n    \"total_macs\": {total_macs},\n    \"dram_bytes\": {dram_total},\n    \"arithmetic_intensity_macs_per_byte\": {},\n    \"machine_balance_macs_per_byte\": {},\n    \"peak_macs_per_cycle\": {},\n    \"dram_bytes_per_cycle\": {},\n    \"classification\": \"{classification}\"\n  }},\n",
-        fmt_f64(intensity),
-        fmt_f64(machine_balance),
-        fmt_f64(peak_fx16),
-        fmt_f64(bytes_per_cycle),
-    ));
-
-    out.push_str(&format!(
-        "  \"attention\": {{\n    \"heads\": {},\n    \"connections_total\": {},\n    \"connections_retained\": {},\n    \"connections_omitted\": {},\n    \"retention\": {}\n  }},\n",
-        get(c, "attn.heads"),
-        get(c, "attn.connections.total"),
-        get(c, "attn.connections.retained"),
-        get(c, "attn.connections.omitted"),
-        fmt_f64(ratio(
-            get(c, "attn.connections.retained"),
-            get(c, "attn.connections.total")
-        )),
-    ));
-
-    out.push_str(&format!(
-        "  \"scheduler\": {{\n    \"key_loads\": {key_loads},\n    \"key_loads_row_by_row\": {rbr_loads},\n    \"load_savings\": {}\n  }},\n",
-        fmt_f64(1.0 - ratio(key_loads, rbr_loads)),
-    ));
-
-    // Per-lane utilization (only present when the pipelined lane simulator
-    // ran; `lane.<resource>.busy_cycles` vs. the shared makespan).
-    out.push_str("  \"lanes\": {");
-    let busy: Vec<(String, u64)> = lanes
-        .iter()
-        .filter(|(k, _)| k.ends_with(".busy_cycles"))
-        .map(|(k, v)| (k.trim_end_matches(".busy_cycles").to_owned(), *v))
-        .collect();
-    for (i, (res, v)) in busy.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        write_json_string(&mut out, res);
-        out.push_str(&format!(
-            ": {{\"busy_cycles\": {v}, \"utilization\": {}}}",
-            fmt_f64(ratio(*v, makespan))
-        ));
-    }
-    if makespan > 0 {
-        if !busy.is_empty() {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"makespan_cycles\": {makespan}\n  "));
-    } else if !busy.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
+    w.key("memory")
+        .obj()
+        .field("dram_bytes_read", dram_total)
+        .field("sram_bytes_accessed", get(c, "sram.bytes_accessed"))
+        .end();
+    w.key("roofline")
+        .obj()
+        .field("total_macs", total_macs)
+        .field("dram_bytes", dram_total)
+        .field("arithmetic_intensity_macs_per_byte", intensity)
+        .field("machine_balance_macs_per_byte", machine_balance)
+        .field("peak_macs_per_cycle", peak_fx16)
+        .field("dram_bytes_per_cycle", bytes_per_cycle)
+        .field("classification", classification)
+        .end();
+    w.key("attention")
+        .obj()
+        .field("heads", get(c, "attn.heads"))
+        .field("connections_total", connections)
+        .field("connections_retained", retained)
+        .field("connections_omitted", get(c, "attn.connections.omitted"))
+        .field("retention", ratio(retained, connections))
+        .end();
+    w.key("scheduler")
+        .obj()
+        .field("key_loads", key_loads)
+        .field("key_loads_row_by_row", rbr_loads)
+        .field("load_savings", 1.0 - ratio(key_loads, rbr_loads))
+        .end();
 
     // --- Volatile host-time section (ignored by `dota report diff`). ---
-    out.push_str(&format!(
-        "  \"host\": {{\n    \"threads\": {},\n    \"total_ms\": {},\n",
-        inputs.threads,
-        fmt_f64(span_total_ns as f64 / 1e6),
-    ));
-    out.push_str("    \"hotspots\": [");
-    for (i, h) in hot.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n      {\"path\": ");
-        write_json_string(&mut out, &h.path);
-        out.push_str(&format!(
-            ", \"count\": {}, \"total_ms\": {}, \"self_ms\": {}, \"alloc_bytes\": {}}}",
-            h.count,
-            fmt_f64(h.total_ms),
-            fmt_f64(h.self_ms),
-            h.alloc_bytes,
-        ));
+    w.key("host")
+        .obj()
+        .field("threads", inputs.threads)
+        .field("total_ms", span_total_ns as f64 / 1e6);
+    w.key("hotspots").arr();
+    for h in &hot {
+        w.obj()
+            .field("path", &h.path)
+            .field("count", h.count)
+            .field("total_ms", h.total_ms)
+            .field("self_ms", h.self_ms)
+            .field("alloc_bytes", h.alloc_bytes)
+            .end();
     }
-    if !hot.is_empty() {
-        out.push_str("\n    ");
+    w.end().field("alloc", inputs.alloc);
+    w.key("amdahl")
+        .obj()
+        .field("parallel_fraction", p)
+        .field("measured_threads", inputs.threads);
+    w.key("predicted_speedup").obj();
+    for threads in [1, 2, 4, 8] {
+        w.field(&threads.to_string(), amdahl_speedup(p, threads));
     }
-    out.push_str("],\n");
-    out.push_str(&format!(
-        "    \"alloc\": {{\"allocated_bytes\": {}, \"allocation_calls\": {}, \"freed_bytes\": {}, \"peak_bytes\": {}, \"live_bytes\": {}}},\n",
-        inputs.alloc.allocated_bytes,
-        inputs.alloc.allocation_calls,
-        inputs.alloc.freed_bytes,
-        inputs.alloc.peak_bytes,
-        inputs.alloc.live_bytes,
-    ));
-    out.push_str(&format!(
-        "    \"amdahl\": {{\n      \"parallel_fraction\": {},\n      \"measured_threads\": {},\n      \"predicted_speedup\": {{\"1\": {}, \"2\": {}, \"4\": {}, \"8\": {}}}\n    }}\n  }}\n}}\n",
-        fmt_f64(p),
-        inputs.threads,
-        fmt_f64(amdahl_speedup(p, 1)),
-        fmt_f64(amdahl_speedup(p, 2)),
-        fmt_f64(amdahl_speedup(p, 4)),
-        fmt_f64(amdahl_speedup(p, 8)),
-    ));
-    out
+    w.end().end().end().end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -369,7 +324,6 @@ mod tests {
         c.insert("rmmu.detect_macs.int4".into(), 400_000);
         c.insert("mfu.ops".into(), 10_000);
         c.insert("dram.bytes_read".into(), 80_000);
-        c.insert("dram.bytes_written".into(), 20_000);
         c.insert("sram.bytes_accessed".into(), 640_000);
         c.insert("attn.heads".into(), 8);
         c.insert("attn.connections.total".into(), 2_048);
@@ -446,7 +400,6 @@ mod tests {
             "roofline",
             "attention",
             "scheduler",
-            "lanes",
             "host",
         ] {
             assert!(v.get(key).is_some(), "missing section {key}");
@@ -483,6 +436,42 @@ mod tests {
         let hot = hotspots(&spans, 2);
         assert_eq!(hot.len(), 2);
         assert_eq!(hot[0].path, "model.infer;gemm.matmul");
+    }
+
+    /// Every counter the report reads is written by the runs it reports
+    /// on: a DotaHook inference replayed through `simulate_trace`, and
+    /// `simulate_shape` at σ > 0 (replay bills no detection).
+    #[test]
+    fn every_counter_read_has_a_writer() {
+        use dota_accel::{synth::SelectionProfile, Accelerator};
+        use dota_detector::{DetectorConfig, DotaHook};
+        use dota_transformer::{Model, TransformerConfig};
+
+        let guard = dota_trace::session("analyze_reads");
+        let mut params = dota_autograd::ParamSet::new();
+        let model = Model::init(TransformerConfig::tiny(16, 8, 2), &mut params, 11);
+        let hook = DotaHook::init(DetectorConfig::new(0.25), model.config(), &mut params);
+        let ids: Vec<usize> = (0..16).map(|i| i % 8).collect();
+        let trace = model.infer(&params, &ids, &hook.inference(&params));
+        let accel = Accelerator::new(AccelConfig::default());
+        let _ = accel.simulate_trace(model.config(), &trace);
+        let _ = accel.simulate_shape(model.config(), 16, 0.25, 0.25, &SelectionProfile::default());
+        let written = guard.counters();
+        let unwritten: Vec<&str> = COUNTERS_READ
+            .iter()
+            .copied()
+            .filter(|&name| {
+                if name.ends_with('.') {
+                    !written.keys().any(|k| k.starts_with(name))
+                } else {
+                    !written.contains_key(name)
+                }
+            })
+            .collect();
+        assert!(
+            unwritten.is_empty(),
+            "read but never written: {unwritten:?}"
+        );
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod hook;
 mod lowrank;
 pub mod metrics;
 pub mod oracle;
-pub mod spatten;
 
 pub use config::{DetectorConfig, SelectionStrategy};
 pub use hook::{oracle_selection, DotaHook, DotaInferenceHook, DotaTrainingHook};

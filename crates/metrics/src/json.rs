@@ -1,5 +1,7 @@
 //! The canonical JSON writer behind every hand-ordered document in the
-//! workspace (reports, timelines, manifests, flight dumps).
+//! workspace (reports, timelines, manifests, flight dumps, profiles) but
+//! one: `dota-trace`'s Chrome trace and counter snapshot, which keep their
+//! own escaper and `fmt_f64` because `trace` depends on no other crate.
 //!
 //! Callers state keys and values in the order the document pins; the
 //! writer owns what used to be re-typed at every site — commas, nesting,

@@ -39,8 +39,8 @@
 //!
 //! The crate is dependency-free; all JSON goes through the small canonical
 //! [`JsonWriter`] here (shared with every hand-ordered report in the
-//! workspace) so instrumented crates do not pull serialization into their
-//! graphs.
+//! workspace except `dota-trace`'s, which depends on no other crate) so
+//! instrumented crates do not pull serialization into their graphs.
 
 #![deny(missing_docs)]
 

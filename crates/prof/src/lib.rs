@@ -32,7 +32,7 @@ mod gate;
 
 pub use gate::{enabled, scope, Scope, ScopeGuard};
 
-use dota_metrics::{fmt_f64, write_json_string, Histogram};
+use dota_metrics::{Histogram, JsonWriter, ToJson};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -314,6 +314,19 @@ pub struct AllocStats {
     pub live_bytes: u64,
 }
 
+/// One object, in the field order above.
+impl ToJson for AllocStats {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("allocated_bytes", self.allocated_bytes)
+            .field("allocation_calls", self.allocation_calls)
+            .field("freed_bytes", self.freed_bytes)
+            .field("peak_bytes", self.peak_bytes)
+            .field("live_bytes", self.live_bytes)
+            .end();
+    }
+}
+
 /// Snapshot of the aggregate allocation counters.
 pub fn alloc_stats() -> AllocStats {
     AllocStats {
@@ -407,60 +420,27 @@ impl ProfGuard {
     pub(crate) fn profile_json(&self) -> String {
         let spans = spans_snapshot();
         let alloc = alloc_stats();
-        let (label, hist_entries) = {
-            let st = lock_state();
-            let hists: Vec<(&str, String)> = st
-                .hists
-                .iter()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(&k, h)| (k, h.summary_json()))
-                .collect();
-            (st.label.clone(), hists)
-        };
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"label\": ");
-        write_json_string(&mut out, &label);
-        out.push_str(",\n  \"schema\": \"dota-prof-v1\",\n  \"spans\": [");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"path\": ");
-            write_json_string(&mut out, &s.path);
-            out.push_str(&format!(
-                ", \"count\": {}, \"total_ms\": {}, \"self_ms\": {}, \"alloc_bytes\": {}, \"alloc_calls\": {}}}",
-                s.count,
-                fmt_f64(s.total_ns as f64 / 1e6),
-                fmt_f64(s.self_ns as f64 / 1e6),
-                s.alloc_bytes,
-                s.alloc_calls,
-            ));
+        let st = lock_state();
+        let mut w = JsonWriter::pretty();
+        w.obj()
+            .field("label", &st.label)
+            .field("schema", "dota-prof-v1");
+        w.key("spans").arr();
+        for s in &spans {
+            w.obj()
+                .field("path", &s.path)
+                .field("count", s.count)
+                .field("total_ms", s.total_ns as f64 / 1e6)
+                .field("self_ms", s.self_ns as f64 / 1e6)
+                .field("alloc_bytes", s.alloc_bytes)
+                .field("alloc_calls", s.alloc_calls)
+                .end();
         }
-        if !spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"kernels\": {");
-        for (i, (name, json)) in hist_entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            write_json_string(&mut out, name);
-            out.push_str(": ");
-            out.push_str(json.trim_end());
-        }
-        if !hist_entries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "}},\n  \"alloc\": {{\"allocated_bytes\": {}, \"allocation_calls\": {}, \"freed_bytes\": {}, \"peak_bytes\": {}, \"live_bytes\": {}}}\n}}\n",
-            alloc.allocated_bytes,
-            alloc.allocation_calls,
-            alloc.freed_bytes,
-            alloc.peak_bytes,
-            alloc.live_bytes,
-        ));
-        out
+        w.end()
+            .map("kernels", st.hists.iter().filter(|(_, h)| !h.is_empty()))
+            .field("alloc", alloc)
+            .end();
+        w.finish()
     }
 
     /// Writes [`ProfGuard::folded`] to `path`.

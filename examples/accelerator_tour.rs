@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example accelerator_tour`
 
-use dota_accel::{energy, lane, render, sched};
+use dota_accel::{energy, render, sched};
 use dota_core::presets::OperatingPoint;
 use dota_core::DotaSystem;
 use dota_quant::rmmu::RmmuConfig;
@@ -66,11 +66,6 @@ fn main() {
             p.int2_blocks()
         );
     }
-
-    println!("\n=== Lane pipeline (double-buffered weight prefetch) ===");
-    let tiles = lane::encoder_tiles(4, 60, 100, 12, 70, 18, 25, 110);
-    let rep = lane::schedule(&tiles);
-    print!("{}", render::render_gantt(&tiles, &rep, 64));
 
     println!("\n=== Paper-scale comparison (Figures 12-13) ===");
     let system = DotaSystem::paper_default();
