@@ -212,8 +212,8 @@ fn in_order_if_fewer(selections: &[Vec<u32>], loads: u64, distinct: u64) -> Opti
 }
 
 /// Bins one group's key IDs by owner bitmask — the set of the group's
-/// queries that selected the key — in ascending key order, on buffers kept
-/// across groups. Rows may come in any order and repeat keys.
+/// queries that selected the key — on buffers kept across groups. Rows may
+/// come in any order and repeat keys.
 ///
 /// A group whose bit maps would take no more words than it has IDs is
 /// binned through them (about 3 ns per ID at the simulator's densities);
@@ -230,15 +230,28 @@ struct Binning {
     maps: Vec<u64>,
 }
 
+/// How [`Binning::bin`] laid a group out.
+enum Binned {
+    /// No key IDs at all.
+    Empty,
+    /// In the bit maps, over this many words per query.
+    Maps(usize),
+    /// As sorted pairs.
+    Pairs,
+}
+
 impl Binning {
-    /// Calls `owner(mask, key)` once per distinct key ID of the group, keys
-    /// ascending.
-    fn for_each_key(&mut self, selections: &[Vec<u32>], mut owner: impl FnMut(u32, u32)) {
+    /// Lays the group's connections out in the bit maps or as sorted
+    /// pairs, whichever [`Binning`] picks for its density.
+    fn bin(&mut self, selections: &[Vec<u32>]) -> Binned {
         let t = selections.len();
         let ids: usize = selections.iter().map(Vec::len).sum();
-        let Some(max) = selections.iter().flatten().copied().max() else {
-            return;
-        };
+        if ids == 0 {
+            return Binned::Empty;
+        }
+        let max = selections
+            .iter()
+            .fold(0, |max, sel| sel.iter().fold(max, |max, &key| max.max(key)));
         let words = (max >> 6) as usize + 1;
         if words * t <= ids {
             if self.maps.len() < words * t {
@@ -249,19 +262,7 @@ impl Binning {
                     self.maps[(key >> 6) as usize * t + q] |= 1 << (key & 63);
                 }
             }
-            for (w, rows) in self.maps[..words * t].chunks_exact_mut(t).enumerate() {
-                let mut any = rows.iter().fold(0, |any, &row| any | row);
-                while any != 0 {
-                    let bit = any.trailing_zeros();
-                    any &= any - 1;
-                    let mask = rows
-                        .iter()
-                        .enumerate()
-                        .fold(0, |mask, (q, &row)| mask | ((row >> bit) as u32 & 1) << q);
-                    owner(mask, (w as u32) << 6 | bit);
-                }
-                rows.fill(0);
-            }
+            Binned::Maps(words)
         } else {
             self.pairs.clear();
             for (q, sel) in selections.iter().enumerate() {
@@ -270,15 +271,55 @@ impl Binning {
                     .extend(sel.iter().map(|&key| u64::from(key) << 32 | bit));
             }
             self.pairs.sort_unstable();
-            let mut i = 0;
-            while i < self.pairs.len() {
-                let key = (self.pairs[i] >> 32) as u32;
-                let mut mask = 0u32;
-                while i < self.pairs.len() && (self.pairs[i] >> 32) as u32 == key {
-                    mask |= self.pairs[i] as u32;
-                    i += 1;
+            Binned::Pairs
+        }
+    }
+
+    /// Calls `owner(mask, key)` once per distinct key ID of the sorted
+    /// pairs, keys ascending.
+    fn pair_runs(&self, mut owner: impl FnMut(u32, u32)) {
+        let mut i = 0;
+        while i < self.pairs.len() {
+            let key = (self.pairs[i] >> 32) as u32;
+            let mut mask = 0u32;
+            while i < self.pairs.len() && (self.pairs[i] >> 32) as u32 == key {
+                mask |= self.pairs[i] as u32;
+                i += 1;
+            }
+            owner(mask, key);
+        }
+    }
+
+    /// Calls `owner(mask, key)` once per distinct key ID of the group, keys
+    /// ascending.
+    fn for_each_key(&mut self, selections: &[Vec<u32>], mut owner: impl FnMut(u32, u32)) {
+        let t = selections.len();
+        match self.bin(selections) {
+            Binned::Empty => {}
+            Binned::Pairs => self.pair_runs(owner),
+            Binned::Maps(words) => {
+                for (w, rows) in self.maps[..words * t].chunks_exact_mut(t).enumerate() {
+                    word_owners(rows, |mask, bit| owner(mask, (w as u32) << 6 | bit));
+                    rows.fill(0);
                 }
-                owner(mask, key);
+            }
+        }
+    }
+
+    /// The group's owner-mask histogram, without a call per key:
+    /// `count[mask]` gains the number of distinct key IDs whose owners are
+    /// exactly `mask`. The bit maps are split a word at a time
+    /// ([`split_word`]).
+    fn histogram(&mut self, selections: &[Vec<u32>], count: &mut [u32]) {
+        let t = selections.len();
+        match self.bin(selections) {
+            Binned::Empty => {}
+            Binned::Pairs => self.pair_runs(|mask, _key| count[mask as usize] += 1),
+            Binned::Maps(words) => {
+                for rows in self.maps[..words * t].chunks_exact_mut(t) {
+                    split_word(rows, count);
+                    rows.fill(0);
+                }
             }
         }
     }
@@ -292,6 +333,53 @@ impl Binning {
         self.pairs.sort_unstable();
         self.pairs.dedup();
         self.pairs.len() as u64
+    }
+}
+
+/// Calls `owner(mask, bit)` once per key of one 64-key word of a group's
+/// bit maps (`rows[q]`: the keys query `q` selected), bits ascending.
+fn word_owners(rows: &[u64], mut owner: impl FnMut(u32, u32)) {
+    let mut any = rows.iter().fold(0, |any, &row| any | row);
+    while any != 0 {
+        let bit = any.trailing_zeros();
+        any &= any - 1;
+        let mask = rows
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (q, &row)| mask | ((row >> bit) as u32 & 1) << q);
+        owner(mask, bit);
+    }
+}
+
+/// Groups up to this many queries split their bit maps whole
+/// ([`split_word`]): `2^6` key sets per word.
+const SPLIT_ROWS: usize = 6;
+
+/// One 64-key word of a group's bit maps into the owner-mask histogram:
+/// `count[mask]` gains the number of keys held by exactly the rows of
+/// `mask`. The word's keys split on one row at a time into those the row
+/// holds and those it does not, every branch kept, so there is no branch
+/// on the keys: for `T = 4`, 30 ANDs and 15 popcounts a word. A larger
+/// group, whose `2^T` sets would outnumber the word's keys, takes its keys
+/// one at a time ([`word_owners`]).
+fn split_word(rows: &[u64], count: &mut [u32]) {
+    if rows.len() > SPLIT_ROWS {
+        word_owners(rows, |mask, _bit| count[mask as usize] += 1);
+        return;
+    }
+    // `sets[mask]`: the keys held by exactly the rows of `mask` among
+    // those split on so far.
+    let mut sets = [0u64; 1 << SPLIT_ROWS];
+    sets[0] = !0;
+    for (q, &row) in rows.iter().enumerate() {
+        let width = 1 << q;
+        for mask in 0..width {
+            sets[mask | width] = sets[mask] & row;
+            sets[mask] &= !row;
+        }
+    }
+    for (count, set) in count[1..1 << rows.len()].iter_mut().zip(&sets[1..]) {
+        *count += set.count_ones();
     }
 }
 
@@ -323,6 +411,26 @@ impl Buckets {
             self.count.resize(1 << t, 0);
         }
         self.live.clear();
+    }
+
+    /// Loads a group into the (reset) buffers as counts alone, from the
+    /// binning's owner-mask [`histogram`](Binning::histogram), and returns
+    /// its distinct key IDs and its `(query, key)` assignments (a key
+    /// repeated inside a row is one ID: one assignment per owner).
+    fn fill(&mut self, binning: &mut Binning, selections: &[Vec<u32>]) -> (u64, u64) {
+        binning.histogram(selections, &mut self.count);
+        let count = &self.count;
+        let masks = 1..1u32 << selections.len();
+        self.live
+            .extend(masks.filter(|&mask| count[mask as usize] > 0));
+        let (mut distinct, mut assignments) = (0, 0);
+        for &mask in &self.live {
+            let ids = u64::from(self.count[mask as usize]);
+            distinct += ids;
+            assignments += ids * u64::from(mask.count_ones());
+        }
+        self.buffered = distinct;
+        (distinct, assignments)
     }
 
     fn push(&mut self, mask: u32) {
@@ -571,14 +679,11 @@ impl LoadCounter {
             ..
         } = self;
         state.reset(t);
-        let mut counts = LoadCounts::default();
-        let mut distinct = 0;
-        binning.for_each_key(selections, |mask, _key| {
-            state.push(mask);
-            // A key repeated inside a row is one ID: one assignment per owner.
-            counts.assignments += u64::from(mask.count_ones());
-            distinct += 1;
-        });
+        let (distinct, assignments) = state.fill(binning, selections);
+        let mut counts = LoadCounts {
+            assignments,
+            ..LoadCounts::default()
+        };
         while state.buffered > 0 {
             picks.clear();
             state.round(t, |mask, serve_mask| picks.push((mask, mask & !serve_mask)));

@@ -8,7 +8,7 @@
 //! queries attend to (column reuse) and *windowed neighbors* (a query
 //! attends near its own position).
 
-use dota_tensor::rng::SeededRng;
+use dota_tensor::rng::{Draws, SeededRng};
 
 /// Parameters of the synthetic selection distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,13 +129,14 @@ impl<'a> SelectionSampler<'a> {
         for &t in self.important.iter().take(self.n_global) {
             len += insert(t);
         }
+        let mut draws = self.rng.draws();
         // Local window around the query.
         if self.window > 0 {
             let lo = q.saturating_sub(self.window);
             let hi = (q + self.window).min(n - 1);
             self.cands.clear();
             self.cands.extend(lo..=hi);
-            self.rng.shuffle(&mut self.cands);
+            draws.shuffle(&mut self.cands);
             for &t in &self.cands {
                 if len >= self.n_global_local || len >= k {
                     break;
@@ -144,19 +145,64 @@ impl<'a> SelectionSampler<'a> {
             }
         }
         // Uniform background until the budget is filled.
-        while len < k {
-            len += insert(self.rng.below(n));
-        }
-
-        row.clear();
-        for (w, word) in chosen.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                row.push((w as u32) << 6 | bits.trailing_zeros());
-                bits &= bits - 1;
+        if n > 1 && n.is_power_of_two() {
+            len = background_pow2(chosen, len, k, n.trailing_zeros(), &mut draws);
+        } else {
+            while len < k {
+                len += insert(draws.below(n));
             }
         }
+        drop(draws);
+
+        // A word's keys land in `row[at..at + keys]`, eight slots written
+        // at a time whatever the word holds: the slots past its keys are
+        // the next word's to overwrite, or cut off at the end, so the loop
+        // branches once a word rather than once a key.
+        row.clear();
+        row.resize(len + 8, 0);
+        let mut at = 0;
+        for (w, word) in chosen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            let end = at + bits.count_ones() as usize;
+            let mut slot = at;
+            loop {
+                for key in &mut row[slot..slot + 8] {
+                    *key = (w as u32) << 6 | bits.trailing_zeros();
+                    bits &= bits.wrapping_sub(1);
+                }
+                slot += 8;
+                if slot >= end {
+                    break;
+                }
+            }
+            at = end;
+        }
+        row.truncate(len);
     }
+}
+
+/// The uniform background of a row over `n = 2^bits` keys (`bits ≥ 1`),
+/// from `len` keys chosen until `k` (the count it returns):
+/// `Draws::below(n)` per key, without a branch on the draw. rand's rule
+/// accepts a draw `v` exactly when bit `63 − bits` is clear (the product
+/// `v · n`'s low half is `v << bits`), and the key is the product's high
+/// half, `v >> (64 − bits)`; a rejected draw sets no bit.
+fn background_pow2(
+    chosen: &mut [u64],
+    mut len: usize,
+    k: usize,
+    bits: u32,
+    draws: &mut Draws,
+) -> usize {
+    while len < k {
+        let v = draws.next_u64();
+        let key = (v >> (64 - bits)) as usize;
+        let bit = (!v >> (63 - bits) & 1) << (key & 63);
+        let word = &mut chosen[key >> 6];
+        len += usize::from(bit & !*word != 0);
+        *word |= bit;
+    }
+    len
 }
 
 /// Samples a balanced selection: `n` rows, exactly `k` keys per row, drawn

@@ -202,6 +202,18 @@ fn write_flight(flight: &dota_telemetry::FlightHandle, path: &str) -> Result<(),
     Ok(())
 }
 
+/// `--chaos-rates R1,R2` and `--chaos-sites a,b` into `opts`, whose lists
+/// stand where a flag is not given.
+fn read_chaos_lists(args: &mut Args, opts: &mut dota_serve::ChaosOptions) -> Result<(), String> {
+    if let Some(rates) = args.list("--chaos-rates", numbers("--chaos-rates"))? {
+        opts.rates = rates;
+    }
+    if let Some(sites) = args.list("--chaos-sites", dota_faults::FaultSite::parse)? {
+        opts.sites = sites;
+    }
+    Ok(())
+}
+
 /// `dota serve --chaos`: the availability campaign — sweeps fault rate x
 /// offered load on identical seeded arrivals and reports goodput, served
 /// fraction, retry/quarantine activity and tail latency per cell.
@@ -218,12 +230,7 @@ fn cmd_serve_chaos(bench: dota_serve::BenchOptions, mut args: Args) -> Result<()
         }
         opts.shed = dota_serve::ShedPolicy::parse(spec.trim())?;
     }
-    opts.rates = args
-        .list("--chaos-rates", numbers("--chaos-rates"))?
-        .unwrap_or(opts.rates);
-    opts.sites = args
-        .list("--chaos-sites", dota_faults::FaultSite::parse)?
-        .unwrap_or(opts.sites);
+    read_chaos_lists(&mut args, &mut opts)?;
     opts.fault_seed = args.number("--chaos-seed")?.unwrap_or(opts.fault_seed);
     opts.retry_cap = args.number("--retry-cap")?.unwrap_or(opts.retry_cap);
     opts.retry_backoff_cycles = args
@@ -298,4 +305,57 @@ fn cmd_serve_chaos(bench: dota_serve::BenchOptions, mut args: Args) -> Result<()
         eprintln!("[chaos report written to {out}]");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Pieces of the two lists' grammar and of number syntax a value is
+    /// spliced from, beside raw bytes.
+    const PIECES: [&str; 16] = [
+        ",",
+        " ",
+        "0",
+        "0.05",
+        "1",
+        "-0",
+        "1e999",
+        "NaN",
+        "inf",
+        "-1",
+        "2",
+        "sram.bitflip",
+        "dram.read",
+        "lane.stuck",
+        "slot.fail",
+        "é",
+    ];
+
+    proptest! {
+        /// `dota serve --chaos` reads `--chaos-rates` and `--chaos-sites`
+        /// through `Args::list` and then validates the campaign: any value
+        /// (lossy UTF-8 of arbitrary bytes, or a list spliced from the
+        /// grammar's pieces) is taken or refused with an error, never a
+        /// panic.
+        #[test]
+        fn chaos_list_flags_never_panics(
+            noise in vec(any::<u8>(), 0..48),
+            picks in vec(0usize..PIECES.len(), 0..12),
+        ) {
+            let spliced: String = picks.iter().map(|&i| PIECES[i]).collect();
+            for value in [String::from_utf8_lossy(&noise).into_owned(), spliced] {
+                for flag in ["--chaos-rates", "--chaos-sites"] {
+                    let read = std::panic::catch_unwind(|| {
+                        let mut args = Args::new([flag, value.as_str()]);
+                        let mut opts = dota_serve::ChaosOptions::default();
+                        read_chaos_lists(&mut args, &mut opts).and_then(|()| opts.validate())
+                    });
+                    prop_assert!(read.is_ok(), "{} {:?} panicked", flag, value);
+                }
+            }
+        }
+    }
 }

@@ -11,7 +11,8 @@
 //!
 //! Unlike row-wise top-k, thresholding yields *variable* per-row counts —
 //! the workload-imbalance trade-off §4.3 discusses. The calibrated hook
-//! optionally caps each row at `max_per_row` to bound the imbalance.
+//! leaves them uncapped: a row keeps every key at or above its threshold,
+//! and a row that keeps none keeps its single strongest key.
 
 use crate::DotaHook;
 use dota_autograd::ParamSet;

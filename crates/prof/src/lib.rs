@@ -30,7 +30,7 @@
 #[path = "../../trace/src/gate.rs"]
 mod gate;
 
-pub use gate::{enabled, scope, Scope, ScopeGuard};
+pub use gate::enabled;
 
 use dota_metrics::{Histogram, JsonWriter, ToJson};
 use std::cell::{Cell, RefCell};
@@ -68,6 +68,10 @@ thread_local! {
     static CURRENT_NODE: Cell<u32> = const { Cell::new(ROOT) };
     /// This thread's open-span stack.
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// The frame this thread's spans nest under when its own stack is
+    /// empty: `ROOT`, or the dispatcher's open frame while the thread works
+    /// inside its [`Scope`].
+    static BASE_NODE: Cell<u32> = const { Cell::new(ROOT) };
     /// Set while this thread's profiler files a span (interns its node,
     /// grows its stack, records its duration): what is allocated then is the
     /// profiler's, not the profiled code's, and is not counted.
@@ -175,14 +179,61 @@ fn lock_state() -> MutexGuard<'static, ProfState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A thread's profiling membership, for handing to threads that work on
+/// its behalf (the `dota-parallel` pool does): its session, and its
+/// innermost open span, under which their spans then nest.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope {
+    session: gate::Scope,
+    node: u32,
+}
+
+/// The calling thread's profiling membership (possibly none).
+pub fn scope() -> Scope {
+    Scope {
+        session: gate::scope(),
+        node: CURRENT_NODE.with(Cell::get),
+    }
+}
+
+impl Scope {
+    /// Joins the calling thread to this scope until the guard drops: it
+    /// records into the session, and a span it opens on an empty stack
+    /// nests under the span open where the scope was taken.
+    pub fn enter(self) -> ScopeGuard {
+        ScopeGuard {
+            _session: self.session.enter(),
+            base: BASE_NODE.with(|b| b.replace(self.node)),
+            current: CURRENT_NODE.with(|c| c.replace(self.node)),
+        }
+    }
+}
+
+/// Restores the thread's previous membership on drop (see [`Scope::enter`]).
+#[derive(Debug)]
+pub struct ScopeGuard {
+    _session: gate::ScopeGuard,
+    base: u32,
+    current: u32,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        BASE_NODE.with(|b| b.set(self.base));
+        CURRENT_NODE.with(|c| c.set(self.current));
+    }
+}
+
 /// Opens a scoped wall-clock span on the calling thread; timing is recorded
 /// when the returned guard drops. Spans nest per thread by construction
 /// (RAII). The span is always mirrored to [`dota_trace::host_span`], so it
 /// shows up in Chrome traces even when no profiling session is live.
 ///
-/// Worker threads (e.g. the `dota-parallel` pool) start from an empty
-/// stack, so their spans root at the top level of the profile rather than
-/// under the span that spawned the work — profiles are per-thread-honest.
+/// A worker thread (the `dota-parallel` pool's) starts from an empty stack
+/// inside its dispatcher's [`Scope`], so its spans nest under the span that
+/// dispatched the work, on the path a serial run gives them. A frame's time
+/// is then thread time: the dispatcher's span keeps the wall time it waited,
+/// and each worker's spans add their own beneath it.
 pub fn span(name: &'static str) -> ProfSpan {
     let trace = dota_trace::host_span(name);
     if !enabled() {
@@ -237,7 +288,8 @@ impl Drop for ProfSpan {
             if let Some(parent) = s.last_mut() {
                 parent.child_ns += elapsed_ns;
             }
-            CURRENT_NODE.with(|c| c.set(s.last().map_or(ROOT, |f| f.node)));
+            let base = BASE_NODE.with(Cell::get);
+            CURRENT_NODE.with(|c| c.set(s.last().map_or(base, |f| f.node)));
             child
         });
         if !enabled() {
@@ -648,6 +700,37 @@ mod tests {
             assert!(n > 0, "count positive in {line:?}");
         }
         assert!(lines.iter().any(|l| l.starts_with("alpha;beta;gamma ")));
+    }
+
+    /// A thread working inside a dispatcher's scope nests every span it
+    /// opens under the dispatcher's open span, the second one too (after
+    /// its stack emptied), as a serial run would record them.
+    #[test]
+    fn worker_spans_nest_under_the_dispatching_span() {
+        let g = session("pool");
+        {
+            let _dispatch = span("dispatch");
+            let scope = scope();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(move || {
+                        let _in = scope.enter();
+                        for _ in 0..2 {
+                            let _work = span("work");
+                            let _inner = span("inner");
+                        }
+                    });
+                }
+            });
+        }
+        let counts: Vec<(String, u64)> = g.spans().into_iter().map(|s| (s.path, s.count)).collect();
+        let want = [
+            ("dispatch", 1),
+            ("dispatch;work", 4),
+            ("dispatch;work;inner", 4),
+        ];
+        let want: Vec<(String, u64)> = want.iter().map(|&(p, c)| (p.to_owned(), c)).collect();
+        assert_eq!(counts, want);
     }
 
     // With `prof-alloc` on, the global allocator feeds the same counters

@@ -291,6 +291,27 @@ impl StdRng {
         }
     }
 
+    /// The position in the keystream of the next word the generator
+    /// serves, counted in words from the first (as upstream
+    /// `rand_chacha`'s `get_word_pos`): every draw is a function of it, so
+    /// [`StdRng::set_word_pos`] to a value read here replays the stream
+    /// from that word on.
+    pub fn get_word_pos(&self) -> u128 {
+        let buffer_block = self.counter.wrapping_sub(4);
+        let block = buffer_block.wrapping_add((self.index / 16) as u64);
+        u128::from(block) * 16 + (self.index % 16) as u128
+    }
+
+    /// Seeks to keystream word `word` (modulo the stream's 2^68 words),
+    /// as upstream `rand_chacha`'s `set_word_pos`: the four blocks from
+    /// the one holding it are computed into the buffer.
+    pub fn set_word_pos(&mut self, word: u128) {
+        let block = (word / 16) as u64;
+        chacha12_blocks(&self.key, block, &mut self.buf);
+        self.counter = block.wrapping_add(4);
+        self.index = (word % 16) as usize;
+    }
+
     /// One call per 64 words served: out of line, so that a draw inlines to
     /// a buffer read behind an index test.
     #[cold]
@@ -686,6 +707,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `get_word_pos` counts the words served from any kind of start
+    /// (fresh, mid-buffer, one word left, after a straddling `next_u64`,
+    /// after a bulk fill), and a generator seeked there with `set_word_pos`
+    /// draws what this one draws next, across the counter's carry too.
+    #[test]
+    fn word_pos_seeks_replay_the_stream() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut flat = FlatStream {
+            key: rng.key,
+            cursor: 0,
+        };
+        let (mut got, mut want) = ([0; 300], [0; 300]);
+        for step in 0..2000u32 {
+            let pos = rng.get_word_pos();
+            assert_eq!(pos, u128::from(flat.cursor), "step {step}");
+            let mut seeked = StdRng::seed_from_u64(21);
+            seeked.set_word_pos(pos);
+            match step.wrapping_mul(2_654_435_761) >> 29 {
+                0..=2 => {
+                    assert_eq!(rng.next_u32(), seeked.next_u32());
+                    flat.next_u32();
+                }
+                3..=5 => {
+                    assert_eq!(rng.next_u64(), seeked.next_u64());
+                    flat.next_u64();
+                }
+                6 => {
+                    let len = step as usize % got.len();
+                    rng.fill_u32(&mut want[..len], Some(&Refill));
+                    seeked.fill_u32(&mut got[..len], None);
+                    assert_eq!(got[..len], want[..len]);
+                    (0..len).for_each(|_| _ = flat.next_u32());
+                }
+                _ => {
+                    let x = rng.gen_range(0..4096usize);
+                    assert_eq!(seeked.gen_range(0..4096usize), x);
+                    assert_eq!(flat.gen_range(0..4096usize), x);
+                }
+            }
+            assert_eq!(seeked.get_word_pos(), rng.get_word_pos(), "step {step}");
+        }
+        let carry = (1u64 << 36) - 24; // word 13 of the state carries at 2^32 blocks
+        for pos in [carry, carry + 17, carry + 63] {
+            rng.set_word_pos(pos.into());
+            flat.cursor = pos;
+            for _ in 0..40 {
+                assert_eq!(rng.next_u64(), flat.next_u64(), "from word {pos:#x}");
+            }
+            assert_eq!(rng.get_word_pos(), u128::from(flat.cursor));
         }
     }
 

@@ -89,6 +89,29 @@ impl Drop for MetricsServer {
     }
 }
 
+/// What the endpoint answers a request with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// `GET /metrics`: the exposition.
+    Metrics,
+    /// A `GET` of any other path.
+    NotFound,
+    /// Any other method, or no request line at all.
+    NotAllowed,
+}
+
+/// Routes a request by its head's first line (lossy UTF-8, split on single
+/// spaces): a function of the bytes read, whatever they are.
+fn route(head: &[u8]) -> Route {
+    let request = String::from_utf8_lossy(head);
+    let mut parts = request.lines().next().unwrap_or("").split(' ');
+    match (parts.next().unwrap_or(""), parts.next().unwrap_or("")) {
+        ("GET", "/metrics") => Route::Metrics,
+        ("GET", _) => Route::NotFound,
+        _ => Route::NotAllowed,
+    }
+}
+
 fn answer<F: Fn() -> String>(mut stream: TcpStream, render: &F) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -102,14 +125,10 @@ fn answer<F: Fn() -> String>(mut stream: TcpStream, render: &F) -> std::io::Resu
         }
         head.extend_from_slice(&buf[..n]);
     }
-    let request = String::from_utf8_lossy(&head);
-    let mut parts = request.lines().next().unwrap_or("").split(' ');
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, body) = match (method, path) {
-        ("GET", "/metrics") => ("200 OK", render()),
-        ("GET", _) => ("404 Not Found", "not found; try /metrics\n".to_owned()),
-        _ => ("405 Method Not Allowed", "GET only\n".to_owned()),
+    let (status, body) = match route(&head) {
+        Route::Metrics => ("200 OK", render()),
+        Route::NotFound => ("404 Not Found", "not found; try /metrics\n".to_owned()),
+        Route::NotAllowed => ("405 Method Not Allowed", "GET only\n".to_owned()),
     };
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -150,6 +169,78 @@ pub fn get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The request lines the endpoint answers: a scrape, other paths,
+    /// other methods, and heads cut or spaced oddly.
+    #[test]
+    fn request_lines_route_as_before() {
+        let cases: [(&[u8], Route); 8] = [
+            (b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", Route::Metrics),
+            (b"GET /metrics", Route::Metrics),
+            (b"GET /metrics?x HTTP/1.1\r\n", Route::NotFound),
+            (b"GET  /metrics HTTP/1.1\r\n", Route::NotFound),
+            (b"GET", Route::NotFound),
+            (b"POST /metrics HTTP/1.1\r\n", Route::NotAllowed),
+            (b"get /metrics", Route::NotAllowed),
+            (b"", Route::NotAllowed),
+        ];
+        for (head, want) in cases {
+            assert_eq!(route(head), want, "{:?}", String::from_utf8_lossy(head));
+        }
+    }
+
+    /// `route` answers any request head without panicking: arbitrary
+    /// bytes (invalid UTF-8 included), heads with no CRLF, longer than
+    /// `MAX_REQUEST`, and request lines spliced from the grammar's own
+    /// pieces with odd spacing. Runs `PROPTEST_CASES` cases (default 256)
+    /// off a fixed-seed splitmix64 stream.
+    #[test]
+    fn metrics_request_line_never_panics() {
+        const PIECES: [&[u8]; 12] = [
+            b"GET",
+            b"POST",
+            b" ",
+            b"  ",
+            b"/metrics",
+            b"/",
+            b"HTTP/1.1",
+            b"\r\n",
+            b"\n",
+            b"\r",
+            b"\xff\xfe",
+            b"\xe2\x82",
+        ];
+        let cases: u64 = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..cases {
+            let len = match case % 4 {
+                0 => next() % 64,
+                1 => next() % 600,
+                _ => MAX_REQUEST as u64 + next() % 5000,
+            } as usize;
+            let mut head = Vec::with_capacity(len);
+            while head.len() < len {
+                let word = next();
+                if word % 3 == 0 {
+                    head.extend_from_slice(PIECES[(word >> 8) as usize % PIECES.len()]);
+                } else {
+                    head.extend_from_slice(&word.to_le_bytes()[..1 + (word >> 60) as usize % 8]);
+                }
+            }
+            let routed = std::panic::catch_unwind(|| route(&head));
+            assert!(routed.is_ok(), "route panicked on {head:?}");
+        }
+    }
 
     #[test]
     fn serves_metrics_and_404s_everything_else() {

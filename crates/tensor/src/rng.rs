@@ -142,7 +142,10 @@ impl SeededRng {
     }
 
     /// Samples `k` distinct indices from `0..n` (reservoir-free, via shuffle
-    /// of a prefix).
+    /// of a prefix), drawing through a [`Draws`] cursor: the indices and
+    /// the generator's state afterwards are those of `k` [`below`] calls.
+    ///
+    /// [`below`]: SeededRng::below
     ///
     /// # Panics
     ///
@@ -150,12 +153,25 @@ impl SeededRng {
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} from {n}");
         let mut idx: Vec<usize> = (0..n).collect();
+        let mut draws = self.draws();
         for i in 0..k {
-            let j = i + self.below(n - i);
+            let j = i + draws.below(n - i);
             idx.swap(i, j);
         }
         idx.truncate(k);
         idx
+    }
+
+    /// A read-ahead cursor on this generator's keystream, for a caller
+    /// about to make many draws: see [`Draws`].
+    pub fn draws(&mut self) -> Draws<'_> {
+        Draws {
+            rng: self,
+            lanes: Lanes::active(),
+            buf: [0; AHEAD + 1],
+            pos: 0,
+            len: 0,
+        }
     }
 
     /// Achlioptas sparse random projection `P ∈ sqrt(3/k)·{-1,0,+1}^{d×k}`
@@ -177,6 +193,97 @@ impl SeededRng {
                 0.0
             }
         })
+    }
+}
+
+/// Words a [`Draws`] cursor reads off the keystream at a time: eight
+/// ChaCha12 blocks, what the AVX2 lanes compute in one pass.
+const AHEAD: usize = 128;
+
+/// A cursor drawing from a [`SeededRng`] in bulk ([`SeededRng::draws`]).
+///
+/// The keystream is one sequence of words, and every draw is a function of
+/// where in it the generator stands (a `u64` is two consecutive words, low
+/// half first). So the cursor reads the stream 128 words (eight blocks) at
+/// a time through [`SeededRng::fill_words`] and serves its draws from that buffer
+/// by the rules per-call draws use, and on drop seeks the generator back to
+/// the first word it did not serve. Every draw, and the generator's state
+/// afterwards, is bitwise what the same per-call draws give.
+#[derive(Debug)]
+pub struct Draws<'a> {
+    rng: &'a mut SeededRng,
+    lanes: Lanes,
+    /// `buf[pos..len]`: words read off the keystream and not yet served.
+    buf: [u32; AHEAD + 1],
+    pos: usize,
+    len: usize,
+}
+
+impl Draws<'_> {
+    /// The next 64 bits, as the generator's own `next_u64` would serve
+    /// them.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        if self.len - self.pos < 2 {
+            self.read_ahead();
+        }
+        let (lo, hi) = (self.buf[self.pos], self.buf[self.pos + 1]);
+        self.pos += 2;
+        u64::from(hi) << 32 | u64::from(lo)
+    }
+
+    /// Refills the buffer with the next [`AHEAD`] words, behind the one
+    /// word a `u64` may still need from the last fill.
+    #[cold]
+    #[inline(never)]
+    fn read_ahead(&mut self) {
+        let carried = self.len - self.pos;
+        if carried == 1 {
+            self.buf[0] = self.buf[self.pos];
+        }
+        let lanes = self.lanes;
+        self.rng
+            .fill_words(lanes, &mut self.buf[carried..carried + AHEAD]);
+        (self.pos, self.len) = (0, carried + AHEAD);
+    }
+
+    /// A uniform integer in `[0, n)`: [`SeededRng::below`]'s draw, by rand
+    /// 0.8's rule for a `usize` range — the widening product of one `u64`
+    /// and `n`, redrawn while its low half falls in the biased zone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[inline]
+    pub fn below(&mut self, n: usize) -> usize {
+        assert!(n > 0, "below(0) is undefined");
+        let range = n as u64;
+        let zone = (range << range.leading_zeros()).wrapping_sub(1);
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(range);
+            if m as u64 <= zone {
+                return (m >> 64) as usize;
+            }
+        }
+    }
+
+    /// [`SeededRng::shuffle`]'s Fisher–Yates, on this cursor's draws.
+    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            let j = self.below(i + 1);
+            xs.swap(i, j);
+        }
+    }
+}
+
+impl Drop for Draws<'_> {
+    /// Seeks the generator back over the words read ahead and not served.
+    fn drop(&mut self) {
+        let unread = self.len - self.pos;
+        if unread > 0 {
+            let inner = &mut self.rng.inner;
+            inner.set_word_pos(inner.get_word_pos().wrapping_sub(unread as u128));
+        }
     }
 }
 
@@ -399,6 +506,104 @@ mod tests {
             token.blocks8(&key, counter, &mut lanes);
             Refill.blocks8(&key, counter, &mut refill);
             assert_eq!(lanes, refill, "counter {counter:#x}");
+        }
+    }
+
+    /// `sample_indices` as it was, one `below` call per index: the
+    /// cursor-drawn one's oracle.
+    fn sample_indices_oracle(rng: &mut SeededRng, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.below(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
+        idx
+    }
+
+    /// The bounds a `below` step draws under: `1`, powers of two (half
+    /// their draws rejected), their neighbours, and the `usize` extremes.
+    fn bound(code: usize) -> usize {
+        let shift = code / 8 % 64;
+        match code % 8 {
+            0 => 1,
+            1 => 1 << shift,
+            2 => (1 << shift) + 1,
+            3 => (1usize << shift).wrapping_sub(1).max(1),
+            4 => usize::MAX,
+            5 => usize::MAX / 2 + 2,
+            _ => 1 + code % 5000,
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of `below` and `shuffle`, on a few cursors
+        /// in turn with per-call draws of one word between them (so every
+        /// alignment of a `u64` to the read-ahead comes up): each draw
+        /// equals the per-call one, and after each cursor drops the
+        /// generator's next draws agree.
+        #[test]
+        fn draws_match_per_call_draws_oracle(
+            seed in 0u64..1 << 40,
+            skip in 0usize..140,
+            steps in proptest::collection::vec(0usize..3 << 20, 0..300),
+            cursors in 1usize..5,
+        ) {
+            let (mut rng, mut oracle) = (SeededRng::new(seed), SeededRng::new(seed));
+            for _ in 0..skip {
+                prop_assert_eq!(rng.uniform().to_bits(), oracle.uniform().to_bits());
+            }
+            for part in steps.chunks(steps.len().div_ceil(cursors).max(1)) {
+                let mut draws = rng.draws();
+                for &step in part {
+                    let code = step / 3;
+                    if step % 3 == 0 {
+                        let (xs, ys) = (&mut [0; 40], &mut [0; 40]);
+                        let len = code % xs.len();
+                        for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
+                            (*x, *y) = (i, i);
+                        }
+                        draws.shuffle(&mut xs[..len]);
+                        oracle.shuffle(&mut ys[..len]);
+                        prop_assert_eq!(&xs[..len], &ys[..len], "shuffle of {}", len);
+                    } else {
+                        let n = bound(code);
+                        prop_assert_eq!(draws.below(n), oracle.below(n), "below({})", n);
+                    }
+                }
+                drop(draws);
+                prop_assert_eq!(rng.uniform().to_bits(), oracle.uniform().to_bits());
+            }
+            prop_assert_eq!(rng.below(1 << 40), oracle.below(1 << 40));
+            prop_assert_eq!(rng.uniform().to_bits(), oracle.uniform().to_bits());
+        }
+
+        /// `sample_indices` through the cursor returns the per-call
+        /// indices and leaves the generator where they do, at `k = 0`,
+        /// `k = n`, powers of two and in between.
+        #[test]
+        fn sample_indices_matches_per_call_oracle(
+            seed in 0u64..1 << 40,
+            n in 0usize..600,
+            shift in 0usize..10,
+            k_share in 0.0f64..1.0,
+            k_edge in 0usize..5,
+            skip in 0usize..3,
+        ) {
+            let n = if k_edge == 4 { 1 << shift } else { n };
+            let k = match k_edge {
+                0 => 0,
+                1 => n,
+                2 => (1 << shift).min(n),
+                _ => (k_share * (n + 1) as f64) as usize % (n + 1),
+            };
+            let (mut rng, mut oracle) = (SeededRng::new(seed), SeededRng::new(seed));
+            for _ in 0..skip {
+                prop_assert_eq!(rng.uniform().to_bits(), oracle.uniform().to_bits());
+            }
+            prop_assert_eq!(rng.sample_indices(n, k), sample_indices_oracle(&mut oracle, n, k));
+            prop_assert_eq!(rng.below(1 << 30), oracle.below(1 << 30));
+            prop_assert_eq!(rng.uniform().to_bits(), oracle.uniform().to_bits());
         }
     }
 
