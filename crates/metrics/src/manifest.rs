@@ -170,8 +170,9 @@ pub fn physical_cores() -> usize {
 
 /// Detected SIMD capabilities (`avx2`/`fma`/`avx512f` on x86-64, `neon`
 /// on aarch64, `none` otherwise). Runtime detection, matching what
-/// `dota_tensor::simd::cpu_features` reports for kernel selection.
-/// `avx512f` is provenance only: no kernel in the workspace uses it.
+/// `dota_tensor::simd::cpu_features` reports for kernel selection. With
+/// `avx512f` the packed GEMM tiles run sixteen lanes wide; every other lane
+/// kernel runs AVX2's eight.
 fn cpu_features() -> Vec<String> {
     let mut f: Vec<String> = Vec::new();
     #[cfg(target_arch = "x86_64")]

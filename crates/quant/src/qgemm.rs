@@ -301,17 +301,17 @@ impl<'b> Kernel<'b> {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2Depth(_, b) => {
+            Kernel::Avx2Depth(token, b) => {
                 assert_eq!(b.len(), k * n, "operand shape");
                 // SAFETY: the token proves AVX2 and FMA.
-                unsafe { x86::acc_row_depth(a, b, &mut acc[..n]) }
+                unsafe { x86::acc_row_depth(*token, a, b, &mut acc[..n]) }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2Columns(_, pairs) => {
+            Kernel::Avx2Columns(token, pairs) => {
                 assert!(k < COLUMN_KERNEL_BELOW, "depth {k} has no column kernel");
                 assert_eq!(pairs.len(), acc.len() * k.div_ceil(2), "operand shape");
                 // SAFETY: the token proves AVX2 and FMA.
-                unsafe { x86::acc_row_columns(a, pairs, acc) }
+                unsafe { x86::acc_row_columns(*token, a, pairs, acc) }
             }
         }
     }
@@ -340,14 +340,14 @@ fn interleave_pairs(b: &[i8], k: usize) -> Vec<i32> {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use dota_tensor::lanes::{load_i32, load_i8, store_i32};
+    use dota_tensor::lanes::{load_i32, load_i8, store_i32, Avx2};
     use std::arch::x86_64::*;
 
     /// [`super::Kernel::Avx2Columns`]' row: `a.len() < 16`, `acc` whole
     /// 8-lane groups and `pairs` [`super::interleave_pairs`] of that depth
     /// with one block per eight accumulators.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn acc_row_columns(a: &[i8], pairs: &[i32], acc: &mut [i32]) {
+    pub(super) fn acc_row_columns(_: Avx2, a: &[i8], pairs: &[i32], acc: &mut [i32]) {
         let n_pairs = a.len().div_ceil(2);
         // Each depth pair of `a`, both halves in one i32, in every lane.
         let mut a_pairs = [_mm256_setzero_si256(); 8];
@@ -370,7 +370,7 @@ mod x86 {
     /// [`super::Kernel::Avx2Depth`]' row: `acc[j]` is `a` dotted with the
     /// `j`-th `a.len()`-code row of `b`, 16 codes a step.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn acc_row_depth(a: &[i8], b: &[i8], acc: &mut [i32]) {
+    pub(super) fn acc_row_depth(_: Avx2, a: &[i8], b: &[i8], acc: &mut [i32]) {
         let (a16, a_tail) = a.as_chunks::<16>();
         for (o, b_j) in acc.iter_mut().zip(b.chunks_exact(a.len())) {
             let (b16, b_tail) = b_j.as_chunks::<16>();

@@ -312,6 +312,29 @@ impl StdRng {
         self.index = (word % 16) as usize;
     }
 
+    /// [`StdRng::set_word_pos`] for a caller that holds the keystream
+    /// words `held`, the first of them word `first` (as
+    /// [`StdRng::fill_u32`] served them; not part of rand's API). When four
+    /// whole blocks of `held` hold word `word` — the last such four, to
+    /// reach as far ahead as `held` does — they become the buffer and
+    /// nothing is computed; otherwise this seeks. Either way the generator
+    /// then draws what `set_word_pos(word)` would have it draw.
+    pub fn set_word_pos_held(&mut self, word: u128, first: u128, held: &[u32]) {
+        let (four, end) = (
+            CHACHA_WORDS as u128,
+            first.saturating_add(held.len() as u128),
+        );
+        let block = (word / 16).min(end.saturating_sub(four) / 16);
+        let start = block * 16;
+        if start < first || start + four > end || word - start > four {
+            return self.set_word_pos(word);
+        }
+        let at = (start - first) as usize;
+        self.buf.copy_from_slice(&held[at..at + CHACHA_WORDS]);
+        self.counter = (block as u64).wrapping_add(4);
+        self.index = (word - start) as usize;
+    }
+
     /// One call per 64 words served: out of line, so that a draw inlines to
     /// a buffer read behind an index test.
     #[cold]
@@ -759,6 +782,39 @@ mod tests {
                 assert_eq!(rng.next_u64(), flat.next_u64(), "from word {pos:#x}");
             }
             assert_eq!(rng.get_word_pos(), u128::from(flat.cursor));
+        }
+    }
+
+    /// A seek handed the words it lands in draws what `set_word_pos` to the
+    /// same word draws, and reads its position back, whether `held` holds
+    /// four whole blocks around the word (no block computed) or not (a
+    /// seek): every word of windows starting on and off block boundaries,
+    /// shorter and longer than four blocks, across the counter's carry.
+    #[test]
+    fn held_seeks_draw_like_set_word_pos() {
+        let carry = (1u64 << 36) - 70; // word 13 of the state carries at 2^32 blocks
+        for (case, first) in [0u64, 5, 16, 1000, carry].into_iter().enumerate() {
+            for len in [0, 17, 63, 64, 65, 80, 128, 129] {
+                let mut source = StdRng::seed_from_u64(case as u64);
+                source.set_word_pos(first.into());
+                let mut held = vec![0; len];
+                source.fill_u32(&mut held, None);
+                for word in first..=first + len as u64 {
+                    let mut got = StdRng::seed_from_u64(case as u64);
+                    got.set_word_pos_held(word.into(), first.into(), &held);
+                    let mut want = StdRng::seed_from_u64(case as u64);
+                    want.set_word_pos(word.into());
+                    assert_eq!(got.get_word_pos(), u128::from(word));
+                    for draw in 0..70u32 {
+                        let (g, w) = if draw % 3 == 0 {
+                            (got.next_u32().into(), want.next_u32().into())
+                        } else {
+                            (got.next_u64(), want.next_u64())
+                        };
+                        assert_eq!(g, w, "first {first} len {len} word {word} draw {draw}");
+                    }
+                }
+            }
         }
     }
 

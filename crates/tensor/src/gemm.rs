@@ -46,22 +46,27 @@ const BLOCK: usize = 32;
 /// `A·B` products with fewer output rows than this never pack `B`: the row
 /// tile ([`simd::few_rows`]) reads `B` in place, and the packed driver's
 /// copy of all of `B` pays for itself only once enough rows share it.
-/// Measured per output row on one core of a 2-core AVX2 Xeon (`simd`
-/// lanes, several runs each):
+/// Measured per output row on one core of a 2-vCPU AVX-512F Xeon (`simd`
+/// lanes, so the packed path runs the sixteen-lane tiles; best of 7 × 50
+/// calls, two runs):
 ///
 /// | `m` | 32×32 row tile | 32×32 packed | 128×512 row tile | 128×512 packed |
 /// |----:|---------------:|-------------:|-----------------:|---------------:|
-/// |   1 |     150–165 ns |            — |       6.4–7.1 µs |       49–55 µs |
-/// |   4 |       80–90 ns |   200–250 ns |       4.3–4.9 µs |       12–13 µs |
-/// |   8 |       75–85 ns |   140–180 ns |       4.7–5.7 µs |      8.0–9.0 µs |
-/// |  16 |       65–80 ns |   140–150 ns |       3.0–5.0 µs |      5.7–6.6 µs |
-/// |  32 |       75–80 ns |   125–135 ns |       4.6–5.2 µs |      4.9–5.1 µs |
-/// |  64 |       75–80 ns |   110–125 ns |       4.7–5.1 µs |      4.4–4.6 µs |
+/// |   1 |       75–83 ns |   650–700 ns |       5.5–5.8 µs |       39–42 µs |
+/// |   4 |       41–55 ns |   145–190 ns |       3.9–4.0 µs |     10–10.4 µs |
+/// |   8 |       45–70 ns |    95–110 ns |       3.9–4.0 µs |       5.9–6.3 µs |
+/// |  16 |       46–55 ns |     72–89 ns |       3.8–4.2 µs |       4.3–4.4 µs |
+/// |  32 |       46–58 ns |     61–76 ns |       3.8–4.2 µs |       3.1–3.5 µs |
+/// |  64 |       45–57 ns |     57–71 ns |       3.7–4.2 µs |       2.7–3.0 µs |
 ///
-/// At 32×32 packing never pays (the packed path is still ~110 ns at
-/// `m` = 1024, and a product under 16³ multiply-adds is not packed at
-/// all); at 128×512 it ties at 32 rows and wins from 64. 512×128 and
-/// 128×128 cross later, near 128 and 256 rows.
+/// At 32×32 packing never pays (the packed path still trails at `m` =
+/// 256, and a product under 16³ multiply-adds is not packed at all); at
+/// 128×512 it loses at 16 rows and wins from 32. 128×128 and 512×128 cross
+/// between 16 and 32 too (packed 0.85–0.87 µs against the row tile's
+/// 0.99–1.04 at 128×128, `m` = 32). So the constant stays at 32. The
+/// eight-lane tiles of an AVX2-only host, measured on an AVX2 Xeon, tied
+/// at 32 rows at 128×512 and crossed near 128 and 256 rows at 512×128 and
+/// 128×128.
 const PACK_MIN_ROWS: usize = 32;
 
 /// Products smaller than this many multiply-adds are never packed: the
@@ -99,10 +104,12 @@ pub fn row_dispatch(out: &mut Matrix, flops: usize, kernel: impl Fn(usize, &mut 
     kernel(0, out.as_mut_slice());
 }
 
-/// Runs one product into the pre-zeroed `out`: the packed SIMD driver on
-/// lanes when the product is worth packing, the row kernel `rows`
-/// otherwise. The split is invisible in the bits — both paths produce the
-/// reference chain — so the cutoffs are purely perf knobs.
+/// Runs one product into `out`, whatever it held: the packed SIMD driver on
+/// lanes when the product is worth packing, which overwrites every element,
+/// and otherwise the row kernel `rows` into `out` zeroed first (the row
+/// kernels accumulate into it). The split is invisible in the bits — both
+/// paths produce the reference chain — so the cutoffs are purely perf
+/// knobs.
 fn gemm_dispatch(
     lanes: Lanes,
     layout: Layout,
@@ -124,6 +131,7 @@ fn gemm_dispatch(
         simd::packed_gemm(layout, a, b, out, lanes);
         return;
     }
+    out.as_mut_slice().fill(0.0);
     row_dispatch(out, flops, rows);
 }
 
@@ -230,12 +238,11 @@ fn tn_kernel(a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
     }
 }
 
-/// Checks that `out` is shaped `m×n`, zeroes it, and returns `Ok`.
-fn prep_out(op: &'static str, out: &mut Matrix, m: usize, n: usize) -> Result<(), ShapeError> {
+/// Checks that `out` is shaped `m×n`.
+fn check_out(op: &'static str, out: &Matrix, m: usize, n: usize) -> Result<(), ShapeError> {
     if out.shape() != (m, n) {
         return Err(ShapeError::new(op, (m, n), out.shape()));
     }
-    out.as_mut_slice().fill(0.0);
     Ok(())
 }
 
@@ -294,7 +301,7 @@ impl Matrix {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()));
         }
-        prep_out("matmul_into", out, self.rows(), other.cols())?;
+        check_out("matmul_into", out, self.rows(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul");
         let rows = |first, span: &mut [f32]| match lanes {
             Lanes::Plain => nn_kernel(self, other, first, span),
@@ -334,7 +341,7 @@ impl Matrix {
         if self.cols() != other.cols() {
             return Err(ShapeError::new("matmul_nt", self.shape(), other.shape()));
         }
-        prep_out("matmul_nt_into", out, self.rows(), other.rows())?;
+        check_out("matmul_nt_into", out, self.rows(), other.rows())?;
         let _prof = dota_prof::span("gemm.matmul_nt");
         let rows = |first, span: &mut [f32]| nt_kernel(self, other, first, span);
         gemm_dispatch(Lanes::active(), Layout::Nt, self, other, out, rows);
@@ -367,7 +374,7 @@ impl Matrix {
         if self.rows() != other.rows() {
             return Err(ShapeError::new("matmul_tn", self.shape(), other.shape()));
         }
-        prep_out("matmul_tn_into", out, self.cols(), other.cols())?;
+        check_out("matmul_tn_into", out, self.cols(), other.cols())?;
         let _prof = dota_prof::span("gemm.matmul_tn");
         let rows = |first, span: &mut [f32]| tn_kernel(self, other, first, span);
         gemm_dispatch(Lanes::active(), Layout::Tn, self, other, out, rows);

@@ -1,5 +1,5 @@
 //! One lane layer: which body a kernel runs, and the memory operations its
-//! 8-lane body needs.
+//! lane bodies need.
 //!
 //! Every kernel with lanes — GEMM tiles, `tanh`/GELU, `exp`/softmax, the
 //! attention row, top-k selection, `dota-quant`'s integer products — comes
@@ -10,6 +10,11 @@
 //! AVX2 and FMA make one token, not two, because the `exp` lanes need both
 //! and the AVX2 cores without FMA are rare (they run the plain bodies).
 //! Other hosts, aarch64 included, run the plain bodies.
+//!
+//! The token also carries whether the host runs AVX-512F. One kernel uses
+//! it: the packed GEMM's register tiles (`simd`), which run on sixteen
+//! lanes there and on eight elsewhere, with the same bits. Every other
+//! kernel runs its eight lanes on either host.
 //!
 //! The decision is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`}, read once per
 //! process by one parser ([`parse_family`]): `scalar` is [`Lanes::Plain`],
@@ -22,11 +27,13 @@
 //! are safe; touching memory through a raw pointer is not. The loads, the
 //! stores and the `exp` table gather below are the only such operations
 //! the kernels perform, each wrapped here once over an array reference
-//! whose type is the invariant: exactly the lanes it moves exist. The one
-//! exception is [`KeyRows`], the attention kernel's transposed read of
-//! eight key rows, whose windows are checked once when it is built rather
-//! than at every read. So `unsafe` appears in these wrappers and in the one
-//! token-bound call by which each kernel entry enters its lanes.
+//! whose type is the invariant: exactly the lanes it moves exist. (The
+//! sixteen-lane tile moves its registers as two of these eight-lane
+//! halves.) The one exception is [`KeyRows`], the attention kernel's
+//! transposed read of eight key rows, whose windows are checked once when
+//! it is built rather than at every read. So `unsafe` appears in these
+//! wrappers and in the one token-bound call by which each kernel entry
+//! enters its lanes.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -41,17 +48,30 @@ pub enum Lanes {
     /// Plain Rust: `DOTA_GEMM=scalar`, every host without the lanes, and
     /// the oracle each lane kernel is held to.
     Plain,
-    /// Eight AVX2+FMA lanes.
+    /// Eight AVX2+FMA lanes (sixteen in the packed GEMM tiles where the
+    /// token says AVX-512F).
     #[cfg(target_arch = "x86_64")]
     Avx2(Avx2),
 }
 
 /// Proof that this host runs AVX2 and FMA: built only by [`Lanes::host`],
 /// after detecting both, so an entry holding one may call its
-/// `#[target_feature(enable = "avx2,fma")]` body.
+/// `#[target_feature(enable = "avx2,fma")]` body. It also records whether
+/// the host runs AVX-512F, which `Avx2::avx512f` answers.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Avx2(());
+pub struct Avx2 {
+    avx512f: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// Whether this host runs AVX-512F too, so an entry holding the token
+    /// may call a `#[target_feature(enable = "avx512f")]` body.
+    pub(crate) fn avx512f(self) -> bool {
+        self.avx512f
+    }
+}
 
 impl Lanes {
     /// The lanes this host runs, whatever `DOTA_GEMM` says: [`Lanes::Avx2`]
@@ -61,9 +81,22 @@ impl Lanes {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            return Lanes::Avx2(Avx2(()));
+            let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+            return Lanes::Avx2(Avx2 { avx512f });
         }
         Lanes::Plain
+    }
+
+    /// These lanes without AVX-512F: what an AVX2-only host runs, for
+    /// holding the eight-lane tiles to the sixteen-lane ones on a host
+    /// that has both.
+    #[cfg(test)]
+    pub(crate) fn narrow(self) -> Self {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(_) => Lanes::Avx2(Avx2 { avx512f: false }),
+            plain => plain,
+        }
     }
 
     /// The lanes a kernel started on this thread runs: the innermost

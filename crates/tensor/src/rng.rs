@@ -207,8 +207,10 @@ const AHEAD: usize = 128;
 /// half first). So the cursor reads the stream 128 words (eight blocks) at
 /// a time through [`SeededRng::fill_words`] and serves its draws from that buffer
 /// by the rules per-call draws use, and on drop seeks the generator back to
-/// the first word it did not serve. Every draw, and the generator's state
-/// afterwards, is bitwise what the same per-call draws give.
+/// the first word it did not serve, from the blocks it read ahead where
+/// they hold that word (`StdRng::set_word_pos_held`). Every draw, and the
+/// generator's draws afterwards, are bitwise what the same per-call draws
+/// give.
 #[derive(Debug)]
 pub struct Draws<'a> {
     rng: &'a mut SeededRng,
@@ -277,12 +279,17 @@ impl Draws<'_> {
 }
 
 impl Drop for Draws<'_> {
-    /// Seeks the generator back over the words read ahead and not served.
+    /// Seeks the generator back over the words read ahead and not served,
+    /// handing it the read-ahead so that the seek computes no block the
+    /// cursor already holds.
     fn drop(&mut self) {
         let unread = self.len - self.pos;
         if unread > 0 {
             let inner = &mut self.rng.inner;
-            inner.set_word_pos(inner.get_word_pos().wrapping_sub(unread as u128));
+            let end = inner.get_word_pos();
+            let first = end.wrapping_sub(self.len as u128);
+            let word = end.wrapping_sub(unread as u128);
+            inner.set_word_pos_held(word, first, &self.buf[..self.len]);
         }
     }
 }

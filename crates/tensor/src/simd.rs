@@ -3,12 +3,16 @@
 //!
 //! Products big enough to pack run here on the lanes [`Lanes`] selects
 //! (`DOTA_GEMM`, see [`crate::lanes`]): `B` packed into `NR`-column strips,
-//! `A` into `MR`-row panels, and `MR×NR` register tiles over AVX2 lanes
-//! using *separate* multiply and add. Each output element still
-//! accumulates as one ascending-`k` chain, and `a*b` followed by `+`
-//! rounds exactly like the scalar code, so the lanes are **bit-identical**
-//! to the plain kernels (and to the naive reference) — the committed
-//! golden `results/*.json` hold with them enabled.
+//! `A` into `MR`-row panels, and register tiles of up to two strips each
+//! way using *separate* multiply and add: sixteen lanes per register on a
+//! host with AVX-512F (an `8×32` tile is sixteen registers, one per row
+//! and strip), eight lanes on AVX2 (each `MR×NR` part of the tile two
+//! registers per row). Each output element is one ascending-`k` chain
+//! started at `+0.0` in a register, and `a*b` followed by `+` rounds
+//! exactly like the scalar code, so either width is **bit-identical** to
+//! the plain kernels (and to the naive reference) — the committed golden
+//! `results/*.json` hold with them enabled. A tile overwrites its output
+//! and reads none of it, so the output is never zeroed first.
 //!
 //! `A·B` with too few rows to pack (a decode step's `x·W`) runs one more
 //! lane kernel: [`few_rows`], a register tile that reads `B` in place with
@@ -74,10 +78,9 @@ pub(crate) const MC: usize = 64;
 /// The SIMD capabilities detected on this host, for bench provenance
 /// (`BENCH_kernels.json`, run manifests): pool-speedup and kernel-family
 /// numbers are only interpretable next to what the machine could run.
-/// `avx512f` is reported as provenance only — no kernel uses it: the
-/// widest lanes in the workspace are AVX2's eight (GEMM microkernels, the
-/// `tanh`/GELU, `exp` and attention row kernels), which already leave GELU
-/// under 10 % of a prompt position.
+/// With `avx512f` the packed GEMM tiles run sixteen lanes wide; every other
+/// lane kernel (the row tile, the `tanh`/GELU, `exp` and attention row
+/// kernels) runs AVX2's eight on either host.
 pub fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -102,34 +105,47 @@ pub fn cpu_features() -> Vec<&'static str> {
     f
 }
 
-/// One `MR×NR` register tile on `lanes`: continues every output element's
-/// ascending-k accumulation chain from the values already in `c` (row
-/// stride `ldc`) across the `k` packed depth steps of `ap` (`k·MR` floats)
-/// and `bp` (`k·NR`).
-fn tile(lanes: Lanes, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
-    let k = ap.len() / MR;
+/// One register tile on `lanes`: `R` row strips by `S` column strips, `R`
+/// and `S` each 1 or 2, read off the operands' lengths. Output rows
+/// `0..R·MR` and columns `0..S·NR` of `c` (row stride `ldc`) get one
+/// ascending-k chain each, started at `+0.0`, across the `k` packed depth
+/// steps of the `R` consecutive A strips `ap` (`k·MR` floats each) and the
+/// `S` consecutive B strips `bp` (`k·NR` each). Nothing of `c` is read.
+fn tile(lanes: Lanes, k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+    let (r, s) = (ap.len() / (k * MR), bp.len() / (k * NR));
     assert!(
-        ap.len() == k * MR && bp.len() == k * NR && c.len() >= (MR - 1) * ldc + NR,
+        (1..=2).contains(&r)
+            && (1..=2).contains(&s)
+            && ap.len() == r * k * MR
+            && bp.len() == s * k * NR
+            && c.len() >= (r * MR - 1) * ldc + s * NR,
         "tile operands"
     );
     match lanes {
-        Lanes::Plain => tile_portable(ap, bp, c, ldc),
+        Lanes::Plain => tile_portable(k, ap, bp, c, ldc),
+        // SAFETY: the token proves AVX2, FMA and AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx2(token) if token.avx512f() => unsafe { x86::wide_tile(k, ap, bp, c, ldc) },
         // SAFETY: the token proves AVX2 and FMA.
         #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2(_) => unsafe { x86::tile(ap, bp, c, ldc) },
+        Lanes::Avx2(_) => unsafe { x86::tile(k, ap, bp, c, ldc) },
     }
 }
 
 /// [`tile`] in plain Rust, one chain per element: the oracle of the lane
-/// tile.
-fn tile_portable(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
-    for ii in 0..MR {
-        for jj in 0..NR {
-            let mut acc = c[ii * ldc + jj];
-            for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-                acc += a[ii] * b[jj];
+/// tiles.
+fn tile_portable(k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+    for (r, a) in ap.chunks_exact(k * MR).enumerate() {
+        for (s, b) in bp.chunks_exact(k * NR).enumerate() {
+            for ii in 0..MR {
+                for jj in 0..NR {
+                    let mut acc = 0.0f32;
+                    for (a, b) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+                        acc += a[ii] * b[jj];
+                    }
+                    c[(r * MR + ii) * ldc + s * NR + jj] = acc;
+                }
             }
-            c[ii * ldc + jj] = acc;
         }
     }
 }
@@ -141,18 +157,25 @@ mod x86 {
     use crate::Matrix;
     use std::arch::x86_64::*;
 
-    /// [`super::tile`] on AVX2 lanes. Separate multiply and add round
-    /// exactly like the scalar `acc += a * b`, keeping the lanes
-    /// bit-identical to it.
+    /// [`super::tile`] on AVX2 lanes, one `MR×NR` part at a time. Separate
+    /// multiply and add round exactly like the scalar `acc += a * b`,
+    /// keeping the lanes bit-identical to it.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn tile(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+    pub(super) fn tile(k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
         debug_assert_eq!((MR, NR), (4, 16));
-        // 4×16 tile = eight 8-lane accumulators: enough independent add
-        // chains to hide instruction latency at two vector ops per cycle.
-        let mut acc: [[__m256; 2]; MR] = std::array::from_fn(|ii| {
-            let (row, _) = c[ii * ldc..][..NR].as_chunks::<8>();
-            [load(&row[0]), load(&row[1])]
-        });
+        for (r, ap) in ap.chunks_exact(k * MR).enumerate() {
+            for (s, bp) in bp.chunks_exact(k * NR).enumerate() {
+                part(ap, bp, &mut c[r * MR * ldc + s * NR..], ldc);
+            }
+        }
+    }
+
+    /// One `MR×NR` part = eight 8-lane accumulators: enough independent
+    /// add chains to hide instruction latency at two vector ops per cycle.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn part(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         let (a_steps, _) = ap.as_chunks::<MR>();
         let (b_steps, _) = bp.as_chunks::<NR>();
         for (a, b) in a_steps.iter().zip(b_steps) {
@@ -169,6 +192,77 @@ mod x86 {
             store(&mut out[0], row[0]);
             store(&mut out[1], row[1]);
         }
+    }
+
+    /// [`super::tile`] on sixteen AVX-512F lanes: one register per output
+    /// row and column strip, so up to sixteen accumulators, each one chain
+    /// per lane of separate multiplies and adds like the eight-lane tile.
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    pub(super) fn wide_tile(k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+        match (ap.len() / (k * MR), bp.len() / (k * NR)) {
+            (2, 2) => wide::<2, 2>(k, ap, bp, c, ldc),
+            (2, _) => wide::<2, 1>(k, ap, bp, c, ldc),
+            (_, 2) => wide::<1, 2>(k, ap, bp, c, ldc),
+            _ => wide::<1, 1>(k, ap, bp, c, ldc),
+        }
+    }
+
+    /// The `R·MR × S·NR` tile of [`wide_tile`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    fn wide<const R: usize, const S: usize>(
+        k: usize,
+        ap: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        let a: [&[[f32; MR]]; R] =
+            std::array::from_fn(|r| ap[r * k * MR..][..k * MR].as_chunks().0);
+        let b: [&[[f32; NR]]; S] =
+            std::array::from_fn(|s| bp[s * k * NR..][..k * NR].as_chunks().0);
+        // Known lengths let the loop below index without bounds checks.
+        assert!(a.iter().all(|a| a.len() == k) && b.iter().all(|b| b.len() == k));
+        let mut acc = [[[_mm512_setzero_ps(); S]; MR]; R];
+        for kk in 0..k {
+            let b: [__m512; S] = std::array::from_fn(|s| load16(&b[s][kk]));
+            for (acc, a) in acc.iter_mut().zip(&a) {
+                for (row, &a) in acc.iter_mut().zip(&a[kk]) {
+                    let a = _mm512_set1_ps(a);
+                    for (v, &b) in row.iter_mut().zip(&b) {
+                        *v = _mm512_add_ps(*v, _mm512_mul_ps(a, b));
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (ii, row) in acc.iter().enumerate() {
+                let (out, _) = c[(r * MR + ii) * ldc..][..S * NR].as_chunks_mut::<NR>();
+                for (out, &v) in out.iter_mut().zip(row) {
+                    store16(out, v);
+                }
+            }
+        }
+    }
+
+    /// Sixteen floats into a register, as two eight-lane halves.
+    #[inline]
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    fn load16(src: &[f32; 16]) -> __m512 {
+        let (halves, _) = src.as_chunks::<8>();
+        let low = _mm512_castps_pd(_mm512_castps256_ps512(load(&halves[0])));
+        let high = _mm256_castps_pd(load(&halves[1]));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(low, high))
+    }
+
+    /// A register into sixteen floats, as two eight-lane halves.
+    #[inline]
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    fn store16(dst: &mut [f32; 16], v: __m512) {
+        let (halves, _) = dst.as_chunks_mut::<8>();
+        store(&mut halves[0], _mm512_castps512_ps256(v));
+        let high = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+        store(&mut halves[1], _mm256_castpd_ps(high));
     }
 
     /// [`super::few_rows`]: rows in groups of up to four, each group's
@@ -272,11 +366,11 @@ pub(crate) fn few_rows(
 
 /// Runs one packed GEMM: packs `b` once (strip-parallel), then fans the
 /// output's `MC`-row panels out over the work-stealing scheduler; each
-/// worker packs its own A-panel into a pooled buffer and walks
-/// `MR×NR` register tiles on `lanes`.
+/// worker packs its own A-panel into a pooled buffer and walks register
+/// tiles of up to two row strips by two column strips on `lanes`.
 ///
-/// `out` must already be shaped `m_out × n_out` and zeroed (or hold the
-/// values the accumulation chains should continue from).
+/// `out` must already be shaped `m_out × n_out`; every element is
+/// overwritten and none is read.
 pub(crate) fn packed_gemm(layout: Layout, a: &Matrix, b: &Matrix, out: &mut Matrix, lanes: Lanes) {
     let (m, n) = out.shape();
     let k_dim = match layout {
@@ -310,37 +404,28 @@ pub(crate) fn packed_gemm(layout: Layout, a: &Matrix, b: &Matrix, out: &mut Matr
         let mut a_pack = PoolBuf::take_stale(row_strips * MR * k_dim);
         pack_a_panel(layout, a, first_row, rows, MR, a_pack.as_mut_slice());
         let ap = a_pack.as_slice();
-        // Edge tiles run through the same microkernel against a
-        // zero-padded stack tile, then copy the live region back — the
-        // per-element chains are identical to a full tile's.
-        let mut edge = [0.0f32; MR * NR];
-        for s in 0..row_strips {
-            let strip_rows = MR.min(rows - s * MR);
-            let a_strip = &ap[s * MR * k_dim..][..MR * k_dim];
-            for js in 0..n_strips {
-                let strip_cols = NR.min(n - js * NR);
-                let b_strip = &b_pack[js * k_dim * NR..][..k_dim * NR];
+        // A tile past the output's edge runs into a stack tile — its
+        // padding rows and columns are the packs' zeros — and only its
+        // live region is copied out: the per-element chains are those of
+        // a full tile.
+        let mut edge = [0.0f32; 4 * MR * NR];
+        for s in (0..row_strips).step_by(2) {
+            let tile_rows = MR * (row_strips - s).min(2);
+            let live_rows = (rows - s * MR).min(tile_rows);
+            let a_tile = &ap[s * MR * k_dim..][..tile_rows * k_dim];
+            for js in (0..n_strips).step_by(2) {
+                let tile_cols = NR * (n_strips - js).min(2);
+                let live_cols = (n - js * NR).min(tile_cols);
+                let b_tile = &b_pack[js * k_dim * NR..][..tile_cols * k_dim];
                 let c0 = s * MR * cols + js * NR;
-                if strip_rows == MR && strip_cols == NR {
-                    tile(
-                        lanes,
-                        a_strip,
-                        b_strip,
-                        &mut span[c0..c0 + (MR - 1) * cols + NR],
-                        cols,
-                    );
+                if live_rows == tile_rows && live_cols == tile_cols {
+                    let c = &mut span[c0..c0 + (tile_rows - 1) * cols + tile_cols];
+                    tile(lanes, k_dim, a_tile, b_tile, c, cols);
                 } else {
-                    for ii in 0..strip_rows {
-                        let src = &span[c0 + ii * cols..c0 + ii * cols + strip_cols];
-                        edge[ii * NR..ii * NR + strip_cols].copy_from_slice(src);
-                    }
-                    for ii in strip_rows..MR {
-                        edge[ii * NR..(ii + 1) * NR].fill(0.0);
-                    }
-                    tile(lanes, a_strip, b_strip, &mut edge, NR);
-                    for ii in 0..strip_rows {
-                        let dst = &mut span[c0 + ii * cols..c0 + ii * cols + strip_cols];
-                        dst.copy_from_slice(&edge[ii * NR..ii * NR + strip_cols]);
+                    tile(lanes, k_dim, a_tile, b_tile, &mut edge, tile_cols);
+                    for ii in 0..live_rows {
+                        let dst = &mut span[c0 + ii * cols..][..live_cols];
+                        dst.copy_from_slice(&edge[ii * tile_cols..][..live_cols]);
                     }
                 }
             }
@@ -354,6 +439,7 @@ mod tests {
     use crate::lanes::{parse_family, with_lanes, GEMM_ENV};
     use crate::reference;
     use crate::rng::SeededRng;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_family_clamps_to_host() {
@@ -406,22 +492,34 @@ mod tests {
         assert!(!cpu_features().is_empty());
     }
 
+    /// The `r·MR × s·NR` product of random operands, packed: `(a, b, ap,
+    /// bp)` with `ap` the `r` A strips and `bp` the `s` B strips of depth
+    /// `k`.
+    fn packed_operands(
+        rng: &mut SeededRng,
+        r: usize,
+        k: usize,
+        s: usize,
+    ) -> (Matrix, Matrix, Vec<f32>, Vec<f32>) {
+        let a = rng.normal_matrix(r * MR, k, 1.0);
+        let b = rng.normal_matrix(k, s * NR, 1.0);
+        let (mut ap, mut bp) = (vec![0.0; r * MR * k], vec![0.0; s * NR * k]);
+        pack_a_panel(Layout::Nn, &a, 0, r * MR, MR, &mut ap);
+        for (j, strip) in bp.chunks_exact_mut(k * NR).enumerate() {
+            pack_b_strip(Layout::Nn, &b, j * NR, NR, strip);
+        }
+        (a, b, ap, bp)
+    }
+
     #[test]
     fn portable_tile_matches_reference_chain() {
         let mut rng = SeededRng::new(9);
-        let a = rng.normal_matrix(MR, 13, 1.0);
-        let b = rng.normal_matrix(13, NR, 1.0);
-        let mut ap = vec![0.0; MR * 13];
-        let mut bp = vec![0.0; 13 * NR];
-        pack_a_panel(Layout::Nn, &a, 0, MR, MR, &mut ap);
-        pack_b_strip(Layout::Nn, &b, 0, NR, &mut bp);
-        let mut c = vec![0.0f32; MR * NR];
-        tile_portable(&ap, &bp, &mut c, NR);
-        let want = reference::matmul(&a, &b);
-        for i in 0..MR {
-            for j in 0..NR {
-                assert_eq!(c[i * NR + j].to_bits(), want[(i, j)].to_bits());
-            }
+        for (r, s) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let (a, b, ap, bp) = packed_operands(&mut rng, r, 13, s);
+            let mut c = vec![f32::NAN; r * MR * s * NR];
+            tile_portable(13, &ap, &bp, &mut c, s * NR);
+            let c = Matrix::from_vec(r * MR, s * NR, c).unwrap();
+            assert_eq!(bits(&c), bits(&reference::matmul(&a, &b)), "{r}x{s} strips");
         }
     }
 
@@ -457,7 +555,6 @@ mod tests {
                     poison(len);
                     let mut out = Matrix::zeros(m, n);
                     packed_gemm(layout, lhs, rhs, &mut out, lanes);
-                    let bits = |m: &Matrix| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         bits(&out),
                         bits(&want),
@@ -468,29 +565,92 @@ mod tests {
         }
     }
 
+    /// The lanes of this host at either tile width: the narrowed token
+    /// (the eight-lane tile an AVX2-only host runs) and, where the host
+    /// has AVX-512F, the host's own (the sixteen-lane tile). On a host
+    /// without it, says so once per call.
+    fn tile_widths() -> Vec<Lanes> {
+        let host = Lanes::host();
+        if host == Lanes::Plain {
+            println!("note: no AVX2+FMA lanes on this host; only the plain tile ran");
+            return Vec::new();
+        }
+        if host == host.narrow() {
+            println!("note: no AVX-512F on this host; the 16-lane tile was skipped");
+            return vec![host];
+        }
+        vec![host.narrow(), host]
+    }
+
+    /// The keystone of golden-result stability on lanes: the multiply+add
+    /// lane tiles, eight and sixteen lanes wide, at every strip shape and
+    /// random depths from 1, reproduce the portable chains bit for bit
+    /// into an output that held NaN.
     #[test]
     fn lane_kernels_match_portable_tile_bitwise() {
-        // The mul+add lane kernel must reproduce the scalar chain exactly;
-        // this is the keystone of golden-result stability on lanes.
-        let lanes = Lanes::host();
-        if lanes == Lanes::Plain {
-            return; // host without lanes: nothing to check
-        }
         let mut rng = SeededRng::new(10);
-        for k in [1usize, 4, 7, 64] {
-            let a = rng.normal_matrix(MR, k, 1.0);
-            let b = rng.normal_matrix(k, NR, 1.0);
-            let mut ap = vec![0.0; MR * k];
-            let mut bp = vec![0.0; k * NR];
-            pack_a_panel(Layout::Nn, &a, 0, MR, MR, &mut ap);
-            pack_b_strip(Layout::Nn, &b, 0, NR, &mut bp);
-            let mut lane = vec![0.5f32; MR * NR];
-            let mut port = vec![0.5f32; MR * NR];
-            tile(lanes, &ap, &bp, &mut lane, NR);
-            tile_portable(&ap, &bp, &mut port, NR);
-            let lane_bits: Vec<u32> = lane.iter().map(|x| x.to_bits()).collect();
-            let port_bits: Vec<u32> = port.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(lane_bits, port_bits, "k={k}");
+        let widths = tile_widths();
+        let depths = [1, 2, 3, 4, 7, 16, 31, 64, 129];
+        let depths = depths.into_iter().chain((0..8).map(|_| 1 + rng.below(200)));
+        for k in depths.collect::<Vec<_>>() {
+            for (r, s) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+                let (_, _, ap, bp) = packed_operands(&mut rng, r, k, s);
+                let mut port = vec![f32::NAN; r * MR * s * NR];
+                tile_portable(k, &ap, &bp, &mut port, s * NR);
+                for &lanes in &widths {
+                    let mut lane = vec![f32::NAN; r * MR * s * NR];
+                    tile(lanes, k, &ap, &bp, &mut lane, s * NR);
+                    let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&lane), bits(&port), "{lanes:?} k={k} {r}x{s}");
+                }
+            }
+        }
+        if widths.len() == 2 {
+            println!("ran the 16-lane GEMM tile");
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The packed driver on the plain tile, the eight-lane tile and
+        /// (on a host with AVX-512F) the sixteen-lane tile is bitwise the
+        /// reference, in every layout: odd strip counts, partial strips,
+        /// row counts off `MR` and past one `MC` panel, into an output
+        /// full of NaN, which the tiles never read.
+        #[test]
+        fn packed_driver_on_each_width_is_bitwise_the_reference_oracle(
+            m in 1usize..MC + 20,
+            k in 1usize..48,
+            n in 1usize..5 * NR + 8,
+            layout in 0usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let (layout, lhs, rhs, want) = match layout {
+                0 => {
+                    let (a, b) = (rng.normal_matrix(m, k, 1.0), rng.normal_matrix(k, n, 1.0));
+                    let want = reference::matmul(&a, &b);
+                    (Layout::Nn, a, b, want)
+                }
+                1 => {
+                    let (a, b) = (rng.normal_matrix(m, k, 1.0), rng.normal_matrix(n, k, 1.0));
+                    let want = reference::matmul_nt(&a, &b);
+                    (Layout::Nt, a, b, want)
+                }
+                _ => {
+                    let (a, b) = (rng.normal_matrix(k, m, 1.0), rng.normal_matrix(k, n, 1.0));
+                    let want = reference::matmul_tn(&a, &b);
+                    (Layout::Tn, a, b, want)
+                }
+            };
+            for lanes in std::iter::once(Lanes::Plain).chain(tile_widths()) {
+                let mut out = Matrix::filled(m, n, f32::NAN);
+                packed_gemm(layout, &lhs, &rhs, &mut out, lanes);
+                assert_eq!(bits(&out), bits(&want), "{lanes:?} at {m}x{k}x{n}");
+            }
         }
     }
 }
