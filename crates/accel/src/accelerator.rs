@@ -776,136 +776,37 @@ mod tests {
     }
 }
 
-/// The simulate paths against themselves as they were before they counted
-/// (whole selection sampled, every group's schedule materialised), and on
-/// traces no inference would produce.
+/// The simulate paths' K/V schedules against the materialising scheduler
+/// (where they count group by group, [`sched::schedule_matrix`] builds the
+/// rounds of the whole selection; the rest of a report is `layer_report`'s
+/// on either path), and traces no inference would produce.
 #[cfg(test)]
 mod counting_tests {
     use super::*;
+    use crate::sched::{row_by_row_loads, schedule_matrix};
     use crate::synth::sample_selection;
     use dota_autograd::ParamSet;
     use dota_tensor::Matrix;
     use dota_transformer::{HeadTrace, InferenceHook, LayerTrace, Model, NoHook};
+    use std::collections::BTreeMap;
 
-    impl Accelerator {
-        fn simulate_shape_reference(
-            &self,
-            model: &TransformerConfig,
-            n: usize,
-            retention: f64,
-            sigma: f64,
-            profile: &SelectionProfile,
-        ) -> PerfReport {
-            let heads = model.n_heads as u64;
-            let layers = model.n_layers as u64;
-            let k_per_row = ((retention * n as f64).round() as usize).clamp(1, n);
-            let mut rng = SeededRng::new(0xacce1);
-            let (key_loads_head, rbr_head) = if retention < 1.0 {
-                let sel = sample_selection(n, k_per_row, profile, &mut rng);
-                let s = sched::schedule_matrix(
-                    &sel,
-                    self.config.token_parallelism,
-                    self.config.out_of_order,
-                );
-                (s.total_loads(), sched::row_by_row_loads(&sel))
-            } else {
-                let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
-                ((n as u64) * groups, (n as u64) * (n as u64))
-            };
-            let mut report = PerfReport::default();
-            let mut cursor = 0u64;
-            for l in 0..layers {
-                let layer = self
-                    .layer_report(
-                        model,
-                        n,
-                        k_per_row,
-                        retention,
-                        sigma,
-                        key_loads_head,
-                        rbr_head,
-                        l,
-                        false,
-                    )
-                    .expect("fault-free");
-                if dota_trace::enabled() {
-                    cursor = emit_stage_events(l, cursor, &layer.cycles);
-                }
-                report = report.add(&layer);
-            }
-            report.key_loads = key_loads_head * heads * layers;
-            report.key_loads_row_by_row = rbr_head * heads * layers;
-            report.retention = retention;
-            report
-        }
-
-        fn simulate_trace_reference(
-            &self,
-            model: &TransformerConfig,
-            trace: &ForwardTrace,
-        ) -> PerfReport {
-            let mut total = PerfReport::default();
-            let n = trace.layers[0].heads[0].q.rows();
-            let mut cursor = 0u64;
-            for (l, layer) in trace.layers.iter().enumerate() {
-                let mut kept_sum = 0u64;
-                let mut key_loads = 0u64;
-                let mut rbr = 0u64;
-                for head in &layer.heads {
-                    kept_sum += head.kept_connections();
-                    if let Some(sel) = &head.selected {
-                        let s = sched::schedule_matrix(
-                            sel,
-                            self.config.token_parallelism,
-                            self.config.out_of_order,
-                        );
-                        key_loads += s.total_loads();
-                        rbr += sched::row_by_row_loads(sel);
-                    } else {
-                        let groups = (n as u64).div_ceil(self.config.token_parallelism as u64);
-                        key_loads += n as u64 * groups;
-                        rbr += (n * n) as u64;
-                    }
-                }
-                let heads = layer.heads.len() as u64;
-                let retention = kept_sum as f64 / (heads * (n * n) as u64) as f64;
-                let k_per_row = (kept_sum as f64 / (heads as f64 * n as f64)).round() as usize;
-                let mut rep = self
-                    .layer_report(
-                        model,
-                        n,
-                        k_per_row.max(1),
-                        retention,
-                        0.0,
-                        key_loads / heads.max(1),
-                        rbr / heads.max(1),
-                        l as u64,
-                        false,
-                    )
-                    .expect("fault-free");
-                rep.key_loads = key_loads;
-                rep.key_loads_row_by_row = rbr;
-                rep.retention = retention;
-                if dota_trace::enabled() {
-                    cursor = emit_stage_events(l as u64, cursor, &rep.cycles);
-                }
-                total = total.add(&rep);
-            }
-            total
-        }
-    }
-
-    /// Runs `f` in a trace session of its own; its result and the counters
-    /// it recorded.
-    fn traced<R>(f: impl FnOnce() -> R) -> (R, std::collections::BTreeMap<String, u64>) {
+    /// Runs `f` in a trace session of its own; its result and the
+    /// scheduler's `sched.<dataflow>.*` counters it recorded
+    /// (`sched.ids_issued` is `layer_report`'s).
+    fn traced<R>(f: impl FnOnce() -> R) -> (R, BTreeMap<String, u64>) {
         let guard = dota_trace::session("counting");
         let result = f();
-        (result, guard.counters())
+        let mut counters = guard.counters();
+        counters.retain(|name, _| name.starts_with("sched.") && name != "sched.ids_issued");
+        (result, counters)
     }
 
     proptest::proptest! {
+        /// One head's sampled selection, scheduled whole: its loads and
+        /// row-by-row loads, times heads × layers, are the report's, and
+        /// its `sched.*` counters are those `simulate_shape` records.
         #[test]
-        fn simulate_shape_matches_materialised_oracle(
+        fn simulate_shape_schedules_like_schedule_matrix_oracle(
             n in 1usize..=300,
             retention in 0.01f64..1.0,
             profile in 0usize..3,
@@ -917,15 +818,25 @@ mod counting_tests {
                 SelectionProfile::uniform(),
                 SelectionProfile { window: 0, ..SelectionProfile::default() },
             ][profile];
+            let out_of_order = out_of_order == 1;
             let acc = Accelerator::new(AccelConfig {
                 token_parallelism,
-                out_of_order: out_of_order == 1,
+                out_of_order,
                 ..AccelConfig::default()
             });
             let model = TransformerConfig::tiny(300, 16, 2);
-            let want = traced(|| acc.simulate_shape_reference(&model, n, retention, 0.25, &profile));
-            let got = traced(|| acc.simulate_shape(&model, n, retention, 0.25, &profile));
-            proptest::prop_assert_eq!(got, want);
+            let (report, counters) =
+                traced(|| acc.simulate_shape(&model, n, retention, 0.25, &profile));
+            let k = ((retention * n as f64).round() as usize).clamp(1, n);
+            let sel = sample_selection(n, k, &profile, &mut SeededRng::new(0xacce1));
+            let ((loads, rbr), want) = traced(|| {
+                let s = schedule_matrix(&sel, token_parallelism, out_of_order);
+                (s.total_loads(), row_by_row_loads(&sel))
+            });
+            let copies = (model.n_heads * model.n_layers) as u64;
+            proptest::prop_assert_eq!(report.key_loads, loads * copies);
+            proptest::prop_assert_eq!(report.key_loads_row_by_row, rbr * copies);
+            proptest::prop_assert_eq!(counters, want);
         }
     }
 
@@ -951,12 +862,18 @@ mod counting_tests {
         }
     }
 
+    /// Every head of a sparse and of a dense trace, scheduled whole: the
+    /// summed loads and row-by-row loads are the report's, and the
+    /// `sched.*` counters are those `simulate_trace` records. A dense
+    /// head's schedule is that of full rows, which the simulator prices
+    /// without scheduling, so it records none.
     #[test]
-    fn simulate_trace_matches_materialised_oracle() {
+    fn simulate_trace_schedules_like_schedule_matrix_oracle() {
         let mut params = ParamSet::new();
         let tiny = TransformerConfig::tiny(48, 8, 2);
         let model = Model::init(tiny.clone(), &mut params, 3);
         let ids: Vec<usize> = (0..45).map(|i| i * 5 % 8).collect();
+        let full: Vec<Vec<u32>> = vec![(0..ids.len() as u32).collect(); ids.len()];
         for trace in [
             model.infer(&params, &ids, &StridedHook),
             model.infer(&params, &ids, &NoHook),
@@ -967,13 +884,28 @@ mod counting_tests {
                     out_of_order,
                     ..AccelConfig::default()
                 });
-                let want = traced(|| acc.simulate_trace_reference(&tiny, &trace));
-                let got = traced(|| acc.simulate_trace(&tiny, &trace));
+                let (report, counters) = traced(|| acc.simulate_trace(&tiny, &trace));
+                let scheduled = |sel: &[Vec<u32>]| {
+                    let s = schedule_matrix(sel, token_parallelism, out_of_order);
+                    (s.total_loads(), row_by_row_loads(sel))
+                };
+                // Outside a session: records nothing.
+                let dense = scheduled(&full);
+                let (want, want_counters) = traced(|| {
+                    let heads = trace.layers.iter().flat_map(|layer| &layer.heads);
+                    heads.fold((0, 0), |(loads, rbr), head| {
+                        let (l, r) = head.selected.as_deref().map_or(dense, scheduled);
+                        (loads + l, rbr + r)
+                    })
+                });
+                let case = format!("T = {token_parallelism}, out of order {out_of_order}");
                 assert_eq!(
-                    got, want,
-                    "T = {token_parallelism}, out of order {out_of_order}"
+                    (report.key_loads, report.key_loads_row_by_row),
+                    want,
+                    "{case}"
                 );
-                assert_eq!(acc.try_simulate_trace(&tiny, &trace).as_ref(), Ok(&want.0));
+                assert_eq!(counters, want_counters, "{case}");
+                assert_eq!(acc.try_simulate_trace(&tiny, &trace), Ok(report), "{case}");
             }
         }
     }

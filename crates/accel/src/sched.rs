@@ -1035,19 +1035,20 @@ mod tests {
 
     /// Three queries over six keys is where the greedy loses to in-order
     /// issue about once in a hundred groups: on every such group the
-    /// counting scheduler takes the fallback the materialising one takes.
+    /// counting scheduler takes the fallback the materialising one's
+    /// greedy calls for.
     #[test]
     fn counted_fallbacks_match_materialised_oracle() {
         use dota_tensor::rng::SeededRng;
         let mut rng = SeededRng::new(5);
         let mut counter = LoadCounter::new(true);
+        let mut buffers = IdBuffers::default();
         for _ in 0..2000 {
             let sel: Vec<Vec<u32>> = (0..3)
                 .map(|_| (0..6).filter(|_| rng.uniform() < 0.5).collect())
                 .collect();
             let in_order = in_order_schedule_impl(&sel);
-            let fallback =
-                locality_aware_schedule_oracle(&sel).total_loads() > in_order.total_loads();
+            let fallback = buffers.greedy(&sel).0.total_loads() > in_order.total_loads();
             let counts = counter.group(&sel);
             assert_eq!(counts.fallbacks, u64::from(fallback), "{sel:?}");
             if fallback {
@@ -1119,9 +1120,9 @@ mod tests {
             /// The same rows, and long ones (hundreds of keys over few
             /// hundred IDs, where a round repeats and the replay fires):
             /// the counting scheduler reports, group by group and summed,
-            /// the loads, rounds, assignments, reloads and fallbacks of the
-            /// materialised schedule, and records the same `sched.*`
-            /// counters.
+            /// the loads, rounds, assignments, reloads and fallbacks of
+            /// [`schedule_matrix`]'s rounds and recorded fallback, and
+            /// records the same `sched.*` counters.
             #[test]
             fn matrix_loads_matches_schedule_matrix_oracle(
                 short in proptest::collection::vec(
@@ -1147,19 +1148,12 @@ mod tests {
                         let mut counter = LoadCounter::new(out_of_order);
                         let mut total = LoadCounts::default();
                         for group in sel.chunks(t) {
-                            let greedy = locality_aware_schedule_oracle(group);
-                            let in_order = in_order_schedule_impl(group);
-                            let fallback =
-                                out_of_order && greedy.total_loads() > in_order.total_loads();
-                            let s = if out_of_order && !fallback { greedy } else { in_order };
+                            let materialised = dota_trace::session("group");
+                            let s = schedule_matrix(group, t, out_of_order);
+                            let fallbacks = materialised.counters().get("sched.ooo.fallbacks").copied();
+                            drop(materialised);
                             let distinct: BTreeSet<u32> = group.iter().flatten().copied().collect();
-                            let want = LoadCounts {
-                                loads: s.total_loads(),
-                                rounds: s.round_count() as u64,
-                                assignments: s.total_assignments(),
-                                reloads: s.total_loads() - distinct.len() as u64,
-                                fallbacks: u64::from(fallback),
-                            };
+                            let want = LoadCounts::of(&s, distinct.len() as u64, fallbacks.unwrap_or(0));
                             prop_assert_eq!(counter.group(group), want);
                             total += want;
                         }

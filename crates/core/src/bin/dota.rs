@@ -8,8 +8,10 @@
 //! dota serve [--bench] [--out FILE]           # continuous-batching load test
 //! dota serve --chaos [--out FILE]             # fault-rate x load availability sweep
 //! dota serve --metrics-addr H:P [--flight-out F]  # live telemetry plane
-//! dota top --addr H:P                         # terminal dashboard over /metrics
 //! ```
+//!
+//! A live run is watched by scraping its endpoint:
+//! `curl -s H:P/metrics | grep '^dota_serve_'`.
 //!
 //! Every command accepts the global observability flags `--trace <path>`
 //! (Chrome-trace JSON, open in `chrome://tracing` or Perfetto),
@@ -34,8 +36,6 @@ mod infer;
 mod report;
 #[path = "dota/serve.rs"]
 mod serve;
-#[path = "dota/top.rs"]
-mod top;
 #[path = "dota/train.rs"]
 mod train;
 
@@ -77,7 +77,6 @@ fn run() -> Result<ExitCode, String> {
         "report" => report::cmd_report(args),
         "faults" => faults::cmd_faults(args),
         "serve" => serve::cmd_serve(args),
-        "top" => top::cmd_top(args),
         "help" | "-h" => args.finish("dota help").map(|()| println!("{}", usage())),
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
@@ -220,21 +219,15 @@ commands:
                                   quarantined lanes, per-lane skew; the
                                   bound address is printed to stderr, port
                                   0 picks a free one; the endpoint stays
-                                  up after the run until SIGTERM);
+                                  up after the run until SIGTERM; watch
+                                  it with `curl -s HOST:PORT/metrics |
+                                  grep '^dota_serve_'`);
                                   --flight-out dumps the flight recorder —
                                   a bounded ring of cycle-stamped engine
                                   events (admissions, terminals, rung/gate
                                   flips, retries, quarantine) — as
                                   byte-deterministic JSON, also written to
                                   flight.json on typed failure or SIGTERM
-  top --addr HOST:PORT [--interval-ms N] [--ticks N | --once]
-                                  terminal dashboard polling a /metrics
-                                  endpoint: occupancy, queue depth, SLO
-                                  hit-rate/burn sparklines, retention
-                                  rung, admission gate, per-lane retained
-                                  work and skew; --ticks/--once bound the
-                                  number of polls (and keep the output
-                                  pipeable)
   serve --chaos [--shed queue|retention|slo] [--chaos-rates R1,R2]
         [--chaos-sites a,b] [--chaos-seed S] [--retry-cap N]
         [--retry-backoff CYCLES] [--quarantine CYCLES]

@@ -1,6 +1,6 @@
 //! Never-panic properties for the outside inputs the serve path parses:
 //! `--faults` specs and site names, `--shed` policies, `/metrics` scrapes
-//! (`dota top`, the exposition linter) and the JSON `report diff` and
+//! (the exposition linter and sample reader) and the JSON `report diff` and
 //! `analyze --serve` read. Each parser sees arbitrary bytes (lossy UTF-8)
 //! and mutations of a valid document, and must answer `Ok` or `Err` —
 //! never panic — in bounded time. The numbers `dota serve` takes run the

@@ -10,8 +10,8 @@
 //! [`validate`] is the strict line-grammar check the tests and CI lint
 //! scraped output with: metric-name and label grammar, declared types,
 //! duplicate detection, and for every histogram monotone non-decreasing
-//! cumulative buckets. [`parse`] is the lenient sample reader `dota top`
-//! uses.
+//! cumulative buckets. [`parse`] is the lenient sample reader the
+//! `validate_exposition` example summarises a scrape with.
 
 use crate::gauges::GaugesSample;
 use dota_metrics::{fmt_f64, Histogram};

@@ -4,7 +4,7 @@
 //! `GET /metrics` from a background accept thread by calling a
 //! caller-supplied render closure at scrape time (so every scrape sees a
 //! fresh snapshot), and shuts down cooperatively. [`get`] is the
-//! matching two-line client used by `dota top` and the smoke tests.
+//! matching two-line client the endpoint tests scrape with.
 //! Deliberately tiny: one request per connection, `Connection: close`,
 //! no keep-alive, no TLS — this is an operator loopback port, not a web
 //! server.

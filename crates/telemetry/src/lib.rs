@@ -20,16 +20,15 @@
 //!   which the endpoint reads at scrape time.
 //! * [`http`] — a minimal blocking HTTP/1.1 listener
 //!   ([`MetricsServer`]) serving `GET /metrics` from a background
-//!   thread, plus the tiny client [`http::get`] that `dota top` and the
-//!   tests poll it with. Zero dependencies: `std::net` only.
+//!   thread, plus the tiny client [`http::get`] the tests scrape it
+//!   with. Zero dependencies: `std::net` only. An operator's live view
+//!   is a scrape: `curl -s HOST:PORT/metrics | grep '^dota_serve_'`.
 //! * [`flight`] — a bounded ring buffer ([`FlightRecorder`]) keeping the
 //!   tail of the stream's control history: admissions, terminals, controller
 //!   rung changes and gate flips, fault retries, quarantine
 //!   enter/probe/exit. Dumped as canonical, byte-deterministic
 //!   `flight.json` on typed failure, on SIGTERM, or via `--flight-out`,
 //!   and diffable with `dota report diff`.
-//! * [`top`] — rendering for the `dota top` terminal dashboard
-//!   (sparklines over polled gauge history).
 //!
 //! Everything here is **observation-only**: recorders never feed back
 //! into scheduling, so every committed baseline stays byte-identical
@@ -44,7 +43,6 @@ pub mod exposition;
 pub mod flight;
 pub mod gauges;
 pub mod http;
-pub mod top;
 
 pub use event::{
     DeadlineClass, EventSink, FinishReason, ServeEvent, SloReading, StepRecord, Transition,

@@ -227,16 +227,17 @@ fn cli_rejects_non_unicode_dota_env() {
 }
 
 /// The figure subcommands are gone outright (the `dota-bench` binaries are
-/// the one door to each table and figure): asking for one is an unknown
-/// command, answered with the usage text.
+/// the one door to each table and figure), and so is `dota top` (a live
+/// run is watched by scraping `/metrics`): asking for one is an unknown
+/// command, exit 1, answered with the usage text.
 #[test]
 fn cli_has_no_figure_subcommands() {
-    for removed in ["table2", "speedup", "energy", "simulate", "decode"] {
+    for removed in ["table2", "speedup", "energy", "simulate", "decode", "top"] {
         let out = Command::new(env!("CARGO_BIN_EXE_dota"))
             .args([removed])
             .output()
             .unwrap();
-        assert!(!out.status.success(), "`dota {removed}` still runs");
+        assert_eq!(out.status.code(), Some(1), "`dota {removed}` still runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("unknown command `{removed}`"))
@@ -359,7 +360,6 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         ("train text --seq 100000000000", "100000000000"),
         ("faults --seq 100000000000", "100000000000"),
         ("infer text --seq 4097", "--seq 4097 must be in 16..=4096"),
-        ("top --addr 127.0.0.1:1 --ticks 0", "--ticks 0"),
         ("faults --rates 2,-1,NaN", "fault rate 2 outside"),
         ("faults --rates 0.5,-1", "fault rate -1 outside"),
         ("faults --rates NaN", "fault rate NaN outside"),
@@ -373,13 +373,11 @@ fn cli_rejects_out_of_range_and_unknown_flags() {
         ("faults --rate 0.5", "`--rate` for `dota faults`"),
         ("train text --lr-typo 3", "`--lr-typo` for `dota train`"),
         ("report diff a b --tl 1", "`--tl` for `dota report`"),
-        ("top --adr 127.0.0.1:1", "`--adr` for `dota top`"),
         ("infer text extra", "`extra` for `dota infer`"),
         ("train text qa", "`qa` for `dota train`"),
         ("report diff a b c", "`c` for `dota report`"),
         ("serve --requests 2 --load 1 --loads 2", "`--load` for"),
         ("infer text --fault-seed 3", "`--fault-seed` for"),
-        ("top --addr 127.0.0.1:1 --once --ticks 5", "`--ticks` for"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dota"))
             .args(args.split(' '))
