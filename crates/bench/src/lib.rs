@@ -81,11 +81,13 @@ fn start_sessions(
     SessionFiles(Some(sessions))
 }
 
-/// The profile-only binding for binaries that run [`counter_scenarios`],
-/// which open their own exclusive trace sessions (the profiling gate is
-/// independent of the trace gate), over `args` once the binary has read
-/// its own switches from them: validates the environment and honours
-/// `--profile`; `--trace`/`--counters`/`--hists` are unknown flags here.
+/// The profile-only binding, over `args` once the binary has read its own
+/// switches from them: validates the environment and honours `--profile`;
+/// `--trace`/`--counters`/`--hists` are unknown flags here. For
+/// `counters_baseline`, whose [`counter_scenarios`] open their own
+/// exclusive trace sessions (the profiling gate is independent of the
+/// trace gate), and `bench_report`, whose timings a recording session
+/// would skew.
 /// Hold it for the whole `main`.
 pub fn profile_session(label: &str, args: Args) -> SessionFiles {
     start_sessions(label, args, Sessions::profile_from_args)
@@ -110,8 +112,8 @@ impl Drop for SessionFiles {
 /// // ... the run ...
 /// ```
 ///
-/// Binaries that open internal trace sessions use [`run_manifest`] plus
-/// [`profile_session`] instead.
+/// Binaries that open internal trace sessions or time kernels use
+/// [`run_manifest`] plus [`profile_session`] instead.
 pub struct ObsInit {
     // Field order is load-bearing: fields drop in declaration order, so
     // the manifest finalizes first — capturing the counter snapshot while
@@ -138,8 +140,7 @@ pub fn obs_init(label: &str) -> ObsInit {
 /// drop in reverse declaration order, so the manifest finalizes (and
 /// captures the live counter snapshot) while the trace session is still
 /// recording. The `parallel` feature flag, `DOTA_THREADS` budget, git sha,
-/// host and wall clock are collected automatically; config knobs are
-/// recorded via [`ManifestGuard::config`].
+/// host and wall clock are collected automatically.
 pub struct ManifestGuard {
     manifest: dota_metrics::Manifest,
     started: std::time::Instant,
@@ -155,16 +156,6 @@ pub fn run_manifest(label: &str) -> ManifestGuard {
     ManifestGuard {
         manifest,
         started: std::time::Instant::now(),
-    }
-}
-
-impl ManifestGuard {
-    /// Records one configuration knob (retention grid, sequence lengths,
-    /// sample counts, …).
-    pub fn config(&mut self, key: &str, value: impl ToString) {
-        self.manifest
-            .config
-            .insert(key.to_owned(), value.to_string());
     }
 }
 
@@ -187,9 +178,8 @@ impl Drop for ManifestGuard {
     }
 }
 
-/// The deterministic counter scenarios shared by `bench_report` (counter
-/// summary section) and `counters_baseline` (regression check against the
-/// committed baseline).
+/// The deterministic counter scenarios `counters_baseline` checks against
+/// the committed `results/counters_baseline.json`.
 ///
 /// Each scenario runs inside its own exclusive [`dota_trace`] session and
 /// returns its full counter snapshot. Every input is seeded and every

@@ -1,20 +1,25 @@
 //! The figure binaries go through the same environment validation and
 //! argument reader as the `dota` CLI: a malformed `DOTA_*` variable, one
 //! nothing reads (`DOTA_PROF`, once a second spelling of `--profile`) or
-//! an argument the binary does not read (`counters_baseline --chek`, or
-//! `--trace` beside its profile-only binding) ends the run before any
-//! work, instead of silently regenerating a committed result under the
-//! wrong settings.
+//! an argument the binary does not read (`counters_baseline --chek`,
+//! `--trace` beside the profile-only binding of `counters_baseline` and
+//! `bench_report`, or `bench_report --quick`, whose allocation pins are
+//! tests now) ends the run before any work,
+//! instead of silently regenerating a committed result under the wrong
+//! settings.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 #[test]
 fn figure_binary_rejects_malformed_env_before_any_work() {
-    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let written = |bin: &str| {
-        let meta = std::fs::metadata(results.join(format!("{bin}.json")));
-        meta.and_then(|m| m.modified()).ok()
+        let path = match bin {
+            "bench_report" => root.join("BENCH_kernels.json"),
+            _ => root.join(format!("results/{bin}.json")),
+        };
+        std::fs::metadata(path).and_then(|m| m.modified()).ok()
     };
     // `NAME=value` sets a variable, else the arguments; the error names it.
     for (bin, input) in [
@@ -25,10 +30,13 @@ fn figure_binary_rejects_malformed_env_before_any_work() {
         ("table2_area", "--trase x"),
         ("counters_baseline", "--chek"),
         ("counters_baseline", "--trace t.json --check"),
+        ("bench_report", "--quick"),
+        ("bench_report", "--trace t.json"),
     ] {
         let before = written(bin);
         let mut command = Command::new(match bin {
             "table2_area" => env!("CARGO_BIN_EXE_table2_area"),
+            "bench_report" => env!("CARGO_BIN_EXE_bench_report"),
             _ => env!("CARGO_BIN_EXE_counters_baseline"),
         });
         match input.split_once('=') {
@@ -44,6 +52,6 @@ fn figure_binary_rejects_malformed_env_before_any_work() {
             "stderr for {input:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{input:?}: work ran first");
-        assert_eq!(written(bin), before, "{input:?}: results/ touched");
+        assert_eq!(written(bin), before, "{input:?}: its output touched");
     }
 }

@@ -11,11 +11,10 @@
 //!   (`dota train --metrics-out`);
 //! * [`Histogram`] — streaming, mergeable log-bucketed histograms with
 //!   quantile queries, used for attention-score / detector-score
-//!   distributions and for kernel wall-times (p50/p95/p99 in
-//!   `bench_report`). A process-wide session-gated registry
-//!   ([`hist_session`] / [`observe`]) lets instrumented hot paths feed
-//!   named histograms with one relaxed atomic load of overhead when
-//!   collection is off;
+//!   distributions and for `dota-prof`'s kernel latencies. A process-wide
+//!   session-gated registry ([`hist_session`] / [`observe`]) lets
+//!   instrumented hot paths feed named histograms with one relaxed atomic
+//!   load of overhead when collection is off;
 //! * [`Manifest`] — a provenance record (git sha, seed, config, thread
 //!   count, features, counters, wall-clock, host) written next to every
 //!   result file, consumed by `dota report diff` for cross-run regression

@@ -12,7 +12,8 @@
 //! allocations: the thread pool spawns scoped workers per dispatch, so
 //! thread-locals would die with them, but the free list survives — after
 //! the first few calls the packed path's steady-state heap traffic is
-//! zero. `bench_report --quick` asserts that budget under `prof-alloc`.
+//! zero. `dota-bench`'s `tests/alloc_pins.rs` holds it to a budget under
+//! `prof-alloc`.
 
 use crate::Matrix;
 use std::sync::Mutex;
