@@ -7,6 +7,7 @@ use dota_faults::FaultSite;
 use dota_quant::rmmu::RmmuConfig;
 use dota_quant::Precision;
 use dota_tensor::rng::SeededRng;
+use dota_tensor::topk::keep_count;
 use dota_transformer::{ForwardTrace, TransformerConfig};
 
 /// Configuration of one DOTA accelerator (paper Table 2 defaults).
@@ -296,7 +297,7 @@ impl Accelerator {
         );
         let heads = model.n_heads as u64;
         let layers = model.n_layers as u64;
-        let k_per_row = ((retention * n as f64).round() as usize).clamp(1, n);
+        let k_per_row = keep_count(retention, n);
 
         // One representative head's K/V schedule, counted one
         // token-parallel group at a time as the rows are sampled.
@@ -827,7 +828,7 @@ mod counting_tests {
             let model = TransformerConfig::tiny(300, 16, 2);
             let (report, counters) =
                 traced(|| acc.simulate_shape(&model, n, retention, 0.25, &profile));
-            let k = ((retention * n as f64).round() as usize).clamp(1, n);
+            let k = keep_count(retention, n);
             let sel = sample_selection(n, k, &profile, &mut SeededRng::new(0xacce1));
             let ((loads, rbr), want) = traced(|| {
                 let s = schedule_matrix(&sel, token_parallelism, out_of_order);
@@ -987,7 +988,7 @@ mod fault_tests {
     /// A trace of `model` at sequence length `n` in which every head keeps
     /// the same sampled selection, `retention` of each row.
     fn shape_trace(model: &TransformerConfig, n: usize, retention: f64) -> ForwardTrace {
-        let k = ((retention * n as f64).round() as usize).clamp(1, n);
+        let k = keep_count(retention, n);
         let mut rng = SeededRng::new(0xacce1);
         let head = HeadTrace {
             selected: Some(sample_selection(

@@ -398,7 +398,7 @@ fn attention_rows() -> Vec<AttnRow> {
         // Structured strided selection at the paper's ~10% retention; the
         // report times the attention arithmetic, not detection (Fig. 12c
         // shows detection is a small share of latency).
-        let kept = ((retention * n as f64).round() as usize).clamp(1, n);
+        let kept = topk::keep_count(retention, n);
         let sel_row: Vec<u32> = (0..kept).map(|j| (j * n / kept) as u32).collect();
         let selected = vec![sel_row; n];
         let dense = median_ns(3, || {

@@ -3,8 +3,9 @@
 //! Default mode re-runs the deterministic counter scenarios (see
 //! `dota_bench::counter_scenarios`) and rewrites the committed baseline at
 //! `results/counters_baseline.json`. `--check` mode re-runs the scenarios
-//! and diffs them against the committed baseline instead, exiting non-zero
-//! on any drift — run it in CI after behaviour-changing simulator work and
+//! and diffs them against the committed baseline instead, through the
+//! differ behind `dota report diff` at zero tolerance, exiting non-zero on
+//! any drift — run it in CI after behaviour-changing simulator work and
 //! regenerate the baseline deliberately when a change is intended:
 //!
 //! ```text
@@ -16,7 +17,9 @@
 //! check is bitwise stable across hosts, thread counts and the `parallel`
 //! feature — any diff is a real behaviour change, not noise.
 
+use dota_core::report::{diff_values, DiffOptions, DiffReport};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 #[derive(Serialize, Deserialize)]
@@ -53,110 +56,15 @@ fn baseline_path() -> std::path::PathBuf {
     p
 }
 
-/// One drifted counter, for the mismatch table.
-struct DiffRow {
-    scenario: String,
-    key: String,
-    expected: Option<u64>,
-    actual: Option<u64>,
-}
-
-impl DiffRow {
-    /// Signed relative error of `actual` vs `expected`, rendered as a
-    /// percentage; "n/a" when either side is absent or the baseline is 0.
-    fn rel_error(&self) -> String {
-        match (self.expected, self.actual) {
-            (Some(e), Some(a)) if e != 0 => {
-                let rel = (a as f64 - e as f64) / e as f64;
-                format!("{:+.4}%", rel * 100.0)
-            }
-            _ => "n/a".to_owned(),
-        }
-    }
-}
-
-fn fmt_opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "<absent>".to_owned(), |v| v.to_string())
-}
-
-/// Prints every difference between the committed and current counters as
-/// an aligned table (scenario, counter, expected, actual, relative
-/// error). Returns the number of differences.
-fn diff(committed: &Baseline, now: &Baseline) -> usize {
-    let mut rows: Vec<DiffRow> = Vec::new();
-    let mut structural = 0usize;
-    let committed_by_name: BTreeMap<&str, &Scenario> = committed
-        .scenarios
-        .iter()
-        .map(|s| (s.scenario.as_str(), s))
-        .collect();
-    for cur in &now.scenarios {
-        let Some(base) = committed_by_name.get(cur.scenario.as_str()) else {
-            println!("  {}: missing from committed baseline", cur.scenario);
-            structural += 1;
-            continue;
-        };
-        let keys: std::collections::BTreeSet<&String> =
-            base.counters.keys().chain(cur.counters.keys()).collect();
-        for key in keys {
-            let (b, c) = (base.counters.get(key), cur.counters.get(key));
-            if b != c {
-                rows.push(DiffRow {
-                    scenario: cur.scenario.clone(),
-                    key: key.clone(),
-                    expected: b.copied(),
-                    actual: c.copied(),
-                });
-            }
-        }
-    }
-    for base in &committed.scenarios {
-        if !now.scenarios.iter().any(|s| s.scenario == base.scenario) {
-            println!("  {}: no longer produced", base.scenario);
-            structural += 1;
-        }
-    }
-    if !rows.is_empty() {
-        let mut widths = [
-            "scenario".len(),
-            "counter".len(),
-            "expected".len(),
-            "actual".len(),
-        ];
-        for r in &rows {
-            widths[0] = widths[0].max(r.scenario.len());
-            widths[1] = widths[1].max(r.key.len());
-            widths[2] = widths[2].max(fmt_opt(r.expected).len());
-            widths[3] = widths[3].max(fmt_opt(r.actual).len());
-        }
-        println!(
-            "  {:<w0$}  {:<w1$}  {:>w2$}  {:>w3$}  {:>10}",
-            "scenario",
-            "counter",
-            "expected",
-            "actual",
-            "rel error",
-            w0 = widths[0],
-            w1 = widths[1],
-            w2 = widths[2],
-            w3 = widths[3],
-        );
-        for r in &rows {
-            println!(
-                "  {:<w0$}  {:<w1$}  {:>w2$}  {:>w3$}  {:>10}",
-                r.scenario,
-                r.key,
-                fmt_opt(r.expected),
-                fmt_opt(r.actual),
-                r.rel_error(),
-                w0 = widths[0],
-                w1 = widths[1],
-                w2 = widths[2],
-                w3 = widths[3],
-            );
-        }
-    }
-    rows.len() + structural
+/// The baseline as one object, scenario name → counters, so the path of
+/// every drift names its scenario and its counter.
+fn keyed(b: &Baseline) -> Value {
+    Value::Object(
+        b.scenarios
+            .iter()
+            .map(|s| (s.scenario.clone(), s.counters.to_value()))
+            .collect(),
+    )
 }
 
 fn main() {
@@ -178,17 +86,33 @@ fn main() {
             std::process::exit(2);
         });
         println!("Counter regression check against {}", path.display());
-        let diffs = diff(&committed, &now);
-        if diffs == 0 {
-            let total: usize = now.scenarios.iter().map(|s| s.counters.len()).sum();
+        // The differ compares numbers as `f64`, which holds every counter
+        // exactly: the largest committed one (2,621,440) is far below 2^53,
+        // so at tolerance 0 any change is a finding.
+        let opts = DiffOptions {
+            tolerance: 0.0,
+            ignore_keys: Vec::new(),
+            allow_added: false,
+        };
+        let mut report = DiffReport {
+            compared_files: 1,
+            ..DiffReport::default()
+        };
+        let name = "counters_baseline.json";
+        diff_values(name, &keyed(&committed), &keyed(&now), &opts, &mut report);
+        if report.has_regressions() {
+            print!("{}", report.render());
             println!(
-                "OK: {} scenarios, {total} counters, all identical to baseline",
-                now.scenarios.len()
+                "FAIL: {} counter(s) drifted from the committed baseline",
+                report.findings.len()
             );
-        } else {
-            println!("FAIL: {diffs} counter(s) drifted from the committed baseline");
             std::process::exit(1);
         }
+        let total: usize = now.scenarios.iter().map(|s| s.counters.len()).sum();
+        println!(
+            "OK: {} scenarios, {total} counters, all identical to baseline",
+            now.scenarios.len()
+        );
     } else {
         // Rewrite mode records provenance for the regenerated baseline;
         // `--check` is read-only and leaves no manifest behind. No

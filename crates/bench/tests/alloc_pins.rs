@@ -29,13 +29,12 @@ use dota_accel::{AccelConfig, Accelerator};
 use dota_autograd::ParamSet;
 use dota_detector::decode::DotaDecodeSelector;
 use dota_detector::{DetectorConfig, DotaHook};
-use dota_serve::WindowSelector;
 use dota_tensor::lanes::Lanes;
 use dota_tensor::rng::SeededRng;
 use dota_tensor::Matrix;
 use dota_transformer::{
     DecodeItem, DecodeScratch, DecodeSelector, DenseDecode, InferenceHook, KvCache, Model,
-    TransformerConfig,
+    TransformerConfig, WindowSelector,
 };
 
 /// Opens this test's profiling session and checks that the counting

@@ -41,7 +41,7 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
         return cmd_serve_chaos(opts, args);
     }
     if let Some(spec) = args.value("--shed")? {
-        opts.sheds = match spec.trim().to_ascii_lowercase().as_str() {
+        opts.sheds = match spec.as_str() {
             "both" => vec![
                 dota_serve::ShedPolicy::QueueOnly,
                 dota_serve::ShedPolicy::Retention,
@@ -223,12 +223,12 @@ fn cmd_serve_chaos(bench: dota_serve::BenchOptions, mut args: Args) -> Result<()
         ..Default::default()
     };
     if let Some(spec) = args.value("--shed")? {
-        if spec.trim().eq_ignore_ascii_case("both") {
+        if spec == "both" {
             return Err("a chaos campaign runs one shed policy per report; \
                  use --shed queue|retention|slo"
                 .to_owned());
         }
-        opts.shed = dota_serve::ShedPolicy::parse(spec.trim())?;
+        opts.shed = dota_serve::ShedPolicy::parse(&spec)?;
     }
     read_chaos_lists(&mut args, &mut opts)?;
     opts.fault_seed = args.number("--chaos-seed")?.unwrap_or(opts.fault_seed);

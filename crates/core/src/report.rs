@@ -321,8 +321,10 @@ fn diff_jsonl(
     Ok(())
 }
 
-/// Recursive structural diff of two JSON values.
-fn diff_values(path: &str, a: &Value, b: &Value, opts: &DiffOptions, report: &mut DiffReport) {
+/// Recursive structural diff of two JSON values, run A's `a` against run
+/// B's `b`, adding what it compares and finds to `report`; `path` prefixes
+/// every finding's path.
+pub fn diff_values(path: &str, a: &Value, b: &Value, opts: &DiffOptions, report: &mut DiffReport) {
     match (a, b) {
         (Value::Object(fa), Value::Object(fb)) => {
             for (k, va) in fa {

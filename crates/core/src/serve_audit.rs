@@ -35,6 +35,7 @@
 //! so audits diff clean via `dota report diff`.
 
 use dota_metrics::{fmt_f64, JsonWriter, ToJson};
+use dota_tensor::topk;
 use serde_json::Value;
 
 /// Audit format version (bump on any schema change).
@@ -204,16 +205,6 @@ fn array<'a>(v: &'a Value, name: &str) -> Result<&'a [Value], String> {
     }
 }
 
-/// Positions the retention window attends over a context of `t` cached
-/// positions, per layer and head: `ceil(r·t)` clamped to `[1, t]`
-/// (mirrors `dota_serve::WindowSelector`; dense retention attends all).
-fn window_size(retention: f64, t: u64) -> u64 {
-    if retention >= 1.0 {
-        return t;
-    }
-    (((retention * t as f64).ceil() as u64).max(1)).min(t)
-}
-
 struct ParsedRequest {
     id: u64,
     reason: String,
@@ -262,8 +253,9 @@ fn parse_request(r: &Value, layers_heads: u64) -> Result<ParsedRequest, String> 
     // service split tiles the in-slot time, cycle for cycle.
     let decomposition_ok = queue + prefill + decode == e2e && weight + kv + hol == prefill + decode;
 
-    // Identity 2: the attended counts are exactly what the retention
-    // window would attend over the recorded per-step contexts.
+    // Identity 2: the attended counts are exactly what the serving window
+    // keeps over the recorded per-step contexts, by the selector's own
+    // rule (`topk::window_count`, which `WindowSelector` answers with).
     let mut expected_attended = 0u64;
     let mut total_steps_ok = true;
     let mut step_sum = 0u64;
@@ -276,7 +268,7 @@ fn parse_request(r: &Value, layers_heads: u64) -> Result<ParsedRequest, String> 
         }
         let step_attended = as_u64(&cols[4], "step attended")?;
         let context = as_u64(&cols[6], "step context")?;
-        expected_attended += layers_heads * window_size(retention, context);
+        expected_attended += layers_heads * topk::window_count(retention, context as usize) as u64;
         step_sum += step_attended;
         if as_u64(&cols[4], "attended")? + as_u64(&cols[5], "omitted")? != layers_heads * context {
             total_steps_ok = false;
@@ -780,6 +772,30 @@ mod tests {
         let audit = audit(&doc, 2).unwrap();
         assert!(!audit.cells[0].ladder_consistent);
         assert!(audit.cells[0].decomposition_consistent);
+
+        // At r = 0.4 and context 3 the window keeps ceil(1.2) = 2 positions
+        // and the detector's round rule 1: the audit follows the window.
+        let edit = |doc: String, from: &str, to: &str| {
+            assert!(doc.contains(from), "corruption target `{from}` must exist");
+            doc.replacen(from, to, 1)
+        };
+        for (kept, consistent) in [(2, true), (1, false)] {
+            let (step, omitted) = (4 * kept, 4 * (3 - kept));
+            let doc = edit(
+                SAMPLE_JSON.to_owned(),
+                "\"retention\":0.5",
+                "\"retention\":0.4",
+            );
+            let totals = format!("\"attended\":{},\"omitted\":{omitted}", 4 + step);
+            let doc = edit(doc, "\"attended\":12,\"omitted\":8", &totals);
+            let steps = format!("[120,120,60,20,{step},{omitted},3]");
+            let doc = edit(doc, "[120,120,60,20,8,8,4]", &steps);
+            let cells = super::audit(&serde_json::parse(&doc).unwrap(), 2)
+                .unwrap()
+                .cells;
+            assert_eq!(cells[0].ladder_consistent, consistent, "lh·{kept}");
+            assert!(cells[0].decomposition_consistent);
+        }
     }
 
     #[test]
@@ -800,31 +816,6 @@ mod tests {
         assert!(a.to_json().contains("\"ladder_consistent\":true"));
         assert!(a.render_text().contains("worst burn"));
         assert!(serde_json::parse(&a.to_json()).is_ok());
-    }
-
-    /// The audit's closed form and the selector agree on every rung of the
-    /// default ladder at every context, the empty cache included (where
-    /// the window keeps nothing rather than panicking).
-    #[test]
-    fn window_selector_length_matches_window_size() {
-        use dota_transformer::DecodeSelector;
-        let x = dota_tensor::Matrix::zeros(1, 4);
-        for &r in &dota_serve::ServeConfig::default().ladder {
-            let selector = dota_serve::WindowSelector::new(r);
-            for t in 0..=64usize {
-                let kept = selector.select(0, 0, &x, t).map_or(t, |keep| keep.len());
-                assert_eq!(kept as u64, window_size(r, t as u64), "r={r} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn window_size_matches_selector_semantics() {
-        assert_eq!(window_size(1.0, 5), 5);
-        assert_eq!(window_size(0.5, 5), 3); // ceil(2.5)
-        assert_eq!(window_size(0.125, 1), 1); // clamp to at least 1
-        assert_eq!(window_size(0.125, 8), 1);
-        assert_eq!(window_size(0.125, 9), 2); // ceil(1.125)
     }
 
     #[test]

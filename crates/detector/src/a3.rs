@@ -94,7 +94,7 @@ impl InferenceHook for A3Hook {
         let (c0, c1) = (head * self.head_dim, (head + 1) * self.head_dim);
         let scores = a3_scores(&q.slice_cols(c0, c1), &k.slice_cols(c0, c1), self.dims_used);
         let n = x.rows();
-        let kpr = ((self.retention * n as f64).round() as usize).clamp(1, n);
+        let kpr = topk::keep_count(self.retention, n);
         Some(
             topk::top_k_rows(&scores, kpr)
                 .into_iter()

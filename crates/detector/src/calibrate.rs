@@ -80,7 +80,7 @@ pub fn calibrate_thresholds(
                 pooled.extend(scores.iter().copied());
             }
             pooled.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-            let keep = ((retention * pooled.len() as f64).round() as usize).clamp(1, pooled.len());
+            let keep = topk::keep_count(retention, pooled.len());
             thresholds[l][h] = pooled[keep - 1];
         }
     }

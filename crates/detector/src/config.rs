@@ -1,4 +1,5 @@
 use dota_quant::Precision;
+use dota_tensor::topk;
 
 /// How selected connection counts are distributed across query rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,9 +128,10 @@ impl DetectorConfig {
             .unwrap_or(self.retention)
     }
 
-    /// Keys kept per query row at layer `l` for sequence length `n`.
+    /// Keys kept per query row at layer `l` for sequence length `n`:
+    /// [`topk::keep_count`] at that layer's retention.
     pub(crate) fn keys_per_row_for_layer(&self, layer: usize, n: usize) -> usize {
-        ((self.retention_for_layer(layer) * n as f64).round() as usize).clamp(1, n)
+        topk::keep_count(self.retention_for_layer(layer), n)
     }
 
     /// Detector rank for a head dimension: `max(1, floor(hd · σ))`.
@@ -138,9 +140,9 @@ impl DetectorConfig {
     }
 
     /// Keys kept per query row at sequence length `n`:
-    /// `max(1, round(retention · n))`.
+    /// [`topk::keep_count`] at the base retention.
     pub fn keys_per_row(&self, n: usize) -> usize {
-        ((self.retention * n as f64).round() as usize).clamp(1, n)
+        topk::keep_count(self.retention, n)
     }
 }
 
@@ -163,14 +165,6 @@ mod tests {
         assert_eq!(cfg.rank_for_head_dim(64), 12);
         // Rank never collapses to zero.
         assert_eq!(cfg.with_sigma(0.01).rank_for_head_dim(4), 1);
-    }
-
-    #[test]
-    fn keys_per_row_rounds_and_clamps() {
-        let cfg = DetectorConfig::new(0.1);
-        assert_eq!(cfg.keys_per_row(100), 10);
-        assert_eq!(cfg.keys_per_row(5), 1);
-        assert_eq!(DetectorConfig::new(1.0).keys_per_row(7), 7);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dota_transformer::{DenseDecode, Model, TransformerConfig};
+    use dota_transformer::{DenseDecode, Model, TransformerConfig, WindowSelector};
 
     fn setup() -> (Model, ParamSet, DotaHook) {
         let mut params = ParamSet::new();
@@ -377,17 +377,6 @@ mod tests {
         }
     }
 
-    /// Keeps the most recent `ceil(r · len)` positions (what
-    /// `dota_serve::WindowSelector` does).
-    struct Window(f64);
-
-    impl DecodeSelector for Window {
-        fn select(&self, _l: usize, _h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
-            let keep = ((self.0 * len as f64).ceil() as usize).clamp(1, len);
-            Some(((len - keep) as u32..len as u32).collect())
-        }
-    }
-
     /// Answers as badly as the trait allows, as a pure function of
     /// `(layer, head, len)`: by turns `None`, an empty list, and lists that
     /// are unsorted, repeat entries and reach past the cache.
@@ -425,7 +414,7 @@ mod tests {
         let cfg = model.config();
         match kind {
             0 => Box::new(DenseDecode),
-            1 => Box::new(Window(0.3)),
+            1 => Box::new(WindowSelector::new(0.3)),
             2 => Box::new(DotaDecodeSelector::new(
                 hook,
                 params,

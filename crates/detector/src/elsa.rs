@@ -122,11 +122,6 @@ impl ElsaHook {
             retention,
         }
     }
-
-    /// Keys kept per row for sequence length `n`.
-    pub fn keys_per_row(&self, n: usize) -> usize {
-        ((self.retention * n as f64).round() as usize).clamp(1, n)
-    }
 }
 
 impl InferenceHook for ElsaHook {
@@ -138,7 +133,7 @@ impl InferenceHook for ElsaHook {
         let qh = q.slice_cols(c0, c1);
         let kh = k.slice_cols(c0, c1);
         let scores = elsa_scores(&self.hasher, &qh, &kh);
-        let kpr = self.keys_per_row(x.rows());
+        let kpr = topk::keep_count(self.retention, x.rows());
         Some(
             topk::top_k_rows(&scores, kpr)
                 .into_iter()

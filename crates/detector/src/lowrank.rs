@@ -220,12 +220,10 @@ impl LowRankDetector {
     ) -> Vec<Vec<u32>> {
         let n_rows = scores.rows();
         let n_cols = scores.cols();
+        let retention = layer.map_or(cfg.retention, |l| cfg.retention_for_layer(l));
         match cfg.strategy {
             SelectionStrategy::BalancedTopK => {
-                let k = match layer {
-                    Some(l) => cfg.keys_per_row_for_layer(l, n_cols),
-                    None => cfg.keys_per_row(n_cols),
-                };
+                let k = topk::keep_count(retention, n_cols);
                 let lanes = Lanes::active();
                 let mut keys = Vec::with_capacity(n_cols);
                 scores
@@ -238,12 +236,8 @@ impl LowRankDetector {
                     .collect()
             }
             SelectionStrategy::GlobalThreshold => {
-                let retention = layer
-                    .map(|l| cfg.retention_for_layer(l))
-                    .unwrap_or(cfg.retention);
                 // Keep the strongest `retention` fraction of all entries.
-                let total = n_rows * n_cols;
-                let keep = ((retention * total as f64).round() as usize).clamp(1, total);
+                let keep = topk::keep_count(retention, n_rows * n_cols);
                 // On `descending_rank`s "at least the keep-th strongest" is
                 // an integer comparison that NaN scores cannot derail.
                 let mut ranks: Vec<u32> =

@@ -49,11 +49,6 @@ impl OracleHook {
             retention,
         }
     }
-
-    /// Keys kept per row at sequence length `n`.
-    pub fn keys_per_row(&self, n: usize) -> usize {
-        ((self.retention * n as f64).round() as usize).clamp(1, n)
-    }
 }
 
 impl InferenceHook for OracleHook {
@@ -66,7 +61,7 @@ impl InferenceHook for OracleHook {
             .slice_cols(c0, c1)
             .matmul_nt(&k.slice_cols(c0, c1))
             .expect("shape");
-        let kpr = self.keys_per_row(x.rows());
+        let kpr = topk::keep_count(self.retention, x.rows());
         Some(
             topk::top_k_rows(&scores, kpr)
                 .into_iter()
@@ -107,7 +102,7 @@ impl RandomHook {
 impl InferenceHook for RandomHook {
     fn select(&self, layer: usize, head: usize, x: &Matrix) -> Option<Vec<Vec<u32>>> {
         let n = x.rows();
-        let kpr = ((self.retention * n as f64).round() as usize).clamp(1, n);
+        let kpr = topk::keep_count(self.retention, n);
         let mut rng = SeededRng::new(
             self.seed
                 .wrapping_add(layer as u64 * 0x9E37_79B9_7F4A_7C15)

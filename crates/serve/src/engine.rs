@@ -105,15 +105,16 @@ impl ShedPolicy {
         }
     }
 
-    /// Parses a CLI/env spelling.
+    /// Parses a `--shed` value: exactly one of the [`name`](Self::name)s
+    /// `queue`, `retention` or `slo`.
     ///
     /// # Errors
     ///
     /// Describes the accepted spellings when `s` is none of them.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "queue" | "queue-only" => Ok(ShedPolicy::QueueOnly),
-            "retention" | "shed" => Ok(ShedPolicy::Retention),
+        match s {
+            "queue" => Ok(ShedPolicy::QueueOnly),
+            "retention" => Ok(ShedPolicy::Retention),
             "slo" => Ok(ShedPolicy::Slo),
             other => Err(format!(
                 "unknown shed policy `{other}` (use queue|retention|slo)"
@@ -1154,6 +1155,17 @@ mod tests {
 
     fn engine<'m>(model: &'m Model, params: &'m ParamSet, cfg: ServeConfig) -> ServeEngine<'m> {
         ServeEngine::new(model, params, cfg, &AccelConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn shed_policy_has_one_spelling_each() {
+        for name in ["queue", "retention", "slo"] {
+            assert_eq!(ShedPolicy::parse(name).map(ShedPolicy::name), Ok(name));
+        }
+        for other in ["queue-only", "shed", "QUEUE", "Slo", " retention", "both"] {
+            let err = ShedPolicy::parse(other).unwrap_err();
+            assert!(err.contains(&format!("`{other}`")), "{err}");
+        }
     }
 
     #[test]

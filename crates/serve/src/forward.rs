@@ -5,11 +5,10 @@
 use crate::cost::CostModel;
 use crate::engine::{Core, ServeConfig, ServeEngine};
 use crate::request::Request;
-use crate::selector::WindowSelector;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_tensor::ops;
-use dota_transformer::{DecodeItem, DecodeScratch, KvCache, Model};
+use dota_transformer::{DecodeItem, DecodeScratch, KvCache, Model, WindowSelector};
 
 /// Prompt positions a lane computes per host forward. Measured on
 /// `serve_longctx` (mid model, prompts 128–192; three interleaved runs

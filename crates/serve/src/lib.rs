@@ -52,7 +52,6 @@ mod engine;
 mod forward;
 mod report;
 mod request;
-mod selector;
 mod slo;
 mod spine;
 mod timeline;
@@ -62,10 +61,10 @@ pub use chaos::{run_chaos, ChaosCell, ChaosOptions, ChaosReport, SERVE_CHAOS_VER
 pub use control::{ControlConfig, ControlInputs, ControlSummary, Controller};
 pub use cost::CostModel;
 pub use dota_telemetry::{EventSink, ServeEvent, Transition};
+pub use dota_transformer::WindowSelector;
 pub use engine::{QuarantineSpan, ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
 pub use report::{run_bench, BenchOptions, BenchReport, CellReport, SERVE_REPORT_VERSION};
 pub use request::{Completion, DeadlineClass, FinishReason, Request};
-pub use selector::WindowSelector;
 pub use slo::{SloMonitor, SloWindow};
 pub use spine::StreamTotals;
 pub use timeline::{
@@ -432,7 +431,7 @@ mod prop_tests {
 
         /// The timeline's per-step attended counts are exactly the
         /// retention window's sizes: for every step with post-append
-        /// context `t`, `attended == layers · heads · clamp(ceil(r·t), 1, t)`
+        /// context `t`, `attended == layers · heads · window_count(r, t)`
         /// and `omitted` is its dense complement — so `dota analyze
         /// --serve`'s ladder-consistency audit holds by construction, not
         /// by luck, and each request's cycle decomposition tiles its
@@ -452,11 +451,7 @@ mod prop_tests {
                 prop_assert!(ladder.contains(&tl.retention), "retention {} off-ladder", tl.retention);
                 for step in &tl.steps {
                     let t = step.context;
-                    let window = if tl.retention >= 1.0 {
-                        t
-                    } else {
-                        (((tl.retention * t as f64).ceil() as u64).max(1)).min(t)
-                    };
+                    let window = dota_tensor::topk::window_count(tl.retention, t as usize) as u64;
                     prop_assert_eq!(step.attended, lh * window, "req {} t={}", tl.id, t);
                     prop_assert_eq!(step.attended + step.omitted, lh * t);
                     prop_assert!(

@@ -4,10 +4,37 @@
 //! over (estimated) attention scores (§2.2, §3.1), and *threshold
 //! comparison* against a preset value in the hardware Detector (§4.3). Both
 //! primitives live here, along with helpers to convert selections into the
-//! binary masks the rest of the stack consumes.
+//! binary masks the rest of the stack consumes, and the two rules that turn
+//! a retention ratio into a number of kept keys.
 
 use crate::lanes::Lanes;
 use crate::Matrix;
+
+/// Keys a query keeps of `n` candidates at `retention`: `round(r · n)`
+/// (half away from zero), at least 1 and at most `n`; `n = 0` keeps 0.
+///
+/// Retention becomes a count by one of two rules, both here so that
+/// choosing one is a one-line change:
+/// - this one, the paper's detector budget: every query row keeps the same
+///   number of keys, so token-parallel PE groups stay balanced (§4.3). The
+///   detector (`DetectorConfig`, so the batch hook and the decode
+///   selector), the A3 / ELSA / oracle / random baselines, the simulator's
+///   sampled shapes, calibration and Table 1's mass analysis use it;
+/// - [`window_count`], `ceil(r · t)`: the serving window, which never
+///   rounds a partial position away, and the timeline audit of it.
+#[inline]
+pub fn keep_count(retention: f64, n: usize) -> usize {
+    ((retention * n as f64).round() as usize).max(1).min(n)
+}
+
+/// Positions the serving window keeps of a `t`-position cache at
+/// `retention`: `ceil(r · t)`, at least 1 and at most `t` (see
+/// [`keep_count`]). Total over every `f64`, as the timeline audit passes a
+/// retention read from a file: `t = 0` keeps 0, NaN keeps 1, `r ≥ 1` all.
+#[inline]
+pub fn window_count(retention: f64, t: usize) -> usize {
+    ((retention * t as f64).ceil() as usize).max(1).min(t)
+}
 
 /// Position of `v` in descending order as a plain integer: a larger value
 /// has a smaller rank, `-0.0` and `0.0` share one (they compare equal), and
@@ -446,6 +473,45 @@ mod tests {
             top_k_set_keys(lanes, &keys, k, lo, hi, &mut got);
             assert_eq!(got, expected, "{lanes:?}, k {k} of {}", row.len());
         }
+    }
+
+    #[test]
+    fn keep_count_rounds_and_clamps() {
+        // round(2.5) = 3, half away from zero; round(0.4) = 0 still keeps
+        // one key; never more keys than candidates, and none of none.
+        let cases = [
+            (0.1, 100, 10),
+            (0.25, 10, 3),
+            (0.1, 4, 1),
+            (1.0, 7, 7),
+            (1.5, 7, 7),
+            (0.5, 0, 0),
+        ];
+        for (r, n, kept) in cases {
+            assert_eq!(keep_count(r, n), kept, "r={r} n={n}");
+        }
+    }
+
+    #[test]
+    fn window_count_ceils_clamps_and_is_total() {
+        // ceil(2.5) = 3; the bottom ladder rung keeps one position up to
+        // t = 8 and two from t = 9, ceil(1.125).
+        let cases = [
+            (1.0, 5, 5),
+            (0.5, 5, 3),
+            (0.125, 1, 1),
+            (0.125, 8, 1),
+            (0.125, 9, 2),
+        ];
+        for (r, t, kept) in cases {
+            assert_eq!(window_count(r, t), kept, "r={r} t={t}");
+        }
+        // Where the two rules part: ceil(1.2) = 2, round(1.2) = 1.
+        assert_eq!((window_count(0.4, 3), keep_count(0.4, 3)), (2, 1));
+        // Any retention: an empty cache keeps nothing, any other at least one.
+        let rs = [f64::NAN, -1.0, f64::NEG_INFINITY, 0.0, 2.0, f64::INFINITY];
+        assert_eq!(rs.map(|r| window_count(r, 0)), [0; 6]);
+        assert_eq!(rs.map(|r| window_count(r, 5)), [1, 1, 1, 1, 5, 5]);
     }
 
     #[test]

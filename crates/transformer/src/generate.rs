@@ -783,7 +783,7 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
-    use crate::{Model, NoHook, TransformerConfig};
+    use crate::{Model, NoHook, TransformerConfig, WindowSelector};
     use dota_tensor::rng::SeededRng;
     use proptest::prelude::*;
 
@@ -898,14 +898,13 @@ mod properties {
         }
     }
 
-    /// Keeps the most recent `ceil(r * len)` positions (what
-    /// `dota_serve::WindowSelector` does); `r = 1.0` keeps all of them.
-    struct Window(f64);
+    /// Lists every cached position: dense attention through the gather
+    /// path, where `WindowSelector::new(1.0)` answers the dense `None`.
+    struct EveryPosition;
 
-    impl DecodeSelector for Window {
+    impl DecodeSelector for EveryPosition {
         fn select(&self, _l: usize, _h: usize, _x: &Matrix, len: usize) -> Option<Vec<u32>> {
-            let keep = ((self.0 * len as f64).ceil() as usize).clamp(1, len);
-            Some(((len - keep) as u32..len as u32).collect())
+            Some((0..len as u32).collect())
         }
     }
 
@@ -921,8 +920,8 @@ mod properties {
         let cfg = model.config();
         let selectors: [&dyn DecodeSelector; 4] = [
             &DenseDecode,
-            &Window(1.0),
-            &Window(0.3),
+            &EveryPosition,
+            &WindowSelector::new(0.3),
             &AdversarialSelector(seed),
         ];
         for (s, &selector) in selectors.iter().enumerate() {
@@ -985,7 +984,7 @@ mod properties {
             let seen = &mut self.seen.borrow_mut()[l * self.n_heads + h];
             assert_eq!(*seen + 1, len, "layer {l} head {h}: positions out of order");
             *seen = len;
-            Window(if x[(0, 0)] > 0.0 { 0.3 } else { 0.7 }).select(l, h, x, len)
+            WindowSelector::new(if x[(0, 0)] > 0.0 { 0.3 } else { 0.7 }).select(l, h, x, len)
         }
     }
 
@@ -1005,8 +1004,8 @@ mod properties {
     fn oracle_selector(kind: usize, seed: u64, cfg: &TransformerConfig) -> Box<dyn DecodeSelector> {
         match kind {
             0 => Box::new(DenseDecode),
-            1 => Box::new(Window(1.0)),
-            2 => Box::new(Window(0.3)),
+            1 => Box::new(EveryPosition),
+            2 => Box::new(WindowSelector::new(0.3)),
             3 => Box::new(AdversarialSelector(seed)),
             _ => Box::new(OrderChecked::new(cfg)),
         }
@@ -1128,8 +1127,8 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         /// Incremental decoding equals batch inference on the final
-        /// position **bitwise** for arbitrary prompts, and a window over
-        /// everything is dense decode.
+        /// position **bitwise** for arbitrary prompts, and listing every
+        /// position is dense decode.
         #[test]
         fn decode_matches_batch_on_random_prompts(
             ids in proptest::collection::vec(0usize..8, 1..12),
@@ -1146,7 +1145,7 @@ mod properties {
                 last
             };
             let dense = run(&DenseDecode);
-            prop_assert!(run(&Window(1.0)) == dense);
+            prop_assert!(run(&EveryPosition) == dense);
             let batch = model.infer(&params, &ids, &NoHook);
             prop_assert!(dense == batch.logits.slice_rows(ids.len() - 1, ids.len()));
         }

@@ -29,6 +29,7 @@ mod hooks;
 mod infer;
 mod model;
 mod params;
+mod selector;
 
 pub use config::{Pooling, TransformerConfig, MAX_SEQ_LEN};
 pub use generate::{
@@ -39,3 +40,4 @@ pub use hooks::{AttentionHook, HookOutcome, NoHook};
 pub use infer::{ForwardTrace, HeadTrace, InferError, InferenceHook, LayerTrace};
 pub use model::{MaskStat, Model, TrainOutput};
 pub use params::TransformerParams;
+pub use selector::WindowSelector;

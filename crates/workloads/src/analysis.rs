@@ -72,7 +72,7 @@ pub fn mass_at_retention(attn: &Matrix, retention: f64) -> f64 {
         "retention {retention} out of range"
     );
     let n = attn.cols();
-    let k = ((retention * n as f64).round() as usize).clamp(1, n);
+    let k = topk::keep_count(retention, n);
     let mut acc = 0.0f64;
     for row in attn.rows_iter() {
         let idx = topk::top_k_indices(row, k);
