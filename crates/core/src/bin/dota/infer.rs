@@ -41,8 +41,8 @@ pub(crate) fn flag_task_seq(args: &mut Args, default: usize) -> Result<usize, St
 
 /// One detector-filtered inference on a tiny preset, replayed on the
 /// simulator. Shared by `dota infer` and `dota analyze`; the build,
-/// forward and replay stages are profiled spans, so they show up both on
-/// the Chrome-trace host track and in `--profile` flamegraphs.
+/// forward and replay stages are profiled spans, so they show up in
+/// `--profile` flamegraphs (the Chrome trace holds simulated time only).
 struct InferRun {
     seq: usize,
     trace: dota_transformer::ForwardTrace,
@@ -143,8 +143,9 @@ pub(crate) fn cmd_analyze(mut args: Args) -> Result<(), String> {
 
     // Reuse the global sessions when `--trace`/`--profile` opened them;
     // open private ones otherwise so the joined report always has both
-    // counters and host spans to work from. (Opening a second session on
-    // the same gate would deadlock, hence the `enabled()` checks.)
+    // counters (the trace's) and host spans (the profile's) to work from.
+    // (Opening a second session on the same gate would deadlock, hence
+    // the `enabled()` checks.)
     let own_trace = (!dota_trace::enabled()).then(|| dota_trace::session("analyze"));
     let own_prof = (!dota_prof::enabled()).then(|| dota_prof::session("analyze"));
 

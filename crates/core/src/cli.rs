@@ -334,6 +334,7 @@ mod tests {
             assert_eq!(args.0, ["infer"], "the four flags are taken out");
             sessions.start("test");
             dota_trace::count("cli.test", 1);
+            dota_trace::sim_event("cli.test", "cli.test", 0, 1);
             dota_metrics::observe("cli.test", 1.0);
             drop(dota_prof::span("cli.test"));
             sessions

@@ -6,10 +6,8 @@
 //! * **Scoped wall-clock span timers** ([`span`]) with per-thread stacks.
 //!   Spans form a call tree (interned frame-by-frame), exportable as a
 //!   collapsed-stack flamegraph (`.folded`, one `a;b;c count` line per
-//!   stack) and as canonical profile JSON. Every span also mirrors itself
-//!   into the Chrome-trace stream via [`dota_trace::host_span`], so host
-//!   spans appear alongside simulated lane events whenever a trace session
-//!   is live.
+//!   stack) and as canonical profile JSON. This is the one recorder of
+//!   host time: a `dota-trace` Chrome trace holds simulated cycles only.
 //! * **Allocation counters** (`record_alloc`/`record_dealloc`) tracking
 //!   bytes allocated/freed and peak usage, attributed to the innermost
 //!   live span of the allocating thread. The `prof-alloc` cargo feature
@@ -23,9 +21,8 @@
 //! unless a [`session`] is live, recording only from the thread that opened
 //! it and from threads that [`Scope::enter`] its [`scope`] token (the
 //! thread pool does this for its workers), sessions are globally
-//! exclusive, and the recording is read through the guard. With no session
-//! *and* no trace session, [`span`] costs two relaxed loads and no
-//! allocation.
+//! exclusive, and the recording is read through the guard. With no session,
+//! [`span`] is one gate check and no allocation.
 
 #[path = "../../trace/src/gate.rs"]
 mod gate;
@@ -226,8 +223,7 @@ impl Drop for ScopeGuard {
 
 /// Opens a scoped wall-clock span on the calling thread; timing is recorded
 /// when the returned guard drops. Spans nest per thread by construction
-/// (RAII). The span is always mirrored to [`dota_trace::host_span`], so it
-/// shows up in Chrome traces even when no profiling session is live.
+/// (RAII). Outside a profiling session it records nothing.
 ///
 /// A worker thread (the `dota-parallel` pool's) starts from an empty stack
 /// inside its dispatcher's [`Scope`], so its spans nest under the span that
@@ -235,10 +231,8 @@ impl Drop for ScopeGuard {
 /// is then thread time: the dispatcher's span keeps the wall time it waited,
 /// and each worker's spans add their own beneath it.
 pub fn span(name: &'static str) -> ProfSpan {
-    let trace = dota_trace::host_span(name);
     if !enabled() {
         return ProfSpan {
-            _trace: trace,
             start: None,
             node: ROOT,
             session: 0,
@@ -253,7 +247,6 @@ pub fn span(name: &'static str) -> ProfSpan {
     });
     CURRENT_NODE.with(|c| c.set(node));
     ProfSpan {
-        _trace: trace,
         start: Some(Instant::now()),
         node,
         session,
@@ -263,7 +256,6 @@ pub fn span(name: &'static str) -> ProfSpan {
 /// Guard for a scoped wall-clock span (see [`span`]).
 #[derive(Debug)]
 pub struct ProfSpan {
-    _trace: dota_trace::HostSpan,
     start: Option<Instant>,
     node: u32,
     session: u64,
@@ -878,14 +870,13 @@ mod tests {
     }
 
     /// A warm trace session records into the buffers the previous session
-    /// left behind: 10k host spans, 10k counter samples and 10k five-arg
-    /// sim events, and (nearly) no allocation among them.
+    /// left behind: 10k counter samples and 10k five-arg sim events, and
+    /// (nearly) no allocation among them.
     #[cfg(feature = "prof-alloc")]
     #[test]
     fn warm_trace_session_records_without_allocating() {
         fn record() {
             for i in 0..10_000u64 {
-                drop(dota_trace::host_span("pin.span"));
                 dota_trace::sim_counter(format_args!("{}.queue_depth", "pin"), i, i % 7);
                 dota_trace::sim_event_args(
                     format_args!("pin.slot{}", i % 4),
@@ -906,7 +897,7 @@ mod tests {
         record();
         let calls = g.alloc().allocation_calls - before;
         drop(trace);
-        assert!(calls <= 16, "{calls} allocations recording 30k events");
+        assert!(calls <= 16, "{calls} allocations recording 20k events");
     }
 
     #[test]

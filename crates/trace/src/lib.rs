@@ -11,10 +11,14 @@
 //!   commutative additions behind one mutex, so totals are bitwise
 //!   identical regardless of thread count or scheduling order — the
 //!   property the reproducibility tests pin;
-//! * a **span/event recorder**: simulated-time events on named hardware
-//!   tracks ([`sim_event`]) and wall-clock host spans ([`host_span`]),
+//! * an **event recorder**: simulated-time events on named hardware
+//!   tracks ([`sim_event`]) and counter samples ([`sim_counter`]),
 //!   exported as Chrome-trace JSON ([`TraceGuard::chrome_trace_json`])
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//!
+//! The recorder keeps one clock, simulated cycles, so a trace is a pure
+//! function of the run: byte-identical across thread counts and builds.
+//! Host (wall-clock) time is `dota-prof`'s to record (`--profile`).
 //!
 //! Collection is **off by default** and costs one relaxed atomic load per
 //! call site when disabled, so instrumented hot paths stay cheap. A
@@ -57,26 +61,14 @@ mod gate;
 
 pub use gate::{enabled, scope, Scope, ScopeGuard};
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
-/// Process ID used for host-side (wall-clock) spans in the Chrome trace.
-pub const HOST_PID: u32 = 0;
-/// Process ID used for simulated-hardware (cycle-time) events.
+/// Chrome-trace process ID of the simulated accelerator: every event's.
 pub const SIM_PID: u32 = 1;
 
 static STATE: Mutex<State> = Mutex::new(State::new());
-static NEXT_HOST_TID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's Chrome tid on the host process (0 until its first
-    /// host span).
-    static HOST_THREAD: Cell<u64> = const { Cell::new(0) };
-}
 
 /// A byte range of [`State::text`].
 #[derive(Debug, Clone, Copy)]
@@ -90,11 +82,9 @@ struct Event {
     /// Chrome event phase: `b'X'` for complete spans, `b'C'` for counter
     /// samples (rendered as a stacked-area track; `dur_us` is unused).
     ph: u8,
-    /// [`HOST_PID`] (category `host`) or [`SIM_PID`] (category `sim`).
-    pid: u32,
     tid: u64,
     name: Text,
-    /// Start timestamp in microseconds (cycles map 1:1 to µs on sim tracks).
+    /// Start timestamp in microseconds (one cycle is one µs).
     ts_us: f64,
     dur_us: f64,
     /// Range of [`State::args`].
@@ -113,10 +103,6 @@ struct State {
     counters: Vec<(Text, u64)>,
     /// Simulated-hardware track name → Chrome tid, sorted by name.
     sim_tracks: Vec<(Text, u64)>,
-    /// (pid, tid, display name) of host threads and sim tracks, in the
-    /// order they were first seen.
-    track_names: Vec<(u32, u64, Text)>,
-    epoch: Option<Instant>,
 }
 
 impl State {
@@ -128,8 +114,6 @@ impl State {
             args: Vec::new(),
             counters: Vec::new(),
             sim_tracks: Vec::new(),
-            track_names: Vec::new(),
-            epoch: None,
         }
     }
 
@@ -142,8 +126,6 @@ impl State {
         self.args.clear();
         self.counters.clear();
         self.sim_tracks.clear();
-        self.track_names.clear();
-        self.epoch = Some(Instant::now());
     }
 
     fn str(&self, t: Text) -> &str {
@@ -188,7 +170,6 @@ impl State {
             Err(i) => {
                 let tid = self.sim_tracks.len() as u64 + 1;
                 self.sim_tracks.insert(i, (name, tid));
-                self.track_names.push((SIM_PID, tid, name));
                 tid
             }
         }
@@ -276,7 +257,6 @@ pub fn sim_event_args(
     let args = st.push_args(args);
     st.events.push(Event {
         ph: b'X',
-        pid: SIM_PID,
         tid,
         name,
         ts_us: start_cycles as f64,
@@ -299,73 +279,12 @@ pub fn sim_counter(name: impl Display, ts_cycles: u64, value: u64) {
     let args = st.push_args(&[("value", value)]);
     st.events.push(Event {
         ph: b'C',
-        pid: SIM_PID,
         tid: 0,
         name,
         ts_us: ts_cycles as f64,
         dur_us: 0.0,
         args,
     });
-}
-
-/// Opens a wall-clock span on the calling thread's host track; the span is
-/// recorded when the returned guard drops. Spans on one thread are strictly
-/// nested by construction (RAII), so the exported events are well-nested.
-pub fn host_span(name: &'static str) -> HostSpan {
-    if !enabled() {
-        return HostSpan {
-            name,
-            start: None,
-            tid: 0,
-        };
-    }
-    let tid = HOST_THREAD.with(|t| {
-        if t.get() == 0 {
-            let tid = NEXT_HOST_TID.fetch_add(1, Ordering::Relaxed);
-            t.set(tid);
-            let st = &mut *lock_state();
-            let name = st.push(format_args!("host-{tid}"));
-            st.track_names.push((HOST_PID, tid, name));
-        }
-        t.get()
-    });
-    HostSpan {
-        name,
-        start: Some(Instant::now()),
-        tid,
-    }
-}
-
-/// Guard for a wall-clock host span (see [`host_span`]).
-#[derive(Debug)]
-pub struct HostSpan {
-    name: &'static str,
-    start: Option<Instant>,
-    tid: u64,
-}
-
-impl Drop for HostSpan {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        if !enabled() {
-            return;
-        }
-        // The span ends now, not once the registry lock is ours.
-        let end = Instant::now();
-        let st = &mut *lock_state();
-        let Some(epoch) = st.epoch else { return };
-        let name = st.push_str(self.name);
-        let args = st.push_args(&[]);
-        st.events.push(Event {
-            ph: b'X',
-            pid: HOST_PID,
-            tid: self.tid,
-            name,
-            ts_us: start.duration_since(epoch).as_secs_f64() * 1e6,
-            dur_us: end.duration_since(start).as_secs_f64() * 1e6,
-            args,
-        });
-    }
 }
 
 /// Begins an exclusive trace session: clears the registry, enables
@@ -428,32 +347,29 @@ impl TraceGuard {
     pub fn chrome_trace_json(&self) -> String {
         let st = lock_state();
         let mut out = String::with_capacity(256 + st.events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut sep = "\n  ";
-        for (pid, name) in [(HOST_PID, "host"), (SIM_PID, "dota-accelerator")] {
+        let _ = write!(
+            out,
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n  {{\"ph\":\"M\",\
+             \"name\":\"process_name\",\"pid\":{SIM_PID},\"tid\":0,\
+             \"args\":{{\"name\":\"dota-accelerator\"}}}}"
+        );
+        // Tids count up in order of first appearance: name the tracks so.
+        let mut tracks = st.sim_tracks.clone();
+        tracks.sort_unstable_by_key(|&(_, tid)| tid);
+        for (name, tid) in tracks {
             let _ = write!(
                 out,
-                "{sep}{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            );
-            sep = ",\n  ";
-        }
-        for &(pid, tid, name) in &st.track_names {
-            let _ = write!(
-                out,
-                "{sep}{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+                ",\n  {{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{SIM_PID},\"tid\":{tid},\"args\":{{\"name\":"
             );
             write_json_string(&mut out, st.str(name));
             out.push_str("}}");
         }
         for e in &st.events {
-            let _ = write!(out, "{sep}{{\"ph\":\"{}\",\"name\":", char::from(e.ph));
+            let _ = write!(out, ",\n  {{\"ph\":\"{}\",\"name\":", char::from(e.ph));
             write_json_string(&mut out, st.str(e.name));
-            let cat = if e.pid == HOST_PID { "host" } else { "sim" };
             let _ = write!(
                 out,
-                ",\"cat\":\"{cat}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-                e.pid,
+                ",\"cat\":\"sim\",\"pid\":{SIM_PID},\"tid\":{},\"ts\":{}",
                 e.tid,
                 fmt_f64(e.ts_us)
             );
@@ -587,7 +503,6 @@ mod tests {
             s.spawn(|| {
                 count("stray", 1);
                 sim_counter("stray.track", 0, 1);
-                drop(host_span("stray.span"));
             });
         });
         assert!(t.counters().is_empty());
@@ -613,16 +528,13 @@ mod tests {
         sim_event("RmmuFx", "L0.linear", 0, 100);
         sim_event_args("RmmuFx", "L0.attention", 100, 50, &[("loads", 7)]);
         sim_event("DramPort", "L0.weights", 0, 30);
-        {
-            let _s = host_span("build");
-        }
         let json = t.chrome_trace_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("L0.attention"));
         assert!(json.contains("\"loads\":7"));
         assert!(json.contains("RmmuFx"));
         assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"cat\":\"host\""));
+        assert!(!json.contains("\"cat\":\"host\""));
     }
 
     #[test]
@@ -719,11 +631,10 @@ mod tests {
         count("é.accent", 1);
     }
 
-    /// Bytes the per-event-`String` recorder exported for [`golden_script`].
+    /// Bytes the per-event-`String` recorder exported for [`golden_script`],
+    /// less its `host` process record.
     const GOLDEN_CHROME: &str = concat!(
         "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
-        r#"  {"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"host"}},"#,
-        "\n",
         r#"  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"dota-accelerator"}},"#,
         "\n",
         r#"  {"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"RmmuFx"}},"#,
@@ -784,8 +695,6 @@ mod tests {
             t.chrome_trace_json(),
             concat!(
                 "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
-                r#"  {"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"host"}},"#,
-                "\n",
                 r#"  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"dota-accelerator"}}"#,
                 "\n]}\n",
             )
@@ -794,70 +703,5 @@ mod tests {
             t.counters_json(),
             "{\n  \"label\": \"\",\n  \"counters\": {}\n}\n"
         );
-    }
-
-    /// The value of `"key":` in one exported event line.
-    fn field<'a>(line: &'a str, key: &str) -> &'a str {
-        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
-        let rest = &line[at..];
-        &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
-    }
-
-    #[test]
-    fn host_spans_export_well_nested_on_the_thread_track() {
-        let t = session("host");
-        {
-            let _outer = host_span("outer");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            drop(host_span("inner"));
-        }
-        let json = t.chrome_trace_json();
-        let tid = HOST_THREAD.with(Cell::get);
-        assert_ne!(tid, 0);
-        let spans: Vec<(&str, f64, f64)> = json
-            .lines()
-            .filter(|l| l.contains("\"cat\":\"host\""))
-            .map(|l| {
-                assert_eq!(field(l, "ph"), "\"X\"");
-                assert_eq!(field(l, "pid"), HOST_PID.to_string());
-                assert_eq!(field(l, "tid"), tid.to_string());
-                let ts: f64 = field(l, "ts").parse().unwrap();
-                let dur: f64 = field(l, "dur").parse().unwrap();
-                assert!(ts >= 0.0 && dur >= 0.0, "{l}");
-                (field(l, "name"), ts, dur)
-            })
-            .collect();
-        // Spans record as they close: the inner one first.
-        let [(inner, i_ts, i_dur), (outer, o_ts, o_dur)] = spans[..] else {
-            panic!("two host spans expected:\n{json}");
-        };
-        assert_eq!((inner, outer), ("\"inner\"", "\"outer\""));
-        assert!(o_ts <= i_ts && i_ts + i_dur <= o_ts + o_dur, "{json}");
-        assert!(o_dur >= 1e3, "outer slept 1 ms: {json}");
-    }
-
-    #[test]
-    fn host_span_duration_excludes_waiting_for_the_registry() {
-        let t = session("lock");
-        let span = host_span("waits");
-        let held = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let st = lock_state();
-                held.wait();
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                drop(st);
-            });
-            held.wait();
-            // Blocks on the registry until the other thread lets go.
-            drop(span);
-        });
-        let dur_us = lock_state()
-            .events
-            .last()
-            .expect("the span recorded")
-            .dur_us;
-        assert!(dur_us < 50e3, "span timed the lock: {dur_us} µs");
-        drop(t);
     }
 }

@@ -88,9 +88,9 @@ fn infer_profile_covers_instrumented_layers() {
     );
 
     let stacks = check_folded(&dir.join("profile.folded"));
-    // The flamegraph must span at least the three instrumented layers:
-    // tensor GEMM, per-head attention, and the detector.
-    for frame in ["gemm.matmul", "attn.head", "detector.select"] {
+    // The flamegraph must span at least the instrumented layers: the
+    // model's forward, tensor GEMM, per-head attention, and the detector.
+    for frame in ["model.infer", "gemm.matmul", "attn.head", "detector.select"] {
         assert!(
             stacks.iter().any(|s| s.split(';').any(|f| f == frame)),
             "frame {frame} missing from folded stacks: {stacks:?}"

@@ -1,7 +1,7 @@
 //! End-to-end CLI observability test: `dota infer --trace --counters` on a
 //! tiny preset must emit a valid Chrome-trace JSON document (parseable,
-//! well-nested events) and a counters file whose per-head detection totals
-//! account for every attention connection.
+//! well-nested events, simulated clock only) and a counters file whose
+//! per-head detection totals account for every attention connection.
 
 use serde_json::Value;
 use std::path::PathBuf;
@@ -73,9 +73,10 @@ fn infer_writes_valid_trace_and_consistent_counters() {
     let _ = std::fs::remove_file(&counters_path);
 }
 
-/// The trace must parse as JSON and hold Chrome-trace shaped events whose
-/// complete ("X") spans are well-nested per (pid, tid) track: any two
-/// spans on a track are either disjoint or one contains the other.
+/// The trace must parse as JSON and hold Chrome-trace shaped events, all on
+/// the simulator process (pid 1, category `sim`: host time is
+/// `--profile`'s), whose complete ("X") spans are well-nested per track:
+/// any two spans on a track are either disjoint or one contains the other.
 fn check_trace(path: &PathBuf) {
     let text = std::fs::read_to_string(path).expect("read trace file");
     let doc = serde_json::parse(&text).expect("trace is valid JSON");
@@ -88,41 +89,40 @@ fn check_trace(path: &PathBuf) {
     assert!(!events.is_empty(), "trace contains no events");
 
     // Group complete events by track.
-    let mut tracks: std::collections::BTreeMap<(u64, u64), Vec<(f64, f64)>> =
+    let mut tracks: std::collections::BTreeMap<u64, Vec<(f64, f64)>> =
         std::collections::BTreeMap::new();
     let mut complete = 0usize;
-    let mut names = std::collections::BTreeSet::new();
     for ev in events {
         let ph = as_str(ev.get("ph").expect("event phase"));
         let name = as_str(ev.get("name").expect("event name"));
         assert!(!name.is_empty());
+        assert_eq!(
+            ev.get("pid").map(as_u64),
+            Some(1),
+            "{name} is off the simulator"
+        );
         match ph {
             "X" => {
                 complete += 1;
-                names.insert(name.to_owned());
-                let pid = as_u64(ev.get("pid").expect("pid"));
+                assert_eq!(ev.get("cat").map(as_str), Some("sim"), "{name}");
                 let tid = as_u64(ev.get("tid").expect("tid"));
                 let ts = as_f64(ev.get("ts").expect("ts"));
                 let dur = as_f64(ev.get("dur").expect("dur"));
                 assert!(ts >= 0.0 && dur >= 0.0, "negative ts/dur");
-                tracks.entry((pid, tid)).or_default().push((ts, ts + dur));
+                tracks.entry(tid).or_default().push((ts, ts + dur));
             }
-            "M" => {} // metadata (process/thread names)
+            // Metadata (thread names, and one process name: no host process).
+            "M" if name == "process_name" => {
+                let process = ev.get("args").and_then(|a| a.get("name")).map(as_str);
+                assert_eq!(process, Some("dota-accelerator"));
+            }
+            "M" => {}
             other => panic!("unexpected event phase {other:?}"),
         }
     }
     assert!(complete > 0, "no complete events in trace");
 
-    // The dota-prof instrumentation mirrors its spans into the host
-    // tracks of the Chrome trace; the layers it covers must be visible.
-    for expected in ["gemm.matmul", "attn.head", "detector.select", "model.infer"] {
-        assert!(
-            names.contains(expected),
-            "host span {expected} missing from trace; got {names:?}"
-        );
-    }
-
-    for ((pid, tid), mut spans) in tracks {
+    for (tid, mut spans) in tracks {
         // Sort by start, longest first on ties, then sweep with a stack:
         // each span must fit inside the innermost open span that overlaps
         // it (or overlap nothing).
@@ -143,7 +143,7 @@ fn check_trace(path: &PathBuf) {
             if let Some(&(open_start, open_end)) = stack.last() {
                 assert!(
                     end <= open_end,
-                    "event [{start}, {end}) on track ({pid}, {tid}) straddles \
+                    "event [{start}, {end}) on track {tid} straddles \
                      enclosing span [{open_start}, {open_end})"
                 );
             }
