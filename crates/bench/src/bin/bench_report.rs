@@ -2,9 +2,11 @@
 //! (naive reference vs the packed/blocked kernels, serial vs the
 //! `parallel` thread pool, fp32 lanes vs the quantized INT8 and INT4 host
 //! kernels), of dense vs DOTA-sparse attention at the five paper sequence
-//! lengths (§5.1), and of the element-wise, attention-row, scheduler,
-//! selection and seeded-draw kernels. Every time is the exact median of
-//! its repetitions. Writes `BENCH_kernels.json` at the repository root.
+//! lengths (§5.1), of the element-wise, attention-row, scheduler,
+//! selection and seeded-draw kernels, and of one stream's decode steps
+//! under the dense, window and detector selectors at contexts 1024 and
+//! 4096. Every time is the exact median of its repetitions. Writes
+//! `BENCH_kernels.json` at the repository root.
 //!
 //! Run with:
 //! `cargo run --release -p dota-bench --features parallel,prof-alloc --bin bench_report`
@@ -22,13 +24,17 @@ use dota_accel::sched::{matrix_loads, schedule_matrix};
 use dota_accel::synth::{sample_selection, SelectionProfile};
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
+use dota_detector::decode::DotaDecodeSelector;
 use dota_detector::{DetectorConfig, DotaHook};
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
 use dota_tensor::lanes::{self, Lanes};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd;
 use dota_tensor::{ops, reference, topk, Matrix};
-use dota_transformer::{InferenceHook, Model, TransformerConfig};
+use dota_transformer::{
+    DecodeItem, DecodeScratch, DecodeSelector, DenseDecode, InferenceHook, KvCache, Model,
+    TransformerConfig, WindowSelector,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -200,6 +206,18 @@ struct SelectionRow {
     set_integer: f64,
 }
 
+/// One decode step of the benchmark's mid causal model (4 layers, d 128,
+/// 4 heads of 32: detector rank 6) on one stream grown to context 4096
+/// under one selector, every step in one warm arena.
+#[derive(Serialize)]
+struct DecodeRow {
+    /// `decode_ctx<context>_<selector>`: `dense`, `window` (the serving
+    /// window at retention 0.125) or `dota` (the detector at 0.125).
+    kernel: String,
+    /// Median of the 64 steps ending at the context, microseconds each.
+    us_per_tok: f64,
+}
+
 /// Seeded initialisation, the cost `Model::init` and `DotaHook::init` are
 /// made of: the bulk Box–Muller, the keystream under it, and the
 /// benchmark's mid causal model at context 1024 (1.1M draws). Medians.
@@ -248,6 +266,9 @@ struct Report {
     selection: Vec<SelectionRow>,
     /// Seeded initialisation (see [`DrawRow`]).
     draws: DrawRow,
+    /// Decode steps at contexts 1024 and 4096 per selector (see
+    /// [`DecodeRow`]).
+    decode: Vec<DecodeRow>,
 }
 
 /// Wall-clock nanoseconds of one call of `f`; its result is dropped
@@ -765,6 +786,66 @@ fn selection_rows() -> Vec<SelectionRow> {
     rows
 }
 
+/// The decode steps of [`DecodeRow`]: per selector, one stream of random
+/// tokens from an empty cache to context 4096, each step timed alone.
+fn decode_rows() -> Vec<DecodeRow> {
+    const CONTEXTS: [usize; 2] = [1024, 4096];
+    const BIN: usize = 64;
+    const RETENTION: f64 = 0.125;
+    println!("\nDecode step, mid model, one stream (µs per token, median of the {BIN} steps ending at the context)");
+    let cfg = TransformerConfig {
+        d_model: 128,
+        n_heads: 4,
+        n_layers: 4,
+        d_ff: 512,
+        ..TransformerConfig::tiny_causal(CONTEXTS[1], 256)
+    };
+    let mut params = ParamSet::new();
+    let model = Model::init(cfg.clone(), &mut params, 7);
+    let hook = DotaHook::init(DetectorConfig::new(RETENTION), &cfg, &mut params);
+    let mut rng = SeededRng::new(7);
+    let tokens: Vec<usize> = (0..CONTEXTS[1])
+        .map(|_| rng.below(cfg.vocab_size))
+        .collect();
+    let dota = DotaDecodeSelector::new(&hook, &params, cfg.n_layers, cfg.n_heads);
+    let window = WindowSelector::new(RETENTION);
+    let selectors: [(&str, &dyn DecodeSelector); 3] = [
+        ("dense", &DenseDecode),
+        ("window", &window),
+        ("dota", &dota),
+    ];
+    let mut scratch = DecodeScratch::default();
+    let mut rows = Vec::new();
+    for (name, selector) in selectors {
+        let mut cache = KvCache::with_capacity(cfg.n_layers, cfg.d_model, CONTEXTS[1]);
+        let step_us: Vec<f64> = tokens
+            .iter()
+            .map(|token| {
+                let item = DecodeItem {
+                    cache: &mut cache,
+                    tokens: std::slice::from_ref(token),
+                    selector,
+                };
+                time_ns(|| {
+                    model
+                        .decode_rows_in(&params, &mut [item], &mut scratch)
+                        .logits[(0, 0)]
+                }) / 1e3
+            })
+            .collect();
+        for ctx in CONTEXTS {
+            let mut bin = step_us[ctx - BIN..ctx].iter();
+            let us_per_tok = median_of(BIN, || *bin.next().expect("one step per draw"));
+            println!("  decode_ctx{ctx}_{name:<8} {us_per_tok:>9.1}");
+            rows.push(DecodeRow {
+                kernel: format!("decode_ctx{ctx}_{name}"),
+                us_per_tok,
+            });
+        }
+    }
+    rows
+}
+
 fn main() {
     // Profile-only: a trace, counter or histogram session recording
     // while the kernels run would skew their timings. The allocation
@@ -806,6 +887,7 @@ fn main() {
         scheduler: scheduler_rows(),
         selection: selection_rows(),
         draws: draw_row(),
+        decode: decode_rows(),
     };
     let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     path.pop();

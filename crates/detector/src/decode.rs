@@ -11,7 +11,8 @@
 use crate::{DetectorConfig, DotaHook};
 use dota_autograd::ParamSet;
 use dota_tensor::lanes::Lanes;
-use dota_tensor::{topk, Matrix};
+use dota_tensor::topk::{self, BlockedRows};
+use dota_tensor::Matrix;
 use dota_transformer::DecodeSelector;
 use std::cell::RefCell;
 
@@ -30,6 +31,11 @@ pub struct DotaDecodeSelector<'a> {
     params: &'a ParamSet,
     cfg: DetectorConfig,
     n_heads: usize,
+    /// Every head's detector rank.
+    rank: usize,
+    /// Per layer, the heads' projections `P` side by side (`d × H·rank`):
+    /// one product projects a row for every head.
+    projections: Vec<Matrix>,
     /// The lanes of the sketch products and the selection, decided once
     /// per generation.
     lanes: Lanes,
@@ -41,40 +47,69 @@ pub struct DotaDecodeSelector<'a> {
 /// selection allocates nothing beyond its sketch's growth.
 #[derive(Debug)]
 struct SketchState {
-    /// `k̃` rows accumulated so far, per layer, per head.
-    sketches: Vec<Vec<Matrix>>,
-    /// The current row projected (`1 x rank`), then its key and query
-    /// sketches.
+    /// `k̃` rows accumulated so far, per layer, per head, eight positions
+    /// to a block.
+    sketches: Vec<Vec<BlockedRows>>,
+    /// The current row projected for every head of a layer (`1 ×
+    /// H·rank`), and the `(layer, cache_len)` it was projected at: the first
+    /// head asked there computes it, the others read their columns.
     xp: Matrix,
-    k_row: Matrix,
-    q_row: Matrix,
-    /// Estimated scores against every cached key, and the top-k's keys.
-    scores: Vec<f32>,
+    xp_at: Option<(usize, usize)>,
+    /// One head's key and query sketches of the current row.
+    k_row: Vec<f32>,
+    q_row: Vec<f32>,
+    /// The top-k's keys of the estimated scores against every cached key.
     keys: Vec<i32>,
+}
+
+/// `out = xp · w` for a `rank × rank` `w`: each column its own ascending
+/// chain from `+0.0`, multiply then add — the bits of `gemm_into`.
+fn sketch_row(xp: &[f32], w: &Matrix, out: &mut Vec<f32>) {
+    out.clear();
+    out.extend((0..w.cols()).map(|j| {
+        let mut acc = 0.0f32;
+        for (i, &x) in xp.iter().enumerate() {
+            acc += x * w[(i, j)];
+        }
+        acc
+    }));
 }
 
 impl<'a> DotaDecodeSelector<'a> {
     /// Creates a selector over a trained detector bank for a model with
     /// `n_layers` × `n_heads` heads.
     pub fn new(hook: &'a DotaHook, params: &'a ParamSet, n_layers: usize, n_heads: usize) -> Self {
+        let rank = hook.detector(0, 0).rank();
+        let projections = (0..n_layers)
+            .map(|l| {
+                let heads: Vec<&Matrix> = (0..n_heads)
+                    .map(|h| hook.detector(l, h).projection())
+                    .collect();
+                assert!(
+                    heads.iter().all(|p| p.cols() == rank),
+                    "layer {l}: a head's rank is not {rank}"
+                );
+                Matrix::from_fn(heads[0].rows(), n_heads * rank, |r, c| {
+                    heads[c / rank][(r, c % rank)]
+                })
+            })
+            .collect();
         Self {
             hook,
             params,
             cfg: hook.config().clone(),
             n_heads,
+            rank,
+            projections,
             lanes: Lanes::active(),
             state: RefCell::new(SketchState {
                 sketches: (0..n_layers)
-                    .map(|l| {
-                        (0..n_heads)
-                            .map(|h| Matrix::zeros(0, hook.detector(l, h).rank()))
-                            .collect()
-                    })
+                    .map(|_| (0..n_heads).map(|_| BlockedRows::new(rank)).collect())
                     .collect(),
                 xp: Matrix::default(),
-                k_row: Matrix::default(),
-                q_row: Matrix::default(),
-                scores: Vec::new(),
+                xp_at: None,
+                k_row: Vec::new(),
+                q_row: Vec::new(),
                 keys: Vec::new(),
             }),
         }
@@ -88,7 +123,7 @@ impl<'a> DotaDecodeSelector<'a> {
             .sketches
             .last()
             .and_then(|heads| heads.last())
-            .map_or(0, Matrix::rows)
+            .map_or(0, BlockedRows::rows)
     }
 }
 
@@ -113,25 +148,29 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         let SketchState {
             sketches,
             xp,
+            xp_at,
             k_row,
             q_row,
-            scores,
             keys,
         } = &mut *state;
-        let product = |a: &Matrix, w: &Matrix, out: &mut Matrix| {
-            out.reuse_as(a.rows(), w.cols());
-            a.gemm_into(w, out, self.lanes).expect("sketch shape");
-        };
-        // Project the current row once: xp is 1 x rank.
-        product(x, det.projection(), xp);
-        product(xp, self.params.value(det.wk_tilde()), k_row);
-        product(xp, self.params.value(det.wq_tilde()), q_row);
+        // Project the current row for every head once per (layer, row):
+        // each column of `x·P` is its own chain, so head `h`'s columns are
+        // the bits of `x·P_h`.
+        if *xp_at != Some((layer, cache_len)) {
+            let p = &self.projections[layer];
+            xp.reuse_as(x.rows(), p.cols());
+            x.gemm_into(p, xp, self.lanes).expect("sketch shape");
+            *xp_at = Some((layer, cache_len));
+        }
+        let xp = &xp.row(0)[head * self.rank..][..self.rank];
+        sketch_row(xp, self.params.value(det.wk_tilde()), k_row);
+        sketch_row(xp, self.params.value(det.wq_tilde()), q_row);
 
         // Append this step's key sketch in place (the model appends its
         // K/V before calling attention, so cache_len already includes the
         // new row).
         let sketch = &mut sketches[layer][head];
-        sketch.push_row(k_row.row(0));
+        sketch.push_row(k_row);
         // Scores below pair sketch row `j` with cache position `j`: a
         // skipped or repeated position would select the wrong keys silently.
         assert!(
@@ -140,13 +179,12 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
             sketch.rows()
         );
 
-        // Estimated scores of the new query against every cached key: one
-        // exact ascending-k dot per sketch row, no operand packed or copied.
-        let q = q_row.row(0);
-        scores.clear();
-        scores.extend(sketch.rows_iter().map(|k| Matrix::dot(q, k)));
+        // Estimated scores of the new query against every cached key, as
+        // top-k keys: one exact ascending-k chain per sketch row, eight
+        // rows per pass, no score row between.
+        let (lo, hi) = sketch.score_keys(self.lanes, q_row, keys);
         let keep = self.cfg.keys_per_row_for_layer(layer, cache_len);
-        topk::top_k_set(self.lanes, scores, keep, keys, out);
+        topk::top_k_set_keys(self.lanes, keys, keep, lo, hi, out);
         true
     }
 }
@@ -339,40 +377,90 @@ mod tests {
 
     proptest::proptest! {
         /// Fed one position at a time, the selector keeps exactly what the
-        /// ordered `top_k_indices` keeps of the same sketch scores — as a
-        /// set, ascending — while the cache grows past one 8-lane compare
-        /// and one 64-key block.
+        /// ordered `top_k_indices` keeps of the `Matrix::dot` sketch
+        /// scores — as a set, ascending — on the plain body and the host's
+        /// lanes, at every detector rank from 1 to 8 (the benchmark's mid
+        /// model runs 6), while the cache grows past one 8-lane compare and
+        /// one 64-key block and stops anywhere in a block of eight. Every
+        /// head of the layer is asked, in a fresh order at each position,
+        /// so the projection the heads share is held to each head's own.
+        /// Inputs of `±0`, repeated inputs (tied sketch rows) and inputs
+        /// holding a NaN or an infinity (NaN sketches and queries) are
+        /// planted.
         #[test]
         fn decode_selector_matches_top_k_indices_oracle(seed in 0u64..1 << 32) {
+            use dota_tensor::lanes::with_lanes;
             use dota_tensor::rng::SeededRng;
 
-            let (model, params, hook) = setup();
-            let cfg = model.config();
-            let selector = DotaDecodeSelector::new(&hook, &params, cfg.n_layers, cfg.n_heads);
-            let det = hook.detector(1, 0);
             let mut rng = SeededRng::new(seed);
-            let mut sketches: Vec<Vec<f32>> = Vec::new();
-            for t in 1..=70 {
-                let mut x = rng.normal_matrix(1, cfg.d_model, 1.0);
-                if t % 9 == 0 {
-                    // A repeated input: its sketch ties with an earlier one.
-                    x = Matrix::filled(1, cfg.d_model, 0.5);
+            let rank = 1 + rng.below(8);
+            let mut params = ParamSet::new();
+            let model = Model::init(TransformerConfig::tiny_causal(80, 8), &mut params, seed % 4);
+            let cfg = model.config();
+            let sigma = rank as f64 / cfg.head_dim() as f64;
+            let detector = DetectorConfig::new(0.3).with_sigma(sigma);
+            let hook = DotaHook::init(detector, cfg, &mut params);
+            let layer = rng.below(cfg.n_layers);
+            let len = 1 + rng.below(70);
+            let inputs: Vec<Matrix> = (0..len)
+                .map(|t| {
+                    let mut x = rng.normal_matrix(1, cfg.d_model, 1.0);
+                    match rng.below(12) {
+                        0 => x = Matrix::filled(1, cfg.d_model, 0.5),
+                        1 => x = Matrix::filled(1, cfg.d_model, [0.0, -0.0][t % 2]),
+                        2 => x[(0, rng.below(cfg.d_model))] = f32::NAN,
+                        3 => x[(0, rng.below(cfg.d_model))] = f32::INFINITY,
+                        _ => {}
+                    }
+                    x
+                })
+                .collect();
+            // want[h][t - 1]: head h's kept set at position t.
+            let mut want = Vec::new();
+            for head in 0..cfg.n_heads {
+                let det = hook.detector(layer, head);
+                proptest::prop_assert_eq!(det.rank(), rank);
+                let mut sketches: Vec<Vec<f32>> = Vec::new();
+                let mut kept_by_position = Vec::new();
+                for (t, x) in (1..).zip(&inputs) {
+                    let xp = x.matmul(det.projection()).unwrap();
+                    let k_row = xp.matmul(params.value(det.wk_tilde())).unwrap();
+                    let q_row = xp.matmul(params.value(det.wq_tilde())).unwrap();
+                    sketches.push(k_row.row(0).to_vec());
+                    let scores: Vec<f32> = sketches
+                        .iter()
+                        .map(|k| Matrix::dot(q_row.row(0), k))
+                        .collect();
+                    let keep = hook.config().keys_per_row_for_layer(layer, t);
+                    let mut kept: Vec<u32> = topk::top_k_indices(&scores, keep)
+                        .into_iter()
+                        .map(|i| i as u32)
+                        .collect();
+                    kept.sort_unstable();
+                    kept_by_position.push(kept);
                 }
-                let xp = x.matmul(det.projection()).unwrap();
-                let k_row = xp.matmul(params.value(det.wk_tilde())).unwrap();
-                let q_row = xp.matmul(params.value(det.wq_tilde())).unwrap();
-                sketches.push(k_row.row(0).to_vec());
-                let scores: Vec<f32> = sketches
-                    .iter()
-                    .map(|k| Matrix::dot(q_row.row(0), k))
-                    .collect();
-                let keep = hook.config().keys_per_row_for_layer(1, t);
-                let mut want: Vec<u32> = topk::top_k_indices(&scores, keep)
-                    .into_iter()
-                    .map(|i| i as u32)
-                    .collect();
-                want.sort_unstable();
-                proptest::prop_assert_eq!(selector.select(1, 0, &x, t), Some(want), "position {}", t);
+                want.push(kept_by_position);
+            }
+            for lanes in [Lanes::Plain, Lanes::host()] {
+                let selector =
+                    with_lanes(lanes, || DotaDecodeSelector::new(&hook, &params, cfg.n_layers, cfg.n_heads));
+                for (t, x) in (1..).zip(&inputs) {
+                    let mut heads: Vec<usize> = (0..cfg.n_heads).collect();
+                    for i in (1..heads.len()).rev() {
+                        heads.swap(i, rng.below(i + 1));
+                    }
+                    for head in heads {
+                        let got = selector.select(layer, head, x, t);
+                        proptest::prop_assert_eq!(
+                            got.as_ref(),
+                            Some(&want[head][t - 1]),
+                            "{:?}, head {}, position {}",
+                            lanes,
+                            head,
+                            t
+                        );
+                    }
+                }
             }
         }
     }

@@ -66,7 +66,9 @@ const BLOCK: usize = 32;
 /// 0.99–1.04 at 128×128, `m` = 32). So the constant stays at 32. The
 /// eight-lane tiles of an AVX2-only host, measured on an AVX2 Xeon, tied
 /// at 32 rows at 128×512 and crossed near 128 and 256 rows at 512×128 and
-/// 128×128.
+/// 128×128. The sixteen-lane one-row pass that `few_rows` runs on an
+/// AVX-512F host makes only `m` = 1 faster, where the row tile already
+/// led.
 const PACK_MIN_ROWS: usize = 32;
 
 /// Products smaller than this many multiply-adds are never packed: the
@@ -398,7 +400,7 @@ impl Matrix {
 
 #[cfg(test)]
 mod tests {
-    use crate::lanes::{same, with_lanes, Lanes};
+    use crate::lanes::{bodies, same, with_lanes, Lanes};
     use crate::reference;
     use crate::rng::SeededRng;
     use crate::Matrix;
@@ -564,29 +566,41 @@ mod tests {
         }
     }
 
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.iter().map(|x| x.to_bits()).collect()
-    }
-
     proptest! {
         /// Every `A·B` below `PACK_MIN_ROWS` rows — the row tile on lanes,
-        /// the plain row kernel without — is bitwise the reference on
-        /// either body: `n` has tails below 8, 16 and 64
-        /// columns, and `k = 0` leaves an all-zero product.
+        /// led on a host with AVX-512F by the one-row 128-column pass, and
+        /// the plain row kernel without — is bitwise the reference on every
+        /// body, the eight-lane tiles of an AVX2-only host included: `n`
+        /// has tails below 8, 16, 64 and 128 columns, every run adds one-row
+        /// products of 128, 129, 256 and 300 columns, `k = 0` leaves an
+        /// all-zero product, and NaN and `±∞` weights are planted.
         #[test]
         fn few_row_products_are_bitwise_the_reference_oracle(
             m in 1usize..super::PACK_MIN_ROWS,
             k in 0usize..70,
-            n in 1usize..130,
+            n in 1usize..300,
+            plants in proptest::collection::vec(0usize..1 << 20, 0..4),
             seed in 0u64..1 << 32,
         ) {
             let mut rng = SeededRng::new(seed);
-            let a = rng.normal_matrix(m, k, 1.0);
-            let b = rng.normal_matrix(k, n, 1.0);
-            let want = bits(&reference::matmul(&a, &b));
-            for lanes in [Lanes::Plain, Lanes::host()] {
-                let got = with_lanes(lanes, || a.matmul(&b).unwrap());
-                assert_eq!(bits(&got), want, "{lanes:?} at {m}x{k}x{n}");
+            let mut bodies = bodies();
+            if !bodies.contains(&Lanes::active().narrow()) {
+                bodies.push(Lanes::active().narrow());
+            }
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (m, n) in [(m, n), (1, 128), (1, 129), (1, 256), (1, 300)] {
+                let a = rng.normal_matrix(m, k, 1.0);
+                let mut b = rng.normal_matrix(k, n, 1.0);
+                for (i, &p) in plants.iter().enumerate().filter(|_| k > 0) {
+                    b[(p % k, p / k % n)] = specials[i % specials.len()];
+                }
+                let want = reference::matmul(&a, &b);
+                for &lanes in &bodies {
+                    let got = with_lanes(lanes, || a.matmul(&b).unwrap());
+                    for (i, (&g, &w)) in got.iter().zip(want.iter()).enumerate() {
+                        prop_assert!(same(g, w), "{lanes:?} at {m}x{k}x{n}, element {i}: {g} vs {w}");
+                    }
+                }
             }
         }
     }

@@ -11,10 +11,11 @@
 //! and the AVX2 cores without FMA are rare (they run the plain bodies).
 //! Other hosts, aarch64 included, run the plain bodies.
 //!
-//! The token also carries whether the host runs AVX-512F. One kernel uses
-//! it: the packed GEMM's register tiles (`simd`), which run on sixteen
-//! lanes there and on eight elsewhere, with the same bits. Every other
-//! kernel runs its eight lanes on either host.
+//! The token also carries whether the host runs AVX-512F. Two GEMM
+//! kernels use it (`simd`): the packed register tiles, and the one-row
+//! pass of the row tile, which run on sixteen lanes there and on eight
+//! elsewhere, with the same bits. Every other kernel runs its eight lanes
+//! on either host.
 //!
 //! The decision is `DOTA_GEMM` ∈ {`auto`, `scalar`, `simd`}, read once per
 //! process by one parser ([`parse_family`]): `scalar` is [`Lanes::Plain`],
@@ -48,8 +49,8 @@ pub enum Lanes {
     /// Plain Rust: `DOTA_GEMM=scalar`, every host without the lanes, and
     /// the oracle each lane kernel is held to.
     Plain,
-    /// Eight AVX2+FMA lanes (sixteen in the packed GEMM tiles where the
-    /// token says AVX-512F).
+    /// Eight AVX2+FMA lanes (sixteen in the packed GEMM tiles and the
+    /// one-row GEMM pass where the token says AVX-512F).
     #[cfg(target_arch = "x86_64")]
     Avx2(Avx2),
 }
@@ -88,8 +89,8 @@ impl Lanes {
     }
 
     /// These lanes without AVX-512F: what an AVX2-only host runs, for
-    /// holding the eight-lane tiles to the sixteen-lane ones on a host
-    /// that has both.
+    /// holding the eight-lane tiles to the sixteen-lane ones (and the
+    /// reference) on a host that has both.
     #[cfg(test)]
     pub(crate) fn narrow(self) -> Self {
         match self {

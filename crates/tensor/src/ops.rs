@@ -423,21 +423,18 @@ pub fn attend_row(
         c0 + q.len() <= k.cols() && c0 + out.len() <= v.cols(),
         "head window exceeds the matrix width"
     );
+    #[cfg(target_arch = "x86_64")]
+    if let Lanes::Avx2(_) = state.lanes {
+        // SAFETY: the token proves AVX2 and FMA.
+        unsafe { x86::attend_row(state, q, k, v, c0, sel, out) };
+        return;
+    }
     let Attend {
         lanes,
         scale,
         ref mut weights,
     } = *state;
     let weights = weights.resized(sel.len());
-    #[cfg(target_arch = "x86_64")]
-    if let Lanes::Avx2(_) = lanes {
-        // SAFETY: the token proves AVX2 and FMA.
-        unsafe { x86::scores(q, k, c0, sel, scale, weights) };
-        softmax_slice(lanes, weights);
-        // SAFETY: as above.
-        unsafe { x86::accumulate(weights, v, c0, sel, out) };
-        return;
-    }
     scores_scalar(q, k, c0, sel, scale, weights);
     softmax_slice(lanes, weights);
     accumulate_scalar(weights, v, c0, sel, out);
@@ -445,9 +442,33 @@ pub fn attend_row(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::Attend;
     use crate::lanes::{load, store, KeyRows};
     use crate::Matrix;
     use std::arch::x86_64::*;
+
+    /// [`super::attend_row`] on eight lanes, its bounds already checked:
+    /// [`scores`], the softmax on `state`'s lanes, then [`accumulate`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn attend_row(
+        state: &mut Attend,
+        q: &[f32],
+        k: &Matrix,
+        v: &Matrix,
+        c0: usize,
+        sel: &[u32],
+        out: &mut [f32],
+    ) {
+        let Attend {
+            lanes,
+            scale,
+            ref mut weights,
+        } = *state;
+        let weights = weights.resized(sel.len());
+        scores(q, k, c0, sel, scale, weights);
+        super::softmax_slice(lanes, weights);
+        accumulate(weights, v, c0, sel, out);
+    }
 
     /// The scores of `N` groups of eight keys into `out`: lane `i` of a
     /// group is key `i`'s ascending-`k` chain from `+0.0`, multiply then
@@ -483,14 +504,7 @@ mod x86 {
     /// flight ([`group_scores`]); a tail of fewer than eight keys, and head
     /// widths that are not a multiple of four, take the scalar chain.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn scores(
-        q: &[f32],
-        k: &Matrix,
-        c0: usize,
-        sel: &[u32],
-        scale: f32,
-        scores: &mut [f32],
-    ) {
+    fn scores(q: &[f32], k: &Matrix, c0: usize, sel: &[u32], scale: f32, scores: &mut [f32]) {
         let (q4, rest) = q.as_chunks::<4>();
         let lanes_end = if rest.is_empty() { sel.len() & !7 } else { 0 };
         let rows = |keys| KeyRows::new(k.as_slice(), k.cols(), c0, q.len(), keys);
@@ -541,7 +555,7 @@ mod x86 {
     /// ([`accumulate_columns`]): 32 at a time (one head of the mid model),
     /// then 16, then 8, the rest scalar.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn accumulate(weights: &[f32], v: &Matrix, c0: usize, sel: &[u32], out: &mut [f32]) {
+    fn accumulate(weights: &[f32], v: &Matrix, c0: usize, sel: &[u32], out: &mut [f32]) {
         let (blocks, _) = out.as_chunks_mut::<8>();
         let mut b = 0;
         while b + 4 <= blocks.len() {

@@ -16,7 +16,9 @@
 //!
 //! `A·B` with too few rows to pack (a decode step's `x·W`) runs one more
 //! lane kernel: [`few_rows`], a register tile that reads `B` in place with
-//! separate multiply and add — exact too.
+//! separate multiply and add — exact too. On AVX-512F a lone row runs
+//! 128 columns per pass, eight sixteen-lane accumulators walking every row
+//! of `B` once, before the eight-lane tiles take its last columns.
 //!
 //! Every path is deterministic: for fixed lanes the output is a pure
 //! function of the operands — bitwise identical across `DOTA_THREADS`,
@@ -78,9 +80,10 @@ pub(crate) const MC: usize = 64;
 /// The SIMD capabilities detected on this host, for bench provenance
 /// (`BENCH_kernels.json`, run manifests): pool-speedup and kernel-family
 /// numbers are only interpretable next to what the machine could run.
-/// With `avx512f` the packed GEMM tiles run sixteen lanes wide; every other
-/// lane kernel (the row tile, the `tanh`/GELU, `exp` and attention row
-/// kernels) runs AVX2's eight on either host.
+/// With `avx512f` the packed GEMM tiles and the one-row pass of the row
+/// tile run sixteen lanes wide; every other lane kernel (the row tile's
+/// multi-row groups, the `tanh`/GELU, `exp` and attention row kernels)
+/// runs AVX2's eight on either host.
 pub fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -274,19 +277,49 @@ mod x86 {
         for (g, out) in span.chunks_mut(4 * n).enumerate() {
             let row = |r: usize| a.row(first + 4 * g + r);
             match out.len() / n {
-                4 => row_group(&[row(0), row(1), row(2), row(3)], b, out),
-                3 => row_group(&[row(0), row(1), row(2)], b, out),
-                2 => row_group(&[row(0), row(1)], b, out),
-                _ => row_group(&[row(0)], b, out),
+                4 => row_group(&[row(0), row(1), row(2), row(3)], b, out, 0),
+                3 => row_group(&[row(0), row(1), row(2)], b, out, 0),
+                2 => row_group(&[row(0), row(1)], b, out, 0),
+                _ => row_group(&[row(0)], b, out, 0),
             }
         }
     }
 
-    /// The `R` output rows `out` of `a·b`, `a` holding the rows of `A`.
-    #[target_feature(enable = "avx2,fma")]
-    fn row_group<const R: usize>(a: &[&[f32]; R], b: &Matrix, out: &mut [f32]) {
+    /// [`few_rows`] on a host with AVX-512F: a lone output row runs its
+    /// columns in 128-column passes of eight sixteen-lane accumulators,
+    /// each pass walking every row of `W` once, then its last columns
+    /// through [`few_rows`]' tiles in place; more rows run [`few_rows`].
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    pub(super) fn wide_few_rows(a: &Matrix, b: &Matrix, first: usize, span: &mut [f32]) {
         let (n, w) = (b.cols(), b.as_slice());
+        if span.len() != n {
+            return few_rows(a, b, first, span);
+        }
+        let x = a.row(first);
         let mut j = 0;
+        while j + 128 <= n {
+            let mut acc = [_mm512_setzero_ps(); 8];
+            for (kk, &x) in x.iter().enumerate() {
+                let (w, _) = w[kk * n + j..][..128].as_chunks::<16>();
+                let x = _mm512_set1_ps(x);
+                for (acc, w) in acc.iter_mut().zip(w) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(x, load16(w)));
+                }
+            }
+            let (out, _) = span[j..][..128].as_chunks_mut::<16>();
+            for (out, &v) in out.iter_mut().zip(&acc) {
+                store16(out, v);
+            }
+            j += 128;
+        }
+        row_group(&[x], b, span, j);
+    }
+
+    /// Columns `j..` of the `R` output rows `out` of `a·b`, `a` holding
+    /// the rows of `A`.
+    #[target_feature(enable = "avx2,fma")]
+    fn row_group<const R: usize>(a: &[&[f32]; R], b: &Matrix, out: &mut [f32], mut j: usize) {
+        let (n, w) = (b.cols(), b.as_slice());
         if R == 1 {
             j = tiles::<R, 8>(a, w, n, out, j);
         }
@@ -348,20 +381,27 @@ mod x86 {
     }
 }
 
-/// Fills output rows `[first, first + span.len()/n)` of `A·B` on AVX2
-/// lanes, reading `B` in place: register tiles of up to four rows and 64
-/// columns, nothing packed. Every element is one ascending-`k` chain of
-/// separate multiplies and adds, so the bits are the reference's.
+/// Fills output rows `[first, first + span.len()/n)` of `A·B` on the
+/// token's lanes, reading `B` in place: register tiles of up to four rows
+/// and 64 columns, nothing packed — and where the token says AVX-512F, one
+/// lone row in 128-column passes of sixteen-lane accumulators first. Every
+/// element is one ascending-`k` chain of separate multiplies and adds, so
+/// the bits are the reference's.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn few_rows(
-    _: crate::lanes::Avx2,
+    token: crate::lanes::Avx2,
     a: &Matrix,
     b: &Matrix,
     first: usize,
     span: &mut [f32],
 ) {
-    // SAFETY: the token proves AVX2 and FMA.
-    unsafe { x86::few_rows(a, b, first, span) }
+    if token.avx512f() {
+        // SAFETY: the token proves AVX2, FMA and AVX-512F.
+        unsafe { x86::wide_few_rows(a, b, first, span) }
+    } else {
+        // SAFETY: the token proves AVX2 and FMA.
+        unsafe { x86::few_rows(a, b, first, span) }
+    }
 }
 
 /// Runs one packed GEMM: packs `b` once (strip-parallel), then fans the

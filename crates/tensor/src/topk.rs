@@ -54,6 +54,115 @@ pub fn descending_rank(v: f32) -> u32 {
     }
 }
 
+/// [`descending_rank`] reversed, as a signed key: a larger value has a
+/// larger key (NaN the smallest, `i32::MIN`), what [`top_k_set_keys`]
+/// selects from.
+fn ascending_key(v: f32) -> i32 {
+    (descending_rank(v) ^ 0x7fff_ffff) as i32
+}
+
+/// Positions one block of a [`BlockedRows`] interleaves: one lane register.
+const BLOCK: usize = 8;
+
+/// Rows of one width, appended one at a time and kept eight to a block,
+/// each block's columns interleaved (`[block][column][lane]`), so that one
+/// query scores eight rows with one multiply and one add per column:
+/// [`BlockedRows::score_keys`]. The decode detector's key-sketch cache.
+/// Lanes of the last block past the rows hold zeros and are never scored
+/// into a key; the storage grows in place like a `Vec`.
+#[derive(Debug, Clone)]
+pub struct BlockedRows {
+    width: usize,
+    rows: usize,
+    data: Vec<f32>,
+}
+
+impl BlockedRows {
+    /// An empty cache of rows `width` wide.
+    ///
+    /// # Panics
+    ///
+    /// If `width` is zero.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "blocked rows of width zero");
+        Self {
+            width,
+            rows: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// Rows appended so far.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Appends `row` as the next lane of the last block, opening a block of
+    /// zeros every eighth row.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not `width` long.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.width, "pushed row width mismatch");
+        let lane = self.rows % BLOCK;
+        if lane == 0 {
+            self.data.resize(self.data.len() + BLOCK * self.width, 0.0);
+        }
+        let block = self.data.len() - BLOCK * self.width;
+        for (column, &x) in self.data[block..].chunks_exact_mut(BLOCK).zip(row) {
+            column[lane] = x;
+        }
+        self.rows += 1;
+    }
+
+    /// The key of every row's score `q · row` into `keys` (resized to one
+    /// per row, every element written), and the least and greatest of
+    /// them: `top_k_set_keys(lanes, keys, k, lo, hi, ..)` then keeps what
+    /// [`top_k_set`] keeps of the scores. Each score is
+    /// [`Matrix::dot`]'s ascending chain from `+0.0`, multiply then add,
+    /// so the keys are `descending_rank(Matrix::dot(q, row))` reversed,
+    /// bit for bit, on either body; the lanes score eight rows per
+    /// register and four blocks per pass.
+    ///
+    /// # Panics
+    ///
+    /// If `q` is not `width` long.
+    pub fn score_keys(&self, lanes: Lanes, q: &[f32], keys: &mut Vec<i32>) -> (i32, i32) {
+        assert_eq!(q.len(), self.width, "query width mismatch");
+        keys.resize(self.rows, 0);
+        match lanes {
+            Lanes::Plain => block_keys(q, &self.data, keys),
+            // SAFETY: the token proves AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2(_) => unsafe { x86::block_keys(q, &self.data, keys) },
+        }
+    }
+}
+
+/// [`BlockedRows::score_keys`] in plain Rust, one block of eight chains at
+/// a time: the lanes' oracle.
+fn block_keys(q: &[f32], data: &[f32], keys: &mut [i32]) -> (i32, i32) {
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    for (block, keys) in data
+        .chunks_exact(BLOCK * q.len())
+        .zip(keys.chunks_mut(BLOCK))
+    {
+        let mut acc = [0.0f32; BLOCK];
+        for (&x, column) in q.iter().zip(block.chunks_exact(BLOCK)) {
+            for (a, &y) in acc.iter_mut().zip(column) {
+                *a += x * y;
+            }
+        }
+        for (key, &score) in keys.iter_mut().zip(&acc) {
+            *key = ascending_key(score);
+            lo = lo.min(*key);
+            hi = hi.max(*key);
+        }
+    }
+    (lo, hi)
+}
+
 /// Indices of the `k` largest values in `row`, in descending value order.
 ///
 /// Ties are broken toward the lower index so that results are deterministic;
@@ -145,7 +254,7 @@ pub fn top_k_set(lanes: Lanes, row: &[f32], k: usize, keys: &mut Vec<i32>, out: 
     let (mut lo, mut hi) = (i32::MAX, i32::MIN);
     keys.clear();
     keys.extend(row.iter().map(|&v| {
-        let key = (descending_rank(v) ^ 0x7fff_ffff) as i32;
+        let key = ascending_key(v);
         lo = lo.min(key);
         hi = hi.max(key);
         key
@@ -273,8 +382,91 @@ fn push_set_bits(mut mask: u64, base: u32, out: &mut Vec<u32>) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::lanes::{load_i32, store_i32};
+    use super::BLOCK;
+    use crate::lanes::{load, load_i32, store_i32};
     use std::arch::x86_64::*;
+
+    /// [`super::block_keys`] on eight lanes: four blocks per pass, so four
+    /// independent add chains cover the adder's latency, then single
+    /// blocks, then the last, partly filled block through a stack copy of
+    /// its keys.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn block_keys(q: &[f32], data: &[f32], keys: &mut [i32]) -> (i32, i32) {
+        let (columns, _) = data.as_chunks::<BLOCK>();
+        let w = q.len();
+        let (full, tail) = keys.as_chunks_mut::<BLOCK>();
+        let mut lo = _mm256_set1_epi32(i32::MAX);
+        let mut hi = _mm256_set1_epi32(i32::MIN);
+        let (quads, singles) = full.as_chunks_mut::<4>();
+        for (b, out) in quads.iter_mut().enumerate() {
+            let blocks = &columns[4 * b * w..][..4 * w];
+            let scores = block_scores::<4>(q, blocks);
+            for (out, scores) in out.iter_mut().zip(scores) {
+                let key = ascending_keys(scores);
+                store_i32(out, key);
+                (lo, hi) = (_mm256_min_epi32(lo, key), _mm256_max_epi32(hi, key));
+            }
+        }
+        for (b, out) in singles.iter_mut().enumerate() {
+            let [scores] = block_scores::<1>(q, &columns[(4 * quads.len() + b) * w..][..w]);
+            let key = ascending_keys(scores);
+            store_i32(out, key);
+            (lo, hi) = (_mm256_min_epi32(lo, key), _mm256_max_epi32(hi, key));
+        }
+        let (mut lo_lanes, mut hi_lanes) = ([0; BLOCK], [0; BLOCK]);
+        store_i32(&mut lo_lanes, lo);
+        store_i32(&mut hi_lanes, hi);
+        let mut lo = lo_lanes.into_iter().fold(i32::MAX, i32::min);
+        let mut hi = hi_lanes.into_iter().fold(i32::MIN, i32::max);
+        if !tail.is_empty() {
+            let [scores] = block_scores::<1>(q, &columns[full.len() * w..][..w]);
+            let mut last = [0; BLOCK];
+            store_i32(&mut last, ascending_keys(scores));
+            for (out, &key) in tail.iter_mut().zip(&last) {
+                *out = key;
+                (lo, hi) = (lo.min(key), hi.max(key));
+            }
+        }
+        (lo, hi)
+    }
+
+    /// The scores of `N` consecutive blocks (`N·w` columns of eight lanes):
+    /// per lane the ascending chain from `+0.0` over the `w` columns,
+    /// multiply then add, never fused.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn block_scores<const N: usize>(q: &[f32], columns: &[[f32; BLOCK]]) -> [__m256; N] {
+        let w = q.len();
+        // A loop: `array::from_fn` does not inline here.
+        let mut blocks = [&columns[..0]; N];
+        for (n, block) in blocks.iter_mut().enumerate() {
+            *block = &columns[n * w..][..w];
+        }
+        let mut acc = [_mm256_setzero_ps(); N];
+        for (d, &x) in q.iter().enumerate() {
+            let x = _mm256_set1_ps(x);
+            for (a, block) in acc.iter_mut().zip(&blocks) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(x, load(&block[d])));
+            }
+        }
+        acc
+    }
+
+    /// `ascending_key` of eight scores: the bits of a non-negative float,
+    /// a negative one's magnitude bits flipped, NaN `i32::MIN`. A chain
+    /// from `+0.0` never ends at `-0.0`, so the one zero key is `+0.0`'s.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn ascending_keys(scores: __m256) -> __m256i {
+        let bits = _mm256_castps_si256(scores);
+        let negative = _mm256_srai_epi32::<31>(bits);
+        let key = _mm256_xor_si256(
+            bits,
+            _mm256_and_si256(negative, _mm256_set1_epi32(i32::MAX)),
+        );
+        let nan = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_UNORD_Q>(scores, scores));
+        _mm256_blendv_epi8(key, _mm256_set1_epi32(i32::MIN), nan)
+    }
 
     /// [`super::select_with`] on the eight-lane passes below.
     #[target_feature(enable = "avx2,fma")]
@@ -641,6 +833,49 @@ mod tests {
                     prop_assert_eq!(got[0], u32::MAX, "appends, never clears");
                     prop_assert_eq!(&got[1..], &by_sort[..], "{:?} in {}..={}", lanes, lo, hi);
                 }
+            }
+        }
+
+        /// The blocked cache's keys, on every body, are the reversed
+        /// `descending_rank` of each row's `Matrix::dot` with the query,
+        /// and its bounds their least and greatest: widths 1 to 12, row
+        /// counts that fill the last block of eight and that do not,
+        /// repeated rows, and `±0`, `±∞` and NaN planted in rows and
+        /// query alike.
+        #[test]
+        fn blocked_row_keys_match_dot_oracle(
+            width in 1usize..13,
+            rows in 0usize..100,
+            plants in proptest::collection::vec(0usize..1 << 20, 0..6),
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let mut data = rng.normal_matrix(rows + 1, width, 1.0);
+            let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for (i, p) in plants.into_iter().enumerate() {
+                let (r, c) = (p % (rows + 1), p / (rows + 1) % width);
+                data[(r, c)] = specials[i % specials.len()];
+                if r > 0 && i % 2 == 0 {
+                    let copy = data.row(r - 1).to_vec();
+                    data.row_mut(r).copy_from_slice(&copy);
+                }
+            }
+            let q = data.row(rows).to_vec();
+            let mut cache = BlockedRows::new(width);
+            for r in 0..rows {
+                cache.push_row(data.row(r));
+            }
+            prop_assert_eq!(cache.rows(), rows);
+            let want: Vec<i32> = (0..rows)
+                .map(|r| (descending_rank(Matrix::dot(&q, data.row(r))) ^ 0x7fff_ffff) as i32)
+                .collect();
+            let lo = want.iter().copied().fold(i32::MAX, i32::min);
+            let hi = want.iter().copied().fold(i32::MIN, i32::max);
+            for lanes in bodies() {
+                let mut keys = vec![5; rows % 3 * 50];
+                let bounds = cache.score_keys(lanes, &q, &mut keys);
+                prop_assert_eq!(&keys, &want, "{:?}", lanes);
+                prop_assert_eq!(bounds, (lo, hi), "{:?}", lanes);
             }
         }
 
